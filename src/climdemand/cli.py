@@ -41,6 +41,7 @@ from .forest import (
     SupervisedDataset,
     impurity_importance,
     lagged_design_matrix,
+    lagged_feature_rows,
     oob_metrics,
     predict,
     train_forest,
@@ -236,22 +237,13 @@ def _forest_recursive_forecast(model, feature_panel: PanelDataset, target: str,
                                train_length: int, horizon: int, lags: int,
                                extras: tuple[str, ...]) -> np.ndarray:
     """Iterate one-step predictions, feeding each back as the next lag."""
-    history = list(feature_panel.column(target)[:train_length])
-    lagged_names = [
-        name for name in feature_panel.column_names
-        if name != target and name not in extras
-    ]
-    out = np.empty(horizon)
-    for step, t in enumerate(range(train_length, train_length + horizon)):
-        feats = [history[t - lag] for lag in range(1, lags + 1)]
-        for name in lagged_names:
-            column = feature_panel.column(name)
-            feats.extend(column[t - lag] for lag in range(1, lags + 1))
-        feats.extend(feature_panel.column(name)[t] for name in extras)
-        value = float(predict(model, np.asarray(feats)))
-        out[step] = value
-        history.append(value)
-    return out
+    history = np.array(feature_panel.column(target), dtype=float)
+    for t in range(train_length, train_length + horizon):
+        row = lagged_feature_rows(
+            feature_panel, target, np.array([t]), lags, extras, target=history
+        )
+        history[t] = predict(model, row[0])
+    return history[train_length : train_length + horizon]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +326,7 @@ def cmd_select(run: RunConfig, panel_path: str, target: str,
     kept = (target,) + tuple(c for c in columns if c != target)
     sub = PanelDataset(panel.week_starts, {n: panel.column(n) for n in kept})
     dataset = lagged_design_matrix(sub, target, lags=lags)
-    model = train_forest(dataset, cfg, threads=run.threads)
+    model = train_forest(dataset, cfg)
     ranking = impurity_importance(model)
     _write_csv(
         _out_path(run, f"importance_{target}.csv"),
@@ -472,7 +464,7 @@ def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
             panel, target, drivers, n, 0, harmonics, lags, trend_cfg
         )
         cfg = ForestConfig(n_trees=trees, block_length=52, seed=run.seed)
-        model = train_forest(dataset, cfg, threads=run.threads)
+        model = train_forest(dataset, cfg)
         _write_json(_out_path(run, f"forest_oob_{target}.json"), _oob_payload(model, dataset))
     _write_manifest(run)
 
@@ -506,7 +498,7 @@ def cmd_forecast(run: RunConfig, panel_path: str, model_name: str, target: str,
             dataset.target[:train_rows],
         )
         cfg = ForestConfig(n_trees=trees, block_length=52, seed=run.seed)
-        model = train_forest(training, cfg, threads=run.threads)
+        model = train_forest(training, cfg)
         values = _forest_recursive_forecast(
             model, feature_panel, target, train_length, horizon, lags, extras
         )
@@ -624,7 +616,7 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     )
     dataset = lagged_design_matrix(sub, target, lags=lags)
     forest_cfg = ForestConfig(n_trees=trees, block_length=52, seed=run.seed)
-    selection = train_forest(dataset, forest_cfg, threads=run.threads)
+    selection = train_forest(dataset, forest_cfg)
     _write_csv(
         _out_path(run, f"importance_{target}.csv"),
         ("feature", "score"),
@@ -669,7 +661,7 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
         forest_dataset.features[:train_rows],
         forest_dataset.target[:train_rows],
     )
-    predictive = train_forest(training, forest_cfg, threads=run.threads)
+    predictive = train_forest(training, forest_cfg)
     emit(
         "forest",
         f"{target}_forecast",
@@ -727,7 +719,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="output directory (default .)")
     parser.add_argument(
         "--threads", type=int,
-        help="worker threads for bootstraps and forests; never changes results",
+        help="worker threads for the causality bootstraps (forests ignore it); "
+             "never changes results",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -6,16 +6,23 @@ overlapping blocks of consecutive rows instead (moving-block bootstrap), so
 every tree trains on stretches that preserve short-range autocorrelation.
 Out-of-bag evaluation follows the same logic: a row counts as out-of-bag for
 a tree only when none of that tree's sampled blocks covers its index.
+
+The engine grows many trees at once.  Each tree still walks its nodes depth
+first and draws from its own random stream, and every sum is taken in the
+order of a one-node-at-a-time grower, so each tree comes out the same as if
+it had been grown alone; but the split searches of all trees' current nodes
+run as one set of array operations.  The trees are stored packed in one set
+of node arrays, and prediction routes every (tree, row) pair at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from ._parallel import parallel_map
 from ._rng import substream
 from .errors import (
     ConfigError,
@@ -33,6 +40,7 @@ __all__ = [
     "ImportanceRanking",
     "OobReport",
     "lagged_design_matrix",
+    "lagged_feature_rows",
     "moving_block_plan",
     "moving_block_indices",
     "mbb_resample",
@@ -129,10 +137,12 @@ class ForestConfig:
 
 @dataclasses.dataclass(frozen=True)
 class _Tree:
-    """One regression tree stored as parallel node arrays.
+    """One regression tree as parallel node arrays (views into the forest's).
 
     ``feature[i] == -1`` marks node ``i`` as a leaf; ``value`` holds the mean
-    training target of every node (internal nodes included).
+    training target of every node (internal nodes included).  ``left`` and
+    ``right`` index nodes of this tree.  ``feature``, ``left`` and ``right``
+    are int32.
     """
 
     feature: np.ndarray
@@ -147,16 +157,49 @@ class _Tree:
 
 @dataclasses.dataclass(frozen=True)
 class ForestModel:
-    """Trained forest: trees plus the resampling bookkeeping for OOB scoring."""
+    """Trained forest: every tree packed into one set of node arrays.
+
+    Tree ``t`` owns nodes ``offsets[t]:offsets[t + 1]`` of ``feature``,
+    ``threshold``, ``left``, ``right`` and ``value``, with child indices
+    local to the tree.  Row ``t`` of ``block_starts``, ``oob_mask`` and
+    ``importance`` holds tree ``t``'s resampling bookkeeping and per-feature
+    impurity reduction.
+    """
 
     feature_names: tuple[str, ...]
     config: ForestConfig
-    trees: tuple[_Tree, ...]
     n_rows: int
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    offsets: np.ndarray
+    block_starts: np.ndarray
+    oob_mask: np.ndarray
+    importance: np.ndarray
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.offsets.size - 1
+
+    @functools.cached_property
+    def trees(self) -> tuple[_Tree, ...]:
+        """Per-tree views into the packed arrays, in tree order."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            _Tree(
+                feature=self.feature[a:b],
+                threshold=self.threshold[a:b],
+                left=self.left[a:b],
+                right=self.right[a:b],
+                value=self.value[a:b],
+                block_starts=self.block_starts[t],
+                oob_mask=self.oob_mask[t],
+                importance=self.importance[t],
+            )
+            for t, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -237,26 +280,54 @@ def lagged_design_matrix(
         raise InvalidInputError(
             f"panel has {panel.n_weeks} weeks; need more than lags={lags}"
         )
-    covariates = [
+    names = [
+        f"{name}.l{lag}"
+        for name in _lagged_columns(panel, target_name, extra_columns)
+        for lag in range(1, lags + 1)
+    ]
+    weeks = np.arange(lags, panel.n_weeks)
+    return SupervisedDataset(
+        feature_names=(*names, *extra_columns),
+        features=lagged_feature_rows(panel, target_name, weeks, lags, extra_columns),
+        target=panel.column(target_name)[lags:],
+    )
+
+
+def _lagged_columns(
+    panel: PanelDataset, target_name: str, extra_columns: tuple[str, ...]
+) -> list[str]:
+    """Columns entered with lags: the target, then the rest in panel order."""
+    rest = [
         name
         for name in panel.column_names
         if name != target_name and name not in extra_columns
     ]
-    names: list[str] = []
+    return [target_name, *rest]
+
+
+def lagged_feature_rows(
+    panel: PanelDataset,
+    target_name: str,
+    weeks: np.ndarray,
+    lags: int = 4,
+    extra_columns: tuple[str, ...] = (),
+    target: np.ndarray | None = None,
+) -> np.ndarray:
+    """Feature rows of :func:`lagged_design_matrix` for the given weeks.
+
+    Row ``i`` describes week ``t = weeks[i]`` (``t >= lags``), with the
+    columns of :func:`lagged_design_matrix` in its order.  ``target``, when
+    given, replaces the panel's target series, so a recursive forecast can
+    feed its own predictions back as lags.
+    """
     columns: list[np.ndarray] = []
-    for name in [target_name, *covariates]:
+    for name in _lagged_columns(panel, target_name, extra_columns):
         series = panel.column(name)
-        for lag in range(1, lags + 1):
-            names.append(f"{name}.l{lag}")
-            columns.append(series[lags - lag : len(series) - lag])
-    for name in extra_columns:
-        names.append(name)
-        columns.append(panel.column(name)[lags:])
-    return SupervisedDataset(
-        feature_names=tuple(names),
-        features=np.column_stack(columns),
-        target=panel.column(target_name)[lags:],
-    )
+        if name == target_name and target is not None:
+            series = np.asarray(target, dtype=float)
+        columns.extend(series[weeks - lag] for lag in range(1, lags + 1))
+    columns.extend(panel.column(name)[weeks] for name in extra_columns)
+    return np.column_stack(columns)
 
 
 def moving_block_plan(n_rows: int, block_length: int) -> tuple[int, int, int]:
@@ -317,84 +388,301 @@ def mbb_resample(
     )
 
 
-def _grow_tree(
+# Slots one growth group holds: trees grow ``_GROUP_ROWS // (n_rows + mtry)``
+# at a time, which bounds a group's row buffers, node records and drawn
+# candidate features.
+_GROUP_ROWS = 1 << 15
+# Elements (node rows x candidate features, or tree-row pairs) that one split
+# search or routing pass holds per working array.
+_STEP_ELEMENTS = 1 << 13
+
+
+def _dense_ranks(features: np.ndarray) -> np.ndarray:
+    """Per-feature dense ranks, shape ``(n_features, n_rows)``.
+
+    Equal values share a rank, so ranks order and tie rows exactly as the
+    values do.
+    """
+    n, m = features.shape
+    ranks = np.empty((m, n), dtype=np.min_scalar_type(n))
+    for j in range(m):
+        ranks[j] = np.unique(features[:, j], return_inverse=True)[1]
+    return ranks
+
+
+def _search_splits(
+    flat_ranks: np.ndarray,
+    target: np.ndarray,
+    n_rows: int,
+    rows: np.ndarray,
+    begin: np.ndarray,
+    size: np.ndarray,
+    candidates: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Best cut of each node over its candidate features, all nodes at once.
+
+    Node ``k`` holds ``rows[begin[k]:begin[k] + size[k]]`` in buffer order
+    and may split on the features in row ``k`` of ``candidates`` (sorted).
+    Cuts minimise the summed child SSE over midpoints of consecutive distinct
+    values; ties take the lowest candidate, then the lowest threshold.  The
+    arithmetic is a per-node loop's: a stable sort, then prefix sums from
+    zero per (node, candidate) segment.
+
+    Returns, per node, the winning candidate column, the left child's size
+    and the summed child SSE (``inf`` when every candidate is constant on
+    the node), plus every node's rows sorted on its winner, concatenated.
+    """
+    mtry = candidates.shape[1]
+    n_seg = candidates.size
+    seg_len = np.repeat(size, mtry)
+    seg_begin = np.cumsum(seg_len) - seg_len
+    n_elem = int(seg_begin[-1] + seg_len[-1])
+    pos = np.arange(n_elem) - np.repeat(seg_begin, seg_len)
+    base = np.repeat(np.repeat(begin, mtry), seg_len)
+    # One sort orders every segment by (rank, position): stable per segment.
+    pos_bits = int(size.max()).bit_length()
+    key = flat_ranks[
+        np.repeat(candidates.reshape(-1) * n_rows, seg_len) + rows[base + pos]
+    ].astype(np.int64)
+    key <<= pos_bits
+    key += pos
+    key += np.repeat(
+        np.arange(n_seg, dtype=np.int64) << (n_rows.bit_length() + pos_bits), seg_len
+    )
+    key.sort()
+    sorted_rows = rows[base + (key & ((1 << pos_bits) - 1))]
+    key >>= pos_bits  # (segment, rank): equal neighbours are tied values
+
+    # Prefix sums per segment from zero, as np.cumsum over that segment
+    # alone: segments padded with -0.0, the exact additive identity.
+    width = int(size.max())
+    slot = np.repeat(np.arange(n_seg) * width, seg_len) + pos
+    last = np.arange(n_seg) * width + seg_len - 1
+    y = target[sorted_rows]
+    padded = np.full(n_seg * width, -0.0)
+    padded[slot] = y
+    prefix = np.cumsum(padded.reshape(n_seg, width), axis=1).reshape(-1)
+    prefix_sum, total_sum = prefix[slot], np.repeat(prefix[last], seg_len)
+    padded[slot] = y * y
+    prefix = np.cumsum(padded.reshape(n_seg, width), axis=1).reshape(-1)
+    prefix_sq, total_sq = prefix[slot], np.repeat(prefix[last], seg_len)
+    del padded, prefix, slot, y
+
+    left_n = pos + 1.0
+    right_n = np.repeat(seg_len, seg_len) - left_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        child_sse = prefix_sum**2
+        child_sse /= left_n
+        np.subtract(prefix_sq, child_sse, out=child_sse)
+        total_sum -= prefix_sum
+        total_sum **= 2
+        total_sum /= right_n
+        total_sq -= prefix_sq
+        total_sq -= total_sum
+        child_sse += total_sq
+    # A cut is valid only between distinct values inside the segment.
+    invalid = right_n < 1
+    invalid[:-1] |= key[1:] <= key[:-1]
+    child_sse = np.where(invalid, np.inf, child_sse)
+    # Segments run candidate-major within each node, so the first minimum
+    # is the lowest candidate, then the lowest threshold.
+    node_begin = seg_begin[::mtry]
+    best_sse = np.minimum.reduceat(child_sse, node_begin)
+    hits = np.flatnonzero(child_sse == np.repeat(best_sse, size * mtry))
+    best = hits[np.searchsorted(hits, node_begin)]  # every node has a hit
+    winner = best - pos[best]  # start of each node's winning segment
+    start = np.cumsum(size) - size
+    ordered = sorted_rows[np.repeat(winner - start, size) + np.arange(int(size.sum()))]
+    return (best - node_begin) // size, pos[best] + 1, best_sse, ordered
+
+
+def _permutations(
+    rng: np.random.Generator, n_features: int, count: int, keep: int
+) -> np.ndarray:
+    """The next ``count`` draws of ``rng.permutation(n_features)``, as rows
+    cut to their first ``keep`` entries."""
+    rows = np.broadcast_to(np.arange(n_features), (count, n_features))
+    return rng.permuted(rows, axis=1)[:, :keep]
+
+
+def _pop(
+    stack: np.ndarray, top: np.ndarray, min_node_size: int
+) -> tuple[np.ndarray, ...]:
+    """Pop, for every tree with pending nodes, its next node that may split
+    together with the nodes stacked above it that are too small to split.
+
+    Those small nodes are leaves that need only their means, so taking them
+    in the same step leaves each tree's depth-first order of splits, and so
+    its RNG draws and node numbering, unchanged.  Returns (tree, node, lo,
+    hi) per popped node and lowers ``top`` in place.
+    """
+    live = np.flatnonzero(top)
+    pending = stack[live]
+    slot = np.arange(stack.shape[1])
+    big = pending[:, :, 2] - pending[:, :, 1] > min_node_size
+    big &= slot < top[live, None]
+    first = np.where(big, slot, 0).max(axis=1)
+    n_pop = top[live] - first
+    top[live] = first
+    owner = np.repeat(live, n_pop)
+    start = np.cumsum(n_pop) - n_pop
+    depth = np.arange(n_pop.sum()) + np.repeat(first - start, n_pop)
+    node, lo, hi = stack[owner, depth].T
+    return owner, node, lo, hi
+
+
+def _leaf_rule(
+    y: np.ndarray, begin: np.ndarray, size: np.ndarray, min_node_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means of the nodes ``y[begin[k]:begin[k] + size[k]]`` and which split.
+
+    A node is a leaf unless it has more than ``min_node_size`` rows and a
+    positive SSE, computed as ``np.dot(y, y) - n * mean**2``.  Means are
+    ``np.mean``'s bits: numpy sums fewer than 8 values in order from
+    ``-0.0`` (done here for all such nodes at once) and longer runs pairwise
+    (left to ``np.add.reduce``, node by node).  Returns the means, the
+    indices of the nodes to search, and their SSE.
+    """
+    mean = np.empty(size.size)
+    short = np.flatnonzero(size < 8)
+    if short.size:
+        col = np.arange(8)
+        block = y[np.minimum(begin[short, None] + col - 1, y.size - 1)]
+        block[(col == 0) | (col > size[short, None])] = -0.0
+        mean[short] = np.cumsum(block, axis=1)[:, -1] / size[short]
+    split: list[int] = []
+    node_sse: list[float] = []
+    begins, sizes, means = begin.tolist(), size.tolist(), mean.tolist()
+    for k in np.flatnonzero(size > min(min_node_size, 7)).tolist():
+        n_k = sizes[k]
+        ys = y[begins[k] : begins[k] + n_k]
+        if n_k >= 8:
+            means[k] = np.add.reduce(ys) / n_k
+        if n_k > min_node_size:
+            sse = float(ys.dot(ys)) - n_k * means[k] * means[k]
+            if sse > 0.0:
+                split.append(k)
+                node_sse.append(sse)
+    return np.array(means), np.array(split, dtype=np.intp), np.array(node_sse)
+
+
+def _grow_group(
     features: np.ndarray,
     target: np.ndarray,
+    ranks: np.ndarray,
+    rngs: list[np.random.Generator],
     rows: np.ndarray,
     mtry: int,
     min_node_size: int,
-    rng: np.random.Generator,
-) -> tuple[list, list, list, list, list, np.ndarray]:
-    """Grow one CART regression tree on the given row multiset.
+    nodes: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grow one CART regression tree per row of ``rows``, in lockstep.
 
-    Splits minimise the summed child SSE over midpoints of consecutive
-    distinct sorted values.  Ties take the lowest feature index, then the
-    lowest threshold, so growth is deterministic given the RNG stream.
+    Each tree keeps its own depth-first stack and RNG stream; every step
+    pops the next node of each unfinished tree (:func:`_pop`) and searches
+    all their splits at once (:func:`_search_splits`).  A node owns a
+    contiguous slice of its tree's row buffer (its row of ``rows``,
+    overwritten), which a split reorders in place into the order of the
+    chosen feature.
+
+    Each tree draws from its stream and sums its rows in the order of a
+    one-tree-at-a-time depth-first grower, so the trees do not depend on the
+    group.  The trees' nodes go, tree after tree, to the front of ``nodes``
+    (feature, threshold, left, right and value arrays).  Returns per-tree
+    node counts and the per-tree impurity reduction per feature.
     """
-    n_features = features.shape[1]
-    node_feature: list[int] = []
-    node_threshold: list[float] = []
-    node_left: list[int] = []
-    node_right: list[int] = []
-    node_value: list[float] = []
-    gains = np.zeros(n_features)
+    n_trees, n = rows.shape
+    m = features.shape[1]
+    buffer = rows.reshape(-1)
+    flat_ranks = ranks.reshape(-1)
+    gains = np.zeros((n_trees, m))
+    count = np.ones(n_trees, dtype=np.intp)
+    stack = np.zeros((n_trees, 32, 3), dtype=np.intp)  # pending (node, lo, hi)
+    stack[:, 0] = (0, 0, n)
+    top = np.ones(n_trees, dtype=np.intp)
+    # Per-step records: (tree, node, mean) of every popped node and (tree,
+    # node, feature, threshold, left child) of every split.
+    popped: tuple[list[np.ndarray], ...] = ([], [], [])
+    splits: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
+    # A tree's stream yields one permutation of the features per searched
+    # node, in depth-first order; batches of Generator.permuted rows draw
+    # the same sequence.  Nothing else draws from the stream afterwards, so
+    # permutations left over at the end do not matter.
+    batch = max(1, min(32, _STEP_ELEMENTS // (n_trees * mtry)))
+    drawn = np.stack([_permutations(rng, m, batch, mtry) for rng in rngs])
+    used = np.zeros(n_trees, dtype=np.intp)
 
-    def new_node(mean: float) -> int:
-        node_feature.append(-1)
-        node_threshold.append(np.nan)
-        node_left.append(-1)
-        node_right.append(-1)
-        node_value.append(mean)
-        return len(node_feature) - 1
-
-    root = new_node(float(np.mean(target[rows])))
-    stack: list[tuple[int, np.ndarray]] = [(root, rows)]
-    while stack:
-        node, node_rows = stack.pop()
-        n = node_rows.size
+    while top.any():
+        owner, node, lo, hi = _pop(stack, top, min_node_size)
+        size = hi - lo
+        begin = np.cumsum(size) - size
+        at = np.repeat(owner * n + lo - begin, size) + np.arange(begin[-1] + size[-1])
+        node_rows = buffer[at]
         y = target[node_rows]
-        mean = node_value[node]
-        node_sse = float(np.dot(y, y)) - n * mean * mean
-        if n <= min_node_size or node_sse <= 0.0:
+        mean, split_at, node_sse = _leaf_rule(y, begin, size, min_node_size)
+        for field, part in zip(popped, (owner, node, mean)):
+            field.append(part)
+        if split_at.size == 0:
             continue
-        candidates = np.sort(rng.permutation(n_features)[:mtry])
-        values = features[np.ix_(node_rows, candidates)]
-        order = np.argsort(values, axis=0, kind="stable")
-        sorted_values = np.take_along_axis(values, order, axis=0)
-        sorted_y = y[order]
-        prefix_sum = np.cumsum(sorted_y, axis=0)
-        prefix_sq = np.cumsum(sorted_y * sorted_y, axis=0)
-        left_n = np.arange(1, n, dtype=float)[:, None]
-        right_n = n - left_n
-        left_sse = prefix_sq[:-1] - prefix_sum[:-1] ** 2 / left_n
-        right_sse = (prefix_sq[-1] - prefix_sq[:-1]) - (
-            prefix_sum[-1] - prefix_sum[:-1]
-        ) ** 2 / right_n
-        child_sse = left_sse + right_sse
-        # A cut is valid only between distinct values of the split feature.
-        child_sse[sorted_values[1:] <= sorted_values[:-1]] = np.inf
-        # Feature-major argmin: first occurrence = lowest candidate index,
-        # then lowest threshold within that feature.
-        flat = child_sse.T.reshape(-1)
-        best = int(np.argmin(flat))
-        if not np.isfinite(flat[best]):
-            continue  # all candidate features constant on this node
-        j = best // (n - 1)
-        pos = best % (n - 1) + 1
-        feature = int(candidates[j])
-        threshold = float((sorted_values[pos - 1, j] + sorted_values[pos, j]) / 2.0)
-        gains[feature] += max(node_sse - float(flat[best]), 0.0)
-        left_rows = node_rows[order[:pos, j]]
-        right_rows = node_rows[order[pos:, j]]
-        node_feature[node] = feature
-        node_threshold[node] = threshold
-        left_id = new_node(float(np.mean(target[left_rows])))
-        right_id = new_node(float(np.mean(target[right_rows])))
-        node_left[node] = left_id
-        node_right[node] = right_id
-        stack.append((right_id, right_rows))
-        stack.append((left_id, left_rows))
-    return node_feature, node_threshold, node_left, node_right, node_value, gains
+        if top.max() + 2 > stack.shape[1]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+
+        tree = owner[split_at]
+        for g in tree[used[tree] == batch].tolist():
+            drawn[g] = _permutations(rngs[g], m, batch, mtry)
+            used[g] = 0
+        candidates = np.sort(drawn[tree, used[tree]], axis=1)
+        used[tree] += 1
+        # Largest nodes first, in chunks of at most _STEP_ELEMENTS padded
+        # elements (or one node).
+        by_size = np.argsort(-size[split_at], kind="stable")
+        first = 0
+        while first < by_size.size:
+            widest = int(size[split_at[by_size[first]]])
+            chunk = by_size[first : first + max(1, _STEP_ELEMENTS // (mtry * widest))]
+            first += chunk.size
+            k = split_at[chunk]
+            j, cut, best_sse, ordered = _search_splits(
+                flat_ranks, target, n, node_rows, begin[k], size[k], candidates[chunk]
+            )
+            # Reorder every searched slice (a leaf's order no longer matters).
+            start = np.cumsum(size[k]) - size[k]
+            at = np.repeat(owner[k] * n + lo[k] - start, size[k]) + np.arange(ordered.size)
+            buffer[at] = ordered
+            ok = np.isfinite(best_sse)  # else every candidate is constant here
+            k, chunk, j, cut, start = k[ok], chunk[ok], j[ok], cut[ok], start[ok]
+            tree, chosen = owner[k], candidates[chunk, j]
+            cut_rows = ordered[start + cut - 1], ordered[start + cut]
+            cut_value = (
+                features[cut_rows[0], chosen] + features[cut_rows[1], chosen]
+            ) / 2.0
+            gains[tree, chosen] += np.maximum(node_sse[chunk] - best_sse[ok], 0.0)
+            left_id = count[tree]
+            count[tree] += 2
+            for field, part in zip(splits, (tree, node[k], chosen, cut_value, left_id)):
+                field.append(part)
+            mid = lo[k] + cut
+            depth = top[tree]
+            stack[tree, depth] = np.column_stack([left_id + 1, mid, hi[k]])
+            stack[tree, depth + 1] = np.column_stack([left_id, lo[k], mid])
+            top[tree] += 2
+
+    # Scatter the records into the node arrays, a field at a time.
+    offsets = np.cumsum(count) - count
+    total = int(count.sum())
+    feature, threshold, left, right, value = (field[:total] for field in nodes)
+    value[offsets[_join(popped[0])] + _join(popped[1])] = _join(popped[2])
+    feature[:] = -1
+    threshold[:] = np.nan
+    left[:] = -1
+    right[:] = -1
+    if splits[0]:
+        at = offsets[_join(splits[0])] + _join(splits[1])
+        feature[at] = _join(splits[2])
+        threshold[at] = _join(splits[3])
+        left[at] = _join(splits[4])
+        right[at] = left[at] + 1
+    return count, gains
 
 
 def train_forest(
@@ -404,8 +692,9 @@ def train_forest(
 ) -> ForestModel:
     """Train a moving-block bootstrap forest.
 
-    Each tree draws its own block resample and grows on it; per-tree RNG
-    streams make the result independent of ``threads``.
+    Each tree draws its own block resample from its own RNG stream and grows
+    on it.  Trees grow a group at a time in lockstep (:func:`_grow_group`);
+    the result does not depend on the grouping.
 
     Parameters
     ----------
@@ -414,7 +703,8 @@ def train_forest(
     config : ForestConfig
         Hyperparameters; ``block_length`` must not exceed the row count.
     threads : int
-        Worker threads for tree growth.
+        Accepted for compatibility and ignored: growth runs in the calling
+        thread, which measured faster than spreading trees over threads.
 
     Returns
     -------
@@ -422,40 +712,73 @@ def train_forest(
     """
     n = dataset.n_rows
     m = dataset.n_features
-    moving_block_plan(n, config.block_length)  # validates block_length vs n
+    _, n_draws, _ = moving_block_plan(n, config.block_length)  # validates it
     mtry = config.resolved_mtry(m)
     if mtry > m:
         raise ConfigError({"mtry": f"must not exceed the {m} available features"})
+    if 2 * n.bit_length() + max(_STEP_ELEMENTS, m).bit_length() > 63:
+        raise InvalidInputError(f"{n} rows exceed the split search's sort keys")
     features = dataset.features
     target = dataset.target
+    ranks = _dense_ranks(features)
+    n_trees = config.n_trees
+    group = max(1, _GROUP_ROWS // (n + mtry))
 
-    def grow(tree_index: int) -> _Tree:
-        rng = substream(config.seed, "forest-tree", tree_index)
-        starts = _draw_block_starts(n, config.block_length, rng)
-        rows = _indices_from_starts(starts, config.block_length, n)
-        oob = np.ones(n, dtype=bool)
-        oob[rows] = False
-        feat, thr, left, right, value, gains = _grow_tree(
-            features, target, rows, mtry, config.min_node_size, rng
+    # Node arrays sized for the most nodes the trees can have (every leaf
+    # keeps a row); trees fill them from the front and the model keeps the
+    # filled part, so the unused tail is never touched.
+    capacity = n_trees * (2 * n - 1)
+    nodes = (
+        np.empty(capacity, dtype=np.int32),
+        np.empty(capacity),
+        np.empty(capacity, dtype=np.int32),
+        np.empty(capacity, dtype=np.int32),
+        np.empty(capacity),
+    )
+    offsets = np.zeros(n_trees + 1, dtype=np.intp)
+    block_starts = np.empty((n_trees, n_draws), dtype=np.int64)
+    oob_mask = np.ones((n_trees, n), dtype=bool)
+    importance = np.empty((n_trees, m))
+    for first in range(0, n_trees, group):
+        last = min(first + group, n_trees)
+        rngs = [substream(config.seed, "forest-tree", t) for t in range(first, last)]
+        for t, rng in enumerate(rngs, start=first):
+            block_starts[t] = _draw_block_starts(n, config.block_length, rng)
+        rows = np.array(
+            [
+                _indices_from_starts(s, config.block_length, n)
+                for s in block_starts[first:last]
+            ]
         )
-        return _Tree(
-            feature=np.asarray(feat, dtype=np.intp),
-            threshold=np.asarray(thr, dtype=float),
-            left=np.asarray(left, dtype=np.intp),
-            right=np.asarray(right, dtype=np.intp),
-            value=np.asarray(value, dtype=float),
-            block_starts=starts,
-            oob_mask=oob,
-            importance=gains,
+        oob_mask[np.arange(first, last)[:, None], rows] = False
+        filled = int(offsets[first])
+        count, importance[first:last] = _grow_group(
+            features, target, ranks, rngs, rows, mtry, config.min_node_size,
+            tuple(field[filled:] for field in nodes),
         )
-
-    trees = parallel_map(grow, config.n_trees, threads)
+        offsets[first + 1 : last + 1] = filled + np.cumsum(count)
+    feature, threshold, left, right, value = (field[: offsets[-1]] for field in nodes)
     return ForestModel(
         feature_names=dataset.feature_names,
         config=config,
-        trees=tuple(trees),
         n_rows=n,
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
+        value=value,
+        offsets=offsets,
+        block_starts=block_starts,
+        oob_mask=oob_mask,
+        importance=importance,
     )
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate ``parts`` and release them, so memory is held once."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
 
 
 def _tree_predict(tree: _Tree, features: np.ndarray) -> np.ndarray:
@@ -469,6 +792,44 @@ def _tree_predict(tree: _Tree, features: np.ndarray) -> np.ndarray:
         node[idx] = np.where(go_left, tree.left[at], tree.right[at])
         active[idx] = tree.feature[node[idx]] >= 0
     return tree.value[node]
+
+
+def _route(
+    model: ForestModel, trees: np.ndarray, rows: np.ndarray, features: np.ndarray
+) -> np.ndarray:
+    """Leaf value of every (tree, row) pair, one vectorised step per depth."""
+    base = model.offsets[trees]
+    node = base.copy()
+    live = np.flatnonzero(model.feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = features[rows[live], model.feature[at]] <= model.threshold[at]
+        node[live] = base[live] + np.where(go_left, model.left[at], model.right[at])
+        live = live[model.feature[node[live]] >= 0]
+    return model.value[node]
+
+
+def _tree_sums(model: ForestModel, features: np.ndarray, mask: np.ndarray | None):
+    """Per-row sum of leaf values over trees, added in tree order.
+
+    ``mask[t, r]`` limits the sum to the pairs it marks.  Trees are routed a
+    chunk at a time; the sum runs down each chunk with ``np.cumsum`` from the
+    previous chunk's total, which gives the bits of a per-tree ``+=`` loop
+    (unmarked pairs add ``-0.0``, the exact additive identity).
+    """
+    n_rows = features.shape[0]
+    total = np.zeros(n_rows)
+    chunk = max(1, _STEP_ELEMENTS // max(n_rows, 1))
+    for first in range(0, model.n_trees, chunk):
+        last = min(first + chunk, model.n_trees)
+        if mask is None:
+            trees, rows = np.divmod(np.arange((last - first) * n_rows), n_rows)
+        else:
+            trees, rows = np.nonzero(mask[first:last])
+        leaf = np.full((last - first, n_rows), -0.0)
+        leaf[trees, rows] = _route(model, trees + first, rows, features)
+        total = np.cumsum(np.vstack([total, leaf]), axis=0)[-1]
+    return total
 
 
 def predict(model: ForestModel, features: np.ndarray) -> np.ndarray | float:
@@ -487,18 +848,15 @@ def predict(model: ForestModel, features: np.ndarray) -> np.ndarray | float:
         )
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("features must be finite")
-    total = np.zeros(x.shape[0])
-    for tree in model.trees:
-        total += _tree_predict(tree, x)
-    out = total / model.n_trees
+    out = _tree_sums(model, x, None) / model.n_trees
     return float(out[0]) if single else out
 
 
 def impurity_importance(model: ForestModel) -> ImportanceRanking:
     """Summed split-wise SSE reduction per feature, averaged over trees."""
     scores = np.zeros(len(model.feature_names))
-    for tree in model.trees:
-        scores += tree.importance
+    for gains in model.importance:
+        scores += gains
     return ImportanceRanking(
         feature_names=model.feature_names, scores=scores / model.n_trees
     )
@@ -526,14 +884,8 @@ def oob_metrics(model: ForestModel, dataset: SupervisedDataset) -> OobReport:
     if dataset.feature_names != model.feature_names:
         raise InvalidInputError("dataset feature names differ from the model's")
     n = dataset.n_rows
-    pred_sum = np.zeros(n)
-    counts = np.zeros(n, dtype=int)
-    for tree in model.trees:
-        rows = np.nonzero(tree.oob_mask)[0]
-        if rows.size == 0:
-            continue
-        pred_sum[rows] += _tree_predict(tree, dataset.features[rows])
-        counts[rows] += 1
+    pred_sum = _tree_sums(model, dataset.features, model.oob_mask)
+    counts = model.oob_mask.sum(axis=0)
     covered = counts > 0
     n_covered = int(covered.sum())
     if n_covered == 0:

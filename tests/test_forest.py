@@ -13,12 +13,15 @@ from climdemand.errors import (
     MetricUndefinedError,
     ShapeError,
 )
+from climdemand import cli
+from climdemand._rng import substream
 from climdemand.forest import (
     ForestConfig,
     SupervisedDataset,
     _tree_predict,
     impurity_importance,
     lagged_design_matrix,
+    lagged_feature_rows,
     mbb_resample,
     moving_block_indices,
     moving_block_plan,
@@ -160,6 +163,53 @@ class TestLaggedDesign:
         panel = make_panel({"demand": np.arange(4, dtype=float)})
         with pytest.raises(InvalidInputError):
             lagged_design_matrix(panel, "demand", lags=4)
+
+
+    def test_feature_rows_match_design_rows(self):
+        rng = np.random.default_rng(2)
+        panel = make_panel(
+            {
+                "demand": rng.normal(size=30),
+                "temperature": rng.normal(size=30),
+                "week_sin": np.sin(np.arange(30)),
+            }
+        )
+        data = lagged_design_matrix(
+            panel, "demand", lags=3, extra_columns=("week_sin",)
+        )
+        weeks = np.arange(3, 30)
+        rows = lagged_feature_rows(panel, "demand", weeks, 3, ("week_sin",))
+        assert_array_equal(rows, data.features)
+
+    def test_forecast_loop_rows_match_design_inside_training_window(self, monkeypatch):
+        # Run the CLI's recursive forecast from a week inside the sample with
+        # a stand-in model that returns the observed target, so the fed-back
+        # history stays the observed one: every row it builds must then be
+        # the design matrix's row for that week.
+        rng = np.random.default_rng(3)
+        n, lags, start = 40, 4, 20
+        extras = ("week_sin", "week_cos")
+        panel = make_panel(
+            {
+                "demand": rng.normal(size=n),
+                "temperature_baseline": rng.normal(size=n),
+                "week_sin": np.sin(np.arange(n)),
+                "week_cos": np.cos(np.arange(n)),
+            }
+        )
+        data = lagged_design_matrix(panel, "demand", lags=lags, extra_columns=extras)
+        seen = []
+
+        def observed(model, row):
+            seen.append(np.array(row))
+            return float(panel.column("demand")[start + len(seen) - 1])
+
+        monkeypatch.setattr(cli, "predict", observed)
+        out = cli._forest_recursive_forecast(
+            None, panel, "demand", start, n - start, lags, extras
+        )
+        assert_array_equal(out, panel.column("demand")[start:])
+        assert_array_equal(np.array(seen), data.features[start - lags :])
 
 
 class TestTraining:
@@ -409,3 +459,225 @@ class TestDatasetValidation:
             "block_length",
             "seed",
         }
+
+
+# ---------------------------------------------------------------------------
+# Reference implementation: the forest grown one tree and one node at a
+# time.  The batched engine must reproduce its trees exactly.
+
+
+def _oracle_grow_tree(
+    features: np.ndarray,
+    target: np.ndarray,
+    rows: np.ndarray,
+    mtry: int,
+    min_node_size: int,
+    rng: np.random.Generator,
+) -> tuple[list, list, list, list, list, np.ndarray]:
+    """Grow one CART regression tree on the given row multiset.
+
+    Splits minimise the summed child SSE over midpoints of consecutive
+    distinct sorted values.  Ties take the lowest feature index, then the
+    lowest threshold, so growth is deterministic given the RNG stream.
+    """
+    n_features = features.shape[1]
+    node_feature: list[int] = []
+    node_threshold: list[float] = []
+    node_left: list[int] = []
+    node_right: list[int] = []
+    node_value: list[float] = []
+    gains = np.zeros(n_features)
+
+    def new_node(mean: float) -> int:
+        node_feature.append(-1)
+        node_threshold.append(np.nan)
+        node_left.append(-1)
+        node_right.append(-1)
+        node_value.append(mean)
+        return len(node_feature) - 1
+
+    root = new_node(float(np.mean(target[rows])))
+    stack: list[tuple[int, np.ndarray]] = [(root, rows)]
+    while stack:
+        node, node_rows = stack.pop()
+        n = node_rows.size
+        y = target[node_rows]
+        mean = node_value[node]
+        node_sse = float(np.dot(y, y)) - n * mean * mean
+        if n <= min_node_size or node_sse <= 0.0:
+            continue
+        candidates = np.sort(rng.permutation(n_features)[:mtry])
+        values = features[np.ix_(node_rows, candidates)]
+        order = np.argsort(values, axis=0, kind="stable")
+        sorted_values = np.take_along_axis(values, order, axis=0)
+        sorted_y = y[order]
+        prefix_sum = np.cumsum(sorted_y, axis=0)
+        prefix_sq = np.cumsum(sorted_y * sorted_y, axis=0)
+        left_n = np.arange(1, n, dtype=float)[:, None]
+        right_n = n - left_n
+        left_sse = prefix_sq[:-1] - prefix_sum[:-1] ** 2 / left_n
+        right_sse = (prefix_sq[-1] - prefix_sq[:-1]) - (
+            prefix_sum[-1] - prefix_sum[:-1]
+        ) ** 2 / right_n
+        child_sse = left_sse + right_sse
+        # A cut is valid only between distinct values of the split feature.
+        child_sse[sorted_values[1:] <= sorted_values[:-1]] = np.inf
+        # Feature-major argmin: first occurrence = lowest candidate index,
+        # then lowest threshold within that feature.
+        flat = child_sse.T.reshape(-1)
+        best = int(np.argmin(flat))
+        if not np.isfinite(flat[best]):
+            continue  # all candidate features constant on this node
+        j = best // (n - 1)
+        pos = best % (n - 1) + 1
+        feature = int(candidates[j])
+        threshold = float((sorted_values[pos - 1, j] + sorted_values[pos, j]) / 2.0)
+        gains[feature] += max(node_sse - float(flat[best]), 0.0)
+        left_rows = node_rows[order[:pos, j]]
+        right_rows = node_rows[order[pos:, j]]
+        node_feature[node] = feature
+        node_threshold[node] = threshold
+        left_id = new_node(float(np.mean(target[left_rows])))
+        right_id = new_node(float(np.mean(target[right_rows])))
+        node_left[node] = left_id
+        node_right[node] = right_id
+        stack.append((right_id, right_rows))
+        stack.append((left_id, left_rows))
+    return node_feature, node_threshold, node_left, node_right, node_value, gains
+
+
+
+
+def _oracle_forest(data, config):
+    """Per-tree (feature, threshold, left, right, value, gains), grown one
+    tree at a time from each tree's own stream."""
+    n = data.n_rows
+    mtry = config.resolved_mtry(data.n_features)
+    n_blocks, n_draws, _ = moving_block_plan(n, config.block_length)
+    trees = []
+    for t in range(config.n_trees):
+        rng = substream(config.seed, "forest-tree", t)
+        starts = rng.integers(0, n_blocks, size=n_draws)
+        rows = (starts[:, None] + np.arange(config.block_length)).reshape(-1)[:n]
+        trees.append(
+            _oracle_grow_tree(
+                data.features, data.target, rows, mtry, config.min_node_size, rng
+            )
+        )
+    return trees
+
+
+def _oracle_dataset(case):
+    rng = np.random.default_rng(40)
+    n = 120
+    x = rng.normal(size=(n, 4))
+    y = 5.0 + 2.0 * x[:, 0] + 0.5 * rng.normal(size=n)
+    if case == "constant_feature":
+        x[:, 2] = 3.5
+    if case == "constant_target":
+        y = np.full(n, 0.1)
+    if case == "coarse_values":
+        # Rounded features tie across distinct rows, and rounded targets put
+        # duplicated rows into constant-target nodes whose SSE is
+        # dot - n * mean**2 at rounding level.
+        x = np.round(x, 1)
+        y = np.round(y, 1) / 10.0
+    return SupervisedDataset(("a", "b", "c", "d"), x, y)
+
+
+ORACLE_CASES = {
+    # Overlapping moving blocks duplicate rows in every case.
+    "default": ("default", dict(n_trees=25, block_length=12, seed=1)),
+    "constant_feature": ("constant_feature", dict(n_trees=20, block_length=12, seed=2)),
+    "constant_target": ("constant_target", dict(n_trees=10, block_length=12, seed=3)),
+    "coarse_values": (
+        "coarse_values",
+        dict(n_trees=30, block_length=6, min_node_size=1, seed=4),
+    ),
+    "min_node_size_1": (
+        "default",
+        dict(n_trees=10, min_node_size=1, block_length=12, seed=5),
+    ),
+    "mtry_all": ("default", dict(n_trees=10, mtry=4, block_length=12, seed=6)),
+    "one_tree": ("default", dict(n_trees=1, block_length=12, seed=7)),
+    "one_block": ("default", dict(n_trees=3, block_length=120, seed=8)),
+}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_growth_matches_per_node_loop(self, name):
+        case, kwargs = ORACLE_CASES[name]
+        data = _oracle_dataset(case)
+        config = ForestConfig(**kwargs)
+        model = train_forest(data, config)
+        expected = _oracle_forest(data, config)
+        assert model.n_trees == len(expected)
+        for tree, (feature, threshold, left, right, value, gains) in zip(
+            model.trees, expected
+        ):
+            assert_array_equal(tree.feature, feature)
+            assert_array_equal(tree.threshold, threshold)
+            assert_array_equal(tree.left, left)
+            assert_array_equal(tree.right, right)
+            assert_allclose(tree.value, value, rtol=1e-12, atol=0)
+            assert_allclose(tree.importance, gains, rtol=1e-12, atol=0)
+
+    def test_grouping_does_not_change_trees(self, monkeypatch):
+        from climdemand import forest
+
+        data = _oracle_dataset("coarse_values")
+        config = ForestConfig(n_trees=12, block_length=6, min_node_size=1, seed=9)
+        whole = train_forest(data, config)
+        monkeypatch.setattr(forest, "_GROUP_ROWS", 5 * data.n_rows)
+        monkeypatch.setattr(forest, "_STEP_ELEMENTS", 64)
+        grouped = train_forest(data, config)
+        for name in ("feature", "threshold", "left", "right", "value", "offsets"):
+            assert_array_equal(getattr(grouped, name), getattr(whole, name))
+        assert_array_equal(grouped.importance, whole.importance)
+
+
+class TestPackedPrediction:
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.data = make_dataset(rng, n=140, noise=0.5, n_noise_features=3)
+        self.model = train_forest(
+            self.data, ForestConfig(n_trees=60, block_length=14, seed=10)
+        )
+
+    def test_matrix_and_row_predictions_equal_tree_loop(self):
+        grid = np.random.default_rng(42).normal(size=(50, 4))
+        total = np.zeros(len(grid))
+        for tree in self.model.trees:
+            total += _tree_predict(tree, grid)
+        assert_array_equal(predict(self.model, grid), total / self.model.n_trees)
+        for row, expected in zip(grid, total / self.model.n_trees):
+            assert predict(self.model, row) == expected
+        assert predict(self.model, grid[:0]).shape == (0,)
+
+    def test_oob_equals_tree_loop(self):
+        n = self.data.n_rows
+        pred_sum = np.zeros(n)
+        counts = np.zeros(n, dtype=int)
+        for tree in self.model.trees:
+            rows = np.nonzero(tree.oob_mask)[0]
+            pred_sum[rows] += _tree_predict(tree, self.data.features[rows])
+            counts[rows] += 1
+        report = oob_metrics(self.model, self.data)
+        assert_array_equal(report.oob_counts, counts)
+        covered = counts > 0
+        expected = pred_sum[covered] / counts[covered]
+        assert_array_equal(report.predictions[covered], expected)
+        actual = self.data.target[covered]
+        rmse = np.sqrt(np.mean((actual - expected) ** 2))
+        assert report.rsr == rmse / np.sqrt(np.mean((actual - actual.mean()) ** 2))
+
+    def test_tree_views_share_the_packed_arrays(self):
+        model = self.model
+        sizes = [tree.feature.size for tree in model.trees]
+        assert sum(sizes) == model.feature.size
+        assert_array_equal(np.diff(model.offsets), sizes)
+        for tree in model.trees:
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.shares_memory(getattr(tree, name), getattr(model, name))
+            assert np.shares_memory(tree.oob_mask, model.oob_mask)
