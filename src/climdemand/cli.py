@@ -34,7 +34,13 @@ import sys
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, InvalidInputError, ToolkitError
+from .errors import (
+    AlignmentError,
+    ConfigError,
+    FileAccessError,
+    InvalidInputError,
+    ToolkitError,
+)
 from .features import FeatureConfig, aggregate_weekly_national
 from .forest import (
     ForestConfig,
@@ -66,7 +72,7 @@ from .panel import (
 from .sparsevar import coefficient_table, fit_lasso_var, select_lambda
 from .spectral import GcBootstrapConfig, conditional_gc_spectrum, unconditional_gc_spectrum
 from .synth import SynthConfig, generate_synthetic_daily, generate_synthetic_panel
-from .trend import TrendFitConfig, fit_trend_model, fitted_values
+from .trend import TrendFitConfig, TrendModel, fit_trend_model, fitted_values
 from .trend import forecast as trend_forecast
 from .varx import build_exogenous, fevd, fit_varx, forecast_recursive, irf, residual_bootstrap
 
@@ -183,11 +189,19 @@ def _gc_series(panel: PanelDataset, name: str, raw: bool) -> np.ndarray:
     return seasonal_adjust(hp_cycle(panel.series(name))).values
 
 
-def _trend_baseline(series: np.ndarray, train_length: int, horizon: int,
-                    trend_cfg: TrendFitConfig) -> np.ndarray:
+def _fit_trends(panel: PanelDataset, names: tuple[str, ...], train_length: int,
+                trend_cfg: TrendFitConfig) -> dict[str, TrendModel]:
+    """One trend fit per column on its first ``train_length`` weeks."""
+    _require_columns(panel, names)
+    return {
+        name: fit_trend_model(panel.column(name)[:train_length], trend_cfg)
+        for name in names
+    }
+
+
+def _trend_baseline(model: TrendModel, horizon: int) -> np.ndarray:
     """Fitted values over the training weeks plus the forecast beyond them."""
-    model = fit_trend_model(series[:train_length], trend_cfg)
-    fitted = fitted_values(model, np.arange(float(train_length)))
+    fitted = fitted_values(model, np.arange(float(model.n_obs)))
     if horizon == 0:
         return fitted
     return np.concatenate([fitted, trend_forecast(model, horizon)])
@@ -195,16 +209,12 @@ def _trend_baseline(series: np.ndarray, train_length: int, horizon: int,
 
 def _varx_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
                  train_length: int, horizon: int, harmonics: int,
-                 trend_cfg: TrendFitConfig):
+                 trends: dict[str, TrendModel]):
     """Temperature-augmented VARX: endogenous target + drivers, exogenous
-    seasonal terms plus per-variable baseline fits."""
+    seasonal terms plus per-variable baselines from the fitted ``trends``."""
     names = (target,) + drivers
-    _require_columns(panel, names)
     baselines = {
-        f"{name}_baseline": _trend_baseline(
-            panel.column(name), train_length, horizon, trend_cfg
-        )
-        for name in names
+        f"{name}_baseline": _trend_baseline(trends[name], horizon) for name in names
     }
     axis = panel.week_starts[: train_length + horizon]
     design = build_exogenous(axis, baselines=baselines, harmonics=harmonics)
@@ -215,16 +225,13 @@ def _varx_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
 
 def _forest_features(panel: PanelDataset, target: str, drivers: tuple[str, ...],
                      train_length: int, horizon: int, harmonics: int, lags: int,
-                     trend_cfg: TrendFitConfig):
+                     trends: dict[str, TrendModel]):
     """Lagged forest design: target lags, driver-baseline lags, calendar terms."""
-    _require_columns(panel, (target,) + drivers)
     axis = panel.week_starts[: train_length + horizon]
     design = build_exogenous(axis, harmonics=harmonics)
     columns = {target: panel.column(target)[: train_length + horizon]}
     for name in drivers:
-        columns[f"{name}_baseline"] = _trend_baseline(
-            panel.column(name), train_length, horizon, trend_cfg
-        )
+        columns[f"{name}_baseline"] = _trend_baseline(trends[name], horizon)
     extras = design.column_names
     for j, name in enumerate(extras):
         columns[name] = design.values[:, j]
@@ -457,11 +464,13 @@ def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
             ),
         )
     elif model_name == "varx":
-        model, _ = _varx_recipe(panel, target, drivers, n, 0, harmonics, trend_cfg)
+        trends = _fit_trends(panel, (target,) + drivers, n, trend_cfg)
+        model, _ = _varx_recipe(panel, target, drivers, n, 0, harmonics, trends)
         _fit_varx_artifacts(run, model, replicates, irf_horizon)
     else:
+        trends = _fit_trends(panel, drivers, n, trend_cfg)
         _, dataset, _ = _forest_features(
-            panel, target, drivers, n, 0, harmonics, lags, trend_cfg
+            panel, target, drivers, n, 0, harmonics, lags, trends
         )
         cfg = ForestConfig(n_trees=trees, block_length=52, seed=run.seed)
         model = train_forest(dataset, cfg)
@@ -482,14 +491,16 @@ def cmd_forecast(run: RunConfig, panel_path: str, model_name: str, target: str,
         values = trend_forecast(model, horizon)
         column = f"{target}_baseline_forecast"
     elif model_name == "varx":
+        trends = _fit_trends(panel, (target,) + drivers, train_length, trend_cfg)
         model, design = _varx_recipe(
-            panel, target, drivers, train_length, horizon, harmonics, trend_cfg
+            panel, target, drivers, train_length, horizon, harmonics, trends
         )
         values = forecast_recursive(model, horizon, design.values[train_length:])[:, 0]
         column = f"{target}_forecast"
     else:
+        trends = _fit_trends(panel, drivers, train_length, trend_cfg)
         feature_panel, dataset, extras = _forest_features(
-            panel, target, drivers, train_length, horizon, harmonics, lags, trend_cfg
+            panel, target, drivers, train_length, horizon, harmonics, lags, trends
         )
         train_rows = train_length - lags
         training = SupervisedDataset(
@@ -624,16 +635,17 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     )
     _write_json(_out_path(run, f"oob_{target}.json"), _oob_payload(selection, dataset))
 
-    # Stage 5: fit artifacts for the VARX (coefficients, IRF, FEVD).
+    # Stage 5: fit artifacts for the VARX (coefficients, IRF, FEVD).  The
+    # trend fits also give the stage-6 trend forecast and forest baseline.
+    trends = _fit_trends(panel, (target, driver), train_length, trend_cfg)
     varx_model, varx_design = _varx_recipe(
-        panel, target, (driver,), train_length, horizon, harmonics, trend_cfg
+        panel, target, (driver,), train_length, horizon, harmonics, trends
     )
     _fit_varx_artifacts(run, varx_model, replicates, irf_horizon)
 
     # Stage 6: forecasts from all three families.
     forecast_paths: dict[str, str] = {}
 
-    trend_model = fit_trend_model(panel.column(target)[:train_length], trend_cfg)
     axis = _forecast_axis(panel, train_length, horizon)
 
     def emit(name: str, column: str, values: np.ndarray) -> None:
@@ -645,7 +657,7 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
         )
         forecast_paths[name] = _out_path(run, file_name)
 
-    emit("trend", f"{target}_baseline_forecast", trend_forecast(trend_model, horizon))
+    emit("trend", f"{target}_baseline_forecast", trend_forecast(trends[target], horizon))
     emit(
         "varx",
         f"{target}_forecast",
@@ -653,7 +665,7 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     )
 
     feature_panel, forest_dataset, extras = _forest_features(
-        panel, target, (driver,), train_length, horizon, harmonics, lags, trend_cfg
+        panel, target, (driver,), train_length, horizon, harmonics, lags, trends
     )
     train_rows = train_length - lags
     training = SupervisedDataset(
@@ -1107,7 +1119,15 @@ def _error_payload(exc: ToolkitError) -> dict:
     line = getattr(exc, "line", None)
     if line is not None:
         payload["line"] = line
+    path = getattr(exc, "path", None)
+    if path is not None:
+        payload["path"] = os.fsdecode(path)
     return payload
+
+
+def _report_error(exc: ToolkitError) -> int:
+    sys.stderr.write(json.dumps(_error_payload(exc), sort_keys=True) + "\n")
+    return 1
 
 
 def main(argv=None) -> int:
@@ -1115,9 +1135,10 @@ def main(argv=None) -> int:
     try:
         _dispatch(args)
     except ToolkitError as exc:
-        json.dump(_error_payload(exc), sys.stderr, indent=2, sort_keys=True)
-        sys.stderr.write("\n")
-        return 1
+        return _report_error(exc)
+    except OSError as exc:
+        # Unreadable inputs and unwritable outputs are user errors too.
+        return _report_error(FileAccessError(str(exc), path=exc.filename))
     return 0
 
 

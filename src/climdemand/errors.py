@@ -36,6 +36,14 @@ class IngestionError(ToolkitError, ValueError):
         self.line = line
 
 
+class FileAccessError(ToolkitError):
+    """A file or directory could not be read or written.  ``path`` names it."""
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message)
+        self.path = path
+
+
 class InsufficientDataError(ToolkitError, ValueError):
     """Not enough observations for the requested estimation."""
 

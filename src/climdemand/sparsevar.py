@@ -1,4 +1,4 @@
-"""L1-penalized vector autoregression via cyclic coordinate descent.
+"""L1-penalized vector autoregression, one lasso per equation.
 
 Each equation is a lasso on the shared lagged design.  Variables are
 standardized first (zero mean, unit standard deviation per column), lags are
@@ -9,10 +9,12 @@ being penalized.  The per-equation objective is
     (1 / 2n) * ||y - X b||^2 + lam * ||b||_1
 
 with n the number of regression rows; a coefficient is therefore driven to
-exactly zero once ``lam`` reaches ``max_j |<x_j, y>| / n``.  Coordinate
-updates use precomputed Gram and moment matrices (covariance updates), and
-a sweep loop runs until the Fenchel duality gap falls below tolerance, so
-the returned solution is a certified optimum, not just a stalled iterate.
+exactly zero once ``lam`` reaches ``max_j |<x_j, y>| / n``.  The Gram and
+moment matrices are built once per fit and every equation is solved by
+:func:`climdemand.lasso.solve_lasso`: the homotopy path down to ``lam``, an
+exact KKT solve on its final active set, and a Fenchel duality-gap
+certificate, so the returned solution is a certified optimum.  Zero penalty
+is plain least squares.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DegenerateInputError,
     InsufficientDataError,
     InvalidInputError,
     ShapeError,
 )
+from .lasso import solve_lasso
 from .panel import PanelDataset
 
 DUALITY_GAP_TOL = 1e-8
@@ -69,74 +71,6 @@ class CoefficientTable:
     equation: str
     variables: tuple[str, ...]
     values: np.ndarray  # (n_variables, order)
-
-
-def soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
-
-
-def _coordinate_descent(
-    gram: np.ndarray,
-    moment: np.ndarray,
-    y_sq_mean: float,
-    lam: float,
-    tol: float,
-    max_sweeps: int,
-) -> tuple[np.ndarray, float, int]:
-    """Lasso on precomputed covariance statistics.
-
-    ``gram = X'X / n``, ``moment = X'y / n``, ``y_sq_mean = y'y / n``.
-    Returns (coefficients, final duality gap, sweeps used).
-    """
-    q = moment.size
-    if lam == 0.0:
-        # The unpenalized problem is plain least squares; the duality gap
-        # degenerates there (the feasible dual set is X'theta = 0), so solve
-        # the normal equations directly instead of iterating.
-        beta, *_ = np.linalg.lstsq(gram, moment, rcond=None)
-        return beta, 0.0, 0
-    beta = np.zeros(q)
-    gram_beta = np.zeros(q)
-    diag = np.diag(gram).copy()
-    updatable = diag > 0.0
-    scale = max(1.0, y_sq_mean)
-
-    def duality_gap() -> float:
-        # primal
-        resid_sq_mean = y_sq_mean - 2.0 * moment @ beta + beta @ gram_beta
-        resid_sq_mean = max(resid_sq_mean, 0.0)
-        primal = 0.5 * resid_sq_mean + lam * np.abs(beta).sum()
-        # dual candidate: rescale r/n into the feasible set ||X'theta||_inf <= lam
-        corr = moment - gram_beta
-        corr_max = np.max(np.abs(corr)) if q else 0.0
-        shrink = 1.0 if corr_max <= lam or corr_max == 0.0 else lam / corr_max
-        dual = shrink * (y_sq_mean - moment @ beta) - 0.5 * shrink**2 * resid_sq_mean
-        return primal - dual
-
-    gap = duality_gap()
-    sweeps = 0
-    while gap > tol * scale:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"coordinate descent did not converge in {max_sweeps} sweeps",
-                gap=float(gap),
-            )
-        for j in range(q):
-            if not updatable[j]:
-                continue
-            rho = moment[j] - gram_beta[j] + diag[j] * beta[j]
-            new = soft_threshold(rho, lam) / diag[j]
-            delta = new - beta[j]
-            if delta != 0.0:
-                gram_beta += gram[:, j] * delta
-                beta[j] = new
-        sweeps += 1
-        gap = duality_gap()
-    return beta, float(gap), sweeps
 
 
 def _as_matrix_and_names(data, names):
@@ -200,6 +134,10 @@ def fit_lasso_var(
     standardize : bool
         Standardize columns before fitting (the stored coefficients always
         refer to the scale the fit ran on).
+    tol, max_sweeps : float, int
+        Relative duality-gap tolerance and the solver's iteration budget
+        (path steps plus descent sweeps) per equation; ``n_sweeps`` records
+        the iterations each equation used.
     """
     arr, names = _as_matrix_and_names(data, names)
     T, K = arr.shape
@@ -236,7 +174,7 @@ def fit_lasso_var(
     sweeps = np.empty(K, dtype=int)
     for k in range(K):
         y = target[:, k]
-        beta, gap, ns = _coordinate_descent(
+        beta, gap, ns = solve_lasso(
             gram, moments[:, k], float(y @ y) / n, lam, tol, max_sweeps
         )
         coef[:, k, :] = beta.reshape(order, K)

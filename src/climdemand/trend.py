@@ -8,9 +8,11 @@ offset correction ``-s_j * delta_j`` into the parametrization, so the fitted
 line is continuous at every changepoint by construction.
 
 The penalized least-squares problem is solved exactly: the unpenalized block
-(slope, offset, harmonics) is projected out, the slope changes are fit by
-coordinate descent on the residualized problem to a duality-gap certificate,
-and the unpenalized block is recovered by back-substitution.
+(slope, offset, harmonics) is projected out, the slope changes solve the
+lasso on the residualized problem (:func:`climdemand.lasso.solve_lasso`: the
+homotopy path to the penalty, then an exact KKT solve on the final active
+set, certified by the duality gap), and the unpenalized block is recovered
+by back-substitution.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, InvalidInputError
+from .lasso import solve_lasso
 from .panel import WeeklySeries
-from .sparsevar import _coordinate_descent
 
 __all__ = [
     "TrendFitConfig",
@@ -36,11 +38,14 @@ __all__ = [
     "forecast",
 ]
 
-# The hinge columns are strongly correlated, so the solver needs a much
-# tighter duality gap than a generic lasso to pin each slope change onto a
-# single grid point; 1e-12 stays above the float64 certificate floor.
-_CD_TOL = 1e-12
-_CD_MAX_SWEEPS = 200_000
+# The hinge columns are strongly correlated, so a slope change is pinned onto
+# a single grid point only near the exact optimum: the certificate asks for a
+# relative duality gap of 1e-12, well below a generic lasso's and still above
+# the float64 floor.  The homotopy's exact active-set solve lands at 1e-13 or
+# below; the iteration budget only matters if it has to fall back on
+# coordinate descent.
+_GAP_TOL = 1e-12
+_MAX_ITER = 200_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,13 +202,13 @@ def fit_trend_model(series, config: TrendFitConfig = TrendFitConfig()) -> TrendM
         y_sq_mean = float(y_resid @ y_resid) / n_obs
         # Objective scaling: sum-of-squares + penalty*l1 equals 2n times the
         # mean-of-squares form the solver works in.
-        delta, gap, _ = _coordinate_descent(
+        delta, gap, _ = solve_lasso(
             gram,
             moment,
             y_sq_mean,
             penalty / (2.0 * n_obs),
-            _CD_TOL,
-            _CD_MAX_SWEEPS,
+            _GAP_TOL,
+            _MAX_ITER,
         )
     else:
         delta = np.empty(0)

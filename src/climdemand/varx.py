@@ -58,6 +58,11 @@ __all__ = [
 
 DEFAULT_FEVD_HORIZONS = tuple(range(4, 53, 4))
 
+# Replicates simulated and refit together by the residual bootstrap.  A block
+# bounds the bootstrap's working set (the stacked regression designs above
+# all) without changing a draw: each replicate's arithmetic is its own.
+_BOOTSTRAP_BLOCK = 128
+
 
 @dataclasses.dataclass(frozen=True)
 class ExogenousDesign:
@@ -487,17 +492,23 @@ def residual_bootstrap(
     centered = model.residuals - model.residuals.mean(axis=0)
     n = centered.shape[0]
     indices = _bootstrap_indices(n_replicates, n, seed, "varx-bootstrap")
-    simulated = _simulate_batch(
-        model.intercept,
-        model.endo_coef,
-        model.exo_coef,
-        model.exog_values,
-        model.endog[: model.order],
-        centered[indices],
-    )
-    coef, resid_cov_draws, _, _ = _batched_refit(
-        simulated, model.exog_values, model.order
-    )
+    coef_blocks, cov_blocks = [], []
+    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
+        simulated = _simulate_batch(
+            model.intercept,
+            model.endo_coef,
+            model.exo_coef,
+            model.exog_values,
+            model.endog[: model.order],
+            centered[indices[start : start + _BOOTSTRAP_BLOCK]],
+        )
+        coef, resid_cov, _, _ = _batched_refit(
+            simulated, model.exog_values, model.order
+        )
+        coef_blocks.append(coef)
+        cov_blocks.append(resid_cov)
+    coef = np.concatenate(coef_blocks)
+    resid_cov_draws = np.concatenate(cov_blocks)
     K = model.n_variables
     intercept_draws = coef[:, 0, :]
     lag_block = coef[:, 1 : 1 + model.order * K, :]

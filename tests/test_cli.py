@@ -153,6 +153,31 @@ class TestErrorReporting:
         assert code == 1
         assert error_json(capsys)["error"] == "InvalidInputError"
 
+    def test_out_dir_below_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        code = run_cli("--out-dir", blocker / "sub", *SMALL_SYNTH)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "FileAccessError"
+        assert payload["path"] == str(blocker / "sub")
+
+    def test_missing_panel_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = run_cli(
+            "--out-dir", tmp_path, "gc",
+            "--panel", missing, "--cause", "temperature", "--effect", "drug_demand",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "FileAccessError"
+        assert payload["path"] == str(missing)
+        assert "No such file" in payload["message"]
+
     def test_evaluate_requires_name_path_pairs(self, tmp_path, capsys):
         panel = make_panel(tmp_path)
         code = run_cli(

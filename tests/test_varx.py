@@ -166,6 +166,23 @@ class TestBootstrap:
         c = residual_bootstrap(model, n_replicates=150, seed=12)
         assert not np.array_equal(a.endo_draws, c.endo_draws)
 
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_blocked_draws_equal_one_shot_draws(self, monkeypatch, block):
+        # Replicates are simulated and refit in blocks to bound memory; no
+        # draw may depend on the block size.
+        from climdemand import varx
+
+        rng = np.random.default_rng(8)
+        y, design, *_ = simulate_varx2(rng, T=250)
+        model = fit_varx(y, design, order=2)
+        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", 10**6)
+        whole = residual_bootstrap(model, n_replicates=150, seed=3)
+        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", block)
+        blocked = residual_bootstrap(model, n_replicates=150, seed=3)
+        for field in ("intercept_draws", "endo_draws", "exo_draws", "resid_cov_draws",
+                      "endo_lower", "endo_upper", "exo_lower", "exo_upper"):
+            assert_array_equal(getattr(blocked, field), getattr(whole, field))
+
     def test_noiseless_system_gives_degenerate_intervals(self):
         # Exact linear recursion: residuals are zero to machine precision,
         # so every replicate reproduces the same coefficients.
