@@ -12,7 +12,6 @@ Options may also come from a configuration file (``--config``)::
     [run]
     seed = 7
     out_dir = results
-    threads = 4
 
     [gc]
     replicates = 1000
@@ -40,6 +39,7 @@ from .errors import (
     FileAccessError,
     InvalidInputError,
     ToolkitError,
+    UnknownColumnError,
 )
 from .features import FeatureConfig, aggregate_weekly_national
 from .forest import (
@@ -90,18 +90,6 @@ _CONFIG_SECTIONS = (
 )
 
 
-class UnknownColumnError(InvalidInputError):
-    """A referenced panel column does not exist after ingestion."""
-
-    def __init__(self, missing: list[str], available: tuple[str, ...]):
-        self.columns = list(missing)
-        super().__init__(
-            "unknown column" + ("s" if len(missing) > 1 else "") + " "
-            + ", ".join(repr(c) for c in missing)
-            + "; panel has: " + ", ".join(available)
-        )
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Resolved invocation: what ran, where it wrote, and its seed."""
@@ -113,8 +101,8 @@ class RunConfig:
     parameters: dict
 
     def manifest(self) -> dict:
-        # threads is an execution detail with no effect on any output, so
-        # it stays out of the manifest; (command, parameters, seed) must be
+        # threads is accepted but no command uses it, so it stays out of
+        # the manifest; (command, parameters, seed) must be
         # sufficient to reproduce the files byte for byte.
         return {
             "command": self.command,
@@ -309,10 +297,10 @@ def cmd_gc(run: RunConfig, panel_path: str, cause: str, effect: str,
     y = _gc_series(panel, effect, raw)
     if conditioning:
         z = _gc_series(panel, conditioning, raw)
-        result = conditional_gc_spectrum(x, y, z, cfg, threads=run.threads)
+        result = conditional_gc_spectrum(x, y, z, cfg)
         name = f"gc_{cause}_to_{effect}_given_{conditioning}.csv"
     else:
-        result = unconditional_gc_spectrum(x, y, cfg, threads=run.threads)
+        result = unconditional_gc_spectrum(x, y, cfg)
         name = f"gc_{cause}_to_{effect}.csv"
     _write_csv(_out_path(run, name), _SPECTRUM_HEADER, _spectrum_rows(result))
     _write_manifest(run)
@@ -612,7 +600,7 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     for cause, effect in ((driver, target), (target, driver)):
         x = _gc_series(panel, cause, raw=False)
         y = _gc_series(panel, effect, raw=False)
-        result = unconditional_gc_spectrum(x, y, gc_cfg, threads=run.threads)
+        result = unconditional_gc_spectrum(x, y, gc_cfg)
         _write_csv(
             _out_path(run, f"gc_{cause}_to_{effect}.csv"),
             _SPECTRUM_HEADER,
@@ -731,8 +719,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", help="output directory (default .)")
     parser.add_argument(
         "--threads", type=int,
-        help="worker threads for the causality bootstraps (forests ignore it); "
-             "never changes results",
+        help="accepted for compatibility; no command uses it any more",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, InvalidInputError
-from ._rng import substream
+from ._rng import row_indices
 
 __all__ = [
     "PortmanteauResult",
@@ -106,14 +106,6 @@ def portmanteau_statistic(residuals, lags: int) -> float:
     return float(_portmanteau_batch(u[None, :, :], lags)[0])
 
 
-def _resample_rows(u: np.ndarray, n_replicates: int, seed: int, label: str):
-    n = u.shape[0]
-    draws = np.empty((n_replicates, n), dtype=np.intp)
-    for b in range(n_replicates):
-        draws[b] = substream(seed, label, b).integers(0, n, size=n)
-    return u[draws]
-
-
 def _check_replicates(n_replicates) -> None:
     if (
         not isinstance(n_replicates, (int, np.integer))
@@ -133,7 +125,7 @@ def portmanteau_test(
     _check_lags(lags, u.shape[0], lags + 2)
     _check_replicates(n_replicates)
     observed = float(_portmanteau_batch(u[None, :, :], lags)[0])
-    null_draws = _resample_rows(u, n_replicates, seed, "portmanteau-null")
+    null_draws = u[row_indices(seed, "portmanteau-null", range(n_replicates), u.shape[0])]
     null_stats = _portmanteau_batch(null_draws, lags)
     p_value = (1.0 + np.count_nonzero(null_stats >= observed)) / (
         1.0 + n_replicates
@@ -199,7 +191,7 @@ def arch_lm_test(
     _check_lags(lags, u.shape[0], 2 * lags + 3)
     _check_replicates(n_replicates)
     observed = _arch_lm_batch(u[None, :, :], lags)[0]
-    null_draws = _resample_rows(u, n_replicates, seed, "arch-null")
+    null_draws = u[row_indices(seed, "arch-null", range(n_replicates), u.shape[0])]
     null_stats = _arch_lm_batch(null_draws, lags)
     counts = np.count_nonzero(null_stats >= observed[None, :], axis=0)
     p_values = (1.0 + counts) / (1.0 + n_replicates)

@@ -24,6 +24,26 @@ class DegenerateInputError(InvalidInputError):
     """Input carries no usable variation (constant or zero-variance series)."""
 
 
+class UnknownColumnError(InvalidInputError, KeyError):
+    """A column or variable is looked up by a name that does not exist.
+
+    ``columns`` lists the missing names.  It is also a :class:`KeyError`, the
+    error of a failed lookup by name, but its message is printed without the
+    quotes :class:`KeyError` adds.
+    """
+
+    def __init__(self, missing, available):
+        self.columns = list(missing)
+        super().__init__(
+            "unknown column" + ("s" if len(self.columns) > 1 else "") + " "
+            + ", ".join(repr(c) for c in self.columns)
+            + "; available: " + ", ".join(available)
+        )
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 class AlignmentError(ToolkitError, ValueError):
     """Time axes of two inputs do not line up (dates, lengths or spans differ)."""
 

@@ -30,6 +30,7 @@ from .errors import (
     InvalidInputError,
     MetricUndefinedError,
     ShapeError,
+    UnknownColumnError,
 )
 from .panel import PanelDataset
 
@@ -263,19 +264,17 @@ def lagged_design_matrix(
 
     Raises
     ------
-    KeyError
-        Unknown target or extra column.
+    UnknownColumnError
+        Unknown target or extra column (a ``KeyError``).
     InvalidInputError
         ``lags < 1`` or the panel is no longer than ``lags``.
     """
     if lags < 1:
         raise InvalidInputError("lags must be at least 1")
     known = set(panel.column_names)
-    if target_name not in known:
-        raise KeyError(f"unknown target column {target_name!r}")
-    for name in extra_columns:
-        if name not in known:
-            raise KeyError(f"unknown extra column {name!r}")
+    missing = [n for n in (target_name, *extra_columns) if n not in known]
+    if missing:
+        raise UnknownColumnError(missing, panel.column_names)
     if panel.n_weeks <= lags:
         raise InvalidInputError(
             f"panel has {panel.n_weeks} weeks; need more than lags={lags}"

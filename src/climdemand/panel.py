@@ -19,7 +19,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, IngestionError, InvalidInputError, ShapeError
+from .errors import (
+    AlignmentError,
+    IngestionError,
+    InvalidInputError,
+    ShapeError,
+    UnknownColumnError,
+)
 
 #: Header of the regional daily climate CSV, in canonical column order.
 DAILY_CSV_HEADER = (
@@ -195,9 +201,7 @@ class PanelDataset:
 
     def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
-            raise KeyError(
-                f"panel has no column {name!r}; available: {', '.join(self.columns)}"
-            )
+            raise UnknownColumnError([name], self.column_names)
         return self.columns[name]
 
     def series(self, name: str) -> WeeklySeries:

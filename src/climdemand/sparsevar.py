@@ -28,10 +28,10 @@ from .errors import (
     DegenerateInputError,
     InsufficientDataError,
     InvalidInputError,
-    ShapeError,
+    UnknownColumnError,
 )
 from .lasso import solve_lasso
-from .panel import PanelDataset
+from .varbase import lag_design, validate_series
 
 DUALITY_GAP_TOL = 1e-8
 MAX_SWEEPS = 50_000
@@ -73,25 +73,6 @@ class CoefficientTable:
     values: np.ndarray  # (n_variables, order)
 
 
-def _as_matrix_and_names(data, names):
-    if isinstance(data, PanelDataset):
-        if names is None:
-            names = data.column_names
-        return data.matrix(names), tuple(names)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a (T, K) matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("data must be finite")
-    if names is None:
-        names = tuple(f"y{i}" for i in range(arr.shape[1]))
-    else:
-        names = tuple(names)
-        if len(names) != arr.shape[1]:
-            raise ShapeError(f"{len(names)} names for {arr.shape[1]} variables")
-    return arr, names
-
-
 def _standardize(arr: np.ndarray, names: Sequence[str]):
     means = arr.mean(axis=0)
     sds = arr.std(axis=0)
@@ -101,14 +82,6 @@ def _standardize(arr: np.ndarray, names: Sequence[str]):
             "cannot standardize constant columns: " + ", ".join(flat)
         )
     return (arr - means) / sds, means, sds
-
-
-def _lagged(arr: np.ndarray, order: int):
-    T, K = arr.shape
-    n = T - order
-    target = arr[order:]
-    design = np.hstack([arr[order - lag : T - lag] for lag in range(1, order + 1)])
-    return target, design, n
 
 
 def fit_lasso_var(
@@ -139,10 +112,8 @@ def fit_lasso_var(
         (path steps plus descent sweeps) per equation; ``n_sweeps`` records
         the iterations each equation used.
     """
-    arr, names = _as_matrix_and_names(data, names)
+    arr, names = validate_series(data, names)
     T, K = arr.shape
-    if order < 1:
-        raise InvalidInputError(f"order must be >= 1, got {order}")
     if lam < 0 or not np.isfinite(lam):
         raise InvalidInputError(f"lam must be finite and >= 0, got {lam!r}")
     if T - order <= K * order + 1:
@@ -160,10 +131,12 @@ def fit_lasso_var(
             flat = [names[j] for j in np.flatnonzero(arr.std(axis=0) == 0.0)]
             raise DegenerateInputError("constant columns: " + ", ".join(flat))
 
-    target, design, n = _lagged(work, order)
-    # Center within the regression sample: the unpenalized intercept drops
-    # out exactly and the lambda_max identity holds as stated.
-    design = design - design.mean(axis=0)
+    target, design = lag_design(work, order)
+    n = target.shape[0]
+    # Drop the intercept column and center within the regression sample: the
+    # unpenalized intercept drops out exactly and the lambda_max identity
+    # holds as stated.
+    design = design[:, 1:] - design[:, 1:].mean(axis=0)
     target = target - target.mean(axis=0)
 
     gram = design.T @ design / n
@@ -196,12 +169,12 @@ def fit_lasso_var(
 
 def lambda_max(data, order: int = 4, names: Sequence[str] | None = None) -> float:
     """Smallest penalty that zeroes every coefficient of every equation."""
-    arr, names = _as_matrix_and_names(data, names)
+    arr, names = validate_series(data, names)
     work, _, _ = _standardize(arr, names)
-    target, design, n = _lagged(work, order)
-    design = design - design.mean(axis=0)
+    target, design = lag_design(work, order)
+    design = design[:, 1:] - design[:, 1:].mean(axis=0)
     target = target - target.mean(axis=0)
-    return float(np.max(np.abs(design.T @ target)) / n)
+    return float(np.max(np.abs(design.T @ target)) / target.shape[0])
 
 
 def select_lambda(
@@ -220,7 +193,7 @@ def select_lambda(
     smallest mean squared error wins; ties go to the larger (sparser)
     penalty.
     """
-    arr, names = _as_matrix_and_names(data, names)
+    arr, names = validate_series(data, names)
     T, K = arr.shape
     if grid is None:
         top = lambda_max(arr, order, names)
@@ -253,8 +226,8 @@ def select_lambda(
 def _one_step_standardized(model: SparseVarModel, window: np.ndarray) -> np.ndarray:
     """Prediction of the next standardized observation after ``window``."""
     work = (window - model.column_means) / model.column_sds
-    target, design, _ = _lagged(work, model.order)
-    design_mean = design.mean(axis=0)
+    target, design = lag_design(work, model.order)
+    design_mean = design[:, 1:].mean(axis=0)
     target_mean = target.mean(axis=0)
     last = np.concatenate(
         [work[len(work) - lag] for lag in range(1, model.order + 1)]
@@ -266,9 +239,7 @@ def _one_step_standardized(model: SparseVarModel, window: np.ndarray) -> np.ndar
 def coefficient_table(model: SparseVarModel, equation: str) -> CoefficientTable:
     """Arrange one equation's coefficients as variables x lags."""
     if equation not in model.variable_names:
-        raise KeyError(
-            f"unknown equation {equation!r}; have: {', '.join(model.variable_names)}"
-        )
+        raise UnknownColumnError([equation], model.variable_names)
     k = model.variable_names.index(equation)
     values = model.coef[:, k, :].T  # (K, order)
     return CoefficientTable(

@@ -13,25 +13,35 @@ estimation path as the observed data, its measure is reduced to the median
 across frequencies, and thresholds are quantiles of those medians: the
 (1 - alpha) quantile pointwise, and the (1 - 2 alpha / F) quantile for a
 familywise (Bonferroni-corrected over the F frequencies) decision.  Both
-thresholds are flat lines over frequency.
+thresholds are flat lines over frequency.  A replicate whose fit or
+decomposition fails is left out of the quantiles and counted in
+``n_failed``.
+
+The unconditional null runs on the VAR core of :mod:`climdemand.varbase`
+in blocks of replicates: one BIC path and one refit per block, then one
+decomposition per lag order present.
 
 For the conditional measure, cause and effect are first projected on the
 conditioning series (contemporaneous value and as many lags as the
 (effect, conditioning) VAR selected); the unconditional measure of the
 projection residuals is the conditional measure.  Null replicates keep the
-(effect, conditioning) dynamics via a residual bootstrap of their joint VAR
-and draw the cause independently by stationary bootstrap.
+(effect, conditioning) dynamics via a residual bootstrap of their joint VAR,
+simulated for all replicates in one call, and draw the cause independently
+by stationary bootstrap; each replicate then goes through the full
+conditional estimation path.
+
+Every replicate draws from its own substream ``(seed, label, b)``, so results
+do not depend on how replicates are blocked.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._parallel import parallel_map
 from ._rng import substream
 from .errors import (
     AlignmentError,
@@ -43,7 +53,24 @@ from .errors import (
     ShapeError,
 )
 from .panel import WeeklySeries
-from .varbase import VarModel, fit_var, simulate_var
+from .varbase import (
+    VarModel,
+    bic_path,
+    check_sample_size,
+    fit_var,
+    lag_coefficients,
+    refit,
+    select_order,
+    simulate_var,
+)
+
+
+# Unconditional null replicates fit together.  Smaller than the VARX
+# bootstrap's block: with 128 replicates (a 3.6 MB design per block) the
+# null, which runs early in the pipeline, raised the default pipeline's peak
+# RSS by about 6 MB (glibc on Linux x86-64); 32 kept it level and cost the
+# null 4% more time.
+_NULL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -90,28 +117,16 @@ class SpectralDecomposition:
     ``total = intrinsic + cross`` where ``intrinsic`` is the contribution of
     the effect's own orthogonalized innovation and ``cross`` the part routed
     through the cause's innovation.  The causality measure is
-    ``log(total / intrinsic)``.
+    ``log(total / intrinsic)``.  For a conditional decomposition (of the
+    projection residuals) ``projection_order`` is the projection's lag
+    order; it is ``None`` otherwise.
     """
 
     frequencies: np.ndarray
     total: np.ndarray
     intrinsic: np.ndarray
     cross: np.ndarray
-
-    @property
-    def measure(self) -> np.ndarray:
-        return np.log1p(self.cross / self.intrinsic)
-
-
-@dataclass
-class ConditionalDecomposition:
-    """Decomposition of the projection residuals plus the projection order."""
-
-    frequencies: np.ndarray
-    total: np.ndarray
-    intrinsic: np.ndarray
-    cross: np.ndarray
-    projection_order: int
+    projection_order: int | None = None
 
     @property
     def measure(self) -> np.ndarray:
@@ -120,7 +135,11 @@ class ConditionalDecomposition:
 
 @dataclass
 class SpectrumResult:
-    """Causality spectrum with its bootstrap decision thresholds."""
+    """Causality spectrum with its bootstrap decision thresholds.
+
+    ``n_replicates`` null replicates set the thresholds; ``n_failed`` more
+    were drawn but failed to fit or decompose.
+    """
 
     cause_name: str
     effect_name: str
@@ -132,6 +151,7 @@ class SpectrumResult:
     alpha: float
     n_replicates: int
     var_order: int
+    n_failed: int
 
     @property
     def significant_pointwise(self) -> np.ndarray:
@@ -212,62 +232,70 @@ def fourier_frequencies(n: int) -> np.ndarray:
     return np.arange(1, n // 2 + 1) / float(n)
 
 
+# Why a decomposition fails, by failure code (code 0 is success).
+_DECOMPOSITION_FAILURES = (
+    None,
+    (DegenerateInputError, "innovation covariance is singular"),
+    (NumericalError, "lag polynomial is non-invertible at some frequency"),
+    (NumericalError, "spectral decomposition produced non-finite values"),
+    (NumericalError, "effect's own spectral term vanished at some frequency"),
+)
+
+
 def _decompose(
     coef: np.ndarray, resid_cov: np.ndarray, frequencies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cross and intrinsic spectral terms of the effect (variable 1).
 
-    The innovation of the cause (variable 0) is orthogonalized against the
-    effect's innovation, so the effect's own term keeps variance s22 and the
-    cross term carries the residual cause variance s11 - s12^2 / s22.
+    Works on a stack of B bivariate systems: ``coef`` (B, p, 2, 2) and
+    ``resid_cov`` (B, 2, 2) give (B, F) terms and a (B,) failure code, an
+    index into ``_DECOMPOSITION_FAILURES``.  The innovation of the cause
+    (variable 0) is orthogonalized against the effect's innovation, so the
+    effect's own term keeps variance s22 and the cross term carries the
+    residual cause variance s11 - s12^2 / s22.
     """
-    s11 = resid_cov[0, 0]
-    s12 = resid_cov[0, 1]
-    s22 = resid_cov[1, 1]
-    if s22 <= 0.0 or s11 <= 0.0:
-        raise DegenerateInputError("innovation covariance is singular")
+    s11 = resid_cov[:, 0, 0, None]
+    s12 = resid_cov[:, 0, 1, None]
+    s22 = resid_cov[:, 1, 1, None]
     omega = 2.0 * np.pi * frequencies
-    p = coef.shape[0]
+    p = coef.shape[1]
     z = np.exp(-1j * np.outer(omega, np.arange(1, p + 1)))
-    lagpoly = np.eye(2)[None, :, :] - np.einsum("fl,lij->fij", z, coef)
-    det = lagpoly[:, 0, 0] * lagpoly[:, 1, 1] - lagpoly[:, 0, 1] * lagpoly[:, 1, 0]
-    if np.any(np.abs(det) < 1e-14):
-        raise NumericalError("lag polynomial is non-invertible at some frequency")
-    transfer_cause = -lagpoly[:, 1, 0] / det
-    transfer_own = lagpoly[:, 0, 0] / det
-    rotated_own = transfer_own + transfer_cause * (s12 / s22)
-    cross = (s11 - s12 * s12 / s22) * np.abs(transfer_cause) ** 2
-    intrinsic = s22 * np.abs(rotated_own) ** 2
-    if not (np.isfinite(cross).all() and np.isfinite(intrinsic).all()):
-        raise NumericalError("spectral decomposition produced non-finite values")
-    if np.any(intrinsic <= 0.0):
-        raise NumericalError("effect's own spectral term vanished at some frequency")
-    return cross, intrinsic
+    lagpoly = np.eye(2) - np.einsum("fl,blij->bfij", z, coef)
+    det = lagpoly[..., 0, 0] * lagpoly[..., 1, 1] - lagpoly[..., 0, 1] * lagpoly[..., 1, 0]
+    # Failed systems divide by zero or overflow; their codes say so.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        transfer_cause = -lagpoly[..., 1, 0] / det
+        transfer_own = lagpoly[..., 0, 0] / det
+        rotated_own = transfer_own + transfer_cause * (s12 / s22)
+        cross = (s11 - s12 * s12 / s22) * np.abs(transfer_cause) ** 2
+        intrinsic = s22 * np.abs(rotated_own) ** 2
+        failure = np.select(
+            [
+                (s22[:, 0] <= 0.0) | (s11[:, 0] <= 0.0),
+                np.any(np.abs(det) < 1e-14, axis=1),
+                ~(np.isfinite(cross).all(axis=1) & np.isfinite(intrinsic).all(axis=1)),
+                np.any(intrinsic <= 0.0, axis=1),
+            ],
+            [1, 2, 3, 4],
+            0,
+        )
+    return cross, intrinsic, failure
 
 
 def spectral_decomposition(model: VarModel, frequencies: np.ndarray) -> SpectralDecomposition:
     """Decompose a fitted bivariate VAR (cause first, effect second)."""
     if model.n_variables != 2:
         raise ShapeError("spectral decomposition requires a bivariate model")
-    cross, intrinsic = _decompose(model.coef, model.resid_cov, frequencies)
+    cross, intrinsic, failure = _decompose(model.coef[None], model.resid_cov[None], frequencies)
+    if failure[0]:
+        error, message = _DECOMPOSITION_FAILURES[failure[0]]
+        raise error(message)
     return SpectralDecomposition(
         frequencies=np.asarray(frequencies, dtype=float),
-        total=cross + intrinsic,
-        intrinsic=intrinsic,
-        cross=cross,
+        total=cross[0] + intrinsic[0],
+        intrinsic=intrinsic[0],
+        cross=cross[0],
     )
-
-
-def _pair_measure(x: np.ndarray, y: np.ndarray, max_order: int, frequencies: np.ndarray):
-    model = fit_var(np.column_stack([x, y]), max_order=max_order)
-    cross, intrinsic = _decompose(model.coef, model.resid_cov, frequencies)
-    return np.log1p(cross / intrinsic), model
-
-
-def _threshold_pair(medians: np.ndarray, alpha: float, n_frequencies: int) -> tuple[float, float]:
-    pointwise = float(np.quantile(medians, 1.0 - alpha))
-    bonferroni = float(np.quantile(medians, 1.0 - 2.0 * alpha / n_frequencies))
-    return pointwise, bonferroni
 
 
 @dataclass
@@ -280,17 +308,41 @@ class BootstrapThresholds:
     n_failed: int
 
 
-def _collect_medians(
-    replicate: Callable[[int], float], cfg: GcBootstrapConfig, threads: int
-) -> tuple[np.ndarray, int]:
-    raw = np.asarray(parallel_map(replicate, cfg.n_replicates, threads), dtype=float)
+def _thresholds(raw: np.ndarray, cfg: GcBootstrapConfig, n_frequencies: int) -> BootstrapThresholds:
+    """Decision quantiles of the finite replicate medians; NaN ones failed."""
     medians = raw[np.isfinite(raw)]
     n_failed = int(raw.size - medians.size)
     if medians.size < max(50, cfg.n_replicates // 2):
         raise NumericalError(
             f"too many bootstrap replicates failed ({n_failed} of {raw.size})"
         )
-    return medians, n_failed
+    return BootstrapThresholds(
+        pointwise=float(np.quantile(medians, 1.0 - cfg.alpha)),
+        bonferroni=float(np.quantile(medians, 1.0 - 2.0 * cfg.alpha / n_frequencies)),
+        medians=medians,
+        n_failed=n_failed,
+    )
+
+
+def _null_medians(samples: np.ndarray, max_order: int, frequencies: np.ndarray) -> np.ndarray:
+    """Median causality measure of each (cause, effect) sample of a stack.
+
+    Each sample goes the observed data's way: BIC order over 1..max_order,
+    refit, decomposition.  A sample is NaN where :func:`fit_var` would raise
+    :class:`RankDeficiencyError` or the decomposition fails.
+    """
+    medians = np.full(len(samples), np.nan)
+    path = bic_path(samples, max_order)
+    fitted = np.flatnonzero(~np.isnan(path).any(axis=1))
+    groups, _ = refit(samples[fitted], select_order(path[fitted]))
+    for fit in groups:
+        cross, intrinsic, failure = _decompose(
+            lag_coefficients(fit.coef, fit.order), fit.resid_cov, frequencies
+        )
+        ok = failure == 0
+        measure = np.log1p(cross[ok] / intrinsic[ok])
+        medians[fitted[fit.index[ok]]] = np.median(measure, axis=1)
+    return medians
 
 
 def bootstrap_threshold_unconditional(
@@ -300,36 +352,40 @@ def bootstrap_threshold_unconditional(
 
     Each replicate resamples cause and effect independently (stationary
     bootstrap), refits the VAR with the same BIC selection, and records the
-    median measure across frequencies.
+    median measure across frequencies.  ``threads`` is accepted and has no
+    effect: the replicates run as batched array arithmetic.
     """
     x, y, _, _ = _check_pair(cause, effect)
     n = x.size
+    check_sample_size(n, 2, 0, cfg.max_var_order)
     frequencies = fourier_frequencies(n)
     block = cfg.block_length(n)
-
-    def replicate(b: int) -> float:
-        rng = substream(cfg.seed, "gc-unconditional", b)
-        x_star = x[stationary_bootstrap_indices(n, block, rng)]
-        y_star = y[stationary_bootstrap_indices(n, block, rng)]
-        try:
-            measure, _ = _pair_measure(x_star, y_star, cfg.max_var_order, frequencies)
-        except (RankDeficiencyError, NumericalError, DegenerateInputError):
-            return np.nan
-        return float(np.median(measure))
-
-    medians, n_failed = _collect_medians(replicate, cfg, threads)
-    pointwise, bonferroni = _threshold_pair(medians, cfg.alpha, frequencies.size)
-    return BootstrapThresholds(pointwise, bonferroni, medians, n_failed)
+    raw = np.empty(cfg.n_replicates)
+    for start in range(0, cfg.n_replicates, _NULL_BLOCK):
+        replicates = range(start, min(start + _NULL_BLOCK, cfg.n_replicates))
+        samples = np.empty((len(replicates), n, 2))
+        for i, b in enumerate(replicates):
+            rng = substream(cfg.seed, "gc-unconditional", b)
+            samples[i, :, 0] = x[stationary_bootstrap_indices(n, block, rng)]
+            samples[i, :, 1] = y[stationary_bootstrap_indices(n, block, rng)]
+        raw[start : start + len(replicates)] = _null_medians(
+            samples, cfg.max_var_order, frequencies
+        )
+    return _thresholds(raw, cfg, frequencies.size)
 
 
 def unconditional_gc_spectrum(
     cause, effect, cfg: GcBootstrapConfig = GcBootstrapConfig(), threads: int = 1
 ) -> SpectrumResult:
-    """Unconditional causality spectrum of cause -> effect with thresholds."""
+    """Unconditional causality spectrum of cause -> effect with thresholds.
+
+    ``threads`` is accepted and has no effect.
+    """
     x, y, x_name, y_name = _check_pair(cause, effect)
     frequencies = fourier_frequencies(x.size)
-    estimate, model = _pair_measure(x, y, cfg.max_var_order, frequencies)
-    thresholds = bootstrap_threshold_unconditional(x, y, cfg, threads)
+    model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order)
+    estimate = spectral_decomposition(model, frequencies).measure
+    thresholds = bootstrap_threshold_unconditional(x, y, cfg)
     return SpectrumResult(
         cause_name=x_name,
         effect_name=y_name,
@@ -341,6 +397,7 @@ def unconditional_gc_spectrum(
         alpha=cfg.alpha,
         n_replicates=int(thresholds.medians.size),
         var_order=model.order,
+        n_failed=thresholds.n_failed,
     )
 
 
@@ -359,7 +416,7 @@ def _project_on_conditioning(
 
 def conditional_decomposition(
     cause, effect, conditioning, max_order: int = 4
-) -> ConditionalDecomposition:
+) -> SpectralDecomposition:
     """Decomposition of the cause/effect projection residuals.
 
     The projection lag order is the BIC order of the (effect, conditioning)
@@ -384,13 +441,8 @@ def conditional_decomposition(
                 f"{name} series is fully explained by the conditioning series"
             )
     model = fit_var(np.column_stack([x_resid, y_resid]), max_order=max_order)
-    cross, intrinsic = _decompose(model.coef, model.resid_cov, frequencies)
-    return ConditionalDecomposition(
-        frequencies=frequencies,
-        total=cross + intrinsic,
-        intrinsic=intrinsic,
-        cross=cross,
-        projection_order=order,
+    return dataclasses.replace(
+        spectral_decomposition(model, frequencies), projection_order=order
     )
 
 
@@ -407,6 +459,7 @@ def conditional_gc_spectrum(
     of their joint VAR (keeping their dynamics and mutual dependence) while
     the cause is resampled independently by stationary bootstrap; every
     replicate then goes through the full conditional estimation path.
+    ``threads`` is accepted and has no effect.
     """
     x, y, x_name, y_name = _check_pair(cause, effect)
     w, w_name = _series_values(conditioning, "conditioning")
@@ -420,33 +473,38 @@ def conditional_gc_spectrum(
     pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
     order = pair_model.order
     resid = pair_model.residuals - pair_model.residuals.mean(axis=0)
-    initial = np.column_stack([y[:order], w[:order]])
+    m = resid.shape[0]
     block = cfg.block_length(n)
-
-    def replicate(b: int) -> float:
+    rows = np.empty((cfg.n_replicates, m), dtype=np.intp)
+    causes = np.empty((cfg.n_replicates, n))
+    for b in range(cfg.n_replicates):
         rng = substream(cfg.seed, "gc-conditional", b)
-        draw = resid[rng.integers(0, resid.shape[0], size=resid.shape[0])]
-        sim = simulate_var(pair_model.intercept, pair_model.coef, draw, initial)
-        y_star = np.concatenate([y[:order], sim[:, 0]])
-        w_star = np.concatenate([w[:order], sim[:, 1]])
-        x_star = x[stationary_bootstrap_indices(n, block, rng)]
+        rows[b] = rng.integers(0, m, size=m)
+        causes[b] = x[stationary_bootstrap_indices(n, block, rng)]
+    simulated = simulate_var(
+        pair_model.intercept, pair_model.coef, resid[rows], np.column_stack([y[:order], w[:order]])
+    )
+    raw = np.full(cfg.n_replicates, np.nan)
+    for b in range(cfg.n_replicates):
+        y_star = np.concatenate([y[:order], simulated[b, :, 0]])
+        w_star = np.concatenate([w[:order], simulated[b, :, 1]])
         try:
-            decomp = conditional_decomposition(x_star, y_star, w_star, cfg.max_var_order)
+            decomp = conditional_decomposition(causes[b], y_star, w_star, cfg.max_var_order)
         except (RankDeficiencyError, NumericalError, DegenerateInputError):
-            return np.nan
-        return float(np.median(decomp.measure))
+            continue
+        raw[b] = np.median(decomp.measure)
 
-    medians, _ = _collect_medians(replicate, cfg, threads)
-    pointwise, bonferroni = _threshold_pair(medians, cfg.alpha, frequencies.size)
+    thresholds = _thresholds(raw, cfg, frequencies.size)
     return SpectrumResult(
         cause_name=x_name,
         effect_name=y_name,
         conditioning_name=w_name,
         frequencies=frequencies,
         estimate=observed.measure,
-        threshold_pointwise=pointwise,
-        threshold_bonferroni=bonferroni,
+        threshold_pointwise=thresholds.pointwise,
+        threshold_bonferroni=thresholds.bonferroni,
         alpha=cfg.alpha,
-        n_replicates=int(medians.size),
+        n_replicates=int(thresholds.medians.size),
         var_order=observed.projection_order,
+        n_failed=thresholds.n_failed,
     )

@@ -1,10 +1,15 @@
 """Least-squares vector autoregression core.
 
-Estimation is equation-by-equation OLS on a common design (identical
-regressors per equation, so joint GLS collapses to OLS), with the lag order
-chosen by BIC over 1..max_order on a common effective sample and the chosen
-order refit on its full usable sample.  The companion-matrix spectral radius
-is reported with every fit; values below one mean the process is stable.
+Every VAR in the package is estimated here, single fits (:func:`fit_var`,
+``varx.fit_varx``) and bootstrap replicates alike, on a stack of series
+(B, T, K) with optional shared exogenous columns.  Estimation is
+equation-wise OLS on a common design (identical regressors per equation, so
+joint GLS collapses to OLS).  :func:`bic_path` scores orders 1..max_order on
+the common sample t = max_order..T-1, :func:`refit` solves each series at
+its order on its full usable sample, and :func:`simulate_var` iterates the
+recursion.  A singular Gram matrix or a non-positive residual determinant
+marks a series failed; single fits raise :class:`RankDeficiencyError`
+naming the collinear columns, bootstraps count or reject the replicate.
 """
 
 from __future__ import annotations
@@ -21,17 +26,32 @@ from .errors import (
     RankDeficiencyError,
     ShapeError,
 )
+from .panel import PanelDataset
 
 
-def _validate_matrix(data, what: str) -> np.ndarray:
+def validate_series(data, names=None, what: str = "data") -> tuple[np.ndarray, tuple[str, ...]]:
+    """A finite (T, K) matrix and its K variable names.
+
+    ``data`` is a :class:`PanelDataset` (all its columns, or those named) or
+    an array; a 1-d array is one variable.  Unnamed variables are called
+    ``y0, y1, ...``.
+    """
+    if isinstance(data, PanelDataset):
+        names = data.column_names if names is None else tuple(names)
+        return data.matrix(names), names
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2:
+    if arr.ndim != 2 or arr.shape[1] < 1:
         raise ShapeError(f"{what} must be a (T, K) matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what} must be finite")
-    return arr
+    if names is None:
+        return arr, tuple(f"y{i}" for i in range(arr.shape[1]))
+    names = tuple(names)
+    if len(names) != arr.shape[1]:
+        raise ShapeError(f"{len(names)} names for {arr.shape[1]} variables")
+    return arr, names
 
 
 def lag_design(
@@ -39,19 +59,24 @@ def lag_design(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack the regression target and design for a VAR(order).
 
-    Rows are t = order..T-1.  Design columns are an intercept, then the K
-    variables at lag 1, lag 2, ..., then any exogenous columns at time t.
+    ``data`` is (T, K) or a stack (B, T, K); ``exog`` (T, M) is shared by the
+    stack.  Rows are t = order..T-1.  Design columns are an intercept, then
+    the K variables at lag 1, lag 2, ..., then any exogenous columns at
+    time t.
     """
-    T, K = data.shape
+    if order < 1:
+        raise InvalidInputError(f"order must be >= 1, got {order}")
+    T = data.shape[-2]
     n = T - order
     if n <= 0:
         raise InsufficientDataError(f"need more than {order} rows, got {T}")
-    blocks = [np.ones((n, 1))]
+    lead = data.shape[:-2]
+    blocks = [np.ones(lead + (n, 1))]
     for lag in range(1, order + 1):
-        blocks.append(data[order - lag : T - lag])
+        blocks.append(data[..., order - lag : T - lag, :])
     if exog is not None:
-        blocks.append(exog[order:])
-    return data[order:], np.hstack(blocks)
+        blocks.append(np.broadcast_to(exog[order:], lead + exog[order:].shape))
+    return data[..., order:, :], np.concatenate(blocks, axis=-1)
 
 
 def design_column_names(
@@ -74,25 +99,171 @@ def _name_collinear_columns(design: np.ndarray, columns: Sequence[str]) -> list[
     return [columns[j] for j in dependent]
 
 
-def solve_ols(
-    target: np.ndarray, design: np.ndarray, columns: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """OLS coefficients for every target column over a shared design.
+def _gram(design: np.ndarray, target: np.ndarray):
+    t = design.transpose(0, 2, 1)
+    return t @ design, t @ target
 
-    Returns (coefficients (q, K), residuals (n, K), inverse Gram (q, q)).
-    Raises :class:`RankDeficiencyError` naming the collinear columns when the
-    design is singular.
+
+def _solve_stack(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``gram[b] @ x = rhs[b]`` by Cholesky for a (B, q, q) stack.
+
+    Returns the (B, q, r) solutions and the (B,) mask of Gram matrices that
+    are not positive definite, whose solutions stay zero.  These are the
+    LAPACK calls of ``scipy.linalg.cho_factor``/``cho_solve`` (the same bits)
+    without their per-call checks, which would cost more than the solve.
     """
-    gram = design.T @ design
-    moment = design.T @ target
-    try:
-        chol = scipy.linalg.cho_factor(gram, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise RankDeficiencyError(_name_collinear_columns(design, columns)) from None
-    coef = scipy.linalg.cho_solve(chol, moment)
-    gram_inv = scipy.linalg.cho_solve(chol, np.eye(gram.shape[0]))
-    residuals = target - design @ coef
-    return coef, residuals, gram_inv
+    solution = np.zeros(rhs.shape)
+    failed = np.zeros(len(gram), bool)
+    for b in range(len(gram)):
+        factor, info = scipy.linalg.lapack.dpotrf(gram[b], lower=1, clean=0)
+        if info:
+            failed[b] = True
+            continue
+        solution[b], _ = scipy.linalg.lapack.dpotrs(factor, rhs[b], lower=1)
+    return solution, failed
+
+
+def _order_columns(order: int, max_order: int, K: int, M: int) -> np.ndarray:
+    """Columns of the max-order design that form the order-``order`` design."""
+    return np.r_[0 : 1 + order * K, 1 + max_order * K : 1 + max_order * K + M]
+
+
+def bic_path(data: np.ndarray, max_order: int, exog: np.ndarray | None = None) -> np.ndarray:
+    """BIC of orders 1..max_order for each series of a (B, T, K) stack.
+
+    All orders share the common sample t = max_order..T-1, whose Gram matrix
+    holds every candidate design.  The penalty counts p*K*K lag coefficients
+    plus K*(M + 1) intercepts and exogenous coefficients.  Returns (B,
+    max_order); an entry is NaN where that order's Gram matrix is singular
+    or its residual covariance determinant is not positive.
+    """
+    B, T, K = data.shape
+    M = 0 if exog is None else exog.shape[1]
+    target, design = lag_design(data, max_order, exog)
+    n = target.shape[1]
+    gram, moment = _gram(design, target)
+    s_yy = target.transpose(0, 2, 1) @ target
+    path = np.full((B, max_order), np.nan)
+    for p in range(1, max_order + 1):
+        cols = _order_columns(p, max_order, K, M)
+        sub_moment = moment[:, cols]
+        coef, failed = _solve_stack(gram[:, cols][:, :, cols], sub_moment)
+        rss = s_yy - sub_moment.transpose(0, 2, 1) @ coef
+        sign, logdet = np.linalg.slogdet(rss / n)
+        ok = ~failed & (sign > 0)
+        path[ok, p - 1] = logdet[ok] + np.log(n) / n * (p * K * K + K * (M + 1))
+    return path
+
+
+def select_order(path: np.ndarray) -> np.ndarray:
+    """Minimum-BIC order of each row of a path (ties go to the lower order)."""
+    return np.argmin(path, axis=-1) + 1
+
+
+@dataclass
+class OrderFit:
+    """Least-squares fits of the series of a stack that share one order.
+
+    ``coef[b]`` is (q, K) with rows intercept, lag 1..order blocks, then
+    exogenous columns; ``resid_cov`` is degrees-of-freedom adjusted.
+    ``index`` locates the fits in the stack.
+    """
+
+    order: int
+    index: np.ndarray
+    coef: np.ndarray
+    gram_inv: np.ndarray
+    residuals: np.ndarray
+    resid_cov: np.ndarray
+
+
+def refit(
+    data: np.ndarray, orders: np.ndarray, exog: np.ndarray | None = None
+) -> tuple[list[OrderFit], np.ndarray]:
+    """Least squares for each series of a (B, T, K) stack at its own order.
+
+    Each series uses its full usable sample t = order..T-1.  Series are
+    grouped by order, in increasing order.  Returns the groups and the (B,)
+    mask of series whose Gram matrix is singular, which no group holds.
+    """
+    orders = np.asarray(orders)
+    failed = np.zeros(len(data), bool)
+    groups: list[OrderFit] = []
+    for p in np.unique(orders):
+        index = np.flatnonzero(orders == p)
+        sample = data if index.size == len(data) else data[index]
+        target, design = lag_design(sample, int(p), exog)
+        gram, moment = _gram(design, target)
+        n, q = design.shape[1:]
+        K = target.shape[2]
+        # One solve gives the coefficients and the inverse Gram matrix.
+        solution, bad = _solve_stack(
+            gram, np.concatenate([moment, np.broadcast_to(np.eye(q), gram.shape)], axis=2)
+        )
+        failed[index[bad]] = True
+        coef, gram_inv = solution[:, :, :K], solution[:, :, K:]
+        residuals = target - design @ coef
+        resid_cov = residuals.transpose(0, 2, 1) @ residuals / (n - q)
+        keep = ~bad
+        if keep.any():
+            groups.append(OrderFit(
+                int(p), index[keep], coef[keep], gram_inv[keep], residuals[keep], resid_cov[keep]
+            ))
+    return groups, failed
+
+
+def _rank_error(data, names, order, exog, exog_names) -> RankDeficiencyError:
+    """Name the columns of a failed order-``order`` fit: design columns and
+    targets, which an exact fit makes dependent on the design."""
+    target, design = lag_design(data, order, exog)
+    columns = design_column_names(names, order, exog_names)
+    return RankDeficiencyError(
+        _name_collinear_columns(np.hstack([design, target]), [*columns, *names])
+    )
+
+
+def check_sample_size(T: int, K: int, M: int, order: int) -> None:
+    """Require at least 10 residual degrees of freedom at ``order``.
+
+    A VAR(p) in K variables with M exogenous columns has T - p rows and
+    1 + K*p + M regressors, so the rule is T - p > K*p + M + 10.
+    """
+    if T - order <= K * order + M + 10:
+        raise InsufficientDataError(
+            f"{T} observations are too few for a VAR({order}) in {K} variables "
+            f"with {M} exogenous columns: need T - p > K*p + M + 10"
+        )
+
+
+def fit_single(
+    data: np.ndarray,
+    names: Sequence[str],
+    max_order: int,
+    order: int | None,
+    exog: np.ndarray | None = None,
+    exog_names: Sequence[str] = (),
+) -> tuple[OrderFit, dict[int, float]]:
+    """The core at B = 1, as :func:`fit_var` and ``fit_varx`` use it.
+
+    Checks the sample size, scores orders 1..max_order (1..order when the
+    order is fixed), raising :class:`RankDeficiencyError` if any fails,
+    selects or keeps the order and refits it.  Returns the fit and the BIC
+    path.
+    """
+    T, K = data.shape
+    M = 0 if exog is None else exog.shape[1]
+    widest = max_order if order is None else order
+    check_sample_size(T, K, M, widest)
+    path = bic_path(data[None], widest, exog)[0]
+    bad = np.flatnonzero(np.isnan(path))
+    if bad.size:
+        raise _rank_error(data, names, int(bad[0]) + 1, exog, exog_names)
+    if order is None:
+        order = int(select_order(path))
+    groups, failed = refit(data[None], np.array([order]), exog)
+    if failed[0]:
+        raise _rank_error(data, names, order, exog, exog_names)
+    return groups[0], {p + 1: float(v) for p, v in enumerate(path)}
 
 
 @dataclass
@@ -137,38 +308,11 @@ def spectral_radius(coef: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(coef)))))
 
 
-def _bic_path(
-    data: np.ndarray, max_order: int, columns_full: Sequence[str]
-) -> dict[int, float]:
-    """BIC for each order on the common sample t = max_order..T-1.
-
-    The design at order p is the leading 1 + p*K columns of the max-order
-    design, so one Gram matrix serves every candidate.
-    """
-    T, K = data.shape
-    target, design = lag_design(data, max_order)
-    n = target.shape[0]
-    gram = design.T @ design
-    moment = design.T @ target
-    s_yy = target.T @ target
-    path: dict[int, float] = {}
-    for p in range(1, max_order + 1):
-        q = 1 + p * K
-        try:
-            chol = scipy.linalg.cho_factor(gram[:q, :q], lower=True)
-        except scipy.linalg.LinAlgError:
-            raise RankDeficiencyError(
-                _name_collinear_columns(design[:, :q], columns_full[:q])
-            ) from None
-        coef = scipy.linalg.cho_solve(chol, moment[:q])
-        rss = s_yy - moment[:q].T @ coef
-        sign, logdet = np.linalg.slogdet(rss / n)
-        if sign <= 0:
-            raise RankDeficiencyError(
-                _name_collinear_columns(design[:, :q], columns_full[:q])
-            )
-        path[p] = float(logdet + np.log(n) / n * (p * K * K + K))
-    return path
+def lag_coefficients(coef: np.ndarray, order: int) -> np.ndarray:
+    """``(..., order, K, K)`` lag matrices from stacked ``(..., q, K)`` rows."""
+    K = coef.shape[-1]
+    lags = coef[..., 1 : 1 + order * K, :]
+    return np.swapaxes(lags.reshape(coef.shape[:-2] + (order, K, K)), -1, -2)
 
 
 def fit_var(
@@ -181,7 +325,7 @@ def fit_var(
 
     Parameters
     ----------
-    data : array_like, shape (T, K)
+    data : PanelDataset or array_like, shape (T, K)
         Observations in time order.
     max_order : int
         Upper end of the BIC search grid (ignored when ``order`` is given).
@@ -193,61 +337,27 @@ def fit_var(
     Raises
     ------
     RankDeficiencyError
-        If the regression design is singular; the message names the
-        collinear columns.
+        If the regression design is singular at some candidate order; the
+        message names the collinear columns.
     """
-    arr = _validate_matrix(data, "VAR data")
-    T, K = arr.shape
-    if names is None:
-        names = tuple(f"y{i}" for i in range(K))
-    else:
-        names = tuple(names)
-        if len(names) != K:
-            raise ShapeError(f"{len(names)} names for {K} variables")
-    if order is not None:
-        if not 1 <= order:
-            raise InvalidInputError(f"order must be >= 1, got {order}")
-        max_order = order
-    if not 1 <= max_order:
-        raise InvalidInputError(f"max_order must be >= 1, got {max_order}")
-    if T <= K * max_order + K + 10:
-        raise InsufficientDataError(
-            f"need T > K*max_order + K + 10 = {K * max_order + K + 10} rows, got {T}"
-        )
-
-    columns_full = design_column_names(names, max_order)
-    if order is None:
-        bic_by_order = _bic_path(arr, max_order, columns_full)
-        order = min(bic_by_order, key=lambda p: (bic_by_order[p], p))
-    else:
-        bic_by_order = _bic_path(arr, order, columns_full)
-
-    target, design = lag_design(arr, order)
-    columns = design_column_names(names, order)
-    coef_flat, residuals, gram_inv = solve_ols(target, design, columns)
-    n, q = design.shape
-    dof = n - q
-    if dof <= 0:
-        raise InsufficientDataError(
-            f"no residual degrees of freedom at order {order} (n={n}, q={q})"
-        )
-    resid_cov = residuals.T @ residuals / dof
+    arr, names = validate_series(data, names, "VAR data")
+    fit, bic_by_order = fit_single(arr, names, max_order, order)
+    order = fit.order
+    coef_flat, resid_cov = fit.coef[0], fit.resid_cov[0]
     # Per-equation OLS standard errors from sigma_kk * diag((X'X)^-1).
-    se_flat = np.sqrt(np.outer(np.diag(gram_inv), np.diag(resid_cov)))
-
-    coef = np.transpose(coef_flat[1:].reshape(order, K, K), (0, 2, 1))
-    coef_se = np.transpose(se_flat[1:].reshape(order, K, K), (0, 2, 1))
+    se_flat = np.sqrt(np.outer(np.diag(fit.gram_inv[0]), np.diag(resid_cov)))
+    coef = lag_coefficients(coef_flat, order)
     return VarModel(
         variable_names=names,
         order=order,
         intercept=coef_flat[0].copy(),
         coef=coef,
         resid_cov=resid_cov,
-        residuals=residuals,
+        residuals=fit.residuals[0],
         intercept_se=se_flat[0].copy(),
-        coef_se=coef_se,
+        coef_se=lag_coefficients(se_flat, order),
         companion_radius=spectral_radius(coef),
-        nobs=n,
+        nobs=fit.residuals.shape[1],
         bic=bic_by_order[order],
         bic_by_order=bic_by_order,
     )
@@ -259,19 +369,25 @@ def simulate_var(
     innovations: np.ndarray,
     initial: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Iterate the VAR recursion over a given innovation sequence.
+    """Iterate the VAR recursion over given innovation sequences.
 
-    ``initial`` holds the ``order`` pre-sample rows (zeros when omitted);
-    the returned array has one row per innovation row.
+    ``innovations`` is one sequence (n, K) or a stack (B, n, K).
+    ``intercept`` is the deterministic term, (K,) or one row per innovation
+    row (n, K) (intercept plus exogenous part).  ``initial`` holds the
+    ``order`` pre-sample rows shared by the stack (zeros when omitted); the
+    result has one row per innovation row.
     """
     p, K, _ = coef.shape
     innovations = np.asarray(innovations, dtype=float)
-    n = innovations.shape[0]
-    out = np.empty((p + n, K))
-    out[:p] = 0.0 if initial is None else np.asarray(initial, dtype=float)
+    single = innovations.ndim == 2
+    stack = innovations[None] if single else innovations
+    B, n, _ = stack.shape
+    deterministic = np.broadcast_to(intercept, (n, K))
+    out = np.empty((B, p + n, K))
+    out[:, :p] = 0.0 if initial is None else np.asarray(initial, dtype=float)
     for t in range(n):
-        level = intercept + innovations[t]
-        for lag in range(1, p + 1):
-            level = level + coef[lag - 1] @ out[p + t - lag]
-        out[p + t] = level
-    return out[p:]
+        acc = np.broadcast_to(deterministic[t], (B, K)).copy()
+        for lag in range(p):
+            acc += out[:, p + t - 1 - lag] @ coef[lag].T
+        out[:, p + t] = acc + stack[:, t]
+    return out[0, p:] if single else out[:, p:]

@@ -2,10 +2,15 @@
 
 Estimation is equation-wise least squares on lagged endogenous values plus a
 deterministic exogenous block (seasonal Fourier terms, a calendar dummy and
-baseline fitted values).  Inference comes from a residual bootstrap that
-recursively re-simulates the system, which also feeds bias correction with a
-stability safeguard, impulse responses, forecast-error variance
-decompositions and a time-domain Granger test.
+baseline fitted values), done by the VAR core of :mod:`climdemand.varbase`:
+:func:`fit_varx` is its validating front for one series, with the same BIC
+path, sample-size rule and rank rule as :func:`climdemand.varbase.fit_var`.
+Inference comes from a residual bootstrap that recursively re-simulates the
+system and refits every replicate on the same core, in blocks of replicates.
+It feeds bias correction with a stability safeguard, impulse responses and
+forecast-error variance decompositions (bands computed for all replicates
+at once), and the restricted-model null of a time-domain Granger test runs
+the same way.
 
 Variable order matters for the orthogonalized quantities: innovations are
 factored by the Cholesky decomposition in the order the variables appear, so
@@ -16,25 +21,28 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-import math
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import row_indices
 from .errors import (
     AlignmentError,
     ConfigError,
-    InsufficientDataError,
     InvalidInputError,
     NumericalError,
     ShapeError,
     StabilityError,
+    UnknownColumnError,
 )
 from .varbase import (
-    design_column_names,
+    OrderFit,
+    fit_single,
+    lag_coefficients,
     lag_design,
-    solve_ols,
+    refit,
+    simulate_var,
     spectral_radius,
+    validate_series,
 )
 
 __all__ = [
@@ -58,11 +66,11 @@ __all__ = [
 
 DEFAULT_FEVD_HORIZONS = tuple(range(4, 53, 4))
 
-# Replicates simulated and refit together by the residual bootstrap.  A block
-# bounds the bootstrap's working set (the stacked regression designs above
-# all) without changing a draw: each replicate's arithmetic is its own.
+# Replicates simulated and refit together by the residual bootstrap and the
+# Granger null.  A block bounds the working set (the stacked regression
+# designs above all) without changing a draw: each replicate's arithmetic is
+# its own.
 _BOOTSTRAP_BLOCK = 128
-
 
 @dataclasses.dataclass(frozen=True)
 class ExogenousDesign:
@@ -187,7 +195,7 @@ class VarxModel:
     endog: np.ndarray
     exog_values: np.ndarray
     bic: float
-    bic_by_order: dict[int, float] | None
+    bic_by_order: dict[int, float]
 
     @property
     def n_variables(self) -> int:
@@ -196,20 +204,6 @@ class VarxModel:
     @property
     def n_exog(self) -> int:
         return len(self.exog_names)
-
-
-def _as_endog(endog, names) -> tuple[np.ndarray, tuple[str, ...]]:
-    data = np.asarray(endog, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 1:
-        raise ShapeError("endogenous data must be a (T, K) array")
-    if not np.all(np.isfinite(data)):
-        raise InvalidInputError("endogenous data must be finite")
-    if names is None:
-        names = tuple(f"var{i + 1}" for i in range(data.shape[1]))
-    names = tuple(names)
-    if len(names) != data.shape[1]:
-        raise ShapeError("variable names must match the endogenous columns")
-    return data, names
 
 
 def _as_exog(exog, n_rows: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -233,45 +227,13 @@ def _as_exog(exog, n_rows: int) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def _unpack_equation_matrix(
-    stacked: np.ndarray, order: int, n_vars: int
+    stacked: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split a (q, K) stacked coefficient matrix into model blocks."""
-    intercept = stacked[0]
-    lag_block = stacked[1 : 1 + order * n_vars]
-    endo = lag_block.reshape(order, n_vars, n_vars).transpose(0, 2, 1)
-    exo = stacked[1 + order * n_vars :].T
-    return intercept, endo, exo
-
-
-def _varx_bic_path(
-    endog: np.ndarray, exog_values: np.ndarray, max_order: int
-) -> dict[int, float]:
-    """BIC for orders 1..max_order on the common sample t = max_order..T-1."""
-    T, K = endog.shape
-    M = exog_values.shape[1]
-    target, design = lag_design(endog, max_order, exog_values)
-    n = target.shape[0]
-    gram = design.T @ design
-    moment = design.T @ target
-    target_sq = target.T @ target
-    out: dict[int, float] = {}
-    for p in range(1, max_order + 1):
-        cols = np.r_[0 : 1 + p * K, 1 + max_order * K : 1 + max_order * K + M]
-        sub_gram = gram[np.ix_(cols, cols)]
-        sub_moment = moment[cols]
-        try:
-            coef = np.linalg.solve(sub_gram, sub_moment)
-        except np.linalg.LinAlgError:
-            out[p] = np.inf
-            continue
-        rss = target_sq - sub_moment.T @ coef
-        sign, logdet = np.linalg.slogdet(rss / n)
-        if sign <= 0:
-            out[p] = -np.inf  # degenerate fit dominates any penalty
-            continue
-        n_params = p * K * K + K * (M + 1)
-        out[p] = float(logdet + math.log(n) / n * n_params)
-    return out
+    """Split stacked (..., q, K) coefficient rows into intercept, lag and
+    exogenous blocks."""
+    K = stacked.shape[-1]
+    exo = np.swapaxes(stacked[..., 1 + order * K :, :], -1, -2)
+    return stacked[..., 0, :], lag_coefficients(stacked, order), exo
 
 
 def fit_varx(
@@ -305,40 +267,23 @@ def fit_varx(
     Raises
     ------
     InsufficientDataError
-        Sample shorter than ``K * order + M + 10`` plus the lag window.
+        Fewer than 10 residual degrees of freedom at the widest order:
+        ``T - p <= K * p + M + 10``.
     RankDeficiencyError
-        Collinear design; degenerate exogenous columns are named.
+        A candidate order's design is singular or leaves a non-positive
+        residual determinant; the collinear columns, exogenous ones
+        included, are named.
     """
-    data, var_names = _as_endog(endog, names)
-    T, K = data.shape
-    exog_values, exog_names = _as_exog(exog, T)
-    M = exog_values.shape[1]
-    if order is not None and order < 1:
-        raise InvalidInputError("order must be at least 1")
-    if max_order < 1:
-        raise InvalidInputError("max_order must be at least 1")
-    widest = order if order is not None else max_order
-    if T - widest <= K * widest + M + 10:
-        raise InsufficientDataError(
-            f"{T} observations are too few for a VARX({widest}) in {K} "
-            f"variables with {M} exogenous columns"
-        )
-    bic_by_order: dict[int, float] | None = None
-    if order is None:
-        bic_by_order = _varx_bic_path(data, exog_values, max_order)
-        order = min(bic_by_order, key=lambda p: (bic_by_order[p], p))
-    target, design = lag_design(data, order, exog_values)
-    columns = design_column_names(var_names, order, exog_names)
-    coef, residuals, gram_inv = solve_ols(target, design, columns)
-    n, q = design.shape
-    resid_cov = residuals.T @ residuals / (n - q)
-    intercept, endo_coef, exo_coef = _unpack_equation_matrix(coef, order, K)
+    data, var_names = validate_series(endog, names, "endogenous data")
+    exog_values, exog_names = _as_exog(exog, data.shape[0])
+    fit, bic_by_order = fit_single(
+        data, var_names, max_order, order, exog_values, exog_names
+    )
+    order = fit.order
+    residuals, resid_cov, gram_inv = fit.residuals[0], fit.resid_cov[0], fit.gram_inv[0]
+    intercept, endo_coef, exo_coef = _unpack_equation_matrix(fit.coef[0], order)
     se = np.sqrt(np.outer(np.diag(gram_inv), np.diag(resid_cov)))
-    intercept_se, endo_se, exo_se = _unpack_equation_matrix(se, order, K)
-    sign, logdet = np.linalg.slogdet(residuals.T @ residuals / n)
-    bic = float(
-        logdet + math.log(n) / n * (order * K * K + K * (M + 1))
-    ) if sign > 0 else -np.inf
+    intercept_se, endo_se, exo_se = _unpack_equation_matrix(se, order)
     return VarxModel(
         variable_names=var_names,
         exog_names=exog_names,
@@ -353,10 +298,10 @@ def fit_varx(
         exo_se=exo_se,
         gram_inv=gram_inv,
         companion_radius=spectral_radius(endo_coef),
-        nobs=n,
+        nobs=residuals.shape[0],
         endog=data,
         exog_values=exog_values,
-        bic=bic,
+        bic=bic_by_order[order],
         bic_by_order=bic_by_order,
     )
 
@@ -366,68 +311,26 @@ def stability_check(model: VarxModel) -> float:
     return spectral_radius(model.endo_coef)
 
 
-def _simulate_batch(
+def _resimulate(
+    model: VarxModel,
     intercept: np.ndarray,
     endo_coef: np.ndarray,
     exo_coef: np.ndarray,
-    exog_values: np.ndarray,
-    initial: np.ndarray,
     innovations: np.ndarray,
-) -> np.ndarray:
-    """Recursive simulation of B replicates sharing coefficients and exog.
-
-    ``innovations`` has shape (B, T - p, K); the result (B, T, K) starts
-    from the observed first ``p`` rows.
+) -> OrderFit:
+    """Simulate a (B, T - p, K) innovation stack through the given system
+    from the model's first ``p`` rows and exogenous block, and refit each
+    sample at the model's order.
     """
-    n_rep, n_inno, K = innovations.shape
-    p = initial.shape[0]
-    T = p + n_inno
-    deterministic = intercept[None, :] + exog_values @ exo_coef.T
-    out = np.empty((n_rep, T, K))
-    out[:, :p] = initial[None, :, :]
-    for t in range(p, T):
-        acc = np.broadcast_to(deterministic[t], (n_rep, K)).copy()
-        for lag in range(p):
-            acc += out[:, t - 1 - lag] @ endo_coef[lag].T
-        out[:, t] = acc + innovations[:, t - p]
-    return out
-
-
-def _batched_refit(
-    simulated: np.ndarray, exog_values: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Equation-wise OLS for every replicate at once.
-
-    Returns (coef (B, q, K), resid_cov draws, gram inverses, targets), with
-    the residual covariance df-adjusted to match :func:`fit_varx`.
-    """
-    n_rep, T, K = simulated.shape
-    n = T - order
-    blocks = [np.ones((n_rep, n, 1))]
-    for lag in range(1, order + 1):
-        blocks.append(simulated[:, order - lag : T - lag])
-    if exog_values.shape[1]:
-        blocks.append(
-            np.broadcast_to(
-                exog_values[order:], (n_rep, n, exog_values.shape[1])
-            )
-        )
-    design = np.concatenate(blocks, axis=2)
-    target = simulated[:, order:]
-    gram = design.transpose(0, 2, 1) @ design
-    moment = design.transpose(0, 2, 1) @ target
-    try:
-        coef = np.linalg.solve(gram, moment)
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "a bootstrap replicate produced a singular regression design"
-        ) from exc
-    residuals = target - design @ coef
-    q = design.shape[2]
-    dof = max(n - q, 1)
-    resid_cov = residuals.transpose(0, 2, 1) @ residuals / dof
-    return coef, resid_cov, gram_inv, residuals
+    p = model.order
+    deterministic = intercept[None, :] + model.exog_values @ exo_coef.T
+    simulated = simulate_var(deterministic[p:], endo_coef, innovations, model.endog[:p])
+    initial = np.broadcast_to(model.endog[:p], (len(simulated),) + model.endog[:p].shape)
+    samples = np.concatenate([initial, simulated], axis=1)
+    groups, failed = refit(samples, np.full(len(samples), p), model.exog_values)
+    if failed.any():
+        raise NumericalError("a bootstrap replicate produced a singular regression design")
+    return groups[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -461,16 +364,6 @@ def _percentile_bands(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return lower, upper, significant
 
 
-def _bootstrap_indices(
-    n_draws: int, n_rows: int, seed: int, label: str
-) -> np.ndarray:
-    indices = np.empty((n_draws, n_rows), dtype=np.intp)
-    for b in range(n_draws):
-        rng = substream(seed, label, b)
-        indices[b] = rng.integers(0, n_rows, size=n_rows)
-    return indices
-
-
 def residual_bootstrap(
     model: VarxModel, n_replicates: int = 1000, seed: int = 0
 ) -> VarxBootstrap:
@@ -491,31 +384,16 @@ def residual_bootstrap(
         raise ConfigError({"seed": "must be nonnegative"})
     centered = model.residuals - model.residuals.mean(axis=0)
     n = centered.shape[0]
-    indices = _bootstrap_indices(n_replicates, n, seed, "varx-bootstrap")
-    coef_blocks, cov_blocks = [], []
+    fits = []
     for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
-        simulated = _simulate_batch(
-            model.intercept,
-            model.endo_coef,
-            model.exo_coef,
-            model.exog_values,
-            model.endog[: model.order],
-            centered[indices[start : start + _BOOTSTRAP_BLOCK]],
+        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
+        innovations = centered[row_indices(seed, "varx-bootstrap", replicates, n)]
+        fits.append(
+            _resimulate(model, model.intercept, model.endo_coef, model.exo_coef, innovations)
         )
-        coef, resid_cov, _, _ = _batched_refit(
-            simulated, model.exog_values, model.order
-        )
-        coef_blocks.append(coef)
-        cov_blocks.append(resid_cov)
-    coef = np.concatenate(coef_blocks)
-    resid_cov_draws = np.concatenate(cov_blocks)
-    K = model.n_variables
-    intercept_draws = coef[:, 0, :]
-    lag_block = coef[:, 1 : 1 + model.order * K, :]
-    endo_draws = lag_block.reshape(
-        n_replicates, model.order, K, K
-    ).transpose(0, 1, 3, 2)
-    exo_draws = coef[:, 1 + model.order * K :, :].transpose(0, 2, 1)
+    coef = np.concatenate([fit.coef for fit in fits])
+    resid_cov_draws = np.concatenate([fit.resid_cov for fit in fits])
+    intercept_draws, endo_draws, exo_draws = _unpack_equation_matrix(coef, model.order)
     i_lo, i_hi, i_sig = _percentile_bands(intercept_draws)
     a_lo, a_hi, a_sig = _percentile_bands(endo_draws)
     b_lo, b_hi, b_sig = _percentile_bands(exo_draws)
@@ -636,25 +514,24 @@ def forecast_recursive(
         future = future[:horizon]
     else:
         future = np.zeros((horizon, 0))
-    history = list(model.endog[-model.order :])
-    out = np.empty((horizon, K))
-    for h in range(horizon):
-        value = model.intercept + model.exo_coef @ future[h]
-        for lag in range(model.order):
-            value = value + model.endo_coef[lag] @ history[-1 - lag]
-        out[h] = value
-        history.append(value)
-    return out
+    deterministic = model.intercept + future @ model.exo_coef.T
+    return simulate_var(
+        deterministic, model.endo_coef, np.zeros((horizon, K)), model.endog[-model.order :]
+    )
 
 
 def _phi_matrices(endo_coef: np.ndarray, horizon: int) -> np.ndarray:
-    """Moving-average matrices Phi_0..Phi_horizon of the lag recursion."""
-    p, K, _ = endo_coef.shape
-    phi = np.zeros((horizon + 1, K, K))
-    phi[0] = np.eye(K)
+    """Moving-average matrices Phi_0..Phi_horizon of the lag recursion.
+
+    ``endo_coef`` is (p, K, K) or a stack (..., p, K, K); the result is
+    (..., horizon + 1, K, K).
+    """
+    *lead, p, K, _ = endo_coef.shape
+    phi = np.zeros((*lead, horizon + 1, K, K))
+    phi[..., 0, :, :] = np.eye(K)
     for h in range(1, horizon + 1):
         for lag in range(min(h, p)):
-            phi[h] += endo_coef[lag] @ phi[h - 1 - lag]
+            phi[..., h, :, :] += endo_coef[..., lag, :, :] @ phi[..., h - 1 - lag, :, :]
     return phi
 
 
@@ -706,10 +583,8 @@ def irf(
     )
     lower = upper = None
     if inference is not None:
-        draws = np.empty((inference.n_replicates, horizon + 1) + responses.shape[1:])
         factors = _cholesky(inference.resid_cov_draws)
-        for b in range(inference.n_replicates):
-            draws[b] = _phi_matrices(inference.endo_draws[b], horizon) @ factors[b]
+        draws = _phi_matrices(inference.endo_draws, horizon) @ factors[:, None]
         lower = np.quantile(draws, 0.025, axis=0)
         upper = np.quantile(draws, 0.975, axis=0)
     return IrfResult(
@@ -741,10 +616,12 @@ class FevdResult:
 def _fevd_shares(
     endo_coef: np.ndarray, resid_cov: np.ndarray, horizons: tuple[int, ...]
 ) -> np.ndarray:
-    theta = _phi_matrices(endo_coef, max(horizons) - 1) @ _cholesky(resid_cov)
-    cumulative = np.cumsum(theta**2, axis=0)
-    picked = cumulative[[h - 1 for h in horizons]]
-    return picked / picked.sum(axis=2, keepdims=True)
+    """Shares (..., len(horizons), K, K) for one system or a stack of them."""
+    factor = _cholesky(resid_cov)[..., None, :, :]
+    theta = _phi_matrices(endo_coef, max(horizons) - 1) @ factor
+    cumulative = np.cumsum(theta**2, axis=-3)
+    picked = cumulative[..., [h - 1 for h in horizons], :, :]
+    return picked / picked.sum(axis=-1, keepdims=True)
 
 
 def fevd(
@@ -768,13 +645,7 @@ def fevd(
     shares = _fevd_shares(model.endo_coef, model.resid_cov, horizons)
     mean = lower = upper = None
     if inference is not None:
-        draws = np.empty((inference.n_replicates,) + shares.shape)
-        for b in range(inference.n_replicates):
-            draws[b] = _fevd_shares(
-                inference.endo_draws[b],
-                inference.resid_cov_draws[b],
-                horizons,
-            )
+        draws = _fevd_shares(inference.endo_draws, inference.resid_cov_draws, horizons)
         mean = draws.mean(axis=0)
         lower = np.quantile(draws, 0.025, axis=0)
         upper = np.quantile(draws, 0.975, axis=0)
@@ -838,11 +709,9 @@ def granger_test_time_domain(
     try:
         cause = model.variable_names.index(cause_name)
         effect = model.variable_names.index(effect_name)
-    except ValueError as exc:
-        raise KeyError(
-            f"unknown variable in {(cause_name, effect_name)!r}; model has "
-            f"{model.variable_names!r}"
-        ) from exc
+    except ValueError:
+        missing = [n for n in (cause_name, effect_name) if n not in model.variable_names]
+        raise UnknownColumnError(missing, model.variable_names) from None
     if cause == effect:
         raise InvalidInputError("cause and effect must be different variables")
     K = model.n_variables
@@ -868,33 +737,22 @@ def granger_test_time_domain(
     restricted_coef = coef_stacked.copy()
     restricted_coef[:, effect] = 0.0
     restricted_coef[keep, effect] = beta_reduced
-    null_intercept, null_endo, null_exo = _unpack_equation_matrix(
-        restricted_coef, p, K
-    )
+    null_intercept, null_endo, null_exo = _unpack_equation_matrix(restricted_coef, p)
     null_residuals = target - design @ restricted_coef
     centered = null_residuals - null_residuals.mean(axis=0)
 
-    indices = _bootstrap_indices(
-        n_replicates, centered.shape[0], seed, "granger-null"
-    )
-    simulated = _simulate_batch(
-        null_intercept,
-        null_endo,
-        null_exo,
-        model.exog_values,
-        model.endog[:p],
-        centered[indices],
-    )
-    coef_b, resid_cov_b, gram_inv_b, _ = _batched_refit(
-        simulated, model.exog_values, p
-    )
-    beta_b = coef_b[:, restricted_cols, effect]
-    cov_b = (
-        resid_cov_b[:, effect, effect, None, None]
-        * gram_inv_b[:, restricted_cols[:, None], restricted_cols[None, :]]
-    )
-    solved = np.linalg.solve(cov_b, beta_b[..., None])[..., 0]
-    null_stats = np.einsum("bi,bi->b", beta_b, solved)
+    null_stats = np.empty(n_replicates)
+    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
+        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
+        innovations = centered[row_indices(seed, "granger-null", replicates, len(centered))]
+        fit = _resimulate(model, null_intercept, null_endo, null_exo, innovations)
+        beta_b = fit.coef[:, restricted_cols, effect]
+        cov_b = (
+            fit.resid_cov[:, effect, effect, None, None]
+            * fit.gram_inv[:, restricted_cols[:, None], restricted_cols[None, :]]
+        )
+        solved = np.linalg.solve(cov_b, beta_b[..., None])[..., 0]
+        null_stats[start : start + len(replicates)] = np.einsum("bi,bi->b", beta_b, solved)
     p_value = (1.0 + np.sum(null_stats >= observed)) / (1.0 + n_replicates)
     return GrangerWaldResult(
         cause=cause_name,

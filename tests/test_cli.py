@@ -164,6 +164,47 @@ class TestErrorReporting:
         assert payload["error"] == "FileAccessError"
         assert payload["path"] == str(blocker / "sub")
 
+    @pytest.mark.parametrize("penalty", [(), ("--penalty", "0.1")])
+    def test_sparse_var_order_zero(self, tmp_path, capsys, penalty):
+        # Without --penalty the order reaches the penalty search first.
+        panel = make_panel(tmp_path)
+        capsys.readouterr()
+        code = run_cli(
+            "--out-dir", tmp_path / "out", "sparse-var", "--panel", panel,
+            "--order", "0", *penalty,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert "order" in payload["message"]
+
+    def test_unknown_names_raise_toolkit_errors(self, tmp_path):
+        # Every lookup by name fails with the toolkit's error (still a KeyError).
+        from climdemand.errors import ToolkitError
+        from climdemand.forest import lagged_design_matrix
+        from climdemand.sparsevar import coefficient_table, fit_lasso_var
+        from climdemand.varx import fit_varx, granger_test_time_domain
+
+        panel = read_panel_csv(str(make_panel(tmp_path)))
+        data = panel.matrix(("drug_demand", "temperature"))
+        varx_model = fit_varx(data, order=1, names=("drug_demand", "temperature"))
+        sparse_model = fit_lasso_var(data, order=2, lam=0.1, names=("drug_demand", "temperature"))
+        sites = (
+            lambda: panel.column("nope"),
+            lambda: lagged_design_matrix(panel, "nope", lags=2),
+            lambda: lagged_design_matrix(panel, "drug_demand", lags=2, extra_columns=("nope",)),
+            lambda: granger_test_time_domain(varx_model, "nope", "drug_demand", n_replicates=100),
+            lambda: coefficient_table(sparse_model, "nope"),
+        )
+        for site in sites:
+            with pytest.raises(ToolkitError) as excinfo:
+                site()
+            assert isinstance(excinfo.value, KeyError)
+            assert excinfo.value.columns == ["nope"]
+            assert str(excinfo.value).startswith("unknown column 'nope'; available: ")
+
     def test_missing_panel_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code = run_cli(

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from climdemand._rng import substream
 from climdemand.errors import (
     AlignmentError,
     ConfigError,
     DegenerateInputError,
     InvalidInputError,
+    NumericalError,
+    RankDeficiencyError,
 )
 from climdemand.spectral import (
     GcBootstrapConfig,
@@ -70,6 +73,55 @@ def simulate_pair(coef, sigma, T, rng, burn=300):
     chol = np.linalg.cholesky(sigma)
     shocks = rng.normal(size=(T + burn, 2)) @ chol.T
     return simulate_var(np.zeros(2), np.asarray(coef, float), shocks)[burn:]
+
+
+def oracle_decompose(coef, resid_cov, frequencies):
+    """Cross and intrinsic terms of one fitted pair, raising on failure."""
+    s11, s12, s22 = resid_cov[0, 0], resid_cov[0, 1], resid_cov[1, 1]
+    if s22 <= 0.0 or s11 <= 0.0:
+        raise DegenerateInputError("innovation covariance is singular")
+    omega = 2.0 * np.pi * frequencies
+    z = np.exp(-1j * np.outer(omega, np.arange(1, coef.shape[0] + 1)))
+    lagpoly = np.eye(2)[None, :, :] - np.einsum("fl,lij->fij", z, coef)
+    det = lagpoly[:, 0, 0] * lagpoly[:, 1, 1] - lagpoly[:, 0, 1] * lagpoly[:, 1, 0]
+    if np.any(np.abs(det) < 1e-14):
+        raise NumericalError("lag polynomial is non-invertible")
+    transfer_cause = -lagpoly[:, 1, 0] / det
+    rotated_own = lagpoly[:, 0, 0] / det + transfer_cause * (s12 / s22)
+    cross = (s11 - s12 * s12 / s22) * np.abs(transfer_cause) ** 2
+    intrinsic = s22 * np.abs(rotated_own) ** 2
+    if not (np.isfinite(cross).all() and np.isfinite(intrinsic).all()):
+        raise NumericalError("non-finite decomposition")
+    if np.any(intrinsic <= 0.0):
+        raise NumericalError("own term vanished")
+    return cross, intrinsic
+
+
+def oracle_null_medians(x, y, cfg):
+    """The unconditional null one replicate at a time: fit_var, decompose."""
+    n = x.size
+    frequencies = fourier_frequencies(n)
+    raw = np.full(cfg.n_replicates, np.nan)
+    for b in range(cfg.n_replicates):
+        rng = substream(cfg.seed, "gc-unconditional", b)
+        x_star = x[stationary_bootstrap_indices(n, cfg.block_length(n), rng)]
+        y_star = y[stationary_bootstrap_indices(n, cfg.block_length(n), rng)]
+        try:
+            model = fit_var(np.column_stack([x_star, y_star]), max_order=cfg.max_var_order)
+            cross, intrinsic = oracle_decompose(model.coef, model.resid_cov, frequencies)
+        except (RankDeficiencyError, NumericalError, DegenerateInputError):
+            continue
+        raw[b] = np.median(np.log1p(cross / intrinsic))
+    return raw
+
+
+def spiky_pair(n=100, spikes=3, seed=3):
+    """A cause that is zero but for a few weeks: some resamples miss every
+    spike, and a constant column fails their fit."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n)
+    x[rng.choice(n, spikes, replace=False)] = rng.normal(size=spikes) + 3.0
+    return x, rng.normal(size=n), rng.normal(size=n)
 
 
 class TestFrequencies:
@@ -215,6 +267,49 @@ class TestThresholds:
             x, y, GcBootstrapConfig(n_replicates=120, seed=32)
         )
         assert other.pointwise != one.pointwise
+
+
+class TestBatchedNull:
+    @pytest.mark.parametrize("case", ["spiky", "lagged"])
+    def test_medians_match_per_replicate_oracle(self, case):
+        if case == "spiky":
+            x, y, _ = spiky_pair()
+        else:
+            rng = np.random.default_rng(9)
+            x = rng.normal(size=260)
+            y = np.r_[0.0, 0.6 * x[:-1]] + rng.normal(size=260)
+        cfg = GcBootstrapConfig(n_replicates=150, seed=4)
+        oracle = oracle_null_medians(x, y, cfg)
+        batched = bootstrap_threshold_unconditional(x, y, cfg)
+        kept = oracle[np.isfinite(oracle)]
+        assert batched.n_failed == oracle.size - kept.size
+        if case == "spiky":
+            assert batched.n_failed > 0
+        assert batched.medians.shape == kept.shape
+        assert_allclose(batched.medians, kept, rtol=1e-12, atol=0)
+
+    def test_blocks_do_not_change_the_null(self, monkeypatch):
+        from climdemand import spectral
+
+        x, y, _ = spiky_pair()
+        cfg = GcBootstrapConfig(n_replicates=120, seed=2)
+        whole = bootstrap_threshold_unconditional(x, y, cfg)
+        monkeypatch.setattr(spectral, "_NULL_BLOCK", 7)
+        blocked = bootstrap_threshold_unconditional(x, y, cfg)
+        assert_allclose(blocked.medians, whole.medians, rtol=0, atol=0)
+        assert blocked.n_failed == whole.n_failed
+
+    def test_failed_replicates_are_counted(self):
+        x, y, w = spiky_pair()
+        cfg = GcBootstrapConfig(n_replicates=100, seed=1)
+        for result in (
+            unconditional_gc_spectrum(x, y, cfg),
+            conditional_gc_spectrum(x, y, w, cfg),
+        ):
+            assert result.n_failed > 0
+            assert result.n_failed + result.n_replicates == cfg.n_replicates
+        clean = unconditional_gc_spectrum(np.random.default_rng(1).normal(size=100), y, cfg)
+        assert clean.n_failed == 0
 
 
 class TestUnconditionalInference:

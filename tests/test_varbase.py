@@ -8,12 +8,16 @@ from climdemand.errors import (
     RankDeficiencyError,
 )
 from climdemand.varbase import (
+    bic_path,
     companion_matrix,
     fit_var,
     lag_design,
+    refit,
+    select_order,
     simulate_var,
     spectral_radius,
 )
+from climdemand.varx import fit_varx
 
 
 def simulate(coef, sigma_chol, T, rng, intercept=None, burn=200):
@@ -38,6 +42,22 @@ class TestSimulateVar:
         out = simulate_var(np.zeros(1), coef, innov, initial=np.array([[1.0], [2.0]]))
         # y3 = .5*2 - .25*1 = .75 ; y4 = .5*.75 - .25*2 = -0.125
         assert_allclose(out[:, 0], [0.75, -0.125])
+
+
+    def test_stack_matches_one_sequence_at_a_time(self):
+        rng = np.random.default_rng(3)
+        coef = np.array([[[0.5, 0.1], [0.0, 0.3]], [[-0.2, 0.0], [0.1, 0.1]]])
+        innovations = rng.normal(size=(5, 40, 2))
+        initial = rng.normal(size=(2, 2))
+        stacked = simulate_var(np.array([0.1, -0.2]), coef, innovations, initial)
+        for b in range(5):
+            one = simulate_var(np.array([0.1, -0.2]), coef, innovations[b], initial)
+            assert_allclose(stacked[b], one, rtol=1e-12, atol=0)
+
+    def test_per_row_deterministic_term(self):
+        coef = np.array([[[0.5]]])
+        out = simulate_var(np.array([[1.0], [0.0]]), coef, np.zeros((2, 1)), np.array([[2.0]]))
+        assert_allclose(out[:, 0], [2.0, 1.0])
 
 
 class TestCompanion:
@@ -158,6 +178,20 @@ class TestFitVar:
         assert model.order == 3
         assert model.coef.shape == (3, 2, 2)
 
+    def test_exact_lag_relation_raises_in_both_fronts(self):
+        # y1 is y0 two weeks earlier: some candidate order fits y1 exactly
+        # or repeats a column, so BIC cannot rank the orders and both
+        # fronts refuse, naming columns (neither may pick order 2 at -inf).
+        rng = np.random.default_rng(0)
+        noise = rng.normal(size=302)
+        data = np.column_stack([noise[2:], noise[:-2]])
+        with pytest.raises(RankDeficiencyError) as var_error:
+            fit_var(data, max_order=4)
+        with pytest.raises(RankDeficiencyError) as varx_error:
+            fit_varx(data, max_order=4)
+        assert var_error.value.columns
+        assert varx_error.value.columns == var_error.value.columns
+
     def test_bad_order(self):
         with pytest.raises(InvalidInputError):
             fit_var(np.random.default_rng(0).normal(size=(100, 2)), order=0)
@@ -167,3 +201,34 @@ class TestFitVar:
         data[10, 1] = np.nan
         with pytest.raises(InvalidInputError):
             fit_var(data)
+
+
+class TestStackCore:
+    def test_stack_equals_single_fits_and_masks_failures(self):
+        rng = np.random.default_rng(21)
+        stack = rng.normal(size=(6, 200, 2))
+        stack[:, :, 1] += 0.6 * np.roll(stack[:, :, 0], 2, axis=1)
+        stack[3, :, 1] = stack[3, :, 0]  # singular at every order
+        path = bic_path(stack, 4)
+        assert np.isnan(path[3]).all()
+        assert not np.isnan(np.delete(path, 3, axis=0)).any()
+        ok = np.array([b for b in range(6) if b != 3])
+        groups, failed = refit(stack[ok], select_order(path[ok]))
+        assert not failed.any()
+        assert [g.order for g in groups] == sorted({g.order for g in groups})
+        assert sorted(np.concatenate([g.index for g in groups])) == list(range(5))
+        for group in groups:
+            for i, b in zip(group.index, ok[group.index]):
+                model = fit_var(stack[b], max_order=4)
+                assert model.order == group.order
+                assert list(model.bic_by_order.values()) == list(path[b])
+                assert_allclose(model.intercept, group.coef[i, 0], rtol=0, atol=0)
+                assert_allclose(model.resid_cov, group.resid_cov[i], rtol=0, atol=0)
+
+    def test_refit_reports_singular_series(self):
+        rng = np.random.default_rng(22)
+        stack = rng.normal(size=(3, 120, 2))
+        stack[1, :, 1] = 2.0 * stack[1, :, 0]
+        groups, failed = refit(stack, np.array([1, 1, 1]))
+        assert failed.tolist() == [False, True, False]
+        assert groups[0].index.tolist() == [0, 2]

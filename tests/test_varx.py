@@ -154,6 +154,39 @@ class TestFit:
         assert_array_equal(model.exog_values, longer.values[:200])
 
 
+def oracle_simulate_batch(intercept, endo_coef, exo_coef, exog_values, initial, innovations):
+    """Recursive simulation, (B, T, K) from the observed first p rows."""
+    n_rep, n_inno, K = innovations.shape
+    p = initial.shape[0]
+    T = p + n_inno
+    deterministic = intercept[None, :] + exog_values @ exo_coef.T
+    out = np.empty((n_rep, T, K))
+    out[:, :p] = initial[None, :, :]
+    for t in range(p, T):
+        acc = np.broadcast_to(deterministic[t], (n_rep, K)).copy()
+        for lag in range(p):
+            acc += out[:, t - 1 - lag] @ endo_coef[lag].T
+        out[:, t] = acc + innovations[:, t - p]
+    return out
+
+
+def oracle_batched_refit(simulated, exog_values, order):
+    """Equation-wise OLS per replicate by LU solves; (coef, resid_cov)."""
+    n_rep, T, K = simulated.shape
+    n = T - order
+    blocks = [np.ones((n_rep, n, 1))]
+    for lag in range(1, order + 1):
+        blocks.append(simulated[:, order - lag : T - lag])
+    blocks.append(np.broadcast_to(exog_values[order:], (n_rep, n, exog_values.shape[1])))
+    design = np.concatenate(blocks, axis=2)
+    target = simulated[:, order:]
+    gram = design.transpose(0, 2, 1) @ design
+    coef = np.linalg.solve(gram, design.transpose(0, 2, 1) @ target)
+    residuals = target - design @ coef
+    resid_cov = residuals.transpose(0, 2, 1) @ residuals / (n - design.shape[2])
+    return coef, resid_cov
+
+
 class TestBootstrap:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(7)
@@ -182,6 +215,38 @@ class TestBootstrap:
         for field in ("intercept_draws", "endo_draws", "exo_draws", "resid_cov_draws",
                       "endo_lower", "endo_upper", "exo_lower", "exo_upper"):
             assert_array_equal(getattr(blocked, field), getattr(whole, field))
+
+    def test_draws_match_per_replicate_oracle(self):
+        # Oracle: the bootstrap as a separate simulator and refit computed
+        # it, one replicate stream at a time and with its own solves.
+        from climdemand._rng import substream
+
+        rng = np.random.default_rng(10)
+        y, design, *_ = simulate_varx2(rng, T=250)
+        model = fit_varx(y, design, max_order=3)
+        boot = residual_bootstrap(model, n_replicates=150, seed=6)
+        centered = model.residuals - model.residuals.mean(axis=0)
+        n = centered.shape[0]
+        indices = np.stack(
+            [substream(6, "varx-bootstrap", b).integers(0, n, size=n) for b in range(150)]
+        )
+        simulated = oracle_simulate_batch(
+            model.intercept, model.endo_coef, model.exo_coef, model.exog_values,
+            model.endog[: model.order], centered[indices],
+        )
+        coef, resid_cov = oracle_batched_refit(simulated, model.exog_values, model.order)
+        p, K = model.order, model.n_variables
+        expected = {
+            "intercept_draws": coef[:, 0, :],
+            "endo_draws": coef[:, 1 : 1 + p * K].reshape(150, p, K, K).transpose(0, 1, 3, 2),
+            "exo_draws": coef[:, 1 + p * K :].transpose(0, 2, 1),
+            "resid_cov_draws": resid_cov,
+        }
+        for field, oracle in expected.items():
+            drawn = getattr(boot, field)
+            assert drawn.shape == oracle.shape
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(drawn - oracle)) <= 1e-12 * scale, field
 
     def test_noiseless_system_gives_degenerate_intervals(self):
         # Exact linear recursion: residuals are zero to machine precision,
