@@ -71,7 +71,7 @@ from .panel import (
 )
 from .sparsevar import coefficient_table, fit_lasso_var, select_lambda
 from .spectral import GcBootstrapConfig, conditional_gc_spectrum, unconditional_gc_spectrum
-from .synth import SynthConfig, generate_synthetic_daily, generate_synthetic_panel
+from .synth import SynthConfig, generate_synthetic_daily, synthetic_panel_from_daily
 from .trend import TrendFitConfig, TrendModel, fit_trend_model, fitted_values
 from .trend import forecast as trend_forecast
 from .varx import build_exogenous, fevd, fit_varx, forecast_recursive, irf, residual_bootstrap
@@ -249,7 +249,7 @@ def cmd_synth(run: RunConfig, cfg: SynthConfig) -> None:
     """Emit the synthetic daily climate CSV and the weekly panel CSV."""
     records = generate_synthetic_daily(cfg)
     write_daily_csv(records, _out_path(run, "synthetic_daily.csv"))
-    panel = generate_synthetic_panel(cfg)
+    panel = synthetic_panel_from_daily(cfg, records)
     write_panel_csv(panel, _out_path(run, "synthetic_panel.csv"))
     _write_manifest(run)
 
@@ -583,7 +583,8 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     daily_path = _out_path(run, "synthetic_daily.csv")
     write_daily_csv(records, daily_path)
     write_panel_csv(
-        generate_synthetic_panel(synth_cfg), _out_path(run, "synthetic_panel.csv")
+        synthetic_panel_from_daily(synth_cfg, records),
+        _out_path(run, "synthetic_panel.csv"),
     )
 
     # Stage 2: climate features from the daily file, demand joined back on.
@@ -622,6 +623,9 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
         impurity_importance(selection).ranked(),
     )
     _write_json(_out_path(run, f"oob_{target}.json"), _oob_payload(selection, dataset))
+    # The forests set the run's peak memory: release this one before stage 6
+    # grows the next.
+    del selection
 
     # Stage 5: fit artifacts for the VARX (coefficients, IRF, FEVD).  The
     # trend fits also give the stage-6 trend forecast and forest baseline.

@@ -8,11 +8,12 @@ Out-of-bag evaluation follows the same logic: a row counts as out-of-bag for
 a tree only when none of that tree's sampled blocks covers its index.
 
 The engine grows many trees at once.  Each tree still walks its nodes depth
-first and draws from its own random stream, and every sum is taken in the
-order of a one-node-at-a-time grower, so each tree comes out the same as if
-it had been grown alone; but the split searches of all trees' current nodes
-run as one set of array operations.  The trees are stored packed in one set
-of node arrays, and prediction routes every (tree, row) pair at once.
+first and draws from its own random stream, so each tree comes out the same
+as if it had been grown alone; but the node statistics and split searches
+of all trees' current nodes run as one set of array operations.  A node
+splits only when it has more than ``min_node_size`` rows and its targets
+are not all equal.  The trees are stored packed in one set of node arrays,
+and prediction routes every (tree, row) pair at once.
 """
 
 from __future__ import annotations
@@ -390,10 +391,10 @@ def mbb_resample(
 # Slots one growth group holds: trees grow ``_GROUP_ROWS // (n_rows + mtry)``
 # at a time, which bounds a group's row buffers, node records and drawn
 # candidate features.
-_GROUP_ROWS = 1 << 15
+_GROUP_ROWS = 1 << 16
 # Elements (node rows x candidate features, or tree-row pairs) that one split
 # search or routing pass holds per working array.
-_STEP_ELEMENTS = 1 << 13
+_STEP_ELEMENTS = 1 << 14
 
 
 def _dense_ranks(features: np.ndarray) -> np.ndarray:
@@ -515,7 +516,7 @@ def _pop(
     its RNG draws and node numbering, unchanged.  Returns (tree, node, lo,
     hi) per popped node and lowers ``top`` in place.
     """
-    live = np.flatnonzero(top)
+    live = np.flatnonzero(top).astype(np.int32)
     pending = stack[live]
     slot = np.arange(stack.shape[1])
     big = pending[:, :, 2] - pending[:, :, 1] > min_node_size
@@ -535,34 +536,20 @@ def _leaf_rule(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means of the nodes ``y[begin[k]:begin[k] + size[k]]`` and which split.
 
-    A node is a leaf unless it has more than ``min_node_size`` rows and a
-    positive SSE, computed as ``np.dot(y, y) - n * mean**2``.  Means are
-    ``np.mean``'s bits: numpy sums fewer than 8 values in order from
-    ``-0.0`` (done here for all such nodes at once) and longer runs pairwise
-    (left to ``np.add.reduce``, node by node).  Returns the means, the
-    indices of the nodes to search, and their SSE.
+    A node splits if and only if it has more than ``min_node_size`` rows and
+    its targets are not all equal.  Each node's sums run over its slice with
+    ``np.add.reduceat``; its SSE, ``sum(y**2) - sum * mean``, only weighs the
+    node's split in the importance scores.  Returns the means, the indices
+    of the nodes to search, and their SSE.
     """
-    mean = np.empty(size.size)
-    short = np.flatnonzero(size < 8)
-    if short.size:
-        col = np.arange(8)
-        block = y[np.minimum(begin[short, None] + col - 1, y.size - 1)]
-        block[(col == 0) | (col > size[short, None])] = -0.0
-        mean[short] = np.cumsum(block, axis=1)[:, -1] / size[short]
-    split: list[int] = []
-    node_sse: list[float] = []
-    begins, sizes, means = begin.tolist(), size.tolist(), mean.tolist()
-    for k in np.flatnonzero(size > min(min_node_size, 7)).tolist():
-        n_k = sizes[k]
-        ys = y[begins[k] : begins[k] + n_k]
-        if n_k >= 8:
-            means[k] = np.add.reduce(ys) / n_k
-        if n_k > min_node_size:
-            sse = float(ys.dot(ys)) - n_k * means[k] * means[k]
-            if sse > 0.0:
-                split.append(k)
-                node_sse.append(sse)
-    return np.array(means), np.array(split, dtype=np.intp), np.array(node_sse)
+    total = np.add.reduceat(y, begin)
+    mean = total / size
+    split = np.flatnonzero(
+        (size > min_node_size)
+        & (np.minimum.reduceat(y, begin) != np.maximum.reduceat(y, begin))
+    )
+    node_sse = np.add.reduceat(y * y, begin)[split] - total[split] * mean[split]
+    return mean, split, node_sse
 
 
 def _grow_group(
@@ -584,30 +571,32 @@ def _grow_group(
     overwritten), which a split reorders in place into the order of the
     chosen feature.
 
-    Each tree draws from its stream and sums its rows in the order of a
-    one-tree-at-a-time depth-first grower, so the trees do not depend on the
-    group.  The trees' nodes go, tree after tree, to the front of ``nodes``
-    (feature, threshold, left, right and value arrays).  Returns per-tree
-    node counts and the per-tree impurity reduction per feature.
+    Each tree draws from its stream in the order of a one-tree-at-a-time
+    depth-first grower, and every node's sums run over that node's rows
+    alone, so the trees do not depend on the group or the step sizes.  The
+    trees' nodes go, tree after tree, to the front of ``nodes`` (feature,
+    threshold, left, right and value arrays).  Returns per-tree node counts
+    and the per-tree impurity reduction per feature.
     """
     n_trees, n = rows.shape
     m = features.shape[1]
     buffer = rows.reshape(-1)
     flat_ranks = ranks.reshape(-1)
     gains = np.zeros((n_trees, m))
-    count = np.ones(n_trees, dtype=np.intp)
-    stack = np.zeros((n_trees, 32, 3), dtype=np.intp)  # pending (node, lo, hi)
+    count = np.ones(n_trees, dtype=np.int32)
+    stack = np.zeros((n_trees, 32, 3), dtype=np.int32)  # pending (node, lo, hi)
     stack[:, 0] = (0, 0, n)
     top = np.ones(n_trees, dtype=np.intp)
     # Per-step records: (tree, node, mean) of every popped node and (tree,
-    # node, feature, threshold, left child) of every split.
+    # node, feature, threshold, left child) of every split.  They set the
+    # group's memory, so tree and node ids are int32.
     popped: tuple[list[np.ndarray], ...] = ([], [], [])
     splits: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
     # A tree's stream yields one permutation of the features per searched
     # node, in depth-first order; batches of Generator.permuted rows draw
     # the same sequence.  Nothing else draws from the stream afterwards, so
     # permutations left over at the end do not matter.
-    batch = max(1, min(32, _STEP_ELEMENTS // (n_trees * mtry)))
+    batch = max(1, min(n, _GROUP_ROWS // (n_trees * mtry)))
     drawn = np.stack([_permutations(rng, m, batch, mtry) for rng in rngs])
     used = np.zeros(n_trees, dtype=np.intp)
 
@@ -747,7 +736,8 @@ def train_forest(
             [
                 _indices_from_starts(s, config.block_length, n)
                 for s in block_starts[first:last]
-            ]
+            ],
+            dtype=np.int32,
         )
         oob_mask[np.arange(first, last)[:, None], rows] = False
         filled = int(offsets[first])

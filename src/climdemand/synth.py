@@ -28,7 +28,12 @@ from .features import FeatureConfig, aggregate_weekly_national
 from .panel import PanelDataset, RegionalDailyRecord
 from ._rng import substream
 
-__all__ = ["SynthConfig", "generate_synthetic_daily", "generate_synthetic_panel"]
+__all__ = [
+    "SynthConfig",
+    "generate_synthetic_daily",
+    "generate_synthetic_panel",
+    "synthetic_panel_from_daily",
+]
 
 _DAYS_PER_WEEK = 7
 _ANNUAL_PERIOD_DAYS = 365.25
@@ -299,7 +304,14 @@ def generate_synthetic_panel(cfg: SynthConfig = SynthConfig()) -> PanelDataset:
     so the panel is exactly what the feature pipeline would produce from
     the daily files plus a demand column with known dynamics.
     """
-    records = generate_synthetic_daily(cfg)
+    return synthetic_panel_from_daily(cfg, generate_synthetic_daily(cfg))
+
+
+def synthetic_panel_from_daily(
+    cfg: SynthConfig, records: list[RegionalDailyRecord]
+) -> PanelDataset:
+    """The panel of :func:`generate_synthetic_panel`, built from
+    ``records = generate_synthetic_daily(cfg)`` already in hand."""
     climate = aggregate_weekly_national(records, FeatureConfig())
     demand = _demand_series(cfg, climate.column("temperature"))
     columns = {"drug_demand": demand}

@@ -59,6 +59,21 @@ class TestSynthAndFeatures:
         assert manifest["parameters"]["n_weeks"] == 140
         assert manifest["parameters"]["break_weeks"] == [40, 90]
 
+    def test_synth_generates_the_daily_records_once(self, tmp_path, monkeypatch):
+        from climdemand import cli, synth
+
+        calls = []
+        generate = synth.generate_synthetic_daily
+
+        def counted(cfg):
+            calls.append(cfg)
+            return generate(cfg)
+
+        monkeypatch.setattr(synth, "generate_synthetic_daily", counted)
+        monkeypatch.setattr(cli, "generate_synthetic_daily", counted)
+        assert run_cli("--seed", 3, "--out-dir", tmp_path, *SMALL_SYNTH) == 0
+        assert len(calls) == 1
+
     def test_features_rebuilds_climate_columns(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("--seed", 1, "--out-dir", out, *SMALL_SYNTH) == 0

@@ -476,9 +476,11 @@ def _oracle_grow_tree(
 ) -> tuple[list, list, list, list, list, np.ndarray]:
     """Grow one CART regression tree on the given row multiset.
 
-    Splits minimise the summed child SSE over midpoints of consecutive
-    distinct sorted values.  Ties take the lowest feature index, then the
-    lowest threshold, so growth is deterministic given the RNG stream.
+    A node splits only when it has more than ``min_node_size`` rows and its
+    targets are not all equal.  Splits minimise the summed child SSE over
+    midpoints of consecutive distinct sorted values.  Ties take the lowest
+    feature index, then the lowest threshold, so growth is deterministic
+    given the RNG stream.
     """
     n_features = features.shape[1]
     node_feature: list[int] = []
@@ -502,10 +504,10 @@ def _oracle_grow_tree(
         node, node_rows = stack.pop()
         n = node_rows.size
         y = target[node_rows]
+        if n <= min_node_size or np.all(y == y[0]):
+            continue
         mean = node_value[node]
         node_sse = float(np.dot(y, y)) - n * mean * mean
-        if n <= min_node_size or node_sse <= 0.0:
-            continue
         candidates = np.sort(rng.permutation(n_features)[:mtry])
         values = features[np.ix_(node_rows, candidates)]
         order = np.argsort(values, axis=0, kind="stable")
@@ -629,12 +631,91 @@ class TestOracle:
         data = _oracle_dataset("coarse_values")
         config = ForestConfig(n_trees=12, block_length=6, min_node_size=1, seed=9)
         whole = train_forest(data, config)
-        monkeypatch.setattr(forest, "_GROUP_ROWS", 5 * data.n_rows)
-        monkeypatch.setattr(forest, "_STEP_ELEMENTS", 64)
-        grouped = train_forest(data, config)
-        for name in ("feature", "threshold", "left", "right", "value", "offsets"):
-            assert_array_equal(getattr(grouped, name), getattr(whole, name))
-        assert_array_equal(grouped.importance, whole.importance)
+        for group_rows, step_elements in (
+            (5 * data.n_rows, 64),  # groups of four trees, a few nodes a search
+            (1, 1),  # one tree a group, one node and one permutation a step
+        ):
+            monkeypatch.setattr(forest, "_GROUP_ROWS", group_rows)
+            monkeypatch.setattr(forest, "_STEP_ELEMENTS", step_elements)
+            grouped = train_forest(data, config)
+            for name in ("feature", "threshold", "left", "right", "value", "offsets"):
+                assert_array_equal(getattr(grouped, name), getattr(whole, name))
+            assert_array_equal(grouped.importance, whole.importance)
+
+    @pytest.mark.parametrize("value", [0.1, 0.7])
+    def test_constant_target_trees_are_single_leaves(self, value):
+        # Every root holds 120 rows; for 0.7 their dot(y, y) - n * mean**2
+        # is positive in floating point.
+        x = _oracle_dataset("constant_target").features
+        data = SupervisedDataset(("a", "b", "c", "d"), x, np.full(120, value))
+        model = train_forest(data, ForestConfig(**ORACLE_CASES["constant_target"][1]))
+        assert_array_equal(model.offsets, np.arange(model.n_trees + 1))
+        assert_array_equal(model.feature, -1)
+        assert_allclose(model.value, value, rtol=1e-15)
+        assert_array_equal(model.importance, 0.0)
+
+    def test_equal_targets_are_leaves_even_with_rounding_sse(self, monkeypatch):
+        from climdemand import forest
+
+        # Seven copies of 0.1 have dot(y, y) - n * mean**2 > 0 in floating
+        # point, which made such a node search for a split.
+        equal = np.full(7, 0.1)
+        assert float(equal.dot(equal)) - 7 * np.mean(equal) ** 2 > 0.0
+        y = np.concatenate([equal, [0.1, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]])
+        mean, split, node_sse = forest._leaf_rule(
+            y, np.array([0, 7]), np.array([7, 7]), min_node_size=5
+        )
+        assert_array_equal(split, [1])
+        assert_allclose(mean, [0.1, 0.8 / 7], rtol=1e-15)
+        assert_allclose(node_sse, 0.01 * 6 / 7, rtol=1e-12)
+
+        # In a forest no node of equal targets is searched, so none takes a
+        # permutation from its tree's stream; the oracle tests show that the
+        # streams stay aligned.
+        searched = []
+        search = forest._search_splits
+
+        def spy(flat_ranks, target, n_rows, rows, begin, size, candidates):
+            for b, k in zip(begin, size):
+                searched.append(np.ptp(target[rows[b : b + k]]))
+            return search(flat_ranks, target, n_rows, rows, begin, size, candidates)
+
+        monkeypatch.setattr(forest, "_search_splits", spy)
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(120, 2))
+        target = np.where(x[:, 0] < 0.0, 0.1, np.round(x[:, 1], 1))
+        data = SupervisedDataset(("a", "b"), x, target)
+        train_forest(data, ForestConfig(n_trees=5, block_length=12, seed=11))
+        assert searched and min(searched) > 0.0
+
+
+class TestGrowthMemory:
+    # Measured 3.8 MB with numpy 2.4 at the shipped step sizes; twice the
+    # group or four times the search step goes over.
+    BUDGET = 4.5 * 2**20
+
+    def test_peak_stays_within_node_arrays_plus_budget(self):
+        import tracemalloc
+
+        from climdemand import forest
+
+        rng = np.random.default_rng(44)
+        data = make_dataset(rng, n=334, n_noise_features=7)  # mtry 3
+        group = forest._GROUP_ROWS // (data.n_rows + 3)
+        config = ForestConfig(n_trees=group + 1, block_length=52, seed=12)
+        tracemalloc.start()
+        try:
+            model = train_forest(data, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The node arrays are allocated for the most nodes the trees can
+        # have; the tail the trees do not fill is never touched.
+        node_bytes = sum(
+            getattr(model, name).base.nbytes
+            for name in ("feature", "threshold", "left", "right", "value")
+        )
+        assert peak <= node_bytes + self.BUDGET
 
 
 class TestPackedPrediction:
