@@ -80,7 +80,7 @@ def _portmanteau_batch(u: np.ndarray, lags: int) -> np.ndarray:
     """Portmanteau statistics for a (B, T, K) stack of residual matrices."""
     u = u - u.mean(axis=1, keepdims=True)
     n = u.shape[1]
-    c0 = np.einsum("btk,btl->bkl", u, u) / n
+    c0 = np.swapaxes(u, 1, 2) @ u / n
     try:
         c0_inv = np.linalg.inv(c0)
     except np.linalg.LinAlgError:
@@ -89,7 +89,7 @@ def _portmanteau_batch(u: np.ndarray, lags: int) -> np.ndarray:
         ) from None
     stat = np.zeros(u.shape[0])
     for j in range(1, lags + 1):
-        cj = np.einsum("btk,btl->bkl", u[:, j:], u[:, : n - j]) / n
+        cj = np.swapaxes(u[:, j:], 1, 2) @ u[:, : n - j] / n
         stat += np.einsum("bkl,bkl->b", cj, c0_inv @ cj @ c0_inv) / (n - j)
     return n * n * stat
 

@@ -17,9 +17,9 @@ thresholds are flat lines over frequency.  A replicate whose fit or
 decomposition fails is left out of the quantiles and counted in
 ``n_failed``.
 
-The unconditional null runs on the VAR core of :mod:`climdemand.varbase`
-in blocks of replicates: one BIC path and one refit per block, then one
-decomposition per lag order present.
+Both nulls run on the VAR core of :mod:`climdemand.varbase` in blocks of
+replicates.  The unconditional null takes one BIC path and one refit per
+block, then one decomposition per lag order present.
 
 For the conditional measure, cause and effect are first projected on the
 conditioning series (contemporaneous value and as many lags as the
@@ -28,7 +28,9 @@ projection residuals is the conditional measure.  Null replicates keep the
 (effect, conditioning) dynamics via a residual bootstrap of their joint VAR,
 simulated for all replicates in one call, and draw the cause independently
 by stationary bootstrap; each replicate then goes through the full
-conditional estimation path.
+conditional estimation path.  Per block, one BIC path and one refit of the
+stacked (effect, conditioning) pairs give the projection orders, and the
+projection residuals of each order take the unconditional null's path.
 
 Every replicate draws from its own substream ``(seed, label, b)``, so results
 do not depend on how replicates are blocked.
@@ -47,9 +49,9 @@ from .errors import (
     AlignmentError,
     ConfigError,
     DegenerateInputError,
+    InsufficientDataError,
     InvalidInputError,
     NumericalError,
-    RankDeficiencyError,
     ShapeError,
 )
 from .panel import WeeklySeries
@@ -65,11 +67,11 @@ from .varbase import (
 )
 
 
-# Unconditional null replicates fit together.  Smaller than the VARX
-# bootstrap's block: with 128 replicates (a 3.6 MB design per block) the
-# null, which runs early in the pipeline, raised the default pipeline's peak
-# RSS by about 6 MB (glibc on Linux x86-64); 32 kept it level and cost the
-# null 4% more time.
+# Null replicates fit together.  Smaller than the VARX bootstrap's block:
+# with 128 replicates (a 3.6 MB design per block) the unconditional null,
+# which runs early in the pipeline, raised the default pipeline's peak RSS
+# by about 6 MB (glibc on Linux x86-64); 32 kept it level and cost the null
+# 4% more time.
 _NULL_BLOCK = 32
 
 
@@ -414,6 +416,31 @@ def _project_on_conditioning(
     return series[order:] - design @ coef
 
 
+def _explained(resid: np.ndarray, cause_sd) -> np.ndarray:
+    """Whether projection residuals (..., rows) are fully explained by the
+    conditioning series; ``cause_sd`` is the standard deviation of the
+    cause series they belong to."""
+    return (np.ptp(resid, axis=-1) == 0.0) | (
+        np.std(resid, axis=-1) < 1e-12 * np.maximum(1.0, cause_sd)
+    )
+
+
+def _check_triple(cause, effect, conditioning):
+    """:func:`_check_pair` plus the conditioning series' checks."""
+    x, y, x_name, y_name = _check_pair(cause, effect)
+    w, w_name = _series_values(conditioning, "conditioning")
+    if w.size != x.size:
+        raise AlignmentError(
+            f"conditioning series has {w.size} values, expected {x.size}"
+        )
+    if isinstance(conditioning, WeeklySeries) and isinstance(cause, WeeklySeries):
+        if conditioning.week_starts != cause.week_starts:
+            raise AlignmentError(f"{w_name} and {x_name} are on different week axes")
+    if np.ptp(w) == 0.0:
+        raise DegenerateInputError(f"series {w_name!r} has zero variance")
+    return x, y, w, x_name, y_name, w_name
+
+
 def conditional_decomposition(
     cause, effect, conditioning, max_order: int = 4
 ) -> SpectralDecomposition:
@@ -422,21 +449,14 @@ def conditional_decomposition(
     The projection lag order is the BIC order of the (effect, conditioning)
     VAR; frequencies stay on the original i/T grid.
     """
-    x, y, _, _ = _check_pair(cause, effect)
-    w, w_name = _series_values(conditioning, "conditioning")
-    if w.size != x.size:
-        raise AlignmentError(
-            f"conditioning series has {w.size} values, expected {x.size}"
-        )
-    if np.ptp(w) == 0.0:
-        raise DegenerateInputError(f"series {w_name!r} has zero variance")
+    x, y, w, _, _, _ = _check_triple(cause, effect, conditioning)
     frequencies = fourier_frequencies(x.size)
     pair_model = fit_var(np.column_stack([y, w]), max_order=max_order)
     order = pair_model.order
     x_resid = _project_on_conditioning(x, w, order)
     y_resid = _project_on_conditioning(y, w, order)
     for resid, name in ((x_resid, "cause"), (y_resid, "effect")):
-        if np.ptp(resid) == 0.0 or float(np.std(resid)) < 1e-12 * max(1.0, float(np.std(x))):
+        if _explained(resid, np.std(x)):
             raise DegenerateInputError(
                 f"{name} series is fully explained by the conditioning series"
             )
@@ -444,6 +464,111 @@ def conditional_decomposition(
     return dataclasses.replace(
         spectral_decomposition(model, frequencies), projection_order=order
     )
+
+
+def _conditional_null_medians(
+    causes: np.ndarray, pairs: np.ndarray, max_order: int, frequencies: np.ndarray
+) -> np.ndarray:
+    """Median conditional measure of each replicate of a stack: causes
+    (B, n) and (effect, conditioning) pairs (B, n, 2).
+
+    Each replicate goes :func:`conditional_decomposition`'s way: one BIC
+    path and refit over the stacked (effect, conditioning) pairs give the
+    projection orders, and the projection residuals of each order go
+    through :func:`_null_medians`.  A replicate is NaN where that function
+    would raise :class:`RankDeficiencyError`, :class:`NumericalError` or
+    :class:`DegenerateInputError`; of the other errors it would raise, the
+    one of the first such replicate is raised.
+    """
+    B, n = causes.shape
+    effects, conditioning = pairs[:, :, 0], pairs[:, :, 1]
+    medians = np.full(B, np.nan)
+    escapes: list[tuple[int, Exception]] = []
+    # conditional_decomposition checks the effect's values, the cause's and
+    # the effect's spread, then the conditioning's values and spread.
+    finite_effect = np.isfinite(effects).all(axis=1)
+    finite_conditioning = np.isfinite(conditioning).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        varies = [np.ptp(a, axis=1) != 0.0 for a in (causes, effects, conditioning)]
+    pair_varies = finite_effect & varies[0] & varies[1]
+    for bad, what in (
+        (~finite_effect, "effect"),
+        (pair_varies & ~finite_conditioning, "conditioning"),
+    ):
+        if bad.any():
+            escapes.append((np.argmax(bad), InvalidInputError(f"{what} must be finite")))
+    live = np.flatnonzero(pair_varies & finite_conditioning & varies[2])
+
+    path = bic_path(pairs[live], max_order)
+    ranked = ~np.isnan(path).any(axis=1)
+    orders = select_order(path[ranked])
+    _, failed = refit(pairs[live[ranked]], orders)
+    fitted, orders = live[ranked][~failed], orders[~failed]
+
+    for p in np.unique(orders):
+        members = fitted[orders == p]
+        resid = np.empty((members.size, n - p, 2))
+        for i, b in enumerate(members):
+            resid[i, :, 0] = _project_on_conditioning(causes[b], conditioning[b], p)
+            resid[i, :, 1] = _project_on_conditioning(effects[b], conditioning[b], p)
+        cause_sd = np.std(causes[members], axis=1)
+        explained = _explained(resid[:, :, 0], cause_sd) | _explained(
+            resid[:, :, 1], cause_sd
+        )
+        kept = members[~explained]
+        if not kept.size:
+            continue
+        try:
+            check_sample_size(n - p, 2, 0, max_order)
+        except InsufficientDataError as exc:
+            escapes.append((kept[0], exc))
+            continue
+        medians[kept] = _null_medians(resid[~explained], max_order, frequencies)
+    if escapes:
+        raise min(escapes, key=lambda escape: escape[0])[1]
+    return medians
+
+
+def bootstrap_threshold_conditional(
+    cause,
+    effect,
+    conditioning,
+    cfg: GcBootstrapConfig = GcBootstrapConfig(),
+) -> BootstrapThresholds:
+    """Null thresholds for the conditional measure.
+
+    Each replicate regenerates (effect, conditioning) by a residual
+    bootstrap of their joint VAR, resamples the cause by stationary
+    bootstrap and takes :func:`conditional_decomposition`'s path, batched
+    per block of replicates.
+    """
+    x, y, w, _, _, _ = _check_triple(cause, effect, conditioning)
+    n = x.size
+    frequencies = fourier_frequencies(n)
+    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
+    order = pair_model.order
+    resid = pair_model.residuals - pair_model.residuals.mean(axis=0)
+    m = resid.shape[0]
+    block = cfg.block_length(n)
+    rows = np.empty((cfg.n_replicates, m), dtype=np.intp)
+    causes = np.empty((cfg.n_replicates, n))
+    for b in range(cfg.n_replicates):
+        rng = substream(cfg.seed, "gc-conditional", b)
+        rows[b] = rng.integers(0, m, size=m)
+        causes[b] = x[stationary_bootstrap_indices(n, block, rng)]
+    initial = np.column_stack([y[:order], w[:order]])
+    simulated = simulate_var(pair_model.intercept, pair_model.coef, resid[rows], initial)
+    raw = np.empty(cfg.n_replicates)
+    for start in range(0, cfg.n_replicates, _NULL_BLOCK):
+        stop = min(start + _NULL_BLOCK, cfg.n_replicates)
+        # Every replicate starts from the observed first ``order`` weeks.
+        pairs = np.empty((stop - start, n, 2))
+        pairs[:, :order] = initial
+        pairs[:, order:] = simulated[start:stop]
+        raw[start:stop] = _conditional_null_medians(
+            causes[start:stop], pairs, cfg.max_var_order, frequencies
+        )
+    return _thresholds(raw, cfg, frequencies.size)
 
 
 def conditional_gc_spectrum(
@@ -458,48 +583,22 @@ def conditional_gc_spectrum(
     Null replicates regenerate (effect, conditioning) by a residual bootstrap
     of their joint VAR (keeping their dynamics and mutual dependence) while
     the cause is resampled independently by stationary bootstrap; every
-    replicate then goes through the full conditional estimation path.
-    ``threads`` is accepted and has no effect.
+    replicate then goes through the full conditional estimation path.  The
+    replicates run in blocks of ``_NULL_BLOCK``: per block, one BIC path and
+    one refit of the stacked (effect, conditioning) pairs select the
+    projection orders, each replicate is projected at its order, and the
+    projection residuals of each order go through the unconditional null's
+    stacked fit and decomposition.  ``threads`` is accepted and has no
+    effect.
     """
-    x, y, x_name, y_name = _check_pair(cause, effect)
-    w, w_name = _series_values(conditioning, "conditioning")
-    if isinstance(conditioning, WeeklySeries) and isinstance(cause, WeeklySeries):
-        if conditioning.week_starts != cause.week_starts:
-            raise AlignmentError(f"{w_name} and {x_name} are on different week axes")
-    n = x.size
-    frequencies = fourier_frequencies(n)
+    x, y, w, x_name, y_name, w_name = _check_triple(cause, effect, conditioning)
     observed = conditional_decomposition(x, y, w, cfg.max_var_order)
-
-    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
-    order = pair_model.order
-    resid = pair_model.residuals - pair_model.residuals.mean(axis=0)
-    m = resid.shape[0]
-    block = cfg.block_length(n)
-    rows = np.empty((cfg.n_replicates, m), dtype=np.intp)
-    causes = np.empty((cfg.n_replicates, n))
-    for b in range(cfg.n_replicates):
-        rng = substream(cfg.seed, "gc-conditional", b)
-        rows[b] = rng.integers(0, m, size=m)
-        causes[b] = x[stationary_bootstrap_indices(n, block, rng)]
-    simulated = simulate_var(
-        pair_model.intercept, pair_model.coef, resid[rows], np.column_stack([y[:order], w[:order]])
-    )
-    raw = np.full(cfg.n_replicates, np.nan)
-    for b in range(cfg.n_replicates):
-        y_star = np.concatenate([y[:order], simulated[b, :, 0]])
-        w_star = np.concatenate([w[:order], simulated[b, :, 1]])
-        try:
-            decomp = conditional_decomposition(causes[b], y_star, w_star, cfg.max_var_order)
-        except (RankDeficiencyError, NumericalError, DegenerateInputError):
-            continue
-        raw[b] = np.median(decomp.measure)
-
-    thresholds = _thresholds(raw, cfg, frequencies.size)
+    thresholds = bootstrap_threshold_conditional(x, y, w, cfg)
     return SpectrumResult(
         cause_name=x_name,
         effect_name=y_name,
         conditioning_name=w_name,
-        frequencies=frequencies,
+        frequencies=observed.frequencies,
         estimate=observed.measure,
         threshold_pointwise=thresholds.pointwise,
         threshold_bonferroni=thresholds.bonferroni,

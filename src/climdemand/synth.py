@@ -21,7 +21,6 @@ import datetime as dt
 import math
 
 import numpy as np
-import scipy.signal
 
 from .errors import ConfigError
 from .features import FeatureConfig, aggregate_weekly_national
@@ -196,9 +195,15 @@ _REGIONS = (
 
 
 def _ar1(eps: np.ndarray, phi: float) -> np.ndarray:
-    """Stationary-start AR(1) path driven by the given innovations."""
-    out = scipy.signal.lfilter([1.0], [1.0, -phi], eps)
-    return np.asarray(out, dtype=float)
+    """AR(1) path ``x_t = e_t + phi * x_{t-1}`` from ``x_{-1} = 0``: the bits
+    of ``scipy.signal.lfilter([1.0], [1.0, -phi], eps)`` without importing
+    ``scipy.signal``, the package's slowest import."""
+    out = []
+    prev = 0.0
+    for e in eps.tolist():
+        prev = e + phi * prev
+        out.append(prev)
+    return np.array(out, dtype=float)
 
 
 def _region_records(

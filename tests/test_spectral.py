@@ -7,6 +7,7 @@ from climdemand.errors import (
     AlignmentError,
     ConfigError,
     DegenerateInputError,
+    InsufficientDataError,
     InvalidInputError,
     NumericalError,
     RankDeficiencyError,
@@ -14,6 +15,7 @@ from climdemand.errors import (
 from climdemand.spectral import (
     GcBootstrapConfig,
     SpectralDecomposition,
+    bootstrap_threshold_conditional,
     bootstrap_threshold_unconditional,
     conditional_decomposition,
     conditional_gc_spectrum,
@@ -112,6 +114,35 @@ def oracle_null_medians(x, y, cfg):
         except (RankDeficiencyError, NumericalError, DegenerateInputError):
             continue
         raw[b] = np.median(np.log1p(cross / intrinsic))
+    return raw
+
+
+def oracle_conditional_null_medians(x, y, w, cfg):
+    """The conditional null one replicate at a time: conditional_decomposition
+    of each simulated (effect, conditioning) pair and resampled cause."""
+    n = x.size
+    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
+    order = pair_model.order
+    resid = pair_model.residuals - pair_model.residuals.mean(axis=0)
+    m = resid.shape[0]
+    rows = np.empty((cfg.n_replicates, m), dtype=np.intp)
+    causes = np.empty((cfg.n_replicates, n))
+    for b in range(cfg.n_replicates):
+        rng = substream(cfg.seed, "gc-conditional", b)
+        rows[b] = rng.integers(0, m, size=m)
+        causes[b] = x[stationary_bootstrap_indices(n, cfg.block_length(n), rng)]
+    simulated = simulate_var(
+        pair_model.intercept, pair_model.coef, resid[rows], np.column_stack([y[:order], w[:order]])
+    )
+    raw = np.full(cfg.n_replicates, np.nan)
+    for b in range(cfg.n_replicates):
+        y_star = np.concatenate([y[:order], simulated[b, :, 0]])
+        w_star = np.concatenate([w[:order], simulated[b, :, 1]])
+        try:
+            decomp = conditional_decomposition(causes[b], y_star, w_star, cfg.max_var_order)
+        except (RankDeficiencyError, NumericalError, DegenerateInputError):
+            continue
+        raw[b] = np.median(decomp.measure)
     return raw
 
 
@@ -298,6 +329,71 @@ class TestBatchedNull:
         blocked = bootstrap_threshold_unconditional(x, y, cfg)
         assert_allclose(blocked.medians, whole.medians, rtol=0, atol=0)
         assert blocked.n_failed == whole.n_failed
+
+    @pytest.mark.parametrize("case", ["spiky", "lagged"])
+    def test_conditional_medians_match_per_replicate_oracle(self, case):
+        if case == "spiky":
+            x, y, w = spiky_pair()
+        else:
+            rng = np.random.default_rng(10)
+            x, w = rng.normal(size=(2, 260))
+            y = np.r_[0.0, 0.6 * x[:-1] + 0.3 * w[:-1]] + rng.normal(size=260)
+        cfg = GcBootstrapConfig(n_replicates=150, seed=4)
+        oracle = oracle_conditional_null_medians(x, y, w, cfg)
+        batched = bootstrap_threshold_conditional(x, y, w, cfg)
+        kept = oracle[np.isfinite(oracle)]
+        assert batched.n_failed == oracle.size - kept.size
+        if case == "spiky":
+            assert batched.n_failed > 0
+        assert batched.medians.shape == kept.shape
+        assert_allclose(batched.medians, kept, rtol=0, atol=0)
+
+    def test_blocks_do_not_change_the_conditional_null(self, monkeypatch):
+        from climdemand import spectral
+
+        x, y, w = spiky_pair()
+        cfg = GcBootstrapConfig(n_replicates=120, seed=2)
+        whole = bootstrap_threshold_conditional(x, y, w, cfg)
+        monkeypatch.setattr(spectral, "_NULL_BLOCK", 7)
+        blocked = bootstrap_threshold_conditional(x, y, w, cfg)
+        assert_allclose(blocked.medians, whole.medians, rtol=0, atol=0)
+        assert blocked.n_failed == whole.n_failed
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_short_series_agrees_with_oracle(self, seed):
+        # At n = 26 a projection order of 4 leaves 22 rows, too few for the
+        # residual VAR at max order 4 (the rule needs more than 22): seed 6
+        # has replicates at that order (the first is replicate 43, in the
+        # second block), seed 2 has none.
+        rng = np.random.default_rng(seed)
+        x, y, w = rng.normal(size=(3, 26))
+        cfg = GcBootstrapConfig(n_replicates=100, max_var_order=4, seed=seed)
+        try:
+            oracle = oracle_conditional_null_medians(x, y, w, cfg)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                bootstrap_threshold_conditional(x, y, w, cfg)
+            assert seed == 6
+            return
+        assert seed == 2
+        batched = bootstrap_threshold_conditional(x, y, w, cfg)
+        assert_allclose(batched.medians, oracle[np.isfinite(oracle)], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_replicate_is_an_error(self, monkeypatch, column):
+        from climdemand import spectral
+
+        def overflowing(*args):
+            out = simulate_var(*args)
+            out[40, 17, column] = np.inf
+            return out
+
+        monkeypatch.setattr(spectral, "simulate_var", overflowing)
+        rng = np.random.default_rng(12)
+        x, y, w = rng.normal(size=(3, 150))
+        what = ("effect", "conditioning")[column]
+        with pytest.raises(InvalidInputError, match=f"{what} must be finite"):
+            bootstrap_threshold_conditional(x, y, w, GcBootstrapConfig(n_replicates=100))
 
     def test_failed_replicates_are_counted(self):
         x, y, w = spiky_pair()

@@ -1,15 +1,24 @@
 import datetime as dt
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import climdemand
 from climdemand.errors import ConfigError
 from climdemand.hpfilter import hp_cycle, seasonal_adjust
 from climdemand.metrics import SplitSpec, evaluate_forecast, holdout_split
 from climdemand.panel import PANEL_COLUMNS
 from climdemand.spectral import GcBootstrapConfig, unconditional_gc_spectrum
-from climdemand.synth import SynthConfig, generate_synthetic_daily, generate_synthetic_panel
+from climdemand.synth import (
+    SynthConfig,
+    _ar1,
+    generate_synthetic_daily,
+    generate_synthetic_panel,
+)
 from climdemand.varx import build_exogenous, fit_varx, forecast_recursive
 
 
@@ -95,6 +104,29 @@ class TestDailyRecords:
         assert np.all((cloud >= 0.0) & (cloud <= 1.0))
         assert np.all(precip >= 0.0)
         assert np.all(fwi >= 0.0)
+
+    @pytest.mark.parametrize("phi", [0.3, 0.7, 0.93, -0.5])
+    def test_ar1_matches_lfilter_bits(self, phi):
+        from scipy.signal import lfilter
+
+        eps = np.random.default_rng(5).normal(size=5000)
+        assert_array_equal(_ar1(eps, phi), lfilter([1.0], [1.0, -phi], eps))
+
+    def test_import_leaves_out_scipy_signal_and_stats(self):
+        # scipy.signal costs about a second of import time, and it is what
+        # pulls in scipy.stats; the package needs neither.
+        code = (
+            "import sys, climdemand; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(climdemand.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_regions_have_distinct_climates(self):
         records = generate_synthetic_daily(SynthConfig(n_weeks=104, break_weeks=(52,), level_shifts=(-1_000.0,)))
