@@ -7,7 +7,9 @@ stochastic run can be reproduced from that file alone.  Failures exit nonzero
 and print a single JSON object to stderr; configuration problems list every
 violated field at once.
 
-Options may also come from a configuration file (``--config``)::
+One table, ``_OPTIONS``, declares every option; the flags, the configuration
+file keys and the manifest's ``parameters`` all derive from it.  Options may
+also come from a configuration file (``--config``)::
 
     [run]
     seed = 7
@@ -17,9 +19,12 @@ Options may also come from a configuration file (``--config``)::
     replicates = 1000
     alpha = 0.05
 
-The format is flat ``key = value`` pairs under a section per subcommand plus
-the common ``[run]`` section.  Explicit command-line flags win over the file;
-environment variables are never consulted.
+The format is flat ``key = value`` pairs named like the long options with
+underscores (``evaluate``'s ``--forecast`` is the key ``forecasts``), under a
+section per subcommand plus ``[run]``.  An option is its flag, else its key
+in the subcommand's section, else in ``[run]`` (a fallback for every key),
+else its default; required options may come from the file too.  Unknown
+sections and keys are errors; environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -75,20 +80,6 @@ from .synth import SynthConfig, generate_synthetic_daily, synthetic_panel_from_d
 from .trend import TrendFitConfig, TrendModel, fit_trend_model, fitted_values
 from .trend import forecast as trend_forecast
 from .varx import build_exogenous, fevd, fit_varx, forecast_recursive, irf, residual_bootstrap
-
-_CONFIG_SECTIONS = (
-    "run",
-    "features",
-    "gc",
-    "select",
-    "sparse-var",
-    "fit",
-    "forecast",
-    "evaluate",
-    "synth",
-    "pipeline",
-)
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -151,12 +142,16 @@ def _require_columns(panel: PanelDataset, names) -> None:
         raise UnknownColumnError(missing, panel.column_names)
 
 
-def _forecast_axis(panel: PanelDataset, train_length: int, horizon: int):
-    if train_length + horizon > panel.n_weeks:
+def _check_window(train_length: int, horizon: int, n_weeks: int) -> None:
+    if train_length + horizon > n_weeks:
         raise AlignmentError(
             f"train_length {train_length} + horizon {horizon} exceeds the "
-            f"panel's {panel.n_weeks} weeks"
+            f"panel's {n_weeks} weeks"
         )
+
+
+def _forecast_axis(panel: PanelDataset, train_length: int, horizon: int):
+    _check_window(train_length, horizon, panel.n_weeks)
     return panel.week_starts[train_length : train_length + horizon]
 
 
@@ -691,7 +686,178 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and config-file resolution
+# the option table: flags, configuration-file keys and manifest parameters
+
+
+def _cast(parse, expected: str, valid=lambda value: True):
+    """Wrap ``parse`` so that a bad value reads as what was expected."""
+    def cast(text):
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except (KeyError, ValueError):
+            pass
+        raise ValueError(f"expected {expected}, got {text!r}")
+    return cast
+
+
+def _items(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _forecast_pairs(entries) -> dict[str, str]:
+    """NAME=PATH pairs from repeated flags or one comma-separated file value."""
+    pairs: dict[str, str] = {}
+    for entry in _items(entries) if isinstance(entries, str) else entries:
+        name, sep, path = (part.strip() for part in entry.partition("="))
+        if not (sep and name and path):
+            raise InvalidInputError(f"--forecast expects NAME=PATH, got {entry!r}")
+        pairs[name] = path
+    if not pairs:
+        raise InvalidInputError("evaluate needs at least one --forecast NAME=PATH")
+    return pairs
+
+
+_INT = _cast(int, "an integer")
+_FLOAT = _cast(float, "a number")
+_INTS = _cast(lambda text: tuple(int(p) for p in _items(text)), "comma-separated integers")
+_FLOATS = _cast(lambda text: tuple(float(p) for p in _items(text)), "comma-separated numbers")
+_BOOL = _cast(lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()], "a boolean")
+_MODELS = ("trend", "varx", "forest")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """One option: its flag, its configuration-file key, its manifest entry.
+
+    ``commands`` names the subcommands that take it; global options (none)
+    serve every command.  ``cast`` turns flag and file text alike into the
+    value.  A callable ``default`` gets the values resolved before it.
+    ``flag`` holds extra ``add_argument`` keywords.
+    """
+
+    name: str
+    commands: str
+    cast: object = str
+    default: object = None
+    help: str | None = None
+    required: bool = False
+    flag: tuple = ()
+
+    def serves(self, command: str) -> bool:
+        return not self.commands or command in self.commands.split()
+
+
+# Row order is the flag order of each command's --help.
+_OPTIONS = (
+    _Option("seed", "", _cast(int, "an integer >= 0", lambda v: v >= 0), 0,
+            "master seed (default 0)"),
+    _Option("out_dir", "", str, ".", "output directory (default .)"),
+    _Option("threads", "", _cast(int, "an integer >= 1", lambda v: v >= 1), 1,
+            "accepted for compatibility; no command uses it any more"),
+    _Option("n_weeks", "synth", _INT),
+    _Option("n_weeks", "pipeline", _INT, SynthConfig.n_weeks),
+    _Option("demand_noise_sd", "synth", _FLOAT),
+    _Option("coupling", "synth", _FLOATS,
+            help="comma-separated lag coefficients, e.g. --coupling=-2500,-1000"),
+    _Option("break_weeks", "synth", _INTS,
+            help="comma-separated level-shift weeks; empty for none"),
+    _Option("level_shifts", "synth", _FLOATS,
+            help="comma-separated shift sizes, one per break week "
+                 "(use --level-shifts=-100,50 for negatives)"),
+    _Option("daily", "features", help="regional daily climate CSV", required=True),
+    _Option("out", "features", str, "weekly_panel.csv",
+            "output panel file name (default weekly_panel.csv)"),
+    _Option("wet_day_threshold_mm", "features", _FLOAT, 1.0),
+    _Option("extreme_quantile", "features", _FLOAT, 0.999),
+    _Option("panel", "gc select sparse-var fit forecast evaluate", required=True),
+    _Option("cause", "gc", required=True),
+    _Option("effect", "gc", required=True),
+    _Option("conditioning", "gc", help="project this column out first"),
+    _Option("model", "fit forecast", _cast(str, "trend, varx or forest", _MODELS.__contains__),
+            required=True, flag=(("metavar", "{trend,varx,forest}"),)),
+    _Option("target", "select fit forecast evaluate pipeline", str, "drug_demand"),
+    _Option("driver", "pipeline", str, "temperature"),
+    _Option("columns", "select", _items, (),
+            "comma-separated candidate columns (default: all)"),
+    _Option("columns", "sparse-var", _items, ("drug_demand", "temperature"),
+            "comma-separated panel columns to model"),
+    _Option("equation", "sparse-var", str,
+            lambda values: values["columns"][0] if values["columns"] else "",
+            "equation to tabulate (default: first column)"),
+    _Option("drivers", "fit forecast", _items, ("temperature",),
+            "comma-separated climate drivers (default temperature)"),
+    _Option("forecasts", "evaluate", _forecast_pairs,
+            help="repeatable; e.g. --forecast varx=out/forecast_varx.csv", required=True,
+            flag=(("option", "--forecast"), ("action", "append"), ("metavar", "NAME=PATH"))),
+    _Option("harmonics", "fit forecast pipeline", _INT, 1),
+    _Option("lags", "select fit forecast pipeline", _INT, 4),
+    _Option("trees", "select fit forecast pipeline", _INT, 1000),
+    _Option("replicates", "gc fit pipeline", _INT, 1000),
+    _Option("alpha", "gc", _FLOAT, 0.05),
+    _Option("block_length", "gc", _FLOAT),
+    _Option("max_var_order", "gc", _INT, 4),
+    _Option("block_length", "select", _INT, 52),
+    _Option("min_node_size", "select", _INT, 5),
+    _Option("order", "sparse-var", _INT, 4),
+    _Option("penalty", "sparse-var", _FLOAT,
+            help="L1 weight; rolling-origin selection when omitted"),
+    _Option("raw", "gc sparse-var", _BOOL, False,
+            "use the columns as-is (skip HP detrending and deseasonalization)",
+            flag=(("action", "store_const"), ("const", "true"))),
+    _Option("irf_horizon", "fit pipeline", _INT, 26),
+    _Option("train_length", "forecast evaluate pipeline", _INT, 338),
+    _Option("horizon", "forecast evaluate pipeline", _INT, 52),
+)
+
+
+def _run_synth(run: RunConfig, p: dict) -> None:
+    given = {k: v for k, v in p.items() if v is not None}
+    if "coupling" in given:
+        given["temperature_coupling"] = given.pop("coupling")
+    cfg = SynthConfig(seed=run.seed, **given)
+    cmd_synth(dataclasses.replace(run, parameters={"seed": run.seed, **given}), cfg)
+
+
+def _run_pipeline(run: RunConfig, p: dict) -> None:
+    synth_cfg = SynthConfig(n_weeks=p.pop("n_weeks"), seed=run.seed)
+    # Fail before stage 1 writes anything, not at stage 5's baselines.
+    _check_window(p["train_length"], p["horizon"], synth_cfg.n_weeks)
+    cmd_pipeline(run, synth_cfg, **p)
+
+
+# Subcommand: (help, call).  A call passes the resolved options to its cmd_*
+# function, looked up when it runs: by keyword where the parameter has the
+# option's name, else by position or inside a config object.
+_COMMANDS = {
+    "synth": ("generate the synthetic daily + weekly files", _run_synth),
+    "features": ("aggregate a daily climate CSV to weekly",
+                 lambda run, p: cmd_features(run, p.pop("daily"), p.pop("out"),
+                                             FeatureConfig(**p))),
+    "gc": ("causality spectrum between two panel columns", lambda run, p: cmd_gc(
+        run, p["panel"], p["cause"], p["effect"], p["conditioning"],
+        GcBootstrapConfig(p["replicates"], p["alpha"], p["block_length"],
+                          p["max_var_order"], seed=run.seed),
+        p["raw"],
+    )),
+    "select": ("rank lagged predictors by forest importance", lambda run, p: cmd_select(
+        run, p["panel"], p["target"], p["columns"], p["lags"],
+        ForestConfig(n_trees=p["trees"], min_node_size=p["min_node_size"],
+                     block_length=p["block_length"], seed=run.seed),
+    )),
+    "sparse-var": ("penalized VAR coefficient table on deseasonalized cycles",
+                   lambda run, p: cmd_sparse_var(run, p.pop("panel"), **p)),
+    "fit": ("train a model on the full panel and emit fit artifacts",
+            lambda run, p: cmd_fit(run, p.pop("panel"), p.pop("model"), **p,
+                                   trend_cfg=TrendFitConfig(seed=run.seed))),
+    "forecast": ("train on the first weeks and forecast the following ones",
+                 lambda run, p: cmd_forecast(run, p.pop("panel"), p.pop("model"), **p,
+                                             trend_cfg=TrendFitConfig(seed=run.seed))),
+    "evaluate": ("score forecast files on the holdout window",
+                 lambda run, p: cmd_evaluate(run, p.pop("panel"), **p)),
+    "pipeline": ("synthetic end-to-end reproduction run", _run_pipeline),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -703,400 +869,84 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "Configuration file (--config) format: INI-style sections, one per\n"
-            "subcommand plus [run] for the global options, flat key = value\n"
-            "pairs using the long option names with underscores.  Command-line\n"
-            "flags override the file; environment variables are ignored.\n"
-            "\n"
-            "Example:\n"
-            "    [run]\n"
-            "    seed = 7\n"
-            "    out_dir = results\n"
-            "\n"
-            "    [pipeline]\n"
-            "    replicates = 1000\n"
-            "    trees = 1000\n"
+            "Configuration file (--config): INI sections, one per subcommand plus\n"
+            "[run], with keys named like the long options with underscores (the key\n"
+            "for evaluate's --forecast is forecasts).  An option is its flag, else its\n"
+            "key in the subcommand's section, else in [run] (a fallback for every\n"
+            "key), else its default; required options may come from the file.\n"
+            "Unknown sections and keys are errors; the environment is ignored.\n"
         ),
     )
     parser.add_argument("--config", help="INI configuration file")
-    parser.add_argument("--seed", type=int, help="master seed (default 0)")
-    parser.add_argument("--out-dir", help="output directory (default .)")
-    parser.add_argument(
-        "--threads", type=int,
-        help="accepted for compatibility; no command uses it any more",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("synth", help="generate the synthetic daily + weekly files")
-    p.add_argument("--n-weeks", type=int)
-    p.add_argument("--demand-noise-sd", type=float)
-    p.add_argument("--coupling",
-                   help="comma-separated lag coefficients, e.g. --coupling=-2500,-1000")
-    p.add_argument("--break-weeks", help="comma-separated level-shift weeks; empty for none")
-    p.add_argument("--level-shifts",
-                   help="comma-separated shift sizes, one per break week "
-                        "(use --level-shifts=-100,50 for negatives)")
-
-    p = commands.add_parser("features", help="aggregate a daily climate CSV to weekly")
-    p.add_argument("--daily", required=True, help="regional daily climate CSV")
-    p.add_argument("--out", help="output panel file name (default weekly_panel.csv)")
-    p.add_argument("--wet-day-threshold-mm", type=float)
-    p.add_argument("--extreme-quantile", type=float)
-
-    p = commands.add_parser("gc", help="causality spectrum between two panel columns")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--cause", required=True)
-    p.add_argument("--effect", required=True)
-    p.add_argument("--conditioning", help="project this column out first")
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--block-length", type=float)
-    p.add_argument("--max-var-order", type=int)
-    p.add_argument(
-        "--raw", action="store_true", default=None,
-        help="use the columns as-is (skip HP detrending and deseasonalization)",
-    )
-
-    p = commands.add_parser("select", help="rank lagged predictors by forest importance")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--target")
-    p.add_argument("--columns", help="comma-separated candidate columns (default: all)")
-    p.add_argument("--lags", type=int)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--block-length", type=int)
-    p.add_argument("--min-node-size", type=int)
-
-    p = commands.add_parser(
-        "sparse-var",
-        help="penalized VAR coefficient table on deseasonalized cycles",
-    )
-    p.add_argument("--panel", required=True)
-    p.add_argument("--columns", help="comma-separated panel columns to model")
-    p.add_argument("--equation", help="equation to tabulate (default: first column)")
-    p.add_argument("--order", type=int)
-    p.add_argument("--penalty", type=float,
-                   help="L1 weight; rolling-origin selection when omitted")
-    p.add_argument(
-        "--raw", action="store_true", default=None,
-        help="use the columns as-is (skip HP detrending and deseasonalization)",
-    )
-
-    for name, help_text in (
-        ("fit", "train a model on the full panel and emit fit artifacts"),
-        ("forecast", "train on the first weeks and forecast the following ones"),
-    ):
-        p = commands.add_parser(name, help=help_text)
-        p.add_argument("--panel", required=True)
-        p.add_argument("--model", required=True, choices=("trend", "varx", "forest"))
-        p.add_argument("--target")
-        p.add_argument("--drivers",
-                       help="comma-separated climate drivers (default temperature)")
-        p.add_argument("--harmonics", type=int)
-        p.add_argument("--lags", type=int)
-        p.add_argument("--trees", type=int)
-        if name == "fit":
-            p.add_argument("--replicates", type=int)
-            p.add_argument("--irf-horizon", type=int)
-        else:
-            p.add_argument("--train-length", type=int)
-            p.add_argument("--horizon", type=int)
-
-    p = commands.add_parser("evaluate", help="score forecast files on the holdout window")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--target")
-    p.add_argument("--forecast", action="append", metavar="NAME=PATH",
-                   help="repeatable; e.g. --forecast varx=out/forecast_varx.csv")
-    p.add_argument("--train-length", type=int)
-    p.add_argument("--horizon", type=int)
-
-    p = commands.add_parser("pipeline", help="synthetic end-to-end reproduction run")
-    p.add_argument("--n-weeks", type=int)
-    p.add_argument("--target")
-    p.add_argument("--driver")
-    p.add_argument("--train-length", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--lags", type=int)
-    p.add_argument("--harmonics", type=int)
-    p.add_argument("--irf-horizon", type=int)
-
+    targets = {name: commands.add_parser(name, help=text)
+               for name, (text, _) in _COMMANDS.items()}
+    for opt in _OPTIONS:
+        flag = dict(opt.flag)
+        option = flag.pop("option", "--" + opt.name.replace("_", "-"))
+        for target in [targets[c] for c in opt.commands.split()] or [parser]:
+            target.add_argument(option, dest=opt.name, help=opt.help, **flag)
     return parser
 
 
-class _Resolver:
-    """Layered option lookup: explicit flag, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace, parser: configparser.ConfigParser,
-                 section: str):
-        self.args = args
-        self.parser = parser
-        self.section = section
-
-    def _from_file(self, key: str, cast):
-        for section in (self.section, "run"):
-            if self.parser.has_option(section, key):
-                raw = self.parser.get(section, key)
-                if cast is bool:
-                    return self.parser.getboolean(section, key)
-                return cast(raw)
-        return None
-
-    def get(self, key: str, default=None, cast=str):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        value = self._from_file(key, cast)
-        if value is not None:
-            return value
-        return default
-
-
-def _load_config_file(path: str | None) -> configparser.ConfigParser:
+def _read_config(path: str | None) -> dict[str, dict[str, str]]:
+    if path is None:
+        return {}
     parser = configparser.ConfigParser()
-    if path is not None:
-        read = parser.read(path)
-        if not read:
+    try:
+        if not parser.read(path):
             raise InvalidInputError(f"configuration file not found: {path!r}")
-        unknown = [s for s in parser.sections() if s not in _CONFIG_SECTIONS]
-        if unknown:
-            raise ConfigError(
-                {s: "unknown configuration section" for s in unknown}
-            )
-    return parser
+        return {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.Error as exc:
+        raise InvalidInputError(f"configuration file {path!r}: {exc}") from None
 
 
-def _float_tuple(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part) for part in text.split(","))
-
-
-def _name_tuple(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _parse_forecast_pairs(entries) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for entry in entries:
-        name, sep, path = entry.partition("=")
-        if not sep or not name.strip() or not path.strip():
-            raise InvalidInputError(
-                f"--forecast expects NAME=PATH, got {entry!r}"
-            )
-        pairs[name.strip()] = path.strip()
-    if not pairs:
-        raise InvalidInputError("evaluate needs at least one --forecast NAME=PATH")
-    return pairs
+def _resolve(command: str, args: argparse.Namespace, sections: dict) -> dict:
+    """Each option of ``command``: its flag, else its key in the command's
+    section, else in [run], else its default.  Unknown sections and keys
+    (a section takes its command's options, [run] any command's), bad
+    values and missing required options are reported together."""
+    keys = {c: {o.name for o in _OPTIONS if o.serves(c)} for c in _COMMANDS}
+    keys["run"] = {o.name for o in _OPTIONS}
+    problems = {s: "unknown configuration section" for s in sections if s not in keys}
+    problems.update({
+        f"{s}.{k}": "unknown option" for s in keys if s in sections
+        for k in sections[s] if k not in keys[s]
+    })
+    values: dict = {}
+    for opt in _OPTIONS:
+        if not opt.serves(command):
+            continue
+        text, where = getattr(args, opt.name), ""
+        for section in (command, "run"):
+            if text is None:
+                text, where = sections.get(section, {}).get(opt.name), f" in [{section}]"
+        if text is None:
+            if opt.required:
+                problems[opt.name] = "required; pass the flag or set the key in --config"
+            values[opt.name] = opt.default(values) if callable(opt.default) else opt.default
+            continue
+        try:
+            values[opt.name] = opt.cast(text)
+        except ToolkitError:
+            raise
+        except ValueError as exc:
+            problems[opt.name] = f"{exc}{where}"
+    if problems:
+        raise ConfigError(problems)
+    return values
 
 
 def _dispatch(args: argparse.Namespace) -> None:
-    file_cfg = _load_config_file(args.config)
-    opt = _Resolver(args, file_cfg, args.command)
+    values = _resolve(args.command, args, _read_config(args.config))
     run = RunConfig(
         command=args.command,
-        out_dir=opt.get("out_dir", ".", cast=str),
-        seed=opt.get("seed", 0, cast=int),
-        threads=opt.get("threads", 1, cast=int),
-        parameters={},
+        out_dir=values.pop("out_dir"),
+        seed=values.pop("seed"),
+        threads=values.pop("threads"),
+        parameters=dict(values),  # a copy: the calls pop from values
     )
-    if run.seed < 0:
-        raise ConfigError({"seed": "must be nonnegative"})
-    if run.threads < 1:
-        raise ConfigError({"threads": "must be at least 1"})
-
-    if args.command == "synth":
-        kwargs = {"seed": run.seed}
-        n_weeks = opt.get("n_weeks", cast=int)
-        if n_weeks is not None:
-            kwargs["n_weeks"] = n_weeks
-        noise = opt.get("demand_noise_sd", cast=float)
-        if noise is not None:
-            kwargs["demand_noise_sd"] = noise
-        coupling = opt.get("coupling", cast=str)
-        if coupling is not None:
-            kwargs["temperature_coupling"] = _float_tuple(coupling)
-        breaks = opt.get("break_weeks", cast=str)
-        if breaks is not None:
-            kwargs["break_weeks"] = tuple(int(w) for w in _float_tuple(breaks))
-        shifts = opt.get("level_shifts", cast=str)
-        if shifts is not None:
-            kwargs["level_shifts"] = _float_tuple(shifts)
-        cfg = SynthConfig(**kwargs)
-        run = dataclasses.replace(
-            run, parameters={k: list(v) if isinstance(v, tuple) else v
-                             for k, v in kwargs.items()},
-        )
-        cmd_synth(run, cfg)
-
-    elif args.command == "features":
-        feature_cfg = FeatureConfig(
-            wet_day_threshold_mm=opt.get("wet_day_threshold_mm", 1.0, cast=float),
-            extreme_quantile=opt.get("extreme_quantile", 0.999, cast=float),
-        )
-        out_name = opt.get("out", "weekly_panel.csv")
-        run = dataclasses.replace(
-            run,
-            parameters={
-                "daily": args.daily,
-                "out": out_name,
-                "wet_day_threshold_mm": feature_cfg.wet_day_threshold_mm,
-                "extreme_quantile": feature_cfg.extreme_quantile,
-            },
-        )
-        cmd_features(run, args.daily, out_name, feature_cfg)
-
-    elif args.command == "gc":
-        gc_cfg = GcBootstrapConfig(
-            n_replicates=opt.get("replicates", 1000, cast=int),
-            alpha=opt.get("alpha", 0.05, cast=float),
-            expected_block_length=opt.get("block_length", cast=float),
-            max_var_order=opt.get("max_var_order", 4, cast=int),
-            seed=run.seed,
-        )
-        raw = bool(opt.get("raw", False, cast=bool))
-        run = dataclasses.replace(
-            run,
-            parameters={
-                "panel": args.panel,
-                "cause": args.cause,
-                "effect": args.effect,
-                "conditioning": args.conditioning,
-                "replicates": gc_cfg.n_replicates,
-                "alpha": gc_cfg.alpha,
-                "block_length": gc_cfg.expected_block_length,
-                "max_var_order": gc_cfg.max_var_order,
-                "raw": raw,
-            },
-        )
-        cmd_gc(run, args.panel, args.cause, args.effect, args.conditioning,
-               gc_cfg, raw)
-
-    elif args.command == "select":
-        target = opt.get("target", "drug_demand")
-        columns = opt.get("columns", cast=str)
-        column_names = _name_tuple(columns) if columns else ()
-        forest_cfg = ForestConfig(
-            n_trees=opt.get("trees", 1000, cast=int),
-            min_node_size=opt.get("min_node_size", 5, cast=int),
-            block_length=opt.get("block_length", 52, cast=int),
-            seed=run.seed,
-        )
-        lags = opt.get("lags", 4, cast=int)
-        run = dataclasses.replace(
-            run,
-            parameters={
-                "panel": args.panel,
-                "target": target,
-                "columns": list(column_names),
-                "lags": lags,
-                "trees": forest_cfg.n_trees,
-                "block_length": forest_cfg.block_length,
-                "min_node_size": forest_cfg.min_node_size,
-            },
-        )
-        cmd_select(run, args.panel, target, column_names, lags, forest_cfg)
-
-    elif args.command == "sparse-var":
-        columns = _name_tuple(opt.get("columns", "drug_demand,temperature"))
-        equation = opt.get("equation", columns[0] if columns else "")
-        order = opt.get("order", 4, cast=int)
-        penalty = opt.get("penalty", cast=float)
-        raw = bool(opt.get("raw", False, cast=bool))
-        run = dataclasses.replace(
-            run,
-            parameters={
-                "panel": args.panel,
-                "columns": list(columns),
-                "equation": equation,
-                "order": order,
-                "penalty": penalty,
-                "raw": raw,
-            },
-        )
-        cmd_sparse_var(run, args.panel, columns, equation, order, penalty, raw)
-
-    elif args.command in ("fit", "forecast"):
-        target = opt.get("target", "drug_demand")
-        drivers_text = opt.get("drivers", "temperature")
-        drivers = _name_tuple(drivers_text)
-        harmonics = opt.get("harmonics", 1, cast=int)
-        lags = opt.get("lags", 4, cast=int)
-        trees = opt.get("trees", 1000, cast=int)
-        trend_cfg = TrendFitConfig(seed=run.seed)
-        common = {
-            "panel": args.panel,
-            "model": args.model,
-            "target": target,
-            "drivers": list(drivers),
-            "harmonics": harmonics,
-            "lags": lags,
-            "trees": trees,
-        }
-        if args.command == "fit":
-            replicates = opt.get("replicates", 1000, cast=int)
-            irf_horizon = opt.get("irf_horizon", 26, cast=int)
-            run = dataclasses.replace(
-                run,
-                parameters={**common, "replicates": replicates,
-                            "irf_horizon": irf_horizon},
-            )
-            cmd_fit(run, args.panel, args.model, target, drivers, harmonics,
-                    lags, replicates, trees, irf_horizon, trend_cfg)
-        else:
-            train_length = opt.get("train_length", 338, cast=int)
-            horizon = opt.get("horizon", 52, cast=int)
-            run = dataclasses.replace(
-                run,
-                parameters={**common, "train_length": train_length,
-                            "horizon": horizon},
-            )
-            cmd_forecast(run, args.panel, args.model, target, drivers,
-                         train_length, horizon, harmonics, lags, trees, trend_cfg)
-
-    elif args.command == "evaluate":
-        target = opt.get("target", "drug_demand")
-        entries = args.forecast or []
-        from_file = opt.get("forecasts", cast=str)
-        if not entries and from_file:
-            entries = [part.strip() for part in from_file.split(",") if part.strip()]
-        forecasts = _parse_forecast_pairs(entries)
-        train_length = opt.get("train_length", 338, cast=int)
-        horizon = opt.get("horizon", 52, cast=int)
-        run = dataclasses.replace(
-            run,
-            parameters={
-                "panel": args.panel,
-                "target": target,
-                "forecasts": forecasts,
-                "train_length": train_length,
-                "horizon": horizon,
-            },
-        )
-        cmd_evaluate(run, args.panel, target, forecasts, train_length, horizon)
-
-    else:  # pipeline
-        synth_kwargs = {"seed": run.seed}
-        n_weeks = opt.get("n_weeks", cast=int)
-        if n_weeks is not None:
-            synth_kwargs["n_weeks"] = n_weeks
-        synth_cfg = SynthConfig(**synth_kwargs)
-        params = {
-            "target": opt.get("target", "drug_demand"),
-            "driver": opt.get("driver", "temperature"),
-            "train_length": opt.get("train_length", 338, cast=int),
-            "horizon": opt.get("horizon", 52, cast=int),
-            "replicates": opt.get("replicates", 1000, cast=int),
-            "trees": opt.get("trees", 1000, cast=int),
-            "lags": opt.get("lags", 4, cast=int),
-            "harmonics": opt.get("harmonics", 1, cast=int),
-            "irf_horizon": opt.get("irf_horizon", 26, cast=int),
-        }
-        run = dataclasses.replace(
-            run, parameters={**params, "n_weeks": synth_cfg.n_weeks}
-        )
-        cmd_pipeline(run, synth_cfg, **params)
+    _COMMANDS[args.command][1](run, values)
 
 
 def _error_payload(exc: ToolkitError) -> dict:

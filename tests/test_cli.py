@@ -6,13 +6,19 @@ module runs in seconds; the full-size reproduction run lives in the
 acceptance suite.
 """
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
 from climdemand.cli import main as cli_main
+from climdemand.features import FeatureConfig
+from climdemand.forest import ForestConfig
 from climdemand.panel import read_panel_csv
+from climdemand.spectral import GcBootstrapConfig
+from climdemand.synth import SynthConfig
+from climdemand.trend import TrendFitConfig
 
 SMALL_SYNTH = (
     "synth",
@@ -44,6 +50,48 @@ def file_bytes(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def as_flags(options):
+    """Command-line flags for ``{option: value}``; a list repeats the flag."""
+    argv = []
+    for name, value in options.items():
+        flag = "--" + ("forecast" if name == "forecasts" else name).replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+    return argv
+
+
+def write_config(path, sections):
+    """INI file from ``{section: {option: value}}``; a list joins with commas."""
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(
+            f"{k} = {','.join(v) if isinstance(v, list) else v}\n" for k, v in keys.items()
+        )
+        for name, keys in sections.items()
+    ))
+    return path
+
+
+def captured_call(*argv):
+    """Run the CLI with every cmd_* function replaced by a recorder and return
+    the one call's ``run`` and its other arguments by parameter name."""
+    from climdemand import cli
+
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, function in list(vars(cli).items()):
+            if name.startswith("cmd_"):
+                signature = inspect.signature(function)
+                patch.setattr(
+                    cli, name,
+                    lambda *a, _sig=signature, **k: calls.append(_sig.bind(*a, **k).arguments),
+                )
+        assert run_cli(*argv) == 0
+    (arguments,) = calls
+    return arguments.pop("run"), arguments
 
 
 class TestSynthAndFeatures:
@@ -234,6 +282,72 @@ class TestErrorReporting:
         assert payload["path"] == str(missing)
         assert "No such file" in payload["message"]
 
+    def test_bad_values_are_config_errors(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.ini", {"gc": {"replicates": "abc", "raw": "maybe"}})
+        code = run_cli(
+            "--config", cfg, "--out-dir", tmp_path, "gc",
+            "--panel", "p.csv", "--cause", "temperature", "--effect", "drug_demand",
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert set(payload["fields"]) == {"replicates", "raw"}
+        assert "'abc' in [gc]" in payload["fields"]["replicates"]
+
+        assert run_cli("--out-dir", tmp_path, "--seed=x", "synth", "--coupling", "abc") == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert set(payload["fields"]) == {"coupling", "seed"}
+
+    def test_fractional_break_weeks_rejected(self, tmp_path, capsys):
+        code = run_cli(
+            "--out-dir", tmp_path, "synth", "--n-weeks", "80",
+            "--break-weeks", "40.7", "--level-shifts", "100",
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert set(payload["fields"]) == {"break_weeks"}
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.ini", {
+            "run": {"seed": 1, "trees": 30, "nope": 1},
+            "gc": {"replicate": 10, "replicates": 100},
+            "synth": {"trees": 30},
+        })
+        assert run_cli("--config", cfg, "--out-dir", tmp_path, *SMALL_SYNTH) == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        # [run] takes any command's option; a section takes its command's.
+        assert set(payload["fields"]) == {"run.nope", "gc.replicate", "synth.trees"}
+
+    def test_missing_required_options_listed_together(self, tmp_path, capsys):
+        assert run_cli("--out-dir", tmp_path, "gc", "--cause", "temperature") == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert set(payload["fields"]) == {"panel", "effect"}
+
+        assert run_cli("--out-dir", tmp_path, "forecast", "--model", "arima") == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert set(payload["fields"]) == {"panel", "model"}
+        assert "trend, varx or forest" in payload["fields"]["model"]
+
+    def test_pipeline_window_checked_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "pipeline",
+            "--n-weeks", "380", "--replicates", "100", "--trees", "10",
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "AlignmentError"
+        assert payload["message"] == (
+            "train_length 338 + horizon 52 exceeds the panel's 380 weeks"
+        )
+        assert not out.exists() or not list(out.iterdir())
+
     def test_evaluate_requires_name_path_pairs(self, tmp_path, capsys):
         panel = make_panel(tmp_path)
         code = run_cli(
@@ -276,6 +390,207 @@ class TestConfigPrecedence:
         assert header == "feature,score"
         # lags = 2 for target + one candidate -> four lagged features
         assert len(rows) == 4
+
+
+    def test_required_options_come_from_the_file(self, tmp_path):
+        options = {
+            "panel": "p.csv", "cause": "temperature", "effect": "drug_demand",
+            "conditioning": "precipitation", "replicates": 150, "alpha": 0.1,
+        }
+        cfg = write_config(tmp_path / "cfg.ini", {
+            "run": {"panel": "p.csv", "effect": "drug_demand", "replicates": 150},
+            "gc": {"cause": "temperature", "conditioning": "precipitation", "alpha": 0.1},
+        })
+        from_file = captured_call("--config", cfg, "gc")
+        from_flags = captured_call("gc", *as_flags(options))
+        assert repr(from_file) == repr(from_flags)
+        assert from_file[1]["conditioning"] == "precipitation"
+
+
+# The option table's parity check.  GLOBALS plus EVERY_OPTION sets each option
+# of a command to a value off its default; MINIMAL gives only what a command
+# needs.  CAPTURED holds what the cmd_* function received in each case, as
+# recorded from the hand-written parser the table replaced: the manifest's
+# ``parameters``, then the arguments after ``run`` by parameter name.
+GLOBALS = {"seed": 7, "out_dir": "results", "threads": 2}
+
+MINIMAL = {
+    "synth": {},
+    "features": {"daily": "d.csv"},
+    "gc": {"panel": "p.csv", "cause": "temperature", "effect": "drug_demand"},
+    "select": {"panel": "p.csv"},
+    "sparse-var": {"panel": "p.csv"},
+    "fit": {"panel": "p.csv", "model": "trend"},
+    "forecast": {"panel": "p.csv", "model": "varx"},
+    "evaluate": {"panel": "p.csv", "forecasts": ["trend=t.csv"]},
+    "pipeline": {},
+}
+
+EVERY_OPTION = {
+    "synth": {"n_weeks": 150, "demand_noise_sd": 900.5, "coupling": "-2500,-1000.5",
+              "break_weeks": "30,60", "level_shifts": "-100,50"},
+    "features": {"daily": "d.csv", "out": "w.csv", "wet_day_threshold_mm": 0.5,
+                 "extreme_quantile": 0.99},
+    "gc": {"panel": "p.csv", "cause": "temperature", "effect": "drug_demand",
+           "conditioning": "precipitation", "replicates": 150, "alpha": 0.1,
+           "block_length": 2.5, "max_var_order": 3, "raw": True},
+    "select": {"panel": "p.csv", "target": "temperature", "columns": "drug_demand,wind_speed",
+               "lags": 2, "trees": 30, "block_length": 26, "min_node_size": 3},
+    "sparse-var": {"panel": "p.csv", "columns": "temperature,drug_demand",
+                   "equation": "drug_demand", "order": 2, "penalty": 0.5, "raw": True},
+    "fit": {"panel": "p.csv", "model": "forest", "target": "y",
+            "drivers": "temperature,wind_speed", "harmonics": 2, "lags": 3, "trees": 20,
+            "replicates": 200, "irf_horizon": 12},
+    "forecast": {"panel": "p.csv", "model": "varx", "target": "y", "drivers": "precipitation",
+                 "harmonics": 0, "lags": 2, "trees": 40, "train_length": 100, "horizon": 20},
+    "evaluate": {"panel": "p.csv", "target": "y", "forecasts": ["trend=t.csv", "varx=v.csv"],
+                 "train_length": 100, "horizon": 20},
+    "pipeline": {"n_weeks": 320, "target": "drug_demand", "driver": "precipitation",
+                 "train_length": 250, "horizon": 40, "replicates": 120, "trees": 25,
+                 "lags": 3, "harmonics": 2, "irf_horizon": 10},
+}
+
+# Options the hand-written parser read from the command line only.
+FLAG_ONLY = {"panel", "cause", "effect", "conditioning", "daily", "model"}
+
+TREND_0, TREND_7 = TrendFitConfig(seed=0), TrendFitConfig(seed=7)
+CAPTURED = {
+    "synth": (
+        ({"seed": 0}, {"cfg": SynthConfig(seed=0)}),
+        ({"break_weeks": [30, 60], "demand_noise_sd": 900.5, "level_shifts": [-100.0, 50.0],
+          "n_weeks": 150, "seed": 7, "temperature_coupling": [-2500.0, -1000.5]},
+         {"cfg": SynthConfig(n_weeks=150, temperature_coupling=(-2500.0, -1000.5),
+                             break_weeks=(30, 60), level_shifts=(-100.0, 50.0),
+                             demand_noise_sd=900.5, seed=7)}),
+    ),
+    "features": (
+        ({"daily": "d.csv", "extreme_quantile": 0.999, "out": "weekly_panel.csv",
+          "wet_day_threshold_mm": 1.0},
+         {"daily_path": "d.csv", "out_name": "weekly_panel.csv", "cfg": FeatureConfig()}),
+        ({"daily": "d.csv", "extreme_quantile": 0.99, "out": "w.csv",
+          "wet_day_threshold_mm": 0.5},
+         {"daily_path": "d.csv", "out_name": "w.csv", "cfg": FeatureConfig(0.5, 0.99)}),
+    ),
+    "gc": (
+        ({"alpha": 0.05, "block_length": None, "cause": "temperature", "conditioning": None,
+          "effect": "drug_demand", "max_var_order": 4, "panel": "p.csv", "raw": False,
+          "replicates": 1000},
+         {"panel_path": "p.csv", "cause": "temperature", "effect": "drug_demand",
+          "conditioning": None, "cfg": GcBootstrapConfig(seed=0), "raw": False}),
+        ({"alpha": 0.1, "block_length": 2.5, "cause": "temperature",
+          "conditioning": "precipitation", "effect": "drug_demand", "max_var_order": 3,
+          "panel": "p.csv", "raw": True, "replicates": 150},
+         {"panel_path": "p.csv", "cause": "temperature", "effect": "drug_demand",
+          "conditioning": "precipitation",
+          "cfg": GcBootstrapConfig(n_replicates=150, alpha=0.1, expected_block_length=2.5,
+                                   max_var_order=3, seed=7),
+          "raw": True}),
+    ),
+    "select": (
+        ({"block_length": 52, "columns": [], "lags": 4, "min_node_size": 5, "panel": "p.csv",
+          "target": "drug_demand", "trees": 1000},
+         {"panel_path": "p.csv", "target": "drug_demand", "columns": (), "lags": 4,
+          "cfg": ForestConfig(seed=0)}),
+        ({"block_length": 26, "columns": ["drug_demand", "wind_speed"], "lags": 2,
+          "min_node_size": 3, "panel": "p.csv", "target": "temperature", "trees": 30},
+         {"panel_path": "p.csv", "target": "temperature",
+          "columns": ("drug_demand", "wind_speed"), "lags": 2,
+          "cfg": ForestConfig(n_trees=30, min_node_size=3, block_length=26, seed=7)}),
+    ),
+    "sparse-var": (
+        ({"columns": ["drug_demand", "temperature"], "equation": "drug_demand", "order": 4,
+          "panel": "p.csv", "penalty": None, "raw": False},
+         {"panel_path": "p.csv", "columns": ("drug_demand", "temperature"),
+          "equation": "drug_demand", "order": 4, "penalty": None, "raw": False}),
+        ({"columns": ["temperature", "drug_demand"], "equation": "drug_demand", "order": 2,
+          "panel": "p.csv", "penalty": 0.5, "raw": True},
+         {"panel_path": "p.csv", "columns": ("temperature", "drug_demand"),
+          "equation": "drug_demand", "order": 2, "penalty": 0.5, "raw": True}),
+    ),
+    "fit": (
+        ({"drivers": ["temperature"], "harmonics": 1, "irf_horizon": 26, "lags": 4,
+          "model": "trend", "panel": "p.csv", "replicates": 1000, "target": "drug_demand",
+          "trees": 1000},
+         {"panel_path": "p.csv", "model_name": "trend", "target": "drug_demand",
+          "drivers": ("temperature",), "harmonics": 1, "lags": 4, "replicates": 1000,
+          "trees": 1000, "irf_horizon": 26, "trend_cfg": TREND_0}),
+        ({"drivers": ["temperature", "wind_speed"], "harmonics": 2, "irf_horizon": 12,
+          "lags": 3, "model": "forest", "panel": "p.csv", "replicates": 200, "target": "y",
+          "trees": 20},
+         {"panel_path": "p.csv", "model_name": "forest", "target": "y",
+          "drivers": ("temperature", "wind_speed"), "harmonics": 2, "lags": 3,
+          "replicates": 200, "trees": 20, "irf_horizon": 12, "trend_cfg": TREND_7}),
+    ),
+    "forecast": (
+        ({"drivers": ["temperature"], "harmonics": 1, "horizon": 52, "lags": 4,
+          "model": "varx", "panel": "p.csv", "target": "drug_demand", "train_length": 338,
+          "trees": 1000},
+         {"panel_path": "p.csv", "model_name": "varx", "target": "drug_demand",
+          "drivers": ("temperature",), "train_length": 338, "horizon": 52, "harmonics": 1,
+          "lags": 4, "trees": 1000, "trend_cfg": TREND_0}),
+        ({"drivers": ["precipitation"], "harmonics": 0, "horizon": 20, "lags": 2,
+          "model": "varx", "panel": "p.csv", "target": "y", "train_length": 100, "trees": 40},
+         {"panel_path": "p.csv", "model_name": "varx", "target": "y",
+          "drivers": ("precipitation",), "train_length": 100, "horizon": 20, "harmonics": 0,
+          "lags": 2, "trees": 40, "trend_cfg": TREND_7}),
+    ),
+    "evaluate": (
+        ({"forecasts": {"trend": "t.csv"}, "horizon": 52, "panel": "p.csv",
+          "target": "drug_demand", "train_length": 338},
+         {"panel_path": "p.csv", "target": "drug_demand", "forecasts": {"trend": "t.csv"},
+          "train_length": 338, "horizon": 52}),
+        ({"forecasts": {"trend": "t.csv", "varx": "v.csv"}, "horizon": 20, "panel": "p.csv",
+          "target": "y", "train_length": 100},
+         {"panel_path": "p.csv", "target": "y",
+          "forecasts": {"trend": "t.csv", "varx": "v.csv"}, "train_length": 100,
+          "horizon": 20}),
+    ),
+    "pipeline": (
+        ({"driver": "temperature", "harmonics": 1, "horizon": 52, "irf_horizon": 26,
+          "lags": 4, "n_weeks": 390, "replicates": 1000, "target": "drug_demand",
+          "train_length": 338, "trees": 1000},
+         {"synth_cfg": SynthConfig(seed=0), "target": "drug_demand", "driver": "temperature",
+          "train_length": 338, "horizon": 52, "replicates": 1000, "trees": 1000, "lags": 4,
+          "harmonics": 1, "irf_horizon": 26}),
+        ({"driver": "precipitation", "harmonics": 2, "horizon": 40, "irf_horizon": 10,
+          "lags": 3, "n_weeks": 320, "replicates": 120, "target": "drug_demand",
+          "train_length": 250, "trees": 25},
+         {"synth_cfg": SynthConfig(n_weeks=320, seed=7), "target": "drug_demand",
+          "driver": "precipitation", "train_length": 250, "horizon": 40, "replicates": 120,
+          "trees": 25, "lags": 3, "harmonics": 2, "irf_horizon": 10}),
+    ),
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("given", ["defaults", "flags", "config"])
+    @pytest.mark.parametrize("command", list(CAPTURED))
+    def test_command_receives_the_recorded_manifest_and_arguments(
+        self, tmp_path, command, given
+    ):
+        options = EVERY_OPTION[command]
+        if given == "defaults":
+            argv = [command, *as_flags(MINIMAL[command])]
+        elif given == "flags":
+            argv = [*as_flags(GLOBALS), command, *as_flags(options)]
+        else:
+            # The global options under [run]; the command's alternate between
+            # its own section and the [run] fallback.
+            sections = {"run": dict(GLOBALS), command: {}}
+            in_file = [k for k in options if k not in FLAG_ONLY]
+            for i, name in enumerate(in_file):
+                sections[command if i % 2 == 0 else "run"][name] = options[name]
+            cfg = write_config(tmp_path / "cfg.ini", sections)
+            flags = {k: v for k, v in options.items() if k in FLAG_ONLY}
+            argv = ["--config", cfg, command, *as_flags(flags)]
+        run, arguments = captured_call(*argv)
+
+        defaults = given == "defaults"
+        parameters, expected = CAPTURED[command][0 if defaults else 1]
+        manifest = {"command": command, "seed": 0 if defaults else 7, "parameters": parameters}
+        assert json.dumps(run.manifest(), sort_keys=True) == json.dumps(manifest, sort_keys=True)
+        assert (run.out_dir, run.threads) == ((".", 1) if defaults else ("results", 2))
+        assert repr(arguments) == repr(expected)
 
 
 class TestCommandOutputs:
