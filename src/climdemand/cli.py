@@ -821,7 +821,19 @@ def _run_synth(run: RunConfig, p: dict) -> None:
 
 
 def _run_pipeline(run: RunConfig, p: dict) -> None:
-    synth_cfg = SynthConfig(n_weeks=p.pop("n_weeks"), seed=run.seed)
+    n_weeks = p.pop("n_weeks")
+    # A shorter panel keeps the default level breaks that fall inside it.
+    breaks = [
+        (week, shift)
+        for week, shift in zip(SynthConfig.break_weeks, SynthConfig.level_shifts)
+        if week < n_weeks
+    ]
+    synth_cfg = SynthConfig(
+        n_weeks=n_weeks,
+        break_weeks=tuple(week for week, _ in breaks),
+        level_shifts=tuple(shift for _, shift in breaks),
+        seed=run.seed,
+    )
     # Fail before stage 1 writes anything, not at stage 5's baselines.
     _check_window(p["train_length"], p["horizon"], synth_cfg.n_weeks)
     cmd_pipeline(run, synth_cfg, **p)

@@ -7,13 +7,17 @@ every tree trains on stretches that preserve short-range autocorrelation.
 Out-of-bag evaluation follows the same logic: a row counts as out-of-bag for
 a tree only when none of that tree's sampled blocks covers its index.
 
-The engine grows many trees at once.  Each tree still walks its nodes depth
-first and draws from its own random stream, so each tree comes out the same
-as if it had been grown alone; but the node statistics and split searches
-of all trees' current nodes run as one set of array operations.  A node
-splits only when it has more than ``min_node_size`` rows and its targets
-are not all equal.  The trees are stored packed in one set of node arrays,
-and prediction routes every (tree, row) pair at once.
+The engine grows many trees at once, level by level.  Each tree grows on
+the distinct rows of its resample, each weighted by its count there (its
+in-bag count), so every node statistic is the one of the resampled rows
+while the split search visits each distinct row once.  A node splits only
+when it holds more than ``min_node_size`` resampled rows and its targets
+are not all equal.  Each tree draws from its own random stream in an order
+fixed by the tree alone, so it comes out the same as if it had been grown
+alone; but every step takes the next level of all trees' nodes and runs
+their statistics and split searches as one set of array operations.  The
+trees are stored packed in one set of node arrays, and prediction routes
+every (tree, row) pair at once.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ class ForestConfig:
     """Hyperparameters for :func:`train_forest`.
 
     ``mtry=None`` resolves to ``ceil(n_features / 3)`` at training time, the
-    usual regression heuristic.
+    usual regression heuristic.  ``min_node_size`` counts resampled rows: a
+    row drawn twice into a tree's block resample counts twice.
     """
 
     n_trees: int = 1000
@@ -394,7 +399,7 @@ def mbb_resample(
 _GROUP_ROWS = 1 << 16
 # Elements (node rows x candidate features, or tree-row pairs) that one split
 # search or routing pass holds per working array.
-_STEP_ELEMENTS = 1 << 14
+_STEP_ELEMENTS = 1 << 13
 
 
 def _dense_ranks(features: np.ndarray) -> np.ndarray:
@@ -415,28 +420,33 @@ def _search_splits(
     target: np.ndarray,
     n_rows: int,
     rows: np.ndarray,
+    weight: np.ndarray,
     begin: np.ndarray,
     size: np.ndarray,
     candidates: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Best cut of each node over its candidate features, all nodes at once.
 
-    Node ``k`` holds ``rows[begin[k]:begin[k] + size[k]]`` in buffer order
-    and may split on the features in row ``k`` of ``candidates`` (sorted).
-    Cuts minimise the summed child SSE over midpoints of consecutive distinct
-    values; ties take the lowest candidate, then the lowest threshold.  The
-    arithmetic is a per-node loop's: a stable sort, then prefix sums from
-    zero per (node, candidate) segment.
+    Node ``k`` holds the distinct in-bag rows ``rows[begin[k]:begin[k] +
+    size[k]]`` in buffer order, each row standing for its ``weight`` (its
+    count in the tree's resample), and may split on the features in row
+    ``k`` of ``candidates`` (sorted).  Cuts minimise the summed child SSE of
+    the resampled rows over midpoints of consecutive distinct values; ties
+    take the lowest candidate, then the lowest threshold.  The arithmetic is
+    a per-node loop's: a stable sort, then prefix sums of w, w·y and w·y²
+    from zero per (node, candidate) segment.
 
-    Returns, per node, the winning candidate column, the left child's size
-    and the summed child SSE (``inf`` when every candidate is constant on
-    the node), plus every node's rows sorted on its winner, concatenated.
+    Returns, per node, the winning candidate column, the number of distinct
+    rows left of the cut and the summed child SSE (``inf`` when every
+    candidate is constant on the node), plus the positions in ``rows`` of
+    every node's rows sorted on its winner, concatenated.
     """
     mtry = candidates.shape[1]
     n_seg = candidates.size
     seg_len = np.repeat(size, mtry)
     seg_begin = np.cumsum(seg_len) - seg_len
-    n_elem = int(seg_begin[-1] + seg_len[-1])
+    seg_last = seg_begin + seg_len - 1
+    n_elem = int(seg_last[-1] + 1)
     pos = np.arange(n_elem) - np.repeat(seg_begin, seg_len)
     base = np.repeat(np.repeat(begin, mtry), seg_len)
     # One sort orders every segment by (rank, position): stable per segment.
@@ -450,26 +460,33 @@ def _search_splits(
         np.arange(n_seg, dtype=np.int64) << (n_rows.bit_length() + pos_bits), seg_len
     )
     key.sort()
-    sorted_rows = rows[base + (key & ((1 << pos_bits) - 1))]
+    at = base + (key & ((1 << pos_bits) - 1))
     key >>= pos_bits  # (segment, rank): equal neighbours are tied values
 
-    # Prefix sums per segment from zero, as np.cumsum over that segment
-    # alone: segments padded with -0.0, the exact additive identity.
+    # Weights are integers, so one running sum gives every segment's prefix
+    # sums exactly.  The target sums run per segment from zero, as np.cumsum
+    # over that segment alone: segments padded with -0.0, the exact
+    # additive identity.
+    w = weight[at]
+    left_n = np.cumsum(w, dtype=np.int64)
+    before = np.repeat(left_n[seg_begin] - w[seg_begin], seg_len)
+    right_n = np.repeat(left_n[seg_last], seg_len) - left_n
+    left_n -= before
     width = int(size.max())
     slot = np.repeat(np.arange(n_seg) * width, seg_len) + pos
     last = np.arange(n_seg) * width + seg_len - 1
-    y = target[sorted_rows]
+    y = target[rows[at]]
+    wy = w * y
     padded = np.full(n_seg * width, -0.0)
-    padded[slot] = y
+    padded[slot] = wy
     prefix = np.cumsum(padded.reshape(n_seg, width), axis=1).reshape(-1)
     prefix_sum, total_sum = prefix[slot], np.repeat(prefix[last], seg_len)
-    padded[slot] = y * y
+    wy *= y
+    padded[slot] = wy
     prefix = np.cumsum(padded.reshape(n_seg, width), axis=1).reshape(-1)
     prefix_sq, total_sq = prefix[slot], np.repeat(prefix[last], seg_len)
-    del padded, prefix, slot, y
+    del padded, prefix, slot, y, wy, w, before
 
-    left_n = pos + 1.0
-    right_n = np.repeat(seg_len, seg_len) - left_n
     with np.errstate(divide="ignore", invalid="ignore"):
         child_sse = prefix_sum**2
         child_sse /= left_n
@@ -492,7 +509,7 @@ def _search_splits(
     best = hits[np.searchsorted(hits, node_begin)]  # every node has a hit
     winner = best - pos[best]  # start of each node's winning segment
     start = np.cumsum(size) - size
-    ordered = sorted_rows[np.repeat(winner - start, size) + np.arange(int(size.sum()))]
+    ordered = at[np.repeat(winner - start, size) + np.arange(int(size.sum()))]
     return (best - node_begin) // size, pos[best] + 1, best_sse, ordered
 
 
@@ -505,50 +522,35 @@ def _permutations(
     return rng.permuted(rows, axis=1)[:, :keep]
 
 
-def _pop(
-    stack: np.ndarray, top: np.ndarray, min_node_size: int
-) -> tuple[np.ndarray, ...]:
-    """Pop, for every tree with pending nodes, its next node that may split
-    together with the nodes stacked above it that are too small to split.
-
-    Those small nodes are leaves that need only their means, so taking them
-    in the same step leaves each tree's depth-first order of splits, and so
-    its RNG draws and node numbering, unchanged.  Returns (tree, node, lo,
-    hi) per popped node and lowers ``top`` in place.
-    """
-    live = np.flatnonzero(top).astype(np.int32)
-    pending = stack[live]
-    slot = np.arange(stack.shape[1])
-    big = pending[:, :, 2] - pending[:, :, 1] > min_node_size
-    big &= slot < top[live, None]
-    first = np.where(big, slot, 0).max(axis=1)
-    n_pop = top[live] - first
-    top[live] = first
-    owner = np.repeat(live, n_pop)
-    start = np.cumsum(n_pop) - n_pop
-    depth = np.arange(n_pop.sum()) + np.repeat(first - start, n_pop)
-    node, lo, hi = stack[owner, depth].T
-    return owner, node, lo, hi
+def _rank_in_tree(tree: np.ndarray, n_trees: int) -> tuple[np.ndarray, np.ndarray]:
+    """For tree ids sorted ascending: each entry's rank among its tree's
+    entries, and the entry count per tree."""
+    per_tree = np.bincount(tree, minlength=n_trees)
+    return np.arange(tree.size) - np.searchsorted(tree, tree), per_tree
 
 
 def _leaf_rule(
-    y: np.ndarray, begin: np.ndarray, size: np.ndarray, min_node_size: int
+    y: np.ndarray, weight: np.ndarray, begin: np.ndarray, min_node_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means of the nodes ``y[begin[k]:begin[k] + size[k]]`` and which split.
+    """Means of the nodes ``y[begin[k]:begin[k + 1]]`` and which split.
 
-    A node splits if and only if it has more than ``min_node_size`` rows and
-    its targets are not all equal.  Each node's sums run over its slice with
-    ``np.add.reduceat``; its SSE, ``sum(y**2) - sum * mean``, only weighs the
-    node's split in the importance scores.  Returns the means, the indices
-    of the nodes to search, and their SSE.
+    Row ``i`` stands for ``weight[i]`` resampled rows.  A node splits if and
+    only if it holds more than ``min_node_size`` resampled rows and its
+    targets are not all equal.  Each node's weighted sums run over its
+    slice with ``np.add.reduceat``; its SSE, ``sum(w*y*y) - sum(w*y) *
+    mean``, only weighs the node's split in the importance scores.  Returns
+    the means, the indices of the nodes to search, and their SSE.
     """
-    total = np.add.reduceat(y, begin)
-    mean = total / size
+    wy = weight * y
+    total = np.add.reduceat(wy, begin)
+    n_resampled = np.add.reduceat(weight, begin)
+    mean = total / n_resampled
     split = np.flatnonzero(
-        (size > min_node_size)
+        (n_resampled > min_node_size)
         & (np.minimum.reduceat(y, begin) != np.maximum.reduceat(y, begin))
     )
-    node_sse = np.add.reduceat(y * y, begin)[split] - total[split] * mean[split]
+    wy *= y
+    node_sse = np.add.reduceat(wy, begin)[split] - total[split] * mean[split]
     return mean, split, node_sse
 
 
@@ -562,67 +564,89 @@ def _grow_group(
     min_node_size: int,
     nodes: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grow one CART regression tree per row of ``rows``, in lockstep.
+    """Grow one CART regression tree per row of ``rows``, level by level.
 
-    Each tree keeps its own depth-first stack and RNG stream; every step
-    pops the next node of each unfinished tree (:func:`_pop`) and searches
-    all their splits at once (:func:`_search_splits`).  A node owns a
-    contiguous slice of its tree's row buffer (its row of ``rows``,
-    overwritten), which a split reorders in place into the order of the
-    chosen feature.
+    Each tree grows on the distinct rows of its resample (its row of
+    ``rows``), each weighted by its count there, so every statistic is the
+    one of the resampled rows and ``min_node_size`` counts resampled rows.
+    A node owns a contiguous slice of its tree's part of one buffer of
+    distinct rows and weights, which a split reorders in place into the
+    order of the chosen feature.  Every step takes the next level of every
+    tree's nodes, in node-id order, and searches all their splits at once
+    (:func:`_search_splits`), largest nodes first, in chunks.
 
-    Each tree draws from its stream in the order of a one-tree-at-a-time
-    depth-first grower, and every node's sums run over that node's rows
-    alone, so the trees do not depend on the group or the step sizes.  The
+    A tree's searched nodes take one permutation each from its stream in
+    level order, node-id order within a level; children are numbered in
+    their parents' order; and every node's sums run over that node's rows
+    alone.  So the trees do not depend on the group or the step sizes.  The
     trees' nodes go, tree after tree, to the front of ``nodes`` (feature,
     threshold, left, right and value arrays).  Returns per-tree node counts
     and the per-tree impurity reduction per feature.
     """
     n_trees, n = rows.shape
     m = features.shape[1]
-    buffer = rows.reshape(-1)
     flat_ranks = ranks.reshape(-1)
+    in_bag = np.bincount(
+        (rows + np.arange(n_trees, dtype=np.int32)[:, None] * n).reshape(-1),
+        minlength=n_trees * n,
+    )
+    at = np.flatnonzero(in_bag)
+    weight = in_bag[at].astype(np.int32)
+    del in_bag
+    owner, buffer = np.divmod(at.astype(np.int32), n)
     gains = np.zeros((n_trees, m))
     count = np.ones(n_trees, dtype=np.int32)
-    stack = np.zeros((n_trees, 32, 3), dtype=np.int32)  # pending (node, lo, hi)
-    stack[:, 0] = (0, 0, n)
-    top = np.ones(n_trees, dtype=np.intp)
-    # Per-step records: (tree, node, mean) of every popped node and (tree,
-    # node, feature, threshold, left child) of every split.  They set the
-    # group's memory, so tree and node ids are int32.
-    popped: tuple[list[np.ndarray], ...] = ([], [], [])
+    # The frontier: (tree, node, slice start, slice size) of every node of
+    # the level, sorted by tree and node id.
+    size = np.bincount(owner, minlength=n_trees)
+    node = np.zeros(n_trees, dtype=np.int32)
+    lo = np.cumsum(size) - size
+    tree = np.arange(n_trees, dtype=np.int32)
+    # Per-level records: (tree, node, mean) of every node and (tree, node,
+    # feature, threshold, left child) of every split.  They set the group's
+    # memory, so tree and node ids are int32.
+    levels: tuple[list[np.ndarray], ...] = ([], [], [])
     splits: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
-    # A tree's stream yields one permutation of the features per searched
-    # node, in depth-first order; batches of Generator.permuted rows draw
-    # the same sequence.  Nothing else draws from the stream afterwards, so
-    # permutations left over at the end do not matter.
+    # Each tree's permutations queue up in its row of ``drawn``, from
+    # ``head`` up to ``tail``.  Batches of Generator.permuted rows draw the
+    # same sequence as one permutation at a time, and a refill keeps every
+    # queued row, so the queue yields the stream's permutations in order.
+    # Nothing else draws from the stream afterwards, so permutations left
+    # over at the end do not matter.
     batch = max(1, min(n, _GROUP_ROWS // (n_trees * mtry)))
-    drawn = np.stack([_permutations(rng, m, batch, mtry) for rng in rngs])
-    used = np.zeros(n_trees, dtype=np.intp)
+    pick = np.min_scalar_type(m)
+    drawn = np.stack([_permutations(rng, m, batch, mtry) for rng in rngs]).astype(pick)
+    head = np.zeros(n_trees, dtype=np.intp)
+    tail = np.full(n_trees, batch, dtype=np.intp)
 
-    while top.any():
-        owner, node, lo, hi = _pop(stack, top, min_node_size)
-        size = hi - lo
+    while tree.size:
         begin = np.cumsum(size) - size
-        at = np.repeat(owner * n + lo - begin, size) + np.arange(begin[-1] + size[-1])
-        node_rows = buffer[at]
-        y = target[node_rows]
-        mean, split_at, node_sse = _leaf_rule(y, begin, size, min_node_size)
-        for field, part in zip(popped, (owner, node, mean)):
+        at = np.repeat(lo - begin, size) + np.arange(begin[-1] + size[-1])
+        node_rows, node_weight = buffer[at], weight[at]
+        mean, split_at, node_sse = _leaf_rule(
+            target[node_rows], node_weight, begin, min_node_size
+        )
+        for field, part in zip(levels, (tree, node, mean)):
             field.append(part)
-        if split_at.size == 0:
-            continue
-        if top.max() + 2 > stack.shape[1]:
-            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+        searched = tree[split_at]
+        rank, need = _rank_in_tree(searched, n_trees)
+        if need.max(initial=0) > drawn.shape[1]:
+            extra = need.max() - drawn.shape[1]
+            drawn = np.concatenate([drawn, np.empty((n_trees, extra, mtry), pick)], 1)
+        for g in np.flatnonzero(head + need > tail).tolist():
+            queued = drawn[g, head[g] : tail[g]].copy()
+            fresh = _permutations(rngs[g], m, drawn.shape[1] - len(queued), mtry)
+            drawn[g] = np.concatenate([queued, fresh.astype(pick)])
+            head[g], tail[g] = 0, drawn.shape[1]
+        candidates = np.sort(drawn[searched, head[searched] + rank], axis=1)
+        candidates = candidates.astype(np.intp)
+        head += need
 
-        tree = owner[split_at]
-        for g in tree[used[tree] == batch].tolist():
-            drawn[g] = _permutations(rngs[g], m, batch, mtry)
-            used[g] = 0
-        candidates = np.sort(drawn[tree, used[tree]], axis=1)
-        used[tree] += 1
         # Largest nodes first, in chunks of at most _STEP_ELEMENTS padded
         # elements (or one node).
+        chosen = np.empty(split_at.size, dtype=np.intp)
+        cut = np.empty(split_at.size, dtype=np.intp)
+        best_sse = np.empty(split_at.size)
         by_size = np.argsort(-size[split_at], kind="stable")
         first = 0
         while first < by_size.size:
@@ -630,36 +654,41 @@ def _grow_group(
             chunk = by_size[first : first + max(1, _STEP_ELEMENTS // (mtry * widest))]
             first += chunk.size
             k = split_at[chunk]
-            j, cut, best_sse, ordered = _search_splits(
-                flat_ranks, target, n, node_rows, begin[k], size[k], candidates[chunk]
+            j, cut[chunk], best_sse[chunk], ordered = _search_splits(
+                flat_ranks, target, n, node_rows, node_weight, begin[k], size[k],
+                candidates[chunk],
             )
+            chosen[chunk] = candidates[chunk, j]
             # Reorder every searched slice (a leaf's order no longer matters).
             start = np.cumsum(size[k]) - size[k]
-            at = np.repeat(owner[k] * n + lo[k] - start, size[k]) + np.arange(ordered.size)
-            buffer[at] = ordered
-            ok = np.isfinite(best_sse)  # else every candidate is constant here
-            k, chunk, j, cut, start = k[ok], chunk[ok], j[ok], cut[ok], start[ok]
-            tree, chosen = owner[k], candidates[chunk, j]
-            cut_rows = ordered[start + cut - 1], ordered[start + cut]
-            cut_value = (
-                features[cut_rows[0], chosen] + features[cut_rows[1], chosen]
-            ) / 2.0
-            gains[tree, chosen] += np.maximum(node_sse[chunk] - best_sse[ok], 0.0)
-            left_id = count[tree]
-            count[tree] += 2
-            for field, part in zip(splits, (tree, node[k], chosen, cut_value, left_id)):
-                field.append(part)
-            mid = lo[k] + cut
-            depth = top[tree]
-            stack[tree, depth] = np.column_stack([left_id + 1, mid, hi[k]])
-            stack[tree, depth + 1] = np.column_stack([left_id, lo[k], mid])
-            top[tree] += 2
+            at = np.repeat(lo[k] - start, size[k]) + np.arange(ordered.size)
+            buffer[at] = node_rows[ordered]
+            weight[at] = node_weight[ordered]
+
+        ok = np.isfinite(best_sse)  # else every candidate is constant here
+        k, chosen, cut = split_at[ok], chosen[ok], cut[ok]
+        parent = tree[k]
+        np.add.at(gains, (parent, chosen), np.maximum(node_sse[ok] - best_sse[ok], 0.0))
+        cut_rows = buffer[lo[k] + cut - 1], buffer[lo[k] + cut]
+        cut_value = (
+            features[cut_rows[0], chosen] + features[cut_rows[1], chosen]
+        ) / 2.0
+        rank, born = _rank_in_tree(parent, n_trees)
+        left_id = count[parent] + 2 * rank.astype(np.int32)
+        count += 2 * born.astype(np.int32)
+        for field, part in zip(splits, (parent, node[k], chosen, cut_value, left_id)):
+            field.append(part)
+        # The next level: each split's left, then right child, in parent order.
+        tree = np.repeat(parent, 2)
+        node = np.column_stack([left_id, left_id + 1]).reshape(-1)
+        lo = np.column_stack([lo[k], lo[k] + cut]).reshape(-1)
+        size = np.column_stack([cut, size[k] - cut]).reshape(-1)
 
     # Scatter the records into the node arrays, a field at a time.
     offsets = np.cumsum(count) - count
     total = int(count.sum())
     feature, threshold, left, right, value = (field[:total] for field in nodes)
-    value[offsets[_join(popped[0])] + _join(popped[1])] = _join(popped[2])
+    value[offsets[_join(levels[0])] + _join(levels[1])] = _join(levels[2])
     feature[:] = -1
     threshold[:] = np.nan
     left[:] = -1
@@ -681,8 +710,10 @@ def train_forest(
     """Train a moving-block bootstrap forest.
 
     Each tree draws its own block resample from its own RNG stream and grows
-    on it.  Trees grow a group at a time in lockstep (:func:`_grow_group`);
-    the result does not depend on the grouping.
+    on its distinct rows weighted by their counts in it, so
+    ``config.min_node_size`` counts resampled rows.  Trees grow a group at
+    a time, level by level (:func:`_grow_group`); the result does not
+    depend on the grouping.
 
     Parameters
     ----------

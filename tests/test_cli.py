@@ -798,3 +798,20 @@ class TestPipeline:
             read_panel_csv(str(out / name))
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) == {"trend", "varx", "forest"}
+
+    def test_short_panel_keeps_the_breaks_inside_it(self, tmp_path):
+        # The default level breaks sit at weeks 222 and 298; a shorter
+        # pipeline panel keeps those inside it instead of rejecting an option
+        # the pipeline does not take.
+        out = tmp_path / "out"
+        assert run_cli(
+            "--out-dir", out, "pipeline", "--n-weeks", 200, "--replicates", 100,
+            "--trees", 10, "--train-length", 140, "--horizon", 52,
+        ) == 0
+        assert read_panel_csv(str(out / "synthetic_panel.csv")).n_weeks == 200
+        _, arguments = captured_call(
+            "pipeline", "--n-weeks", 260, "--train-length", 200, "--horizon", 52
+        )
+        assert arguments["synth_cfg"] == SynthConfig(
+            n_weeks=260, break_weeks=(222,), level_shifts=(-32_000.0,)
+        )

@@ -1,5 +1,6 @@
 """Tests for the moving-block bootstrap forest."""
 
+import collections
 import datetime as dt
 
 import numpy as np
@@ -470,17 +471,22 @@ def _oracle_grow_tree(
     features: np.ndarray,
     target: np.ndarray,
     rows: np.ndarray,
+    weight: np.ndarray,
     mtry: int,
     min_node_size: int,
     rng: np.random.Generator,
 ) -> tuple[list, list, list, list, list, np.ndarray]:
-    """Grow one CART regression tree on the given row multiset.
+    """Grow one CART regression tree on ``rows``, row ``rows[i]`` standing
+    for ``weight[i]`` resampled rows.
 
-    A node splits only when it has more than ``min_node_size`` rows and its
-    targets are not all equal.  Splits minimise the summed child SSE over
-    midpoints of consecutive distinct sorted values.  Ties take the lowest
-    feature index, then the lowest threshold, so growth is deterministic
-    given the RNG stream.
+    Nodes are visited in level order (first in, first out), so children are
+    numbered in their parents' order and each searched node takes the next
+    permutation from ``rng``.  A node splits only when it holds more than
+    ``min_node_size`` resampled rows and its targets are not all equal.
+    Splits minimise the summed child SSE over midpoints of consecutive
+    distinct sorted values, from prefix sums of w, w*y and w*y*y in a stable
+    sort of the node's rows.  Ties take the lowest feature index, then the
+    lowest threshold, so growth is deterministic given the RNG stream.
     """
     n_features = features.shape[1]
     node_feature: list[int] = []
@@ -490,33 +496,34 @@ def _oracle_grow_tree(
     node_value: list[float] = []
     gains = np.zeros(n_features)
 
-    def new_node(mean: float) -> int:
+    def new_node(node_rows: np.ndarray, w: np.ndarray) -> int:
         node_feature.append(-1)
         node_threshold.append(np.nan)
         node_left.append(-1)
         node_right.append(-1)
-        node_value.append(mean)
+        node_value.append(float(np.sum(w * target[node_rows]) / np.sum(w)))
+        queue.append((len(node_feature) - 1, node_rows, w))
         return len(node_feature) - 1
 
-    root = new_node(float(np.mean(target[rows])))
-    stack: list[tuple[int, np.ndarray]] = [(root, rows)]
-    while stack:
-        node, node_rows = stack.pop()
-        n = node_rows.size
+    queue: collections.deque = collections.deque()
+    new_node(rows, weight)
+    while queue:
+        node, node_rows, w = queue.popleft()
         y = target[node_rows]
-        if n <= min_node_size or np.all(y == y[0]):
+        if w.sum() <= min_node_size or np.all(y == y[0]):
             continue
-        mean = node_value[node]
-        node_sse = float(np.dot(y, y)) - n * mean * mean
+        wy = w * y
+        node_sse = float(np.dot(wy, y)) - float(np.sum(wy)) * node_value[node]
         candidates = np.sort(rng.permutation(n_features)[:mtry])
         values = features[np.ix_(node_rows, candidates)]
         order = np.argsort(values, axis=0, kind="stable")
         sorted_values = np.take_along_axis(values, order, axis=0)
-        sorted_y = y[order]
-        prefix_sum = np.cumsum(sorted_y, axis=0)
-        prefix_sq = np.cumsum(sorted_y * sorted_y, axis=0)
-        left_n = np.arange(1, n, dtype=float)[:, None]
-        right_n = n - left_n
+        sorted_w, sorted_y = w[order], y[order]
+        prefix_w = np.cumsum(sorted_w, axis=0)
+        prefix_sum = np.cumsum(sorted_w * sorted_y, axis=0)
+        prefix_sq = np.cumsum(sorted_w * sorted_y * sorted_y, axis=0)
+        left_n = prefix_w[:-1]
+        right_n = prefix_w[-1] - left_n
         left_sse = prefix_sq[:-1] - prefix_sum[:-1] ** 2 / left_n
         right_sse = (prefix_sq[-1] - prefix_sq[:-1]) - (
             prefix_sum[-1] - prefix_sum[:-1]
@@ -530,29 +537,27 @@ def _oracle_grow_tree(
         best = int(np.argmin(flat))
         if not np.isfinite(flat[best]):
             continue  # all candidate features constant on this node
-        j = best // (n - 1)
-        pos = best % (n - 1) + 1
+        j = best // (node_rows.size - 1)
+        pos = best % (node_rows.size - 1) + 1
         feature = int(candidates[j])
         threshold = float((sorted_values[pos - 1, j] + sorted_values[pos, j]) / 2.0)
         gains[feature] += max(node_sse - float(flat[best]), 0.0)
-        left_rows = node_rows[order[:pos, j]]
-        right_rows = node_rows[order[pos:, j]]
         node_feature[node] = feature
         node_threshold[node] = threshold
-        left_id = new_node(float(np.mean(target[left_rows])))
-        right_id = new_node(float(np.mean(target[right_rows])))
-        node_left[node] = left_id
-        node_right[node] = right_id
-        stack.append((right_id, right_rows))
-        stack.append((left_id, left_rows))
+        left, right = order[:pos, j], order[pos:, j]
+        node_left[node] = new_node(node_rows[left], w[left])
+        node_right[node] = new_node(node_rows[right], w[right])
     return node_feature, node_threshold, node_left, node_right, node_value, gains
 
 
-
-
-def _oracle_forest(data, config):
+def _oracle_forest(data, config, in_bag_counts=True):
     """Per-tree (feature, threshold, left, right, value, gains), grown one
-    tree at a time from each tree's own stream."""
+    tree at a time from each tree's own stream.
+
+    Each tree grows on its distinct rows in ascending order with their
+    counts in the resample, or with ``in_bag_counts=False`` on the resampled
+    rows themselves, in resample order and with unit weights.
+    """
     n = data.n_rows
     mtry = config.resolved_mtry(data.n_features)
     n_blocks, n_draws, _ = moving_block_plan(n, config.block_length)
@@ -561,9 +566,14 @@ def _oracle_forest(data, config):
         rng = substream(config.seed, "forest-tree", t)
         starts = rng.integers(0, n_blocks, size=n_draws)
         rows = (starts[:, None] + np.arange(config.block_length)).reshape(-1)[:n]
+        if in_bag_counts:
+            rows, weight = np.unique(rows, return_counts=True)
+        else:
+            weight = np.ones(n, dtype=int)
         trees.append(
             _oracle_grow_tree(
-                data.features, data.target, rows, mtry, config.min_node_size, rng
+                data.features, data.target, rows, weight, mtry,
+                config.min_node_size, rng,
             )
         )
     return trees
@@ -625,6 +635,32 @@ class TestOracle:
             assert_allclose(tree.value, value, rtol=1e-12, atol=0)
             assert_allclose(tree.importance, gains, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["coarse_values", "constant_feature", "default", "min_node_size_1", "mtry_all"],
+    )
+    def test_in_bag_counts_equal_repeated_rows(self, name):
+        # With integer-valued targets every sum is exact, so weighting each
+        # distinct row by its count must give bit for bit the trees grown on
+        # the repeated rows themselves.
+        case, kwargs = ORACLE_CASES[name]
+        data = _oracle_dataset(case)
+        data = SupervisedDataset(
+            data.feature_names, data.features, np.rint(10.0 * data.target)
+        )
+        config = ForestConfig(**kwargs)
+        model = train_forest(data, config)
+        expected = _oracle_forest(data, config, in_bag_counts=False)
+        for tree, (feature, threshold, left, right, value, gains) in zip(
+            model.trees, expected, strict=True
+        ):
+            assert_array_equal(tree.feature, feature)
+            assert_array_equal(tree.threshold, threshold)
+            assert_array_equal(tree.left, left)
+            assert_array_equal(tree.right, right)
+            assert_array_equal(tree.value, value)
+            assert_array_equal(tree.importance, gains)
+
     def test_grouping_does_not_change_trees(self, monkeypatch):
         from climdemand import forest
 
@@ -663,7 +699,7 @@ class TestOracle:
         assert float(equal.dot(equal)) - 7 * np.mean(equal) ** 2 > 0.0
         y = np.concatenate([equal, [0.1, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1]])
         mean, split, node_sse = forest._leaf_rule(
-            y, np.array([0, 7]), np.array([7, 7]), min_node_size=5
+            y, np.ones(14, dtype=np.int32), np.array([0, 7]), min_node_size=5
         )
         assert_array_equal(split, [1])
         assert_allclose(mean, [0.1, 0.8 / 7], rtol=1e-15)
@@ -675,10 +711,12 @@ class TestOracle:
         searched = []
         search = forest._search_splits
 
-        def spy(flat_ranks, target, n_rows, rows, begin, size, candidates):
+        def spy(flat_ranks, target, n_rows, rows, weight, begin, size, candidates):
             for b, k in zip(begin, size):
                 searched.append(np.ptp(target[rows[b : b + k]]))
-            return search(flat_ranks, target, n_rows, rows, begin, size, candidates)
+            return search(
+                flat_ranks, target, n_rows, rows, weight, begin, size, candidates
+            )
 
         monkeypatch.setattr(forest, "_search_splits", spy)
         rng = np.random.default_rng(43)
