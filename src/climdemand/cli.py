@@ -143,10 +143,10 @@ def _require_columns(panel: PanelDataset, names) -> None:
 
 
 def _check_window(train_length: int, horizon: int, n_weeks: int) -> None:
-    if train_length + horizon > n_weeks:
+    if min(train_length, horizon) < 1 or train_length + horizon > n_weeks:
         raise AlignmentError(
-            f"train_length {train_length} + horizon {horizon} exceeds the "
-            f"panel's {n_weeks} weeks"
+            f"--train-length {train_length} and --horizon {horizon} must be positive "
+            f"and together fit the panel's {n_weeks} weeks"
         )
 
 
@@ -807,8 +807,11 @@ _OPTIONS = (
             "use the columns as-is (skip HP detrending and deseasonalization)",
             flag=(("action", "store_const"), ("const", "true"))),
     _Option("irf_horizon", "fit pipeline", _INT, 26),
-    _Option("train_length", "forecast evaluate pipeline", _INT, 338),
+    _Option("train_length", "forecast evaluate", _INT, 338),
     _Option("horizon", "forecast evaluate pipeline", _INT, 52),
+    _Option("train_length", "pipeline", _INT,
+            lambda values: values["n_weeks"] - values["horizon"],
+            "training weeks (default: n_weeks - horizon)"),
 )
 
 

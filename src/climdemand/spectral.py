@@ -29,8 +29,9 @@ projection residuals is the conditional measure.  Null replicates keep the
 simulated for all replicates in one call, and draw the cause independently
 by stationary bootstrap; each replicate then goes through the full
 conditional estimation path.  Per block, one BIC path and one refit of the
-stacked (effect, conditioning) pairs give the projection orders, and the
-projection residuals of each order take the unconditional null's path.
+stacked (effect, conditioning) pairs give the projection orders, the
+replicates of each order are projected by one stacked QR, and their
+projection residuals take the unconditional null's path.
 
 Every replicate draws from its own substream ``(seed, label, b)``, so results
 do not depend on how replicates are blocked.
@@ -61,6 +62,8 @@ from .varbase import (
     check_sample_size,
     fit_var,
     lag_coefficients,
+    lag_design,
+    least_squares,
     refit,
     select_order,
     simulate_var,
@@ -405,15 +408,14 @@ def unconditional_gc_spectrum(
 
 def _project_on_conditioning(
     series: np.ndarray, conditioning: np.ndarray, order: int
-) -> np.ndarray:
-    """Residual of a regression on [1, w_t, w_{t-1}, ..., w_{t-order}]."""
-    n = series.size
-    rows = n - order
-    design = np.ones((rows, 2 + order))
-    for lag in range(order + 1):
-        design[:, 1 + lag] = conditioning[order - lag : n - lag]
-    coef, _, _, _ = np.linalg.lstsq(design, series[order:], rcond=None)
-    return series[order:] - design @ coef
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of series (B, n, S) regressed on [1, w_t, w_{t-1}, ...,
+    w_{t-order}] of their conditioning series (B, n), over t = order..n-1,
+    by one stacked QR; and the (B,) mask of singular designs."""
+    target, design = lag_design(conditioning[:, :, None], order)
+    matrix = np.concatenate([design, target, series[:, order:]], axis=2)
+    coef, _, _, failed = least_squares(matrix, 2 + order)
+    return matrix[:, :, 2 + order :] - matrix[:, :, : 2 + order] @ coef, failed
 
 
 def _explained(resid: np.ndarray, cause_sd) -> np.ndarray:
@@ -453,14 +455,15 @@ def conditional_decomposition(
     frequencies = fourier_frequencies(x.size)
     pair_model = fit_var(np.column_stack([y, w]), max_order=max_order)
     order = pair_model.order
-    x_resid = _project_on_conditioning(x, w, order)
-    y_resid = _project_on_conditioning(y, w, order)
-    for resid, name in ((x_resid, "cause"), (y_resid, "effect")):
-        if _explained(resid, np.std(x)):
+    resid, singular = _project_on_conditioning(np.column_stack([x, y])[None], w[None], order)
+    if singular[0]:
+        raise DegenerateInputError("the conditioning series and its lags are collinear")
+    for k, name in enumerate(("cause", "effect")):
+        if _explained(resid[0, :, k], np.std(x)):
             raise DegenerateInputError(
                 f"{name} series is fully explained by the conditioning series"
             )
-    model = fit_var(np.column_stack([x_resid, y_resid]), max_order=max_order)
+    model = fit_var(resid[0], max_order=max_order)
     return dataclasses.replace(
         spectral_decomposition(model, frequencies), projection_order=order
     )
@@ -507,12 +510,11 @@ def _conditional_null_medians(
 
     for p in np.unique(orders):
         members = fitted[orders == p]
-        resid = np.empty((members.size, n - p, 2))
-        for i, b in enumerate(members):
-            resid[i, :, 0] = _project_on_conditioning(causes[b], conditioning[b], p)
-            resid[i, :, 1] = _project_on_conditioning(effects[b], conditioning[b], p)
+        resid, singular = _project_on_conditioning(
+            np.stack([causes[members], effects[members]], axis=2), conditioning[members], p
+        )
         cause_sd = np.std(causes[members], axis=1)
-        explained = _explained(resid[:, :, 0], cause_sd) | _explained(
+        explained = singular | _explained(resid[:, :, 0], cause_sd) | _explained(
             resid[:, :, 1], cause_sd
         )
         kept = members[~explained]
@@ -586,8 +588,8 @@ def conditional_gc_spectrum(
     replicate then goes through the full conditional estimation path.  The
     replicates run in blocks of ``_NULL_BLOCK``: per block, one BIC path and
     one refit of the stacked (effect, conditioning) pairs select the
-    projection orders, each replicate is projected at its order, and the
-    projection residuals of each order go through the unconditional null's
+    projection orders, the replicates of each order are projected by one
+    stacked QR, and their residuals go through the unconditional null's
     stacked fit and decomposition.  ``threads`` is accepted and has no
     effect.
     """

@@ -4,12 +4,16 @@ Every VAR in the package is estimated here, single fits (:func:`fit_var`,
 ``varx.fit_varx``) and bootstrap replicates alike, on a stack of series
 (B, T, K) with optional shared exogenous columns.  Estimation is
 equation-wise OLS on a common design (identical regressors per equation, so
-joint GLS collapses to OLS).  :func:`bic_path` scores orders 1..max_order on
-the common sample t = max_order..T-1, :func:`refit` solves each series at
-its order on its full usable sample, and :func:`simulate_var` iterates the
-recursion.  A singular Gram matrix or a non-positive residual determinant
-marks a series failed; single fits raise :class:`RankDeficiencyError`
-naming the collinear columns, bootstraps count or reject the replicate.
+joint GLS collapses to OLS), and every least-squares problem is one stacked
+Householder QR (:func:`least_squares`) of ``[1, exog, lag 1..p, Y]``; the
+causality nulls' projections and the Granger test's reduced fit use the
+same primitive.  :func:`bic_path` scores orders 1..max_order on the common
+sample t = max_order..T-1 from one factorisation, :func:`refit` solves each
+series at its order on its full usable sample, and :func:`simulate_var`
+iterates the recursion.  A design with a small QR pivot, or a residual
+covariance with a non-positive determinant, marks a series failed; single
+fits raise :class:`RankDeficiencyError` naming the columns with small
+pivots, bootstraps count or reject the replicate.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InsufficientDataError,
@@ -54,6 +57,30 @@ def validate_series(data, names=None, what: str = "data") -> tuple[np.ndarray, t
     return arr, names
 
 
+def _augmented(data: np.ndarray, order: int, exog: np.ndarray | None = None) -> np.ndarray:
+    """``[1, exog, lag 1..order, Y]`` over t = order..T-1, the matrix every
+    fit factorises.  The exogenous columns come before the lags, so each
+    lower order's design is a leading block of columns."""
+    if order < 1:
+        raise InvalidInputError(f"order must be >= 1, got {order}")
+    T = data.shape[-2]
+    n = T - order
+    if n <= 0:
+        raise InsufficientDataError(f"need more than {order} rows, got {T}")
+    lead = data.shape[:-2]
+    blocks = [np.ones(lead + (n, 1))]
+    if exog is not None:
+        blocks.append(np.broadcast_to(exog[order:], lead + exog[order:].shape))
+    blocks.extend(data[..., order - lag : T - lag, :] for lag in range(1, order + 1))
+    blocks.append(data[..., order:, :])
+    return np.concatenate(blocks, axis=-1)
+
+
+def _public_rows(q: int, M: int) -> np.ndarray:
+    """Reorders the design columns ``[1, exog, lags]`` as ``[1, lags, exog]``."""
+    return np.r_[0, 1 + M : q, 1 : 1 + M]
+
+
 def lag_design(
     data: np.ndarray, order: int, exog: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -64,93 +91,58 @@ def lag_design(
     the K variables at lag 1, lag 2, ..., then any exogenous columns at
     time t.
     """
-    if order < 1:
-        raise InvalidInputError(f"order must be >= 1, got {order}")
-    T = data.shape[-2]
-    n = T - order
-    if n <= 0:
-        raise InsufficientDataError(f"need more than {order} rows, got {T}")
-    lead = data.shape[:-2]
-    blocks = [np.ones(lead + (n, 1))]
-    for lag in range(1, order + 1):
-        blocks.append(data[..., order - lag : T - lag, :])
-    if exog is not None:
-        blocks.append(np.broadcast_to(exog[order:], lead + exog[order:].shape))
-    return data[..., order:, :], np.concatenate(blocks, axis=-1)
+    matrix = _augmented(data, order, exog)
+    q = matrix.shape[-1] - data.shape[-1]
+    M = 0 if exog is None else exog.shape[1]
+    return matrix[..., q:], matrix[..., _public_rows(q, M)]
 
 
-def design_column_names(
-    names: Sequence[str], order: int, exog_names: Sequence[str] = ()
-) -> list[str]:
-    cols = ["const"]
-    for lag in range(1, order + 1):
-        cols.extend(f"{name}.l{lag}" for name in names)
-    cols.extend(exog_names)
-    return cols
+def _qr_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of the Householder QR of each (n, c) matrix of a stack, and the mask
+    of small pivots, |r_ii| <= max_j |r_jj| * max(n, c) * eps or not finite:
+    the columns that the columns before them span to rounding."""
+    r = np.linalg.qr(matrix, mode="r")
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    tol = diag.max(axis=-1, keepdims=True) * max(matrix.shape[-2:]) * np.finfo(float).eps
+    return r, ~(diag > tol)
 
 
-def _name_collinear_columns(design: np.ndarray, columns: Sequence[str]) -> list[str]:
-    # Pivoted QR: columns pivoted past the numerical rank are the dependent ones.
-    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(design.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
-    dependent = sorted(piv[rank:])
-    return [columns[j] for j in dependent]
+def least_squares(matrix: np.ndarray, q: int):
+    """Least squares of the last columns of each matrix of a stack on its
+    first ``q`` columns, from one QR: ``R = [[R11, R12], [0, R22]]``.
 
-
-def _gram(design: np.ndarray, target: np.ndarray):
-    t = design.transpose(0, 2, 1)
-    return t @ design, t @ target
-
-
-def _solve_stack(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``gram[b] @ x = rhs[b]`` by Cholesky for a (B, q, q) stack.
-
-    Returns the (B, q, r) solutions and the (B,) mask of Gram matrices that
-    are not positive definite, whose solutions stay zero.  These are the
-    LAPACK calls of ``scipy.linalg.cho_factor``/``cho_solve`` (the same bits)
-    without their per-call checks, which would cost more than the solve.
+    Returns the (..., q, r) coefficients ``R11^-1 R12``, ``R11^-1`` (the
+    inverse Gram matrix is ``R11^-1 R11^-T``), ``R22`` (the residual
+    cross-product is ``R22' R22``) and the mask of fits whose design has a
+    small pivot; their values mean nothing.
     """
-    solution = np.zeros(rhs.shape)
-    failed = np.zeros(len(gram), bool)
-    for b in range(len(gram)):
-        factor, info = scipy.linalg.lapack.dpotrf(gram[b], lower=1, clean=0)
-        if info:
-            failed[b] = True
-            continue
-        solution[b], _ = scipy.linalg.lapack.dpotrs(factor, rhs[b], lower=1)
-    return solution, failed
-
-
-def _order_columns(order: int, max_order: int, K: int, M: int) -> np.ndarray:
-    """Columns of the max-order design that form the order-``order`` design."""
-    return np.r_[0 : 1 + order * K, 1 + max_order * K : 1 + max_order * K + M]
+    r, small = _qr_factor(matrix)
+    failed = small[..., :q].any(axis=-1)
+    r_inv = np.linalg.inv(np.where(failed[..., None, None], np.eye(q), r[..., :q, :q]))
+    return r_inv @ r[..., :q, q:], r_inv, r[..., q:, q:], failed
 
 
 def bic_path(data: np.ndarray, max_order: int, exog: np.ndarray | None = None) -> np.ndarray:
     """BIC of orders 1..max_order for each series of a (B, T, K) stack.
 
-    All orders share the common sample t = max_order..T-1, whose Gram matrix
-    holds every candidate design.  The penalty counts p*K*K lag coefficients
-    plus K*(M + 1) intercepts and exogenous coefficients.  Returns (B,
-    max_order); an entry is NaN where that order's Gram matrix is singular
-    or its residual covariance determinant is not positive.
+    All orders share the common sample t = max_order..T-1 and one QR of
+    ``[1, exog, lag 1..max_order, Y]``: order p's design is its leading c_p
+    columns, so its residual cross-product is ``R[c_p:, Y]' R[c_p:, Y]``.
+    The penalty counts p*K*K lag coefficients plus K*(M + 1) intercepts and
+    exogenous coefficients.  Returns (B, max_order); an entry is NaN where
+    that order's design has a small pivot or its residual covariance
+    determinant is not positive.
     """
     B, T, K = data.shape
     M = 0 if exog is None else exog.shape[1]
-    target, design = lag_design(data, max_order, exog)
-    n = target.shape[1]
-    gram, moment = _gram(design, target)
-    s_yy = target.transpose(0, 2, 1) @ target
+    n = T - max_order
+    r, small = _qr_factor(_augmented(data, max_order, exog))
     path = np.full((B, max_order), np.nan)
     for p in range(1, max_order + 1):
-        cols = _order_columns(p, max_order, K, M)
-        sub_moment = moment[:, cols]
-        coef, failed = _solve_stack(gram[:, cols][:, :, cols], sub_moment)
-        rss = s_yy - sub_moment.transpose(0, 2, 1) @ coef
-        sign, logdet = np.linalg.slogdet(rss / n)
-        ok = ~failed & (sign > 0)
+        c = 1 + M + p * K
+        resid = r[:, c:, -K:]
+        sign, logdet = np.linalg.slogdet(resid.transpose(0, 2, 1) @ resid / n)
+        ok = ~small[:, :c].any(axis=1) & (sign > 0)
         path[ok, p - 1] = logdet[ok] + np.log(n) / n * (p * K * K + K * (M + 1))
     return path
 
@@ -182,44 +174,44 @@ def refit(
 ) -> tuple[list[OrderFit], np.ndarray]:
     """Least squares for each series of a (B, T, K) stack at its own order.
 
-    Each series uses its full usable sample t = order..T-1.  Series are
-    grouped by order, in increasing order.  Returns the groups and the (B,)
-    mask of series whose Gram matrix is singular, which no group holds.
+    Each series uses its full usable sample t = order..T-1, one stacked QR
+    per order.  Series are grouped by order, in increasing order.  Returns
+    the groups and the (B,) mask of series whose design has a small pivot,
+    which no group holds.
     """
     orders = np.asarray(orders)
+    K = data.shape[2]
+    M = 0 if exog is None else exog.shape[1]
     failed = np.zeros(len(data), bool)
     groups: list[OrderFit] = []
     for p in np.unique(orders):
         index = np.flatnonzero(orders == p)
         sample = data if index.size == len(data) else data[index]
-        target, design = lag_design(sample, int(p), exog)
-        gram, moment = _gram(design, target)
-        n, q = design.shape[1:]
-        K = target.shape[2]
-        # One solve gives the coefficients and the inverse Gram matrix.
-        solution, bad = _solve_stack(
-            gram, np.concatenate([moment, np.broadcast_to(np.eye(q), gram.shape)], axis=2)
-        )
+        matrix = _augmented(sample, int(p), exog)
+        n, q = matrix.shape[1], matrix.shape[2] - K
+        coef, r_inv, r22, bad = least_squares(matrix, q)
         failed[index[bad]] = True
-        coef, gram_inv = solution[:, :, :K], solution[:, :, K:]
-        residuals = target - design @ coef
-        resid_cov = residuals.transpose(0, 2, 1) @ residuals / (n - q)
         keep = ~bad
         if keep.any():
+            rows = _public_rows(q, M)
+            r_inv, r22 = r_inv[keep], r22[keep]
+            gram_inv = (r_inv @ r_inv.transpose(0, 2, 1))[:, rows][:, :, rows]
             groups.append(OrderFit(
-                int(p), index[keep], coef[keep], gram_inv[keep], residuals[keep], resid_cov[keep]
+                int(p), index[keep], coef[keep][:, rows], gram_inv,
+                (matrix[:, :, q:] - matrix[:, :, :q] @ coef)[keep],
+                r22.transpose(0, 2, 1) @ r22 / (n - q),
             ))
     return groups, failed
 
 
 def _rank_error(data, names, order, exog, exog_names) -> RankDeficiencyError:
-    """Name the columns of a failed order-``order`` fit: design columns and
-    targets, which an exact fit makes dependent on the design."""
-    target, design = lag_design(data, order, exog)
-    columns = design_column_names(names, order, exog_names)
-    return RankDeficiencyError(
-        _name_collinear_columns(np.hstack([design, target]), [*columns, *names])
-    )
+    """Name the columns of a failed order-``order`` fit that have small
+    pivots in the QR of ``[1, exog, lags, Y]``: design columns, and targets
+    that an exact fit makes dependent on the design."""
+    _, small = _qr_factor(_augmented(data, order, exog))
+    lags = [f"{name}.l{lag}" for lag in range(1, order + 1) for name in names]
+    columns = ["const", *exog_names, *lags, *names]
+    return RankDeficiencyError([c for c, bad in zip(columns, small) if bad])
 
 
 def check_sample_size(T: int, K: int, M: int, order: int) -> None:

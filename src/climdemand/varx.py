@@ -39,6 +39,7 @@ from .varbase import (
     fit_single,
     lag_coefficients,
     lag_design,
+    least_squares,
     refit,
     simulate_var,
     spectral_radius,
@@ -671,20 +672,23 @@ class GrangerWaldResult:
     n_replicates: int
 
 
-def _wald_statistic(
+def _wald_statistics(
     coef: np.ndarray,
     gram_inv: np.ndarray,
     resid_cov: np.ndarray,
     columns: np.ndarray,
     equation: int,
-) -> float:
-    beta = coef[columns, equation]
-    cov = resid_cov[equation, equation] * gram_inv[np.ix_(columns, columns)]
+) -> np.ndarray:
+    """Wald statistics of zero ``columns`` coefficients in one equation, for
+    a stack of B fits: ``coef`` (B, q, K), ``gram_inv`` (B, q, q) and
+    ``resid_cov`` (B, K, K) give (B,) statistics."""
+    beta = coef[:, columns, equation]
+    cov = resid_cov[:, equation, equation, None, None] * gram_inv[:, columns[:, None], columns]
     try:
-        solved = np.linalg.solve(cov, beta)
+        solved = np.linalg.solve(cov, beta[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Wald covariance block is singular") from exc
-    return float(beta @ solved)
+    return np.einsum("bi,bi->b", beta, solved)
 
 
 def granger_test_time_domain(
@@ -725,15 +729,16 @@ def granger_test_time_domain(
             model.exo_coef.T,
         ]
     )
-    observed = _wald_statistic(
-        coef_stacked, model.gram_inv, model.resid_cov, restricted_cols, effect
-    )
+    observed = float(_wald_statistics(
+        coef_stacked[None], model.gram_inv[None], model.resid_cov[None], restricted_cols, effect
+    )[0])
 
     # Restricted fit: the effect equation loses the cause's lag columns;
     # other equations keep their unrestricted least-squares coefficients.
     keep = np.setdiff1d(np.arange(design.shape[1]), restricted_cols)
-    reduced = design[:, keep]
-    beta_reduced, *_ = np.linalg.lstsq(reduced, target[:, effect], rcond=None)
+    beta_reduced = least_squares(
+        np.column_stack([design[:, keep], target[:, effect]]), keep.size
+    )[0][:, 0]
     restricted_coef = coef_stacked.copy()
     restricted_coef[:, effect] = 0.0
     restricted_coef[keep, effect] = beta_reduced
@@ -746,13 +751,9 @@ def granger_test_time_domain(
         replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
         innovations = centered[row_indices(seed, "granger-null", replicates, len(centered))]
         fit = _resimulate(model, null_intercept, null_endo, null_exo, innovations)
-        beta_b = fit.coef[:, restricted_cols, effect]
-        cov_b = (
-            fit.resid_cov[:, effect, effect, None, None]
-            * fit.gram_inv[:, restricted_cols[:, None], restricted_cols[None, :]]
+        null_stats[start : start + len(replicates)] = _wald_statistics(
+            fit.coef, fit.gram_inv, fit.resid_cov, restricted_cols, effect
         )
-        solved = np.linalg.solve(cov_b, beta_b[..., None])[..., 0]
-        null_stats[start : start + len(replicates)] = np.einsum("bi,bi->b", beta_b, solved)
     p_value = (1.0 + np.sum(null_stats >= observed)) / (1.0 + n_replicates)
     return GrangerWaldResult(
         cause=cause_name,

@@ -337,15 +337,20 @@ class TestErrorReporting:
     def test_pipeline_window_checked_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(
-            "--out-dir", out, "pipeline",
-            "--n-weeks", "380", "--replicates", "100", "--trees", "10",
+            "--out-dir", out, "pipeline", "--n-weeks", "380", "--train-length", "338",
+            "--replicates", "100", "--trees", "10",
         )
         assert code == 1
         payload = error_json(capsys)
         assert payload["error"] == "AlignmentError"
         assert payload["message"] == (
-            "train_length 338 + horizon 52 exceeds the panel's 380 weeks"
+            "--train-length 338 and --horizon 52 must be positive "
+            "and together fit the panel's 380 weeks"
         )
+        assert not out.exists() or not list(out.iterdir())
+        # A default window that cannot fit names the flags too.
+        assert run_cli("--out-dir", out, "pipeline", "--n-weeks", "40") == 1
+        assert error_json(capsys)["message"].startswith("--train-length -12 and --horizon 52 ")
         assert not out.exists() or not list(out.iterdir())
 
     def test_evaluate_requires_name_path_pairs(self, tmp_path, capsys):
@@ -814,4 +819,17 @@ class TestPipeline:
         )
         assert arguments["synth_cfg"] == SynthConfig(
             n_weeks=260, break_weeks=(222,), level_shifts=(-32_000.0,)
+        )
+
+    def test_training_window_follows_the_panel_length(self, tmp_path):
+        # The default training window is every week before the horizon, so
+        # a shorter panel runs without window flags.
+        out = tmp_path / "out"
+        assert run_cli(
+            "--out-dir", out, "pipeline", "--n-weeks", 200, "--replicates", 100,
+            "--trees", 10,
+        ) == 0
+        manifest = json.loads((out / "pipeline_manifest.json").read_text())
+        assert (manifest["parameters"]["train_length"], manifest["parameters"]["horizon"]) == (
+            148, 52
         )

@@ -505,6 +505,45 @@ class TestConditional:
         with pytest.raises(DegenerateInputError):
             conditional_decomposition(w.copy(), y, w)
 
+    def test_stacked_projection_matches_per_series_least_squares(self):
+        from climdemand.spectral import _project_on_conditioning
+
+        rng = np.random.default_rng(15)
+        series = rng.normal(size=(9, 120, 2))
+        conditioning = rng.normal(size=(9, 120))
+        series[:, 1:, 1] += 0.5 * conditioning[:, :-1]
+        for order in (1, 2, 4):
+            members = np.arange(9)[order % 3 :: 3]
+            resid, singular = _project_on_conditioning(
+                series[members], conditioning[members], order
+            )
+            assert not singular.any()
+            for i, b in enumerate(members):
+                design = np.column_stack(
+                    [np.ones(120 - order)]
+                    + [conditioning[b, order - lag : 120 - lag] for lag in range(order + 1)]
+                )
+                coef, *_ = np.linalg.lstsq(design, series[b, order:], rcond=None)
+                expected = series[b, order:] - design @ coef
+                assert_allclose(resid[i], expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_collinear_conditioning_lags_are_degenerate(self):
+        # A linear trend's lags differ by a constant: the projection design
+        # is singular, which the stacked QR reports instead of solving.
+        from climdemand.spectral import _project_on_conditioning
+
+        rng = np.random.default_rng(16)
+        trend = np.arange(80.0)
+        _, singular = _project_on_conditioning(
+            rng.normal(size=(2, 80, 2)), np.stack([trend, rng.normal(size=80)]), 1
+        )
+        assert singular.tolist() == [True, False]
+        # An alternating series fits its VAR(1) exactly, which the BIC path
+        # accepts; its projection design [1, w_{t-1}, w_t] is then singular.
+        alternating = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
+        with pytest.raises(DegenerateInputError, match="collinear"):
+            conditional_decomposition(*rng.normal(size=(2, 200)), alternating, max_order=1)
+
     def test_zero_variance_cause_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(DegenerateInputError):

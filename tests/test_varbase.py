@@ -1,7 +1,12 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from climdemand import spectral, varbase, varx
+from climdemand._rng import row_indices
 from climdemand.errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -232,3 +237,57 @@ class TestStackCore:
         groups, failed = refit(stack, np.array([1, 1, 1]))
         assert failed.tolist() == [False, True, False]
         assert groups[0].index.tolist() == [0, 2]
+
+
+class TestQrCore:
+    @staticmethod
+    def noiseless_var1():
+        A = np.array([[0.8, 0.1], [0.05, 0.7]])
+        y = np.zeros((60, 2))
+        y[0] = [5.0, -3.0]
+        for t in range(1, 60):
+            y[t] = A @ y[t - 1]
+        return y
+
+    def test_exact_fit_keeps_a_finite_log_determinant(self):
+        # The noiseless VAR(1) of test_varx's degenerate-interval test: its
+        # residuals are rounding noise, which the normal equations' S_yy - M'C
+        # cancelled to a non-positive determinant in some bootstrap samples.
+        y = self.noiseless_var1()
+        path = bic_path(y[None], 1)
+        assert np.isfinite(path).all() and path[0, 0] < -100.0
+        model = fit_varx(y, order=1)
+        centered = model.residuals - model.residuals.mean(axis=0)
+        n = centered.shape[0]
+        innovations = centered[row_indices(0, "varx-bootstrap", range(120), n)]
+        simulated = simulate_var(model.intercept, model.endo_coef, innovations, y[:1])
+        samples = np.concatenate([np.broadcast_to(y[:1], (120, 1, 2)), simulated], axis=1)
+        replicate_path = bic_path(samples, 1)
+        assert np.isfinite(replicate_path).all()
+        assert replicate_path.max() < -100.0
+
+    def test_path_matches_explicit_residuals(self):
+        rng = np.random.default_rng(23)
+        K, M, max_order = 2, 3, 3
+        stack = rng.normal(size=(4, 150, K))
+        exog = rng.normal(size=(150, M))
+        path = bic_path(stack, max_order, exog)
+        n = 150 - max_order
+        for b in range(4):
+            for p in range(1, max_order + 1):
+                # Order p on the common sample t = max_order..T-1.
+                start = max_order - p
+                target, design = lag_design(stack[b, start:], p, exog[start:])
+                coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+                resid = target - design @ coef
+                logdet = np.linalg.slogdet(resid.T @ resid / n)[1]
+                penalty = np.log(n) / n * (p * K * K + K * (M + 1))
+                assert_allclose(path[b, p - 1], logdet + penalty, rtol=1e-13)
+
+    def test_core_modules_use_the_qr_primitive_only(self):
+        # One least-squares primitive for the VAR core, the causality nulls
+        # and the Granger test: no SVD solves and no raw LAPACK calls.
+        forbidden = re.compile(r"\b(lstsq|pinv)\b|scipy\.linalg|lapack")
+        for module in (varbase, spectral, varx):
+            found = [m.group(0) for m in forbidden.finditer(inspect.getsource(module))]
+            assert not found, f"{module.__name__} calls {found}"

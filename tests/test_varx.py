@@ -12,6 +12,7 @@ from climdemand.errors import (
     ConfigError,
     InsufficientDataError,
     InvalidInputError,
+    NumericalError,
     RankDeficiencyError,
     StabilityError,
 )
@@ -558,6 +559,33 @@ class TestGranger:
             model, "cause", "effect", n_replicates=100, seed=1
         )
         assert result.p_value >= 1.0 / 101.0
+
+    def test_observed_statistic_is_the_stack_of_one(self):
+        from climdemand.varx import _wald_statistics
+
+        model = self.coupled_pair(25, coupling=0.4)
+        coef = np.vstack([model.intercept[None], model.endo_coef[0].T])
+        columns = np.array([1])
+        stat = _wald_statistics(
+            coef[None], model.gram_inv[None], model.resid_cov[None], columns, 1
+        )
+        beta = coef[1, 1]
+        expected = beta**2 / (model.resid_cov[1, 1] * model.gram_inv[1, 1])
+        assert stat.shape == (1,)
+        assert stat[0] == pytest.approx(expected, rel=1e-12)
+        result = granger_test_time_domain(model, "cause", "effect", n_replicates=100)
+        assert result.statistic == stat[0]
+
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_singular_wald_block_is_a_numerical_error(self, stack):
+        from climdemand.varx import _wald_statistics
+
+        # Two restricted columns with identical inverse-Gram rows.
+        coef = np.ones((stack, 3, 2))
+        gram_inv = np.ones((stack, 3, 3))
+        resid_cov = np.broadcast_to(np.eye(2), (stack, 2, 2))
+        with pytest.raises(NumericalError, match="singular"):
+            _wald_statistics(coef, gram_inv, resid_cov, np.array([1, 2]), 1)
 
     def test_unknown_names(self):
         model = self.coupled_pair(23, coupling=0.2)
