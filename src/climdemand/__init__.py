@@ -2,7 +2,7 @@
 
 The package is organized around a weekly national panel (``PanelDataset``):
 climate feature construction from regional daily records, frequency-domain
-Granger causality with moving-block bootstrap thresholds, and three demand
+Granger causality with stationary-bootstrap thresholds, and three demand
 model families (structural trend, VARX, lag-embedded random forest) scored
 on a common holdout.  ``climdemand.cli`` exposes the same steps as
 subcommands of the ``climdemand`` console script.

@@ -61,7 +61,6 @@ from .hpfilter import hp_cycle, seasonal_adjust
 from .metrics import (
     METRIC_COLUMNS,
     MetricReport,
-    SplitSpec,
     compare_models,
     evaluate_forecast,
 )

@@ -14,8 +14,8 @@ import dataclasses
 
 import numpy as np
 
+from ._rng import check_replicates, mc_p_value, replicate_draws
 from .errors import ConfigError, DegenerateInputError, InvalidInputError
-from ._rng import row_indices
 
 __all__ = [
     "PortmanteauResult",
@@ -25,9 +25,6 @@ __all__ = [
     "arch_lm_statistics",
     "arch_lm_test",
 ]
-
-_MIN_REPLICATES = 100
-
 
 @dataclasses.dataclass(frozen=True)
 class PortmanteauResult:
@@ -106,33 +103,18 @@ def portmanteau_statistic(residuals, lags: int) -> float:
     return float(_portmanteau_batch(u[None, :, :], lags)[0])
 
 
-def _check_replicates(n_replicates) -> None:
-    if (
-        not isinstance(n_replicates, (int, np.integer))
-        or isinstance(n_replicates, bool)
-        or n_replicates < _MIN_REPLICATES
-    ):
-        raise ConfigError(
-            {"n_replicates": f"must be an integer >= {_MIN_REPLICATES}"}
-        )
-
-
 def portmanteau_test(
     residuals, lags: int = 12, n_replicates: int = 500, seed: int = 0
 ) -> PortmanteauResult:
     """Serial-correlation test with a row-resampled null distribution."""
     u = _as_residual_matrix(residuals)
     _check_lags(lags, u.shape[0], lags + 2)
-    _check_replicates(n_replicates)
+    check_replicates(n_replicates, seed)
     observed = float(_portmanteau_batch(u[None, :, :], lags)[0])
-    null_draws = u[row_indices(seed, "portmanteau-null", range(n_replicates), u.shape[0])]
-    null_stats = _portmanteau_batch(null_draws, lags)
-    p_value = (1.0 + np.count_nonzero(null_stats >= observed)) / (
-        1.0 + n_replicates
-    )
+    resampled = u[replicate_draws(seed, "portmanteau-null", range(n_replicates), (len(u), None))[0]]
     return PortmanteauResult(
         statistic=observed,
-        p_value=float(p_value),
+        p_value=float(mc_p_value(_portmanteau_batch(resampled, lags), observed)),
         lags=lags,
         n_replicates=n_replicates,
     )
@@ -189,12 +171,10 @@ def arch_lm_test(
     """
     u = _as_residual_matrix(residuals)
     _check_lags(lags, u.shape[0], 2 * lags + 3)
-    _check_replicates(n_replicates)
+    check_replicates(n_replicates, seed)
     observed = _arch_lm_batch(u[None, :, :], lags)[0]
-    null_draws = u[row_indices(seed, "arch-null", range(n_replicates), u.shape[0])]
-    null_stats = _arch_lm_batch(null_draws, lags)
-    counts = np.count_nonzero(null_stats >= observed[None, :], axis=0)
-    p_values = (1.0 + counts) / (1.0 + n_replicates)
+    resampled = u[replicate_draws(seed, "arch-null", range(n_replicates), (len(u), None))[0]]
+    p_values = mc_p_value(_arch_lm_batch(resampled, lags), observed)
     combined = min(1.0, u.shape[1] * float(p_values.min()))
     return ArchLmResult(
         statistics=observed,

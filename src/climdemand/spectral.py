@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import replicate_draws, replicate_problems, stationary_bootstrap_indices
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -93,9 +93,7 @@ class GcBootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        problems: dict[str, str] = {}
-        if self.n_replicates < 100:
-            problems["n_replicates"] = f"need at least 100 replicates, got {self.n_replicates!r}"
+        problems = replicate_problems(self.n_replicates, self.seed)
         if not 0.0 < self.alpha <= 0.5:
             problems["alpha"] = f"must lie in (0, 0.5], got {self.alpha!r}"
         if self.expected_block_length is not None and not self.expected_block_length >= 1.0:
@@ -104,8 +102,6 @@ class GcBootstrapConfig:
             )
         if self.max_var_order < 1:
             problems["max_var_order"] = f"must be >= 1, got {self.max_var_order!r}"
-        if self.seed < 0:
-            problems["seed"] = f"must be non-negative, got {self.seed!r}"
         if problems:
             raise ConfigError(problems)
 
@@ -165,31 +161,6 @@ class SpectrumResult:
     @property
     def significant_bonferroni(self) -> np.ndarray:
         return self.estimate > self.threshold_bonferroni
-
-
-def stationary_bootstrap_indices(
-    n: int, expected_block_length: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Index path of one stationary-bootstrap draw (wrap-around blocks).
-
-    Block starts are uniform; at every step a new block begins with
-    probability ``1 / expected_block_length``, so block lengths are
-    geometric with the requested mean.
-    """
-    if n <= 0:
-        raise ShapeError("cannot resample an empty series")
-    if not expected_block_length >= 1.0:
-        raise InvalidInputError(
-            f"expected block length must be >= 1, got {expected_block_length!r}"
-        )
-    starts = rng.integers(0, n, size=n)
-    restart = rng.random(n) < 1.0 / expected_block_length
-    restart[0] = True
-    restart_positions = np.flatnonzero(restart)
-    block_id = np.cumsum(restart) - 1
-    anchor_pos = restart_positions[block_id]
-    anchor_val = starts[restart_positions][block_id]
-    return (anchor_val + (np.arange(n) - anchor_pos)) % n
 
 
 def stationary_bootstrap(
@@ -368,11 +339,8 @@ def bootstrap_threshold_unconditional(
     raw = np.empty(cfg.n_replicates)
     for start in range(0, cfg.n_replicates, _NULL_BLOCK):
         replicates = range(start, min(start + _NULL_BLOCK, cfg.n_replicates))
-        samples = np.empty((len(replicates), n, 2))
-        for i, b in enumerate(replicates):
-            rng = substream(cfg.seed, "gc-unconditional", b)
-            samples[i, :, 0] = x[stationary_bootstrap_indices(n, block, rng)]
-            samples[i, :, 1] = y[stationary_bootstrap_indices(n, block, rng)]
+        draws = replicate_draws(cfg.seed, "gc-unconditional", replicates, (n, block), (n, block))
+        samples = np.stack([x[draws[0]], y[draws[1]]], axis=2)
         raw[start : start + len(replicates)] = _null_medians(
             samples, cfg.max_var_order, frequencies
         )
@@ -552,12 +520,9 @@ def bootstrap_threshold_conditional(
     resid = pair_model.residuals - pair_model.residuals.mean(axis=0)
     m = resid.shape[0]
     block = cfg.block_length(n)
-    rows = np.empty((cfg.n_replicates, m), dtype=np.intp)
-    causes = np.empty((cfg.n_replicates, n))
-    for b in range(cfg.n_replicates):
-        rng = substream(cfg.seed, "gc-conditional", b)
-        rows[b] = rng.integers(0, m, size=m)
-        causes[b] = x[stationary_bootstrap_indices(n, block, rng)]
+    rows, cause_rows = replicate_draws(
+        cfg.seed, "gc-conditional", range(cfg.n_replicates), (m, None), (n, block)
+    )
     initial = np.column_stack([y[:order], w[:order]])
     simulated = simulate_var(pair_model.intercept, pair_model.coef, resid[rows], initial)
     raw = np.empty(cfg.n_replicates)
@@ -568,7 +533,7 @@ def bootstrap_threshold_conditional(
         pairs[:, :order] = initial
         pairs[:, order:] = simulated[start:stop]
         raw[start:stop] = _conditional_null_medians(
-            causes[start:stop], pairs, cfg.max_var_order, frequencies
+            x[cause_rows[start:stop]], pairs, cfg.max_var_order, frequencies
         )
     return _thresholds(raw, cfg, frequencies.size)
 

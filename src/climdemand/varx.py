@@ -24,10 +24,9 @@ import datetime as dt
 
 import numpy as np
 
-from ._rng import row_indices
+from ._rng import check_replicates, mc_p_value, replicate_draws
 from .errors import (
     AlignmentError,
-    ConfigError,
     InvalidInputError,
     NumericalError,
     ShapeError,
@@ -379,16 +378,13 @@ def residual_bootstrap(
     Replicate ``b`` draws from its own named RNG substream, so results are
     reproducible and independent of execution layout.
     """
-    if n_replicates < 100:
-        raise ConfigError({"n_replicates": "must be at least 100"})
-    if seed < 0:
-        raise ConfigError({"seed": "must be nonnegative"})
+    check_replicates(n_replicates, seed)
     centered = model.residuals - model.residuals.mean(axis=0)
     n = centered.shape[0]
     fits = []
     for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
         replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
-        innovations = centered[row_indices(seed, "varx-bootstrap", replicates, n)]
+        innovations = centered[replicate_draws(seed, "varx-bootstrap", replicates, (n, None))[0]]
         fits.append(
             _resimulate(model, model.intercept, model.endo_coef, model.exo_coef, innovations)
         )
@@ -586,8 +582,7 @@ def irf(
     if inference is not None:
         factors = _cholesky(inference.resid_cov_draws)
         draws = _phi_matrices(inference.endo_draws, horizon) @ factors[:, None]
-        lower = np.quantile(draws, 0.025, axis=0)
-        upper = np.quantile(draws, 0.975, axis=0)
+        lower, upper, _ = _percentile_bands(draws)
     return IrfResult(
         variable_names=model.variable_names,
         horizon=horizon,
@@ -648,8 +643,7 @@ def fevd(
     if inference is not None:
         draws = _fevd_shares(inference.endo_draws, inference.resid_cov_draws, horizons)
         mean = draws.mean(axis=0)
-        lower = np.quantile(draws, 0.025, axis=0)
-        upper = np.quantile(draws, 0.975, axis=0)
+        lower, upper, _ = _percentile_bands(draws)
     return FevdResult(
         variable_names=model.variable_names,
         horizons=horizons,
@@ -706,10 +700,7 @@ def granger_test_time_domain(
     model (those coefficients forced to zero), and the p-value adds one to
     numerator and denominator so it can never be exactly zero.
     """
-    if n_replicates < 100:
-        raise ConfigError({"n_replicates": "must be at least 100"})
-    if seed < 0:
-        raise ConfigError({"seed": "must be nonnegative"})
+    check_replicates(n_replicates, seed)
     try:
         cause = model.variable_names.index(cause_name)
         effect = model.variable_names.index(effect_name)
@@ -746,20 +737,20 @@ def granger_test_time_domain(
     null_residuals = target - design @ restricted_coef
     centered = null_residuals - null_residuals.mean(axis=0)
 
+    n = centered.shape[0]
     null_stats = np.empty(n_replicates)
     for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
         replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
-        innovations = centered[row_indices(seed, "granger-null", replicates, len(centered))]
+        innovations = centered[replicate_draws(seed, "granger-null", replicates, (n, None))[0]]
         fit = _resimulate(model, null_intercept, null_endo, null_exo, innovations)
         null_stats[start : start + len(replicates)] = _wald_statistics(
             fit.coef, fit.gram_inv, fit.resid_cov, restricted_cols, effect
         )
-    p_value = (1.0 + np.sum(null_stats >= observed)) / (1.0 + n_replicates)
     return GrangerWaldResult(
         cause=cause_name,
         effect=effect_name,
         statistic=observed,
-        p_value=float(p_value),
+        p_value=float(mc_p_value(null_stats, observed)),
         df=p,
         n_replicates=n_replicates,
     )

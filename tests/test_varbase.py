@@ -1,4 +1,5 @@
 import inspect
+import pathlib
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from climdemand import spectral, varbase, varx
-from climdemand._rng import row_indices
+from climdemand._rng import replicate_draws
 from climdemand.errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -259,7 +260,8 @@ class TestQrCore:
         model = fit_varx(y, order=1)
         centered = model.residuals - model.residuals.mean(axis=0)
         n = centered.shape[0]
-        innovations = centered[row_indices(0, "varx-bootstrap", range(120), n)]
+        (rows,) = replicate_draws(0, "varx-bootstrap", range(120), (n, None))
+        innovations = centered[rows]
         simulated = simulate_var(model.intercept, model.endo_coef, innovations, y[:1])
         samples = np.concatenate([np.broadcast_to(y[:1], (120, 1, 2)), simulated], axis=1)
         replicate_path = bic_path(samples, 1)
@@ -291,3 +293,18 @@ class TestQrCore:
         for module in (varbase, spectral, varx):
             found = [m.group(0) for m in forbidden.finditer(inspect.getsource(module))]
             assert not found, f"{module.__name__} calls {found}"
+
+    def test_replicates_draw_through_the_replicate_layer_only(self):
+        # One way to derive per-replicate bootstrap indices: every null asks
+        # _rng.replicate_draws; only the forest (one generator per tree, used
+        # all through its growth) and the synthetic generator own a stream.
+        package = pathlib.Path(varbase.__file__).parent
+        callers = {
+            path.name
+            for path in package.glob("*.py")
+            if re.search(r"\bsubstream\(", path.read_text())
+        }
+        assert callers <= {"_rng.py", "forest.py", "synth.py"}, callers
+        assert not [
+            path.name for path in package.glob("*.py") if "row_indices" in path.read_text()
+        ]
