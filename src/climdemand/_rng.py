@@ -28,14 +28,15 @@ def substream(seed: int, label: str, *indices: int) -> np.random.Generator:
     Parameters
     ----------
     seed : int
-        Non-negative master seed.
+        Non-negative master seed; anything else is a :class:`ConfigError`.
     label : str
         Name of the consuming routine, e.g. ``"gc-unconditional"``.
     indices : int
         Optional replicate coordinates (bootstrap index, tree index, ...).
     """
-    if seed < 0:
-        raise ValueError("master seed must be non-negative")
+    problems = seed_problems(seed)
+    if problems:
+        raise ConfigError(problems)
     entropy = [int(seed), zlib.crc32(label.encode("utf-8")), *(int(i) for i in indices)]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
@@ -49,11 +50,31 @@ def replicate_problems(n_replicates, seed) -> dict[str, str]:
     return problems
 
 
+def seed_problems(seed) -> dict[str, str]:
+    """:func:`replicate_problems`' rule for a master seed alone."""
+    return replicate_problems(MIN_REPLICATES, seed)
+
+
 def check_replicates(n_replicates, seed) -> None:
     """Raise :func:`replicate_problems`' findings as one :class:`ConfigError`."""
     problems = replicate_problems(n_replicates, seed)
     if problems:
         raise ConfigError(problems)
+
+
+def _stationary_paths(starts: np.ndarray, uniforms: np.ndarray, block_length: float) -> np.ndarray:
+    """Stationary-bootstrap index paths (..., n) from their raw draws: blocks
+    start at step 0 and where ``uniforms < 1 / block_length``."""
+    n = starts.shape[-1]
+    if n <= 0:
+        raise ShapeError("cannot resample an empty series")
+    if not block_length >= 1.0:
+        raise InvalidInputError(f"expected block length must be >= 1, got {block_length!r}")
+    step = np.arange(n)
+    restart = uniforms < 1.0 / block_length
+    restart[..., 0] = True
+    anchor = np.maximum.accumulate(np.where(restart, step, 0), axis=-1)
+    return (np.take_along_axis(starts, anchor, axis=-1) + (step - anchor)) % n
 
 
 def stationary_bootstrap_indices(
@@ -63,22 +84,11 @@ def stationary_bootstrap_indices(
 
     Block starts are uniform; at every step a new block begins with
     probability ``1 / expected_block_length``, so block lengths are
-    geometric with the requested mean.
+    geometric with the requested mean.  The path draws ``integers(0, n, n)``
+    starts, then ``random(n)`` uniforms.
     """
-    if n <= 0:
-        raise ShapeError("cannot resample an empty series")
-    if not expected_block_length >= 1.0:
-        raise InvalidInputError(
-            f"expected block length must be >= 1, got {expected_block_length!r}"
-        )
     starts = rng.integers(0, n, size=n)
-    restart = rng.random(n) < 1.0 / expected_block_length
-    restart[0] = True
-    restart_positions = np.flatnonzero(restart)
-    block_id = np.cumsum(restart) - 1
-    anchor_pos = restart_positions[block_id]
-    anchor_val = starts[restart_positions][block_id]
-    return (anchor_val + (np.arange(n) - anchor_pos)) % n
+    return _stationary_paths(starts, rng.random(n), expected_block_length)
 
 
 def replicate_draws(
@@ -89,17 +99,21 @@ def replicate_draws(
     rows from 0..n-1 when ``block_length`` is None, else a
     :func:`stationary_bootstrap_indices` path.  Replicate ``b`` makes its
     draws, in the order given, from ``substream(seed, label, b)``, so they
-    do not depend on which block of replicates asks.
+    do not depend on which block of replicates asks.  The block's paths are
+    then assembled together from those raw draws.
     """
-    out = [np.empty((len(replicates), n), dtype=np.intp) for n, _ in draws]
+    starts = [np.empty((len(replicates), n), dtype=np.intp) for n, _ in draws]
+    uniforms = [None if L is None else np.empty((len(replicates), n)) for n, L in draws]
     for i, b in enumerate(replicates):
         rng = substream(seed, label, b)
-        for indices, (n, block_length) in zip(out, draws):
-            if block_length is None:
-                indices[i] = rng.integers(0, n, size=n)
-            else:
-                indices[i] = stationary_bootstrap_indices(n, block_length, rng)
-    return out
+        for start, u, (n, block_length) in zip(starts, uniforms, draws):
+            start[i] = rng.integers(0, n, size=n)
+            if block_length is not None:
+                rng.random(out=u[i])
+    return [
+        start if block_length is None else _stationary_paths(start, u, block_length)
+        for start, u, (_, block_length) in zip(starts, uniforms, draws)
+    ]
 
 
 def mc_p_value(null: np.ndarray, observed: float | np.ndarray):

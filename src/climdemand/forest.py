@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import seed_problems, substream
 from .errors import (
     ConfigError,
     DiagnosticsError,
@@ -131,8 +131,7 @@ class ForestConfig:
             problems["min_node_size"] = "must be at least 1"
         if self.block_length < 1:
             problems["block_length"] = "must be at least 1"
-        if self.seed < 0:
-            problems["seed"] = "must be nonnegative"
+        problems.update(seed_problems(self.seed))
         if problems:
             raise ConfigError(problems)
 
@@ -799,19 +798,6 @@ def _join(parts: list[np.ndarray]) -> np.ndarray:
     joined = np.concatenate(parts)
     parts.clear()
     return joined
-
-
-def _tree_predict(tree: _Tree, features: np.ndarray) -> np.ndarray:
-    """Route rows of ``features`` through one tree; returns leaf values."""
-    node = np.zeros(features.shape[0], dtype=np.intp)
-    active = tree.feature[node] >= 0
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        at = node[idx]
-        go_left = features[idx, tree.feature[at]] <= tree.threshold[at]
-        node[idx] = np.where(go_left, tree.left[at], tree.right[at])
-        active[idx] = tree.feature[node[idx]] >= 0
-    return tree.value[node]
 
 
 def _route(

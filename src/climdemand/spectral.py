@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import replicate_draws, replicate_problems, stationary_bootstrap_indices
+from ._rng import replicate_draws, replicate_problems
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -161,16 +161,6 @@ class SpectrumResult:
     @property
     def significant_bonferroni(self) -> np.ndarray:
         return self.estimate > self.threshold_bonferroni
-
-
-def stationary_bootstrap(
-    values, expected_block_length: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One stationary-bootstrap resample of a series."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeError(f"stationary bootstrap expects a 1-d series, got shape {arr.shape}")
-    return arr[stationary_bootstrap_indices(arr.size, expected_block_length, rng)]
 
 
 def _series_values(series, what: str) -> tuple[np.ndarray, str]:

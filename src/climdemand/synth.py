@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .features import FeatureConfig, aggregate_weekly_national
 from .panel import PanelDataset, RegionalDailyRecord
-from ._rng import substream
+from ._rng import seed_problems, substream
 
 __all__ = [
     "SynthConfig",
@@ -166,12 +166,7 @@ class SynthConfig:
             problems["temperature_noise_persistence"] = (
                 f"must lie in [0, 1), got {phi!r}"
             )
-        if (
-            not isinstance(self.seed, (int, np.integer))
-            or isinstance(self.seed, bool)
-            or self.seed < 0
-        ):
-            problems["seed"] = f"must be a non-negative integer, got {self.seed!r}"
+        problems.update(seed_problems(self.seed))
         if problems:
             raise ConfigError(problems)
 

@@ -22,6 +22,7 @@ import warnings
 
 import numpy as np
 
+from ._rng import seed_problems
 from .errors import ConfigError, InsufficientDataError, InvalidInputError
 from .lasso import solve_lasso
 from .panel import WeeklySeries
@@ -76,8 +77,7 @@ class TrendFitConfig:
             np.isfinite(self.changepoint_penalty) and self.changepoint_penalty >= 0
         ):
             problems["changepoint_penalty"] = "must be finite and nonnegative"
-        if self.seed < 0:
-            problems["seed"] = "must be nonnegative"
+        problems.update(seed_problems(self.seed))
         if problems:
             raise ConfigError(problems)
 

@@ -9,11 +9,12 @@ Householder QR (:func:`least_squares`) of ``[1, exog, lag 1..p, Y]``; the
 causality nulls' projections and the Granger test's reduced fit use the
 same primitive.  :func:`bic_path` scores orders 1..max_order on the common
 sample t = max_order..T-1 from one factorisation, :func:`refit` solves each
-series at its order on its full usable sample, and :func:`simulate_var`
-iterates the recursion.  A design with a small QR pivot, or a residual
-covariance with a non-positive determinant, marks a series failed; single
-fits raise :class:`RankDeficiencyError` naming the columns with small
-pivots, bootstraps count or reject the replicate.
+series at its order on its full usable sample (coefficients and residual
+covariance only), and :func:`simulate_var` iterates the recursion.  A
+design with a small QR pivot, or a residual covariance with a non-positive
+determinant, marks a series failed; single fits raise
+:class:`RankDeficiencyError` naming the columns with small pivots,
+bootstraps count or reject the replicate.
 """
 
 from __future__ import annotations
@@ -59,21 +60,27 @@ def validate_series(data, names=None, what: str = "data") -> tuple[np.ndarray, t
 
 def _augmented(data: np.ndarray, order: int, exog: np.ndarray | None = None) -> np.ndarray:
     """``[1, exog, lag 1..order, Y]`` over t = order..T-1, the matrix every
-    fit factorises.  The exogenous columns come before the lags, so each
-    lower order's design is a leading block of columns."""
+    fit factorises, filled column by column in per-matrix column-major
+    order, the QR's own.  The exogenous columns come before the lags, so
+    each lower order's design is a leading block of columns.  QR bits do
+    not depend on the layout but matrix products' do: those read a
+    C-ordered copy."""
     if order < 1:
         raise InvalidInputError(f"order must be >= 1, got {order}")
-    T = data.shape[-2]
+    T, K = data.shape[-2:]
     n = T - order
     if n <= 0:
         raise InsufficientDataError(f"need more than {order} rows, got {T}")
-    lead = data.shape[:-2]
-    blocks = [np.ones(lead + (n, 1))]
+    M = 0 if exog is None else exog.shape[1]
+    columns = np.empty(data.shape[:-2] + (1 + M + (order + 1) * K, n))
+    series = np.swapaxes(data, -1, -2)
+    columns[..., 0, :] = 1.0
     if exog is not None:
-        blocks.append(np.broadcast_to(exog[order:], lead + exog[order:].shape))
-    blocks.extend(data[..., order - lag : T - lag, :] for lag in range(1, order + 1))
-    blocks.append(data[..., order:, :])
-    return np.concatenate(blocks, axis=-1)
+        columns[..., 1 : 1 + M, :] = exog[order:].T
+    for block, lag in enumerate([*range(1, order + 1), 0]):
+        first = 1 + M + block * K
+        columns[..., first : first + K, :] = series[..., order - lag : T - lag]
+    return np.swapaxes(columns, -1, -2)
 
 
 def _public_rows(q: int, M: int) -> np.ndarray:
@@ -91,7 +98,7 @@ def lag_design(
     the K variables at lag 1, lag 2, ..., then any exogenous columns at
     time t.
     """
-    matrix = _augmented(data, order, exog)
+    matrix = np.ascontiguousarray(_augmented(data, order, exog))
     q = matrix.shape[-1] - data.shape[-1]
     M = 0 if exog is None else exog.shape[1]
     return matrix[..., q:], matrix[..., _public_rows(q, M)]
@@ -158,15 +165,22 @@ class OrderFit:
 
     ``coef[b]`` is (q, K) with rows intercept, lag 1..order blocks, then
     exogenous columns; ``resid_cov`` is degrees-of-freedom adjusted.
-    ``index`` locates the fits in the stack.
+    ``index`` locates the fits in the stack; ``r_inv`` is R11^-1 of the
+    design ``[1, exog, lags]``, which :attr:`gram_inv` is computed from.
     """
 
     order: int
     index: np.ndarray
     coef: np.ndarray
-    gram_inv: np.ndarray
-    residuals: np.ndarray
+    r_inv: np.ndarray
     resid_cov: np.ndarray
+
+    @property
+    def gram_inv(self) -> np.ndarray:
+        """``(X'X)^-1`` of each fit, rows and columns in ``coef``'s order."""
+        q, K = self.coef.shape[-2:]
+        rows = _public_rows(q, q - 1 - self.order * K)
+        return (self.r_inv @ self.r_inv.transpose(0, 2, 1))[:, rows][:, :, rows]
 
 
 def refit(
@@ -193,12 +207,9 @@ def refit(
         failed[index[bad]] = True
         keep = ~bad
         if keep.any():
-            rows = _public_rows(q, M)
-            r_inv, r22 = r_inv[keep], r22[keep]
-            gram_inv = (r_inv @ r_inv.transpose(0, 2, 1))[:, rows][:, :, rows]
+            r22 = r22[keep]
             groups.append(OrderFit(
-                int(p), index[keep], coef[keep][:, rows], gram_inv,
-                (matrix[:, :, q:] - matrix[:, :, :q] @ coef)[keep],
+                int(p), index[keep], coef[keep][:, _public_rows(q, M)], r_inv[keep],
                 r22.transpose(0, 2, 1) @ r22 / (n - q),
             ))
     return groups, failed
@@ -234,13 +245,13 @@ def fit_single(
     order: int | None,
     exog: np.ndarray | None = None,
     exog_names: Sequence[str] = (),
-) -> tuple[OrderFit, dict[int, float]]:
+) -> tuple[OrderFit, np.ndarray, dict[int, float]]:
     """The core at B = 1, as :func:`fit_var` and ``fit_varx`` use it.
 
     Checks the sample size, scores orders 1..max_order (1..order when the
     order is fixed), raising :class:`RankDeficiencyError` if any fails,
-    selects or keeps the order and refits it.  Returns the fit and the BIC
-    path.
+    selects or keeps the order and refits it.  Returns the fit, its (n, K)
+    residuals and the BIC path.
     """
     T, K = data.shape
     M = 0 if exog is None else exog.shape[1]
@@ -255,7 +266,11 @@ def fit_single(
     groups, failed = refit(data[None], np.array([order]), exog)
     if failed[0]:
         raise _rank_error(data, names, order, exog, exog_names)
-    return groups[0], {p + 1: float(v) for p, v in enumerate(path)}
+    matrix = np.ascontiguousarray(_augmented(data, order, exog))
+    q = matrix.shape[1] - K
+    coef = groups[0].coef[0][np.argsort(_public_rows(q, M))]
+    residuals = matrix[:, q:] - matrix[:, :q] @ coef
+    return groups[0], residuals, {p + 1: float(v) for p, v in enumerate(path)}
 
 
 @dataclass
@@ -333,7 +348,7 @@ def fit_var(
         message names the collinear columns.
     """
     arr, names = validate_series(data, names, "VAR data")
-    fit, bic_by_order = fit_single(arr, names, max_order, order)
+    fit, residuals, bic_by_order = fit_single(arr, names, max_order, order)
     order = fit.order
     coef_flat, resid_cov = fit.coef[0], fit.resid_cov[0]
     # Per-equation OLS standard errors from sigma_kk * diag((X'X)^-1).
@@ -345,11 +360,11 @@ def fit_var(
         intercept=coef_flat[0].copy(),
         coef=coef,
         resid_cov=resid_cov,
-        residuals=fit.residuals[0],
+        residuals=residuals,
         intercept_se=se_flat[0].copy(),
         coef_se=lag_coefficients(se_flat, order),
         companion_radius=spectral_radius(coef),
-        nobs=fit.residuals.shape[1],
+        nobs=residuals.shape[0],
         bic=bic_by_order[order],
         bic_by_order=bic_by_order,
     )

@@ -276,11 +276,11 @@ def fit_varx(
     """
     data, var_names = validate_series(endog, names, "endogenous data")
     exog_values, exog_names = _as_exog(exog, data.shape[0])
-    fit, bic_by_order = fit_single(
+    fit, residuals, bic_by_order = fit_single(
         data, var_names, max_order, order, exog_values, exog_names
     )
     order = fit.order
-    residuals, resid_cov, gram_inv = fit.residuals[0], fit.resid_cov[0], fit.gram_inv[0]
+    resid_cov, gram_inv = fit.resid_cov[0], fit.gram_inv[0]
     intercept, endo_coef, exo_coef = _unpack_equation_matrix(fit.coef[0], order)
     se = np.sqrt(np.outer(np.diag(gram_inv), np.diag(resid_cov)))
     intercept_se, endo_se, exo_se = _unpack_equation_matrix(se, order)

@@ -19,7 +19,6 @@ from climdemand._rng import substream
 from climdemand.forest import (
     ForestConfig,
     SupervisedDataset,
-    _tree_predict,
     impurity_importance,
     lagged_design_matrix,
     lagged_feature_rows,
@@ -31,6 +30,19 @@ from climdemand.forest import (
     train_forest,
 )
 from climdemand.panel import PanelDataset
+
+
+def _tree_predict(tree, features):
+    """Route rows of ``features`` through one tree; returns leaf values."""
+    node = np.zeros(features.shape[0], dtype=np.intp)
+    active = tree.feature[node] >= 0
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        at = node[idx]
+        go_left = features[idx, tree.feature[at]] <= tree.threshold[at]
+        node[idx] = np.where(go_left, tree.left[at], tree.right[at])
+        active[idx] = tree.feature[node[idx]] >= 0
+    return tree.value[node]
 
 
 def make_panel(columns, start=dt.date(2016, 1, 4)):

@@ -13,7 +13,10 @@ from climdemand._rng import (
 )
 from climdemand.diagnostics import arch_lm_test, portmanteau_test
 from climdemand.errors import ConfigError
+from climdemand.forest import ForestConfig
 from climdemand.spectral import GcBootstrapConfig
+from climdemand.synth import SynthConfig
+from climdemand.trend import TrendFitConfig
 from climdemand.varx import fit_varx, granger_test_time_domain, residual_bootstrap
 
 
@@ -61,7 +64,65 @@ def test_floor_is_accepted_everywhere():
     assert result.n_replicates == MIN_REPLICATES
 
 
+def reference_stationary_path(n, expected_block_length, rng):
+    """One stationary-bootstrap path drawn and assembled on its own, step
+    by step from the block starts: the per-path loop the block-wise
+    assembly must reproduce."""
+    starts = rng.integers(0, n, size=n)
+    restart = rng.random(n) < 1.0 / expected_block_length
+    restart[0] = True
+    restart_positions = np.flatnonzero(restart)
+    block_id = np.cumsum(restart) - 1
+    anchor_pos = restart_positions[block_id]
+    anchor_val = starts[restart_positions][block_id]
+    return (anchor_val + (np.arange(n) - anchor_pos)) % n
+
+
+SEEDED = {
+    "substream": lambda seed: substream(seed, "label"),
+    "ForestConfig": lambda seed: ForestConfig(seed=seed),
+    "SynthConfig": lambda seed: SynthConfig(seed=seed),
+    "TrendFitConfig": lambda seed: TrendFitConfig(seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_seed_that_is_not_a_nonnegative_integer_is_a_config_error(entry, seed):
+    with pytest.raises(ConfigError) as excinfo:
+        SEEDED[entry](seed)
+    assert set(excinfo.value.fields) == {"seed"}
+
+
 class TestReplicateDraws:
+    @pytest.mark.parametrize("block_length", [1.0, 4.0, 1e12])
+    def test_block_paths_match_per_path_reference(self, block_length):
+        m, n = 37, 53
+        rows, paths = replicate_draws(
+            9, "label", range(40), (m, None), (n, block_length)
+        )
+        for b in range(40):
+            rng = substream(9, "label", b)
+            assert_array_equal(rows[b], rng.integers(0, m, size=m))
+            assert_array_equal(paths[b], reference_stationary_path(n, block_length, rng))
+        assert_array_equal(
+            stationary_bootstrap_indices(n, block_length, substream(9, "label", 3)),
+            reference_stationary_path(n, block_length, substream(9, "label", 3)),
+        )
+
+    def test_block_of_64_equals_two_blocks_of_32_and_single_replicates(self):
+        draws = ((30, None), (45, 3.0), (45, 3.0))
+        whole = replicate_draws(4, "label", range(0, 64), *draws)
+        halves = zip(
+            replicate_draws(4, "label", range(0, 32), *draws),
+            replicate_draws(4, "label", range(32, 64), *draws),
+        )
+        for block, (first, second) in zip(whole, halves):
+            assert_array_equal(block, np.concatenate([first, second]))
+        singles = [replicate_draws(4, "label", range(b, b + 1), *draws) for b in range(64)]
+        for d, block in enumerate(whole):
+            assert_array_equal(block, np.concatenate([single[d] for single in singles]))
+
     def test_each_replicate_draws_in_order_from_its_own_stream(self):
         rows, path = replicate_draws(5, "label", range(3, 7), (40, None), (30, 4.0))
         assert rows.shape == (4, 40) and path.shape == (4, 30)

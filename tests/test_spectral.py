@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from climdemand._rng import substream
+from climdemand._rng import stationary_bootstrap_indices, substream
 from climdemand.errors import (
     AlignmentError,
     ConfigError,
@@ -21,8 +21,6 @@ from climdemand.spectral import (
     conditional_gc_spectrum,
     fourier_frequencies,
     spectral_decomposition,
-    stationary_bootstrap,
-    stationary_bootstrap_indices,
     unconditional_gc_spectrum,
 )
 from climdemand.varbase import VarModel, fit_var, simulate_var, spectral_radius
@@ -224,6 +222,12 @@ class TestScaleInvariance:
         m_base = spectral_decomposition(base, freqs).measure
         m_scaled = spectral_decomposition(scaled, freqs).measure
         assert np.max(np.abs(m_base - m_scaled)) < 1e-8
+
+
+def stationary_bootstrap(values, expected_block_length, rng):
+    """One stationary-bootstrap resample of a series."""
+    arr = np.asarray(values, dtype=float)
+    return arr[stationary_bootstrap_indices(arr.size, expected_block_length, rng)]
 
 
 class TestStationaryBootstrap:

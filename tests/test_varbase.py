@@ -286,6 +286,24 @@ class TestQrCore:
                 penalty = np.log(n) / n * (p * K * K + K * (M + 1))
                 assert_allclose(path[b, p - 1], logdet + penalty, rtol=1e-13)
 
+    def test_layout_premises_of_the_stacked_fits(self):
+        # The fits factorise column-major designs but multiply C-ordered
+        # ones.  Their bits stay put only while QR's R does not depend on
+        # the layout, and the matrix products keep reading C-ordered data.
+        rng = np.random.default_rng(24)
+        stack = rng.normal(size=(32, 386, 11))
+        per_matrix_fortran = np.swapaxes(np.swapaxes(stack, 1, 2).copy(), 1, 2)
+        assert per_matrix_fortran.strides[1] == stack.itemsize
+        r = np.linalg.qr(stack, mode="r")
+        assert r.tobytes() == np.linalg.qr(per_matrix_fortran, mode="r").tobytes()
+
+        data, exog = rng.normal(size=(4, 60, 2)), rng.normal(size=(60, 3))
+        assert varbase._augmented(data, 3, exog).strides[1:] == (8, 57 * 8)
+        target, design = lag_design(data, 3, exog)
+        c_ordered = np.zeros((4, 57, 1 + 3 + (3 + 1) * 2))
+        assert target.strides == c_ordered[..., -2:].strides
+        assert design.strides == c_ordered[..., np.arange(10)].strides
+
     def test_core_modules_use_the_qr_primitive_only(self):
         # One least-squares primitive for the VAR core, the causality nulls
         # and the Granger test: no SVD solves and no raw LAPACK calls.
