@@ -8,11 +8,16 @@ depend on scheduling or on how many worker threads execute the replicates.
 
 Every bootstrap null checks its replicate count and seed, draws its indices
 and scores its statistic here, by :func:`replicate_problems`,
-:func:`replicate_draws` and :func:`mc_p_value`.
+:func:`replicate_draws` and :func:`mc_p_value`.  The draws depend on nothing
+but their request, so :func:`replicate_draws` computes one request once and
+holds the last one, as read-only arrays of the smallest signed integer
+dtype that holds the largest index (int16 for weekly series); a held
+request returns the same bytes a fresh one would.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -93,27 +98,56 @@ def stationary_bootstrap_indices(
 
 def replicate_draws(
     seed: int, label: str, replicates: range, *draws: tuple[int, float | None]
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Resampling indices of a block of bootstrap replicates, one
     (len(replicates), n) array per draw ``(n, block_length)``: n uniform
     rows from 0..n-1 when ``block_length`` is None, else a
     :func:`stationary_bootstrap_indices` path.  Replicate ``b`` makes its
     draws, in the order given, from ``substream(seed, label, b)``, so they
-    do not depend on which block of replicates asks.  The block's paths are
-    then assembled together from those raw draws.
+    do not depend on which block of replicates asks.  Stationary paths are
+    assembled from those raw draws ``_ASSEMBLY_BLOCK`` replicates at a time.
+
+    The draws depend on nothing but the arguments, so one request is
+    computed once: the last one is held (``replicate_draws.cache_clear()``
+    drops it), and every array comes back read-only, in the smallest signed
+    integer dtype that holds n - 1.
     """
-    starts = [np.empty((len(replicates), n), dtype=np.intp) for n, _ in draws]
-    uniforms = [None if L is None else np.empty((len(replicates), n)) for n, L in draws]
-    for i, b in enumerate(replicates):
-        rng = substream(seed, label, b)
-        for start, u, (n, block_length) in zip(starts, uniforms, draws):
-            start[i] = rng.integers(0, n, size=n)
-            if block_length is not None:
-                rng.random(out=u[i])
-    return [
-        start if block_length is None else _stationary_paths(start, u, block_length)
-        for start, u, (_, block_length) in zip(starts, uniforms, draws)
-    ]
+    problems = seed_problems(seed)
+    if problems:
+        raise ConfigError(problems)
+    return _held_draws(int(seed), label, replicates, draws)
+
+
+# Replicates whose stationary paths are assembled together; the assembly
+# holds about six (block, n) int64 temporaries, and any block size gives the
+# same paths.
+_ASSEMBLY_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=1)
+def _held_draws(seed: int, label: str, replicates: range, draws: tuple) -> tuple[np.ndarray, ...]:
+    out = tuple(np.empty((len(replicates), n), np.min_scalar_type(-max(n, 1))) for n, _ in draws)
+    for lo in range(0, len(replicates), _ASSEMBLY_BLOCK):
+        block = replicates[lo : lo + _ASSEMBLY_BLOCK]
+        starts = [None if L is None else np.empty((len(block), n), np.intp) for n, L in draws]
+        uniforms = [None if L is None else np.empty((len(block), n)) for n, L in draws]
+        for i, b in enumerate(block):
+            rng = substream(seed, label, b)
+            for rows, start, u, (n, _) in zip(out, starts, uniforms, draws):
+                if u is None:
+                    rows[lo + i] = rng.integers(0, n, size=n)
+                else:
+                    start[i] = rng.integers(0, n, size=n)
+                    rng.random(out=u[i])
+        for rows, start, u, (_, block_length) in zip(out, starts, uniforms, draws):
+            if u is not None:
+                rows[lo : lo + len(block)] = _stationary_paths(start, u, block_length)
+    for rows in out:
+        rows.flags.writeable = False
+    return out
+
+
+replicate_draws.cache_clear = _held_draws.cache_clear
 
 
 def mc_p_value(null: np.ndarray, observed: float | np.ndarray):

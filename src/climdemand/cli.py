@@ -38,6 +38,7 @@ import sys
 
 import numpy as np
 
+from ._rng import replicate_draws
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -601,6 +602,10 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
             _SPECTRUM_HEADER,
             _spectrum_rows(result),
         )
+    # Both directions drew the same null indices, held by replicate_draws
+    # (1.6 MB at 1000 replicates); nothing asks for them again, so release
+    # them before the forests, which set the run's peak memory.
+    replicate_draws.cache_clear()
 
     # Stage 4: importance ranking on the screened predictor set.
     train_panel = panel.slice_weeks(0, train_length)

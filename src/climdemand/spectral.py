@@ -18,8 +18,12 @@ decomposition fails is left out of the quantiles and counted in
 ``n_failed``.
 
 Both nulls run on the VAR core of :mod:`climdemand.varbase` in blocks of
-replicates.  The unconditional null takes one BIC path and one refit per
-block, then one decomposition per lag order present.
+replicates.  The unconditional null asks :func:`climdemand._rng.replicate_draws`
+once for all of its replicates' index paths and slices them into blocks; the
+paths depend only on the seed, the replicate count, the series length and
+the block length, so every pair screened with one configuration reuses the
+held paths.  Per block it takes one BIC path and one refit, then one
+decomposition per lag order present.
 
 For the conditional measure, cause and effect are first projected on the
 conditioning series (contemporaneous value and as many lags as the
@@ -34,7 +38,8 @@ replicates of each order are projected by one stacked QR, and their
 projection residuals take the unconditional null's path.
 
 Every replicate draws from its own substream ``(seed, label, b)``, so results
-do not depend on how replicates are blocked.
+do not depend on how replicates are blocked or whether their paths were held
+from an earlier pair: outputs are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -326,14 +331,14 @@ def bootstrap_threshold_unconditional(
     check_sample_size(n, 2, 0, cfg.max_var_order)
     frequencies = fourier_frequencies(n)
     block = cfg.block_length(n)
+    causes, effects = replicate_draws(
+        cfg.seed, "gc-unconditional", range(cfg.n_replicates), (n, block), (n, block)
+    )
     raw = np.empty(cfg.n_replicates)
     for start in range(0, cfg.n_replicates, _NULL_BLOCK):
-        replicates = range(start, min(start + _NULL_BLOCK, cfg.n_replicates))
-        draws = replicate_draws(cfg.seed, "gc-unconditional", replicates, (n, block), (n, block))
-        samples = np.stack([x[draws[0]], y[draws[1]]], axis=2)
-        raw[start : start + len(replicates)] = _null_medians(
-            samples, cfg.max_var_order, frequencies
-        )
+        stop = min(start + _NULL_BLOCK, cfg.n_replicates)
+        samples = np.stack([x[causes[start:stop]], y[effects[start:stop]]], axis=2)
+        raw[start:stop] = _null_medians(samples, cfg.max_var_order, frequencies)
     return _thresholds(raw, cfg, frequencies.size)
 
 

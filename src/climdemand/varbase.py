@@ -38,10 +38,10 @@ def validate_series(data, names=None, what: str = "data") -> tuple[np.ndarray, t
 
     ``data`` is a :class:`PanelDataset` (all its columns, or those named) or
     an array; a 1-d array is one variable.  Unnamed variables are called
-    ``y0, y1, ...``.
+    ``y0, y1, ...``.  A name given twice is an :class:`InvalidInputError`.
     """
     if isinstance(data, PanelDataset):
-        names = data.column_names if names is None else tuple(names)
+        names = data.column_names if names is None else _unique_names(names, what)
         return data.matrix(names), names
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
@@ -52,10 +52,18 @@ def validate_series(data, names=None, what: str = "data") -> tuple[np.ndarray, t
         raise InvalidInputError(f"{what} must be finite")
     if names is None:
         return arr, tuple(f"y{i}" for i in range(arr.shape[1]))
-    names = tuple(names)
+    names = _unique_names(names, what)
     if len(names) != arr.shape[1]:
         raise ShapeError(f"{len(names)} names for {arr.shape[1]} variables")
     return arr, names
+
+
+def _unique_names(names, what: str) -> tuple[str, ...]:
+    names = tuple(names)
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise InvalidInputError(f"duplicate variable name in {what}: {', '.join(repeated)}")
+    return names
 
 
 def _augmented(data: np.ndarray, order: int, exog: np.ndarray | None = None) -> np.ndarray:

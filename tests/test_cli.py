@@ -243,6 +243,21 @@ class TestErrorReporting:
         assert payload["error"] == "InvalidInputError"
         assert "order" in payload["message"]
 
+    def test_sparse_var_column_named_twice(self, tmp_path, capsys):
+        panel = make_panel(tmp_path)
+        capsys.readouterr()
+        code = run_cli(
+            "--out-dir", tmp_path / "out", "sparse-var", "--panel", panel,
+            "--columns", "drug_demand,drug_demand", "--order", "2",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidInputError"
+        assert payload["message"].endswith("duplicate variable name in data: drug_demand")
+        assert not (tmp_path / "out" / "sparse_var_drug_demand.csv").exists()
+
     def test_unknown_names_raise_toolkit_errors(self, tmp_path):
         # Every lookup by name fails with the toolkit's error (still a KeyError).
         from climdemand.errors import ToolkitError

@@ -1,5 +1,7 @@
 """Tests for the replicate layer: draws, replicate-count checks, p-values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -14,7 +16,11 @@ from climdemand._rng import (
 from climdemand.diagnostics import arch_lm_test, portmanteau_test
 from climdemand.errors import ConfigError
 from climdemand.forest import ForestConfig
-from climdemand.spectral import GcBootstrapConfig
+from climdemand.spectral import (
+    GcBootstrapConfig,
+    bootstrap_threshold_unconditional,
+    unconditional_gc_spectrum,
+)
 from climdemand.synth import SynthConfig
 from climdemand.trend import TrendFitConfig
 from climdemand.varx import fit_varx, granger_test_time_domain, residual_bootstrap
@@ -136,6 +142,72 @@ class TestReplicateDraws:
         parts = [replicate_draws(2, "label", range(a, b), (25, 3.0))[0]
                  for a, b in ((0, 3), (3, 4), (4, 10))]
         assert_array_equal(np.concatenate(parts), whole)
+
+
+class TestHeldDraws:
+    REQUEST = (3, "label", range(20), (30, None), (40, 4.0))
+
+    def setup_method(self):
+        replicate_draws.cache_clear()
+
+    def test_hit_equals_a_fresh_draw(self):
+        held = replicate_draws(*self.REQUEST)
+        hit = replicate_draws(*self.REQUEST)
+        assert all(a is b for a, b in zip(held, hit))
+        replicate_draws.cache_clear()
+        for a, b in zip(hit, replicate_draws(*self.REQUEST)):
+            assert_array_equal(a, b)
+
+    def test_arrays_are_read_only_and_compact(self):
+        for n, dtype in ((128, np.int8), (129, np.int16), (390, np.int16)):
+            for rows in replicate_draws(0, "label", range(2), (n, None), (n, 8.0)):
+                assert rows.dtype == dtype
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[0, 0] = 1
+
+    @pytest.mark.parametrize("seed", [True, 1.0, 1.5, -1])
+    def test_held_seed_one_does_not_answer_another_seed(self, seed):
+        replicate_draws(1, "label", range(3), (10, None))
+        with pytest.raises(ConfigError) as excinfo:
+            replicate_draws(seed, "label", range(3), (10, None))
+        assert set(excinfo.value.fields) == {"seed"}
+
+    def test_a_different_request_evicts_the_held_one(self):
+        other = (4, "label", range(20), (30, None), (40, 4.0))
+        first = replicate_draws(*self.REQUEST)
+        second = replicate_draws(*other)
+        again = replicate_draws(*self.REQUEST)
+        assert again[0] is not first[0]
+        assert_array_equal(again[1], first[1])
+        assert replicate_draws(*other)[0] is not second[0]
+
+    def test_held_paths_do_not_carry_one_pair_into_the_next(self):
+        rng = np.random.default_rng(12)
+        pair_a = rng.normal(size=(2, 120))
+        pair_b = rng.normal(size=(2, 120))
+        cfg = GcBootstrapConfig(n_replicates=100, seed=8, max_var_order=2)
+        alone = unconditional_gc_spectrum(*pair_b, cfg)
+        alone_medians = bootstrap_threshold_unconditional(*pair_b, cfg).medians
+        replicate_draws.cache_clear()
+        unconditional_gc_spectrum(*pair_a, cfg)
+        after = unconditional_gc_spectrum(*pair_b, cfg)
+        for field in ("estimate", "threshold_pointwise", "threshold_bonferroni"):
+            assert np.asarray(getattr(after, field)).tobytes() == np.asarray(
+                getattr(alone, field)
+            ).tobytes()
+        after_medians = bootstrap_threshold_unconditional(*pair_b, cfg).medians
+        assert after_medians.tobytes() == alone_medians.tobytes()
+
+    def test_paths_are_assembled_within_a_memory_budget(self):
+        # The conditional null's request at 300 replicates of 390 weeks; its
+        # int16 results take 0.46 MB.
+        tracemalloc.start()
+        try:
+            replicate_draws(0, "label", range(300), (386, None), (390, 8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestMcPValue:

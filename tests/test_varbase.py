@@ -1,3 +1,4 @@
+import datetime as dt
 import inspect
 import pathlib
 import re
@@ -13,6 +14,7 @@ from climdemand.errors import (
     InvalidInputError,
     RankDeficiencyError,
 )
+from climdemand.panel import PanelDataset
 from climdemand.varbase import (
     bic_path,
     companion_matrix,
@@ -22,6 +24,7 @@ from climdemand.varbase import (
     select_order,
     simulate_var,
     spectral_radius,
+    validate_series,
 )
 from climdemand.varx import fit_varx
 
@@ -176,6 +179,16 @@ class TestFitVar:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_var(np.zeros((12, 2)) + np.arange(12)[:, None], max_order=4)
+
+    def test_a_variable_named_twice_is_rejected(self):
+        values = np.random.default_rng(3).normal(size=(20, 3))
+        weeks = tuple(dt.date(2020, 1, 6) + dt.timedelta(days=7 * i) for i in range(20))
+        panel = PanelDataset(weeks, {"a": values[:, 0], "b": values[:, 1]})
+        for data, names in ((values, ("a", "b", "a")), (panel, ("a", "a"))):
+            with pytest.raises(InvalidInputError, match="duplicate variable name in data: a$"):
+                validate_series(data, names)
+        with pytest.raises(InvalidInputError, match="VAR data: a$"):
+            fit_var(values, max_order=2, names=("a", "b", "a"))
 
     def test_fixed_order(self):
         rng = np.random.default_rng(31)
