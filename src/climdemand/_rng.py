@@ -8,11 +8,9 @@ depend on scheduling or on how many worker threads execute the replicates.
 
 Every bootstrap null checks its replicate count and seed, draws its indices
 and scores its statistic here, by :func:`replicate_problems`,
-:func:`replicate_draws` and :func:`mc_p_value`.  The draws depend on nothing
-but their request, so :func:`replicate_draws` computes one request once and
-holds the last one, as read-only arrays of the smallest signed integer
-dtype that holds the largest index (int16 for weekly series); a held
-request returns the same bytes a fresh one would.
+:func:`replicate_draws` and :func:`mc_p_value`.  :func:`replicate_draws`
+holds its last request as read-only int16 (weekly series) index arrays, the
+same bytes a fresh request would give.
 """
 
 from __future__ import annotations
