@@ -1,4 +1,5 @@
 import datetime as dt
+import decimal
 
 import numpy as np
 import pytest
@@ -15,12 +16,44 @@ from climdemand.hpfilter import (
 from climdemand.panel import WeeklySeries
 
 
-def dense_hp_trend(y, smoothing):
-    """Independent oracle: build the dense system and solve it directly."""
+def exact_hp_trend(y, smoothing):
+    """Independent oracle: the trend-form system (I + s K'K) tau = y, built
+    from the rows of K and solved by banded Gaussian elimination in 80-digit
+    decimal arithmetic, then rounded once to floats.  Every float input is
+    exact as a decimal, and the system's condition number is about 16 s, so
+    the rounding is the only error that reaches the result."""
     n = len(y)
-    second_diff = np.diff(np.eye(n), n=2, axis=0)
-    system = np.eye(n) + smoothing * second_diff.T @ second_diff
-    return np.linalg.solve(system, y)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        s = decimal.Decimal(float(smoothing))
+        zero = decimal.Decimal(0)
+        system = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            system[i][i] += 1
+        for j in range(n - 2):
+            row = ((j, 1), (j + 1, -2), (j + 2, 1))
+            for a, ka in row:
+                for b, kb in row:
+                    system[a][b] += s * ka * kb
+        rhs = [decimal.Decimal(float(v)) for v in y]
+        for k in range(n):
+            for i in range(k + 1, min(k + 3, n)):
+                factor = system[i][k] / system[k][k]
+                for j in range(k, min(k + 3, n)):
+                    system[i][j] -= factor * system[k][j]
+                rhs[i] -= factor * rhs[k]
+        trend = [zero] * n
+        for i in range(n - 1, -1, -1):
+            acc = rhs[i]
+            for j in range(i + 1, min(i + 3, n)):
+                acc -= system[i][j] * trend[j]
+            trend[i] = acc / system[i][i]
+    return np.array([float(v) for v in trend])
+
+
+def wandering_series(n):
+    rng = np.random.default_rng(314)
+    return np.cumsum(rng.normal(size=n)) + 5.0 * np.sin(np.arange(n) / 9.0)
 
 
 def test_weekly_smoothing_value():
@@ -36,11 +69,19 @@ def test_linear_series_has_no_cycle():
 
 @pytest.mark.parametrize("smoothing", [1600.0, WEEKLY_SMOOTHING])
 def test_matches_dense_solve(smoothing):
-    rng = np.random.default_rng(314)
-    y = np.cumsum(rng.normal(size=150)) + 5.0 * np.sin(np.arange(150) / 9.0)
+    y = wandering_series(150)
     trend = hp_trend(y, smoothing)
-    assert_allclose(trend, dense_hp_trend(y, smoothing), rtol=0, atol=1e-8)
+    assert_allclose(trend, exact_hp_trend(y, smoothing), rtol=0, atol=1e-8)
     assert_allclose(hp_cycle(y, HpConfig(smoothing)), y - trend, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("smoothing", [1600.0, WEEKLY_SMOOTHING])
+@pytest.mark.parametrize("n", [4, 5, 150, 390])
+def test_within_rounding_of_exact_solve(n, smoothing):
+    # A plain solve is off by about cond * eps * |y|, with cond ~ 16 s; the
+    # refined solve must be off by rounding only.
+    y = wandering_series(n)
+    assert_allclose(hp_trend(y, smoothing), exact_hp_trend(y, smoothing), rtol=0, atol=1e-12)
 
 
 def test_filter_is_linear():
@@ -80,6 +121,29 @@ def test_config_validation():
     with pytest.raises(ConfigError) as excinfo:
         HpConfig(smoothing=-5.0)
     assert "smoothing" in excinfo.value.fields
+
+
+@pytest.mark.parametrize("smoothing", [0.0, np.inf, np.nan, True, np.True_, "5", None])
+def test_smoothing_must_be_a_finite_positive_number(smoothing):
+    with pytest.raises(ConfigError) as excinfo:
+        HpConfig(smoothing=smoothing)
+    assert "smoothing" in excinfo.value.fields
+    with pytest.raises(ConfigError) as excinfo:
+        hp_trend(np.arange(10.0), smoothing)
+    assert "smoothing" in excinfo.value.fields
+
+
+def test_integer_smoothing_is_accepted():
+    y = wandering_series(40)
+    assert_allclose(hp_trend(y, 1600), hp_trend(y, 1600.0), rtol=0, atol=0)
+    assert HpConfig(np.float32(1600.0)).smoothing == 1600.0
+
+
+def test_cycle_rejects_a_bare_smoothing_value():
+    with pytest.raises(ConfigError) as excinfo:
+        hp_cycle(np.arange(10.0), 1600.0)
+    assert "cfg" in excinfo.value.fields
+    assert "HpConfig" in str(excinfo.value)
 
 
 class TestSeasonalAdjust:

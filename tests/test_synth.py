@@ -113,11 +113,11 @@ class TestDailyRecords:
         assert_array_equal(_ar1(eps, phi), lfilter([1.0], [1.0, -phi], eps))
 
     def test_import_leaves_out_scipy_signal_and_stats(self):
-        # scipy.signal costs about a second of import time, and it is what
-        # pulls in scipy.stats; the package needs neither.
+        # scipy.signal costs about a second of import time and scipy.sparse
+        # about a third of one; the package and its CLI need no scipy module.
         code = (
-            "import sys, climdemand; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+            "import sys, climdemand, climdemand.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(climdemand.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
