@@ -31,6 +31,15 @@ WEEKLY_SMOOTHING = 1600.0 * 13.0**4
 _SPLITTER = 134217729.0
 
 
+def _finite_real(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, (bool, np.bool_))
+        and bool(np.isfinite(value))
+    )
+
+
 @dataclass(frozen=True)
 class HpConfig:
     """Smoothing strength of the trend filter (larger is smoother)."""
@@ -38,14 +47,9 @@ class HpConfig:
     smoothing: float = WEEKLY_SMOOTHING
 
     def __post_init__(self):
-        value = self.smoothing
-        if (
-            not isinstance(value, numbers.Real)
-            or isinstance(value, (bool, np.bool_))
-            or not (np.isfinite(value) and value > 0)
-        ):
+        if not (_finite_real(self.smoothing) and self.smoothing > 0):
             raise ConfigError(
-                {"smoothing": f"must be a finite positive number, got {value!r}"}
+                {"smoothing": f"must be a finite positive number, got {self.smoothing!r}"}
             )
 
 
@@ -88,9 +92,11 @@ def _residual(y: np.ndarray, cycle: np.ndarray, smoothing: float) -> np.ndarray:
     """``s K'K y - (I + s K'K) c = s K'K (y - c) - c``, rounded once.
 
     K'K w is K applied to w padded by two zeros at each end.  The trend y - c
-    is smooth, so K'K (y - c) cancels to about c / s; in plain doubles that
-    cancellation costs about s * eps * |y|, which is why the residual is
-    carried in double-double arithmetic until the last rounding.
+    is smooth, so K'K (y - c) cancels to about c / s.  In plain doubles that
+    cancellation leaves an error of about s * eps * |y| in the residual, and
+    the correction solve can pass up to sqrt(s) / 2 * eps * |y| of it on to
+    the cycle.  Carried in double-double arithmetic until the last rounding,
+    the residual keeps the refined cycle within rounding for any s.
     """
     high, low = _two_sum(y, -cycle)
     high, low = _second_difference(high, low)
@@ -210,7 +216,7 @@ def _solve_seasonal_residual(values, period: float, harmonics: int) -> np.ndarra
     if not np.isfinite(y).all():
         raise InvalidInputError("seasonal adjustment: series must be finite")
     problems: dict[str, str] = {}
-    if not (np.isfinite(period) and period > 1.0):
+    if not (_finite_real(period) and period > 1.0):
         problems["period"] = f"must be a number greater than 1, got {period!r}"
     if not isinstance(harmonics, int) or isinstance(harmonics, bool) or harmonics < 0:
         problems["harmonics"] = f"must be a non-negative integer, got {harmonics!r}"

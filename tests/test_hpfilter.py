@@ -133,10 +133,10 @@ def test_smoothing_must_be_a_finite_positive_number(smoothing):
     assert "smoothing" in excinfo.value.fields
 
 
-def test_integer_smoothing_is_accepted():
+@pytest.mark.parametrize("smoothing", [1600, np.int64(1600), np.float32(1600.0)])
+def test_any_real_smoothing_gives_the_float_result(smoothing):
     y = wandering_series(40)
-    assert_allclose(hp_trend(y, 1600), hp_trend(y, 1600.0), rtol=0, atol=0)
-    assert HpConfig(np.float32(1600.0)).smoothing == 1600.0
+    assert_allclose(hp_trend(y, smoothing), hp_trend(y, 1600.0), rtol=0, atol=0)
 
 
 def test_cycle_rejects_a_bare_smoothing_value():
@@ -210,6 +210,12 @@ class TestSeasonalAdjust:
         with pytest.raises(ConfigError) as excinfo:
             seasonal_adjust(y, harmonics=-1)
         assert "harmonics" in excinfo.value.fields
+
+    @pytest.mark.parametrize("period", ["5", None, np.nan, True])
+    def test_period_must_be_a_number(self, period):
+        with pytest.raises(ConfigError) as excinfo:
+            seasonal_adjust(np.zeros(60), period=period)
+        assert "period" in excinfo.value.fields
 
     def test_too_short_for_basis(self):
         with pytest.raises(InsufficientDataError):
