@@ -15,9 +15,14 @@ when it holds more than ``min_node_size`` resampled rows and its targets
 are not all equal.  Each tree draws from its own random stream in an order
 fixed by the tree alone, so it comes out the same as if it had been grown
 alone; but every step takes the next level of all trees' nodes and runs
-their statistics and split searches as one set of array operations.  The
-trees are stored packed in one set of node arrays, and prediction routes
-every (tree, row) pair at once.
+their statistics and split searches as one set of array operations.  A
+split search lays a chunk of nodes out as one grid, positions down axis 0
+and (node, candidate feature) segments across axis 1: one sort of packed
+keys orders every segment by dense rank, and the running sums of w, w·y and
+w·y² add whole rows in the order of a per-segment ``np.cumsum``, so the
+trees are those of a per-node search bit for bit.  The trees are stored
+packed in one set of node arrays, and prediction routes every (tree, row)
+pair at once.
 """
 
 from __future__ import annotations
@@ -323,7 +328,22 @@ def lagged_feature_rows(
     columns of :func:`lagged_design_matrix` in its order.  ``target``, when
     given, replaces the panel's target series, so a recursive forecast can
     feed its own predictions back as lags.
+
+    Raises
+    ------
+    InvalidInputError
+        A week outside ``[lags, panel.n_weeks)``, or a ``target`` whose
+        length is not the panel's week count.
     """
+    weeks = np.asarray(weeks)
+    if weeks.size and (weeks.min() < lags or weeks.max() >= panel.n_weeks):
+        raise InvalidInputError(
+            f"weeks must lie in [{lags}, {panel.n_weeks}) for lags={lags}"
+        )
+    if target is not None and len(target) != panel.n_weeks:
+        raise InvalidInputError(
+            f"target has {len(target)} values; the panel has {panel.n_weeks} weeks"
+        )
     columns: list[np.ndarray] = []
     for name in _lagged_columns(panel, target_name, extra_columns):
         series = panel.column(name)
@@ -398,27 +418,31 @@ def mbb_resample(
 _GROUP_ROWS = 1 << 16
 # Elements (node rows x candidate features, or tree-row pairs) that one split
 # search or routing pass holds per working array.
-_STEP_ELEMENTS = 1 << 13
+_STEP_ELEMENTS = 1 << 14
+# Widest split-search grid whose running sums add one row at a time; wider
+# grids call np.cumsum, whose per-element cost then beats the per-call cost.
+_ROW_SUMS = 64
 
 
 def _dense_ranks(features: np.ndarray) -> np.ndarray:
-    """Per-feature dense ranks, shape ``(n_features, n_rows)``.
+    """Per-feature dense ranks, shape ``(n_features, n_rows + 1)``.
 
     Equal values share a rank, so ranks order and tie rows exactly as the
-    values do.
+    values do.  Column ``n_rows`` holds the sentinel rank ``n_rows``, above
+    every row's, for the split search's pad slots.
     """
     n, m = features.shape
-    ranks = np.empty((m, n), dtype=np.min_scalar_type(n))
+    ranks = np.full((m, n + 1), n, dtype=np.min_scalar_type(n))
     for j in range(m):
-        ranks[j] = np.unique(features[:, j], return_inverse=True)[1]
+        ranks[j, :n] = np.unique(features[:, j], return_inverse=True)[1]
     return ranks
 
 
 def _search_splits(
     flat_ranks: np.ndarray,
-    target: np.ndarray,
     n_rows: int,
     rows: np.ndarray,
+    y: np.ndarray,
     weight: np.ndarray,
     begin: np.ndarray,
     size: np.ndarray,
@@ -427,89 +451,85 @@ def _search_splits(
     """Best cut of each node over its candidate features, all nodes at once.
 
     Node ``k`` holds the distinct in-bag rows ``rows[begin[k]:begin[k] +
-    size[k]]`` in buffer order, each row standing for its ``weight`` (its
-    count in the tree's resample), and may split on the features in row
-    ``k`` of ``candidates`` (sorted).  Cuts minimise the summed child SSE of
-    the resampled rows over midpoints of consecutive distinct values; ties
-    take the lowest candidate, then the lowest threshold.  The arithmetic is
-    a per-node loop's: a stable sort, then prefix sums of w, w·y and w·y²
-    from zero per (node, candidate) segment.
+    size[k]]`` in buffer order, with targets ``y`` and weights ``weight``
+    (each row's count in the tree's resample) at the same positions, and may
+    split on the features in row ``k`` of ``candidates`` (sorted).  Cuts
+    minimise the summed child SSE of the resampled rows over midpoints of
+    consecutive distinct values; ties take the lowest candidate, then the
+    lowest threshold.  The arithmetic is a per-node loop's: a stable sort,
+    then prefix sums of w, w·y and w·y² from zero per (node, candidate)
+    segment.
+
+    The search runs on one grid, positions down axis 0 and segments across
+    axis 1, as wide as the largest node.  One sort of packed (segment, rank,
+    position) keys orders every segment; a node's pad slots take the
+    sentinel rank ``n_rows`` (the last column of ``flat_ranks``'s rows), so
+    they sort after its rows.  The prefix sums then add whole rows, and each
+    segment's totals are read at its last row, so pad values enter no sum.
 
     Returns, per node, the winning candidate column, the number of distinct
     rows left of the cut and the summed child SSE (``inf`` when every
     candidate is constant on the node), plus the positions in ``rows`` of
     every node's rows sorted on its winner, concatenated.
     """
-    mtry = candidates.shape[1]
+    n_nodes, mtry = candidates.shape
     n_seg = candidates.size
-    seg_len = np.repeat(size, mtry)
-    seg_begin = np.cumsum(seg_len) - seg_len
-    seg_last = seg_begin + seg_len - 1
-    n_elem = int(seg_last[-1] + 1)
-    pos = np.arange(n_elem) - np.repeat(seg_begin, seg_len)
-    base = np.repeat(np.repeat(begin, mtry), seg_len)
-    # One sort orders every segment by (rank, position): stable per segment.
-    pos_bits = int(size.max()).bit_length()
-    key = flat_ranks[
-        np.repeat(candidates.reshape(-1) * n_rows, seg_len) + rows[base + pos]
-    ].astype(np.int64)
-    key <<= pos_bits
-    key += pos
-    key += np.repeat(
-        np.arange(n_seg, dtype=np.int64) << (n_rows.bit_length() + pos_bits), seg_len
-    )
-    key.sort()
-    at = base + (key & ((1 << pos_bits) - 1))
-    key >>= pos_bits  # (segment, rank): equal neighbours are tied values
-
-    # Weights are integers, so one running sum gives every segment's prefix
-    # sums exactly.  The target sums run per segment from zero, as np.cumsum
-    # over that segment alone: segments padded with -0.0, the exact
-    # additive identity.
-    w = weight[at]
-    left_n = np.cumsum(w, dtype=np.int64)
-    before = np.repeat(left_n[seg_begin] - w[seg_begin], seg_len)
-    right_n = np.repeat(left_n[seg_last], seg_len) - left_n
-    left_n -= before
     width = int(size.max())
-    slot = np.repeat(np.arange(n_seg) * width, seg_len) + pos
-    last = np.arange(n_seg) * width + seg_len - 1
-    y = target[rows[at]]
-    wy = w * y
-    padded = np.full(n_seg * width, -0.0)
-    padded[slot] = wy
-    prefix = np.cumsum(padded.reshape(n_seg, width), axis=1).reshape(-1)
-    prefix_sum, total_sum = prefix[slot], np.repeat(prefix[last], seg_len)
-    wy *= y
-    padded[slot] = wy
-    prefix = np.cumsum(padded.reshape(n_seg, width), axis=1).reshape(-1)
-    prefix_sq, total_sq = prefix[slot], np.repeat(prefix[last], seg_len)
-    del padded, prefix, slot, y, wy, w, before
+    pos = np.arange(width)
+    pad = pos >= size[:, None]
+    # Pad slots may run past the end of the level buffers: "clip" reads
+    # their last entry there, and no pad value enters a sum.
+    node_rows = np.where(pad, n_rows, rows.take(begin[:, None] + pos, mode="clip"))
+    # Keys pack (segment, rank <= n_rows, position), in int32 when they fit:
+    # it sorts twice as fast as int64.
+    pos_bits, rank_bits = width.bit_length(), n_rows.bit_length()
+    fits = (n_seg - 1).bit_length() + rank_bits + pos_bits <= 31
+    kind = np.int32 if fits else np.int64
+    key = flat_ranks[candidates[:, :, None] * (n_rows + 1) + node_rows[:, None, :]]
+    key = key.reshape(n_seg, width).astype(kind) << pos_bits
+    key |= (np.arange(n_seg, dtype=kind) << (rank_bits + pos_bits))[:, None]
+    key |= pos.astype(kind)
+    key = np.sort(key, axis=None).reshape(n_seg, width).T.copy()
+    at = key & ((1 << pos_bits) - 1)
+    key >>= pos_bits  # (segment, rank): equal neighbours are tied values
+    seg_size = np.repeat(size, mtry)
+    at += np.repeat(begin, mtry)
 
+    # Weights are integers, so every sum of them is exact.  Each row adds to
+    # the one above it, which is np.cumsum's order down a segment.
+    sums = np.empty((3, width, n_seg))
+    sums[0] = weight.take(at, mode="clip")
+    y = y.take(at, mode="clip")
+    np.multiply(sums[0], y, out=sums[1])
+    np.multiply(sums[1], y, out=sums[2])
+    if width <= _ROW_SUMS:
+        for i in range(1, width):
+            np.add(sums[:, i - 1], sums[:, i], out=sums[:, i])
+    else:
+        np.cumsum(sums, axis=1, out=sums)
+    total_n, total_sum, total_sq = sums[:, seg_size - 1, np.arange(n_seg)]
+    left_n, prefix_sum, prefix_sq = sums[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         child_sse = prefix_sum**2
         child_sse /= left_n
         np.subtract(prefix_sq, child_sse, out=child_sse)
-        total_sum -= prefix_sum
-        total_sum **= 2
-        total_sum /= right_n
-        total_sq -= prefix_sq
-        total_sq -= total_sum
-        child_sse += total_sq
+        right = total_sum - prefix_sum
+        right **= 2
+        right /= total_n - left_n
+        np.subtract(total_sq, prefix_sq, out=prefix_sq)
+        prefix_sq -= right
+        child_sse += prefix_sq
     # A cut is valid only between distinct values inside the segment.
-    invalid = right_n < 1
-    invalid[:-1] |= key[1:] <= key[:-1]
-    child_sse = np.where(invalid, np.inf, child_sse)
-    # Segments run candidate-major within each node, so the first minimum
-    # is the lowest candidate, then the lowest threshold.
-    node_begin = seg_begin[::mtry]
-    best_sse = np.minimum.reduceat(child_sse, node_begin)
-    hits = np.flatnonzero(child_sse == np.repeat(best_sse, size * mtry))
-    best = hits[np.searchsorted(hits, node_begin)]  # every node has a hit
-    winner = best - pos[best]  # start of each node's winning segment
-    start = np.cumsum(size) - size
-    ordered = at[np.repeat(winner - start, size) + np.arange(int(size.sum()))]
-    return (best - node_begin) // size, pos[best] + 1, best_sse, ordered
+    invalid = key[1:] == key[:-1]
+    invalid |= pos[1:, None] >= seg_size
+    np.copyto(child_sse, np.inf, where=invalid)
+    # The first minimum is the lowest candidate, then the lowest threshold.
+    seg_best = child_sse.min(axis=0)
+    j = seg_best.reshape(n_nodes, mtry).argmin(axis=1)
+    win = np.arange(n_nodes) * mtry + j
+    best_sse = seg_best[win]
+    cut = (child_sse[:, win] == best_sse).argmax(axis=0) + 1
+    return j, cut, best_sse, at[:, win].T[~pad]
 
 
 def _permutations(
@@ -622,9 +642,8 @@ def _grow_group(
         begin = np.cumsum(size) - size
         at = np.repeat(lo - begin, size) + np.arange(begin[-1] + size[-1])
         node_rows, node_weight = buffer[at], weight[at]
-        mean, split_at, node_sse = _leaf_rule(
-            target[node_rows], node_weight, begin, min_node_size
-        )
+        node_y = target[node_rows]
+        mean, split_at, node_sse = _leaf_rule(node_y, node_weight, begin, min_node_size)
         for field, part in zip(levels, (tree, node, mean)):
             field.append(part)
         searched = tree[split_at]
@@ -654,7 +673,7 @@ def _grow_group(
             first += chunk.size
             k = split_at[chunk]
             j, cut[chunk], best_sse[chunk], ordered = _search_splits(
-                flat_ranks, target, n, node_rows, node_weight, begin[k], size[k],
+                flat_ranks, n, node_rows, node_y, node_weight, begin[k], size[k],
                 candidates[chunk],
             )
             chosen[chunk] = candidates[chunk, j]
@@ -734,6 +753,10 @@ def train_forest(
     mtry = config.resolved_mtry(m)
     if mtry > m:
         raise ConfigError({"mtry": f"must not exceed the {m} available features"})
+    # A split-search key packs a segment index below max(_STEP_ELEMENTS, m)
+    # (a chunk of one node has mtry <= m segments, a wider one at most
+    # _STEP_ELEMENTS / 2), a rank up to n (the pad sentinel) and a position
+    # below n, in bits that must fit an int64.
     if 2 * n.bit_length() + max(_STEP_ELEMENTS, m).bit_length() > 63:
         raise InvalidInputError(f"{n} rows exceed the split search's sort keys")
     features = dataset.features

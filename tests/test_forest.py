@@ -194,6 +194,22 @@ class TestLaggedDesign:
         rows = lagged_feature_rows(panel, "demand", weeks, 3, ("week_sin",))
         assert_array_equal(rows, data.features)
 
+    @pytest.mark.parametrize(
+        "weeks, target",
+        [
+            ([0], None),  # would read week -1, the panel's last week
+            ([2, 5], None),
+            ([10], None),  # one past the panel
+            ([3, 12], None),
+            ([5], np.zeros(9)),
+            ([5], np.zeros(11)),
+        ],
+    )
+    def test_feature_rows_reject_weeks_outside_the_panel(self, weeks, target):
+        panel = make_panel({"demand": np.arange(10.0), "temperature": np.ones(10)})
+        with pytest.raises(InvalidInputError):
+            lagged_feature_rows(panel, "demand", np.array(weeks), 3, target=target)
+
     def test_forecast_loop_rows_match_design_inside_training_window(self, monkeypatch):
         # Run the CLI's recursive forecast from a week inside the sample with
         # a stand-in model that returns the observed target, so the fed-back
@@ -723,12 +739,10 @@ class TestOracle:
         searched = []
         search = forest._search_splits
 
-        def spy(flat_ranks, target, n_rows, rows, weight, begin, size, candidates):
+        def spy(flat_ranks, n_rows, rows, y, weight, begin, size, candidates):
             for b, k in zip(begin, size):
-                searched.append(np.ptp(target[rows[b : b + k]]))
-            return search(
-                flat_ranks, target, n_rows, rows, weight, begin, size, candidates
-            )
+                searched.append(np.ptp(y[b : b + k]))
+            return search(flat_ranks, n_rows, rows, y, weight, begin, size, candidates)
 
         monkeypatch.setattr(forest, "_search_splits", spy)
         rng = np.random.default_rng(43)
@@ -739,9 +753,143 @@ class TestOracle:
         assert searched and min(searched) > 0.0
 
 
+def _reference_search(features, rows, y, weight, begin, size, candidates):
+    """``_search_splits`` one node at a time, with ``_oracle_grow_tree``'s
+    sort, prefix sums, invalid cuts and first-minimum rule."""
+    best, cuts, sses, ordered = [], [], [], []
+    for b, k, cand in zip(begin, size, candidates):
+        node_rows, w, node_y = rows[b : b + k], weight[b : b + k], y[b : b + k]
+        values = features[np.ix_(node_rows, cand)]
+        order = np.argsort(values, axis=0, kind="stable")
+        sorted_values = np.take_along_axis(values, order, axis=0)
+        sorted_w, sorted_y = w[order], node_y[order]
+        prefix_w = np.cumsum(sorted_w, axis=0)
+        prefix_sum = np.cumsum(sorted_w * sorted_y, axis=0)
+        prefix_sq = np.cumsum(sorted_w * sorted_y * sorted_y, axis=0)
+        left_n = prefix_w[:-1]
+        right_n = prefix_w[-1] - left_n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left_sse = prefix_sq[:-1] - prefix_sum[:-1] ** 2 / left_n
+            right_sse = (prefix_sq[-1] - prefix_sq[:-1]) - (
+                prefix_sum[-1] - prefix_sum[:-1]
+            ) ** 2 / right_n
+        child_sse = left_sse + right_sse
+        child_sse[sorted_values[1:] <= sorted_values[:-1]] = np.inf
+        flat = child_sse.T.reshape(-1)
+        at = int(np.argmin(flat))
+        j = at // (k - 1)
+        best.append(j)
+        cuts.append(at % (k - 1) + 1)
+        sses.append(flat[at])
+        ordered.append(b + order[:, j])
+    return np.array(best), np.array(cuts), np.array(sses), np.concatenate(ordered)
+
+
+class TestSplitSearch:
+    """``_search_splits`` on crafted chunks against a per-node search."""
+
+    @staticmethod
+    def _features(rng, n):
+        x = rng.normal(size=(n, 4))
+        x[:, 1] = np.round(x[:, 1], 1)  # ties between distinct rows
+        x[:, 2] = np.where(np.arange(n) % 3 == 0, 1.0, np.round(x[:, 2]))
+        x[:, 3] = 2.5  # constant
+        return x
+
+    @staticmethod
+    def _check(features, target, rng, sizes, chunk, candidates, pick=None):
+        from climdemand import forest
+
+        n = features.shape[0]
+        pick = pick or {}
+        rows = np.concatenate(
+            [pick.get(i, rng.choice(n, k, replace=False)) for i, k in enumerate(sizes)]
+        ).astype(np.int32)
+        begin = np.cumsum(sizes) - np.asarray(sizes)
+        weight = rng.integers(1, 5, rows.size).astype(np.int32)
+        y = target[rows]
+        chunk = np.asarray(chunk)
+        candidates = np.asarray(candidates, dtype=np.intp)
+        ranks = forest._dense_ranks(features)
+        got = forest._search_splits(
+            ranks.reshape(-1), n, rows, y, weight, begin[chunk],
+            np.asarray(sizes)[chunk], candidates,
+        )
+        expected = _reference_search(
+            features, rows, y, weight, begin[chunk], np.asarray(sizes)[chunk],
+            candidates,
+        )
+        for a, b in zip(got, expected, strict=True):
+            assert a.shape == b.shape
+            assert_array_equal(a, b)
+        assert_array_equal(got[2].view(np.int64), expected[2].view(np.int64))
+        return got
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 40])
+    def test_matches_per_node_search_around_the_running_sum_switch(self, shift):
+        from climdemand import forest
+
+        rng = np.random.default_rng(50 + shift)
+        features = self._features(rng, 300)
+        target = rng.normal(size=300)
+        widest = forest._ROW_SUMS + shift
+        sizes = [9, widest, 2, 17, widest - 5, 3]
+        # The widest node first, then the rest out of buffer order; the last
+        # node of the buffer (3 rows) pads past the end of the buffer.
+        chunk = [1, 4, 3, 0, 5, 2]
+        candidates = np.sort(
+            [rng.permutation(4)[:3] for _ in chunk], axis=1
+        )
+        self._check(features, target, rng, sizes, chunk, candidates)
+
+    def test_ties_and_constant_candidates(self):
+        rng = np.random.default_rng(51)
+        features = self._features(rng, 120)
+        target = np.round(rng.normal(size=120), 1)
+        ones = np.flatnonzero(features[:, 2] == 1.0)
+        sizes = [6, 25, 8, 12]
+        # Node 2 takes rows where features 2 and 3 are both constant.
+        pick = {2: rng.choice(ones, 8, replace=False)}
+        chunk = [1, 3, 0, 2]
+        candidates = [[1, 2], [0, 1], [1, 3], [2, 3]]
+        j, cut, sse, _ = self._check(
+            features, target, rng, sizes, chunk, candidates, pick
+        )
+        assert np.isinf(sse[3]) and np.isfinite(sse[:3]).all()
+
+    def test_keys_wider_than_int32(self):
+        rng = np.random.default_rng(52)
+        n = 1 << 17
+        features = rng.normal(size=(n, 2))
+        features[:, 1] = np.round(features[:, 1], 2)
+        target = rng.normal(size=n)
+        sizes = [256, 200, 3, 120, 31, 2, 64, 90, 5, 7, 11, 13, 250, 17, 19, 23, 29]
+        chunk = np.argsort(sizes, kind="stable")[::-1]
+        candidates = np.tile([0, 1], (len(sizes), 1))
+        # Segment, rank and position bits overflow an int32 key.
+        segments, width = candidates.size, max(sizes)
+        assert (segments - 1).bit_length() + n.bit_length() + width.bit_length() > 31
+        self._check(features, target, rng, sizes, chunk, candidates)
+
+    def test_sort_key_guard(self, monkeypatch):
+        from climdemand import forest
+
+        data = _oracle_dataset("default")  # 120 rows: 7 bits of rank and position
+        config = ForestConfig(n_trees=3, block_length=12, seed=13)
+        whole = train_forest(data, config)
+        # Segment bits up to 49 fit a 63-bit key; one more does not.
+        monkeypatch.setattr(forest, "_STEP_ELEMENTS", (1 << 49) - 1)
+        widest = train_forest(data, config)
+        assert_array_equal(widest.threshold, whole.threshold)
+        monkeypatch.setattr(forest, "_STEP_ELEMENTS", 1 << 49)
+        with pytest.raises(InvalidInputError, match="sort keys"):
+            train_forest(data, config)
+
+
 class TestGrowthMemory:
-    # Measured 3.8 MB with numpy 2.4 at the shipped step sizes; twice the
-    # group or four times the search step goes over.
+    # Measured 4.0 MB with numpy 2.4 at the shipped step sizes (3.5 MB with
+    # the search step at 2**13); twice the group (6.8 MB) or twice the search
+    # step (5.0 MB) goes over.
     BUDGET = 4.5 * 2**20
 
     def test_peak_stays_within_node_arrays_plus_budget(self):
