@@ -419,8 +419,9 @@ _GROUP_ROWS = 1 << 16
 # Elements (node rows x candidate features, or tree-row pairs) that one split
 # search or routing pass holds per working array.
 _STEP_ELEMENTS = 1 << 14
-# Widest split-search grid whose running sums add one row at a time; wider
-# grids call np.cumsum, whose per-element cost then beats the per-call cost.
+# Widest split-search grid whose running sums add one row per np.add call.
+# Wider grids make one np.cumsum call: dearer per element, but their row
+# calls would cost more.
 _ROW_SUMS = 64
 
 
