@@ -464,8 +464,8 @@ def _search_splits(
     The search runs on one grid, positions down axis 0 and segments across
     axis 1, as wide as the largest node.  One sort of packed (segment, rank,
     position) keys orders every segment; a node's pad slots take the
-    sentinel rank ``n_rows`` (the last column of ``flat_ranks``'s rows), so
-    they sort after its rows.  The prefix sums then add whole rows, and each
+    sentinel rank ``n_rows`` (:func:`_dense_ranks`' last column), so they
+    sort after its rows.  The prefix sums then add whole rows, and each
     segment's totals are read at its last row, so pad values enter no sum.
 
     Returns, per node, the winning candidate column, the number of distinct

@@ -768,11 +768,10 @@ def _reference_search(features, rows, y, weight, begin, size, candidates):
         prefix_sq = np.cumsum(sorted_w * sorted_y * sorted_y, axis=0)
         left_n = prefix_w[:-1]
         right_n = prefix_w[-1] - left_n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left_sse = prefix_sq[:-1] - prefix_sum[:-1] ** 2 / left_n
-            right_sse = (prefix_sq[-1] - prefix_sq[:-1]) - (
-                prefix_sum[-1] - prefix_sum[:-1]
-            ) ** 2 / right_n
+        left_sse = prefix_sq[:-1] - prefix_sum[:-1] ** 2 / left_n
+        right_sse = (prefix_sq[-1] - prefix_sq[:-1]) - (
+            prefix_sum[-1] - prefix_sum[:-1]
+        ) ** 2 / right_n
         child_sse = left_sse + right_sse
         child_sse[sorted_values[1:] <= sorted_values[:-1]] = np.inf
         flat = child_sse.T.reshape(-1)
@@ -805,22 +804,19 @@ class TestSplitSearch:
         rows = np.concatenate(
             [pick.get(i, rng.choice(n, k, replace=False)) for i, k in enumerate(sizes)]
         ).astype(np.int32)
-        begin = np.cumsum(sizes) - np.asarray(sizes)
         weight = rng.integers(1, 5, rows.size).astype(np.int32)
         y = target[rows]
-        chunk = np.asarray(chunk)
+        size = np.asarray(sizes)[chunk]
+        begin = (np.cumsum(sizes) - sizes)[chunk]
         candidates = np.asarray(candidates, dtype=np.intp)
         ranks = forest._dense_ranks(features)
         got = forest._search_splits(
-            ranks.reshape(-1), n, rows, y, weight, begin[chunk],
-            np.asarray(sizes)[chunk], candidates,
+            ranks.reshape(-1), n, rows, y, weight, begin, size, candidates
         )
         expected = _reference_search(
-            features, rows, y, weight, begin[chunk], np.asarray(sizes)[chunk],
-            candidates,
+            features, rows, y, weight, begin, size, candidates
         )
         for a, b in zip(got, expected, strict=True):
-            assert a.shape == b.shape
             assert_array_equal(a, b)
         assert_array_equal(got[2].view(np.int64), expected[2].view(np.int64))
         return got
@@ -837,9 +833,7 @@ class TestSplitSearch:
         # The widest node first, then the rest out of buffer order; the last
         # node of the buffer (3 rows) pads past the end of the buffer.
         chunk = [1, 4, 3, 0, 5, 2]
-        candidates = np.sort(
-            [rng.permutation(4)[:3] for _ in chunk], axis=1
-        )
+        candidates = np.sort([rng.permutation(4)[:3] for _ in chunk], axis=1)
         self._check(features, target, rng, sizes, chunk, candidates)
 
     def test_ties_and_constant_candidates(self):
@@ -852,9 +846,7 @@ class TestSplitSearch:
         pick = {2: rng.choice(ones, 8, replace=False)}
         chunk = [1, 3, 0, 2]
         candidates = [[1, 2], [0, 1], [1, 3], [2, 3]]
-        j, cut, sse, _ = self._check(
-            features, target, rng, sizes, chunk, candidates, pick
-        )
+        sse = self._check(features, target, rng, sizes, chunk, candidates, pick)[2]
         assert np.isinf(sse[3]) and np.isfinite(sse[:3]).all()
 
     def test_keys_wider_than_int32(self):
