@@ -173,13 +173,20 @@ def _gc_series(panel: PanelDataset, name: str, raw: bool) -> np.ndarray:
 
 
 def _fit_trends(panel: PanelDataset, names: tuple[str, ...], train_length: int,
-                trend_cfg: TrendFitConfig) -> dict[str, TrendModel]:
-    """One trend fit per column on its first ``train_length`` weeks."""
+                trend_cfg: TrendFitConfig,
+                trends: dict[str, TrendModel]) -> dict[str, TrendModel]:
+    """Add to ``trends`` one fit per column not yet in it, each on the
+    column's first ``train_length`` weeks; returns ``trends``."""
     _require_columns(panel, names)
-    return {
-        name: fit_trend_model(panel.column(name)[:train_length], trend_cfg)
-        for name in names
-    }
+    for name in names:
+        if name not in trends:
+            trends[name] = fit_trend_model(panel.column(name)[:train_length], trend_cfg)
+    return trends
+
+
+def _trend_inputs(model_name: str, target: str, drivers: tuple[str, ...]) -> tuple[str, ...]:
+    """The columns whose trend fits a model family uses."""
+    return {"trend": (target,), "varx": (target,) + drivers, "forest": drivers}[model_name]
 
 
 def _trend_baseline(model: TrendModel, horizon: int) -> np.ndarray:
@@ -206,10 +213,26 @@ def _varx_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
     return model, design
 
 
-def _forest_features(panel: PanelDataset, target: str, drivers: tuple[str, ...],
-                     train_length: int, horizon: int, harmonics: int, lags: int,
-                     trends: dict[str, TrendModel]):
-    """Lagged forest design: target lags, driver-baseline lags, calendar terms."""
+# Every forest the CLI grows resamples 52-week blocks, one year of weeks.
+_FOREST_BLOCK_LENGTH = 52
+
+
+def _forest_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
+                   train_length: int, horizon: int, harmonics: int, lags: int,
+                   trees: int, seed: int, trends: dict[str, TrendModel]):
+    """Block-bootstrap forest on the first ``train_length`` weeks' lagged
+    design (target lags, driver-baseline lags, calendar terms) and its
+    recursive forecast of the ``horizon`` weeks after them.
+
+    Returns ``(model, training rows, forecast values)``.
+    """
+    train_rows = train_length - lags
+    if train_rows < _FOREST_BLOCK_LENGTH:
+        raise AlignmentError(
+            f"--train-length {train_length} less --lags {lags} leaves {train_rows} "
+            f"forest training rows; its {_FOREST_BLOCK_LENGTH}-week bootstrap blocks "
+            f"need at least {_FOREST_BLOCK_LENGTH}"
+        )
     axis = panel.week_starts[: train_length + horizon]
     design = build_exogenous(axis, harmonics=harmonics)
     columns = {target: panel.column(target)[: train_length + horizon]}
@@ -220,7 +243,15 @@ def _forest_features(panel: PanelDataset, target: str, drivers: tuple[str, ...],
         columns[name] = design.values[:, j]
     feature_panel = PanelDataset(axis, columns)
     dataset = lagged_design_matrix(feature_panel, target, lags=lags, extra_columns=extras)
-    return feature_panel, dataset, extras
+    training = SupervisedDataset(
+        dataset.feature_names, dataset.features[:train_rows], dataset.target[:train_rows]
+    )
+    cfg = ForestConfig(n_trees=trees, block_length=_FOREST_BLOCK_LENGTH, seed=seed)
+    model = train_forest(training, cfg)
+    values = _forest_recursive_forecast(
+        model, feature_panel, target, train_length, horizon, lags, extras
+    )
+    return model, training, values
 
 
 def _forest_recursive_forecast(model, feature_panel: PanelDataset, target: str,
@@ -240,12 +271,19 @@ def _forest_recursive_forecast(model, feature_panel: PanelDataset, target: str,
 # subcommands
 
 
+def _emit_synthetic(run: RunConfig, cfg: SynthConfig) -> tuple[str, str]:
+    """Write the synthetic daily climate CSV and the weekly panel CSV and
+    return their paths."""
+    records = generate_synthetic_daily(cfg)
+    paths = _out_path(run, "synthetic_daily.csv"), _out_path(run, "synthetic_panel.csv")
+    write_daily_csv(records, paths[0])
+    write_panel_csv(synthetic_panel_from_daily(cfg, records), paths[1])
+    return paths
+
+
 def cmd_synth(run: RunConfig, cfg: SynthConfig) -> None:
     """Emit the synthetic daily climate CSV and the weekly panel CSV."""
-    records = generate_synthetic_daily(cfg)
-    write_daily_csv(records, _out_path(run, "synthetic_daily.csv"))
-    panel = synthetic_panel_from_daily(cfg, records)
-    write_panel_csv(panel, _out_path(run, "synthetic_panel.csv"))
+    _emit_synthetic(run, cfg)
     _write_manifest(run)
 
 
@@ -258,36 +296,10 @@ def cmd_features(run: RunConfig, daily_path: str, out_name: str,
     _write_manifest(run)
 
 
-_SPECTRUM_HEADER = (
-    "frequency_cycles_per_week",
-    "estimate",
-    "threshold_alpha",
-    "threshold_bonferroni",
-    "sig_alpha",
-    "sig_bonferroni",
-)
-
-
-def _spectrum_rows(result):
-    point = result.significant_pointwise
-    family = result.significant_bonferroni
-    for i, freq in enumerate(result.frequencies):
-        yield (
-            freq,
-            result.estimate[i],
-            result.threshold_pointwise,
-            result.threshold_bonferroni,
-            bool(point[i]),
-            bool(family[i]),
-        )
-
-
-def cmd_gc(run: RunConfig, panel_path: str, cause: str, effect: str,
-           conditioning: str | None, cfg: GcBootstrapConfig, raw: bool) -> str:
-    """Estimate one causality spectrum and emit the decision CSV."""
-    panel = read_panel_csv(panel_path)
-    wanted = [cause, effect] + ([conditioning] if conditioning else [])
-    _require_columns(panel, wanted)
+def _emit_spectrum(run: RunConfig, panel: PanelDataset, cause: str, effect: str,
+                   conditioning: str | None, cfg: GcBootstrapConfig, raw: bool) -> None:
+    """Estimate one causality spectrum and emit its decision CSV."""
+    _require_columns(panel, [cause, effect] + ([conditioning] if conditioning else []))
     x = _gc_series(panel, cause, raw)
     y = _gc_series(panel, effect, raw)
     if conditioning:
@@ -297,15 +309,44 @@ def cmd_gc(run: RunConfig, panel_path: str, cause: str, effect: str,
     else:
         result = unconditional_gc_spectrum(x, y, cfg)
         name = f"gc_{cause}_to_{effect}.csv"
-    _write_csv(_out_path(run, name), _SPECTRUM_HEADER, _spectrum_rows(result))
+    point = result.significant_pointwise
+    family = result.significant_bonferroni
+    _write_csv(
+        _out_path(run, name),
+        ("frequency_cycles_per_week", "estimate", "threshold_alpha",
+         "threshold_bonferroni", "sig_alpha", "sig_bonferroni"),
+        (
+            (freq, result.estimate[i], result.threshold_pointwise,
+             result.threshold_bonferroni, bool(point[i]), bool(family[i]))
+            for i, freq in enumerate(result.frequencies)
+        ),
+    )
+
+
+def cmd_gc(run: RunConfig, panel_path: str, cause: str, effect: str,
+           conditioning: str | None, cfg: GcBootstrapConfig, raw: bool) -> None:
+    """Estimate one causality spectrum and emit the decision CSV."""
+    _emit_spectrum(run, read_panel_csv(panel_path), cause, effect, conditioning, cfg, raw)
     _write_manifest(run)
-    return name
+
+
+def _emit_selection(run: RunConfig, panel: PanelDataset, target: str, lags: int,
+                    cfg: ForestConfig) -> None:
+    """Train the block-bootstrap forest on ``panel``'s lagged design and emit
+    the importance ranking plus out-of-bag accuracy."""
+    dataset = lagged_design_matrix(panel, target, lags=lags)
+    model = train_forest(dataset, cfg)
+    _write_csv(
+        _out_path(run, f"importance_{target}.csv"),
+        ("feature", "score"),
+        impurity_importance(model).ranked(),
+    )
+    _write_json(_out_path(run, f"oob_{target}.json"), _oob_payload(model, dataset))
 
 
 def cmd_select(run: RunConfig, panel_path: str, target: str,
                columns: tuple[str, ...], lags: int, cfg: ForestConfig) -> None:
-    """Train the block-bootstrap forest on the lagged design and emit the
-    importance ranking plus out-of-bag accuracy.
+    """Rank the lagged predictors by forest importance (see ``_emit_selection``).
 
     An empty ``columns`` means every panel column except the target.
     """
@@ -314,16 +355,7 @@ def cmd_select(run: RunConfig, panel_path: str, target: str,
     if not columns:
         columns = tuple(n for n in panel.column_names if n != target)
     kept = (target,) + tuple(c for c in columns if c != target)
-    sub = PanelDataset(panel.week_starts, {n: panel.column(n) for n in kept})
-    dataset = lagged_design_matrix(sub, target, lags=lags)
-    model = train_forest(dataset, cfg)
-    ranking = impurity_importance(model)
-    _write_csv(
-        _out_path(run, f"importance_{target}.csv"),
-        ("feature", "score"),
-        ranking.ranked(),
-    )
-    _write_json(_out_path(run, f"oob_{target}.json"), _oob_payload(model, dataset))
+    _emit_selection(run, panel.select(kept), target, lags, cfg)
     _write_manifest(run)
 
 
@@ -341,13 +373,13 @@ def _oob_payload(model, dataset) -> dict:
 
 def cmd_sparse_var(run: RunConfig, panel_path: str, columns: tuple[str, ...],
                    equation: str, order: int, penalty: float | None,
-                   raw: bool) -> float:
+                   raw: bool) -> None:
     """Fit the penalized VAR on deseasonalized cycles and tabulate one
     equation's coefficients variable-by-lag.
 
     When ``penalty`` is omitted it is chosen by rolling-origin one-step
     forecast error, which is deterministic, so the run is reproducible
-    either way.  Returns the penalty actually used.
+    either way.
     """
     panel = read_panel_csv(panel_path)
     _require_columns(panel, columns)
@@ -369,7 +401,6 @@ def cmd_sparse_var(run: RunConfig, panel_path: str, columns: tuple[str, ...],
         ),
     )
     _write_manifest(run)
-    return lam
 
 
 def _varx_coefficient_rows(model, boot):
@@ -435,76 +466,63 @@ def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
     panel = read_panel_csv(panel_path)
     _require_columns(panel, (target,))
     n = panel.n_weeks
+    trends = _fit_trends(panel, _trend_inputs(model_name, target, drivers), n, trend_cfg, {})
     if model_name == "trend":
-        model = fit_trend_model(panel.column(target), trend_cfg)
-        fitted = fitted_values(model, np.arange(float(n)))
-        _write_csv(
-            _out_path(run, f"trend_fit_{target}.csv"),
-            ("week_start", target, f"{target}_baseline_fitted"),
-            (
-                (panel.week_starts[i].isoformat(), panel.column(target)[i], fitted[i])
-                for i in range(n)
-            ),
-        )
+        fitted = {target: panel.column(target),
+                  f"{target}_baseline_fitted": _trend_baseline(trends[target], 0)}
+        write_panel_csv(PanelDataset(panel.week_starts, fitted),
+                        _out_path(run, f"trend_fit_{target}.csv"))
     elif model_name == "varx":
-        trends = _fit_trends(panel, (target,) + drivers, n, trend_cfg)
         model, _ = _varx_recipe(panel, target, drivers, n, 0, harmonics, trends)
         _fit_varx_artifacts(run, model, replicates, irf_horizon)
     else:
-        trends = _fit_trends(panel, drivers, n, trend_cfg)
-        _, dataset, _ = _forest_features(
-            panel, target, drivers, n, 0, harmonics, lags, trends
+        model, training, _ = _forest_recipe(
+            panel, target, drivers, n, 0, harmonics, lags, trees, run.seed, trends
         )
-        cfg = ForestConfig(n_trees=trees, block_length=52, seed=run.seed)
-        model = train_forest(dataset, cfg)
-        _write_json(_out_path(run, f"forest_oob_{target}.json"), _oob_payload(model, dataset))
+        _write_json(_out_path(run, f"forest_oob_{target}.json"), _oob_payload(model, training))
     _write_manifest(run)
+
+
+def _forecast(run: RunConfig, panel: PanelDataset, model_name: str, target: str,
+              drivers: tuple[str, ...], train_length: int, horizon: int,
+              harmonics: int, lags: int, trees: int, trend_cfg: TrendFitConfig,
+              trends: dict[str, TrendModel]):
+    """Train ``model_name`` on the first ``train_length`` weeks, emit its
+    forecast of the next ``horizon`` as a panel CSV, and return the file's
+    path and the model.  Trend fits missing from ``trends`` are added to it.
+    """
+    axis = _forecast_axis(panel, train_length, horizon)
+    _fit_trends(panel, _trend_inputs(model_name, target, drivers), train_length,
+                trend_cfg, trends)
+    column = f"{target}_baseline_forecast" if model_name == "trend" else f"{target}_forecast"
+    if model_name == "trend":
+        model = trends[target]
+        values = trend_forecast(model, horizon)
+    elif model_name == "varx":
+        model, design = _varx_recipe(
+            panel, target, drivers, train_length, horizon, harmonics, trends
+        )
+        values = forecast_recursive(model, horizon, design.values[train_length:])[:, 0]
+    else:
+        model, _, values = _forest_recipe(
+            panel, target, drivers, train_length, horizon, harmonics, lags, trees,
+            run.seed, trends,
+        )
+    path = _out_path(run, f"forecast_{model_name}_{target}.csv")
+    write_panel_csv(PanelDataset(axis, {column: values}), path)
+    return path, model
 
 
 def cmd_forecast(run: RunConfig, panel_path: str, model_name: str, target: str,
                  drivers: tuple[str, ...], train_length: int, horizon: int,
                  harmonics: int, lags: int, trees: int,
-                 trend_cfg: TrendFitConfig) -> str:
+                 trend_cfg: TrendFitConfig) -> None:
     """Train on the first ``train_length`` weeks and forecast ``horizon``."""
     panel = read_panel_csv(panel_path)
     _require_columns(panel, (target,))
-    axis = _forecast_axis(panel, train_length, horizon)
-    if model_name == "trend":
-        model = fit_trend_model(panel.column(target)[:train_length], trend_cfg)
-        values = trend_forecast(model, horizon)
-        column = f"{target}_baseline_forecast"
-    elif model_name == "varx":
-        trends = _fit_trends(panel, (target,) + drivers, train_length, trend_cfg)
-        model, design = _varx_recipe(
-            panel, target, drivers, train_length, horizon, harmonics, trends
-        )
-        values = forecast_recursive(model, horizon, design.values[train_length:])[:, 0]
-        column = f"{target}_forecast"
-    else:
-        trends = _fit_trends(panel, drivers, train_length, trend_cfg)
-        feature_panel, dataset, extras = _forest_features(
-            panel, target, drivers, train_length, horizon, harmonics, lags, trends
-        )
-        train_rows = train_length - lags
-        training = SupervisedDataset(
-            dataset.feature_names,
-            dataset.features[:train_rows],
-            dataset.target[:train_rows],
-        )
-        cfg = ForestConfig(n_trees=trees, block_length=52, seed=run.seed)
-        model = train_forest(training, cfg)
-        values = _forest_recursive_forecast(
-            model, feature_panel, target, train_length, horizon, lags, extras
-        )
-        column = f"{target}_forecast"
-    name = f"forecast_{model_name}_{target}.csv"
-    _write_csv(
-        _out_path(run, name),
-        ("week_start", column),
-        ((axis[i].isoformat(), values[i]) for i in range(horizon)),
-    )
+    _forecast(run, panel, model_name, target, drivers, train_length, horizon,
+              harmonics, lags, trees, trend_cfg, {})
     _write_manifest(run)
-    return name
 
 
 def _read_forecast(path: str) -> tuple[tuple, np.ndarray]:
@@ -519,7 +537,7 @@ def _read_forecast(path: str) -> tuple[tuple, np.ndarray]:
 
 def cmd_evaluate(run: RunConfig, panel_path: str, target: str,
                  forecasts: dict[str, str], train_length: int,
-                 horizon: int) -> dict[str, MetricReport]:
+                 horizon: int) -> None:
     """Score forecast files against the panel's holdout window."""
     panel = read_panel_csv(panel_path)
     _require_columns(panel, (target,))
@@ -558,7 +576,6 @@ def cmd_evaluate(run: RunConfig, panel_path: str, target: str,
             },
         )
     _write_manifest(run)
-    return reports
 
 
 def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
@@ -568,23 +585,20 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     """Full synthetic reproduction: generate, aggregate, screen, select,
     fit all model families, forecast, and tabulate accuracy.
 
-    Every stage consumes the files the stage before it wrote, so the run
-    also exercises the CSV round trips the individual subcommands rely on.
+    Each stage writes its files through the same function as the matching
+    subcommand.  Stage 2 builds the weekly panel from the daily and panel
+    files stage 1 wrote; stages 3-6 work on that panel in memory, not on
+    the ``weekly_panel.csv`` written from it; stage 7 scores the forecast
+    files read back from disk, as ``evaluate`` does.
     """
     trend_cfg = TrendFitConfig(seed=run.seed)
 
     # Stage 1: synthetic world.
-    records = generate_synthetic_daily(synth_cfg)
-    daily_path = _out_path(run, "synthetic_daily.csv")
-    write_daily_csv(records, daily_path)
-    write_panel_csv(
-        synthetic_panel_from_daily(synth_cfg, records),
-        _out_path(run, "synthetic_panel.csv"),
-    )
+    daily_path, synthetic_path = _emit_synthetic(run, synth_cfg)
 
     # Stage 2: climate features from the daily file, demand joined back on.
     climate = aggregate_weekly_national(read_daily_csv(daily_path), FeatureConfig())
-    demand = read_panel_csv(_out_path(run, "synthetic_panel.csv")).column(target)
+    demand = read_panel_csv(synthetic_path).column(target)
     columns = {target: demand}
     columns.update({n: climate.column(n) for n in climate.column_names})
     panel = PanelDataset(climate.week_starts, columns)
@@ -594,84 +608,29 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     # Stage 3: causality screen, both directions.
     gc_cfg = GcBootstrapConfig(n_replicates=replicates, seed=run.seed)
     for cause, effect in ((driver, target), (target, driver)):
-        x = _gc_series(panel, cause, raw=False)
-        y = _gc_series(panel, effect, raw=False)
-        result = unconditional_gc_spectrum(x, y, gc_cfg)
-        _write_csv(
-            _out_path(run, f"gc_{cause}_to_{effect}.csv"),
-            _SPECTRUM_HEADER,
-            _spectrum_rows(result),
-        )
+        _emit_spectrum(run, panel, cause, effect, None, gc_cfg, raw=False)
     # Both directions drew the same null indices, held by replicate_draws
     # (1.6 MB at 1000 replicates); nothing asks for them again, so release
     # them before the forests, which set the run's peak memory.
     replicate_draws.cache_clear()
 
-    # Stage 4: importance ranking on the screened predictor set.
-    train_panel = panel.slice_weeks(0, train_length)
-    sub = PanelDataset(
-        train_panel.week_starts,
-        {n: train_panel.column(n) for n in (target, driver)},
-    )
-    dataset = lagged_design_matrix(sub, target, lags=lags)
-    forest_cfg = ForestConfig(n_trees=trees, block_length=52, seed=run.seed)
-    selection = train_forest(dataset, forest_cfg)
-    _write_csv(
-        _out_path(run, f"importance_{target}.csv"),
-        ("feature", "score"),
-        impurity_importance(selection).ranked(),
-    )
-    _write_json(_out_path(run, f"oob_{target}.json"), _oob_payload(selection, dataset))
-    # The forests set the run's peak memory: release this one before stage 6
-    # grows the next.
-    del selection
+    # Stage 4: importance ranking on the screened predictor set; the
+    # selection forest is freed on return, before stage 6 grows the next.
+    forest_cfg = ForestConfig(n_trees=trees, block_length=_FOREST_BLOCK_LENGTH, seed=run.seed)
+    train_panel = panel.slice_weeks(0, train_length).select((target, driver))
+    _emit_selection(run, train_panel, target, lags, forest_cfg)
 
-    # Stage 5: fit artifacts for the VARX (coefficients, IRF, FEVD).  The
-    # trend fits also give the stage-6 trend forecast and forest baseline.
-    trends = _fit_trends(panel, (target, driver), train_length, trend_cfg)
-    varx_model, varx_design = _varx_recipe(
-        panel, target, (driver,), train_length, horizon, harmonics, trends
-    )
-    _fit_varx_artifacts(run, varx_model, replicates, irf_horizon)
-
-    # Stage 6: forecasts from all three families.
+    # Stages 5-6: forecasts from all three families, sharing two trend fits,
+    # and the VARX fit artifacts (coefficients, IRF, FEVD).
+    trends: dict[str, TrendModel] = {}
     forecast_paths: dict[str, str] = {}
-
-    axis = _forecast_axis(panel, train_length, horizon)
-
-    def emit(name: str, column: str, values: np.ndarray) -> None:
-        file_name = f"forecast_{name}_{target}.csv"
-        _write_csv(
-            _out_path(run, file_name),
-            ("week_start", column),
-            ((axis[i].isoformat(), values[i]) for i in range(horizon)),
+    for name in _MODELS:
+        forecast_paths[name], model = _forecast(
+            run, panel, name, target, (driver,), train_length, horizon, harmonics,
+            lags, trees, trend_cfg, trends,
         )
-        forecast_paths[name] = _out_path(run, file_name)
-
-    emit("trend", f"{target}_baseline_forecast", trend_forecast(trends[target], horizon))
-    emit(
-        "varx",
-        f"{target}_forecast",
-        forecast_recursive(varx_model, horizon, varx_design.values[train_length:])[:, 0],
-    )
-
-    feature_panel, forest_dataset, extras = _forest_features(
-        panel, target, (driver,), train_length, horizon, harmonics, lags, trends
-    )
-    train_rows = train_length - lags
-    training = SupervisedDataset(
-        forest_dataset.feature_names,
-        forest_dataset.features[:train_rows],
-        forest_dataset.target[:train_rows],
-    )
-    predictive = train_forest(training, forest_cfg)
-    emit(
-        "forest",
-        f"{target}_forecast",
-        _forest_recursive_forecast(
-            predictive, feature_panel, target, train_length, horizon, lags, extras
-        ),
-    )
+        if name == "varx":
+            _fit_varx_artifacts(run, model, replicates, irf_horizon)
 
     # Stage 7: evaluation table from the emitted forecast files.
     evaluate_run = dataclasses.replace(
@@ -717,6 +676,8 @@ def _forecast_pairs(entries) -> dict[str, str]:
         name, sep, path = (part.strip() for part in entry.partition("="))
         if not (sep and name and path):
             raise InvalidInputError(f"--forecast expects NAME=PATH, got {entry!r}")
+        if name in pairs:
+            raise InvalidInputError(f"--forecast names {name!r} more than once")
         pairs[name] = path
     if not pairs:
         raise InvalidInputError("evaluate needs at least one --forecast NAME=PATH")

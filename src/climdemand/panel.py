@@ -211,11 +211,6 @@ class PanelDataset:
         """Column-stack the named columns into a (n_weeks, len(names)) array."""
         return np.column_stack([self.column(n) for n in names])
 
-    def with_column(self, name: str, values: np.ndarray) -> "PanelDataset":
-        cols = dict(self.columns)
-        cols[name] = np.asarray(values, dtype=float)
-        return PanelDataset(self.week_starts, cols)
-
     def select(self, names: Sequence[str]) -> "PanelDataset":
         return PanelDataset(self.week_starts, {n: self.column(n) for n in names})
 

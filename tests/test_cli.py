@@ -377,6 +377,63 @@ class TestErrorReporting:
         assert code == 1
         assert error_json(capsys)["error"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("given", ["flags", "config"])
+    def test_evaluate_rejects_a_repeated_forecast_name(self, tmp_path, capsys, given):
+        panel = make_panel(tmp_path)
+        out = tmp_path / "out"
+        for train_length in (100, 101):
+            assert run_cli(
+                "--out-dir", tmp_path / str(train_length), "forecast", "--panel", panel,
+                "--model", "trend", "--train-length", train_length, "--horizon", 8,
+            ) == 0
+        first = tmp_path / "100" / "forecast_trend_drug_demand.csv"
+        second = tmp_path / "101" / "forecast_trend_drug_demand.csv"
+        pairs = [f"a={first}", f"a={second}"]
+        if given == "flags":
+            argv = ["evaluate", *as_flags({"forecasts": pairs})]
+        else:
+            cfg = write_config(tmp_path / "cfg.ini", {"evaluate": {"forecasts": pairs}})
+            argv = ["--config", cfg, "evaluate"]
+        code = run_cli("--out-dir", out, *argv, "--panel", panel,
+                       "--train-length", 100, "--horizon", 8)
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "InvalidInputError"
+        assert "'a'" in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("train_length", [3, 4, 30, 55])
+    def test_forest_needs_a_block_of_training_rows(self, tmp_path, capsys, monkeypatch,
+                                                   train_length):
+        # 100 horizon weeks after the training window always fit the panel,
+        # so only the forest's own window can fail, and before it trains.
+        from climdemand import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a forest was trained")
+
+        panel = make_panel(tmp_path)
+        monkeypatch.setattr(cli, "train_forest", no_training)
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "forecast", "--panel", panel, "--model", "forest",
+            "--train-length", train_length, "--lags", 4, "--horizon", 30,
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "AlignmentError"
+        assert payload["message"].startswith(
+            f"--train-length {train_length} less --lags 4 leaves {train_length - 4} "
+        )
+        assert not out.exists()
+
+    def test_forest_trains_on_exactly_one_block(self, tmp_path):
+        panel = make_panel(tmp_path)
+        assert run_cli(
+            "--out-dir", tmp_path / "out", "forecast", "--panel", panel, "--model", "forest",
+            "--train-length", 56, "--lags", 4, "--horizon", 8, "--trees", 5,
+        ) == 0
+
 
 class TestConfigPrecedence:
     def test_flag_beats_file_beats_default(self, tmp_path):
@@ -818,6 +875,31 @@ class TestPipeline:
             read_panel_csv(str(out / name))
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) == {"trend", "varx", "forest"}
+
+    def test_stages_share_their_fits(self, tmp_path, monkeypatch):
+        # Two trend fits (target and driver) serve the trend forecast, the
+        # VARX baselines and the forest baseline; one forest selects and one
+        # forecasts; the VARX behind the forecast also gives the fit artifacts.
+        from climdemand import cli
+
+        calls = {}
+
+        def spy(name):
+            function = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+
+        for name in ("fit_trend_model", "train_forest", "fit_varx", "residual_bootstrap"):
+            spy(name)
+        assert run_cli(
+            "--out-dir", tmp_path, "pipeline", "--replicates", 100, "--trees", 10,
+        ) == 0
+        assert calls == {
+            "fit_trend_model": 2, "train_forest": 2, "fit_varx": 1, "residual_bootstrap": 1,
+        }
 
     def test_short_panel_keeps_the_breaks_inside_it(self, tmp_path):
         # The default level breaks sit at weeks 222 and 298; a shorter
