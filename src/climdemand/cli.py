@@ -468,9 +468,9 @@ def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
     n = panel.n_weeks
     trends = _fit_trends(panel, _trend_inputs(model_name, target, drivers), n, trend_cfg, {})
     if model_name == "trend":
-        fitted = {target: panel.column(target),
-                  f"{target}_baseline_fitted": _trend_baseline(trends[target], 0)}
-        write_panel_csv(PanelDataset(panel.week_starts, fitted),
+        columns = {target: panel.column(target),
+                   f"{target}_baseline_fitted": _trend_baseline(trends[target], 0)}
+        write_panel_csv(PanelDataset(panel.week_starts, columns),
                         _out_path(run, f"trend_fit_{target}.csv"))
     elif model_name == "varx":
         model, _ = _varx_recipe(panel, target, drivers, n, 0, harmonics, trends)

@@ -405,8 +405,8 @@ class TestErrorReporting:
     @pytest.mark.parametrize("train_length", [3, 4, 30, 55])
     def test_forest_needs_a_block_of_training_rows(self, tmp_path, capsys, monkeypatch,
                                                    train_length):
-        # 100 horizon weeks after the training window always fit the panel,
-        # so only the forest's own window can fail, and before it trains.
+        # Every window here fits the 140-week panel with its 30-week horizon,
+        # so only the forest's own training rows can fail, before it trains.
         from climdemand import cli
 
         def no_training(*args, **kwargs):
