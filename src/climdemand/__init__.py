@@ -1,11 +1,11 @@
 """Climate-to-demand causality spectra and weekly demand forecasting toolkit.
 
 The package is organized around a weekly national panel (``PanelDataset``):
-climate feature construction from regional daily records, frequency-domain
-Granger causality with stationary-bootstrap thresholds, and three demand
-model families (structural trend, VARX, lag-embedded random forest) scored
-on a common holdout.  ``climdemand.cli`` exposes the same steps as
-subcommands of the ``climdemand`` console script.
+climate feature construction from a regional daily table (``DailyClimate``),
+frequency-domain Granger causality with stationary-bootstrap thresholds, and
+three demand model families (structural trend, VARX, lag-embedded random
+forest) scored on a common holdout.  ``climdemand.cli`` exposes the same
+steps as subcommands of the ``climdemand`` console script.
 """
 
 from climdemand.diagnostics import arch_lm_test, portmanteau_test
@@ -34,6 +34,7 @@ from climdemand.forest import (
 from climdemand.hpfilter import hp_cycle, hp_trend, seasonal_adjust
 from climdemand.metrics import compare_models, evaluate_forecast, holdout_split
 from climdemand.panel import (
+    DailyClimate,
     PanelDataset,
     read_daily_csv,
     read_panel_csv,
@@ -64,6 +65,7 @@ __all__ = [
     "AlignmentError",
     "ConfigError",
     "ConvergenceError",
+    "DailyClimate",
     "DegenerateInputError",
     "FeatureConfig",
     "ForestConfig",

@@ -217,6 +217,16 @@ def _varx_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
 _FOREST_BLOCK_LENGTH = 52
 
 
+def _check_forest_rows(train_length: int, lags: int) -> None:
+    """A forest's ``train_length - lags`` training rows must hold one block."""
+    if train_length - lags < _FOREST_BLOCK_LENGTH:
+        raise AlignmentError(
+            f"--train-length {train_length} less --lags {lags} leaves "
+            f"{train_length - lags} forest training rows; its {_FOREST_BLOCK_LENGTH}-week "
+            f"bootstrap blocks need at least {_FOREST_BLOCK_LENGTH}"
+        )
+
+
 def _forest_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
                    train_length: int, horizon: int, harmonics: int, lags: int,
                    trees: int, seed: int, trends: dict[str, TrendModel]):
@@ -226,13 +236,8 @@ def _forest_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
 
     Returns ``(model, training rows, forecast values)``.
     """
+    _check_forest_rows(train_length, lags)
     train_rows = train_length - lags
-    if train_rows < _FOREST_BLOCK_LENGTH:
-        raise AlignmentError(
-            f"--train-length {train_length} less --lags {lags} leaves {train_rows} "
-            f"forest training rows; its {_FOREST_BLOCK_LENGTH}-week bootstrap blocks "
-            f"need at least {_FOREST_BLOCK_LENGTH}"
-        )
     axis = panel.week_starts[: train_length + horizon]
     design = build_exogenous(axis, harmonics=harmonics)
     columns = {target: panel.column(target)[: train_length + horizon]}
@@ -274,10 +279,10 @@ def _forest_recursive_forecast(model, feature_panel: PanelDataset, target: str,
 def _emit_synthetic(run: RunConfig, cfg: SynthConfig) -> tuple[str, str]:
     """Write the synthetic daily climate CSV and the weekly panel CSV and
     return their paths."""
-    records = generate_synthetic_daily(cfg)
+    daily = generate_synthetic_daily(cfg)
     paths = _out_path(run, "synthetic_daily.csv"), _out_path(run, "synthetic_panel.csv")
-    write_daily_csv(records, paths[0])
-    write_panel_csv(synthetic_panel_from_daily(cfg, records), paths[1])
+    write_daily_csv(daily, paths[0])
+    write_panel_csv(synthetic_panel_from_daily(cfg, daily), paths[1])
     return paths
 
 
@@ -289,9 +294,8 @@ def cmd_synth(run: RunConfig, cfg: SynthConfig) -> None:
 
 def cmd_features(run: RunConfig, daily_path: str, out_name: str,
                  cfg: FeatureConfig) -> None:
-    """Aggregate regional daily records into the national weekly panel."""
-    records = read_daily_csv(daily_path)
-    panel = aggregate_weekly_national(records, cfg)
+    """Aggregate a regional daily climate CSV into the national weekly panel."""
+    panel = aggregate_weekly_national(read_daily_csv(daily_path), cfg)
     write_panel_csv(panel, _out_path(run, out_name))
     _write_manifest(run)
 
@@ -591,6 +595,15 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     the ``weekly_panel.csv`` written from it; stage 7 scores the forecast
     files read back from disk, as ``evaluate`` does.
     """
+    # Fail before stage 1 writes anything: the forecast window, the GC
+    # replicate count (the VARX bootstrap's rule too) and the training rows
+    # of both forests, which each train on train_length - lags rows.
+    _check_window(train_length, horizon, synth_cfg.n_weeks)
+    try:
+        gc_cfg = GcBootstrapConfig(n_replicates=replicates, seed=run.seed)
+    except ConfigError as exc:  # the option table has checked the seed
+        raise ConfigError({"replicates": exc.fields["n_replicates"]}) from None
+    _check_forest_rows(train_length, lags)
     trend_cfg = TrendFitConfig(seed=run.seed)
 
     # Stage 1: synthetic world.
@@ -606,7 +619,6 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     write_panel_csv(panel, panel_path)
 
     # Stage 3: causality screen, both directions.
-    gc_cfg = GcBootstrapConfig(n_replicates=replicates, seed=run.seed)
     for cause, effect in ((driver, target), (target, driver)):
         _emit_spectrum(run, panel, cause, effect, None, gc_cfg, raw=False)
     # Both directions drew the same null indices, held by replicate_draws
@@ -802,8 +814,6 @@ def _run_pipeline(run: RunConfig, p: dict) -> None:
         level_shifts=tuple(shift for _, shift in breaks),
         seed=run.seed,
     )
-    # Fail before stage 1 writes anything, not at stage 5's baselines.
-    _check_window(p["train_length"], p["horizon"], synth_cfg.n_weeks)
     cmd_pipeline(run, synth_cfg, **p)
 
 

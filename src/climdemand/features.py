@@ -1,8 +1,10 @@
 """Weekly climate feature derivation and national aggregation.
 
-Daily regional records are reduced to one national weekly panel.  Wind speed
-is derived from the 10 m wind components before averaging.  Three features
-summarize within-week structure: the count of wet days (daily precipitation
+A regional daily table (:class:`~climdemand.panel.DailyClimate`) is reduced
+to one national weekly panel, each feature as one reduction over the
+``(n_weeks, 7)`` day blocks of a region's columns.  Wind speed is derived
+from the 10 m wind components before averaging.  Three features summarize
+within-week structure: the count of wet days (daily precipitation
 strictly above a fixed threshold), the total rainfall on days exceeding the
 region's extreme quantile, and the population standard deviation of daily
 temperature.  Intensive quantities are averaged across regions; precipitation
@@ -13,12 +15,12 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, InvalidInputError, ShapeError
-from .panel import WEEK_DAYS, PanelDataset, RegionalDailyRecord
+from .panel import DAILY_MEASUREMENTS, WEEK_DAYS, DailyClimate, PanelDataset
 
 #: Climate columns produced by :func:`aggregate_weekly_national`, in order.
 NATIONAL_CLIMATE_COLUMNS = (
@@ -84,41 +86,53 @@ def derive_wind_speed(u10, v10):
     return float(speed) if speed.ndim == 0 else speed
 
 
-def _seven_days(values, what: str) -> np.ndarray:
+def _seven_days(values, what: str, precipitation: bool = False) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (WEEK_DAYS,):
-        raise ShapeError(f"{what} requires exactly {WEEK_DAYS} daily values, got shape {arr.shape}")
+    if arr.ndim == 0 or arr.shape[-1] != WEEK_DAYS:
+        raise ShapeError(
+            f"{what} requires exactly {WEEK_DAYS} daily values per week, got shape {arr.shape}"
+        )
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what}: daily values must be finite")
+    if precipitation and np.any(arr < 0):
+        raise InvalidInputError(f"{what}: precipitation must be non-negative")
     return arr
 
 
-def weekly_wet_days(daily_precip, cfg: FeatureConfig = FeatureConfig()) -> int:
+def _per_week(result: np.ndarray):
+    """A Python scalar for one week, the array for a block of weeks."""
+    return result.item() if result.ndim == 0 else result
+
+
+def weekly_wet_days(daily_precip, cfg: FeatureConfig = FeatureConfig()):
     """Number of days in the week with precipitation strictly above threshold.
 
     A day exactly at the threshold is dry: the exceedance indicator is zero
-    at zero argument.
+    at zero argument.  Like every weekly feature, it takes one week of 7
+    days (and returns a Python number) or a ``(..., 7)`` block of weeks
+    (and returns an array of the leading shape).
     """
-    precip = _seven_days(daily_precip, "weekly_wet_days")
-    if np.any(precip < 0):
-        raise InvalidInputError("weekly_wet_days: precipitation must be non-negative")
-    return int(np.sum(precip > cfg.wet_day_threshold_mm))
+    precip = _seven_days(daily_precip, "weekly_wet_days", precipitation=True)
+    return _per_week((precip > cfg.wet_day_threshold_mm).sum(axis=-1))
 
 
-def weekly_extreme_rainfall(daily_precip, extreme_threshold_mm: float) -> float:
-    """Total precipitation on days strictly exceeding the extreme threshold."""
-    precip = _seven_days(daily_precip, "weekly_extreme_rainfall")
-    if np.any(precip < 0):
-        raise InvalidInputError("weekly_extreme_rainfall: precipitation must be non-negative")
-    if not np.isfinite(extreme_threshold_mm):
+def weekly_extreme_rainfall(daily_precip, extreme_threshold_mm):
+    """Total precipitation on days strictly exceeding the extreme threshold.
+
+    For a block of weeks the threshold may be an array broadcasting against
+    the block's leading shape, such as one cutoff per region.
+    """
+    precip = _seven_days(daily_precip, "weekly_extreme_rainfall", precipitation=True)
+    cutoff = np.asarray(extreme_threshold_mm, dtype=float)
+    if not np.isfinite(cutoff).all():
         raise InvalidInputError("weekly_extreme_rainfall: threshold must be finite")
-    return float(np.sum(precip[precip > extreme_threshold_mm]))
+    return _per_week(np.where(precip > cutoff[..., None], precip, 0.0).sum(axis=-1))
 
 
-def weekly_temperature_sd(daily_temp) -> float:
+def weekly_temperature_sd(daily_temp):
     """Population standard deviation (divisor 7) of the week's daily temperature."""
     temp = _seven_days(daily_temp, "weekly_temperature_sd")
-    return float(np.std(temp))
+    return _per_week(np.std(temp, axis=-1))
 
 
 def regional_extreme_threshold(daily_precip: Sequence[float], cfg: FeatureConfig) -> float:
@@ -130,16 +144,19 @@ def regional_extreme_threshold(daily_precip: Sequence[float], cfg: FeatureConfig
 
 
 def aggregate_weekly_national(
-    records: Iterable[RegionalDailyRecord],
+    daily: DailyClimate,
     cfg: FeatureConfig = FeatureConfig(),
 ) -> PanelDataset:
-    """Reduce regional daily records to the national weekly climate panel.
+    """Reduce a regional daily table to the national weekly climate panel.
+
+    Each feature is one reduction over the ``(n_weeks, 7)`` day blocks of
+    every region at once; regions then combine in the sorted order of ids.
 
     Parameters
     ----------
-    records : iterable of RegionalDailyRecord
-        Every region must cover the same gap-free span of whole weeks,
-        starting on a Monday.
+    daily : DailyClimate
+        Every region must cover the same span of whole weeks, starting on a
+        Monday.
     cfg : FeatureConfig
         Thresholds for wet days and extreme rainfall.
 
@@ -154,26 +171,12 @@ def aggregate_weekly_national(
         If regions cover different spans, a span does not start on a Monday,
         or it does not consist of whole weeks.
     """
-    by_region: dict[str, list[RegionalDailyRecord]] = {}
-    for rec in records:
-        by_region.setdefault(rec.region_id, []).append(rec)
-    if not by_region:
+    if not daily.region_ids:
         raise InvalidInputError("no records to aggregate")
-
-    spans = {}
-    for region, recs in by_region.items():
-        recs.sort(key=lambda r: r.date)
-        dates = [r.date for r in recs]
-        for a, b in zip(dates, dates[1:]):
-            if (b - a).days == 0:
-                raise AlignmentError(
-                    f"region {region!r} has duplicate records for {a}"
-                )
-            if (b - a).days != 1:
-                raise AlignmentError(
-                    f"region {region!r} has a calendar gap after {a}"
-                )
-        spans[region] = (dates[0], dates[-1])
+    spans = {
+        region: (first, first + dt.timedelta(days=table.shape[1] - 1))
+        for region, first, table in zip(daily.region_ids, daily.first_days, daily.values)
+    }
     if len(set(spans.values())) != 1:
         detail = "; ".join(
             f"{region}: {first} to {last}"
@@ -191,39 +194,25 @@ def aggregate_weekly_national(
     n_weeks = n_days // WEEK_DAYS
     week_starts = tuple(first + dt.timedelta(days=WEEK_DAYS * k) for k in range(n_weeks))
 
-    per_region: dict[str, dict[str, np.ndarray]] = {}
-    for region, recs in by_region.items():
-        temp = np.array([r.temp for r in recs])
-        wind = derive_wind_speed([r.u10 for r in recs], [r.v10 for r in recs])
-        precip = np.array([r.precip for r in recs])
-        humidity = np.array([r.specific_humidity for r in recs])
-        cloud = np.array([r.cloud_cover for r in recs])
-        fwi = np.array([r.fwi for r in recs])
-        cutoff = regional_extreme_threshold(precip, cfg)
-
-        weeks_temp = temp.reshape(n_weeks, WEEK_DAYS)
-        weeks_precip = precip.reshape(n_weeks, WEEK_DAYS)
-        per_region[region] = {
-            "temperature": weeks_temp.mean(axis=1),
-            "wind_speed": wind.reshape(n_weeks, WEEK_DAYS).mean(axis=1),
-            "cloud_cover": cloud.reshape(n_weeks, WEEK_DAYS).mean(axis=1),
-            "specific_humidity": humidity.reshape(n_weeks, WEEK_DAYS).mean(axis=1),
-            "precipitation": weeks_precip.sum(axis=1),
-            "fwi": fwi.reshape(n_weeks, WEEK_DAYS).mean(axis=1),
-            "temperature_sd": np.array(
-                [weekly_temperature_sd(row) for row in weeks_temp]
-            ),
-            "extreme_rainfall": np.array(
-                [weekly_extreme_rainfall(row, cutoff) for row in weeks_precip]
-            ),
-            "wet_days": np.array(
-                [float(weekly_wet_days(row, cfg)) for row in weeks_precip]
-            ),
-        }
-
-    regions = sorted(per_region)
-    columns: dict[str, np.ndarray] = {}
-    for name in NATIONAL_CLIMATE_COLUMNS:
-        stack = np.vstack([per_region[region][name] for region in regions])
-        columns[name] = stack.sum(axis=0) if name in _SUMMED_COLUMNS else stack.mean(axis=0)
-    return PanelDataset(week_starts, columns)
+    regions = sorted(spans)
+    days = np.stack([daily.values[daily.region_ids.index(r)] for r in regions])
+    # One (regions, n_weeks, 7) block per measurement column.
+    temp, u10, v10, precip, humidity, cloud, fwi = np.moveaxis(
+        days.reshape(len(regions), len(DAILY_MEASUREMENTS), n_weeks, WEEK_DAYS), 1, 0
+    )
+    cutoffs = np.array([regional_extreme_threshold(p.ravel(), cfg) for p in precip])
+    regional = {
+        "temperature": temp.mean(axis=-1),
+        "wind_speed": derive_wind_speed(u10, v10).mean(axis=-1),
+        "cloud_cover": cloud.mean(axis=-1),
+        "specific_humidity": humidity.mean(axis=-1),
+        "precipitation": precip.sum(axis=-1),
+        "fwi": fwi.mean(axis=-1),
+        "temperature_sd": weekly_temperature_sd(temp),
+        "extreme_rainfall": weekly_extreme_rainfall(precip, cutoffs[:, None]),
+        "wet_days": weekly_wet_days(precip, cfg).astype(float),
+    }
+    return PanelDataset(week_starts, {
+        name: values.sum(axis=0) if name in _SUMMED_COLUMNS else values.mean(axis=0)
+        for name, values in regional.items()  # in NATIONAL_CLIMATE_COLUMNS order
+    })

@@ -1,21 +1,24 @@
 """Weekly panel data model and CSV ingestion.
 
-The toolkit operates on two shapes of data: regional *daily* climate records
-(one row per region and calendar day) and the national *weekly* panel that the
-statistical modules consume.  Both have a canonical CSV form.  Ingestion is
-strict: malformed cells, calendar gaps and duplicate keys are rejected with
-the offending line number rather than repaired or imputed.
+The toolkit operates on two shapes of data, both columnar: regional *daily*
+climate measurements (:class:`DailyClimate`: per region, a first day and one
+array per measurement over gap-free days) and the national *weekly* panel
+that the statistical modules consume.  Both have a canonical CSV form; the
+daily one has a row per region and calendar day.  Ingestion is strict:
+malformed cells, calendar gaps and duplicate keys are rejected with the
+offending line number rather than repaired or imputed.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +42,10 @@ DAILY_CSV_HEADER = (
     "cloud_cover",
     "fwi",
 )
+
+#: The daily CSV's measurement columns: the rows of each region's
+#: :class:`DailyClimate` table.
+DAILY_MEASUREMENTS = DAILY_CSV_HEADER[2:]
 
 #: Canonical weekly panel columns (demand first when present).
 PANEL_COLUMNS = (
@@ -90,56 +97,76 @@ def _check_week_axis(week_starts: Sequence[dt.date], what: str) -> tuple[dt.date
     return weeks
 
 
-@dataclass(frozen=True)
-class RegionalDailyRecord:
-    """One region-day of climate measurements.
+def _day_problem(region: str, day: dt.date, values: list[float]) -> str | None:
+    """The first rule that one region-day's measurements, in
+    :data:`DAILY_MEASUREMENTS` order, break, as an error message."""
+    _, _, _, precip, _, cloud, fwi = values
+    where = f"for region {region} on {day}"
+    if not all(map(math.isfinite, values)):
+        return f"non-finite measurement {where}"
+    if not 0.0 <= cloud <= 1.0:
+        return f"cloud_cover must lie in [0, 1], got {cloud!r} {where}"
+    if precip < 0.0:
+        return f"precip must be non-negative, got {precip!r} {where}"
+    if fwi < 0.0:
+        return f"fwi must be non-negative, got {fwi!r} {where}"
 
-    Units follow the daily CSV: temperature in deg C, wind components in m/s,
-    precipitation in mm, specific humidity in g/kg, cloud cover as a fraction
-    of the sky, and the fire weather index on its usual open-ended scale.
+
+@dataclass(frozen=True)
+class DailyClimate:
+    """Regional daily climate measurements, one gap-free calendar per region.
+
+    Region ``region_ids[r]`` covers consecutive days from ``first_days[r]``:
+    ``values[r]`` is a read-only ``(7, n_days)`` float array whose rows are
+    the daily CSV's :data:`DAILY_MEASUREMENTS` in its units (deg C, m/s, mm,
+    g/kg, fraction of the sky, fire weather index).  Regions may cover
+    different spans; aggregation requires equal ones.
     """
 
-    region_id: str
-    date: dt.date
-    temp: float
-    u10: float
-    v10: float
-    precip: float
-    specific_humidity: float
-    cloud_cover: float
-    fwi: float
+    region_ids: tuple[str, ...]
+    first_days: tuple[dt.date, ...]
+    values: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.region_id:
-            raise InvalidInputError("region_id must be a non-empty string")
-        values = (
-            self.temp,
-            self.u10,
-            self.v10,
-            self.precip,
-            self.specific_humidity,
-            self.cloud_cover,
-            self.fwi,
+        regions, firsts = tuple(self.region_ids), tuple(self.first_days)
+        if not len(regions) == len(firsts) == len(self.values) == len(set(regions)):
+            raise ShapeError("need one first day and one value table per distinct region id")
+        tables = []
+        for region, first, columns in zip(regions, firsts, self.values):
+            if not region:
+                raise InvalidInputError("region_id must be a non-empty string")
+            if not isinstance(first, dt.date) or isinstance(first, dt.datetime):
+                raise InvalidInputError(f"region {region!r}: first day must be a datetime.date")
+            columns = [np.asarray(c, dtype=float) for c in columns]
+            lengths = {c.size if c.ndim == 1 else 0 for c in columns}
+            if len(columns) != len(DAILY_MEASUREMENTS) or len(lengths) != 1 or 0 in lengths:
+                raise ShapeError(f"region {region!r} needs 7 equal-length, non-empty 1-D columns")
+            table = np.stack(columns)
+            _, _, _, precip, _, cloud, fwi = table
+            valid = (cloud >= 0.0) & (cloud <= 1.0) & (precip >= 0.0) & (fwi >= 0.0)
+            bad = ~(np.isfinite(table).all(axis=0) & valid)
+            if bad.any():
+                d = int(np.argmax(bad))
+                day = first + dt.timedelta(days=d)
+                raise InvalidInputError(_day_problem(region, day, table[:, d].tolist()))
+            table.flags.writeable = False
+            tables.append(table)
+        object.__setattr__(self, "region_ids", regions)
+        object.__setattr__(self, "first_days", firsts)
+        object.__setattr__(self, "values", tuple(tables))
+
+    def column(self, region: str, name: str) -> np.ndarray:
+        """One region's daily values of one :data:`DAILY_MEASUREMENTS` column."""
+        if region not in self.region_ids or name not in DAILY_MEASUREMENTS:
+            raise InvalidInputError(f"no column {name!r} for region {region!r}")
+        return self.values[self.region_ids.index(region)][DAILY_MEASUREMENTS.index(name)]
+
+    def equals(self, other: "DailyClimate") -> bool:
+        return (
+            self.region_ids == other.region_ids
+            and self.first_days == other.first_days
+            and all(np.array_equal(a, b) for a, b in zip(self.values, other.values))
         )
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidInputError(
-                f"non-finite measurement for region {self.region_id} on {self.date}"
-            )
-        if not 0.0 <= self.cloud_cover <= 1.0:
-            raise InvalidInputError(
-                f"cloud_cover must lie in [0, 1], got {self.cloud_cover!r} "
-                f"for region {self.region_id} on {self.date}"
-            )
-        if self.precip < 0.0:
-            raise InvalidInputError(
-                f"precip must be non-negative, got {self.precip!r} "
-                f"for region {self.region_id} on {self.date}"
-            )
-        if self.fwi < 0.0:
-            raise InvalidInputError(
-                f"fwi must be non-negative, got {self.fwi!r} "
-                f"for region {self.region_id} on {self.date}"
-            )
 
 
 @dataclass(frozen=True)
@@ -324,11 +351,13 @@ def read_panel_csv(path: str) -> PanelDataset:
     )
 
 
-def read_daily_csv(path: str) -> list[RegionalDailyRecord]:
-    """Ingest regional daily climate records.
+def read_daily_csv(path: str) -> DailyClimate:
+    """Ingest a regional daily climate CSV.
 
-    Enforces the canonical header, one record per (region, day), and a
-    gap-free daily calendar within each region.  Errors carry line numbers.
+    Rows are checked in file order (header, cell count, ISO date, one row
+    per region and day, finite numbers, :class:`DailyClimate`'s domains);
+    then each region's days, in date order and regions in the order of their
+    first row, must form a gap-free calendar.  Errors carry line numbers.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
@@ -338,8 +367,7 @@ def read_daily_csv(path: str) -> list[RegionalDailyRecord]:
         raise IngestionError(
             "unexpected header; expected " + ",".join(DAILY_CSV_HEADER), 1
         )
-    records: list[RegionalDailyRecord] = []
-    lines: dict[tuple[str, dt.date], int] = {}
+    by_region: dict[str, dict[dt.date, tuple[int, list[float]]]] = {}
     for offset, row in enumerate(rows[1:]):
         line = offset + 2
         if len(row) != len(DAILY_CSV_HEADER):
@@ -348,59 +376,42 @@ def read_daily_csv(path: str) -> list[RegionalDailyRecord]:
             )
         region = row[0]
         date = _parse_date(row[1], line)
-        key = (region, date)
-        if key in lines:
+        days = by_region.setdefault(region, {})
+        if date in days:
             raise IngestionError(
                 f"duplicate record for region {region!r} on {date} "
-                f"(first seen on line {lines[key]})",
+                f"(first seen on line {days[date][0]})",
                 line,
             )
-        lines[key] = line
-        numbers = [
-            _parse_float(cell, DAILY_CSV_HEADER[j + 2], line)
-            for j, cell in enumerate(row[2:])
-        ]
-        try:
-            records.append(RegionalDailyRecord(region, date, *numbers))
-        except InvalidInputError as exc:
-            raise IngestionError(str(exc), line) from None
-    if not records:
+        numbers = [_parse_float(c, n, line) for c, n in zip(row[2:], DAILY_MEASUREMENTS)]
+        if not region:
+            raise IngestionError("region_id must be a non-empty string", line)
+        problem = _day_problem(region, date, numbers)
+        if problem:
+            raise IngestionError(problem, line)
+        days[date] = (line, numbers)
+    if not by_region:
         raise IngestionError("no data rows", 1)
 
-    # Daily calendars must be gap free within each region.
-    by_region: dict[str, list[dt.date]] = {}
-    for rec in records:
-        by_region.setdefault(rec.region_id, []).append(rec.date)
-    for region, dates in by_region.items():
-        dates.sort()
+    for region, days in by_region.items():
+        dates = sorted(days)
         for a, b in zip(dates, dates[1:]):
             if (b - a).days != 1:
-                missing = a + dt.timedelta(days=1)
                 raise IngestionError(
                     f"gap in daily calendar for region {region!r}: "
-                    f"missing {missing}",
-                    lines[(region, b)],
+                    f"missing {a + dt.timedelta(days=1)}",
+                    days[b][0],
                 )
-    return records
+        by_region[region] = (dates[0], np.array([days[d][1] for d in dates]).T)
+    return DailyClimate(tuple(by_region), *zip(*by_region.values()))
 
 
-def write_daily_csv(records: Iterable[RegionalDailyRecord], path: str) -> None:
-    """Serialize daily records in canonical column order."""
+def write_daily_csv(daily: DailyClimate, path: str) -> None:
+    """Serialize a daily table in canonical column order, region by region
+    and each region in date order."""
     lines = [",".join(DAILY_CSV_HEADER)]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    rec.region_id,
-                    rec.date.isoformat(),
-                    format_float(rec.temp),
-                    format_float(rec.u10),
-                    format_float(rec.v10),
-                    format_float(rec.precip),
-                    format_float(rec.specific_humidity),
-                    format_float(rec.cloud_cover),
-                    format_float(rec.fwi),
-                ]
-            )
-        )
+    for region, first, table in zip(daily.region_ids, daily.first_days, daily.values):
+        dates = (np.datetime64(first, "D") + np.arange(table.shape[1])).astype(str)
+        cells = [list(map(format_float, column.tolist())) for column in table]
+        lines.extend(map(",".join, zip(itertools.repeat(region), dates.tolist(), *cells)))
     _atomic_write_text(path, "\n".join(lines) + "\n")

@@ -1,6 +1,6 @@
 """Synthetic climate and demand data with a known causal structure.
 
-The generator produces regional daily climate records and a weekly national
+The generator produces a regional daily climate table and a weekly national
 panel in which demand responds to lagged temperature with configurable
 negative coefficients, on top of its own autoregression, an annual seasonal
 cycle, and permanent level shifts at configured break weeks.  Because the
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .features import FeatureConfig, aggregate_weekly_national
-from .panel import PanelDataset, RegionalDailyRecord
+from .panel import DailyClimate, PanelDataset
 from ._rng import seed_problems, substream
 
 __all__ = [
@@ -51,7 +51,7 @@ class SynthConfig:
     Parameters
     ----------
     n_weeks : int
-        Length of the weekly panel; the daily records span ``7 * n_weeks``
+        Length of the weekly panel; the daily table spans ``7 * n_weeks``
         days starting at ``start_date``.
     start_date : datetime.date
         First day of the first week; must be a Monday.
@@ -201,9 +201,8 @@ def _ar1(eps: np.ndarray, phi: float) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def _region_records(
-    region: _RegionClimate, cfg: SynthConfig, index: int
-) -> list[RegionalDailyRecord]:
+def _region_days(region: _RegionClimate, cfg: SynthConfig, index: int) -> np.ndarray:
+    """One region's ``(7, n_days)`` measurement table, rows in daily CSV order."""
     n_days = _DAYS_PER_WEEK * cfg.n_weeks
     rng = substream(cfg.seed, "synth-climate", index)
     day = np.arange(n_days, dtype=float)
@@ -235,32 +234,21 @@ def _region_records(
         rng.normal(0.0, 0.3, n_days)
     )
 
-    return [
-        RegionalDailyRecord(
-            region_id=region.name,
-            date=cfg.start_date + dt.timedelta(days=d),
-            temp=float(temp[d]),
-            u10=float(u10[d]),
-            v10=float(v10[d]),
-            precip=float(precip[d]),
-            specific_humidity=float(humidity[d]),
-            cloud_cover=float(cloud[d]),
-            fwi=float(fwi[d]),
-        )
-        for d in range(n_days)
-    ]
+    return np.stack([temp, u10, v10, precip, humidity, cloud, fwi])
 
 
-def generate_synthetic_daily(cfg: SynthConfig = SynthConfig()) -> list[RegionalDailyRecord]:
-    """Daily climate records for every synthetic region.
+def generate_synthetic_daily(cfg: SynthConfig = SynthConfig()) -> DailyClimate:
+    """Daily climate table of every synthetic region, each starting on
+    ``cfg.start_date``.
 
-    The same (seed, region) pair always produces the same records, whatever
+    The same (seed, region) pair always produces the same values, whatever
     order regions are generated in.
     """
-    records: list[RegionalDailyRecord] = []
-    for index, region in enumerate(_REGIONS):
-        records.extend(_region_records(region, cfg, index))
-    return records
+    return DailyClimate(
+        tuple(region.name for region in _REGIONS),
+        (cfg.start_date,) * len(_REGIONS),
+        tuple(_region_days(region, cfg, index) for index, region in enumerate(_REGIONS)),
+    )
 
 
 def _demand_series(cfg: SynthConfig, temperature: np.ndarray) -> np.ndarray:
@@ -300,19 +288,17 @@ def generate_synthetic_panel(cfg: SynthConfig = SynthConfig()) -> PanelDataset:
     """Weekly national panel with demand coupled to lagged temperature.
 
     The climate block is the weekly aggregation of the synthetic daily
-    records; demand is then generated on top of the aggregated temperature,
+    table; demand is then generated on top of the aggregated temperature,
     so the panel is exactly what the feature pipeline would produce from
     the daily files plus a demand column with known dynamics.
     """
     return synthetic_panel_from_daily(cfg, generate_synthetic_daily(cfg))
 
 
-def synthetic_panel_from_daily(
-    cfg: SynthConfig, records: list[RegionalDailyRecord]
-) -> PanelDataset:
+def synthetic_panel_from_daily(cfg: SynthConfig, daily: DailyClimate) -> PanelDataset:
     """The panel of :func:`generate_synthetic_panel`, built from
-    ``records = generate_synthetic_daily(cfg)`` already in hand."""
-    climate = aggregate_weekly_national(records, FeatureConfig())
+    ``daily = generate_synthetic_daily(cfg)`` already in hand."""
+    climate = aggregate_weekly_national(daily, FeatureConfig())
     demand = _demand_series(cfg, climate.column("temperature"))
     columns = {"drug_demand": demand}
     columns.update({name: climate.column(name) for name in climate.column_names})

@@ -368,6 +368,31 @@ class TestErrorReporting:
         assert error_json(capsys)["message"].startswith("--train-length -12 and --horizon 52 ")
         assert not out.exists() or not list(out.iterdir())
 
+    def test_pipeline_replicates_checked_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "pipeline", "--replicates", "50") == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["fields"] == {"replicates": "must be an integer >= 100, got 50"}
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_pipeline_forest_rows_checked_before_any_output(self, tmp_path, capsys):
+        # 50 training weeks less 4 lags leave 46 rows: too few for the
+        # selection forest of stage 4 as for the forecasting forest.
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "pipeline", "--n-weeks", "100", "--horizon", "50",
+            "--replicates", "100", "--trees", "5",
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "AlignmentError"
+        assert payload["message"] == (
+            "--train-length 50 less --lags 4 leaves 46 forest training rows; "
+            "its 52-week bootstrap blocks need at least 52"
+        )
+        assert not out.exists() or not list(out.iterdir())
+
     def test_evaluate_requires_name_path_pairs(self, tmp_path, capsys):
         panel = make_panel(tmp_path)
         code = run_cli(
@@ -774,6 +799,22 @@ class TestCommandOutputs:
         assert fevd_lines[0] == "variable,source,horizon,mean,lower,upper"
         shares = np.array([r.split(",")[3] for r in fevd_lines[1:]], dtype=float)
         assert np.all((shares >= 0.0) & (shares <= 1.0))
+
+    def test_fit_forest_emits_oob_accuracy(self, tmp_path):
+        panel = make_panel(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(
+            "--seed", 0, "--out-dir", out, "fit",
+            "--panel", panel, "--model", "forest", "--trees", 40,
+        ) == 0
+        oob = json.loads((out / "forest_oob_drug_demand.json").read_text())
+        assert set(oob) == {"rmse", "rsr", "r2", "n_rows", "n_covered", "n_never_oob"}
+        # 140 weeks less 4 lags, each out of bag in some of the 40 trees.
+        assert oob["n_rows"] == 136
+        assert (oob["n_covered"], oob["n_never_oob"]) == (136, 0)
+        assert 0.0 < oob["rsr"] < 1.0
+        assert oob["r2"] == 1.0 - oob["rsr"] ** 2
+        assert (out / "fit_manifest.json").exists()
 
     def test_forecast_then_evaluate_composes(self, tmp_path):
         panel = make_panel(tmp_path)

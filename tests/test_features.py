@@ -11,6 +11,7 @@ from climdemand.errors import (
     ShapeError,
 )
 from climdemand.features import (
+    NATIONAL_CLIMATE_COLUMNS,
     FeatureConfig,
     aggregate_weekly_national,
     derive_wind_speed,
@@ -19,23 +20,31 @@ from climdemand.features import (
     weekly_temperature_sd,
     weekly_wet_days,
 )
-from climdemand.panel import RegionalDailyRecord
+from climdemand.panel import DAILY_MEASUREMENTS, DailyClimate
+from climdemand.synth import SynthConfig, generate_synthetic_daily
 
 MONDAY = dt.date(2016, 1, 4)
 
 
-def make_record(region, date, **kwargs):
+def make_region(n_days, **columns):
+    """One region's ``DAILY_MEASUREMENTS`` columns over ``n_days``; columns
+    not given hold a constant valid value."""
     fields = dict(
-        temp=10.0,
-        u10=0.0,
-        v10=0.0,
-        precip=0.0,
-        specific_humidity=5.0,
+        temp_c=10.0,
+        u10_ms=0.0,
+        v10_ms=0.0,
+        precip_mm=0.0,
+        spec_humidity_gkg=5.0,
         cloud_cover=0.5,
         fwi=3.0,
     )
-    fields.update(kwargs)
-    return RegionalDailyRecord(region, date, **fields)
+    fields.update(columns)
+    return [np.broadcast_to(np.asarray(fields[n], dtype=float), (n_days,)) for n in DAILY_MEASUREMENTS]
+
+
+def make_daily(regions, first=MONDAY):
+    """DailyClimate from ``{region: columns}``, every region from ``first``."""
+    return DailyClimate(tuple(regions), (first,) * len(regions), tuple(regions.values()))
 
 
 class TestWindSpeed:
@@ -136,6 +145,28 @@ class TestTemperatureSd:
             weekly_temperature_sd([1, 2, 3, np.nan, 5, 6, 7])
 
 
+@pytest.mark.parametrize(
+    "helper",
+    [
+        lambda w: weekly_wet_days(w),
+        lambda w: weekly_extreme_rainfall(w, 4.0),
+        weekly_temperature_sd,
+    ],
+    ids=["wet_days", "extreme_rainfall", "temperature_sd"],
+)
+def test_helpers_take_blocks_of_weeks(helper):
+    block = np.random.default_rng(17).gamma(0.5, 6.0, size=(3, 5, 7))
+    result = helper(block)
+    assert result.shape == (3, 5)
+    for index in np.ndindex(3, 5):
+        assert result[index] == helper(block[index])
+        assert type(helper(block[index])) in (int, float)
+    with pytest.raises(ShapeError):
+        helper(block[..., :6])
+    with pytest.raises(ShapeError):
+        helper(1.0)
+
+
 class TestFeatureConfig:
     def test_defaults(self):
         cfg = FeatureConfig()
@@ -148,80 +179,106 @@ class TestFeatureConfig:
         assert set(excinfo.value.fields) == {"wet_day_threshold_mm", "extreme_quantile"}
 
 
-def build_region(region, n_weeks, rng, wet_scale=3.0):
-    records = []
-    for day in range(7 * n_weeks):
-        records.append(
-            make_record(
-                region,
-                MONDAY + dt.timedelta(days=day),
-                temp=float(rng.normal(12.0, 5.0)),
-                u10=float(rng.normal(0.0, 2.0)),
-                v10=float(rng.normal(0.0, 2.0)),
-                precip=float(rng.gamma(0.5, wet_scale)),
-                specific_humidity=float(rng.uniform(2.0, 12.0)),
-                cloud_cover=float(rng.uniform(0.0, 1.0)),
-                fwi=float(rng.gamma(2.0, 4.0)),
-            )
+def build_region(n_weeks, rng, wet_scale=3.0):
+    n_days = 7 * n_weeks
+    return make_region(
+        n_days,
+        temp_c=rng.normal(12.0, 5.0, n_days),
+        u10_ms=rng.normal(0.0, 2.0, n_days),
+        v10_ms=rng.normal(0.0, 2.0, n_days),
+        precip_mm=rng.gamma(0.5, wet_scale, n_days),
+        spec_humidity_gkg=rng.uniform(2.0, 12.0, n_days),
+        cloud_cover=rng.uniform(0.0, 1.0, n_days),
+        fwi=rng.gamma(2.0, 4.0, n_days),
+    )
+
+
+def helper_aggregation(daily, cfg):
+    """The aggregation week by week through the per-week helpers, regional
+    values combined across regions in sorted order."""
+    n_weeks = daily.values[0].shape[1] // 7
+    per_region = {}
+    for region in daily.region_ids:
+        temp, u10, v10, precip, humidity, cloud, fwi = (
+            daily.column(region, n).reshape(n_weeks, 7) for n in DAILY_MEASUREMENTS
         )
-    return records
+        cutoff = regional_extreme_threshold(precip.ravel(), cfg)
+        per_region[region] = {
+            "temperature": temp.mean(axis=1),
+            "wind_speed": derive_wind_speed(u10, v10).mean(axis=1),
+            "cloud_cover": cloud.mean(axis=1),
+            "specific_humidity": humidity.mean(axis=1),
+            "precipitation": precip.sum(axis=1),
+            "fwi": fwi.mean(axis=1),
+            "temperature_sd": np.array([weekly_temperature_sd(w) for w in temp]),
+            "extreme_rainfall": np.array([weekly_extreme_rainfall(w, cutoff) for w in precip]),
+            "wet_days": np.array([float(weekly_wet_days(w, cfg)) for w in precip]),
+        }
+    columns = {}
+    for name in NATIONAL_CLIMATE_COLUMNS:
+        stack = np.vstack([per_region[r][name] for r in sorted(per_region)])
+        summed = name in ("precipitation", "extreme_rainfall")
+        columns[name] = stack.sum(axis=0) if summed else stack.mean(axis=0)
+    return columns
 
 
 class TestAggregateWeeklyNational:
     def test_matches_scalar_recomputation(self):
         # Independent oracle: recompute every column with plain Python loops.
         rng = np.random.default_rng(20230105)
-        records = build_region("north", 6, rng) + build_region("south", 6, rng)
+        daily = make_daily({"north": build_region(6, rng), "south": build_region(6, rng)})
         cfg = FeatureConfig(wet_day_threshold_mm=1.0, extreme_quantile=0.9)
-        panel = aggregate_weekly_national(records, cfg)
+        panel = aggregate_weekly_national(daily, cfg)
 
         assert panel.n_weeks == 6
         assert panel.week_starts[0] == MONDAY
         assert panel.week_starts[1] == MONDAY + dt.timedelta(days=7)
 
-        by_region = {}
-        for rec in records:
-            by_region.setdefault(rec.region_id, []).append(rec)
-        for recs in by_region.values():
-            recs.sort(key=lambda r: r.date)
+        days = {
+            region: [
+                dict(zip(DAILY_MEASUREMENTS, values))
+                for values in zip(*(daily.column(region, n).tolist() for n in DAILY_MEASUREMENTS))
+            ]
+            for region in daily.region_ids
+        }
         cutoffs = {
-            region: float(np.quantile([r.precip for r in recs], 0.9))
-            for region, recs in by_region.items()
+            region: float(np.quantile([d["precip_mm"] for d in recs], 0.9))
+            for region, recs in days.items()
         }
         for week in range(6):
             rows = {
                 region: recs[7 * week : 7 * (week + 1)]
-                for region, recs in by_region.items()
+                for region, recs in days.items()
             }
             temp = np.mean(
-                [np.mean([r.temp for r in recs]) for recs in rows.values()]
+                [np.mean([d["temp_c"] for d in recs]) for recs in rows.values()]
             )
             wind = np.mean(
                 [
-                    np.mean([np.hypot(r.u10, r.v10) for r in recs])
+                    np.mean([np.hypot(d["u10_ms"], d["v10_ms"]) for d in recs])
                     for recs in rows.values()
                 ]
             )
             precip = np.sum(
-                [np.sum([r.precip for r in recs]) for recs in rows.values()]
+                [np.sum([d["precip_mm"] for d in recs]) for recs in rows.values()]
             )
             extreme = np.sum(
                 [
                     np.sum(
-                        [r.precip for r in recs if r.precip > cutoffs[region]]
+                        [d["precip_mm"] for d in recs if d["precip_mm"] > cutoffs[region]]
                     )
                     for region, recs in rows.items()
                 ]
             )
             wet = np.mean(
                 [
-                    np.sum([1.0 for r in recs if r.precip > 1.0])
+                    np.sum([1.0 for d in recs if d["precip_mm"] > 1.0])
                     for recs in rows.values()
                 ]
             )
             temp_sd = np.mean(
                 [
-                    np.sqrt(np.mean((np.array([r.temp for r in recs]) - np.mean([r.temp for r in recs])) ** 2))
+                    np.sqrt(np.mean((np.array([d["temp_c"] for d in recs]) - np.mean([d["temp_c"] for d in recs])) ** 2))
                     for recs in rows.values()
                 ]
             )
@@ -232,34 +289,41 @@ class TestAggregateWeeklyNational:
             assert_allclose(panel.column("wet_days")[week], wet, rtol=1e-12)
             assert_allclose(panel.column("temperature_sd")[week], temp_sd, rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 7919, 104729])
+    @pytest.mark.parametrize("quantile", [0.999, 0.9])
+    def test_matches_per_week_helpers_bit_for_bit(self, seed, quantile):
+        daily = generate_synthetic_daily(
+            SynthConfig(n_weeks=60, seed=seed, break_weeks=(30,), level_shifts=(-1_000.0,))
+        )
+        cfg = FeatureConfig(extreme_quantile=quantile)
+        panel = aggregate_weekly_national(daily, cfg)
+        expected = helper_aggregation(daily, cfg)
+        assert panel.column_names == NATIONAL_CLIMATE_COLUMNS
+        for name in NATIONAL_CLIMATE_COLUMNS:
+            np.testing.assert_array_equal(
+                panel.column(name).view(np.int64), expected[name].view(np.int64), err_msg=name
+            )
+
     def test_single_region_passthrough(self):
         rng = np.random.default_rng(99)
-        records = build_region("only", 4, rng)
-        panel = aggregate_weekly_national(records)
-        weekly_precip = np.array(
-            [r.precip for r in sorted(records, key=lambda r: r.date)]
-        ).reshape(4, 7)
+        daily = make_daily({"only": build_region(4, rng)})
+        panel = aggregate_weekly_national(daily)
+        weekly_precip = daily.column("only", "precip_mm").reshape(4, 7)
         assert_allclose(panel.column("precipitation"), weekly_precip.sum(axis=1))
 
     def test_extreme_quantile_uses_regional_history(self):
         # One region with a fat tail, one bone dry: only the wet region's
         # exceedances can contribute, judged against its own cutoff.
-        records = []
         precip_wet = np.zeros(28)
         precip_wet[5] = 80.0
         precip_wet[17] = 95.0
-        for day in range(28):
-            records.append(
-                make_record("dry", MONDAY + dt.timedelta(days=day), precip=0.0)
-            )
-            records.append(
-                make_record(
-                    "wet", MONDAY + dt.timedelta(days=day), precip=float(precip_wet[day])
-                )
-            )
+        daily = make_daily({
+            "dry": make_region(28, precip_mm=0.0),
+            "wet": make_region(28, precip_mm=precip_wet),
+        })
         cfg = FeatureConfig(extreme_quantile=0.9)
         cutoff = float(np.quantile(precip_wet, 0.9))
-        panel = aggregate_weekly_national(records, cfg)
+        panel = aggregate_weekly_national(daily, cfg)
         expected = np.array(
             [
                 np.sum(week[week > cutoff])
@@ -270,37 +334,28 @@ class TestAggregateWeeklyNational:
 
     def test_rejects_ragged_regions(self):
         rng = np.random.default_rng(5)
-        records = build_region("a", 4, rng) + build_region("b", 3, rng)
+        daily = make_daily({"a": build_region(4, rng), "b": build_region(3, rng)})
         with pytest.raises(AlignmentError, match="different spans"):
-            aggregate_weekly_national(records)
+            aggregate_weekly_national(daily)
+        # Equal lengths on shifted calendars are different spans too.
+        shifted = DailyClimate(("a", "b"), (MONDAY, MONDAY + dt.timedelta(days=7)),
+                               (make_region(14), make_region(14)))
+        with pytest.raises(AlignmentError, match="different spans"):
+            aggregate_weekly_national(shifted)
 
     def test_rejects_non_monday_start(self):
-        records = [
-            make_record("a", dt.date(2016, 1, 5) + dt.timedelta(days=d))
-            for d in range(7)
-        ]
+        daily = make_daily({"a": make_region(7)}, first=dt.date(2016, 1, 5))
         with pytest.raises(AlignmentError, match="Monday"):
-            aggregate_weekly_national(records)
+            aggregate_weekly_national(daily)
 
     def test_rejects_partial_week(self):
-        records = [
-            make_record("a", MONDAY + dt.timedelta(days=d)) for d in range(10)
-        ]
+        daily = make_daily({"a": make_region(10)})
         with pytest.raises(AlignmentError, match="whole number of weeks"):
-            aggregate_weekly_national(records)
-
-    def test_rejects_calendar_gap(self):
-        records = [
-            make_record("a", MONDAY + dt.timedelta(days=d))
-            for d in range(14)
-            if d != 5
-        ]
-        with pytest.raises(AlignmentError, match="gap"):
-            aggregate_weekly_national(records)
+            aggregate_weekly_national(daily)
 
     def test_empty_input(self):
         with pytest.raises(InvalidInputError):
-            aggregate_weekly_national([])
+            aggregate_weekly_national(DailyClimate((), (), ()))
 
 
 def test_regional_extreme_threshold_interpolates():

@@ -12,8 +12,9 @@ from climdemand.errors import (
 )
 from climdemand.panel import (
     DAILY_CSV_HEADER,
+    DAILY_MEASUREMENTS,
+    DailyClimate,
     PanelDataset,
-    RegionalDailyRecord,
     WeeklySeries,
     format_float,
     read_daily_csv,
@@ -178,24 +179,28 @@ def daily_rows(region, start, precips):
 
 class TestDailyCsv:
     def test_round_trip(self, tmp_path):
-        records = [
-            RegionalDailyRecord(
-                "r1",
-                MONDAY + dt.timedelta(days=i),
-                temp=10.5,
-                u10=1.25,
-                v10=-0.5,
-                precip=float(i),
-                specific_humidity=4.5,
-                cloud_cover=0.25,
-                fwi=2.0,
-            )
-            for i in range(7)
-        ]
+        columns = [[10.5] * 7, [1.25] * 7, [-0.5] * 7, np.arange(7.0), [4.5] * 7,
+                   [0.25] * 7, [2.0] * 7]
+        daily = DailyClimate(("r1", "r0"), (MONDAY, MONDAY + dt.timedelta(days=3)),
+                             (columns, np.array(columns)[:, :5] * 2.0))
         path = tmp_path / "daily.csv"
-        write_daily_csv(records, str(path))
+        write_daily_csv(daily, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[1] == "r1,2020-01-06,10.5,1.25,-0.5,0,4.5,0.25,2"
+        assert lines[-1] == "r0,2020-01-13,21,2.5,-1,8,9,0.5,4"
         back = read_daily_csv(str(path))
-        assert back == records
+        assert back.equals(daily)
+
+    def test_reader_orders_days_and_keeps_region_order(self, tmp_path):
+        rows = daily_rows("b", MONDAY, [0, 1, 2]) + daily_rows("a", MONDAY, [5, 6])
+        rows[0], rows[2] = rows[2], rows[0]
+        path = tmp_path / "daily.csv"
+        path.write_text(",".join(DAILY_CSV_HEADER) + "\n" + "\n".join(rows) + "\n")
+        back = read_daily_csv(str(path))
+        assert back.region_ids == ("b", "a")
+        assert back.first_days == (MONDAY, MONDAY)
+        assert_allclose(back.column("b", "precip_mm"), [0, 1, 2])
+        assert_allclose(back.column("a", "precip_mm"), [5, 6])
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "daily.csv"
@@ -229,16 +234,85 @@ class TestDailyCsv:
             read_daily_csv(str(path))
         assert excinfo.value.line == 4
 
+    def test_rows_are_checked_in_file_order(self, tmp_path):
+        rows = daily_rows("r1", MONDAY, [0] * 7)
+        rows[1] = rows[1].replace(",0.5,", ",-0.5,")  # cloud cover below 0
+        rows[4] = rows[4].replace(",10,", ",warm,")
+        rows.append(rows[0])
+        path = tmp_path / "daily.csv"
+        path.write_text(",".join(DAILY_CSV_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(IngestionError, match="cloud_cover") as excinfo:
+            read_daily_csv(str(path))
+        assert excinfo.value.line == 3
+        rows[1] = rows[0].replace("2020-01-06", "2020-01-07")
+        path.write_text(",".join(DAILY_CSV_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(IngestionError, match="unparseable number 'warm'") as excinfo:
+            read_daily_csv(str(path))
+        assert excinfo.value.line == 6
+
+
+def one_region(n_days=7, **bad_days):
+    """Columns of ``n_days`` valid days with ``{column: {day: value}}`` set."""
+    columns = {name: np.full(n_days, 0.5) for name in DAILY_MEASUREMENTS}
+    for name, days in bad_days.items():
+        for day, value in days.items():
+            columns[name][day] = value
+    return list(columns.values())
+
 
 class TestRecordValidation:
     def test_cloud_cover_range(self):
-        with pytest.raises(InvalidInputError, match="cloud_cover"):
-            RegionalDailyRecord("r", MONDAY, 1, 1, 1, 0.0, 1, 1.5, 0)
+        with pytest.raises(InvalidInputError, match="cloud_cover") as excinfo:
+            DailyClimate(("r",), (MONDAY,), (one_region(cloud_cover={2: 1.5}),))
+        assert str(excinfo.value) == (
+            "cloud_cover must lie in [0, 1], got 1.5 for region r on 2020-01-08"
+        )
 
     def test_negative_precip(self):
-        with pytest.raises(InvalidInputError, match="precip"):
-            RegionalDailyRecord("r", MONDAY, 1, 1, 1, -0.1, 1, 0.5, 0)
+        with pytest.raises(InvalidInputError, match="precip") as excinfo:
+            DailyClimate(("r",), (MONDAY,), (one_region(precip_mm={0: -0.1}),))
+        assert str(excinfo.value) == (
+            "precip must be non-negative, got -0.1 for region r on 2020-01-06"
+        )
 
     def test_negative_fwi(self):
-        with pytest.raises(InvalidInputError, match="fwi"):
-            RegionalDailyRecord("r", MONDAY, 1, 1, 1, 0.0, 1, 0.5, -2)
+        with pytest.raises(InvalidInputError, match="fwi") as excinfo:
+            DailyClimate(("r",), (MONDAY,), (one_region(fwi={6: -2.0}),))
+        assert str(excinfo.value) == (
+            "fwi must be non-negative, got -2.0 for region r on 2020-01-12"
+        )
+
+    def test_first_offending_day_and_rule_are_named(self):
+        # Day 3 breaks two rules and day 1 a third: the earliest day wins,
+        # and on one day the non-finite value comes before the domains.
+        table = one_region(fwi={1: -1.0, 3: -1.0}, temp_c={3: np.nan}, cloud_cover={1: 2.0})
+        with pytest.raises(InvalidInputError, match="cloud_cover .* on 2020-01-07"):
+            DailyClimate(("ok", "r"), (MONDAY, MONDAY), (one_region(), table))
+        table = one_region(fwi={3: -1.0}, temp_c={3: np.inf})
+        with pytest.raises(InvalidInputError) as excinfo:
+            DailyClimate(("r",), (MONDAY,), (table,))
+        assert str(excinfo.value) == "non-finite measurement for region r on 2020-01-09"
+
+    def test_region_ids_and_columns(self):
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            DailyClimate(("",), (MONDAY,), (one_region(),))
+        with pytest.raises(ShapeError, match="per distinct region id"):
+            DailyClimate(("r", "r"), (MONDAY, MONDAY), (one_region(), one_region()))
+        with pytest.raises(ShapeError, match="per distinct region id"):
+            DailyClimate(("r", "s"), (MONDAY,), (one_region(),))
+        ragged = one_region()
+        ragged[4] = ragged[4][:6]
+        emptied = one_region()
+        emptied[2] = emptied[2][:0]
+        for columns in (one_region()[:6], ragged, emptied, one_region(0)):
+            with pytest.raises(ShapeError, match="7 equal-length, non-empty 1-D columns"):
+                DailyClimate(("r",), (MONDAY,), (columns,))
+
+    def test_values_read_only_and_equals(self):
+        daily = DailyClimate(("r",), (MONDAY,), (one_region(),))
+        with pytest.raises(ValueError):
+            daily.values[0][0, 0] = 1.0
+        assert daily.equals(DailyClimate(("r",), (MONDAY,), (one_region(),)))
+        later = DailyClimate(("r",), (MONDAY + dt.timedelta(days=1),), (one_region(),))
+        assert not daily.equals(later)
+        assert not daily.equals(DailyClimate(("r",), (MONDAY,), (one_region(8),)))

@@ -1,3 +1,5 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from climdemand.errors import (
     NumericalError,
     RankDeficiencyError,
 )
+from climdemand.panel import PanelDataset
 from climdemand.spectral import (
     GcBootstrapConfig,
     SpectralDecomposition,
@@ -455,6 +458,52 @@ class TestUnconditionalInference:
                 np.ones(200),
                 np.arange(200.0),
                 GcBootstrapConfig(n_replicates=100),
+            )
+
+
+class TestWeeklySeriesInputs:
+    """Both spectra take ``WeeklySeries`` too: names come from the series,
+    and series on different week axes are rejected."""
+
+    @staticmethod
+    def panels():
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=200)
+        w = rng.normal(size=200)
+        y = np.empty(200)
+        y[0] = rng.normal()
+        y[1:] = 0.6 * x[:-1] + rng.normal(size=199)
+        columns = {"temperature": x, "drug_demand": y, "fwi": w}
+        monday = dt.date(2016, 1, 4)
+        weeks = [monday + dt.timedelta(days=7 * k) for k in range(201)]
+        return PanelDataset(weeks[:200], columns), PanelDataset(weeks[1:], columns)
+
+    def test_names_come_from_the_series(self):
+        panel, _ = self.panels()
+        cfg = GcBootstrapConfig(n_replicates=100, seed=3)
+        result = unconditional_gc_spectrum(
+            panel.series("temperature"), panel.series("drug_demand"), cfg
+        )
+        assert (result.cause_name, result.effect_name) == ("temperature", "drug_demand")
+        assert result.conditioning_name is None
+        conditional = conditional_gc_spectrum(
+            panel.series("temperature"), panel.series("drug_demand"),
+            panel.series("fwi"), cfg,
+        )
+        assert (conditional.cause_name, conditional.effect_name,
+                conditional.conditioning_name) == ("temperature", "drug_demand", "fwi")
+
+    def test_shifted_week_axes_are_rejected(self):
+        panel, shifted = self.panels()
+        cfg = GcBootstrapConfig(n_replicates=100, seed=3)
+        with pytest.raises(AlignmentError, match="different week axes"):
+            unconditional_gc_spectrum(
+                shifted.series("temperature"), panel.series("drug_demand"), cfg
+            )
+        with pytest.raises(AlignmentError, match="different week axes"):
+            conditional_gc_spectrum(
+                panel.series("temperature"), panel.series("drug_demand"),
+                shifted.series("fwi"), cfg,
             )
 
 

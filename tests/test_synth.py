@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import os
 import subprocess
@@ -84,23 +85,22 @@ class TestConfigValidation:
 class TestDailyRecords:
     def test_two_regions_full_span(self):
         cfg = SynthConfig(n_weeks=20, break_weeks=(10,), level_shifts=(-5_000.0,))
-        records = generate_synthetic_daily(cfg)
-        regions = sorted({r.region_id for r in records})
-        assert regions == ["north", "south"]
-        assert len(records) == 2 * 20 * 7
-        per_region = [r for r in records if r.region_id == "north"]
-        assert per_region[0].date == cfg.start_date
-        assert per_region[-1].date == cfg.start_date + dt.timedelta(days=20 * 7 - 1)
+        daily = generate_synthetic_daily(cfg)
+        assert daily.region_ids == ("north", "south")
+        assert daily.first_days == (cfg.start_date, cfg.start_date)
+        assert [table.shape for table in daily.values] == [(7, 20 * 7)] * 2
 
     def test_records_are_deterministic(self):
         cfg = SynthConfig(n_weeks=15, seed=9, break_weeks=(8,), level_shifts=(2_000.0,))
-        assert generate_synthetic_daily(cfg) == generate_synthetic_daily(cfg)
+        assert generate_synthetic_daily(cfg).equals(generate_synthetic_daily(cfg))
+        other = dataclasses.replace(cfg, seed=10)
+        assert not generate_synthetic_daily(cfg).equals(generate_synthetic_daily(other))
 
     def test_fields_within_physical_bounds(self):
-        records = generate_synthetic_daily(SynthConfig(n_weeks=60, break_weeks=(30,), level_shifts=(-1_000.0,)))
-        cloud = np.array([r.cloud_cover for r in records])
-        precip = np.array([r.precip for r in records])
-        fwi = np.array([r.fwi for r in records])
+        daily = generate_synthetic_daily(SynthConfig(n_weeks=60, break_weeks=(30,), level_shifts=(-1_000.0,)))
+        cloud = np.concatenate([daily.column(r, "cloud_cover") for r in daily.region_ids])
+        precip = np.concatenate([daily.column(r, "precip_mm") for r in daily.region_ids])
+        fwi = np.concatenate([daily.column(r, "fwi") for r in daily.region_ids])
         assert np.all((cloud >= 0.0) & (cloud <= 1.0))
         assert np.all(precip >= 0.0)
         assert np.all(fwi >= 0.0)
@@ -129,9 +129,9 @@ class TestDailyRecords:
         assert out.stdout.strip() == "[]"
 
     def test_regions_have_distinct_climates(self):
-        records = generate_synthetic_daily(SynthConfig(n_weeks=104, break_weeks=(52,), level_shifts=(-1_000.0,)))
-        north = np.array([r.temp for r in records if r.region_id == "north"])
-        south = np.array([r.temp for r in records if r.region_id == "south"])
+        daily = generate_synthetic_daily(SynthConfig(n_weeks=104, break_weeks=(52,), level_shifts=(-1_000.0,)))
+        north = daily.column("north", "temp_c")
+        south = daily.column("south", "temp_c")
         assert south.mean() > north.mean() + 1.0
 
 
