@@ -89,9 +89,7 @@ def derive_wind_speed(u10, v10):
 def _seven_days(values, what: str, precipitation: bool = False) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != WEEK_DAYS:
-        raise ShapeError(
-            f"{what} requires exactly {WEEK_DAYS} daily values per week, got shape {arr.shape}"
-        )
+        raise ShapeError(f"{what} requires exactly {WEEK_DAYS} daily values, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what}: daily values must be finite")
     if precipitation and np.any(arr < 0):

@@ -101,15 +101,17 @@ def _day_problem(region: str, day: dt.date, values: list[float]) -> str | None:
     """The first rule that one region-day's measurements, in
     :data:`DAILY_MEASUREMENTS` order, break, as an error message."""
     _, _, _, precip, _, cloud, fwi = values
-    where = f"for region {region} on {day}"
     if not all(map(math.isfinite, values)):
-        return f"non-finite measurement {where}"
-    if not 0.0 <= cloud <= 1.0:
-        return f"cloud_cover must lie in [0, 1], got {cloud!r} {where}"
-    if precip < 0.0:
-        return f"precip must be non-negative, got {precip!r} {where}"
-    if fwi < 0.0:
-        return f"fwi must be non-negative, got {fwi!r} {where}"
+        problem = "non-finite measurement"
+    elif not 0.0 <= cloud <= 1.0:
+        problem = f"cloud_cover must lie in [0, 1], got {cloud!r}"
+    elif precip < 0.0:
+        problem = f"precip must be non-negative, got {precip!r}"
+    elif fwi < 0.0:
+        problem = f"fwi must be non-negative, got {fwi!r}"
+    else:
+        return None
+    return f"{problem} for region {region} on {day}"
 
 
 @dataclass(frozen=True)
@@ -386,13 +388,13 @@ def read_daily_csv(path: str) -> DailyClimate:
         numbers = [_parse_float(c, n, line) for c, n in zip(row[2:], DAILY_MEASUREMENTS)]
         if not region:
             raise IngestionError("region_id must be a non-empty string", line)
-        problem = _day_problem(region, date, numbers)
-        if problem:
+        if problem := _day_problem(region, date, numbers):
             raise IngestionError(problem, line)
         days[date] = (line, numbers)
     if not by_region:
         raise IngestionError("no data rows", 1)
 
+    firsts, tables = [], []
     for region, days in by_region.items():
         dates = sorted(days)
         for a, b in zip(dates, dates[1:]):
@@ -402,8 +404,9 @@ def read_daily_csv(path: str) -> DailyClimate:
                     f"missing {a + dt.timedelta(days=1)}",
                     days[b][0],
                 )
-        by_region[region] = (dates[0], np.array([days[d][1] for d in dates]).T)
-    return DailyClimate(tuple(by_region), *zip(*by_region.values()))
+        firsts.append(dates[0])
+        tables.append(np.array([days[d][1] for d in dates]).T)
+    return DailyClimate(tuple(by_region), tuple(firsts), tuple(tables))
 
 
 def write_daily_csv(daily: DailyClimate, path: str) -> None:
