@@ -135,7 +135,7 @@ class DailyClimate:
             raise ShapeError("need one first day and one value table per distinct region id")
         tables = []
         for region, first, columns in zip(regions, firsts, self.values):
-            if not region:
+            if not isinstance(region, str) or not region:
                 raise InvalidInputError("region_id must be a non-empty string")
             if not isinstance(first, dt.date) or isinstance(first, dt.datetime):
                 raise InvalidInputError(f"region {region!r}: first day must be a datetime.date")

@@ -294,8 +294,11 @@ class TestRecordValidation:
         assert str(excinfo.value) == "non-finite measurement for region r on 2020-01-09"
 
     def test_region_ids_and_columns(self):
-        with pytest.raises(InvalidInputError, match="non-empty"):
-            DailyClimate(("",), (MONDAY,), (one_region(),))
+        for region in ("", 5):
+            with pytest.raises(InvalidInputError, match="non-empty string"):
+                DailyClimate((region,), (MONDAY,), (one_region(),))
+        with pytest.raises(InvalidInputError, match="datetime.date"):
+            DailyClimate(("r",), (dt.datetime(2020, 1, 6),), (one_region(),))
         with pytest.raises(ShapeError, match="per distinct region id"):
             DailyClimate(("r", "r"), (MONDAY, MONDAY), (one_region(), one_region()))
         with pytest.raises(ShapeError, match="per distinct region id"):
