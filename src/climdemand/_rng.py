@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, ShapeError
+from .errors import ConfigError, InvalidInputError, ShapeError, integer_problem
 
 MIN_REPLICATES = 100
 
@@ -46,11 +46,8 @@ def substream(seed: int, label: str, *indices: int) -> np.random.Generator:
 
 def replicate_problems(n_replicates, seed) -> dict[str, str]:
     """Problems with a bootstrap's replicate count and master seed, by field."""
-    problems = {}
-    for field, value, floor in (("n_replicates", n_replicates, MIN_REPLICATES), ("seed", seed, 0)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < floor:
-            problems[field] = f"must be an integer >= {floor}, got {value!r}"
-    return problems
+    checks = (("n_replicates", n_replicates, MIN_REPLICATES), ("seed", seed, 0))
+    return {field: p for field, value, floor in checks if (p := integer_problem(value, floor))}
 
 
 def seed_problems(seed) -> dict[str, str]:

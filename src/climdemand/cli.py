@@ -77,7 +77,7 @@ from .panel import (
 from .sparsevar import coefficient_table, fit_lasso_var, select_lambda
 from .spectral import GcBootstrapConfig, conditional_gc_spectrum, unconditional_gc_spectrum
 from .synth import SynthConfig, generate_synthetic_daily, synthetic_panel_from_daily
-from .trend import TrendFitConfig, TrendModel, fit_trend_model, fitted_values
+from .trend import TrendModel, fit_trend_model, fitted_values
 from .trend import forecast as trend_forecast
 from .varx import build_exogenous, fevd, fit_varx, forecast_recursive, irf, residual_bootstrap
 
@@ -88,13 +88,11 @@ class RunConfig:
     command: str
     out_dir: str
     seed: int
-    threads: int
     parameters: dict
 
     def manifest(self) -> dict:
-        # threads is accepted but no command uses it, so it stays out of
-        # the manifest; (command, parameters, seed) must be
-        # sufficient to reproduce the files byte for byte.
+        # (command, parameters, seed) must be sufficient to reproduce the
+        # files byte for byte.
         return {
             "command": self.command,
             "seed": self.seed,
@@ -173,20 +171,14 @@ def _gc_series(panel: PanelDataset, name: str, raw: bool) -> np.ndarray:
 
 
 def _fit_trends(panel: PanelDataset, names: tuple[str, ...], train_length: int,
-                trend_cfg: TrendFitConfig,
                 trends: dict[str, TrendModel]) -> dict[str, TrendModel]:
     """Add to ``trends`` one fit per column not yet in it, each on the
     column's first ``train_length`` weeks; returns ``trends``."""
     _require_columns(panel, names)
     for name in names:
         if name not in trends:
-            trends[name] = fit_trend_model(panel.column(name)[:train_length], trend_cfg)
+            trends[name] = fit_trend_model(panel.column(name)[:train_length])
     return trends
-
-
-def _trend_inputs(model_name: str, target: str, drivers: tuple[str, ...]) -> tuple[str, ...]:
-    """The columns whose trend fits a model family uses."""
-    return {"trend": (target,), "varx": (target,) + drivers, "forest": drivers}[model_name]
 
 
 def _trend_baseline(model: TrendModel, horizon: int) -> np.ndarray:
@@ -201,8 +193,10 @@ def _varx_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
                  train_length: int, horizon: int, harmonics: int,
                  trends: dict[str, TrendModel]):
     """Temperature-augmented VARX: endogenous target + drivers, exogenous
-    seasonal terms plus per-variable baselines from the fitted ``trends``."""
+    seasonal terms plus per-variable baselines from their trend fits, which
+    are added to ``trends`` where missing."""
     names = (target,) + drivers
+    _fit_trends(panel, names, train_length, trends)
     baselines = {
         f"{name}_baseline": _trend_baseline(trends[name], horizon) for name in names
     }
@@ -232,11 +226,13 @@ def _forest_recipe(panel: PanelDataset, target: str, drivers: tuple[str, ...],
                    trees: int, seed: int, trends: dict[str, TrendModel]):
     """Block-bootstrap forest on the first ``train_length`` weeks' lagged
     design (target lags, driver-baseline lags, calendar terms) and its
-    recursive forecast of the ``horizon`` weeks after them.
+    recursive forecast of the ``horizon`` weeks after them.  The training
+    rows are checked before the drivers' trend fits are added to ``trends``.
 
     Returns ``(model, training rows, forecast values)``.
     """
     _check_forest_rows(train_length, lags)
+    _fit_trends(panel, drivers, train_length, trends)
     train_rows = train_length - lags
     axis = panel.week_starts[: train_length + horizon]
     design = build_exogenous(axis, harmonics=harmonics)
@@ -464,24 +460,23 @@ def _fit_varx_artifacts(run: RunConfig, model, replicates: int,
 
 def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
             drivers: tuple[str, ...], harmonics: int, lags: int,
-            replicates: int, trees: int, irf_horizon: int,
-            trend_cfg: TrendFitConfig) -> None:
+            replicates: int, trees: int, irf_horizon: int) -> None:
     """Train one model on the whole panel and emit its fit artifacts."""
     panel = read_panel_csv(panel_path)
     _require_columns(panel, (target,))
     n = panel.n_weeks
-    trends = _fit_trends(panel, _trend_inputs(model_name, target, drivers), n, trend_cfg, {})
     if model_name == "trend":
+        trend = _fit_trends(panel, (target,), n, {})[target]
         columns = {target: panel.column(target),
-                   f"{target}_baseline_fitted": _trend_baseline(trends[target], 0)}
+                   f"{target}_baseline_fitted": _trend_baseline(trend, 0)}
         write_panel_csv(PanelDataset(panel.week_starts, columns),
                         _out_path(run, f"trend_fit_{target}.csv"))
     elif model_name == "varx":
-        model, _ = _varx_recipe(panel, target, drivers, n, 0, harmonics, trends)
+        model, _ = _varx_recipe(panel, target, drivers, n, 0, harmonics, {})
         _fit_varx_artifacts(run, model, replicates, irf_horizon)
     else:
         model, training, _ = _forest_recipe(
-            panel, target, drivers, n, 0, harmonics, lags, trees, run.seed, trends
+            panel, target, drivers, n, 0, harmonics, lags, trees, run.seed, {}
         )
         _write_json(_out_path(run, f"forest_oob_{target}.json"), _oob_payload(model, training))
     _write_manifest(run)
@@ -489,18 +484,16 @@ def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
 
 def _forecast(run: RunConfig, panel: PanelDataset, model_name: str, target: str,
               drivers: tuple[str, ...], train_length: int, horizon: int,
-              harmonics: int, lags: int, trees: int, trend_cfg: TrendFitConfig,
+              harmonics: int, lags: int, trees: int,
               trends: dict[str, TrendModel]):
     """Train ``model_name`` on the first ``train_length`` weeks, emit its
     forecast of the next ``horizon`` as a panel CSV, and return the file's
     path and the model.  Trend fits missing from ``trends`` are added to it.
     """
     axis = _forecast_axis(panel, train_length, horizon)
-    _fit_trends(panel, _trend_inputs(model_name, target, drivers), train_length,
-                trend_cfg, trends)
     column = f"{target}_baseline_forecast" if model_name == "trend" else f"{target}_forecast"
     if model_name == "trend":
-        model = trends[target]
+        model = _fit_trends(panel, (target,), train_length, trends)[target]
         values = trend_forecast(model, horizon)
     elif model_name == "varx":
         model, design = _varx_recipe(
@@ -519,13 +512,12 @@ def _forecast(run: RunConfig, panel: PanelDataset, model_name: str, target: str,
 
 def cmd_forecast(run: RunConfig, panel_path: str, model_name: str, target: str,
                  drivers: tuple[str, ...], train_length: int, horizon: int,
-                 harmonics: int, lags: int, trees: int,
-                 trend_cfg: TrendFitConfig) -> None:
+                 harmonics: int, lags: int, trees: int) -> None:
     """Train on the first ``train_length`` weeks and forecast ``horizon``."""
     panel = read_panel_csv(panel_path)
     _require_columns(panel, (target,))
     _forecast(run, panel, model_name, target, drivers, train_length, horizon,
-              harmonics, lags, trees, trend_cfg, {})
+              harmonics, lags, trees, {})
     _write_manifest(run)
 
 
@@ -604,7 +596,6 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     except ConfigError as exc:  # the option table has checked the seed
         raise ConfigError({"replicates": exc.fields["n_replicates"]}) from None
     _check_forest_rows(train_length, lags)
-    trend_cfg = TrendFitConfig(seed=run.seed)
 
     # Stage 1: synthetic world.
     daily_path, synthetic_path = _emit_synthetic(run, synth_cfg)
@@ -639,7 +630,7 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     for name in _MODELS:
         forecast_paths[name], model = _forecast(
             run, panel, name, target, (driver,), train_length, horizon, harmonics,
-            lags, trees, trend_cfg, trends,
+            lags, trees, trends,
         )
         if name == "varx":
             _fit_varx_artifacts(run, model, replicates, irf_horizon)
@@ -839,11 +830,9 @@ _COMMANDS = {
     "sparse-var": ("penalized VAR coefficient table on deseasonalized cycles",
                    lambda run, p: cmd_sparse_var(run, p.pop("panel"), **p)),
     "fit": ("train a model on the full panel and emit fit artifacts",
-            lambda run, p: cmd_fit(run, p.pop("panel"), p.pop("model"), **p,
-                                   trend_cfg=TrendFitConfig(seed=run.seed))),
+            lambda run, p: cmd_fit(run, p.pop("panel"), p.pop("model"), **p)),
     "forecast": ("train on the first weeks and forecast the following ones",
-                 lambda run, p: cmd_forecast(run, p.pop("panel"), p.pop("model"), **p,
-                                             trend_cfg=TrendFitConfig(seed=run.seed))),
+                 lambda run, p: cmd_forecast(run, p.pop("panel"), p.pop("model"), **p)),
     "evaluate": ("score forecast files on the holdout window",
                  lambda run, p: cmd_evaluate(run, p.pop("panel"), **p)),
     "pipeline": ("synthetic end-to-end reproduction run", _run_pipeline),
@@ -929,11 +918,11 @@ def _resolve(command: str, args: argparse.Namespace, sections: dict) -> dict:
 
 def _dispatch(args: argparse.Namespace) -> None:
     values = _resolve(args.command, args, _read_config(args.config))
+    del values["threads"]  # accepted for compatibility; nothing reads it
     run = RunConfig(
         command=args.command,
         out_dir=values.pop("out_dir"),
         seed=values.pop("seed"),
-        threads=values.pop("threads"),
         parameters=dict(values),  # a copy: the calls pop from values
     )
     _COMMANDS[args.command][1](run, values)

@@ -15,7 +15,8 @@ import dataclasses
 import numpy as np
 
 from ._rng import check_replicates, mc_p_value, replicate_draws
-from .errors import ConfigError, DegenerateInputError, InvalidInputError
+from .errors import ConfigError, DegenerateInputError, InvalidInputError, integer_problem
+from .panel import finite_array
 
 __all__ = [
     "PortmanteauResult",
@@ -47,30 +48,21 @@ class ArchLmResult:
     n_replicates: int
 
 
-def _as_residual_matrix(residuals) -> np.ndarray:
-    u = np.asarray(residuals, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.ndim != 2:
-        raise InvalidInputError("residuals must form a 1-D or 2-D array")
-    if u.shape[0] == 0 or u.shape[1] == 0:
+def _residuals(residuals, lags, rows_per_lag: int, extra_rows: int) -> np.ndarray:
+    """Finite, non-empty (T, K) residuals (a 1-D series is one column), with
+    ``lags`` an integer >= 1 that leaves T >= rows_per_lag * lags + extra_rows."""
+    u = finite_array(residuals, "residuals", ndim=2)
+    if u.size == 0:
         raise InvalidInputError("residuals are empty")
-    if not np.all(np.isfinite(u)):
-        raise InvalidInputError("residuals contain non-finite values")
-    return u
-
-
-def _check_lags(lags, n_rows, minimum_rows) -> None:
-    problems = {}
-    if not isinstance(lags, (int, np.integer)) or isinstance(lags, bool) or lags < 1:
-        problems["lags"] = f"must be a positive integer, got {lags!r}"
-    elif n_rows < minimum_rows:
-        problems["lags"] = (
-            f"needs at least {minimum_rows} residual rows at {lags} lags, "
-            f"got {n_rows}"
+    problem = integer_problem(lags, 1)
+    if problem is None and len(u) < rows_per_lag * lags + extra_rows:
+        problem = (
+            f"needs at least {rows_per_lag * lags + extra_rows} residual rows at "
+            f"{lags} lags, got {len(u)}"
         )
-    if problems:
-        raise ConfigError(problems)
+    if problem:
+        raise ConfigError({"lags": problem})
+    return u
 
 
 def _portmanteau_batch(u: np.ndarray, lags: int) -> np.ndarray:
@@ -98,8 +90,7 @@ def portmanteau_statistic(residuals, lags: int) -> float:
     with ``C_j`` the lag-j residual autocovariance.  Large values indicate
     leftover serial correlation.
     """
-    u = _as_residual_matrix(residuals)
-    _check_lags(lags, u.shape[0], lags + 2)
+    u = _residuals(residuals, lags, 1, 2)
     return float(_portmanteau_batch(u[None, :, :], lags)[0])
 
 
@@ -107,8 +98,7 @@ def portmanteau_test(
     residuals, lags: int = 12, n_replicates: int = 500, seed: int = 0
 ) -> PortmanteauResult:
     """Serial-correlation test with a row-resampled null distribution."""
-    u = _as_residual_matrix(residuals)
-    _check_lags(lags, u.shape[0], lags + 2)
+    u = _residuals(residuals, lags, 1, 2)
     check_replicates(n_replicates, seed)
     observed = float(_portmanteau_batch(u[None, :, :], lags)[0])
     resampled = u[replicate_draws(seed, "portmanteau-null", range(n_replicates), (len(u), None))[0]]
@@ -155,8 +145,7 @@ def _arch_lm_batch(u: np.ndarray, lags: int) -> np.ndarray:
 
 def arch_lm_statistics(residuals, lags: int) -> np.ndarray:
     """Per-equation ARCH-LM statistics (n R^2 of squared-residual lags)."""
-    u = _as_residual_matrix(residuals)
-    _check_lags(lags, u.shape[0], 2 * lags + 3)
+    u = _residuals(residuals, lags, 2, 3)
     return _arch_lm_batch(u[None, :, :], lags)[0]
 
 
@@ -169,8 +158,7 @@ def arch_lm_test(
     Bonferroni correction across equations, so it stays valid however the
     equations are correlated.
     """
-    u = _as_residual_matrix(residuals)
-    _check_lags(lags, u.shape[0], 2 * lags + 3)
+    u = _residuals(residuals, lags, 2, 3)
     check_replicates(n_replicates, seed)
     observed = _arch_lm_batch(u[None, :, :], lags)[0]
     resampled = u[replicate_draws(seed, "arch-null", range(n_replicates), (len(u), None))[0]]

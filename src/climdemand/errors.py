@@ -7,6 +7,8 @@ programming errors and report them uniformly.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""
@@ -75,6 +77,19 @@ class ConfigError(ToolkitError, ValueError):
         self.fields = dict(problems)
         detail = "; ".join(f"{k}: {v}" for k, v in sorted(problems.items()))
         super().__init__(f"invalid configuration ({detail})")
+
+
+def integer_problem(value, floor: int) -> str | None:
+    """``None`` when ``value`` is an integer (Python or numpy, not a bool)
+    of at least ``floor``, else the problem as a message.
+
+    Config classes collect these under their field names into one
+    :class:`ConfigError`; a function raises :class:`InvalidInputError` with
+    the argument's name in front.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= floor:
+        return None
+    return f"must be an integer >= {floor}, got {value!r}"
 
 
 class RankDeficiencyError(ToolkitError, ValueError):

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, InvalidInputError, ShapeError
-from .panel import DAILY_MEASUREMENTS, WEEK_DAYS, DailyClimate, PanelDataset
+from .panel import DAILY_MEASUREMENTS, WEEK_DAYS, DailyClimate, PanelDataset, finite_array
 
 #: Climate columns produced by :func:`aggregate_weekly_national`, in order.
 NATIONAL_CLIMATE_COLUMNS = (
@@ -76,22 +76,18 @@ def derive_wind_speed(u10, v10):
 
     Accepts scalars or arrays; returns ``sqrt(u10**2 + v10**2)`` elementwise.
     """
-    u = np.asarray(u10, dtype=float)
-    v = np.asarray(v10, dtype=float)
+    u = finite_array(u10, "wind component u10", np.ndim(u10))
+    v = finite_array(v10, "wind component v10", np.ndim(v10))
     if u.shape != v.shape:
         raise ShapeError(f"wind components differ in shape: {u.shape} vs {v.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise InvalidInputError("wind components must be finite")
     speed = np.hypot(u, v)
     return float(speed) if speed.ndim == 0 else speed
 
 
 def _seven_days(values, what: str, precipitation: bool = False) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0 or arr.shape[-1] != WEEK_DAYS:
+    arr = finite_array(values, f"{what}: daily values", max(np.ndim(values), 1))
+    if arr.shape[-1] != WEEK_DAYS:
         raise ShapeError(f"{what} requires exactly {WEEK_DAYS} daily values, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{what}: daily values must be finite")
     if precipitation and np.any(arr < 0):
         raise InvalidInputError(f"{what}: precipitation must be non-negative")
     return arr
@@ -121,9 +117,9 @@ def weekly_extreme_rainfall(daily_precip, extreme_threshold_mm):
     the block's leading shape, such as one cutoff per region.
     """
     precip = _seven_days(daily_precip, "weekly_extreme_rainfall", precipitation=True)
-    cutoff = np.asarray(extreme_threshold_mm, dtype=float)
-    if not np.isfinite(cutoff).all():
-        raise InvalidInputError("weekly_extreme_rainfall: threshold must be finite")
+    cutoff = finite_array(
+        extreme_threshold_mm, "weekly_extreme_rainfall: threshold", np.ndim(extreme_threshold_mm)
+    )
     return _per_week(np.where(precip > cutoff[..., None], precip, 0.0).sum(axis=-1))
 
 

@@ -41,8 +41,9 @@ from .errors import (
     MetricUndefinedError,
     ShapeError,
     UnknownColumnError,
+    integer_problem,
 )
-from .panel import PanelDataset
+from .panel import PanelDataset, finite_array
 
 __all__ = [
     "SupervisedDataset",
@@ -81,12 +82,10 @@ class SupervisedDataset:
     target: np.ndarray
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=float)
-        target = np.asarray(self.target, dtype=float)
-        if features.ndim != 2:
-            raise ShapeError("features must be a 2-D array")
-        if target.ndim != 1 or target.shape[0] != features.shape[0]:
-            raise ShapeError("target must be 1-D with one value per feature row")
+        features = finite_array(self.features, "features", ndim=2)
+        target = finite_array(self.target, "target")
+        if target.shape[0] != features.shape[0]:
+            raise ShapeError("target must have one value per feature row")
         if features.shape[0] == 0:
             raise InvalidInputError("dataset has no rows")
         names = tuple(self.feature_names)
@@ -94,8 +93,6 @@ class SupervisedDataset:
             raise ShapeError("feature_names must match the number of feature columns")
         if len(set(names)) != len(names):
             raise InvalidInputError("feature names must be unique")
-        if not np.all(np.isfinite(features)) or not np.all(np.isfinite(target)):
-            raise InvalidInputError("features and target must be finite")
         features.setflags(write=False)
         target.setflags(write=False)
         object.__setattr__(self, "feature_names", names)
@@ -127,15 +124,8 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        problems: dict[str, str] = {}
-        if self.n_trees < 1:
-            problems["n_trees"] = "must be at least 1"
-        if self.mtry is not None and self.mtry < 1:
-            problems["mtry"] = "must be at least 1 (or None for the default)"
-        if self.min_node_size < 1:
-            problems["min_node_size"] = "must be at least 1"
-        if self.block_length < 1:
-            problems["block_length"] = "must be at least 1"
+        fields = ("n_trees", "min_node_size", "block_length") + ("mtry",) * (self.mtry is not None)
+        problems = {f: p for f in fields if (p := integer_problem(getattr(self, f), 1))}
         problems.update(seed_problems(self.seed))
         if problems:
             raise ConfigError(problems)
@@ -279,8 +269,8 @@ def lagged_design_matrix(
     InvalidInputError
         ``lags < 1`` or the panel is no longer than ``lags``.
     """
-    if lags < 1:
-        raise InvalidInputError("lags must be at least 1")
+    if problem := integer_problem(lags, 1):
+        raise InvalidInputError(f"lags {problem}")
     known = set(panel.column_names)
     missing = [n for n in (target_name, *extra_columns) if n not in known]
     if missing:
@@ -363,11 +353,12 @@ def moving_block_plan(n_rows: int, block_length: int) -> tuple[int, int, int]:
         Number of overlapping candidate blocks, blocks drawn with
         replacement, and concatenated rows before truncation to ``n_rows``.
     """
-    if n_rows < 1:
-        raise InvalidInputError("n_rows must be at least 1")
-    if block_length < 1 or block_length > n_rows:
+    if problem := integer_problem(n_rows, 1):
+        raise InvalidInputError(f"n_rows {problem}")
+    if integer_problem(block_length, 1) or block_length > n_rows:
         raise ConfigError(
-            {"block_length": f"must be in [1, {n_rows}] for {n_rows} rows"}
+            {"block_length": f"must be an integer in [1, {n_rows}] for {n_rows} rows, "
+                             f"got {block_length!r}"}
         )
     n_blocks = n_rows - block_length + 1
     n_draws = math.ceil(n_rows / block_length)
@@ -868,16 +859,12 @@ def predict(model: ForestModel, features: np.ndarray) -> np.ndarray | float:
     Accepts a single feature vector (returns a float) or a matrix with one
     row per observation (returns an array).
     """
-    x = np.asarray(features, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != len(model.feature_names):
+    single = np.ndim(features) == 1
+    x = finite_array(np.atleast_2d(features) if single else features, "features", ndim=2)
+    if x.shape[1] != len(model.feature_names):
         raise ShapeError(
             f"expected {len(model.feature_names)} features, got shape {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("features must be finite")
     out = _tree_sums(model, x, None) / model.n_trees
     return float(out[0]) if single else out
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, InvalidInputError
-from .panel import WeeklySeries
+from .errors import ConfigError, InsufficientDataError, integer_problem
+from .panel import WeeklySeries, finite_array
 
 #: Weekly smoothing parameter, 1600 scaled by (52/4)**4.
 WEEKLY_SMOOTHING = 1600.0 * 13.0**4
@@ -162,15 +162,11 @@ def _solve_cycle(values, smoothing: float) -> np.ndarray:
     smoothing; one refinement step against the double-double residual
     brings the cycle to within a few ulps of the exact solution.
     """
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1:
-        raise InvalidInputError(f"hp filter expects a one-dimensional series, got shape {y.shape}")
+    y = finite_array(values, "hp filter: series")
     if y.size < 4:
         raise InsufficientDataError(
             f"hp filter needs at least 4 observations, got {y.size}"
         )
-    if not np.isfinite(y).all():
-        raise InvalidInputError("hp filter: series must be finite")
     smoothing = float(smoothing)  # a float32 would make the exact splits round
     factor = _ldl_factor(y.size, smoothing)
     cycle = _ldl_solve(factor, _residual(y, np.zeros(y.size), smoothing))
@@ -208,18 +204,12 @@ def hp_cycle(series, cfg: HpConfig = HpConfig()):
 
 
 def _solve_seasonal_residual(values, period: float, harmonics: int) -> np.ndarray:
-    y = np.asarray(values, dtype=float)
-    if y.ndim != 1:
-        raise InvalidInputError(
-            f"seasonal adjustment expects a one-dimensional series, got shape {y.shape}"
-        )
-    if not np.isfinite(y).all():
-        raise InvalidInputError("seasonal adjustment: series must be finite")
+    y = finite_array(values, "seasonal adjustment: series")
     problems: dict[str, str] = {}
     if not (_finite_real(period) and period > 1.0):
         problems["period"] = f"must be a number greater than 1, got {period!r}"
-    if not isinstance(harmonics, int) or isinstance(harmonics, bool) or harmonics < 0:
-        problems["harmonics"] = f"must be a non-negative integer, got {harmonics!r}"
+    if problem := integer_problem(harmonics, 0):
+        problems["harmonics"] = problem
     if problems:
         raise ConfigError(problems)
     n_params = 2 * harmonics + 1

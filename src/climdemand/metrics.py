@@ -18,8 +18,9 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     MetricUndefinedError,
+    integer_problem,
 )
-from .panel import PanelDataset
+from .panel import PanelDataset, finite_array
 
 __all__ = [
     "MetricReport",
@@ -73,42 +74,22 @@ class SplitSpec:
     step: int = 52
 
     def __post_init__(self):
-        problems = {}
-        for field in ("train_length", "horizon", "window", "step"):
-            value = getattr(self, field)
-            if (
-                not isinstance(value, (int, np.integer))
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                problems[field] = f"must be a positive integer, got {value!r}"
+        fields = ("train_length", "horizon", "window", "step")
+        problems = {f: p for f in fields if (p := integer_problem(getattr(self, f), 1))}
         if problems:
             raise ConfigError(problems)
 
 
 def _paired_arrays(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.ndim != 1 or p.ndim != 1:
-        raise InvalidInputError("actual and predicted must be 1-D arrays")
+    a = finite_array(actual, "actual")
+    p = finite_array(predicted, "predicted")
     if a.shape != p.shape:
         raise InvalidInputError(
             f"actual has {a.shape[0]} values but predicted has {p.shape[0]}"
         )
     if a.size == 0:
         raise InvalidInputError("cannot score an empty forecast")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
-        raise InvalidInputError("actual and predicted must be finite")
     return a, p
-
-
-def _train_array(train_series) -> np.ndarray:
-    y = np.asarray(train_series, dtype=float)
-    if y.ndim != 1 or y.size == 0:
-        raise InvalidInputError("training series must be a non-empty 1-D array")
-    if not np.all(np.isfinite(y)):
-        raise InvalidInputError("training series must be finite")
-    return y
 
 
 def mape(actual, predicted) -> float:
@@ -144,14 +125,8 @@ def rsr(actual, predicted, train_mean: float) -> float:
 
 
 def _seasonal_denominator(train: np.ndarray, seasonal_lag: int) -> float:
-    if (
-        not isinstance(seasonal_lag, (int, np.integer))
-        or isinstance(seasonal_lag, bool)
-        or seasonal_lag < 1
-    ):
-        raise ConfigError(
-            {"seasonal_lag": f"must be a positive integer, got {seasonal_lag!r}"}
-        )
+    if problem := integer_problem(seasonal_lag, 1):
+        raise ConfigError({"seasonal_lag": problem})
     if train.size <= seasonal_lag:
         raise InsufficientDataError(
             f"mase needs a training series longer than the seasonal lag "
@@ -174,7 +149,7 @@ def mase(actual, predicted, train_series, seasonal_lag: int = 52) -> float:
     influences its own scaling.
     """
     a, p = _paired_arrays(actual, predicted)
-    denom = _seasonal_denominator(_train_array(train_series), seasonal_lag)
+    denom = _seasonal_denominator(finite_array(train_series, "training series"), seasonal_lag)
     return float(np.mean(np.abs(a - p))) / denom
 
 
@@ -183,7 +158,8 @@ def evaluate_forecast(
 ) -> MetricReport:
     """Score a forecast on every supported metric at once."""
     a, p = _paired_arrays(actual, predicted)
-    train = _train_array(train_series)
+    train = finite_array(train_series, "training series")
+    denom = _seasonal_denominator(train, seasonal_lag)
     zeros = np.flatnonzero(a == 0.0)
     if zeros.size:
         raise MetricUndefinedError(
@@ -198,7 +174,6 @@ def evaluate_forecast(
             "rsr is undefined: every test value equals the training mean"
         )
     ratio = mse / spread
-    denom = _seasonal_denominator(train, seasonal_lag)
     return MetricReport(
         mape=float(100.0 * np.mean(np.abs(err) / np.abs(a))),
         rmse=math.sqrt(mse),

@@ -74,13 +74,26 @@ def format_float(x: float) -> str:
     return "%.10g" % float(x)
 
 
-def _check_finite_1d(values: np.ndarray, what: str) -> np.ndarray:
+def finite_array(values, what: str, ndim: int = 1) -> np.ndarray:
+    """``values`` (array-like or :class:`WeeklySeries`) as a finite float
+    array of ``ndim`` dimensions; at ``ndim=2`` a 1-D input is one column.
+
+    A wrong shape is a :class:`ShapeError`; a non-finite value an
+    :class:`InvalidInputError`, ``"{what} must be finite"`` and the first
+    offending position.
+    """
+    if isinstance(values, WeeklySeries):
+        values = values.values
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeError(f"{what} must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise InvalidInputError(f"{what} contains a non-finite value at position {bad}")
+    if ndim == 2 and arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != ndim:
+        raise ShapeError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = np.unravel_index(np.argmin(finite), arr.shape)
+        position = f" (position {', '.join(map(str, bad))})" if bad else ""
+        raise InvalidInputError(f"{what} must be finite{position}")
     return arr
 
 
@@ -181,7 +194,7 @@ class WeeklySeries:
 
     def __post_init__(self):
         weeks = _check_week_axis(self.week_starts, f"series {self.name!r}")
-        vals = _check_finite_1d(self.values, f"series {self.name!r} values")
+        vals = finite_array(self.values, f"series {self.name!r} values")
         if len(weeks) != vals.size:
             raise ShapeError(
                 f"series {self.name!r}: {len(weeks)} week starts but {vals.size} values"
@@ -208,7 +221,7 @@ class PanelDataset:
             raise InvalidInputError("panel must have at least one column")
         frozen: dict[str, np.ndarray] = {}
         for name, values in self.columns.items():
-            vals = _check_finite_1d(values, f"panel column {name!r}")
+            vals = finite_array(values, f"panel column {name!r}")
             if vals.size != len(weeks):
                 raise ShapeError(
                     f"panel column {name!r} has {vals.size} values "

@@ -59,8 +59,9 @@ from .errors import (
     InvalidInputError,
     NumericalError,
     ShapeError,
+    integer_problem,
 )
-from .panel import WeeklySeries
+from .panel import WeeklySeries, finite_array
 from .varbase import (
     VarModel,
     bic_path,
@@ -105,8 +106,8 @@ class GcBootstrapConfig:
             problems["expected_block_length"] = (
                 f"must be >= 1 when given, got {self.expected_block_length!r}"
             )
-        if self.max_var_order < 1:
-            problems["max_var_order"] = f"must be >= 1, got {self.max_var_order!r}"
+        if problem := integer_problem(self.max_var_order, 1):
+            problems["max_var_order"] = problem
         if problems:
             raise ConfigError(problems)
 
@@ -169,14 +170,7 @@ class SpectrumResult:
 
 
 def _series_values(series, what: str) -> tuple[np.ndarray, str]:
-    if isinstance(series, WeeklySeries):
-        return np.asarray(series.values, dtype=float), series.name
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeError(f"{what} must be a one-dimensional series, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{what} must be finite")
-    return arr, what
+    return finite_array(series, what), series.name if isinstance(series, WeeklySeries) else what
 
 
 def _check_pair(cause, effect, what_cause="cause", what_effect="effect"):

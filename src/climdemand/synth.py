@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer_problem
 from .features import FeatureConfig, aggregate_weekly_national
 from .panel import DailyClimate, PanelDataset
 from ._rng import seed_problems, substream
@@ -95,12 +95,8 @@ class SynthConfig:
 
     def __post_init__(self):
         problems: dict[str, str] = {}
-        if (
-            not isinstance(self.n_weeks, (int, np.integer))
-            or isinstance(self.n_weeks, bool)
-            or self.n_weeks < 10
-        ):
-            problems["n_weeks"] = f"must be an integer >= 10, got {self.n_weeks!r}"
+        if problem := integer_problem(self.n_weeks, 10):
+            problems["n_weeks"] = problem
         if not isinstance(self.start_date, dt.date):
             problems["start_date"] = "must be a datetime.date"
         elif self.start_date.weekday() != 0:
@@ -145,7 +141,7 @@ class SynthConfig:
                 a < b for a, b in zip(self.break_weeks, self.break_weeks[1:])
             )
             in_range = all(
-                isinstance(w, (int, np.integer)) and 0 < w < self.n_weeks
+                not integer_problem(w, 1) and w < self.n_weeks
                 for w in self.break_weeks
             )
             if not (ordered and in_range):

@@ -22,10 +22,9 @@ import warnings
 
 import numpy as np
 
-from ._rng import seed_problems
-from .errors import ConfigError, InsufficientDataError, InvalidInputError
+from .errors import ConfigError, InsufficientDataError, InvalidInputError, integer_problem
 from .lasso import solve_lasso
-from .panel import WeeklySeries
+from .panel import finite_array
 
 __all__ = [
     "TrendFitConfig",
@@ -54,30 +53,23 @@ class TrendFitConfig:
     """Settings for :func:`fit_trend_model`.
 
     ``changepoint_penalty=None`` resolves to ``10 * std(y)`` at fit time.
-    ``n_harmonics=0`` drops the seasonal block entirely.  ``seed`` exists for
-    interface uniformity with the stochastic models; the fit itself is
-    deterministic.
+    ``n_harmonics=0`` drops the seasonal block entirely.
     """
 
     n_changepoints: int = 25
     n_harmonics: int = 10
     period: int = 52
     changepoint_penalty: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        problems: dict[str, str] = {}
-        if self.n_changepoints < 0:
-            problems["n_changepoints"] = "must be nonnegative"
-        if self.n_harmonics < 0:
-            problems["n_harmonics"] = "must be nonnegative"
-        if self.period < 2:
-            problems["period"] = "must be at least 2 weeks"
+        floors = {"n_changepoints": 0, "n_harmonics": 0, "period": 2}
+        problems = {
+            f: p for f, floor in floors.items() if (p := integer_problem(getattr(self, f), floor))
+        }
         if self.changepoint_penalty is not None and not (
             np.isfinite(self.changepoint_penalty) and self.changepoint_penalty >= 0
         ):
             problems["changepoint_penalty"] = "must be finite and nonnegative"
-        problems.update(seed_problems(self.seed))
         if problems:
             raise ConfigError(problems)
 
@@ -132,17 +124,6 @@ def _hinge_design(t: np.ndarray, changepoints: np.ndarray) -> np.ndarray:
     return np.maximum(t[:, None] - changepoints[None, :], 0.0)
 
 
-def _series_values(series) -> np.ndarray:
-    if isinstance(series, WeeklySeries):
-        return np.asarray(series.values, dtype=float)
-    values = np.asarray(series, dtype=float)
-    if values.ndim != 1:
-        raise InvalidInputError("series must be one-dimensional")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("series values must be finite")
-    return values
-
-
 def fit_trend_model(series, config: TrendFitConfig = TrendFitConfig()) -> TrendModel:
     """Fit the penalized trend model by exact block minimization.
 
@@ -169,7 +150,7 @@ def fit_trend_model(series, config: TrendFitConfig = TrendFitConfig()) -> TrendM
         When the series is shorter than one seasonal period, in which case
         the seasonal coefficients are not identifiable.
     """
-    y = _series_values(series)
+    y = finite_array(series, "series values")
     n_obs = y.size
     if n_obs < 2:
         raise InsufficientDataError("need at least 2 observations to fit a trend")
@@ -265,7 +246,7 @@ def forecast(model: TrendModel, horizon: int) -> np.ndarray:
     extrapolation continues the final trend segment's slope and repeats the
     seasonal cycle.
     """
-    if horizon < 1:
-        raise InvalidInputError("horizon must be at least 1")
+    if problem := integer_problem(horizon, 1):
+        raise InvalidInputError(f"horizon {problem}")
     t = np.arange(model.n_obs, model.n_obs + horizon, dtype=float)
     return fitted_values(model, t)

@@ -29,8 +29,9 @@ from .errors import (
     InvalidInputError,
     RankDeficiencyError,
     ShapeError,
+    integer_problem,
 )
-from .panel import PanelDataset
+from .panel import PanelDataset, finite_array
 
 
 def validate_series(data, names=None, what: str = "data") -> tuple[np.ndarray, tuple[str, ...]]:
@@ -43,13 +44,9 @@ def validate_series(data, names=None, what: str = "data") -> tuple[np.ndarray, t
     if isinstance(data, PanelDataset):
         names = data.column_names if names is None else _unique_names(names, what)
         return data.matrix(names), names
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] < 1:
+    arr = finite_array(data, what, ndim=2)
+    if arr.shape[1] < 1:
         raise ShapeError(f"{what} must be a (T, K) matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{what} must be finite")
     if names is None:
         return arr, tuple(f"y{i}" for i in range(arr.shape[1]))
     names = _unique_names(names, what)
@@ -73,8 +70,8 @@ def _augmented(data: np.ndarray, order: int, exog: np.ndarray | None = None) -> 
     each lower order's design is a leading block of columns.  QR bits do
     not depend on the layout but matrix products' do: those read a
     C-ordered copy."""
-    if order < 1:
-        raise InvalidInputError(f"order must be >= 1, got {order}")
+    if problem := integer_problem(order, 1):
+        raise InvalidInputError(f"order {problem}")
     T, K = data.shape[-2:]
     n = T - order
     if n <= 0:

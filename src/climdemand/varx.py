@@ -32,7 +32,9 @@ from .errors import (
     ShapeError,
     StabilityError,
     UnknownColumnError,
+    integer_problem,
 )
+from .panel import finite_array
 from .varbase import (
     OrderFit,
     fit_single,
@@ -84,13 +86,9 @@ class ExogenousDesign:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ShapeError("exogenous values must be a 2-D array")
+        values = finite_array(self.values, "exogenous values", ndim=2)
         if len(self.column_names) != values.shape[1]:
             raise ShapeError("exogenous column names must match the value columns")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("exogenous values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "values", values)
@@ -136,10 +134,9 @@ def build_exogenous(
         Columns ordered sin/cos per harmonic, then the dummy, then the
         baselines in mapping order.
     """
-    if harmonics < 0:
-        raise InvalidInputError("harmonics must be nonnegative")
-    if period < 2:
-        raise InvalidInputError("period must be at least 2")
+    for name, value, floor in (("harmonics", harmonics, 0), ("period", period, 2)):
+        if problem := integer_problem(value, floor):
+            raise InvalidInputError(f"{name} {problem}")
     weeks = tuple(week_starts)
     n = len(weeks)
     if n == 0:
@@ -216,13 +213,11 @@ def _as_exog(exog, n_rows: int) -> tuple[np.ndarray, tuple[str, ...]]:
                 f"{n_rows}"
             )
         return exog.values[:n_rows], exog.column_names
-    values = np.asarray(exog, dtype=float)
-    if values.ndim != 2 or values.shape[0] != n_rows:
+    values = finite_array(exog, "exogenous values", ndim=2)
+    if values.shape[0] != n_rows:
         raise AlignmentError(
             f"exogenous array must have {n_rows} rows to match the sample"
         )
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("exogenous values must be finite")
     return values, tuple(f"x{i + 1}" for i in range(values.shape[1]))
 
 
@@ -491,8 +486,8 @@ def forecast_recursive(
     -------
     ndarray, shape (horizon, K)
     """
-    if horizon < 1:
-        raise InvalidInputError("horizon must be at least 1")
+    if problem := integer_problem(horizon, 1):
+        raise InvalidInputError(f"horizon {problem}")
     K = model.n_variables
     M = model.n_exog
     if M:
@@ -568,8 +563,8 @@ def irf(
     each bootstrap replicate's coefficients and covariance are pushed
     through the same computation for percentile bands.
     """
-    if horizon < 1:
-        raise InvalidInputError("horizon must be at least 1")
+    if problem := integer_problem(horizon, 1):
+        raise InvalidInputError(f"horizon {problem}")
     if spectral_radius(model.endo_coef) >= 1.0:
         raise StabilityError(
             "impulse responses require a stable model; companion radius is "
@@ -630,9 +625,13 @@ def fevd(
     Shares accumulate squared impulse-response terms up to each horizon and
     normalize per variable, so they are nonnegative and sum to one exactly.
     """
-    horizons = tuple(int(h) for h in horizons)
-    if not horizons or min(horizons) < 1:
-        raise InvalidInputError("horizons must be positive integers")
+    horizons = tuple(horizons)
+    if not horizons:
+        raise InvalidInputError("horizons must not be empty")
+    for h in horizons:
+        if problem := integer_problem(h, 1):
+            raise InvalidInputError(f"every horizon {problem}")
+    horizons = tuple(map(int, horizons))
     if spectral_radius(model.endo_coef) >= 1.0:
         raise StabilityError(
             "variance decomposition requires a stable model; companion "

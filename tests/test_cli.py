@@ -18,7 +18,6 @@ from climdemand.forest import ForestConfig
 from climdemand.panel import read_panel_csv
 from climdemand.spectral import GcBootstrapConfig
 from climdemand.synth import SynthConfig
-from climdemand.trend import TrendFitConfig
 
 SMALL_SYNTH = (
     "synth",
@@ -431,14 +430,19 @@ class TestErrorReporting:
     def test_forest_needs_a_block_of_training_rows(self, tmp_path, capsys, monkeypatch,
                                                    train_length):
         # Every window here fits the 140-week panel with its 30-week horizon,
-        # so only the forest's own training rows can fail, before it trains.
+        # so only the forest's own training rows can fail, before any trend
+        # baseline is fitted or a forest trained.
         from climdemand import cli
 
         def no_training(*args, **kwargs):
             raise AssertionError("a forest was trained")
 
+        def no_trend_fit(*args, **kwargs):
+            raise AssertionError("a trend baseline was fitted")
+
         panel = make_panel(tmp_path)
         monkeypatch.setattr(cli, "train_forest", no_training)
+        monkeypatch.setattr(cli, "fit_trend_model", no_trend_fit)
         out = tmp_path / "out"
         code = run_cli(
             "--out-dir", out, "forecast", "--panel", panel, "--model", "forest",
@@ -555,7 +559,6 @@ EVERY_OPTION = {
 # Options the hand-written parser read from the command line only.
 FLAG_ONLY = {"panel", "cause", "effect", "conditioning", "daily", "model"}
 
-TREND_0, TREND_7 = TrendFitConfig(seed=0), TrendFitConfig(seed=7)
 CAPTURED = {
     "synth": (
         ({"seed": 0}, {"cfg": SynthConfig(seed=0)}),
@@ -615,13 +618,13 @@ CAPTURED = {
           "trees": 1000},
          {"panel_path": "p.csv", "model_name": "trend", "target": "drug_demand",
           "drivers": ("temperature",), "harmonics": 1, "lags": 4, "replicates": 1000,
-          "trees": 1000, "irf_horizon": 26, "trend_cfg": TREND_0}),
+          "trees": 1000, "irf_horizon": 26}),
         ({"drivers": ["temperature", "wind_speed"], "harmonics": 2, "irf_horizon": 12,
           "lags": 3, "model": "forest", "panel": "p.csv", "replicates": 200, "target": "y",
           "trees": 20},
          {"panel_path": "p.csv", "model_name": "forest", "target": "y",
           "drivers": ("temperature", "wind_speed"), "harmonics": 2, "lags": 3,
-          "replicates": 200, "trees": 20, "irf_horizon": 12, "trend_cfg": TREND_7}),
+          "replicates": 200, "trees": 20, "irf_horizon": 12}),
     ),
     "forecast": (
         ({"drivers": ["temperature"], "harmonics": 1, "horizon": 52, "lags": 4,
@@ -629,12 +632,12 @@ CAPTURED = {
           "trees": 1000},
          {"panel_path": "p.csv", "model_name": "varx", "target": "drug_demand",
           "drivers": ("temperature",), "train_length": 338, "horizon": 52, "harmonics": 1,
-          "lags": 4, "trees": 1000, "trend_cfg": TREND_0}),
+          "lags": 4, "trees": 1000}),
         ({"drivers": ["precipitation"], "harmonics": 0, "horizon": 20, "lags": 2,
           "model": "varx", "panel": "p.csv", "target": "y", "train_length": 100, "trees": 40},
          {"panel_path": "p.csv", "model_name": "varx", "target": "y",
           "drivers": ("precipitation",), "train_length": 100, "horizon": 20, "harmonics": 0,
-          "lags": 2, "trees": 40, "trend_cfg": TREND_7}),
+          "lags": 2, "trees": 40}),
     ),
     "evaluate": (
         ({"forecasts": {"trend": "t.csv"}, "horizon": 52, "panel": "p.csv",
@@ -691,7 +694,7 @@ class TestOptionTable:
         parameters, expected = CAPTURED[command][0 if defaults else 1]
         manifest = {"command": command, "seed": 0 if defaults else 7, "parameters": parameters}
         assert json.dumps(run.manifest(), sort_keys=True) == json.dumps(manifest, sort_keys=True)
-        assert (run.out_dir, run.threads) == ((".", 1) if defaults else ("results", 2))
+        assert run.out_dir == ("." if defaults else "results")
         assert repr(arguments) == repr(expected)
 
 

@@ -22,7 +22,6 @@ from climdemand.spectral import (
     unconditional_gc_spectrum,
 )
 from climdemand.synth import SynthConfig
-from climdemand.trend import TrendFitConfig
 from climdemand.varx import fit_varx, granger_test_time_domain, residual_bootstrap
 
 
@@ -88,7 +87,6 @@ SEEDED = {
     "substream": lambda seed: substream(seed, "label"),
     "ForestConfig": lambda seed: ForestConfig(seed=seed),
     "SynthConfig": lambda seed: SynthConfig(seed=seed),
-    "TrendFitConfig": lambda seed: TrendFitConfig(seed=seed),
 }
 
 
