@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, ShapeError, integer_problem
+from .errors import ConfigError, InvalidInputError, ShapeError, integer_problem, real_problem
 
 MIN_REPLICATES = 100
 
@@ -68,8 +68,8 @@ def _stationary_paths(starts: np.ndarray, uniforms: np.ndarray, block_length: fl
     n = starts.shape[-1]
     if n <= 0:
         raise ShapeError("cannot resample an empty series")
-    if not block_length >= 1.0:
-        raise InvalidInputError(f"expected block length must be >= 1, got {block_length!r}")
+    if problem := real_problem(block_length, "[1, inf)"):
+        raise InvalidInputError(f"block_length {problem}")
     step = np.arange(n)
     restart = uniforms < 1.0 / block_length
     restart[..., 0] = True

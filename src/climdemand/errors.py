@@ -7,6 +7,9 @@ programming errors and report them uniformly.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 
@@ -90,6 +93,24 @@ def integer_problem(value, floor: int) -> str | None:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= floor:
         return None
     return f"must be an integer >= {floor}, got {value!r}"
+
+
+def real_problem(value, interval: str) -> str | None:
+    """``None`` when ``value`` is a finite real number (Python or numpy,
+    not a bool) inside ``interval``, written like ``"(0, 0.5]"`` or
+    ``"[0, inf)"``, else the problem as a message; reported as
+    :func:`integer_problem`'s are.
+    """
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, (bool, np.bool_))
+        and -math.inf < value < math.inf
+        and (low < value if interval[0] == "(" else low <= value)
+        and (value < high if interval[-1] == ")" else value <= high)
+    ):
+        return None
+    return f"must be a finite number in {interval}, got {value!r}"
 
 
 class RankDeficiencyError(ToolkitError, ValueError):

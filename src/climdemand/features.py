@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, InvalidInputError, ShapeError
+from .errors import AlignmentError, ConfigError, InvalidInputError, ShapeError, real_problem
 from .panel import DAILY_MEASUREMENTS, WEEK_DAYS, DailyClimate, PanelDataset, finite_array
 
 #: Climate columns produced by :func:`aggregate_weekly_national`, in order.
@@ -58,15 +58,10 @@ class FeatureConfig:
     extreme_quantile: float = 0.999
 
     def __post_init__(self):
-        problems: dict[str, str] = {}
-        if not np.isfinite(self.wet_day_threshold_mm) or self.wet_day_threshold_mm < 0:
-            problems["wet_day_threshold_mm"] = (
-                f"must be a finite non-negative number, got {self.wet_day_threshold_mm!r}"
-            )
-        if not 0.0 < self.extreme_quantile < 1.0:
-            problems["extreme_quantile"] = (
-                f"must lie strictly inside (0, 1), got {self.extreme_quantile!r}"
-            )
+        intervals = {"wet_day_threshold_mm": "[0, inf)", "extreme_quantile": "(0, 1)"}
+        problems = {
+            f: p for f, span in intervals.items() if (p := real_problem(getattr(self, f), span))
+        }
         if problems:
             raise ConfigError(problems)
 
@@ -113,13 +108,20 @@ def weekly_wet_days(daily_precip, cfg: FeatureConfig = FeatureConfig()):
 def weekly_extreme_rainfall(daily_precip, extreme_threshold_mm):
     """Total precipitation on days strictly exceeding the extreme threshold.
 
-    For a block of weeks the threshold may be an array broadcasting against
-    the block's leading shape, such as one cutoff per region.
+    For a block of weeks the threshold may be an array that broadcasts to
+    the block's leading shape (else :class:`ShapeError`), such as one cutoff per region.
     """
     precip = _seven_days(daily_precip, "weekly_extreme_rainfall", precipitation=True)
     cutoff = finite_array(
         extreme_threshold_mm, "weekly_extreme_rainfall: threshold", np.ndim(extreme_threshold_mm)
     )
+    try:
+        cutoff = np.broadcast_to(cutoff, precip.shape[:-1])
+    except ValueError:
+        raise ShapeError(
+            f"weekly_extreme_rainfall: threshold of shape {cutoff.shape} does not "
+            f"broadcast to the block's leading shape {precip.shape[:-1]}"
+        ) from None
     return _per_week(np.where(precip > cutoff[..., None], precip, 0.0).sum(axis=-1))
 
 

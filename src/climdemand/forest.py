@@ -322,9 +322,11 @@ def lagged_feature_rows(
     Raises
     ------
     InvalidInputError
-        A week outside ``[lags, panel.n_weeks)``, or a ``target`` whose
-        length is not the panel's week count.
+        ``lags`` not an integer >= 1, a week outside ``[lags, panel.n_weeks)``,
+        or a ``target`` whose length is not the panel's week count.
     """
+    if problem := integer_problem(lags, 1):
+        raise InvalidInputError(f"lags {problem}")
     weeks = np.asarray(weeks)
     if weeks.size and (weeks.min() < lags or weeks.max() >= panel.n_weeks):
         raise InvalidInputError(

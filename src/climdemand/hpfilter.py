@@ -16,12 +16,11 @@ value 1600 to weekly data: 1600 * (52/4)**4.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, integer_problem
+from .errors import ConfigError, InsufficientDataError, integer_problem, real_problem
 from .panel import WeeklySeries, finite_array
 
 #: Weekly smoothing parameter, 1600 scaled by (52/4)**4.
@@ -31,15 +30,6 @@ WEEKLY_SMOOTHING = 1600.0 * 13.0**4
 _SPLITTER = 134217729.0
 
 
-def _finite_real(value) -> bool:
-    """A finite real number; a bool is not one."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, (bool, np.bool_))
-        and bool(np.isfinite(value))
-    )
-
-
 @dataclass(frozen=True)
 class HpConfig:
     """Smoothing strength of the trend filter (larger is smoother)."""
@@ -47,10 +37,8 @@ class HpConfig:
     smoothing: float = WEEKLY_SMOOTHING
 
     def __post_init__(self):
-        if not (_finite_real(self.smoothing) and self.smoothing > 0):
-            raise ConfigError(
-                {"smoothing": f"must be a finite positive number, got {self.smoothing!r}"}
-            )
+        if problem := real_problem(self.smoothing, "(0, inf)"):
+            raise ConfigError({"smoothing": problem})
 
 
 def _two_sum(a, b):
@@ -206,8 +194,8 @@ def hp_cycle(series, cfg: HpConfig = HpConfig()):
 def _solve_seasonal_residual(values, period: float, harmonics: int) -> np.ndarray:
     y = finite_array(values, "seasonal adjustment: series")
     problems: dict[str, str] = {}
-    if not (_finite_real(period) and period > 1.0):
-        problems["period"] = f"must be a number greater than 1, got {period!r}"
+    if problem := real_problem(period, "(1, inf)"):
+        problems["period"] = problem
     if problem := integer_problem(harmonics, 0):
         problems["harmonics"] = problem
     if problems:

@@ -29,6 +29,8 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     UnknownColumnError,
+    integer_problem,
+    real_problem,
 )
 from .lasso import solve_lasso
 from .varbase import lag_design, validate_series
@@ -90,7 +92,6 @@ def fit_lasso_var(
     lam: float = 0.0,
     standardize: bool = True,
     names: Sequence[str] | None = None,
-    tol: float = DUALITY_GAP_TOL,
     max_sweeps: int = MAX_SWEEPS,
 ) -> SparseVarModel:
     """Fit the penalized VAR equation by equation.
@@ -107,15 +108,15 @@ def fit_lasso_var(
     standardize : bool
         Standardize columns before fitting (the stored coefficients always
         refer to the scale the fit ran on).
-    tol, max_sweeps : float, int
-        Relative duality-gap tolerance and the solver's iteration budget
-        (path steps plus descent sweeps) per equation; ``n_sweeps`` records
-        the iterations each equation used.
+    max_sweeps : int
+        The solver's iteration budget (path steps plus descent sweeps) per
+        equation, to reach a relative duality gap of ``DUALITY_GAP_TOL``;
+        ``n_sweeps`` records the iterations each equation used.
     """
     arr, names = validate_series(data, names)
     T, K = arr.shape
-    if lam < 0 or not np.isfinite(lam):
-        raise InvalidInputError(f"lam must be finite and >= 0, got {lam!r}")
+    if problem := real_problem(lam, "[0, inf)"):
+        raise InvalidInputError(f"lam {problem}")
     if T - order <= K * order + 1:
         raise InsufficientDataError(
             f"need more than {order + K * order + 1} rows for order {order} "
@@ -148,7 +149,7 @@ def fit_lasso_var(
     for k in range(K):
         y = target[:, k]
         beta, gap, ns = solve_lasso(
-            gram, moments[:, k], float(y @ y) / n, lam, tol, max_sweeps
+            gram, moments[:, k], float(y @ y) / n, lam, DUALITY_GAP_TOL, max_sweeps
         )
         coef[:, k, :] = beta.reshape(order, K)
         gaps[k] = gap
@@ -195,12 +196,17 @@ def select_lambda(
     """
     arr, names = validate_series(data, names)
     T, K = arr.shape
+    if problem := integer_problem(n_origins, 1):
+        raise InvalidInputError(f"n_origins {problem}")
     if grid is None:
         top = lambda_max(arr, order, names)
         grid = np.geomspace(top, top * 1e-3, 16)
+    if np.ndim(grid) != 1 or len(grid) == 0:
+        raise InvalidInputError(f"grid must be a non-empty sequence, got {grid!r}")
+    for lam in grid:
+        if problem := real_problem(lam, "[0, inf)"):
+            raise InvalidInputError(f"every grid value {problem}")
     grid = np.asarray(sorted(grid, reverse=True), dtype=float)
-    if grid.size == 0 or np.any(grid < 0):
-        raise InvalidInputError("grid must be non-empty with non-negative values")
     min_train = max(order + K * order + 2, 5 * order, T - n_origins)
     origins = range(min_train, T - 1)
     if len(origins) == 0:

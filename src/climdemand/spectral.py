@@ -60,6 +60,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     integer_problem,
+    real_problem,
 )
 from .panel import WeeklySeries, finite_array
 from .varbase import (
@@ -100,12 +101,11 @@ class GcBootstrapConfig:
 
     def __post_init__(self):
         problems = replicate_problems(self.n_replicates, self.seed)
-        if not 0.0 < self.alpha <= 0.5:
-            problems["alpha"] = f"must lie in (0, 0.5], got {self.alpha!r}"
-        if self.expected_block_length is not None and not self.expected_block_length >= 1.0:
-            problems["expected_block_length"] = (
-                f"must be >= 1 when given, got {self.expected_block_length!r}"
-            )
+        if problem := real_problem(self.alpha, "(0, 0.5]"):
+            problems["alpha"] = problem
+        block = self.expected_block_length
+        if block is not None and (problem := real_problem(block, "[1, inf)")):
+            problems["expected_block_length"] = problem
         if problem := integer_problem(self.max_var_order, 1):
             problems["max_var_order"] = problem
         if problems:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-import math
 
 import numpy as np
 
-from .errors import ConfigError, integer_problem
+from .errors import ConfigError, integer_problem, real_problem
 from .features import FeatureConfig, aggregate_weekly_national
 from .panel import DailyClimate, PanelDataset
 from ._rng import seed_problems, substream
@@ -42,6 +41,20 @@ _SUMMER_PEAK_DAY = 197.0
 # Demand deviations are taken around this reference temperature so the
 # coupling term has mean near zero and the base level keeps its meaning.
 _TEMP_REFERENCE_C = 15.6
+
+# The real-valued fields of SynthConfig and the interval of their values.
+# Coupling is at most zero: cold weeks raise demand.
+_REAL_FIELDS = {
+    "base_demand": "(-inf, inf)",
+    "seasonal_amplitude": "[0, inf)",
+    "seasonal_phase_weeks": "(-inf, inf)",
+    "demand_lag_coefficients": "(-inf, inf)",
+    "temperature_coupling": "(-inf, 0]",
+    "level_shifts": "(-inf, inf)",
+    "demand_noise_sd": "[0, inf)",
+    "temperature_noise_sd": "[0, inf)",
+    "temperature_noise_persistence": "[0, 1)",
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,68 +113,34 @@ class SynthConfig:
         if not isinstance(self.start_date, dt.date):
             problems["start_date"] = "must be a datetime.date"
         elif self.start_date.weekday() != 0:
-            problems["start_date"] = (
-                f"must be a Monday, got {self.start_date} "
-                f"({self.start_date:%A})"
-            )
-        for field in (
-            "base_demand",
-            "seasonal_amplitude",
-            "seasonal_phase_weeks",
-        ):
+            problems["start_date"] = f"must be a Monday, got {self.start_date:%Y-%m-%d (%A)}"
+        for field, interval in _REAL_FIELDS.items():
             value = getattr(self, field)
-            if not (np.isscalar(value) and math.isfinite(value)):
-                problems[field] = f"must be a finite number, got {value!r}"
-        if self.seasonal_amplitude < 0:
-            problems["seasonal_amplitude"] = (
-                f"must be non-negative, got {self.seasonal_amplitude!r}"
-            )
+            many = isinstance(getattr(SynthConfig, field), tuple)  # one value per lag or break
+            if many and not isinstance(value, (tuple, list)):
+                problems[field] = f"must be a tuple of numbers, got {value!r}"
+                continue
+            for v in value if many else (value,):
+                if problem := real_problem(v, interval):
+                    problems[field] = f"every value {problem}" if many else problem
+                    break
         ar = self.demand_lag_coefficients
-        if not all(math.isfinite(a) for a in ar):
-            problems["demand_lag_coefficients"] = "must be finite numbers"
-        elif sum(abs(a) for a in ar) >= 1.0:
+        if "demand_lag_coefficients" not in problems and sum(abs(a) for a in ar) >= 1.0:
             problems["demand_lag_coefficients"] = (
-                "absolute values must sum to less than 1 for a stable "
-                f"demand process, got {ar!r}"
+                f"absolute values must sum below 1 for a stable demand process, got {ar!r}"
             )
-        coupling = self.temperature_coupling
-        if not all(math.isfinite(b) for b in coupling):
-            problems["temperature_coupling"] = "must be finite numbers"
-        elif any(b > 0 for b in coupling):
-            problems["temperature_coupling"] = (
-                f"coefficients must be <= 0 (cold raises demand), got {coupling!r}"
-            )
-        if len(self.break_weeks) != len(self.level_shifts):
+        if "level_shifts" not in problems and len(self.break_weeks) != len(self.level_shifts):
             problems["level_shifts"] = (
                 f"need one shift per break week, got {len(self.level_shifts)} "
                 f"shifts for {len(self.break_weeks)} breaks"
             )
         elif "n_weeks" not in problems:
-            ordered = all(
-                a < b for a, b in zip(self.break_weeks, self.break_weeks[1:])
-            )
-            in_range = all(
-                not integer_problem(w, 1) and w < self.n_weeks
-                for w in self.break_weeks
-            )
-            if not (ordered and in_range):
+            weeks, n = self.break_weeks, self.n_weeks
+            ordered = all(a < b for a, b in zip(weeks, weeks[1:]))
+            if not (ordered and all(not integer_problem(w, 1) and w < n for w in weeks)):
                 problems["break_weeks"] = (
-                    "must be strictly increasing integers inside "
-                    f"(0, {self.n_weeks}), got {self.break_weeks!r}"
+                    f"must be strictly increasing integers inside (0, {n}), got {weeks!r}"
                 )
-            if not all(math.isfinite(s) for s in self.level_shifts):
-                problems["level_shifts"] = "must be finite numbers"
-        for field in ("demand_noise_sd", "temperature_noise_sd"):
-            value = getattr(self, field)
-            if not (np.isscalar(value) and math.isfinite(value) and value >= 0):
-                problems[field] = (
-                    f"must be a finite non-negative number, got {value!r}"
-                )
-        phi = self.temperature_noise_persistence
-        if not (np.isscalar(phi) and math.isfinite(phi) and 0.0 <= phi < 1.0):
-            problems["temperature_noise_persistence"] = (
-                f"must lie in [0, 1), got {phi!r}"
-            )
         problems.update(seed_problems(self.seed))
         if problems:
             raise ConfigError(problems)

@@ -22,7 +22,9 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, InvalidInputError, integer_problem
+from .errors import (
+    ConfigError, InsufficientDataError, InvalidInputError, integer_problem, real_problem
+)
 from .lasso import solve_lasso
 from .panel import finite_array
 
@@ -66,10 +68,9 @@ class TrendFitConfig:
         problems = {
             f: p for f, floor in floors.items() if (p := integer_problem(getattr(self, f), floor))
         }
-        if self.changepoint_penalty is not None and not (
-            np.isfinite(self.changepoint_penalty) and self.changepoint_penalty >= 0
-        ):
-            problems["changepoint_penalty"] = "must be finite and nonnegative"
+        penalty = self.changepoint_penalty
+        if penalty is not None and (problem := real_problem(penalty, "[0, inf)")):
+            problems["changepoint_penalty"] = problem
         if problems:
             raise ConfigError(problems)
 

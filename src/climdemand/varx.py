@@ -407,6 +407,10 @@ def residual_bootstrap(
     )
 
 
+# Factor by which bias_correct shrinks the bias term until the model is stable.
+SHRINK_STEP = 0.9
+
+
 @dataclasses.dataclass(frozen=True)
 class BiasCorrection:
     """Bias-corrected model plus the shrink factor that kept it stable."""
@@ -418,14 +422,12 @@ class BiasCorrection:
     exo_bias: np.ndarray
 
 
-def bias_correct(
-    model: VarxModel, inference: VarxBootstrap, shrink_step: float = 0.9
-) -> BiasCorrection:
+def bias_correct(model: VarxModel, inference: VarxBootstrap) -> BiasCorrection:
     """Subtract the bootstrap bias estimate, shrinking until stable.
 
     The bias is the mean of the coefficient draws minus the point estimate.
     If subtracting it pushes the companion spectral radius to 1 or beyond,
-    the whole bias term is multiplied by ``shrink_step`` repeatedly until
+    the whole bias term is multiplied by ``SHRINK_STEP`` (0.9) repeatedly until
     the corrected system is stable; ``delta_applied`` records the final
     factor.  The corrected model keeps the original least-squares residuals
     and covariance, which remain the innovation estimates used downstream.
@@ -436,8 +438,6 @@ def bias_correct(
         The uncorrected point estimate is itself unstable, so no amount of
         shrinkage can terminate.
     """
-    if not 0.0 < shrink_step < 1.0:
-        raise InvalidInputError("shrink_step must be strictly between 0 and 1")
     if spectral_radius(model.endo_coef) >= 1.0:
         raise StabilityError(
             "the point estimate has companion spectral radius "
@@ -449,7 +449,7 @@ def bias_correct(
     exo_bias = inference.exo_draws.mean(axis=0) - model.exo_coef
     delta = 1.0
     while spectral_radius(model.endo_coef - delta * endo_bias) >= 1.0:
-        delta *= shrink_step
+        delta *= SHRINK_STEP
     corrected_endo = model.endo_coef - delta * endo_bias
     corrected = dataclasses.replace(
         model,

@@ -1,11 +1,15 @@
-"""The two input rules every module shares: ``errors.integer_problem`` for
-integer settings and ``panel.finite_array`` for numeric arrays.
+"""The three input rules every module shares: ``errors.integer_problem``
+for integer settings, ``errors.real_problem`` for real-valued settings and
+``panel.finite_array`` for numeric arrays.
 
-Each table row is one call site.  A config field rejects a float, a bool
-and its floor less one with a :class:`ConfigError` naming the field; a
-function argument rejects a float and a bool with its own error class; an
-array site rejects a wrong shape with :class:`ShapeError` and a NaN with
-``"... must be finite"``.
+Each table row is one call site.  A config field rejects a bad value with a
+:class:`ConfigError` naming the field; a function argument rejects it with
+its own error class and its name in front of the rule's message.  An
+integer setting rejects a float, a bool and its floor less one.  A real
+setting rejects NaN, infinities, bools, strings, ``None`` (unless that is
+its default) and the values just outside its interval, and accepts a numpy
+float and a Python int.  An array site rejects a wrong shape with
+:class:`ShapeError` and a NaN with ``"... must be finite"``.
 """
 
 from __future__ import annotations
@@ -15,20 +19,34 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from climdemand._rng import stationary_bootstrap_indices
 from climdemand.diagnostics import arch_lm_statistics, portmanteau_statistic
-from climdemand.errors import ConfigError, InvalidInputError, ShapeError, integer_problem
-from climdemand.features import derive_wind_speed, weekly_extreme_rainfall, weekly_wet_days
+from climdemand.errors import (
+    ConfigError,
+    InvalidInputError,
+    ShapeError,
+    integer_problem,
+    real_problem,
+)
+from climdemand.features import (
+    FeatureConfig,
+    derive_wind_speed,
+    weekly_extreme_rainfall,
+    weekly_wet_days,
+)
 from climdemand.forest import (
     ForestConfig,
     SupervisedDataset,
     lagged_design_matrix,
+    lagged_feature_rows,
     moving_block_plan,
     predict,
     train_forest,
 )
-from climdemand.hpfilter import hp_cycle, seasonal_adjust
+from climdemand.hpfilter import HpConfig, hp_cycle, hp_trend, seasonal_adjust
 from climdemand.metrics import SplitSpec, evaluate_forecast, mase, rmse
 from climdemand.panel import PanelDataset, WeeklySeries, finite_array
+from climdemand.sparsevar import fit_lasso_var, select_lambda
 from climdemand.spectral import GcBootstrapConfig, unconditional_gc_spectrum
 from climdemand.synth import SynthConfig
 from climdemand.trend import TrendFitConfig, fit_trend_model
@@ -103,6 +121,10 @@ INTEGER_ARGUMENTS = [
      InvalidInputError, None),
     ("lagged_design_matrix.lags", lambda v: lagged_design_matrix(PANEL, "a", lags=v),
      InvalidInputError, None),
+    ("lagged_feature_rows.lags", lambda v: lagged_feature_rows(PANEL, "a", np.array([5]), v),
+     InvalidInputError, None),
+    ("select_lambda.n_origins", lambda v: select_lambda(PANEL, order=1, n_origins=v),
+     InvalidInputError, None),
     ("moving_block_plan.n_rows", lambda v: moving_block_plan(v, 1), InvalidInputError, None),
     ("moving_block_plan.block_length", lambda v: moving_block_plan(N, v),
      ConfigError, "block_length"),
@@ -129,12 +151,106 @@ def test_integer_argument(call, error, field, value):
     assert repr(value) in str(excinfo.value)
 
 
+# (id, call with the value, interval, a valid value, error class, the
+# ConfigError field or the argument's name in front of the message, whether
+# None is the default)
+REAL_SETTINGS = [
+    ("HpConfig.smoothing", lambda v: HpConfig(smoothing=v), "(0, inf)", 1600,
+     ConfigError, "smoothing", False),
+    ("hp_trend.smoothing", lambda v: hp_trend(SERIES, v), "(0, inf)", 1600,
+     ConfigError, "smoothing", False),
+    ("seasonal_adjust.period", lambda v: seasonal_adjust(SERIES, period=v), "(1, inf)", 52,
+     ConfigError, "period", False),
+    ("FeatureConfig.wet_day_threshold_mm", lambda v: FeatureConfig(wet_day_threshold_mm=v),
+     "[0, inf)", 1, ConfigError, "wet_day_threshold_mm", False),
+    ("FeatureConfig.extreme_quantile", lambda v: FeatureConfig(extreme_quantile=v),
+     "(0, 1)", 0.9, ConfigError, "extreme_quantile", False),
+    ("GcBootstrapConfig.alpha", lambda v: GcBootstrapConfig(alpha=v), "(0, 0.5]", 0.1,
+     ConfigError, "alpha", False),
+    ("GcBootstrapConfig.expected_block_length",
+     lambda v: GcBootstrapConfig(expected_block_length=v), "[1, inf)", 3,
+     ConfigError, "expected_block_length", True),
+    ("TrendFitConfig.changepoint_penalty", lambda v: TrendFitConfig(changepoint_penalty=v),
+     "[0, inf)", 1, ConfigError, "changepoint_penalty", True),
+    *(
+        (f"SynthConfig.{field}", lambda v, f=field: SynthConfig(**{f: v}), interval, valid,
+         ConfigError, field, False)
+        for field, interval, valid in [
+            ("base_demand", "(-inf, inf)", 1000),
+            ("seasonal_amplitude", "[0, inf)", 1000),
+            ("seasonal_phase_weeks", "(-inf, inf)", 2),
+            ("demand_noise_sd", "[0, inf)", 1000),
+            ("temperature_noise_sd", "[0, inf)", 2),
+            ("temperature_noise_persistence", "[0, 1)", 0),
+        ]
+    ),
+    ("SynthConfig.demand_lag_coefficients",
+     lambda v: SynthConfig(demand_lag_coefficients=(0.1, v)), "(-inf, inf)", 0,
+     ConfigError, "demand_lag_coefficients", False),
+    ("SynthConfig.temperature_coupling",
+     lambda v: SynthConfig(temperature_coupling=(-1.0, v)), "(-inf, 0]", -1,
+     ConfigError, "temperature_coupling", False),
+    ("SynthConfig.level_shifts", lambda v: SynthConfig(level_shifts=(-1.0, v)),
+     "(-inf, inf)", 5, ConfigError, "level_shifts", False),
+    ("fit_lasso_var.lam", lambda v: fit_lasso_var(PANEL, order=1, lam=v), "[0, inf)", 0,
+     InvalidInputError, "lam", False),
+    ("select_lambda.grid", lambda v: select_lambda(PANEL, order=1, grid=(0.1, v), n_origins=2),
+     "[0, inf)", 0, InvalidInputError, "every grid value", False),
+    ("_stationary_paths.block_length",
+     lambda v: stationary_bootstrap_indices(N, v, np.random.default_rng(0)), "[1, inf)", 3,
+     InvalidInputError, "block_length", False),
+]
+
+
+def _rejected(interval, optional):
+    """The values a real setting on ``interval`` rejects, by id."""
+    values = {"nan": np.nan, "inf": np.inf, "True": True, "np.True_": np.True_, "str": "1"}
+    if not optional:
+        values["None"] = None
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if np.isfinite(low):
+        values["below"] = low if interval[0] == "(" else np.nextafter(low, -np.inf)
+    if np.isfinite(high):
+        values["above"] = high if interval[-1] == ")" else np.nextafter(high, np.inf)
+    return values
+
+
+@pytest.mark.parametrize(
+    "call, interval, error, name, value",
+    [
+        pytest.param(call, interval, error, name, value, id=f"{row_id}-{value_id}")
+        for row_id, call, interval, _, error, name, optional in REAL_SETTINGS
+        for value_id, value in _rejected(interval, optional).items()
+    ],
+)
+def test_real_setting_rejects(call, interval, error, name, value):
+    expected = f"must be a finite number in {interval}, got {value!r}"
+    with pytest.raises(error) as excinfo:
+        call(value)
+    if error is ConfigError:
+        assert set(excinfo.value.fields) == {name}
+        assert excinfo.value.fields[name].endswith(expected)
+    else:
+        assert str(excinfo.value) == f"{name} {expected}"
+
+
+@pytest.mark.parametrize(
+    "call, valid",
+    [(row[1], row[3]) for row in REAL_SETTINGS],
+    ids=[row[0] for row in REAL_SETTINGS],
+)
+def test_real_setting_accepts_numpy_floats_and_ints(call, valid):
+    call(np.float64(valid))
+    if valid == int(valid):
+        call(int(valid))
+
+
 def _week(values):
     return np.broadcast_to(values, (7,)).copy()
 
 
 # (id, call with the array, an input of the wrong shape, a valid input); the
-# extreme-rainfall cutoff broadcasts against the block, so has no wrong shape.
+# extreme-rainfall cutoff must broadcast to the block's leading shape.
 ARRAY_SITES = [
     ("WeeklySeries", lambda x: WeeklySeries("s", WEEKS, x), SERIES[:, None], SERIES),
     ("PanelDataset", lambda x: PanelDataset(WEEKS, {"a": x}), SERIES[:, None], SERIES),
@@ -159,8 +275,8 @@ ARRAY_SITES = [
      SERIES[:, None], SERIES),
     ("predict", lambda x: predict(FOREST, x), SERIES[:2, None, None], SERIES[:1]),
     ("weekly_wet_days", weekly_wet_days, np.float64(1.0), _week(1.0)),
-    ("weekly_extreme_rainfall.cutoff", lambda x: weekly_extreme_rainfall(_week(1.0), x),
-     None, np.float64(1.0)),
+    ("weekly_extreme_rainfall.cutoff",
+     lambda x: weekly_extreme_rainfall(np.ones((2, 7)), x), np.ones(3), np.ones(2)),
     ("derive_wind_speed.u10", lambda x: derive_wind_speed(x, SERIES), SERIES[:3], SERIES),
     ("derive_wind_speed.v10", lambda x: derive_wind_speed(SERIES, x), SERIES[:3], SERIES),
 ]
@@ -171,9 +287,8 @@ ARRAY_SITES = [
     ids=[row[0] for row in ARRAY_SITES],
 )
 def test_array_site(call, wrong_shape, valid):
-    if wrong_shape is not None:
-        with pytest.raises(ShapeError):
-            call(wrong_shape)
+    with pytest.raises(ShapeError):
+        call(wrong_shape)
     with_nan = np.array(valid, dtype=float)
     with_nan.reshape(-1)[0] = np.nan
     with pytest.raises(InvalidInputError, match="must be finite"):
@@ -197,3 +312,18 @@ def test_array_rule():
         finite_array([[1.0, 2.0], [np.inf, 3.0]], "x", ndim=2)
     with pytest.raises(InvalidInputError, match=r"^x must be finite \(position 2\)$"):
         finite_array([1.0, 2.0, np.nan], "x")
+
+
+def test_real_rule():
+    assert real_problem(0.5, "(0, 0.5]") is None
+    assert real_problem(np.float32(0.0), "[0, 1)") is None
+    assert real_problem(-3, "(-inf, inf)") is None
+    for value, interval in [(0.0, "(0, 1]"), (1.0, "[0, 1)"), (np.nextafter(2.0, 3.0), "[1, 2]")]:
+        assert real_problem(value, interval) == (
+            f"must be a finite number in {interval}, got {value!r}"
+        )
+    for value in (np.nan, -np.inf, np.inf, True, np.False_, "3", None, [1.0]):
+        assert real_problem(value, "(-inf, inf)") == (
+            f"must be a finite number in (-inf, inf), got {value!r}"
+        )
+    assert real_problem(np.inf, "[0, inf]") is not None  # even where the interval ends at inf

@@ -179,8 +179,10 @@ class TestSelectLambda:
         assert lam == 0.02
 
     def test_empty_grid(self):
-        with pytest.raises(InvalidInputError):
-            select_lambda(np.random.default_rng(0).normal(size=(80, 2)), grid=())
+        data = np.random.default_rng(0).normal(size=(80, 2))
+        for grid in [(), 0.1, np.full((2, 2), 0.1)]:  # and grids that are no sequence
+            with pytest.raises(InvalidInputError, match="grid must be a non-empty sequence"):
+                select_lambda(data, grid=grid)
 
 
 class TestValidation:

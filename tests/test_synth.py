@@ -76,6 +76,13 @@ class TestConfigValidation:
             SynthConfig(demand_noise_sd=-1.0)
         assert "demand_noise_sd" in excinfo.value.fields
 
+    def test_tuple_fields_take_tuples(self):
+        for field in ("demand_lag_coefficients", "temperature_coupling", "level_shifts"):
+            with pytest.raises(ConfigError) as excinfo:
+                SynthConfig(**{field: -0.5})
+            assert excinfo.value.fields == {field: "must be a tuple of numbers, got -0.5"}
+        SynthConfig(demand_lag_coefficients=[0.4], temperature_coupling=[-1.0])
+
     def test_problems_are_collected(self):
         with pytest.raises(ConfigError) as excinfo:
             SynthConfig(n_weeks=4, demand_noise_sd=-1.0, seed=-3)
