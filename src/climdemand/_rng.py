@@ -87,6 +87,8 @@ def stationary_bootstrap_indices(
     geometric with the requested mean.  The path draws ``integers(0, n, n)``
     starts, then ``random(n)`` uniforms.
     """
+    if problem := integer_problem(n, 1):
+        raise InvalidInputError(f"n {problem}")
     starts = rng.integers(0, n, size=n)
     return _stationary_paths(starts, rng.random(n), expected_block_length)
 

@@ -133,7 +133,7 @@ def weekly_temperature_sd(daily_temp):
 
 def regional_extreme_threshold(daily_precip: Sequence[float], cfg: FeatureConfig) -> float:
     """Extreme-rainfall cutoff for one region from its full daily history."""
-    precip = np.asarray(daily_precip, dtype=float)
+    precip = finite_array(daily_precip, "daily precipitation")
     if precip.size == 0:
         raise InvalidInputError("cannot take a quantile of an empty precipitation history")
     return float(np.quantile(precip, cfg.extreme_quantile))

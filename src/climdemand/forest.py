@@ -323,7 +323,8 @@ def lagged_feature_rows(
     ------
     InvalidInputError
         ``lags`` not an integer >= 1, a week outside ``[lags, panel.n_weeks)``,
-        or a ``target`` whose length is not the panel's week count.
+        or a ``target`` that is not a finite 1-D array of the panel's week
+        count (a :class:`ShapeError` when it is not 1-D).
     """
     if problem := integer_problem(lags, 1):
         raise InvalidInputError(f"lags {problem}")
@@ -332,15 +333,15 @@ def lagged_feature_rows(
         raise InvalidInputError(
             f"weeks must lie in [{lags}, {panel.n_weeks}) for lags={lags}"
         )
-    if target is not None and len(target) != panel.n_weeks:
-        raise InvalidInputError(
-            f"target has {len(target)} values; the panel has {panel.n_weeks} weeks"
-        )
+    if target is not None:
+        target = finite_array(target, "target")
+        if target.size != panel.n_weeks:
+            raise InvalidInputError(
+                f"target has {target.size} values; the panel has {panel.n_weeks} weeks"
+            )
     columns: list[np.ndarray] = []
     for name in _lagged_columns(panel, target_name, extra_columns):
-        series = panel.column(name)
-        if name == target_name and target is not None:
-            series = np.asarray(target, dtype=float)
+        series = target if name == target_name and target is not None else panel.column(name)
         columns.extend(series[weeks - lag] for lag in range(1, lags + 1))
     columns.extend(panel.column(name)[weeks] for name in extra_columns)
     return np.column_stack(columns)

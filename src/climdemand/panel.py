@@ -102,6 +102,8 @@ def _check_week_axis(week_starts: Sequence[dt.date], what: str) -> tuple[dt.date
     for w in weeks:
         if not isinstance(w, dt.date) or isinstance(w, dt.datetime):
             raise InvalidInputError(f"{what}: week starts must be datetime.date values")
+    if weeks and weeks[0].weekday() != 0:
+        raise AlignmentError(f"{what}: week starts must be Mondays, got {weeks[0]:%Y-%m-%d (%A)}")
     for a, b in zip(weeks, weeks[1:]):
         if (b - a).days != WEEK_DAYS:
             raise AlignmentError(

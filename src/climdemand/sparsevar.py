@@ -75,15 +75,30 @@ class CoefficientTable:
     values: np.ndarray  # (n_variables, order)
 
 
-def _standardize(arr: np.ndarray, names: Sequence[str]):
-    means = arr.mean(axis=0)
+def _standardize(arr: np.ndarray, names: Sequence[str], standardize: bool = True):
+    """The columns a fit runs on, with their means and scales: zero mean and
+    unit standard deviation, or unchanged (zero means, unit scales) when not
+    ``standardize``.  A constant column is a :class:`DegenerateInputError`
+    naming it either way."""
     sds = arr.std(axis=0)
     flat = [names[j] for j in np.flatnonzero(sds == 0.0)]
     if flat:
-        raise DegenerateInputError(
-            "cannot standardize constant columns: " + ", ".join(flat)
-        )
+        raise DegenerateInputError("constant columns: " + ", ".join(flat))
+    if not standardize:
+        return arr, np.zeros(arr.shape[1]), np.ones(arr.shape[1])
+    means = arr.mean(axis=0)
     return (arr - means) / sds, means, sds
+
+
+def _centered(work: np.ndarray, order: int):
+    """The lagged lasso problem on ``work``: the design without its intercept
+    column and the target, each centred within the regression sample, and
+    their two means.  Centring drops the unpenalized intercept exactly, so
+    the lambda_max identity holds as stated."""
+    target, design = lag_design(work, order)
+    design_mean = design[:, 1:].mean(axis=0)
+    target_mean = target.mean(axis=0)
+    return design[:, 1:] - design_mean, target - target_mean, design_mean, target_mean
 
 
 def fit_lasso_var(
@@ -92,7 +107,6 @@ def fit_lasso_var(
     lam: float = 0.0,
     standardize: bool = True,
     names: Sequence[str] | None = None,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> SparseVarModel:
     """Fit the penalized VAR equation by equation.
 
@@ -108,10 +122,10 @@ def fit_lasso_var(
     standardize : bool
         Standardize columns before fitting (the stored coefficients always
         refer to the scale the fit ran on).
-    max_sweeps : int
-        The solver's iteration budget (path steps plus descent sweeps) per
-        equation, to reach a relative duality gap of ``DUALITY_GAP_TOL``;
-        ``n_sweeps`` records the iterations each equation used.
+
+    Every equation is solved to a relative duality gap of
+    ``DUALITY_GAP_TOL`` within ``MAX_SWEEPS`` iterations (path steps plus
+    descent sweeps); ``n_sweeps`` records the iterations each used.
     """
     arr, names = validate_series(data, names)
     T, K = arr.shape
@@ -122,24 +136,9 @@ def fit_lasso_var(
             f"need more than {order + K * order + 1} rows for order {order} "
             f"with {K} variables, got {T}"
         )
-    if standardize:
-        work, means, sds = _standardize(arr, names)
-    else:
-        work = arr
-        means = np.zeros(K)
-        sds = np.ones(K)
-        if np.any(arr.std(axis=0) == 0.0):
-            flat = [names[j] for j in np.flatnonzero(arr.std(axis=0) == 0.0)]
-            raise DegenerateInputError("constant columns: " + ", ".join(flat))
-
-    target, design = lag_design(work, order)
+    work, means, sds = _standardize(arr, names, standardize)
+    design, target, _, _ = _centered(work, order)
     n = target.shape[0]
-    # Drop the intercept column and center within the regression sample: the
-    # unpenalized intercept drops out exactly and the lambda_max identity
-    # holds as stated.
-    design = design[:, 1:] - design[:, 1:].mean(axis=0)
-    target = target - target.mean(axis=0)
-
     gram = design.T @ design / n
     moments = design.T @ target / n
 
@@ -149,7 +148,7 @@ def fit_lasso_var(
     for k in range(K):
         y = target[:, k]
         beta, gap, ns = solve_lasso(
-            gram, moments[:, k], float(y @ y) / n, lam, DUALITY_GAP_TOL, max_sweeps
+            gram, moments[:, k], float(y @ y) / n, lam, DUALITY_GAP_TOL, MAX_SWEEPS
         )
         coef[:, k, :] = beta.reshape(order, K)
         gaps[k] = gap
@@ -171,10 +170,7 @@ def fit_lasso_var(
 def lambda_max(data, order: int = 4, names: Sequence[str] | None = None) -> float:
     """Smallest penalty that zeroes every coefficient of every equation."""
     arr, names = validate_series(data, names)
-    work, _, _ = _standardize(arr, names)
-    target, design = lag_design(work, order)
-    design = design[:, 1:] - design[:, 1:].mean(axis=0)
-    target = target - target.mean(axis=0)
+    design, target, _, _ = _centered(_standardize(arr, names)[0], order)
     return float(np.max(np.abs(design.T @ target)) / target.shape[0])
 
 
@@ -216,15 +212,11 @@ def select_lambda(
     mse = np.zeros(grid.size)
     for t0 in origins:
         window = arr[: t0 + 1]
-        w_means = window.mean(axis=0)
-        w_sds = window.std(axis=0)
-        if np.any(w_sds == 0.0):
-            raise DegenerateInputError("constant column inside a training window")
-        actual_std = (arr[t0 + 1] - w_means) / w_sds
         for g, lam in enumerate(grid):
             model = fit_lasso_var(window, order=order, lam=lam, names=names)
+            actual = (arr[t0 + 1] - model.column_means) / model.column_sds
             pred = _one_step_standardized(model, window)
-            mse[g] += float(np.sum((actual_std - pred) ** 2))
+            mse[g] += float(np.sum((actual - pred) ** 2))
     best = int(np.argmin(mse))  # grid is sorted descending: first min is largest lam
     return float(grid[best])
 
@@ -232,12 +224,8 @@ def select_lambda(
 def _one_step_standardized(model: SparseVarModel, window: np.ndarray) -> np.ndarray:
     """Prediction of the next standardized observation after ``window``."""
     work = (window - model.column_means) / model.column_sds
-    target, design = lag_design(work, model.order)
-    design_mean = design[:, 1:].mean(axis=0)
-    target_mean = target.mean(axis=0)
-    last = np.concatenate(
-        [work[len(work) - lag] for lag in range(1, model.order + 1)]
-    )
+    _, _, design_mean, target_mean = _centered(work, model.order)
+    last = np.concatenate([work[len(work) - lag] for lag in range(1, model.order + 1)])
     flat = model.coef.transpose(1, 0, 2).reshape(model.n_variables, -1)
     return target_mean + flat @ (last - design_mean)
 

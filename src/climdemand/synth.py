@@ -129,18 +129,20 @@ class SynthConfig:
             problems["demand_lag_coefficients"] = (
                 f"absolute values must sum below 1 for a stable demand process, got {ar!r}"
             )
-        if "level_shifts" not in problems and len(self.break_weeks) != len(self.level_shifts):
+        weeks, n = self.break_weeks, self.n_weeks
+        if not isinstance(weeks, (tuple, list)) or any(integer_problem(w, 1) for w in weeks):
+            problems["break_weeks"] = f"must be a tuple of integers >= 1, got {weeks!r}"
+        elif "level_shifts" not in problems and len(weeks) != len(self.level_shifts):
             problems["level_shifts"] = (
                 f"need one shift per break week, got {len(self.level_shifts)} "
-                f"shifts for {len(self.break_weeks)} breaks"
+                f"shifts for {len(weeks)} breaks"
             )
-        elif "n_weeks" not in problems:
-            weeks, n = self.break_weeks, self.n_weeks
-            ordered = all(a < b for a, b in zip(weeks, weeks[1:]))
-            if not (ordered and all(not integer_problem(w, 1) and w < n for w in weeks)):
-                problems["break_weeks"] = (
-                    f"must be strictly increasing integers inside (0, {n}), got {weeks!r}"
-                )
+        elif "n_weeks" not in problems and not (
+            all(a < b for a, b in zip(weeks, weeks[1:])) and all(w < n for w in weeks)
+        ):
+            problems["break_weeks"] = (
+                f"must be strictly increasing integers inside (0, {n}), got {weeks!r}"
+            )
         problems.update(seed_problems(self.seed))
         if problems:
             raise ConfigError(problems)

@@ -480,7 +480,8 @@ def forecast_recursive(
         Number of weeks ahead.
     exog_future : ndarray, shape (horizon, M), optional
         Exogenous rows for the forecast weeks; required whenever the model
-        has exogenous columns.  Extra trailing rows are ignored.
+        has exogenous columns; a 1-D array is one column.  Extra trailing
+        rows are ignored.
 
     Returns
     -------
@@ -495,8 +496,8 @@ def forecast_recursive(
             raise AlignmentError(
                 "the model has exogenous columns; exog_future is required"
             )
-        future = np.asarray(exog_future, dtype=float)
-        if future.ndim != 2 or future.shape[1] != M:
+        future = finite_array(exog_future, "exog_future", ndim=2)
+        if future.shape[1] != M:
             raise ShapeError(f"exog_future must have {M} columns")
         if future.shape[0] < horizon:
             raise AlignmentError(

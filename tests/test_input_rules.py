@@ -31,6 +31,7 @@ from climdemand.errors import (
 from climdemand.features import (
     FeatureConfig,
     derive_wind_speed,
+    regional_extreme_threshold,
     weekly_extreme_rainfall,
     weekly_wet_days,
 )
@@ -67,6 +68,7 @@ RNG = np.random.default_rng(3)
 SERIES = RNG.normal(size=N)
 PANEL = PanelDataset(WEEKS, {"a": RNG.normal(size=N), "b": RNG.normal(size=N)})
 VARX = fit_varx(RNG.normal(size=(N, 2)), max_order=1)
+EXOG_VARX = fit_varx(PANEL, SERIES, max_order=1)
 TREND = fit_trend_model(np.arange(N, dtype=float) + RNG.normal(size=N), TrendFitConfig(5, 0))
 ROWS = SupervisedDataset(("x",), RNG.normal(size=(N, 1)), RNG.normal(size=N))
 FOREST = train_forest(ROWS, ForestConfig(n_trees=2, block_length=10))
@@ -106,6 +108,15 @@ def test_config_integer_field(config, field, floor, value):
     config(**{field: np.int64(max(floor, 400))})  # a numpy integer is one
 
 
+@pytest.mark.parametrize("value", [5, None, {30}, (30.5,), (True,)])
+def test_synth_break_weeks_are_a_tuple_of_integers(value):
+    with pytest.raises(ConfigError) as excinfo:
+        SynthConfig(break_weeks=value, level_shifts=(-1.0,))
+    assert excinfo.value.fields == {
+        "break_weeks": f"must be a tuple of integers >= 1, got {value!r}"
+    }
+
+
 # (id, call with the value, error class, ConfigError field or None)
 INTEGER_ARGUMENTS = [
     ("fit_var.order", lambda v: fit_var(PANEL, order=v), InvalidInputError, None),
@@ -126,6 +137,9 @@ INTEGER_ARGUMENTS = [
     ("select_lambda.n_origins", lambda v: select_lambda(PANEL, order=1, n_origins=v),
      InvalidInputError, None),
     ("moving_block_plan.n_rows", lambda v: moving_block_plan(v, 1), InvalidInputError, None),
+    ("stationary_bootstrap_indices.n",
+     lambda v: stationary_bootstrap_indices(v, 3.0, np.random.default_rng(0)),
+     InvalidInputError, None),
     ("moving_block_plan.block_length", lambda v: moving_block_plan(N, v),
      ConfigError, "block_length"),
     ("mase.seasonal_lag", lambda v: mase([1.0], [1.0], SERIES, seasonal_lag=v),
@@ -269,14 +283,21 @@ ARRAY_SITES = [
     ("fit_var.data", fit_var, SERIES[:, None, None], SERIES),
     ("ExogenousDesign", lambda x: ExogenousDesign(("x",), x), SERIES[:, None, None], SERIES),
     ("fit_varx.exog", lambda x: fit_varx(PANEL, x, max_order=1), SERIES[:, None, None], SERIES),
+    ("forecast_recursive.exog_future", lambda x: forecast_recursive(EXOG_VARX, 3, x),
+     SERIES[:, None, None], SERIES),
     ("SupervisedDataset.features", lambda x: SupervisedDataset(("x",), x, SERIES),
      SERIES[:, None, None], SERIES),
     ("SupervisedDataset.target", lambda x: SupervisedDataset(("x",), SERIES, x),
      SERIES[:, None], SERIES),
+    ("lagged_feature_rows.target",
+     lambda x: lagged_feature_rows(PANEL, "a", np.array([5]), 2, target=x), np.ones((N, 2)),
+     SERIES),
     ("predict", lambda x: predict(FOREST, x), SERIES[:2, None, None], SERIES[:1]),
     ("weekly_wet_days", weekly_wet_days, np.float64(1.0), _week(1.0)),
     ("weekly_extreme_rainfall.cutoff",
      lambda x: weekly_extreme_rainfall(np.ones((2, 7)), x), np.ones(3), np.ones(2)),
+    ("regional_extreme_threshold", lambda x: regional_extreme_threshold(x, FeatureConfig()),
+     SERIES[:, None], SERIES),
     ("derive_wind_speed.u10", lambda x: derive_wind_speed(x, SERIES), SERIES[:3], SERIES),
     ("derive_wind_speed.v10", lambda x: derive_wind_speed(SERIES, x), SERIES[:3], SERIES),
 ]

@@ -100,6 +100,20 @@ class TestPanelCsvRoundTrip:
         assert first.equals(second)
         assert path1.read_bytes() == path2.read_bytes()
 
+    def test_week_axes_the_reader_rejects_are_not_built(self, tmp_path):
+        # The file format wants Monday week starts; so does every panel or
+        # series in memory, so whatever can be written can be read back.
+        tuesdays = weeks(3, MONDAY + dt.timedelta(days=1))
+        for build in (
+            lambda: PanelDataset(tuesdays, {"x": np.zeros(3)}),
+            lambda: WeeklySeries("x", tuesdays, np.zeros(3)),
+        ):
+            with pytest.raises(AlignmentError, match=r"Mondays, got 2020-01-07 \(Tuesday\)"):
+                build()
+        path = tmp_path / "p.csv"
+        write_panel_csv(small_panel(), str(path))
+        assert read_panel_csv(str(path)).week_starts == small_panel().week_starts
+
     def test_writes_are_byte_stable(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

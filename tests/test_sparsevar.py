@@ -7,6 +7,7 @@ from climdemand.errors import (
     DegenerateInputError,
     InvalidInputError,
 )
+from climdemand import sparsevar
 from climdemand.sparsevar import (
     CoefficientTable,
     coefficient_table,
@@ -193,13 +194,22 @@ class TestValidation:
         with pytest.raises(DegenerateInputError, match="y1"):
             fit_lasso_var(data, order=2, lam=0.1)
 
+    def test_constant_column_in_training_windows_named(self):
+        data = np.column_stack(
+            [np.random.default_rng(0).normal(size=100), np.full(100, 3.0)]
+        )
+        data[-1, 1] = 4.0  # moves only after the last training window
+        with pytest.raises(DegenerateInputError, match="constant columns: y1"):
+            select_lambda(data, order=2, grid=(0.1,))
+
     def test_negative_penalty(self):
         with pytest.raises(InvalidInputError):
             fit_lasso_var(np.random.default_rng(0).normal(size=(100, 2)), lam=-1.0)
 
-    def test_convergence_error_carries_gap(self):
+    def test_convergence_error_carries_gap(self, monkeypatch):
         rng = np.random.default_rng(9)
         data, _ = simulate_panel(150, rng)
+        monkeypatch.setattr(sparsevar, "MAX_SWEEPS", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            fit_lasso_var(data, order=2, lam=1e-6, max_sweeps=1)
+            fit_lasso_var(data, order=2, lam=1e-6)
         assert excinfo.value.gap is not None and excinfo.value.gap > 0
