@@ -38,7 +38,7 @@ import sys
 
 import numpy as np
 
-from ._rng import replicate_draws
+from ._rng import MIN_REPLICATES, replicate_draws
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -46,6 +46,7 @@ from .errors import (
     InvalidInputError,
     ToolkitError,
     UnknownColumnError,
+    integer_problem,
 )
 from .features import FeatureConfig, aggregate_weekly_national
 from .forest import (
@@ -438,19 +439,21 @@ def _fevd_rows(result):
 
 def _fit_varx_artifacts(run: RunConfig, model, replicates: int,
                         irf_horizon: int) -> None:
+    """Bootstrap, IRF and FEVD, all computed before any of their three
+    files is written."""
     boot = residual_bootstrap(model, n_replicates=replicates, seed=run.seed)
+    impulse = irf(model, horizon=irf_horizon, inference=boot)
+    decomposition = fevd(model, inference=boot)
     _write_csv(
         _out_path(run, "varx_coefficients.csv"),
         ("equation", "coefficient", "estimate", "lower", "upper", "significant"),
         _varx_coefficient_rows(model, boot),
     )
-    impulse = irf(model, horizon=irf_horizon, inference=boot)
     _write_csv(
         _out_path(run, "varx_irf.csv"),
         ("impulse", "response", "horizon", "value", "lower", "upper"),
         _irf_rows(impulse),
     )
-    decomposition = fevd(model, inference=boot)
     _write_csv(
         _out_path(run, "varx_fevd.csv"),
         ("variable", "source", "horizon", "mean", "lower", "upper"),
@@ -587,15 +590,18 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     the ``weekly_panel.csv`` written from it; stage 7 scores the forecast
     files read back from disk, as ``evaluate`` does.
     """
-    # Fail before stage 1 writes anything: the forecast window, the GC
-    # replicate count (the VARX bootstrap's rule too) and the training rows
-    # of both forests, which each train on train_length - lags rows.
+    # Fail before stage 1 writes anything: the forecast window, the integer
+    # settings of the later stages (the GC replicate floor is the VARX
+    # bootstrap's too; the option table has checked the seed), and the
+    # training rows of both forests, which each train on train_length - lags.
     _check_window(train_length, horizon, synth_cfg.n_weeks)
-    try:
-        gc_cfg = GcBootstrapConfig(n_replicates=replicates, seed=run.seed)
-    except ConfigError as exc:  # the option table has checked the seed
-        raise ConfigError({"replicates": exc.fields["n_replicates"]}) from None
+    settings = (("replicates", replicates, MIN_REPLICATES), ("trees", trees, 1),
+                ("lags", lags, 1), ("harmonics", harmonics, 0), ("irf_horizon", irf_horizon, 1))
+    problems = {name: p for name, value, floor in settings if (p := integer_problem(value, floor))}
+    if problems:
+        raise ConfigError(problems)
     _check_forest_rows(train_length, lags)
+    gc_cfg = GcBootstrapConfig(n_replicates=replicates, seed=run.seed)
 
     # Stage 1: synthetic world.
     daily_path, synthetic_path = _emit_synthetic(run, synth_cfg)

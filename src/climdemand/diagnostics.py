@@ -110,6 +110,14 @@ def portmanteau_test(
     )
 
 
+def _solve_or_pinv(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """``gram^-1 moment``, or its minimum-norm solution if ``gram`` is singular."""
+    try:
+        return np.linalg.solve(gram, moment)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(gram) @ moment
+
+
 def _arch_lm_batch(u: np.ndarray, lags: int) -> np.ndarray:
     """ARCH-LM statistics, shape (B, K), for a (B, T, K) residual stack."""
     n_batch, n_rows, n_eq = u.shape
@@ -128,8 +136,9 @@ def _arch_lm_batch(u: np.ndarray, lags: int) -> np.ndarray:
         try:
             beta = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            beta = np.linalg.pinv(gram) @ moment[:, :, None]
-            beta = beta[:, :, 0]
+            # Only the singular replicates fall back, so a replicate's
+            # statistic does not depend on the others in its stack.
+            beta = np.array([_solve_or_pinv(g, m) for g, m in zip(gram, moment)])
         rss = np.einsum("bn,bn->b", target, target) - np.einsum(
             "bq,bq->b", beta, moment
         )

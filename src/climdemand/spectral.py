@@ -64,7 +64,7 @@ from .errors import (
 )
 from .panel import WeeklySeries, finite_array
 from .varbase import (
-    VarModel,
+    VarxModel,
     bic_path,
     check_sample_size,
     fit_var,
@@ -247,11 +247,13 @@ def _decompose(
     return cross, intrinsic, failure
 
 
-def spectral_decomposition(model: VarModel, frequencies: np.ndarray) -> SpectralDecomposition:
+def spectral_decomposition(model: VarxModel, frequencies: np.ndarray) -> SpectralDecomposition:
     """Decompose a fitted bivariate VAR (cause first, effect second)."""
     if model.n_variables != 2:
         raise ShapeError("spectral decomposition requires a bivariate model")
-    cross, intrinsic, failure = _decompose(model.coef[None], model.resid_cov[None], frequencies)
+    cross, intrinsic, failure = _decompose(
+        model.endo_coef[None], model.resid_cov[None], frequencies
+    )
     if failure[0]:
         error, message = _DECOMPOSITION_FAILURES[failure[0]]
         raise error(message)
@@ -311,14 +313,13 @@ def _null_medians(samples: np.ndarray, max_order: int, frequencies: np.ndarray) 
 
 
 def bootstrap_threshold_unconditional(
-    cause, effect, cfg: GcBootstrapConfig = GcBootstrapConfig(), threads: int = 1
+    cause, effect, cfg: GcBootstrapConfig = GcBootstrapConfig()
 ) -> BootstrapThresholds:
     """Null thresholds for the unconditional measure.
 
     Each replicate resamples cause and effect independently (stationary
     bootstrap), refits the VAR with the same BIC selection, and records the
-    median measure across frequencies.  ``threads`` is accepted and has no
-    effect: the replicates run as batched array arithmetic.
+    median measure across frequencies, as batched array arithmetic.
     """
     x, y, _, _ = _check_pair(cause, effect)
     n = x.size
@@ -513,7 +514,7 @@ def bootstrap_threshold_conditional(
         cfg.seed, "gc-conditional", range(cfg.n_replicates), (m, None), (n, block)
     )
     initial = np.column_stack([y[:order], w[:order]])
-    simulated = simulate_var(pair_model.intercept, pair_model.coef, resid[rows], initial)
+    simulated = simulate_var(pair_model.intercept, pair_model.endo_coef, resid[rows], initial)
     raw = np.empty(cfg.n_replicates)
     for start in range(0, cfg.n_replicates, _NULL_BLOCK):
         stop = min(start + _NULL_BLOCK, cfg.n_replicates)

@@ -2,19 +2,21 @@
 
 Every VAR in the package is estimated here, single fits (:func:`fit_var`,
 ``varx.fit_varx``) and bootstrap replicates alike, on a stack of series
-(B, T, K) with optional shared exogenous columns.  Estimation is
-equation-wise OLS on a common design (identical regressors per equation, so
-joint GLS collapses to OLS), and every least-squares problem is one stacked
-Householder QR (:func:`least_squares`) of ``[1, exog, lag 1..p, Y]``; the
-causality nulls' projections and the Granger test's reduced fit use the
-same primitive.  :func:`bic_path` scores orders 1..max_order on the common
-sample t = max_order..T-1 from one factorisation, :func:`refit` solves each
-series at its order on its full usable sample (coefficients and residual
-covariance only), and :func:`simulate_var` iterates the recursion.  A
-design with a small QR pivot, or a residual covariance with a non-positive
-determinant, marks a series failed; single fits raise
-:class:`RankDeficiencyError` naming the columns with small pivots,
-bootstraps count or reject the replicate.
+(B, T, K) with optional shared exogenous columns.  Both single-fit fronts
+validate their own input and hand it to one builder, which returns a
+:class:`VarxModel`; a VAR is a VARX whose exogenous block is empty.
+Estimation is equation-wise OLS on a common design (identical regressors
+per equation, so joint GLS collapses to OLS), and every least-squares
+problem is one stacked Householder QR (:func:`least_squares`) of
+``[1, exog, lag 1..p, Y]``; the causality nulls' projections and the
+Granger test's reduced fit use the same primitive.  :func:`bic_path` scores
+orders 1..max_order on the common sample t = max_order..T-1 from one
+factorisation, :func:`refit` solves each series at its order on its full
+usable sample (coefficients and residual covariance only), and
+:func:`simulate_var` iterates the recursion.  A design with a small QR
+pivot, or a residual covariance with a non-positive determinant, marks a
+series failed; single fits raise :class:`RankDeficiencyError` naming the
+columns with small pivots, bootstraps count or reject the replicate.
 """
 
 from __future__ import annotations
@@ -243,66 +245,43 @@ def check_sample_size(T: int, K: int, M: int, order: int) -> None:
         )
 
 
-def fit_single(
-    data: np.ndarray,
-    names: Sequence[str],
-    max_order: int,
-    order: int | None,
-    exog: np.ndarray | None = None,
-    exog_names: Sequence[str] = (),
-) -> tuple[OrderFit, np.ndarray, dict[int, float]]:
-    """The core at B = 1, as :func:`fit_var` and ``fit_varx`` use it.
+@dataclass(frozen=True)
+class VarxModel:
+    """Fitted VARX(p) system; a plain VAR has no exogenous columns.
 
-    Checks the sample size, scores orders 1..max_order (1..order when the
-    order is fixed), raising :class:`RankDeficiencyError` if any fails,
-    selects or keeps the order and refits it.  Returns the fit, its (n, K)
-    residuals and the BIC path.
-    """
-    T, K = data.shape
-    M = 0 if exog is None else exog.shape[1]
-    widest = max_order if order is None else order
-    check_sample_size(T, K, M, widest)
-    path = bic_path(data[None], widest, exog)[0]
-    bad = np.flatnonzero(np.isnan(path))
-    if bad.size:
-        raise _rank_error(data, names, int(bad[0]) + 1, exog, exog_names)
-    if order is None:
-        order = int(select_order(path))
-    groups, failed = refit(data[None], np.array([order]), exog)
-    if failed[0]:
-        raise _rank_error(data, names, order, exog, exog_names)
-    matrix = np.ascontiguousarray(_augmented(data, order, exog))
-    q = matrix.shape[1] - K
-    coef = groups[0].coef[0][np.argsort(_public_rows(q, M))]
-    residuals = matrix[:, q:] - matrix[:, :q] @ coef
-    return groups[0], residuals, {p + 1: float(v) for p, v in enumerate(path)}
-
-
-@dataclass
-class VarModel:
-    """Fitted vector autoregression.
-
-    ``coef[l][i, j]`` is the effect of variable ``j`` at lag ``l + 1`` on
-    variable ``i``.  ``resid_cov`` is the degrees-of-freedom adjusted
-    residual covariance.
+    ``endo_coef[l][i, j]`` is the effect of variable ``j`` at lag ``l+1`` on
+    equation ``i``; ``exo_coef[i, m]`` the effect of exogenous column ``m``.
+    ``resid_cov`` is the degrees-of-freedom adjusted residual covariance.
+    The training data and its exogenous rows are kept on the model so that
+    bootstrap inference and forecasting need no further alignment.
     """
 
     variable_names: tuple[str, ...]
+    exog_names: tuple[str, ...]
     order: int
     intercept: np.ndarray
-    coef: np.ndarray
+    endo_coef: np.ndarray
+    exo_coef: np.ndarray
     resid_cov: np.ndarray
     residuals: np.ndarray
     intercept_se: np.ndarray
-    coef_se: np.ndarray
+    endo_se: np.ndarray
+    exo_se: np.ndarray
+    gram_inv: np.ndarray
     companion_radius: float
     nobs: int
+    endog: np.ndarray
+    exog_values: np.ndarray
     bic: float
     bic_by_order: dict[int, float]
 
     @property
     def n_variables(self) -> int:
         return len(self.variable_names)
+
+    @property
+    def n_exog(self) -> int:
+        return len(self.exog_names)
 
 
 def companion_matrix(coef: np.ndarray) -> np.ndarray:
@@ -327,52 +306,72 @@ def lag_coefficients(coef: np.ndarray, order: int) -> np.ndarray:
     return np.swapaxes(lags.reshape(coef.shape[:-2] + (order, K, K)), -1, -2)
 
 
+def unpack_coefficients(stacked: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+    """Split stacked (..., q, K) coefficient rows into the (..., K)
+    intercept, the (..., order, K, K) lag matrices and the (..., K, M)
+    exogenous block."""
+    K = stacked.shape[-1]
+    exo = np.swapaxes(stacked[..., 1 + order * K :, :], -1, -2)
+    return stacked[..., 0, :], lag_coefficients(stacked, order), exo
+
+
+def _fit(data: np.ndarray, names: tuple[str, ...], max_order: int, order: int | None,
+         exog: np.ndarray, exog_names: tuple[str, ...]) -> VarxModel:
+    """The core at B = 1, behind both fronts, :func:`fit_var` and
+    ``varx.fit_varx``: validated (T, K) data and (T, M) exogenous rows.
+
+    Checks the sample size, scores orders 1..max_order (1..order when the
+    order is fixed), raising :class:`RankDeficiencyError` if any fails,
+    selects or keeps the order, refits it and derives the residuals and
+    standard errors.
+    """
+    T, K = data.shape
+    M = exog.shape[1]
+    widest = max_order if order is None else order
+    check_sample_size(T, K, M, widest)
+    path = bic_path(data[None], widest, exog)[0]
+    bad = np.flatnonzero(np.isnan(path))
+    if bad.size:
+        raise _rank_error(data, names, int(bad[0]) + 1, exog, exog_names)
+    if order is None:
+        order = int(select_order(path))
+    groups, failed = refit(data[None], np.array([order]), exog)
+    if failed[0]:
+        raise _rank_error(data, names, order, exog, exog_names)
+    fit = groups[0]
+    matrix = np.ascontiguousarray(_augmented(data, order, exog))
+    q = matrix.shape[1] - K
+    residuals = matrix[:, q:] - matrix[:, :q] @ fit.coef[0][np.argsort(_public_rows(q, M))]
+    resid_cov, gram_inv = fit.resid_cov[0], fit.gram_inv[0]
+    intercept, endo_coef, exo_coef = unpack_coefficients(fit.coef[0], order)
+    # Per-equation OLS standard errors from sigma_kk * diag((X'X)^-1).
+    se = np.sqrt(np.outer(np.diag(gram_inv), np.diag(resid_cov)))
+    intercept_se, endo_se, exo_se = unpack_coefficients(se, order)
+    bic_by_order = {p + 1: float(v) for p, v in enumerate(path)}
+    return VarxModel(
+        names, exog_names, order, intercept, endo_coef, exo_coef, resid_cov, residuals,
+        intercept_se, endo_se, exo_se, gram_inv, spectral_radius(endo_coef),
+        residuals.shape[0], data, exog, bic_by_order[order], bic_by_order,
+    )
+
+
 def fit_var(
     data,
     max_order: int = 4,
     order: int | None = None,
     names: Sequence[str] | None = None,
-) -> VarModel:
-    """Fit a VAR by equation-wise least squares.
+) -> VarxModel:
+    """Fit a VAR by equation-wise least squares: ``varx.fit_varx`` with no
+    exogenous columns, so ``exog_names`` is empty and ``exo_coef``,
+    ``exo_se`` and ``exog_values`` have no columns.
 
-    Parameters
-    ----------
-    data : PanelDataset or array_like, shape (T, K)
-        Observations in time order.
-    max_order : int
-        Upper end of the BIC search grid (ignored when ``order`` is given).
-    order : int, optional
-        Fix the lag order instead of selecting it.
-    names : sequence of str, optional
-        Variable names for error messages and reports.
-
-    Raises
-    ------
-    RankDeficiencyError
-        If the regression design is singular at some candidate order; the
-        message names the collinear columns.
+    ``data`` is a :class:`PanelDataset` or a (T, K) array in time order,
+    ``names`` its variable names.  The order is ``order`` if given, else the
+    BIC choice in 1..``max_order``.  A singular design at some candidate
+    order is a :class:`RankDeficiencyError` naming the collinear columns.
     """
     arr, names = validate_series(data, names, "VAR data")
-    fit, residuals, bic_by_order = fit_single(arr, names, max_order, order)
-    order = fit.order
-    coef_flat, resid_cov = fit.coef[0], fit.resid_cov[0]
-    # Per-equation OLS standard errors from sigma_kk * diag((X'X)^-1).
-    se_flat = np.sqrt(np.outer(np.diag(fit.gram_inv[0]), np.diag(resid_cov)))
-    coef = lag_coefficients(coef_flat, order)
-    return VarModel(
-        variable_names=names,
-        order=order,
-        intercept=coef_flat[0].copy(),
-        coef=coef,
-        resid_cov=resid_cov,
-        residuals=residuals,
-        intercept_se=se_flat[0].copy(),
-        coef_se=lag_coefficients(se_flat, order),
-        companion_radius=spectral_radius(coef),
-        nobs=residuals.shape[0],
-        bic=bic_by_order[order],
-        bic_by_order=bic_by_order,
-    )
+    return _fit(arr, names, max_order, order, np.empty((len(arr), 0)), ())
 
 
 def simulate_var(

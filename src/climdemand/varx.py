@@ -3,14 +3,16 @@
 Estimation is equation-wise least squares on lagged endogenous values plus a
 deterministic exogenous block (seasonal Fourier terms, a calendar dummy and
 baseline fitted values), done by the VAR core of :mod:`climdemand.varbase`:
-:func:`fit_varx` is its validating front for one series, with the same BIC
-path, sample-size rule and rank rule as :func:`climdemand.varbase.fit_var`.
-Inference comes from a residual bootstrap that recursively re-simulates the
-system and refits every replicate on the same core, in blocks of replicates.
-It feeds bias correction with a stability safeguard, impulse responses and
-forecast-error variance decompositions (bands computed for all replicates
-at once), and the restricted-model null of a time-domain Granger test runs
-the same way.
+:func:`fit_varx` is its validating front for one series.  It shares the
+core's builder with :func:`climdemand.varbase.fit_var`, so both return a
+:class:`VarxModel` (a plain VAR's has no exogenous columns) and every tool
+here takes either.  Inference comes from a residual bootstrap that
+recursively re-simulates the system and refits every replicate on the same
+core, in blocks of replicates.  It feeds bias correction with a stability
+safeguard, impulse responses and forecast-error variance decompositions
+(bands computed for all replicates at once, from draws whose shapes must
+match the model's), and the restricted-model null of a time-domain Granger
+test runs the same way.
 
 Variable order matters for the orthogonalized quantities: innovations are
 factored by the Cholesky decomposition in the order the variables appear, so
@@ -37,13 +39,14 @@ from .errors import (
 from .panel import finite_array
 from .varbase import (
     OrderFit,
-    fit_single,
-    lag_coefficients,
+    VarxModel,
+    _fit,
     lag_design,
     least_squares,
     refit,
     simulate_var,
     spectral_radius,
+    unpack_coefficients,
     validate_series,
 )
 
@@ -165,44 +168,6 @@ def build_exogenous(
     return ExogenousDesign(tuple(names), np.column_stack(columns))
 
 
-@dataclasses.dataclass(frozen=True)
-class VarxModel:
-    """Fitted VARX(p) system.
-
-    ``endo_coef[l][i, j]`` is the effect of variable ``j`` at lag ``l+1`` on
-    equation ``i``; ``exo_coef[i, m]`` the effect of exogenous column ``m``.
-    The training data and its exogenous rows are kept on the model so that
-    bootstrap inference and forecasting need no further alignment.
-    """
-
-    variable_names: tuple[str, ...]
-    exog_names: tuple[str, ...]
-    order: int
-    intercept: np.ndarray
-    endo_coef: np.ndarray
-    exo_coef: np.ndarray
-    resid_cov: np.ndarray
-    residuals: np.ndarray
-    intercept_se: np.ndarray
-    endo_se: np.ndarray
-    exo_se: np.ndarray
-    gram_inv: np.ndarray
-    companion_radius: float
-    nobs: int
-    endog: np.ndarray
-    exog_values: np.ndarray
-    bic: float
-    bic_by_order: dict[int, float]
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.variable_names)
-
-    @property
-    def n_exog(self) -> int:
-        return len(self.exog_names)
-
-
 def _as_exog(exog, n_rows: int) -> tuple[np.ndarray, tuple[str, ...]]:
     if exog is None:
         return np.empty((n_rows, 0)), ()
@@ -219,16 +184,6 @@ def _as_exog(exog, n_rows: int) -> tuple[np.ndarray, tuple[str, ...]]:
             f"exogenous array must have {n_rows} rows to match the sample"
         )
     return values, tuple(f"x{i + 1}" for i in range(values.shape[1]))
-
-
-def _unpack_equation_matrix(
-    stacked: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split stacked (..., q, K) coefficient rows into intercept, lag and
-    exogenous blocks."""
-    K = stacked.shape[-1]
-    exo = np.swapaxes(stacked[..., 1 + order * K :, :], -1, -2)
-    return stacked[..., 0, :], lag_coefficients(stacked, order), exo
 
 
 def fit_varx(
@@ -271,34 +226,7 @@ def fit_varx(
     """
     data, var_names = validate_series(endog, names, "endogenous data")
     exog_values, exog_names = _as_exog(exog, data.shape[0])
-    fit, residuals, bic_by_order = fit_single(
-        data, var_names, max_order, order, exog_values, exog_names
-    )
-    order = fit.order
-    resid_cov, gram_inv = fit.resid_cov[0], fit.gram_inv[0]
-    intercept, endo_coef, exo_coef = _unpack_equation_matrix(fit.coef[0], order)
-    se = np.sqrt(np.outer(np.diag(gram_inv), np.diag(resid_cov)))
-    intercept_se, endo_se, exo_se = _unpack_equation_matrix(se, order)
-    return VarxModel(
-        variable_names=var_names,
-        exog_names=exog_names,
-        order=order,
-        intercept=intercept,
-        endo_coef=endo_coef,
-        exo_coef=exo_coef,
-        resid_cov=resid_cov,
-        residuals=residuals,
-        intercept_se=intercept_se,
-        endo_se=endo_se,
-        exo_se=exo_se,
-        gram_inv=gram_inv,
-        companion_radius=spectral_radius(endo_coef),
-        nobs=residuals.shape[0],
-        endog=data,
-        exog_values=exog_values,
-        bic=bic_by_order[order],
-        bic_by_order=bic_by_order,
-    )
+    return _fit(data, var_names, max_order, order, exog_values, exog_names)
 
 
 def stability_check(model: VarxModel) -> float:
@@ -352,6 +280,17 @@ class VarxBootstrap:
     exo_significant: np.ndarray
 
 
+def _check_draws(model: VarxModel, inference: VarxBootstrap) -> None:
+    """Bootstrap draws must come from a model of ``model``'s shape: its
+    order, variables and exogenous columns."""
+    drawn = (inference.endo_draws.shape[1:], inference.exo_draws.shape[1:])
+    if drawn != (model.endo_coef.shape, model.exo_coef.shape):
+        raise ShapeError(
+            f"bootstrap draws of lag shape {drawn[0]} and exogenous shape {drawn[1]} "
+            f"do not fit a model of {model.endo_coef.shape} and {model.exo_coef.shape}"
+        )
+
+
 def _percentile_bands(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lower = np.quantile(draws, 0.025, axis=0)
     upper = np.quantile(draws, 0.975, axis=0)
@@ -385,26 +324,11 @@ def residual_bootstrap(
         )
     coef = np.concatenate([fit.coef for fit in fits])
     resid_cov_draws = np.concatenate([fit.resid_cov for fit in fits])
-    intercept_draws, endo_draws, exo_draws = _unpack_equation_matrix(coef, model.order)
-    i_lo, i_hi, i_sig = _percentile_bands(intercept_draws)
-    a_lo, a_hi, a_sig = _percentile_bands(endo_draws)
-    b_lo, b_hi, b_sig = _percentile_bands(exo_draws)
-    return VarxBootstrap(
-        n_replicates=n_replicates,
-        intercept_draws=intercept_draws,
-        endo_draws=endo_draws,
-        exo_draws=exo_draws,
-        resid_cov_draws=resid_cov_draws,
-        intercept_lower=i_lo,
-        intercept_upper=i_hi,
-        intercept_significant=i_sig,
-        endo_lower=a_lo,
-        endo_upper=a_hi,
-        endo_significant=a_sig,
-        exo_lower=b_lo,
-        exo_upper=b_hi,
-        exo_significant=b_sig,
-    )
+    draws = unpack_coefficients(coef, model.order)
+    # Lower, upper and significant of the intercept, lag and exogenous
+    # blocks, in VarxBootstrap's field order.
+    bands = [band for block in draws for band in _percentile_bands(block)]
+    return VarxBootstrap(n_replicates, *draws, resid_cov_draws, *bands)
 
 
 # Factor by which bias_correct shrinks the bias term until the model is stable.
@@ -437,7 +361,11 @@ def bias_correct(model: VarxModel, inference: VarxBootstrap) -> BiasCorrection:
     StabilityError
         The uncorrected point estimate is itself unstable, so no amount of
         shrinkage can terminate.
+    ShapeError
+        The draws come from a model of another order, variable count or
+        exogenous column count.
     """
+    _check_draws(model, inference)
     if spectral_radius(model.endo_coef) >= 1.0:
         raise StabilityError(
             "the point estimate has companion spectral radius "
@@ -562,7 +490,8 @@ def irf(
     Shocks are orthogonalized by the lower Cholesky factor of the residual
     covariance in the model's variable order.  With ``inference`` given,
     each bootstrap replicate's coefficients and covariance are pushed
-    through the same computation for percentile bands.
+    through the same computation for percentile bands; draws of another
+    model's shape are a :class:`ShapeError`.
     """
     if problem := integer_problem(horizon, 1):
         raise InvalidInputError(f"horizon {problem}")
@@ -576,6 +505,7 @@ def irf(
     )
     lower = upper = None
     if inference is not None:
+        _check_draws(model, inference)
         factors = _cholesky(inference.resid_cov_draws)
         draws = _phi_matrices(inference.endo_draws, horizon) @ factors[:, None]
         lower, upper, _ = _percentile_bands(draws)
@@ -625,6 +555,7 @@ def fevd(
 
     Shares accumulate squared impulse-response terms up to each horizon and
     normalize per variable, so they are nonnegative and sum to one exactly.
+    Bands come from ``inference``, as for :func:`irf`.
     """
     horizons = tuple(horizons)
     if not horizons:
@@ -641,6 +572,7 @@ def fevd(
     shares = _fevd_shares(model.endo_coef, model.resid_cov, horizons)
     mean = lower = upper = None
     if inference is not None:
+        _check_draws(model, inference)
         draws = _fevd_shares(inference.endo_draws, inference.resid_cov_draws, horizons)
         mean = draws.mean(axis=0)
         lower, upper, _ = _percentile_bands(draws)
@@ -733,7 +665,7 @@ def granger_test_time_domain(
     restricted_coef = coef_stacked.copy()
     restricted_coef[:, effect] = 0.0
     restricted_coef[keep, effect] = beta_reduced
-    null_intercept, null_endo, null_exo = _unpack_equation_matrix(restricted_coef, p)
+    null_intercept, null_endo, null_exo = unpack_coefficients(restricted_coef, p)
     null_residuals = target - design @ restricted_coef
     centered = null_residuals - null_residuals.mean(axis=0)
 

@@ -392,6 +392,53 @@ class TestErrorReporting:
         )
         assert not out.exists() or not list(out.iterdir())
 
+    @staticmethod
+    def occupied_out_dir(tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        return out
+
+    @pytest.mark.parametrize("option, value, floor", [
+        ("trees", 0, 1), ("lags", 0, 1), ("harmonics", -1, 0), ("irf_horizon", 0, 1),
+    ])
+    def test_pipeline_settings_checked_before_any_output(
+        self, tmp_path, capsys, option, value, floor
+    ):
+        out = self.occupied_out_dir(tmp_path)
+        before = file_bytes(out)
+        code = run_cli(
+            "--out-dir", out, "pipeline", "--n-weeks", 160, "--replicates", 100,
+            *as_flags({option: value}),
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["fields"] == {option: f"must be an integer >= {floor}, got {value}"}
+        assert file_bytes(out) == before
+
+    def test_pipeline_settings_reported_together(self, tmp_path, capsys):
+        out = self.occupied_out_dir(tmp_path)
+        before = file_bytes(out)
+        bad = {"replicates": 50, "trees": 0, "lags": 0, "harmonics": -1, "irf_horizon": 0}
+        assert run_cli("--out-dir", out, "pipeline", *as_flags(bad)) == 1
+        assert set(error_json(capsys)["fields"]) == set(bad)
+        assert file_bytes(out) == before
+
+    def test_fit_varx_computes_every_artifact_before_writing(self, tmp_path, capsys):
+        panel = make_panel(tmp_path)
+        out = self.occupied_out_dir(tmp_path)
+        before = file_bytes(out)
+        code = run_cli(
+            "--out-dir", out, "fit", "--panel", panel, "--model", "varx",
+            "--replicates", 100, "--irf-horizon", 0,
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "InvalidInputError"
+        assert payload["message"] == "horizon must be an integer >= 1, got 0"
+        assert file_bytes(out) == before
+
     def test_evaluate_requires_name_path_pairs(self, tmp_path, capsys):
         panel = make_panel(tmp_path)
         code = run_cli(

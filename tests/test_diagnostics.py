@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from climdemand.diagnostics import (
+    _arch_lm_batch,
     arch_lm_statistics,
     arch_lm_test,
     portmanteau_statistic,
@@ -66,6 +67,16 @@ class TestStatisticOracles:
         rng = np.random.default_rng(2)
         u = rng.normal(size=(80, 2))
         assert_allclose(arch_lm_statistics(u, 3), loop_arch_lm(u, 3), rtol=1e-8)
+
+    def test_arch_lm_replicate_does_not_depend_on_its_stack(self):
+        # A replicate whose squared residuals are constant has a singular
+        # Gram matrix; the other replicates of its stack keep their bits.
+        noise = np.random.default_rng(0).normal(size=(2, 120, 1))
+        flat = np.where(np.arange(120) % 2, 1.0, -1.0)[None, :, None]
+        alone = _arch_lm_batch(noise, 4)
+        mixed = _arch_lm_batch(np.concatenate([noise, flat]), 4)
+        assert mixed[:2].tobytes() == alone.tobytes()
+        assert mixed[2, 0] == 0.0
 
     def test_portmanteau_nonnegative_and_grows_with_lags(self):
         rng = np.random.default_rng(3)

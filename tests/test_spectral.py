@@ -26,7 +26,7 @@ from climdemand.spectral import (
     spectral_decomposition,
     unconditional_gc_spectrum,
 )
-from climdemand.varbase import VarModel, fit_var, simulate_var, spectral_radius
+from climdemand.varbase import VarxModel, fit_var, simulate_var, spectral_radius
 
 
 def oracle_measure(coef, sigma, frequencies):
@@ -53,20 +53,26 @@ def oracle_measure(coef, sigma, frequencies):
 
 
 def manual_model(coef, sigma, names=("x", "y")):
-    """Wrap known coefficients in a VarModel for the decomposition API."""
+    """Wrap known coefficients in a VarxModel for the decomposition API."""
     coef = np.asarray(coef, dtype=float)
     p, K, _ = coef.shape
-    return VarModel(
+    return VarxModel(
         variable_names=names,
+        exog_names=(),
         order=p,
         intercept=np.zeros(K),
-        coef=coef,
+        endo_coef=coef,
+        exo_coef=np.zeros((K, 0)),
         resid_cov=np.asarray(sigma, dtype=float),
         residuals=np.zeros((10, K)),
         intercept_se=np.zeros(K),
-        coef_se=np.zeros((p, K, K)),
+        endo_se=np.zeros((p, K, K)),
+        exo_se=np.zeros((K, 0)),
+        gram_inv=np.zeros((1 + p * K, 1 + p * K)),
         companion_radius=spectral_radius(coef),
         nobs=10,
+        endog=np.zeros((10 + p, K)),
+        exog_values=np.zeros((10 + p, 0)),
         bic=0.0,
         bic_by_order={p: 0.0},
     )
@@ -111,7 +117,7 @@ def oracle_null_medians(x, y, cfg):
         y_star = y[stationary_bootstrap_indices(n, cfg.block_length(n), rng)]
         try:
             model = fit_var(np.column_stack([x_star, y_star]), max_order=cfg.max_var_order)
-            cross, intrinsic = oracle_decompose(model.coef, model.resid_cov, frequencies)
+            cross, intrinsic = oracle_decompose(model.endo_coef, model.resid_cov, frequencies)
         except (RankDeficiencyError, NumericalError, DegenerateInputError):
             continue
         raw[b] = np.median(np.log1p(cross / intrinsic))
@@ -133,7 +139,8 @@ def oracle_conditional_null_medians(x, y, w, cfg):
         rows[b] = rng.integers(0, m, size=m)
         causes[b] = x[stationary_bootstrap_indices(n, cfg.block_length(n), rng)]
     simulated = simulate_var(
-        pair_model.intercept, pair_model.coef, resid[rows], np.column_stack([y[:order], w[:order]])
+        pair_model.intercept, pair_model.endo_coef, resid[rows],
+        np.column_stack([y[:order], w[:order]]),
     )
     raw = np.full(cfg.n_replicates, np.nan)
     for b in range(cfg.n_replicates):
@@ -296,11 +303,11 @@ class TestThresholds:
         x = rng.normal(size=250)
         y = rng.normal(size=250)
         cfg = GcBootstrapConfig(n_replicates=120, seed=31)
-        one = bootstrap_threshold_unconditional(x, y, cfg, threads=1)
-        four = bootstrap_threshold_unconditional(x, y, cfg, threads=4)
-        assert one.pointwise == four.pointwise
-        assert one.bonferroni == four.bonferroni
-        assert_allclose(one.medians, four.medians, rtol=0, atol=0)
+        one = bootstrap_threshold_unconditional(x, y, cfg)
+        again = bootstrap_threshold_unconditional(x, y, cfg)
+        assert one.pointwise == again.pointwise
+        assert one.bonferroni == again.bonferroni
+        assert_allclose(one.medians, again.medians, rtol=0, atol=0)
         other = bootstrap_threshold_unconditional(
             x, y, GcBootstrapConfig(n_replicates=120, seed=32)
         )

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import datetime as dt
 import inspect
 import pathlib
@@ -16,6 +18,7 @@ from climdemand.errors import (
 )
 from climdemand.panel import PanelDataset
 from climdemand.varbase import (
+    VarxModel,
     bic_path,
     companion_matrix,
     fit_var,
@@ -26,7 +29,16 @@ from climdemand.varbase import (
     spectral_radius,
     validate_series,
 )
-from climdemand.varx import fit_varx
+from climdemand.varx import (
+    VarxBootstrap,
+    bias_correct,
+    fevd,
+    fit_varx,
+    forecast_recursive,
+    granger_test_time_domain,
+    irf,
+    residual_bootstrap,
+)
 
 
 def simulate(coef, sigma_chol, T, rng, intercept=None, burn=200):
@@ -102,7 +114,7 @@ class TestFitVar:
         data = simulate(coef, np.linalg.cholesky(np.eye(2)), 2000, rng)
         model = fit_var(data, max_order=4)
         assert model.order == 1
-        assert np.max(np.abs(model.coef[0] - 0.5 * np.eye(2))) < 0.05
+        assert np.max(np.abs(model.endo_coef[0] - 0.5 * np.eye(2))) < 0.05
         assert model.companion_radius < 1.0
         assert model.nobs == 2000 - model.order
 
@@ -117,8 +129,8 @@ class TestFitVar:
             data = rng.normal(size=(400, 2))
             model = fit_var(data, max_order=4)
             orders.append(model.order)
-            total += model.coef.size
-            inside += int(np.sum(np.abs(model.coef) < 3.0 * model.coef_se))
+            total += model.endo_coef.size
+            inside += int(np.sum(np.abs(model.endo_coef) < 3.0 * model.endo_se))
         assert inside / total >= 0.95
         assert min(orders) >= 1
 
@@ -133,7 +145,7 @@ class TestFitVar:
         data = simulate(coef, np.linalg.cholesky(np.eye(2)), 3000, rng)
         model = fit_var(data, max_order=4)
         assert model.order == 2
-        assert np.max(np.abs(model.coef - coef)) < 0.08
+        assert np.max(np.abs(model.endo_coef - coef)) < 0.08
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(12)
@@ -164,8 +176,8 @@ class TestFitVar:
         scaled = fit_var(data @ scale, max_order=4)
         assert scaled.order == base.order
         for l in range(base.order):
-            expected = scale @ base.coef[l] @ np.linalg.inv(scale)
-            assert_allclose(scaled.coef[l], expected, rtol=1e-8, atol=1e-10)
+            expected = scale @ base.endo_coef[l] @ np.linalg.inv(scale)
+            assert_allclose(scaled.endo_coef[l], expected, rtol=1e-8, atol=1e-10)
 
     def test_duplicate_column_names_culprits(self):
         rng = np.random.default_rng(2)
@@ -195,7 +207,7 @@ class TestFitVar:
         data = rng.normal(size=(300, 2))
         model = fit_var(data, order=3)
         assert model.order == 3
-        assert model.coef.shape == (3, 2, 2)
+        assert model.endo_coef.shape == (3, 2, 2)
 
     def test_exact_lag_relation_raises_in_both_fronts(self):
         # y1 is y0 two weeks earlier: some candidate order fits y1 exactly
@@ -220,6 +232,75 @@ class TestFitVar:
         data[10, 1] = np.nan
         with pytest.raises(InvalidInputError):
             fit_var(data)
+
+
+def assert_same_fields(a, b):
+    """Two dataclass instances equal bit for bit, field by field."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+class TestOneModelType:
+    """A VAR is a VARX with no exogenous columns: one type, one builder."""
+
+    @staticmethod
+    def data():
+        data = np.random.default_rng(41).normal(size=(200, 2))
+        data[:, 1] += 0.5 * np.roll(data[:, 0], 1)
+        return data
+
+    @pytest.mark.parametrize("order", [None, 3])
+    def test_fit_var_is_fit_varx_without_exogenous_columns(self, order):
+        data = self.data()
+        var = fit_var(data, order=order, names=("a", "b"))
+        assert isinstance(var, VarxModel)
+        assert var.exog_names == ()
+        assert var.exo_coef.shape == var.exo_se.shape == (2, 0)
+        assert var.exog_values.shape == (200, 0)
+        assert_same_fields(var, fit_varx(data, order=order, names=("a", "b")))
+
+    def test_varx_tools_take_a_plain_var_fit(self):
+        data = self.data()
+        var, varx_fit = fit_var(data), fit_varx(data)
+        boot = residual_bootstrap(var, 100, 3)
+        assert_same_fields(boot, residual_bootstrap(varx_fit, 100, 3))
+        assert isinstance(boot, VarxBootstrap)
+        for call in (
+            lambda m: irf(m, 8, boot),
+            lambda m: fevd(m, inference=boot),
+            lambda m: bias_correct(m, boot).model,
+            lambda m: granger_test_time_domain(m, "y0", "y1", 100, 5),
+        ):
+            assert_same_fields(call(var), call(varx_fit))
+        assert forecast_recursive(var, 6).tobytes() == forecast_recursive(varx_fit, 6).tobytes()
+
+    def test_one_builder_constructs_the_model(self):
+        # VarxModel( appears in one function, and neither front calls the
+        # other, so each front's time is its own fits' time.
+        package = pathlib.Path(varbase.__file__).parent
+        builders = {
+            f"{path.stem}.{function.name}"
+            for path in package.glob("*.py")
+            for function in ast.walk(ast.parse(path.read_text()))
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "VarxModel"
+        }
+        assert builders == {"varbase._fit"}
+        assert not hasattr(varbase, "VarModel") and not hasattr(varbase, "fit_single")
+
+        def called(function):
+            tree = ast.parse(inspect.getsource(function))
+            return {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)}
+
+        assert "_fit" in called(fit_var) and "_fit" in called(fit_varx)
+        assert "fit_varx" not in called(fit_var) and "fit_var" not in called(fit_varx)
 
 
 class TestStackCore:

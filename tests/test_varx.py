@@ -14,6 +14,7 @@ from climdemand.errors import (
     InvalidInputError,
     NumericalError,
     RankDeficiencyError,
+    ShapeError,
     StabilityError,
 )
 from climdemand.varx import (
@@ -365,6 +366,34 @@ class TestBiasCorrection:
         inference = self.fake_inference(model, np.array([[[1.0]]]))
         with pytest.raises(StabilityError):
             bias_correct(model, inference)
+
+
+class TestDrawShapes:
+    """Bands and bias corrections take only draws of the model's own shape."""
+
+    @staticmethod
+    def fits():
+        rng = np.random.default_rng(12)
+        y, z = rng.normal(size=(200, 2)), rng.normal(size=(200, 3))
+        exog = rng.normal(size=(200, 1))
+        return {
+            "a": fit_varx(y, order=1),
+            "order 2": fit_varx(y, order=2),
+            "3 variables": fit_varx(z, order=1),
+            "1 exogenous column": fit_varx(y, exog, order=1),
+        }
+
+    @pytest.mark.parametrize("other", ["order 2", "3 variables", "1 exogenous column"])
+    def test_draws_of_another_model_are_a_shape_error(self, other):
+        fits = self.fits()
+        model, boot = fits["a"], residual_bootstrap(fits[other], 100, 0)
+        for call in (
+            lambda: irf(model, 5, boot),
+            lambda: fevd(model, inference=boot),
+            lambda: bias_correct(model, boot),
+        ):
+            with pytest.raises(ShapeError, match="bootstrap draws of lag shape"):
+                call()
 
 
 class TestForecast:
