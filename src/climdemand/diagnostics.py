@@ -6,6 +6,11 @@ reference distribution is taken from asymptotic theory.  Both tests calibrate
 their null by resampling whole residual rows with replacement, which destroys
 serial structure while preserving the cross-sectional covariance, and report
 p-values with the add-one adjustment so that zero is never returned.
+
+The resampled replicates are scored ``_NULL_BLOCK`` at a time, as the
+causality nulls are: a block of ARCH-LM designs at 12 lags and 386 rows takes
+1.2 MB where all 500 replicates at once took 19 MB per equation.  Each
+replicate's arithmetic is its own, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ __all__ = [
     "arch_lm_statistics",
     "arch_lm_test",
 ]
+
+# Resampled replicates scored together by either null; any size gives the
+# same statistics.
+_NULL_BLOCK = 32
+
 
 @dataclasses.dataclass(frozen=True)
 class PortmanteauResult:
@@ -65,6 +75,15 @@ def _residuals(residuals, lags, rows_per_lag: int, extra_rows: int) -> np.ndarra
     return u
 
 
+def _null_statistics(batch, u: np.ndarray, lags: int, n_replicates: int, seed: int, label: str):
+    """``batch`` statistics of every row-resampled replicate of ``u``, in
+    replicate order, scored ``_NULL_BLOCK`` replicates at a time."""
+    rows = replicate_draws(seed, label, range(n_replicates), (len(u), None))[0]
+    return np.concatenate(
+        [batch(u[rows[lo : lo + _NULL_BLOCK]], lags) for lo in range(0, n_replicates, _NULL_BLOCK)]
+    )
+
+
 def _portmanteau_batch(u: np.ndarray, lags: int) -> np.ndarray:
     """Portmanteau statistics for a (B, T, K) stack of residual matrices."""
     u = u - u.mean(axis=1, keepdims=True)
@@ -101,10 +120,10 @@ def portmanteau_test(
     u = _residuals(residuals, lags, 1, 2)
     check_replicates(n_replicates, seed)
     observed = float(_portmanteau_batch(u[None, :, :], lags)[0])
-    resampled = u[replicate_draws(seed, "portmanteau-null", range(n_replicates), (len(u), None))[0]]
+    null = _null_statistics(_portmanteau_batch, u, lags, n_replicates, seed, "portmanteau-null")
     return PortmanteauResult(
         statistic=observed,
-        p_value=float(mc_p_value(_portmanteau_batch(resampled, lags), observed)),
+        p_value=float(mc_p_value(null, observed)),
         lags=lags,
         n_replicates=n_replicates,
     )
@@ -170,8 +189,8 @@ def arch_lm_test(
     u = _residuals(residuals, lags, 2, 3)
     check_replicates(n_replicates, seed)
     observed = _arch_lm_batch(u[None, :, :], lags)[0]
-    resampled = u[replicate_draws(seed, "arch-null", range(n_replicates), (len(u), None))[0]]
-    p_values = mc_p_value(_arch_lm_batch(resampled, lags), observed)
+    null = _null_statistics(_arch_lm_batch, u, lags, n_replicates, seed, "arch-null")
+    p_values = mc_p_value(null, observed)
     combined = min(1.0, u.shape[1] * float(p_values.min()))
     return ArchLmResult(
         statistics=observed,

@@ -1,9 +1,13 @@
 """Tests for the residual diagnostics: portmanteau and ARCH-LM."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from climdemand import diagnostics
+from climdemand._rng import replicate_draws
 from climdemand.diagnostics import (
     _arch_lm_batch,
     arch_lm_statistics,
@@ -152,6 +156,38 @@ class TestCalibration:
             result = portmanteau_test(u, lags=12, n_replicates=199, seed=s)
             rejections += result.p_value <= 0.05
         assert rejections <= 8
+
+
+class TestBlockedNull:
+    def test_blocks_do_not_change_the_null(self, monkeypatch):
+        u = np.random.default_rng(13).normal(size=(200, 2))
+
+        def results(block):
+            monkeypatch.setattr(diagnostics, "_NULL_BLOCK", block)
+            port = portmanteau_test(u, lags=6, n_replicates=150, seed=4)
+            arch = arch_lm_test(u, lags=6, n_replicates=150, seed=4)
+            return np.r_[
+                port.statistic, port.p_value, arch.statistics, arch.p_values, arch.p_value
+            ].tobytes()
+
+        assert results(7) == results(150)
+
+    @pytest.mark.parametrize(
+        "test, budget_mib", [(portmanteau_test, 2.0), (arch_lm_test, 6.0)]
+    )
+    def test_null_runs_within_a_memory_budget(self, test, budget_mib):
+        # About the benchmark screen's size: 386 x 2 residuals, 12 lags and 500
+        # replicates.  Scored all at once, the portmanteau null peaked at
+        # 6.3 MiB and the ARCH-LM null at 45.6 MiB; in blocks, 0.8 and 3.3.
+        u = np.random.default_rng(14).normal(size=(386, 2))
+        replicate_draws.cache_clear()
+        tracemalloc.start()
+        try:
+            test(u, lags=12, n_replicates=500, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget_mib * 2**20
 
 
 class TestInterface:
