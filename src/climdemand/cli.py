@@ -879,10 +879,10 @@ def _read_config(path: str | None) -> dict[str, dict[str, str]]:
         return {}
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise InvalidInputError(f"configuration file not found: {path!r}")
         return {s: dict(parser.items(s)) for s in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"configuration file {path!r}: {exc}") from None
 
 

@@ -16,8 +16,6 @@ value 1600 to weekly data: 1600 * (52/4)**4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, integer_problem, real_problem
@@ -28,17 +26,6 @@ WEEKLY_SMOOTHING = 1600.0 * 13.0**4
 
 # 2**27 + 1: Dekker's constant that splits a double into two 26-bit halves.
 _SPLITTER = 134217729.0
-
-
-@dataclass(frozen=True)
-class HpConfig:
-    """Smoothing strength of the trend filter (larger is smoother)."""
-
-    smoothing: float = WEEKLY_SMOOTHING
-
-    def __post_init__(self):
-        if problem := real_problem(self.smoothing, "(0, inf)"):
-            raise ConfigError({"smoothing": problem})
 
 
 def _two_sum(a, b):
@@ -150,6 +137,8 @@ def _solve_cycle(values, smoothing: float) -> np.ndarray:
     smoothing; one refinement step against the double-double residual
     brings the cycle to within a few ulps of the exact solution.
     """
+    if problem := real_problem(smoothing, "(0, inf)"):
+        raise ConfigError({"smoothing": problem})
     y = finite_array(values, "hp filter: series")
     if y.size < 4:
         raise InsufficientDataError(
@@ -172,27 +161,39 @@ def hp_trend(values, smoothing: float = WEEKLY_SMOOTHING) -> np.ndarray:
         Penalty on the squared second difference of the trend.
     """
     y = np.asarray(values, dtype=float)
-    return y - _solve_cycle(y, HpConfig(smoothing).smoothing)
+    return y - _solve_cycle(y, smoothing)
 
 
-def hp_cycle(series, cfg: HpConfig = HpConfig()):
-    """Deviation of a series from its smooth trend.
+def _like(series, suffix: str, values: np.ndarray):
+    """``values``, as a :class:`WeeklySeries` named ``series.name + suffix`` if ``series`` is."""
+    if isinstance(series, WeeklySeries):
+        return WeeklySeries(series.name + suffix, series.week_starts, values)
+    return values
+
+
+def hp_cycle(series, smoothing: float = WEEKLY_SMOOTHING):
+    """Deviation of a series from its smooth trend (see :func:`hp_trend`).
 
     Accepts a :class:`WeeklySeries` (returned with ``_cycle`` appended to the
     name) or a plain array (returned as an array).
     """
-    if not isinstance(cfg, HpConfig):
-        raise ConfigError(
-            {"cfg": f"must be an HpConfig, got {cfg!r}; pass HpConfig(smoothing=...)"}
-        )
-    if isinstance(series, WeeklySeries):
-        cycle = _solve_cycle(series.values, cfg.smoothing)
-        return WeeklySeries(series.name + "_cycle", series.week_starts, cycle)
-    return _solve_cycle(series, cfg.smoothing)
+    return _like(series, "_cycle", _solve_cycle(series, smoothing))
 
 
-def _solve_seasonal_residual(values, period: float, harmonics: int) -> np.ndarray:
-    y = finite_array(values, "seasonal adjustment: series")
+def seasonal_adjust(series, period: float = 52.0, harmonics: int = 3):
+    """Remove the mean and a fixed periodic component by Fourier regression.
+
+    The HP filter with the weekly smoothing default passes everything with a
+    period up to roughly a decade, so an annual cycle survives into the
+    cyclical component.  Two series sharing a deterministic annual cycle
+    predict one another through it, which contaminates causality measures in
+    both directions; projecting out a small Fourier basis removes that shared
+    component while leaving irregular fluctuations untouched.
+
+    Accepts a :class:`WeeklySeries` (returned with ``_deseasonalized``
+    appended to the name) or a plain array (returned as an array).
+    """
+    y = finite_array(series, "seasonal adjustment: series")
     problems: dict[str, str] = {}
     if problem := real_problem(period, "(1, inf)"):
         problems["period"] = problem
@@ -214,25 +215,4 @@ def _solve_seasonal_residual(values, period: float, harmonics: int) -> np.ndarra
         columns.append(np.sin(angle))
     design = np.column_stack(columns)
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return y - design @ beta
-
-
-def seasonal_adjust(series, period: float = 52.0, harmonics: int = 3):
-    """Remove the mean and a fixed periodic component by Fourier regression.
-
-    The HP filter with the weekly smoothing default passes everything with a
-    period up to roughly a decade, so an annual cycle survives into the
-    cyclical component.  Two series sharing a deterministic annual cycle
-    predict one another through it, which contaminates causality measures in
-    both directions; projecting out a small Fourier basis removes that shared
-    component while leaving irregular fluctuations untouched.
-
-    Accepts a :class:`WeeklySeries` (returned with ``_deseasonalized``
-    appended to the name) or a plain array (returned as an array).
-    """
-    if isinstance(series, WeeklySeries):
-        adjusted = _solve_seasonal_residual(series.values, period, harmonics)
-        return WeeklySeries(
-            series.name + "_deseasonalized", series.week_starts, adjusted
-        )
-    return _solve_seasonal_residual(series, period, harmonics)
+    return _like(series, "_deseasonalized", y - design @ beta)

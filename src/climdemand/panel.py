@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -281,9 +281,11 @@ class PanelDataset:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory."""
+    """Write ``text`` to ``path`` via a temp file in the same directory, made
+    as ``open(path, "w")`` would make ``path``: mode 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -320,6 +322,24 @@ def _parse_float(cell: str, column: str, line: int) -> float:
     return value
 
 
+def _csv_rows(path: str) -> list[list[str]]:
+    """The rows of a UTF-8 CSV file, at least one; an empty file, a byte that is
+    not UTF-8 and a cell over csv's field limit are IngestionErrors on their line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        rows = list(reader)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IngestionError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
+    except csv.Error as exc:
+        raise IngestionError(str(exc), reader.line_num) from None
+    if not rows:
+        raise IngestionError("empty file: no header row", 1)
+    return rows
+
+
 def read_panel_csv(path: str) -> PanelDataset:
     """Ingest a weekly panel CSV.
 
@@ -327,10 +347,7 @@ def read_panel_csv(path: str) -> PanelDataset:
     Mondays exactly seven days apart.  Any gap, duplicate column, ragged row
     or malformed cell raises :class:`IngestionError` with the line number.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise IngestionError("empty file: no header row", 1)
+    rows = _csv_rows(path)
     header = rows[0]
     if not header or header[0] != "week_start":
         raise IngestionError("header must start with 'week_start'", 1)
@@ -343,8 +360,7 @@ def read_panel_csv(path: str) -> PanelDataset:
 
     weeks: list[dt.date] = []
     data: list[list[float]] = [[] for _ in names]
-    for offset, row in enumerate(rows[1:]):
-        line = offset + 2
+    for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(names) + 1:
             raise IngestionError(
                 f"expected {len(names) + 1} cells, found {len(row)}", line
@@ -376,17 +392,13 @@ def read_daily_csv(path: str) -> DailyClimate:
     then each region's days, in date order and regions in the order of their
     first row, must form a gap-free calendar.  Errors carry line numbers.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise IngestionError("empty file: no header row", 1)
+    rows = _csv_rows(path)
     if tuple(rows[0]) != DAILY_CSV_HEADER:
         raise IngestionError(
             "unexpected header; expected " + ",".join(DAILY_CSV_HEADER), 1
         )
     by_region: dict[str, dict[dt.date, tuple[int, list[float]]]] = {}
-    for offset, row in enumerate(rows[1:]):
-        line = offset + 2
+    for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(DAILY_CSV_HEADER):
             raise IngestionError(
                 f"expected {len(DAILY_CSV_HEADER)} cells, found {len(row)}", line

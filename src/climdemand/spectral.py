@@ -169,13 +169,10 @@ class SpectrumResult:
         return self.estimate > self.threshold_bonferroni
 
 
-def _series_values(series, what: str) -> tuple[np.ndarray, str]:
-    return finite_array(series, what), series.name if isinstance(series, WeeklySeries) else what
-
-
 def _check_pair(cause, effect, what_cause="cause", what_effect="effect"):
-    x, x_name = _series_values(cause, what_cause)
-    y, y_name = _series_values(effect, what_effect)
+    x, y = finite_array(cause, what_cause), finite_array(effect, what_effect)
+    x_name = cause.name if isinstance(cause, WeeklySeries) else what_cause
+    y_name = effect.name if isinstance(effect, WeeklySeries) else what_effect
     if x.size != y.size:
         raise AlignmentError(
             f"series lengths differ: {x_name} has {x.size}, {y_name} has {y.size}"
@@ -337,6 +334,25 @@ def bootstrap_threshold_unconditional(
     return _thresholds(raw, cfg, frequencies.size)
 
 
+def _spectrum_result(
+    names, observed: SpectralDecomposition, var_order: int, thresholds: BootstrapThresholds,
+    alpha: float,
+) -> SpectrumResult:
+    """The result of a spectrum from its (cause, effect, conditioning) names,
+    the observed decomposition and the null's thresholds."""
+    return SpectrumResult(
+        *names,
+        frequencies=observed.frequencies,
+        estimate=observed.measure,
+        threshold_pointwise=thresholds.pointwise,
+        threshold_bonferroni=thresholds.bonferroni,
+        alpha=alpha,
+        n_replicates=int(thresholds.medians.size),
+        var_order=var_order,
+        n_failed=thresholds.n_failed,
+    )
+
+
 def unconditional_gc_spectrum(
     cause, effect, cfg: GcBootstrapConfig = GcBootstrapConfig(), threads: int = 1
 ) -> SpectrumResult:
@@ -345,23 +361,10 @@ def unconditional_gc_spectrum(
     ``threads`` is accepted and has no effect.
     """
     x, y, x_name, y_name = _check_pair(cause, effect)
-    frequencies = fourier_frequencies(x.size)
     model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order)
-    estimate = spectral_decomposition(model, frequencies).measure
+    observed = spectral_decomposition(model, fourier_frequencies(x.size))
     thresholds = bootstrap_threshold_unconditional(x, y, cfg)
-    return SpectrumResult(
-        cause_name=x_name,
-        effect_name=y_name,
-        conditioning_name=None,
-        frequencies=frequencies,
-        estimate=estimate,
-        threshold_pointwise=thresholds.pointwise,
-        threshold_bonferroni=thresholds.bonferroni,
-        alpha=cfg.alpha,
-        n_replicates=int(thresholds.medians.size),
-        var_order=model.order,
-        n_failed=thresholds.n_failed,
-    )
+    return _spectrum_result((x_name, y_name, None), observed, model.order, thresholds, cfg.alpha)
 
 
 def _project_on_conditioning(
@@ -386,18 +389,9 @@ def _explained(resid: np.ndarray, cause_sd) -> np.ndarray:
 
 
 def _check_triple(cause, effect, conditioning):
-    """:func:`_check_pair` plus the conditioning series' checks."""
+    """:func:`_check_pair` of (cause, effect), then of (cause, conditioning)."""
     x, y, x_name, y_name = _check_pair(cause, effect)
-    w, w_name = _series_values(conditioning, "conditioning")
-    if w.size != x.size:
-        raise AlignmentError(
-            f"conditioning series has {w.size} values, expected {x.size}"
-        )
-    if isinstance(conditioning, WeeklySeries) and isinstance(cause, WeeklySeries):
-        if conditioning.week_starts != cause.week_starts:
-            raise AlignmentError(f"{w_name} and {x_name} are on different week axes")
-    if np.ptp(w) == 0.0:
-        raise DegenerateInputError(f"series {w_name!r} has zero variance")
+    _, w, _, w_name = _check_pair(cause, conditioning, what_effect="conditioning")
     return x, y, w, x_name, y_name, w_name
 
 
@@ -411,8 +405,7 @@ def conditional_decomposition(
     """
     x, y, w, _, _, _ = _check_triple(cause, effect, conditioning)
     frequencies = fourier_frequencies(x.size)
-    pair_model = fit_var(np.column_stack([y, w]), max_order=max_order)
-    order = pair_model.order
+    order = fit_var(np.column_stack([y, w]), max_order=max_order).order
     resid, singular = _project_on_conditioning(np.column_stack([x, y])[None], w[None], order)
     if singular[0]:
         raise DegenerateInputError("the conditioning series and its lags are collinear")
@@ -551,16 +544,6 @@ def conditional_gc_spectrum(
     x, y, w, x_name, y_name, w_name = _check_triple(cause, effect, conditioning)
     observed = conditional_decomposition(x, y, w, cfg.max_var_order)
     thresholds = bootstrap_threshold_conditional(x, y, w, cfg)
-    return SpectrumResult(
-        cause_name=x_name,
-        effect_name=y_name,
-        conditioning_name=w_name,
-        frequencies=observed.frequencies,
-        estimate=observed.measure,
-        threshold_pointwise=thresholds.pointwise,
-        threshold_bonferroni=thresholds.bonferroni,
-        alpha=cfg.alpha,
-        n_replicates=int(thresholds.medians.size),
-        var_order=observed.projection_order,
-        n_failed=thresholds.n_failed,
+    return _spectrum_result(
+        (x_name, y_name, w_name), observed, observed.projection_order, thresholds, cfg.alpha
     )

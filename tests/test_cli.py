@@ -15,7 +15,7 @@ import pytest
 from climdemand.cli import main as cli_main
 from climdemand.features import FeatureConfig
 from climdemand.forest import ForestConfig
-from climdemand.panel import read_panel_csv
+from climdemand.panel import DAILY_CSV_HEADER, read_panel_csv
 from climdemand.spectral import GcBootstrapConfig
 from climdemand.synth import SynthConfig
 
@@ -207,6 +207,29 @@ class TestErrorReporting:
         payload = error_json(capsys)
         assert payload["error"] == "ConfigError"
         assert "bogus" in payload["fields"]
+
+    @pytest.mark.parametrize("cell", [b"caf\xe9", b"1" * 200_000], ids=["latin-1", "oversized"])
+    @pytest.mark.parametrize("command, header", [
+        (("gc", "--cause", "x", "--effect", "x", "--panel"), b"week_start,x\n2016-01-04,1\n"),
+        (("features", "--daily"), ",".join(DAILY_CSV_HEADER).encode() + b"\n"),
+    ], ids=["panel", "daily"])
+    def test_unreadable_csv_cell_is_an_ingestion_error(self, tmp_path, capsys, command, header,
+                                                       cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(header + cell + b"\n")
+        assert run_cli("--out-dir", tmp_path, *command, bad) == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "IngestionError"
+        assert payload["line"] == header.count(b"\n") + 1
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"[synth]\nn_weeks = 1\xe9\n")
+        code = run_cli("--config", cfg, "--out-dir", tmp_path, *SMALL_SYNTH)
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "InvalidInputError"
+        assert "can't decode byte 0xe9" in payload["message"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli(

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from climdemand.errors import ConfigError, InsufficientDataError, InvalidInputError
 from climdemand.hpfilter import (
     WEEKLY_SMOOTHING,
-    HpConfig,
     hp_cycle,
     hp_trend,
     seasonal_adjust,
@@ -57,8 +56,9 @@ def wandering_series(n):
 
 
 def test_weekly_smoothing_value():
-    assert WEEKLY_SMOOTHING == 45_697_600.0
-    assert HpConfig().smoothing == 1600.0 * (52.0 / 4.0) ** 4
+    assert WEEKLY_SMOOTHING == 45_697_600.0 == 1600.0 * (52.0 / 4.0) ** 4
+    y = wandering_series(60)
+    assert np.array_equal(hp_cycle(y), hp_cycle(y, WEEKLY_SMOOTHING))
 
 
 def test_linear_series_has_no_cycle():
@@ -72,7 +72,7 @@ def test_matches_dense_solve(smoothing):
     y = wandering_series(150)
     trend = hp_trend(y, smoothing)
     assert_allclose(trend, exact_hp_trend(y, smoothing), rtol=0, atol=1e-8)
-    assert_allclose(hp_cycle(y, HpConfig(smoothing)), y - trend, rtol=0, atol=1e-12)
+    assert_allclose(hp_cycle(y, smoothing), y - trend, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("smoothing", [1600.0, WEEKLY_SMOOTHING])
@@ -119,14 +119,14 @@ def test_rejects_nan():
 
 def test_config_validation():
     with pytest.raises(ConfigError) as excinfo:
-        HpConfig(smoothing=-5.0)
+        hp_cycle(np.arange(10.0), -5.0)
     assert "smoothing" in excinfo.value.fields
 
 
 @pytest.mark.parametrize("smoothing", [0.0, np.inf, np.nan, True, np.True_, "5", None])
 def test_smoothing_must_be_a_finite_positive_number(smoothing):
     with pytest.raises(ConfigError) as excinfo:
-        HpConfig(smoothing=smoothing)
+        hp_cycle(np.arange(10.0), smoothing)
     assert "smoothing" in excinfo.value.fields
     with pytest.raises(ConfigError) as excinfo:
         hp_trend(np.arange(10.0), smoothing)
@@ -139,11 +139,9 @@ def test_any_real_smoothing_gives_the_float_result(smoothing):
     assert_allclose(hp_trend(y, smoothing), hp_trend(y, 1600.0), rtol=0, atol=0)
 
 
-def test_cycle_rejects_a_bare_smoothing_value():
-    with pytest.raises(ConfigError) as excinfo:
-        hp_cycle(np.arange(10.0), 1600.0)
-    assert "cfg" in excinfo.value.fields
-    assert "HpConfig" in str(excinfo.value)
+def test_cycle_takes_the_smoothing_as_the_trend_does():
+    y = wandering_series(80)
+    assert_allclose(hp_cycle(y, 1600.0), y - hp_trend(y, 1600.0), rtol=0, atol=1e-12)
 
 
 class TestSeasonalAdjust:

@@ -44,7 +44,7 @@ from climdemand.forest import (
     predict,
     train_forest,
 )
-from climdemand.hpfilter import HpConfig, hp_cycle, hp_trend, seasonal_adjust
+from climdemand.hpfilter import hp_cycle, hp_trend, seasonal_adjust
 from climdemand.metrics import SplitSpec, evaluate_forecast, mase, rmse
 from climdemand.panel import PanelDataset, WeeklySeries, finite_array
 from climdemand.sparsevar import fit_lasso_var, select_lambda
@@ -169,7 +169,7 @@ def test_integer_argument(call, error, field, value):
 # ConfigError field or the argument's name in front of the message, whether
 # None is the default)
 REAL_SETTINGS = [
-    ("HpConfig.smoothing", lambda v: HpConfig(smoothing=v), "(0, inf)", 1600,
+    ("hp_cycle.smoothing", lambda v: hp_cycle(SERIES, v), "(0, inf)", 1600,
      ConfigError, "smoothing", False),
     ("hp_trend.smoothing", lambda v: hp_trend(SERIES, v), "(0, inf)", 1600,
      ConfigError, "smoothing", False),

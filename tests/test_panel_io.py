@@ -1,4 +1,6 @@
 import datetime as dt
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -121,6 +123,19 @@ class TestPanelCsvRoundTrip:
         write_panel_csv(small_panel(), str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_follow_the_umask(self, tmp_path, umask):
+        # A new file gets the mode open(path, "w") would give it.
+        path = tmp_path / "p.csv"
+        previous = os.umask(umask)
+        try:
+            write_panel_csv(small_panel(), str(path))
+            write_panel_csv(small_panel(), str(path))  # replacing one too
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert os.listdir(tmp_path) == ["p.csv"]
+
     def test_format_float_round_trips_its_own_output(self):
         rng = np.random.default_rng(8)
         for x in rng.normal(0.0, 1e5, size=500):
@@ -181,6 +196,35 @@ class TestPanelCsvValidation:
         path = self.write(tmp_path, "week_start,x\n2020-01-06,nan\n")
         with pytest.raises(IngestionError, match="non-finite"):
             read_panel_csv(path)
+
+
+# (reader, the file's text before the bad cell's line, that line's start)
+UNREADABLE = [
+    (read_panel_csv, "week_start,x\n2020-01-06,1\n", "2020-01-13,"),
+    (read_daily_csv, ",".join(DAILY_CSV_HEADER) + "\n", "r1,"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, before, start", UNREADABLE, ids=["read_panel_csv", "read_daily_csv"]
+)
+class TestUnreadableText:
+    """A byte that is not UTF-8 and a cell over the csv module's field limit
+    (131,072 characters) are IngestionErrors on their line."""
+
+    def test_byte_that_is_not_utf8(self, tmp_path, reader, before, start):
+        path = tmp_path / "bad.csv"
+        path.write_bytes((before + start).encode() + b"caf\xe9\n")
+        with pytest.raises(IngestionError, match="0xe9 is not UTF-8") as excinfo:
+            reader(str(path))
+        assert excinfo.value.line == before.count("\n") + 1
+
+    def test_oversized_cell(self, tmp_path, reader, before, start):
+        path = tmp_path / "bad.csv"
+        path.write_text(before + start + "1" * 200_000 + "\n")
+        with pytest.raises(IngestionError, match="field larger than field limit") as excinfo:
+            reader(str(path))
+        assert excinfo.value.line == before.count("\n") + 1
 
 
 def daily_rows(region, start, precips):

@@ -507,7 +507,7 @@ class TestWeeklySeriesInputs:
             unconditional_gc_spectrum(
                 shifted.series("temperature"), panel.series("drug_demand"), cfg
             )
-        with pytest.raises(AlignmentError, match="different week axes"):
+        with pytest.raises(AlignmentError, match="temperature and fwi are on different week axes"):
             conditional_gc_spectrum(
                 panel.series("temperature"), panel.series("drug_demand"),
                 shifted.series("fwi"), cfg,
@@ -603,6 +603,21 @@ class TestConditional:
         alternating = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
         with pytest.raises(DegenerateInputError, match="collinear"):
             conditional_decomposition(*rng.normal(size=(2, 200)), alternating, max_order=1)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            lambda x, y, w: conditional_gc_spectrum(x, y, w, GcBootstrapConfig(n_replicates=100)),
+            conditional_decomposition,
+        ],
+        ids=["conditional_gc_spectrum", "conditional_decomposition"],
+    )
+    def test_conditioning_of_another_length_is_rejected(self, spectrum):
+        rng = np.random.default_rng(7)
+        with pytest.raises(
+            AlignmentError, match="series lengths differ: cause has 300, conditioning has 299"
+        ):
+            spectrum(*rng.normal(size=(2, 300)), rng.normal(size=299))
 
     def test_zero_variance_cause_rejected(self):
         rng = np.random.default_rng(6)
