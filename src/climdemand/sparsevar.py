@@ -9,22 +9,26 @@ being penalized.  The per-equation objective is
     (1 / 2n) * ||y - X b||^2 + lam * ||b||_1
 
 with n the number of regression rows; a coefficient is therefore driven to
-exactly zero once ``lam`` reaches ``max_j |<x_j, y>| / n``.  The Gram and
-moment matrices are built once per fit and every equation is solved by
-:func:`climdemand.lasso.solve_lasso`: the homotopy path down to ``lam``, an
-exact KKT solve on its final active set, and a Fenchel duality-gap
-certificate, so the returned solution is a certified optimum.  Zero penalty
-is plain least squares.
+exactly zero once ``lam`` reaches ``max_j |<x_j, y>| / n``.  One helper
+builds a window's problem (standardization, Gram and moment matrices,
+centring means) once, and every equation is solved by
+:func:`climdemand.lasso.lasso_path`: the homotopy path from ``lam_max``,
+an exact KKT solve on the active set at each penalty, and a Fenchel
+duality-gap certificate, so each returned solution is a certified optimum.
+A fit solves at one penalty; the penalty search follows one path per
+window and equation down its whole grid and reads it off at every grid
+value.  Zero penalty is plain least squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DegenerateInputError,
     InsufficientDataError,
     InvalidInputError,
@@ -32,7 +36,7 @@ from .errors import (
     integer_problem,
     real_problem,
 )
-from .lasso import solve_lasso
+from .lasso import lasso_path
 from .varbase import lag_design, validate_series
 
 DUALITY_GAP_TOL = 1e-8
@@ -90,15 +94,67 @@ def _standardize(arr: np.ndarray, names: Sequence[str], standardize: bool = True
     return (arr - means) / sds, means, sds
 
 
-def _centered(work: np.ndarray, order: int):
-    """The lagged lasso problem on ``work``: the design without its intercept
-    column and the target, each centred within the regression sample, and
-    their two means.  Centring drops the unpenalized intercept exactly, so
+class _Problem(NamedTuple):
+    """A window's lasso problem in covariance form: its standardized
+    columns with their means and scales, the Gram matrix and moments of the
+    centred lagged design, each equation's ``y'y / n`` and the two
+    centring means."""
+
+    work: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
+    gram: np.ndarray
+    moments: np.ndarray
+    y_sq_means: tuple[float, ...]
+    design_mean: np.ndarray
+    target_mean: np.ndarray
+
+
+def _problem(arr: np.ndarray, names, order: int, standardize: bool = True) -> _Problem:
+    """The lagged lasso problem on ``arr``'s standardized columns.  Design
+    (without its intercept column) and target are centred within the
+    regression sample, which drops the unpenalized intercept exactly, so
     the lambda_max identity holds as stated."""
+    work, means, sds = _standardize(arr, names, standardize)
     target, design = lag_design(work, order)
     design_mean = design[:, 1:].mean(axis=0)
     target_mean = target.mean(axis=0)
-    return design[:, 1:] - design_mean, target - target_mean, design_mean, target_mean
+    design = design[:, 1:] - design_mean
+    target = target - target_mean
+    n = target.shape[0]
+    y_sq_means = tuple(float(target[:, k] @ target[:, k]) / n for k in range(arr.shape[1]))
+    return _Problem(
+        work, means, sds, design.T @ design / n, design.T @ target / n, y_sq_means,
+        design_mean, target_mean,
+    )
+
+
+def _fits(problem: _Problem, order: int, lams):
+    """Every equation of ``problem`` at each penalty of the non-increasing
+    ``lams``, one lasso path per equation; yields per penalty the
+    coefficients (order, K, K), duality gaps and iterations.  The first
+    :class:`ConvergenceError` in (penalty, equation) order is raised."""
+    K = len(problem.y_sq_means)
+    paths = [
+        lasso_path(problem.gram, problem.moments[:, k], problem.y_sq_means[k], lams,
+                   DUALITY_GAP_TOL, MAX_SWEEPS)
+        for k in range(K)
+    ]
+    for results in zip(*paths):
+        coef = np.empty((order, K, K))
+        gaps = np.empty(K)
+        sweeps = np.empty(K, dtype=int)
+        for k, result in enumerate(results):
+            if isinstance(result, ConvergenceError):
+                raise result
+            beta, gaps[k], sweeps[k] = result
+            coef[:, k, :] = beta.reshape(order, K)
+        yield coef, gaps, sweeps
+
+
+def _check_order(order) -> None:
+    if problem := integer_problem(order, 1):
+        raise InvalidInputError(f"order {problem}")
 
 
 def fit_lasso_var(
@@ -129,6 +185,7 @@ def fit_lasso_var(
     """
     arr, names = validate_series(data, names)
     T, K = arr.shape
+    _check_order(order)
     if problem := real_problem(lam, "[0, inf)"):
         raise InvalidInputError(f"lam {problem}")
     if T - order <= K * order + 1:
@@ -136,32 +193,17 @@ def fit_lasso_var(
             f"need more than {order + K * order + 1} rows for order {order} "
             f"with {K} variables, got {T}"
         )
-    work, means, sds = _standardize(arr, names, standardize)
-    design, target, _, _ = _centered(work, order)
-    n = target.shape[0]
-    gram = design.T @ design / n
-    moments = design.T @ target / n
-
-    coef = np.empty((order, K, K))
-    gaps = np.empty(K)
-    sweeps = np.empty(K, dtype=int)
-    for k in range(K):
-        y = target[:, k]
-        beta, gap, ns = solve_lasso(
-            gram, moments[:, k], float(y @ y) / n, lam, DUALITY_GAP_TOL, MAX_SWEEPS
-        )
-        coef[:, k, :] = beta.reshape(order, K)
-        gaps[k] = gap
-        sweeps[k] = ns
+    window = _problem(arr, names, order, standardize)
+    ((coef, gaps, sweeps),) = _fits(window, order, (lam,))
     return SparseVarModel(
         variable_names=names,
         order=order,
         lam=float(lam),
         coef=coef,
-        column_means=means,
-        column_sds=sds,
+        column_means=window.means,
+        column_sds=window.sds,
         standardized=standardize,
-        nobs=n,
+        nobs=T - order,
         duality_gap=gaps,
         n_sweeps=sweeps,
     )
@@ -170,8 +212,7 @@ def fit_lasso_var(
 def lambda_max(data, order: int = 4, names: Sequence[str] | None = None) -> float:
     """Smallest penalty that zeroes every coefficient of every equation."""
     arr, names = validate_series(data, names)
-    design, target, _, _ = _centered(_standardize(arr, names)[0], order)
-    return float(np.max(np.abs(design.T @ target)) / target.shape[0])
+    return float(np.max(np.abs(_problem(arr, names, order).moments)))
 
 
 def select_lambda(
@@ -183,15 +224,19 @@ def select_lambda(
 ) -> float:
     """Pick the penalty by rolling-origin one-step forecast error.
 
-    For every origin t0 in the evaluation tail, the model is refit on rows
-    up to t0 (standardization re-estimated on that window alone) and scored
-    on its one-step prediction of row t0 + 1; errors are accumulated in
+    For every origin t0 in the evaluation tail, the window of rows up to t0
+    is standardized on its own and its lasso problem built once; each
+    equation follows one lasso path down the whole grid, read off at every
+    grid value (each point is the fit :func:`fit_lasso_var` gives the
+    window at that value).  Each grid value's model is scored on its
+    one-step prediction of row t0 + 1, and errors are accumulated in
     standardized units across all equations.  The grid value with the
     smallest mean squared error wins; ties go to the larger (sparser)
     penalty.
     """
     arr, names = validate_series(data, names)
     T, K = arr.shape
+    _check_order(order)
     if problem := integer_problem(n_origins, 1):
         raise InvalidInputError(f"n_origins {problem}")
     if grid is None:
@@ -211,23 +256,15 @@ def select_lambda(
         )
     mse = np.zeros(grid.size)
     for t0 in origins:
-        window = arr[: t0 + 1]
-        for g, lam in enumerate(grid):
-            model = fit_lasso_var(window, order=order, lam=lam, names=names)
-            actual = (arr[t0 + 1] - model.column_means) / model.column_sds
-            pred = _one_step_standardized(model, window)
+        window = _problem(arr[: t0 + 1], names, order)
+        actual = (arr[t0 + 1] - window.means) / window.sds
+        last = np.concatenate([window.work[t0 + 1 - lag] for lag in range(1, order + 1)])
+        for g, (coef, _, _) in enumerate(_fits(window, order, grid)):
+            flat = coef.transpose(1, 0, 2).reshape(K, -1)
+            pred = window.target_mean + flat @ (last - window.design_mean)
             mse[g] += float(np.sum((actual - pred) ** 2))
     best = int(np.argmin(mse))  # grid is sorted descending: first min is largest lam
     return float(grid[best])
-
-
-def _one_step_standardized(model: SparseVarModel, window: np.ndarray) -> np.ndarray:
-    """Prediction of the next standardized observation after ``window``."""
-    work = (window - model.column_means) / model.column_sds
-    _, _, design_mean, target_mean = _centered(work, model.order)
-    last = np.concatenate([work[len(work) - lag] for lag in range(1, model.order + 1)])
-    flat = model.coef.transpose(1, 0, 2).reshape(model.n_variables, -1)
-    return target_mean + flat @ (last - design_mean)
 
 
 def coefficient_table(model: SparseVarModel, equation: str) -> CoefficientTable:

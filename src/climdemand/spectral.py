@@ -404,8 +404,17 @@ def conditional_decomposition(
     VAR; frequencies stay on the original i/T grid.
     """
     x, y, w, _, _, _ = _check_triple(cause, effect, conditioning)
+    pair_model = fit_var(np.column_stack([y, w]), max_order=max_order)
+    return _observed_conditional(x, y, w, pair_model, max_order)
+
+
+def _observed_conditional(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, pair_model: VarxModel, max_order: int
+) -> SpectralDecomposition:
+    """:func:`conditional_decomposition` of checked series, given their
+    fitted (effect, conditioning) VAR."""
     frequencies = fourier_frequencies(x.size)
-    order = fit_var(np.column_stack([y, w]), max_order=max_order).order
+    order = pair_model.order
     resid, singular = _project_on_conditioning(np.column_stack([x, y])[None], w[None], order)
     if singular[0]:
         raise DegenerateInputError("the conditioning series and its lags are collinear")
@@ -496,9 +505,17 @@ def bootstrap_threshold_conditional(
     per block of replicates.
     """
     x, y, w, _, _, _ = _check_triple(cause, effect, conditioning)
+    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
+    return _conditional_thresholds(x, y, w, pair_model, cfg)
+
+
+def _conditional_thresholds(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, pair_model: VarxModel, cfg: GcBootstrapConfig
+) -> BootstrapThresholds:
+    """:func:`bootstrap_threshold_conditional` of checked series, given
+    their fitted (effect, conditioning) VAR."""
     n = x.size
     frequencies = fourier_frequencies(n)
-    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
     order = pair_model.order
     resid = pair_model.residuals - pair_model.residuals.mean(axis=0)
     m = resid.shape[0]
@@ -538,12 +555,15 @@ def conditional_gc_spectrum(
     one refit of the stacked (effect, conditioning) pairs select the
     projection orders, the replicates of each order are projected by one
     stacked QR, and their residuals go through the unconditional null's
-    stacked fit and decomposition.  ``threads`` is accepted and has no
+    stacked fit and decomposition.  The series are checked and their
+    (effect, conditioning) VAR is fitted once, for the observed
+    decomposition and the null alike.  ``threads`` is accepted and has no
     effect.
     """
     x, y, w, x_name, y_name, w_name = _check_triple(cause, effect, conditioning)
-    observed = conditional_decomposition(x, y, w, cfg.max_var_order)
-    thresholds = bootstrap_threshold_conditional(x, y, w, cfg)
+    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
+    observed = _observed_conditional(x, y, w, pair_model, cfg.max_var_order)
+    thresholds = _conditional_thresholds(x, y, w, pair_model, cfg)
     return _spectrum_result(
         (x_name, y_name, w_name), observed, observed.projection_order, thresholds, cfg.alpha
     )

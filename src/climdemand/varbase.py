@@ -320,14 +320,17 @@ def _fit(data: np.ndarray, names: tuple[str, ...], max_order: int, order: int | 
     """The core at B = 1, behind both fronts, :func:`fit_var` and
     ``varx.fit_varx``: validated (T, K) data and (T, M) exogenous rows.
 
-    Checks the sample size, scores orders 1..max_order (1..order when the
-    order is fixed), raising :class:`RankDeficiencyError` if any fails,
+    Checks the order (``max_order`` when the order is chosen) and the
+    sample size, scores orders 1..max_order (1..order when the order is
+    fixed), raising :class:`RankDeficiencyError` if any fails,
     selects or keeps the order, refits it and derives the residuals and
     standard errors.
     """
     T, K = data.shape
     M = exog.shape[1]
-    widest = max_order if order is None else order
+    widest, what = (max_order, "max_order") if order is None else (order, "order")
+    if problem := integer_problem(widest, 1):
+        raise InvalidInputError(f"{what} {problem}")
     check_sample_size(T, K, M, widest)
     path = bic_path(data[None], widest, exog)[0]
     bad = np.flatnonzero(np.isnan(path))

@@ -136,6 +136,10 @@ INTEGER_ARGUMENTS = [
      InvalidInputError, None),
     ("select_lambda.n_origins", lambda v: select_lambda(PANEL, order=1, n_origins=v),
      InvalidInputError, None),
+    ("fit_lasso_var.order", lambda v: fit_lasso_var(PANEL, order=v, lam=0.1),
+     InvalidInputError, None),
+    ("select_lambda.order", lambda v: select_lambda(PANEL, order=v, grid=(0.1,)),
+     InvalidInputError, None),
     ("moving_block_plan.n_rows", lambda v: moving_block_plan(v, 1), InvalidInputError, None),
     ("stationary_bootstrap_indices.n",
      lambda v: stationary_bootstrap_indices(v, 3.0, np.random.default_rng(0)),
@@ -151,7 +155,7 @@ INTEGER_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("value", [2.5, True, "2"])
 @pytest.mark.parametrize(
     "call, error, field", [row[1:] for row in INTEGER_ARGUMENTS],
     ids=[row[0] for row in INTEGER_ARGUMENTS],
@@ -163,6 +167,20 @@ def test_integer_argument(call, error, field, value):
         assert set(excinfo.value.fields) == {field}
     assert "must be an integer" in str(excinfo.value)
     assert repr(value) in str(excinfo.value)
+
+
+# The lag-order settings whose default is not None (fit_var's ``order=None``
+# is its BIC choice).
+NO_NONE_ORDERS = ["fit_var.max_order", "fit_varx.max_order", "fit_lasso_var.order",
+                  "select_lambda.order"]
+
+
+@pytest.mark.parametrize("name", NO_NONE_ORDERS)
+def test_order_is_not_none(name):
+    call = {row[0]: row[1] for row in INTEGER_ARGUMENTS}[name]
+    argument = name.split(".")[1]
+    with pytest.raises(InvalidInputError, match=f"^{argument} must be an integer >= 1, got None$"):
+        call(None)
 
 
 # (id, call with the value, interval, a valid value, error class, the

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from climdemand.errors import ConvergenceError
-from climdemand.lasso import solve_lasso
+from climdemand.errors import ConvergenceError, InvalidInputError
+from climdemand.lasso import lasso_path, solve_lasso
 from climdemand.synth import SynthConfig, generate_synthetic_panel
 from climdemand.trend import TrendFitConfig, changepoint_grid, seasonal_design
 from climdemand.varbase import simulate_var
@@ -217,3 +217,100 @@ class TestEdgeCases:
         with pytest.raises(ConvergenceError) as excinfo:
             solve_lasso(gram, moment, y_sq_mean, 0.1, 1e-8, 2)
         assert excinfo.value.gap > 1e-8 * max(1.0, y_sq_mean)
+
+
+def assert_path_is_single_solves(gram, moment, y_sq_mean, lams, tol, max_iter):
+    """``lasso_path`` gives every penalty the bytes, gap and iterations of
+    ``solve_lasso`` at that penalty alone, or the same error and gap."""
+    results = lasso_path(gram, moment, y_sq_mean, lams, tol, max_iter)
+    assert len(results) == len(lams)
+    for lam, result in zip(lams, results):
+        try:
+            beta, gap, iterations = solve_lasso(gram, moment, y_sq_mean, lam, tol, max_iter)
+        except ConvergenceError as exc:
+            assert isinstance(result, ConvergenceError)
+            assert (str(result), result.gap) == (str(exc), exc.gap)
+            continue
+        assert not isinstance(result, ConvergenceError)
+        assert result[0].tobytes() == beta.tobytes()
+        assert result[1:] == (gap, iterations)
+    return results
+
+
+class TestPath:
+    def var_problem(self, k=0):
+        rng = np.random.default_rng(11)
+        coef = np.array(
+            [
+                [[0.35, -0.30, 0.0], [0.0, 0.55, 0.0], [0.1, 0.0, 0.4]],
+                [[0.10, 0.00, 0.0], [0.0, 0.00, 0.0], [0.0, 0.0, 0.0]],
+            ]
+        )
+        data = simulate_var(np.zeros(3), coef, rng.normal(size=(500, 3)))[200:]
+        design, target = var_design(data, order=4)
+        return covariance_form(design, target[:, k])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_grid_points_are_single_solves(self, k):
+        gram, moment, y_sq_mean = self.var_problem(k)
+        top = float(np.max(np.abs(moment)))
+        grid = np.geomspace(top, top * 1e-3, 16)
+        # Above and at lambda_max, a repeated value, and zero penalty.
+        lams = [2.0 * top, top, *grid[1:8], grid[7], *grid[8:], 0.0]
+        results = assert_path_is_single_solves(gram, moment, y_sq_mean, lams, VAR_TOL, VAR_MAX_ITER)
+        assert not any(np.any(results[g][0]) for g in (0, 1))
+        assert results[8][0].tobytes() == results[9][0].tobytes()
+        assert results[-1][1:] == (0.0, 0)
+        iterations = [result[2] for result in results[:-1]]
+        assert iterations == sorted(iterations) and iterations[-1] > 1
+
+    def test_budget_errors_are_single_solves(self):
+        # The budget reaches the larger penalties and not the smaller ones.
+        gram, moment, y_sq_mean = self.var_problem()
+        top = float(np.max(np.abs(moment)))
+        lams = list(np.geomspace(top, top * 1e-3, 16))
+        results = assert_path_is_single_solves(gram, moment, y_sq_mean, lams, VAR_TOL, 4)
+        failed = [isinstance(result, ConvergenceError) for result in results]
+        assert failed == sorted(failed) and 0 < sum(failed) < len(lams)
+
+    @pytest.mark.parametrize("max_iter", [1000, 30, 2])
+    def test_identical_columns_run_descent_at_every_point(self, max_iter):
+        # The active Gram matrix turns singular at the first step, so every
+        # penalty below lambda_max starts descent from the path's last point.
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(80, 4))
+        design = np.column_stack([base, base[:, 1]])
+        y = base @ np.array([0.5, 2.0, 0.0, -1.0]) + rng.normal(size=80)
+        gram, moment, y_sq_mean = covariance_form(design, y)
+        gram[4, :] = gram[1, :]
+        gram[:, 4] = gram[:, 1]
+        moment[4] = moment[1]
+        lams = [0.5, 0.1, 0.1, 0.02]
+        results = assert_path_is_single_solves(gram, moment, y_sq_mean, lams, 1e-8, max_iter)
+        if max_iter == 1000:
+            assert all(result[2] > 1 for result in results)
+
+    def test_descent_after_the_path_is_single_solves(self):
+        # At a relative gap of 1e-16 the exact points of the smaller
+        # penalties miss the tolerance and descent sweeps finish them.
+        gram, moment, y_sq_mean = self.var_problem()
+        top = float(np.max(np.abs(moment)))
+        lams = list(np.geomspace(top, top * 1e-3, 16))
+        loose = lasso_path(gram, moment, y_sq_mean, lams, VAR_TOL, VAR_MAX_ITER)
+        tight = assert_path_is_single_solves(gram, moment, y_sq_mean, lams, 1e-16, 200)
+        swept = [t[2] > l[2] for t, l in zip(tight, loose)]
+        assert any(swept) and not all(swept)
+
+    def test_trend_penalties_are_single_solves(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(200, dtype=float)
+        y = 10.0 + 0.6 * np.maximum(t - 50.0, 0.0) + rng.normal(scale=2.0, size=200)
+        design, target, _ = trend_problem(y, TrendFitConfig(n_harmonics=0, changepoint_penalty=1.0))
+        gram, moment, y_sq_mean = covariance_form(design, target)
+        lams = [lam / 400.0 for lam in (1000.0, 100.0, 10.0, 1.0, 0.1)]
+        assert_path_is_single_solves(gram, moment, y_sq_mean, lams, TREND_TOL, TREND_MAX_ITER)
+
+    def test_penalties_must_not_increase(self):
+        gram, moment, y_sq_mean = self.var_problem()
+        with pytest.raises(InvalidInputError, match="non-increasing"):
+            lasso_path(gram, moment, y_sq_mean, (0.01, 0.1), VAR_TOL, VAR_MAX_ITER)

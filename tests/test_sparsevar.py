@@ -15,7 +15,7 @@ from climdemand.sparsevar import (
     lambda_max,
     select_lambda,
 )
-from climdemand.varbase import simulate_var
+from climdemand.varbase import lag_design, simulate_var
 
 
 def standardized_lagged(data, order):
@@ -184,6 +184,69 @@ class TestSelectLambda:
         for grid in [(), 0.1, np.full((2, 2), 0.1)]:  # and grids that are no sequence
             with pytest.raises(InvalidInputError, match="grid must be a non-empty sequence"):
                 select_lambda(data, grid=grid)
+
+
+def per_penalty_select(data, order, grid, n_origins):
+    """select_lambda as one fit_lasso_var per (origin, grid value), each
+    window's one-step prediction rebuilt from the fitted model."""
+    T, K = data.shape
+    if grid is None:
+        top = lambda_max(data, order)
+        grid = np.geomspace(top, top * 1e-3, 16)
+    grid = np.asarray(sorted(grid, reverse=True), dtype=float)
+    min_train = max(order + K * order + 2, 5 * order, T - n_origins)
+    mse = np.zeros(grid.size)
+    for t0 in range(min_train, T - 1):
+        window = data[: t0 + 1]
+        for g, lam in enumerate(grid):
+            model = fit_lasso_var(window, order=order, lam=lam)
+            actual = (data[t0 + 1] - model.column_means) / model.column_sds
+            work = (window - model.column_means) / model.column_sds
+            target, design = lag_design(work, order)
+            last = np.concatenate([work[len(work) - lag] for lag in range(1, order + 1)])
+            flat = model.coef.transpose(1, 0, 2).reshape(K, -1)
+            pred = target.mean(axis=0) + flat @ (last - design[:, 1:].mean(axis=0))
+            mse[g] += float(np.sum((actual - pred) ** 2))
+    return float(grid[int(np.argmin(mse))])
+
+
+class TestSharedPath:
+    @pytest.mark.parametrize(
+        "data, order, grid, n_origins",
+        [
+            (simulate_panel(160, np.random.default_rng(8))[0], 2, None, 10),
+            (simulate_panel(120, np.random.default_rng(9))[0], 4, (0.3, 0.0, 0.05, 0.05, 9.0), 6),
+            (np.random.default_rng(40_001).normal(size=(100, 3)), 4, None, 20),
+            (np.random.default_rng(40_002).normal(size=(100, 3)), 4, (0.7, 0.01), 20),
+        ],
+        ids=["var2-default-grid", "var4-zero-repeat-above", "noise-default-grid", "noise-two"],
+    )
+    def test_same_penalty_as_one_fit_per_grid_value(self, data, order, grid, n_origins):
+        assert select_lambda(data, order=order, grid=grid, n_origins=n_origins) == (
+            per_penalty_select(data, order, grid, n_origins)
+        )
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_same_convergence_error_as_one_fit_per_grid_value(self, monkeypatch, budget):
+        data, _ = simulate_panel(120, np.random.default_rng(10))
+        monkeypatch.setattr(sparsevar, "MAX_SWEEPS", budget)
+        with pytest.raises(ConvergenceError) as expected:
+            per_penalty_select(data, 2, None, 8)
+        with pytest.raises(ConvergenceError) as excinfo:
+            select_lambda(data, order=2, n_origins=8)
+        assert str(excinfo.value) == str(expected.value)
+        assert excinfo.value.gap == expected.value.gap
+
+    def test_each_window_is_standardized_and_lagged_once(self, monkeypatch):
+        data, _ = simulate_panel(100, np.random.default_rng(12))
+        calls = {"_standardize": 0, "lag_design": 0}
+        for name in calls:
+            def spy(*args, _real=getattr(sparsevar, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(sparsevar, name, spy)
+        select_lambda(data, order=2, grid=np.geomspace(1.0, 1e-3, 16), n_origins=9)
+        assert calls == {"_standardize": 8, "lag_design": 8}  # origins 91..98
 
 
 class TestValidation:

@@ -619,6 +619,30 @@ class TestConditional:
         ):
             spectrum(*rng.normal(size=(2, 300)), rng.normal(size=299))
 
+    def test_spectrum_checks_and_fits_the_pair_once(self, monkeypatch):
+        # One check of the three series and one (effect, conditioning) fit
+        # serve the observed decomposition and the null; the second fit_var
+        # call is the projection residuals' VAR.
+        from climdemand import spectral
+
+        rng = np.random.default_rng(21)
+        x, y, w = rng.normal(size=(3, 200))
+        cfg = GcBootstrapConfig(n_replicates=100, seed=4)
+        observed = conditional_decomposition(x, y, w, cfg.max_var_order)
+        thresholds = bootstrap_threshold_conditional(x, y, w, cfg)
+        calls = {"_check_triple": 0, "fit_var": 0}
+        for name in calls:
+            def spy(*args, _real=getattr(spectral, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, spy)
+        result = conditional_gc_spectrum(x, y, w, cfg)
+        assert calls == {"_check_triple": 1, "fit_var": 2}
+        assert result.estimate.tobytes() == observed.measure.tobytes()
+        assert result.var_order == observed.projection_order
+        assert (result.threshold_pointwise, result.threshold_bonferroni) == (
+            thresholds.pointwise, thresholds.bonferroni)
+
     def test_zero_variance_cause_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(DegenerateInputError):
