@@ -48,7 +48,7 @@ from .errors import (
     UnknownColumnError,
     integer_problem,
 )
-from .features import FeatureConfig, aggregate_weekly_national
+from .features import NATIONAL_CLIMATE_COLUMNS, FeatureConfig, aggregate_weekly_national
 from .forest import (
     ForestConfig,
     SupervisedDataset,
@@ -300,7 +300,13 @@ def cmd_features(run: RunConfig, daily_path: str, out_name: str,
 def _emit_spectrum(run: RunConfig, panel: PanelDataset, cause: str, effect: str,
                    conditioning: str | None, cfg: GcBootstrapConfig, raw: bool) -> None:
     """Estimate one causality spectrum and emit its decision CSV."""
-    _require_columns(panel, [cause, effect] + ([conditioning] if conditioning else []))
+    names = [cause, effect] + ([conditioning] if conditioning else [])
+    _require_columns(panel, names)
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise InvalidInputError(
+            "column named twice among --cause, --effect and --conditioning: "
+            + ", ".join(repeated)
+        )
     x = _gc_series(panel, cause, raw)
     y = _gc_series(panel, effect, raw)
     if conditioning:
@@ -590,10 +596,18 @@ def cmd_pipeline(run: RunConfig, synth_cfg: SynthConfig, target: str,
     the ``weekly_panel.csv`` written from it; stage 7 scores the forecast
     files read back from disk, as ``evaluate`` does.
     """
-    # Fail before stage 1 writes anything: the forecast window, the integer
-    # settings of the later stages (the GC replicate floor is the VARX
-    # bootstrap's too; the option table has checked the seed), and the
-    # training rows of both forests, which each train on train_length - lags.
+    # Fail before stage 1 writes anything: the target (a column of the
+    # synthetic panel) and the driver (another climate column of stage 2's
+    # panel), the forecast window, the integer settings of the later stages
+    # (the GC replicate floor is the VARX bootstrap's too; the option table
+    # has checked the seed), and the training rows of both forests, which
+    # each train on train_length - lags.
+    if target not in (known := ("drug_demand", *NATIONAL_CLIMATE_COLUMNS)):
+        raise UnknownColumnError([target], known)
+    if driver == target:
+        raise InvalidInputError(f"--driver and --target must differ, both are {target!r}")
+    if driver not in (known := [n for n in NATIONAL_CLIMATE_COLUMNS if n != target]):
+        raise UnknownColumnError([driver], known)
     _check_window(train_length, horizon, synth_cfg.n_weeks)
     settings = (("replicates", replicates, MIN_REPLICATES), ("trees", trees, 1),
                 ("lags", lags, 1), ("harmonics", harmonics, 0), ("irf_horizon", irf_horizon, 1))

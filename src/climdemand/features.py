@@ -197,18 +197,18 @@ def aggregate_weekly_national(
         days.reshape(len(regions), len(DAILY_MEASUREMENTS), n_weeks, WEEK_DAYS), 1, 0
     )
     cutoffs = np.array([regional_extreme_threshold(p.ravel(), cfg) for p in precip])
-    regional = {
-        "temperature": temp.mean(axis=-1),
-        "wind_speed": derive_wind_speed(u10, v10).mean(axis=-1),
-        "cloud_cover": cloud.mean(axis=-1),
-        "specific_humidity": humidity.mean(axis=-1),
-        "precipitation": precip.sum(axis=-1),
-        "fwi": fwi.mean(axis=-1),
-        "temperature_sd": weekly_temperature_sd(temp),
-        "extreme_rainfall": weekly_extreme_rainfall(precip, cutoffs[:, None]),
-        "wet_days": weekly_wet_days(precip, cfg).astype(float),
-    }
+    regional = (  # in NATIONAL_CLIMATE_COLUMNS order
+        temp.mean(axis=-1),
+        derive_wind_speed(u10, v10).mean(axis=-1),
+        cloud.mean(axis=-1),
+        humidity.mean(axis=-1),
+        precip.sum(axis=-1),
+        fwi.mean(axis=-1),
+        weekly_temperature_sd(temp),
+        weekly_extreme_rainfall(precip, cutoffs[:, None]),
+        weekly_wet_days(precip, cfg).astype(float),
+    )
     return PanelDataset(week_starts, {
         name: values.sum(axis=0) if name in _SUMMED_COLUMNS else values.mean(axis=0)
-        for name, values in regional.items()  # in NATIONAL_CLIMATE_COLUMNS order
+        for name, values in zip(NATIONAL_CLIMATE_COLUMNS, regional, strict=True)
     })

@@ -55,7 +55,6 @@ __all__ = [
     "lagged_feature_rows",
     "moving_block_plan",
     "moving_block_indices",
-    "mbb_resample",
     "train_forest",
     "predict",
     "impurity_importance",
@@ -151,7 +150,6 @@ class _Tree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    block_starts: np.ndarray
     oob_mask: np.ndarray
     importance: np.ndarray
 
@@ -162,9 +160,9 @@ class ForestModel:
 
     Tree ``t`` owns nodes ``offsets[t]:offsets[t + 1]`` of ``feature``,
     ``threshold``, ``left``, ``right`` and ``value``, with child indices
-    local to the tree.  Row ``t`` of ``block_starts``, ``oob_mask`` and
-    ``importance`` holds tree ``t``'s resampling bookkeeping and per-feature
-    impurity reduction.
+    local to the tree.  Row ``t`` of ``oob_mask`` marks the rows no block of
+    tree ``t``'s resample covers, and row ``t`` of ``importance`` holds its
+    per-feature impurity reduction.
     """
 
     feature_names: tuple[str, ...]
@@ -176,7 +174,6 @@ class ForestModel:
     right: np.ndarray
     value: np.ndarray
     offsets: np.ndarray
-    block_starts: np.ndarray
     oob_mask: np.ndarray
     importance: np.ndarray
 
@@ -195,7 +192,6 @@ class ForestModel:
                 left=self.left[a:b],
                 right=self.right[a:b],
                 value=self.value[a:b],
-                block_starts=self.block_starts[t],
                 oob_mask=self.oob_mask[t],
                 importance=self.importance[t],
             )
@@ -371,39 +367,13 @@ def moving_block_plan(n_rows: int, block_length: int) -> tuple[int, int, int]:
 def moving_block_indices(
     n_rows: int, block_length: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row indices of one moving-block resample, truncated to ``n_rows``."""
-    starts = _draw_block_starts(n_rows, block_length, rng)
-    return _indices_from_starts(starts, block_length, n_rows)
+    """Row indices of one moving-block resample, truncated to ``n_rows``.
 
-
-def _draw_block_starts(
-    n_rows: int, block_length: int, rng: np.random.Generator
-) -> np.ndarray:
-    n_blocks, n_draws, _ = moving_block_plan(n_rows, block_length)
-    return rng.integers(0, n_blocks, size=n_draws)
-
-
-def _indices_from_starts(
-    starts: np.ndarray, block_length: int, n_rows: int
-) -> np.ndarray:
-    raw = (starts[:, None] + np.arange(block_length)[None, :]).reshape(-1)
-    return raw[:n_rows]
-
-
-def mbb_resample(
-    dataset: SupervisedDataset, block_length: int, rng: np.random.Generator
-) -> SupervisedDataset:
-    """Resample a dataset by concatenated moving blocks.
-
-    With ``block_length == n_rows`` there is a single candidate block and the
-    resample is the original dataset.
+    With ``block_length == n_rows`` the one candidate block is every row.
     """
-    idx = moving_block_indices(dataset.n_rows, block_length, rng)
-    return SupervisedDataset(
-        feature_names=dataset.feature_names,
-        features=dataset.features[idx],
-        target=dataset.target[idx],
-    )
+    n_blocks, n_draws, _ = moving_block_plan(n_rows, block_length)
+    starts = rng.integers(0, n_blocks, size=n_draws)
+    return (starts[:, None] + np.arange(block_length)).reshape(-1)[:n_rows]
 
 
 # Slots one growth group holds: trees grow ``_GROUP_ROWS // (n_rows + mtry)``
@@ -722,8 +692,9 @@ def train_forest(
 ) -> ForestModel:
     """Train a moving-block bootstrap forest.
 
-    Each tree draws its own block resample from its own RNG stream and grows
-    on its distinct rows weighted by their counts in it, so
+    Each tree ``t`` draws its block resample (:func:`moving_block_indices`)
+    from its own stream, ``substream(config.seed, "forest-tree", t)``, and
+    grows on its distinct rows weighted by their counts in it, so
     ``config.min_node_size`` counts resampled rows.  Trees grow a group at
     a time, level by level (:func:`_grow_group`); the result does not
     depend on the grouping.
@@ -744,7 +715,7 @@ def train_forest(
     """
     n = dataset.n_rows
     m = dataset.n_features
-    _, n_draws, _ = moving_block_plan(n, config.block_length)  # validates it
+    moving_block_plan(n, config.block_length)  # validates it
     mtry = config.resolved_mtry(m)
     if mtry > m:
         raise ConfigError({"mtry": f"must not exceed the {m} available features"})
@@ -772,19 +743,13 @@ def train_forest(
         np.empty(capacity),
     )
     offsets = np.zeros(n_trees + 1, dtype=np.intp)
-    block_starts = np.empty((n_trees, n_draws), dtype=np.int64)
     oob_mask = np.ones((n_trees, n), dtype=bool)
     importance = np.empty((n_trees, m))
     for first in range(0, n_trees, group):
         last = min(first + group, n_trees)
         rngs = [substream(config.seed, "forest-tree", t) for t in range(first, last)]
-        for t, rng in enumerate(rngs, start=first):
-            block_starts[t] = _draw_block_starts(n, config.block_length, rng)
         rows = np.array(
-            [
-                _indices_from_starts(s, config.block_length, n)
-                for s in block_starts[first:last]
-            ],
+            [moving_block_indices(n, config.block_length, rng) for rng in rngs],
             dtype=np.int32,
         )
         oob_mask[np.arange(first, last)[:, None], rows] = False
@@ -805,7 +770,6 @@ def train_forest(
         right=right,
         value=value,
         offsets=offsets,
-        block_starts=block_starts,
         oob_mask=oob_mask,
         importance=importance,
     )

@@ -47,20 +47,6 @@ DAILY_CSV_HEADER = (
 #: :class:`DailyClimate` table.
 DAILY_MEASUREMENTS = DAILY_CSV_HEADER[2:]
 
-#: Canonical weekly panel columns (demand first when present).
-PANEL_COLUMNS = (
-    "drug_demand",
-    "temperature",
-    "wind_speed",
-    "cloud_cover",
-    "specific_humidity",
-    "precipitation",
-    "fwi",
-    "temperature_sd",
-    "extreme_rainfall",
-    "wet_days",
-)
-
 WEEK_DAYS = 7
 
 

@@ -319,8 +319,16 @@ def bootstrap_threshold_unconditional(
     median measure across frequencies, as batched array arithmetic.
     """
     x, y, _, _ = _check_pair(cause, effect)
+    check_sample_size(x.size, 2, 0, cfg.max_var_order)
+    return _unconditional_thresholds(x, y, cfg)
+
+
+def _unconditional_thresholds(
+    x: np.ndarray, y: np.ndarray, cfg: GcBootstrapConfig
+) -> BootstrapThresholds:
+    """:func:`bootstrap_threshold_unconditional` of checked series long
+    enough for ``cfg.max_var_order``."""
     n = x.size
-    check_sample_size(n, 2, 0, cfg.max_var_order)
     frequencies = fourier_frequencies(n)
     block = cfg.block_length(n)
     causes, effects = replicate_draws(
@@ -358,12 +366,13 @@ def unconditional_gc_spectrum(
 ) -> SpectrumResult:
     """Unconditional causality spectrum of cause -> effect with thresholds.
 
+    The series are checked once, for the observed fit and the null alike.
     ``threads`` is accepted and has no effect.
     """
     x, y, x_name, y_name = _check_pair(cause, effect)
-    model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order)
+    model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order, names=(x_name, y_name))
     observed = spectral_decomposition(model, fourier_frequencies(x.size))
-    thresholds = bootstrap_threshold_unconditional(x, y, cfg)
+    thresholds = _unconditional_thresholds(x, y, cfg)
     return _spectrum_result((x_name, y_name, None), observed, model.order, thresholds, cfg.alpha)
 
 
@@ -403,8 +412,8 @@ def conditional_decomposition(
     The projection lag order is the BIC order of the (effect, conditioning)
     VAR; frequencies stay on the original i/T grid.
     """
-    x, y, w, _, _, _ = _check_triple(cause, effect, conditioning)
-    pair_model = fit_var(np.column_stack([y, w]), max_order=max_order)
+    x, y, w, _, y_name, w_name = _check_triple(cause, effect, conditioning)
+    pair_model = fit_var(np.column_stack([y, w]), max_order=max_order, names=(y_name, w_name))
     return _observed_conditional(x, y, w, pair_model, max_order)
 
 
@@ -504,8 +513,10 @@ def bootstrap_threshold_conditional(
     bootstrap and takes :func:`conditional_decomposition`'s path, batched
     per block of replicates.
     """
-    x, y, w, _, _, _ = _check_triple(cause, effect, conditioning)
-    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
+    x, y, w, _, y_name, w_name = _check_triple(cause, effect, conditioning)
+    pair_model = fit_var(
+        np.column_stack([y, w]), max_order=cfg.max_var_order, names=(y_name, w_name)
+    )
     return _conditional_thresholds(x, y, w, pair_model, cfg)
 
 
@@ -561,7 +572,9 @@ def conditional_gc_spectrum(
     effect.
     """
     x, y, w, x_name, y_name, w_name = _check_triple(cause, effect, conditioning)
-    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
+    pair_model = fit_var(
+        np.column_stack([y, w]), max_order=cfg.max_var_order, names=(y_name, w_name)
+    )
     observed = _observed_conditional(x, y, w, pair_model, cfg.max_var_order)
     thresholds = _conditional_thresholds(x, y, w, pair_model, cfg)
     return _spectrum_result(

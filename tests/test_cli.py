@@ -280,6 +280,26 @@ class TestErrorReporting:
         assert payload["message"].endswith("duplicate variable name in data: drug_demand")
         assert not (tmp_path / "out" / "sparse_var_drug_demand.csv").exists()
 
+    @pytest.mark.parametrize("roles", [
+        {"cause": "temperature", "effect": "temperature"},
+        {"cause": "temperature", "effect": "drug_demand", "conditioning": "temperature"},
+        {"cause": "drug_demand", "effect": "temperature", "conditioning": "temperature"},
+    ])
+    def test_gc_column_named_twice(self, tmp_path, capsys, roles):
+        panel = make_panel(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run_cli(
+            "--out-dir", out, "gc", "--panel", panel, "--replicates", 100, *as_flags(roles)
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "InvalidInputError"
+        assert payload["message"] == (
+            "column named twice among --cause, --effect and --conditioning: temperature"
+        )
+        assert not out.exists() or not list(out.iterdir())
+
     def test_unknown_names_raise_toolkit_errors(self, tmp_path):
         # Every lookup by name fails with the toolkit's error (still a KeyError).
         from climdemand.errors import ToolkitError
@@ -446,6 +466,34 @@ class TestErrorReporting:
         bad = {"replicates": 50, "trees": 0, "lags": 0, "harmonics": -1, "irf_horizon": 0}
         assert run_cli("--out-dir", out, "pipeline", *as_flags(bad)) == 1
         assert set(error_json(capsys)["fields"]) == set(bad)
+        assert file_bytes(out) == before
+
+    CLIMATE = ("temperature, wind_speed, cloud_cover, specific_humidity, precipitation, fwi, "
+               "temperature_sd, extreme_rainfall, wet_days")
+
+    @pytest.mark.parametrize("columns, error, message", [
+        ({"driver": "nosuch"}, "UnknownColumnError",
+         f"unknown column 'nosuch'; available: {CLIMATE}"),
+        ({"target": "nosuch"}, "UnknownColumnError",
+         f"unknown column 'nosuch'; available: drug_demand, {CLIMATE}"),
+        ({"driver": "drug_demand"}, "InvalidInputError",
+         "--driver and --target must differ, both are 'drug_demand'"),
+        # Stage 2's panel holds the target and the climate columns only.
+        ({"target": "fwi", "driver": "drug_demand"}, "UnknownColumnError",
+         "unknown column 'drug_demand'; available: " + CLIMATE.replace(" fwi,", "")),
+    ])
+    def test_pipeline_columns_checked_before_any_output(
+        self, tmp_path, capsys, columns, error, message
+    ):
+        out = self.occupied_out_dir(tmp_path)
+        before = file_bytes(out)
+        code = run_cli(
+            "--out-dir", out, "pipeline", "--n-weeks", 160, "--replicates", 100,
+            "--trees", 5, *as_flags(columns),
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert (payload["error"], payload["message"]) == (error, message)
         assert file_bytes(out) == before
 
     def test_fit_varx_computes_every_artifact_before_writing(self, tmp_path, capsys):

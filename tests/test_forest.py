@@ -22,7 +22,6 @@ from climdemand.forest import (
     impurity_importance,
     lagged_design_matrix,
     lagged_feature_rows,
-    mbb_resample,
     moving_block_indices,
     moving_block_plan,
     oob_metrics,
@@ -94,21 +93,8 @@ class TestMovingBlocks:
         assert_array_equal(idx, raw[:100])
 
     def test_full_length_block_is_identity(self):
-        rng = np.random.default_rng(3)
-        data = make_dataset(rng, n=40)
-        resampled = mbb_resample(data, 40, np.random.default_rng(9))
-        assert_array_equal(resampled.features, data.features)
-        assert_array_equal(resampled.target, data.target)
-
-    def test_resampled_rows_are_original_rows(self):
-        n = 60
-        features = np.column_stack([np.arange(n, dtype=float)])
-        target = 10.0 * np.arange(n)
-        data = SupervisedDataset(("row_id",), features, target)
-        resampled = mbb_resample(data, 13, np.random.default_rng(4))
-        ids = resampled.features[:, 0].astype(int)
-        assert set(ids) <= set(range(n))
-        assert_allclose(resampled.target, 10.0 * ids)
+        idx = moving_block_indices(40, 40, np.random.default_rng(9))
+        assert_array_equal(idx, np.arange(40))
 
 
 class TestLaggedDesign:
@@ -305,12 +291,11 @@ class TestTraining:
         data = make_dataset(rng, n=100, noise=1.0)
         config = ForestConfig(n_trees=5, min_node_size=8, block_length=10, seed=7)
         model = train_forest(data, config)
-        for tree in model.trees:
-            # Rebuild the tree's resample from its block starts and check
+        for t, tree in enumerate(model.trees):
+            # Rebuild the tree's resample from its own stream and check
             # every leaf holds the mean target of the rows routed to it.
-            idx = np.concatenate(
-                [s + np.arange(10) for s in tree.block_starts]
-            )[:100]
+            rng = substream(config.seed, "forest-tree", t)
+            idx = moving_block_indices(100, 10, rng)
             leaves = _route_to_leaves(tree, data.features[idx])
             for leaf in np.unique(leaves):
                 expected = data.target[idx[leaves == leaf]].mean()

@@ -467,6 +467,31 @@ class TestUnconditionalInference:
                 GcBootstrapConfig(n_replicates=100),
             )
 
+    def test_spectrum_checks_the_pair_once(self, monkeypatch):
+        # One check of the pair serves the observed fit and the null, and
+        # the observed fit checks the sample size.
+        from climdemand import spectral
+
+        rng = np.random.default_rng(22)
+        x, y = rng.normal(size=(2, 200))
+        cfg = GcBootstrapConfig(n_replicates=100, seed=5)
+        model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order)
+        observed = spectral_decomposition(model, fourier_frequencies(200))
+        thresholds = bootstrap_threshold_unconditional(x, y, cfg)
+        calls = {"_check_pair": 0, "check_sample_size": 0, "fit_var": 0}
+        for name in calls:
+            def spy(*args, _real=getattr(spectral, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, spy)
+        result = unconditional_gc_spectrum(x, y, cfg)
+        assert calls == {"_check_pair": 1, "check_sample_size": 0, "fit_var": 1}
+        assert result.estimate.tobytes() == observed.measure.tobytes()
+        assert result.var_order == model.order
+        assert (result.threshold_pointwise, result.threshold_bonferroni) == (
+            thresholds.pointwise, thresholds.bonferroni)
+        assert result.n_failed == thresholds.n_failed
+
 
 class TestWeeklySeriesInputs:
     """Both spectra take ``WeeklySeries`` too: names come from the series,
@@ -499,6 +524,23 @@ class TestWeeklySeriesInputs:
         )
         assert (conditional.cause_name, conditional.effect_name,
                 conditional.conditioning_name) == ("temperature", "drug_demand", "fwi")
+
+    def test_a_collinear_pair_is_named_by_the_caller(self):
+        panel, _ = self.panels()
+        heat = 2.0 * panel.column("temperature") + 1.0
+        panel = PanelDataset(panel.week_starts, {**panel.columns, "heat": heat})
+        cfg = GcBootstrapConfig(n_replicates=100, seed=3)
+        temperature, fwi = panel.series("temperature"), panel.series("fwi")
+        with pytest.raises(RankDeficiencyError, match="collinear columns: heat.l1, heat$"):
+            unconditional_gc_spectrum(temperature, panel.series("heat"), cfg)
+        with pytest.raises(RankDeficiencyError, match="collinear columns: effect.l1, effect$"):
+            unconditional_gc_spectrum(temperature.values, heat, cfg)
+        for spectrum in (conditional_decomposition, bootstrap_threshold_conditional,
+                         conditional_gc_spectrum):
+            with pytest.raises(RankDeficiencyError, match="columns: heat.l1, heat$"):
+                spectrum(fwi, temperature, panel.series("heat"))
+            with pytest.raises(RankDeficiencyError, match="columns: conditioning.l1, conditioning$"):
+                spectrum(fwi.values, temperature.values, heat)
 
     def test_shifted_week_axes_are_rejected(self):
         panel, shifted = self.panels()

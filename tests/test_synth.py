@@ -10,9 +10,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import climdemand
 from climdemand.errors import ConfigError
+from climdemand.features import NATIONAL_CLIMATE_COLUMNS
 from climdemand.hpfilter import hp_cycle, seasonal_adjust
 from climdemand.metrics import SplitSpec, evaluate_forecast, holdout_split
-from climdemand.panel import PANEL_COLUMNS
 from climdemand.spectral import GcBootstrapConfig, unconditional_gc_spectrum
 from climdemand.synth import (
     SynthConfig,
@@ -146,7 +146,7 @@ class TestPanel:
     def test_columns_and_axis(self):
         cfg = SynthConfig()
         panel = generate_synthetic_panel(cfg)
-        assert panel.column_names == PANEL_COLUMNS
+        assert panel.column_names == ("drug_demand", *NATIONAL_CLIMATE_COLUMNS)
         assert panel.n_weeks == cfg.n_weeks
         assert panel.week_starts[0] == cfg.start_date
         assert all(d.weekday() == 0 for d in panel.week_starts)
