@@ -166,6 +166,13 @@ def select_order(path: np.ndarray) -> np.ndarray:
     return np.argmin(path, axis=-1) + 1
 
 
+# Series factored in one stacked QR by refit.  np.linalg.qr copies the
+# stacked design before it keeps R, so a slice holds two designs of its
+# width at once; 32 bounds that for any stack without changing a fit, since
+# each series' arithmetic is its own.
+_FIT_SLICE = 32
+
+
 @dataclass
 class OrderFit:
     """Least-squares fits of the series of a stack that share one order.
@@ -196,9 +203,9 @@ def refit(
     """Least squares for each series of a (B, T, K) stack at its own order.
 
     Each series uses its full usable sample t = order..T-1, one stacked QR
-    per order.  Series are grouped by order, in increasing order.  Returns
-    the groups and the (B,) mask of series whose design has a small pivot,
-    which no group holds.
+    per order and slice of ``_FIT_SLICE`` series.  Series are grouped by
+    order, in increasing order.  Returns the groups and the (B,) mask of
+    series whose design has a small pivot, which no group holds.
     """
     orders = np.asarray(orders)
     K = data.shape[2]
@@ -207,18 +214,23 @@ def refit(
     groups: list[OrderFit] = []
     for p in np.unique(orders):
         index = np.flatnonzero(orders == p)
-        sample = data if index.size == len(data) else data[index]
-        matrix = _augmented(sample, int(p), exog)
-        n, q = matrix.shape[1], matrix.shape[2] - K
-        coef, r_inv, r22, bad = least_squares(matrix, q)
-        failed[index[bad]] = True
-        keep = ~bad
-        if keep.any():
+        parts = []
+        for start in range(0, index.size, _FIT_SLICE):
+            part = index[start : start + _FIT_SLICE]
+            sample = data if part.size == len(data) else data[part]
+            matrix = _augmented(sample, int(p), exog)
+            n, q = matrix.shape[1], matrix.shape[2] - K
+            coef, r_inv, r22, bad = least_squares(matrix, q)
+            failed[part[bad]] = True
+            keep = ~bad
             r22 = r22[keep]
-            groups.append(OrderFit(
-                int(p), index[keep], coef[keep][:, _public_rows(q, M)], r_inv[keep],
+            parts.append((
+                part[keep], coef[keep][:, _public_rows(q, M)], r_inv[keep],
                 r22.transpose(0, 2, 1) @ r22 / (n - q),
             ))
+        fit = parts[0] if len(parts) == 1 else [np.concatenate(f) for f in zip(*parts)]
+        if fit[0].size:
+            groups.append(OrderFit(int(p), *fit))
     return groups, failed
 
 

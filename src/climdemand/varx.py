@@ -71,10 +71,12 @@ __all__ = [
 
 DEFAULT_FEVD_HORIZONS = tuple(range(4, 53, 4))
 
-# Replicates simulated and refit together by the residual bootstrap and the
-# Granger null.  A block bounds the working set (the stacked regression
-# designs above all) without changing a draw: each replicate's arithmetic is
-# its own.
+# Replicates simulated together by the residual bootstrap and the Granger
+# null, one simulate_var recursion per block; varbase.refit then factors
+# them 32 at a time.  The recursion's cost per step barely grows with the
+# block, so fewer, wider blocks are faster, while the refit's slices bound
+# the working set.  Neither size changes a draw: each replicate's
+# arithmetic is its own.
 _BOOTSTRAP_BLOCK = 128
 
 @dataclasses.dataclass(frozen=True)
@@ -99,10 +101,6 @@ class ExogenousDesign:
     @property
     def n_weeks(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.values.shape[1]
 
 
 def _week_contains_august_15(week_start: dt.date) -> bool:
@@ -315,15 +313,15 @@ def residual_bootstrap(
     check_replicates(n_replicates, seed)
     centered = model.residuals - model.residuals.mean(axis=0)
     n = centered.shape[0]
-    fits = []
+    coefs, covs = [], []
     for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
         replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
         innovations = centered[replicate_draws(seed, "varx-bootstrap", replicates, (n, None))[0]]
-        fits.append(
-            _resimulate(model, model.intercept, model.endo_coef, model.exo_coef, innovations)
-        )
-    coef = np.concatenate([fit.coef for fit in fits])
-    resid_cov_draws = np.concatenate([fit.resid_cov for fit in fits])
+        fit = _resimulate(model, model.intercept, model.endo_coef, model.exo_coef, innovations)
+        coefs.append(fit.coef)
+        covs.append(fit.resid_cov)
+    coef = np.concatenate(coefs)
+    resid_cov_draws = np.concatenate(covs)
     draws = unpack_coefficients(coef, model.order)
     # Lower, upper and significant of the intercept, lag and exogenous
     # blocks, in VarxBootstrap's field order.

@@ -15,7 +15,7 @@ import pytest
 from climdemand.cli import main as cli_main
 from climdemand.features import FeatureConfig
 from climdemand.forest import ForestConfig
-from climdemand.panel import DAILY_CSV_HEADER, read_panel_csv
+from climdemand.panel import DAILY_CSV_HEADER, format_float, read_panel_csv
 from climdemand.spectral import GcBootstrapConfig
 from climdemand.synth import SynthConfig
 
@@ -887,6 +887,57 @@ class TestCommandOutputs:
         lines = (out / "sparse_var_drug_demand.csv").read_text().splitlines()
         for line in lines[1:]:
             assert line.split(",")[1:] == ["0", "0", "0", "0"]
+
+    def test_gc_raw_is_the_spectrum_of_the_raw_columns(self, tmp_path):
+        from climdemand.spectral import unconditional_gc_spectrum
+
+        panel_path = make_panel(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(
+            "--seed", 4, "--out-dir", out, "gc", "--panel", panel_path,
+            "--cause", "temperature", "--effect", "drug_demand", "--replicates", 100, "--raw",
+        ) == 0
+        panel = read_panel_csv(str(panel_path))
+        result = unconditional_gc_spectrum(
+            panel.column("temperature"), panel.column("drug_demand"),
+            GcBootstrapConfig(n_replicates=100, seed=4),
+        )
+        cells = [line.split(",") for line in
+                 (out / "gc_temperature_to_drug_demand.csv").read_text().splitlines()[1:]]
+        assert [row[1] for row in cells] == [format_float(v) for v in result.estimate]
+        assert {(row[2], row[3]) for row in cells} == {
+            (format_float(result.threshold_pointwise), format_float(result.threshold_bonferroni))
+        }
+
+    def test_sparse_var_raw_is_the_fit_of_the_raw_columns(self, tmp_path):
+        from climdemand.sparsevar import coefficient_table, fit_lasso_var, select_lambda
+
+        panel_path = make_panel(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli("--out-dir", out, "sparse-var", "--panel", panel_path, "--raw") == 0
+        panel = read_panel_csv(str(panel_path))
+        names = ("drug_demand", "temperature")
+        data = np.column_stack([panel.column(name) for name in names])
+        lam = select_lambda(data, order=4, names=names)
+        table = coefficient_table(fit_lasso_var(data, order=4, lam=lam, names=names),
+                                  "drug_demand")
+        rows = [line.split(",") for line in
+                (out / "sparse_var_drug_demand.csv").read_text().splitlines()[1:]]
+        assert rows == [[name, *map(format_float, values)]
+                        for name, values in zip(table.variables, table.values)]
+
+    def test_select_without_columns_ranks_every_other_column(self, tmp_path):
+        panel_path = make_panel(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(
+            "--seed", 0, "--out-dir", out, "select", "--panel", panel_path, "--trees", 10,
+        ) == 0
+        rows = (out / "importance_drug_demand.csv").read_text().splitlines()[1:]
+        columns = read_panel_csv(str(panel_path)).column_names
+        assert len(columns) == 10 and columns[0] == "drug_demand"
+        assert {row.split(",")[0] for row in rows} == {
+            f"{name}.l{k}" for name in columns for k in (1, 2, 3, 4)
+        }
 
     def test_fit_trend_emits_aligned_fitted_values(self, tmp_path):
         panel_path = make_panel(tmp_path)

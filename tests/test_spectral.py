@@ -313,6 +313,33 @@ class TestThresholds:
         )
         assert other.pointwise != one.pointwise
 
+    @pytest.mark.parametrize("finite", [60, 59])
+    def test_too_many_failed_replicates_is_an_error(self, monkeypatch, finite):
+        # The thresholds need max(50, n_replicates // 2) finite null
+        # medians: 60 of 120 here.  Replicates past the first ``finite``
+        # are made to fail.
+        from climdemand import spectral
+
+        null_medians = spectral._null_medians
+        done = []
+
+        def failing(samples, *args):
+            medians = null_medians(samples, *args)
+            medians[max(0, finite - sum(done)):] = np.nan
+            done.append(len(medians))
+            return medians
+
+        monkeypatch.setattr(spectral, "_null_medians", failing)
+        rng = np.random.default_rng(41)
+        x, y = rng.normal(size=(2, 200))
+        cfg = GcBootstrapConfig(n_replicates=120, seed=2)
+        if finite < 60:
+            with pytest.raises(NumericalError,
+                               match=r"too many bootstrap replicates failed \(61 of 120\)"):
+                bootstrap_threshold_unconditional(x, y, cfg)
+        else:
+            assert bootstrap_threshold_unconditional(x, y, cfg).n_failed == 60
+
 
 class TestBatchedNull:
     @pytest.mark.parametrize("case", ["spiky", "lagged"])

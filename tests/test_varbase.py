@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from climdemand import spectral, varbase, varx
 from climdemand._rng import replicate_draws
@@ -332,6 +332,35 @@ class TestStackCore:
         groups, failed = refit(stack, np.array([1, 1, 1]))
         assert failed.tolist() == [False, True, False]
         assert groups[0].index.tolist() == [0, 2]
+
+    def test_sliced_refit_equals_single_fits(self, monkeypatch):
+        # refit factors at most _FIT_SLICE series per QR.  Orders 1, 2, 3
+        # take 14, 13 and 13 of 40 series, so each group spans two slices
+        # of 7; series 23 (order 3, the 8th of its group) is singular and
+        # sits in its group's second slice.
+        rng = np.random.default_rng(23)
+        stack = rng.normal(size=(40, 150, 2))
+        stack[:, :, 1] += 0.5 * np.roll(stack[:, :, 0], 1, axis=1)
+        stack[23, :, 1] = 3.0 * stack[23, :, 0]
+        exog = rng.normal(size=(150, 3))
+        orders = np.resize([1, 2, 3], 40)
+        monkeypatch.setattr(varbase, "_FIT_SLICE", 10**6)
+        whole, whole_failed = refit(stack, orders, exog)
+        monkeypatch.setattr(varbase, "_FIT_SLICE", 7)
+        groups, failed = refit(stack, orders, exog)
+        assert np.flatnonzero(failed).tolist() == [23]
+        assert_array_equal(failed, whole_failed)
+        assert [g.order for g in groups] == [g.order for g in whole] == [1, 2, 3]
+        for group, unsliced in zip(groups, whole):
+            members = np.flatnonzero(orders == group.order)
+            assert_array_equal(group.index, members[members != 23])
+            for field in ("index", "coef", "r_inv", "resid_cov"):
+                assert_array_equal(getattr(group, field), getattr(unsliced, field))
+            for i, b in enumerate(group.index):
+                (alone,), alone_failed = refit(stack[b : b + 1], orders[b : b + 1], exog)
+                assert not alone_failed[0]
+                for field in ("coef", "r_inv", "resid_cov"):
+                    assert_array_equal(getattr(group, field)[i], getattr(alone, field)[0])
 
 
 class TestQrCore:

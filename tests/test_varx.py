@@ -2,11 +2,13 @@
 
 import dataclasses
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from climdemand._rng import replicate_draws
 from climdemand.errors import (
     AlignmentError,
     ConfigError,
@@ -203,20 +205,80 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_blocked_draws_equal_one_shot_draws(self, monkeypatch, block):
-        # Replicates are simulated and refit in blocks to bound memory; no
-        # draw may depend on the block size.
-        from climdemand import varx
+        # Replicates are simulated in blocks and refit in slices of a block
+        # to bound memory; no draw may depend on either size.
+        from climdemand import varbase, varx
 
         rng = np.random.default_rng(8)
         y, design, *_ = simulate_varx2(rng, T=250)
         model = fit_varx(y, design, order=2)
         monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", 10**6)
+        monkeypatch.setattr(varbase, "_FIT_SLICE", 10**6)
         whole = residual_bootstrap(model, n_replicates=150, seed=3)
         monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", block)
-        blocked = residual_bootstrap(model, n_replicates=150, seed=3)
-        for field in ("intercept_draws", "endo_draws", "exo_draws", "resid_cov_draws",
-                      "endo_lower", "endo_upper", "exo_lower", "exo_upper"):
-            assert_array_equal(getattr(blocked, field), getattr(whole, field))
+        for fit_slice in (5, 32, 10**6):
+            monkeypatch.setattr(varbase, "_FIT_SLICE", fit_slice)
+            blocked = residual_bootstrap(model, n_replicates=150, seed=3)
+            for field in ("intercept_draws", "endo_draws", "exo_draws", "resid_cov_draws",
+                          "endo_lower", "endo_upper", "exo_lower", "exo_upper"):
+                assert_array_equal(getattr(blocked, field), getattr(whole, field))
+
+    def test_singular_replicate_is_an_error(self, monkeypatch):
+        # One replicate of the second refit slice gets a singular design:
+        # the bootstrap and the Granger null reject the run once its block
+        # of 128 replicates is refit, four slices of 32.
+        from climdemand import varbase
+
+        rng = np.random.default_rng(9)
+        y, design, *_ = simulate_varx2(rng, T=250)
+        model = fit_varx(y, design, order=2, names=("a", "b"))
+        least_squares = varbase.least_squares
+        slices = []
+
+        def flagging(matrix, q):
+            coef, r_inv, r22, failed = least_squares(matrix, q)
+            slices.append(len(matrix))
+            if len(slices) == 2:
+                failed[5] = True
+            return coef, r_inv, r22, failed
+
+        monkeypatch.setattr(varbase, "least_squares", flagging)
+        for run in (
+            lambda: residual_bootstrap(model, n_replicates=150, seed=1),
+            lambda: granger_test_time_domain(model, "b", "a", n_replicates=150, seed=1),
+        ):
+            slices.clear()
+            with pytest.raises(NumericalError,
+                               match="^a bootstrap replicate produced a singular regression design$"):
+                run()
+            assert slices == [32, 32, 32, 32]
+
+    @pytest.mark.parametrize("bootstrap", ["residual_bootstrap", "granger_test_time_domain"])
+    def test_runs_within_a_memory_budget(self, bootstrap):
+        # The pipeline's VARX size: 338 weeks of two variables, five
+        # exogenous columns (two Fourier terms, the August dummy, two
+        # baselines), order 2, 1000 replicates.  Refit 128 replicates per
+        # QR, the residual bootstrap peaked at 10.9 MiB and the Granger null
+        # at 10.4; refit 32 at a time, 4.7 and 4.6.
+        rng = np.random.default_rng(26)
+        y, design, *_ = simulate_varx2(rng, T=338)
+        baselines = {f"b{i}": rng.normal(size=338) for i in range(2)}
+        exog = build_exogenous(weekly_axis(338), baselines=baselines, harmonics=1)
+        model = fit_varx(y, exog, order=2, names=("a", "b"))
+        run = {
+            "residual_bootstrap": lambda: residual_bootstrap(model, n_replicates=1000),
+            "granger_test_time_domain": lambda: granger_test_time_domain(
+                model, "b", "a", n_replicates=1000
+            ),
+        }[bootstrap]
+        replicate_draws.cache_clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * 2**20
 
     def test_draws_match_per_replicate_oracle(self):
         # Oracle: the bootstrap as a separate simulator and refit computed
