@@ -21,8 +21,9 @@ and (node, candidate feature) segments across axis 1: one sort of packed
 keys orders every segment by dense rank, and the running sums of w, w·y and
 w·y² add whole rows in the order of a per-segment ``np.cumsum``, so the
 trees are those of a per-node search bit for bit.  The trees are stored
-packed in one set of node arrays, and prediction routes every (tree, row)
-pair at once.
+packed in three node arrays (split feature, left child, and one float that
+is the cut at internal nodes and the mean at leaves), and prediction routes
+every (tree, row) pair at once.
 """
 
 from __future__ import annotations
@@ -137,12 +138,14 @@ class ForestConfig:
 
 @dataclasses.dataclass(frozen=True)
 class _Tree:
-    """One regression tree as parallel node arrays (views into the forest's).
+    """One regression tree as parallel node arrays.
 
-    ``feature[i] == -1`` marks node ``i`` as a leaf; ``value`` holds the mean
-    training target of every node (internal nodes included).  ``left`` and
-    ``right`` index nodes of this tree.  ``feature``, ``left`` and ``right``
-    are int32.
+    ``feature[i] == -1`` marks node ``i`` as a leaf.  ``threshold`` holds the
+    cut of every internal node and NaN at leaves; ``value`` holds the mean
+    training target of every leaf and NaN at internal nodes.  ``left`` and
+    ``right`` index nodes of this tree, -1 at leaves.  ``feature`` and
+    ``left`` are views of the forest's arrays; ``threshold``, ``right`` and
+    ``value`` are derived from them.
     """
 
     feature: np.ndarray
@@ -156,23 +159,25 @@ class _Tree:
 
 @dataclasses.dataclass(frozen=True)
 class ForestModel:
-    """Trained forest: every tree packed into one set of node arrays.
+    """Trained forest: every tree packed into three node arrays.
 
     Tree ``t`` owns nodes ``offsets[t]:offsets[t + 1]`` of ``feature``,
-    ``threshold``, ``left``, ``right`` and ``value``, with child indices
-    local to the tree.  Row ``t`` of ``oob_mask`` marks the rows no block of
-    tree ``t``'s resample covers, and row ``t`` of ``importance`` holds its
-    per-feature impurity reduction.
+    ``left`` and ``split_value``.  ``feature`` is -1 at leaves and ``left``
+    the tree-local index of the left child (-1 at leaves); the right child is
+    always ``left + 1``.  ``split_value`` holds the cut at internal nodes and
+    the mean training target at leaves.  ``feature`` and ``left`` take the
+    smallest signed integer types that hold their ranges.  Row ``t`` of
+    ``oob_mask`` marks the rows no block of tree ``t``'s resample covers, and
+    row ``t`` of ``importance`` holds its per-feature impurity reduction.
+    ``threshold``, ``right`` and ``value`` are derived on each access.
     """
 
     feature_names: tuple[str, ...]
     config: ForestConfig
     n_rows: int
     feature: np.ndarray
-    threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+    split_value: np.ndarray
     offsets: np.ndarray
     oob_mask: np.ndarray
     importance: np.ndarray
@@ -181,17 +186,33 @@ class ForestModel:
     def n_trees(self) -> int:
         return self.offsets.size - 1
 
+    @property
+    def threshold(self) -> np.ndarray:
+        """The cut of every internal node, NaN at leaves."""
+        return np.where(self.feature >= 0, self.split_value, np.nan)
+
+    @property
+    def right(self) -> np.ndarray:
+        """The tree-local right child of every internal node, -1 at leaves."""
+        return np.where(self.left >= 0, self.left + 1, -1)
+
+    @property
+    def value(self) -> np.ndarray:
+        """The mean training target of every leaf, NaN at internal nodes."""
+        return np.where(self.feature < 0, self.split_value, np.nan)
+
     @functools.cached_property
     def trees(self) -> tuple[_Tree, ...]:
-        """Per-tree views into the packed arrays, in tree order."""
+        """Per-tree node arrays, in tree order."""
         bounds = self.offsets.tolist()
+        threshold, right, value = self.threshold, self.right, self.value
         return tuple(
             _Tree(
                 feature=self.feature[a:b],
-                threshold=self.threshold[a:b],
+                threshold=threshold[a:b],
                 left=self.left[a:b],
-                right=self.right[a:b],
-                value=self.value[a:b],
+                right=right[a:b],
+                value=value[a:b],
                 oob_mask=self.oob_mask[t],
                 importance=self.importance[t],
             )
@@ -563,9 +584,10 @@ def _grow_group(
     level order, node-id order within a level; children are numbered in
     their parents' order; and every node's sums run over that node's rows
     alone.  So the trees do not depend on the group or the step sizes.  The
-    trees' nodes go, tree after tree, to the front of ``nodes`` (feature,
-    threshold, left, right and value arrays).  Returns per-tree node counts
-    and the per-tree impurity reduction per feature.
+    trees' nodes go, tree after tree, to the front of ``nodes`` (the
+    feature, left child and split value arrays of :class:`ForestModel`).
+    Returns per-tree node counts and the per-tree impurity reduction per
+    feature.
     """
     n_trees, n = rows.shape
     m = features.shape[1]
@@ -667,21 +689,19 @@ def _grow_group(
         lo = np.column_stack([lo[k], lo[k] + cut]).reshape(-1)
         size = np.column_stack([cut, size[k] - cut]).reshape(-1)
 
-    # Scatter the records into the node arrays, a field at a time.
+    # Scatter the records into the node arrays, a field at a time: every
+    # node's mean, then the splits' cuts over the internal nodes' means.
     offsets = np.cumsum(count) - count
     total = int(count.sum())
-    feature, threshold, left, right, value = (field[:total] for field in nodes)
-    value[offsets[_join(levels[0])] + _join(levels[1])] = _join(levels[2])
+    feature, left, split_value = (field[:total] for field in nodes)
+    split_value[offsets[_join(levels[0])] + _join(levels[1])] = _join(levels[2])
     feature[:] = -1
-    threshold[:] = np.nan
     left[:] = -1
-    right[:] = -1
     if splits[0]:
         at = offsets[_join(splits[0])] + _join(splits[1])
         feature[at] = _join(splits[2])
-        threshold[at] = _join(splits[3])
+        split_value[at] = _join(splits[3])
         left[at] = _join(splits[4])
-        right[at] = left[at] + 1
     return count, gains
 
 
@@ -733,13 +753,15 @@ def train_forest(
 
     # Node arrays sized for the most nodes the trees can have (every leaf
     # keeps a row); trees fill them from the front and the model keeps the
-    # filled part, so the unused tail is never touched.
+    # filled part.  The unfilled tail is not free: numpy advises huge pages
+    # for arrays of 4 MiB or more, and where transparent huge pages follow
+    # that advice a touched page maps 2 MiB at once, so part of the tail
+    # becomes resident with the filled part.  Hence the narrow types: -1..m-1
+    # for features and -1..2n-2 for tree-local children.
     capacity = n_trees * (2 * n - 1)
     nodes = (
-        np.empty(capacity, dtype=np.int32),
-        np.empty(capacity),
-        np.empty(capacity, dtype=np.int32),
-        np.empty(capacity, dtype=np.int32),
+        np.empty(capacity, dtype=np.min_scalar_type(-m)),
+        np.empty(capacity, dtype=np.min_scalar_type(-(2 * n - 1))),
         np.empty(capacity),
     )
     offsets = np.zeros(n_trees + 1, dtype=np.intp)
@@ -759,16 +781,14 @@ def train_forest(
             tuple(field[filled:] for field in nodes),
         )
         offsets[first + 1 : last + 1] = filled + np.cumsum(count)
-    feature, threshold, left, right, value = (field[: offsets[-1]] for field in nodes)
+    feature, left, split_value = (field[: offsets[-1]] for field in nodes)
     return ForestModel(
         feature_names=dataset.feature_names,
         config=config,
         n_rows=n,
         feature=feature,
-        threshold=threshold,
         left=left,
-        right=right,
-        value=value,
+        split_value=split_value,
         offsets=offsets,
         oob_mask=oob_mask,
         importance=importance,
@@ -791,10 +811,10 @@ def _route(
     live = np.flatnonzero(model.feature[node] >= 0)
     while live.size:
         at = node[live]
-        go_left = features[rows[live], model.feature[at]] <= model.threshold[at]
-        node[live] = base[live] + np.where(go_left, model.left[at], model.right[at])
+        go_left = features[rows[live], model.feature[at]] <= model.split_value[at]
+        node[live] = base[live] + model.left[at] + ~go_left
         live = live[model.feature[node[live]] >= 0]
-    return model.value[node]
+    return model.split_value[node]
 
 
 def _tree_sums(model: ForestModel, features: np.ndarray, mask: np.ndarray | None):

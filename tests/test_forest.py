@@ -645,7 +645,8 @@ class TestOracle:
             assert_array_equal(tree.threshold, threshold)
             assert_array_equal(tree.left, left)
             assert_array_equal(tree.right, right)
-            assert_allclose(tree.value, value, rtol=1e-12, atol=0)
+            leaf = tree.feature < 0  # the model keeps no internal-node means
+            assert_allclose(tree.value[leaf], np.asarray(value)[leaf], rtol=1e-12, atol=0)
             assert_allclose(tree.importance, gains, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
@@ -671,7 +672,8 @@ class TestOracle:
             assert_array_equal(tree.threshold, threshold)
             assert_array_equal(tree.left, left)
             assert_array_equal(tree.right, right)
-            assert_array_equal(tree.value, value)
+            leaf = tree.feature < 0  # the model keeps no internal-node means
+            assert_array_equal(tree.value[leaf], np.asarray(value)[leaf])
             assert_array_equal(tree.importance, gains)
 
     def test_grouping_does_not_change_trees(self, monkeypatch):
@@ -885,10 +887,11 @@ class TestGrowthMemory:
         finally:
             tracemalloc.stop()
         # The node arrays are allocated for the most nodes the trees can
-        # have; the tail the trees do not fill is never touched.
+        # have, and tracemalloc counts all of it, the unfilled tail too
+        # (1.36 MiB here at 11 bytes a node; 3.47 MiB at 28).
         node_bytes = sum(
             getattr(model, name).base.nbytes
-            for name in ("feature", "threshold", "left", "right", "value")
+            for name in ("feature", "left", "split_value")
         )
         assert peak <= node_bytes + self.BUDGET
 
@@ -933,7 +936,60 @@ class TestPackedPrediction:
         sizes = [tree.feature.size for tree in model.trees]
         assert sum(sizes) == model.feature.size
         assert_array_equal(np.diff(model.offsets), sizes)
-        for tree in model.trees:
-            for name in ("feature", "threshold", "left", "right", "value"):
+        split_value = np.split(model.split_value, model.offsets[1:-1])
+        for tree, packed in zip(model.trees, split_value, strict=True):
+            for name in ("feature", "left"):
                 assert np.shares_memory(getattr(tree, name), getattr(model, name))
             assert np.shares_memory(tree.oob_mask, model.oob_mask)
+            # The third stored array holds cuts at internal nodes and leaf
+            # means at leaves.
+            internal = tree.feature >= 0
+            assert_array_equal(tree.threshold[internal], packed[internal])
+            assert_array_equal(tree.value[~internal], packed[~internal])
+
+
+class TestPackedLayout:
+    @staticmethod
+    def _train(n_rows, n_features, **kwargs):
+        rng = np.random.default_rng(45)
+        data = make_dataset(rng, n=n_rows, n_noise_features=n_features - 1)
+        config = dict(n_trees=2, block_length=min(n_rows, 12), seed=14)
+        return train_forest(data, ForestConfig(**{**config, **kwargs}))
+
+    @pytest.mark.parametrize("n_features, kind", [(128, np.int8), (129, np.int16)])
+    def test_feature_type_holds_every_column(self, n_features, kind):
+        model = self._train(30, n_features, mtry=n_features)
+        assert model.feature.dtype == kind
+        assert model.feature.max() < n_features
+
+    @pytest.mark.parametrize(
+        "n_rows, kind",
+        [(64, np.int8), (65, np.int16), (16384, np.int16), (16385, np.int32)],
+    )
+    def test_left_type_follows_the_row_count(self, n_rows, kind):
+        # Children are numbered up to 2 n - 2.  Above 65 rows the trees are
+        # single leaves, so only the type is at stake.
+        min_node_size = 5 if n_rows <= 65 else n_rows
+        model = self._train(n_rows, 2, min_node_size=min_node_size)
+        assert model.left.dtype == kind
+        assert np.iinfo(kind).max >= 2 * n_rows - 2
+
+    def test_right_child_is_left_plus_one(self):
+        model = self._train(150, 4, n_trees=20, min_node_size=1)
+        for tree in model.trees:
+            internal = tree.feature >= 0
+            assert internal.any()
+            assert_array_equal(tree.right[internal], tree.left[internal] + 1)
+            assert_array_equal(tree.left[~internal], -1)
+            assert_array_equal(tree.right[~internal], -1)
+            assert np.isnan(tree.threshold[~internal]).all()
+            assert np.isnan(tree.value[internal]).all()
+            assert not np.isnan(tree.threshold[internal]).any()
+            assert not np.isnan(tree.value[~internal]).any()
+
+    @pytest.mark.parametrize("n_features", [8, 11])
+    def test_node_bytes_at_the_pipeline_sizes(self, n_features):
+        # The default pipeline's two forests train on 334 rows.
+        model = self._train(334, n_features)
+        stored = (model.feature, model.left, model.split_value)
+        assert sum(a.itemsize for a in stored) <= 11

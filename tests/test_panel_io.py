@@ -18,6 +18,7 @@ from climdemand.panel import (
     DailyClimate,
     PanelDataset,
     WeeklySeries,
+    _atomic_write_text,
     format_float,
     read_daily_csv,
     read_panel_csv,
@@ -135,6 +136,20 @@ class TestPanelCsvRoundTrip:
             os.umask(previous)
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         assert os.listdir(tmp_path) == ["p.csv"]
+
+    @pytest.mark.parametrize("existing", [b"week_start,a\n", None], ids=["replace", "new"])
+    def test_failed_write_leaves_the_directory_as_it_was(self, tmp_path, existing):
+        # A lone surrogate fails the UTF-8 encode inside the temp file's write.
+        path = tmp_path / "p.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write_text(str(path), "week_start,\ud800\n")
+        if existing is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["p.csv"]
+            assert path.read_bytes() == existing
 
     def test_format_float_round_trips_its_own_output(self):
         rng = np.random.default_rng(8)

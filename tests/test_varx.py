@@ -616,6 +616,19 @@ class TestFevd:
         with pytest.raises(InvalidInputError):
             fevd(model, horizons=(0, 4))
 
+    @pytest.mark.parametrize(
+        "first_lag, radius", [(1.0, "1.0000"), (1.1, "1.1000")], ids=["unit_root", "explosive"]
+    )
+    def test_unstable_model_rejected(self, first_lag, radius):
+        rng = np.random.default_rng(19)
+        y, design, *_ = simulate_varx2(rng, T=300)
+        model = fit_varx(y, design, order=2)
+        unstable = dataclasses.replace(
+            model, endo_coef=np.array([[[first_lag, 0.0], [0.0, 0.2]], np.zeros((2, 2))])
+        )
+        with pytest.raises(StabilityError, match=f"companion radius is {radius}"):
+            fevd(unstable, horizons=(4, 8))
+
 
 class TestGranger:
     def coupled_pair(self, seed, coupling):
