@@ -1,11 +1,13 @@
 """Tests for the replicate layer: draws, replicate-count checks, p-values."""
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from climdemand import _rng
 from climdemand._rng import (
     MIN_REPLICATES,
     mc_p_value,
@@ -206,6 +208,100 @@ class TestHeldDraws:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+def reference_draws(seed, label, b, draws):
+    """Replicate b's arrays for ``draws`` from its own ``substream``, one
+    ``integers`` (and ``random``) call after another."""
+    rng = substream(seed, label, b)
+    return [
+        rng.integers(0, n, size=n) if block_length is None
+        else stationary_bootstrap_indices(n, block_length, rng)
+        for n, block_length in draws
+    ]
+
+
+NULL_LABELS = (
+    "gc-unconditional", "gc-conditional", "varx-bootstrap",
+    "granger-null", "portmanteau-null", "arch-null",
+)
+
+
+@pytest.fixture
+def substream_calls(monkeypatch):
+    """The indices of every ``substream`` call the replicate layer makes."""
+    calls = []
+
+    def counted(seed, label, *indices):
+        calls.append(indices)
+        return substream(seed, label, *indices)
+
+    monkeypatch.setattr(_rng, "substream", counted)
+    return calls
+
+
+class TestArrayDraws:
+    """The array seeding pass and the word transforms against numpy."""
+
+    def setup_method(self):
+        replicate_draws.cache_clear()
+
+    @pytest.mark.parametrize("label", NULL_LABELS)
+    @pytest.mark.parametrize("seed", [0, 7919, 2**32 + 5, 2**64 + 3])
+    def test_seeding_pass_equals_seed_sequence_and_pcg64(self, seed, label):
+        replicates = [0, 1, 2**32 - 1]
+        words = _rng._generate_state(seed, label, np.array(replicates, np.uint32))
+        state_hi, state_lo, inc_hi, inc_lo = _rng._pcg64_states(words).astype(object)
+        for i, b in enumerate(replicates):
+            sequence = np.random.SeedSequence([seed, zlib.crc32(label.encode("utf-8")), b])
+            assert_array_equal(words[:, i], sequence.generate_state(4, np.uint64))
+            reference = np.random.PCG64(sequence).state["state"]
+            assert state_hi[i] << 64 | state_lo[i] == reference["state"]
+            assert inc_hi[i] << 64 | inc_lo[i] == reference["inc"]
+
+    def test_indices_of_two_words_draw_through_substream(self, substream_calls):
+        draws = ((30, None), (40, 4.0))
+        replicates = range(2**32 - 2, 2**32 + 2)
+        drawn = replicate_draws(3, "label", replicates, *draws)
+        assert substream_calls == [(2**32,), (2**32 + 1,)]
+        for i, b in enumerate(replicates):
+            for rows, reference in zip(drawn, reference_draws(3, "label", b, draws)):
+                assert_array_equal(rows[i], reference)
+
+    def test_rejected_bounded_draw_is_redrawn_through_substream(self, substream_calls):
+        # Found by search: replicate 34417 of seed 0's unconditional null
+        # draws a 32-bit input that Lemire's method rejects at n = 390.
+        seed, label, rejected = 0, "gc-unconditional", 34417
+        draws = ((390, 8.0), (390, 8.0))
+        # Without a rejection the draws take 2 * (195 + 390) words.
+        rng = substream(seed, label, rejected)
+        for n, _ in draws:
+            rng.integers(0, n, size=n)
+            rng.random(n)
+        unrejected = substream(seed, label, rejected).bit_generator
+        unrejected.random_raw(2 * (195 + 390))
+        assert rng.bit_generator.state != unrejected.state
+        replicates = range(rejected - 20, rejected + 20)
+        drawn = replicate_draws(seed, label, replicates, *draws)
+        assert substream_calls == [(rejected,)]
+        for i, b in enumerate(replicates):
+            for rows, reference in zip(drawn, reference_draws(seed, label, b, draws)):
+                assert_array_equal(rows[i], reference)
+
+    @pytest.mark.parametrize(
+        "draws",
+        [
+            ((389, None), (390, 8.0)),
+            ((3, 2.0), (4, None), (5, None)),
+            ((1, None), (5, None), (1, 2.0), (6, 3.0)),
+        ],
+        ids=["conditional-null", "carry-skips-uniforms", "n-one"],
+    )
+    def test_half_words_carry_as_numpy_does(self, draws):
+        drawn = replicate_draws(11, "gc-conditional", range(40), *draws)
+        for b in range(40):
+            for rows, reference in zip(drawn, reference_draws(11, "gc-conditional", b, draws)):
+                assert_array_equal(rows[b], reference)
 
 
 class TestMcPValue:
