@@ -517,14 +517,14 @@ def bootstrap_threshold_conditional(
     pair_model = fit_var(
         np.column_stack([y, w]), max_order=cfg.max_var_order, names=(y_name, w_name)
     )
-    return _conditional_thresholds(x, y, w, pair_model, cfg)
+    return _conditional_thresholds(x, pair_model, cfg)
 
 
 def _conditional_thresholds(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, pair_model: VarxModel, cfg: GcBootstrapConfig
+    x: np.ndarray, pair_model: VarxModel, cfg: GcBootstrapConfig
 ) -> BootstrapThresholds:
-    """:func:`bootstrap_threshold_conditional` of checked series, given
-    their fitted (effect, conditioning) VAR."""
+    """:func:`bootstrap_threshold_conditional` of a checked cause, given
+    the fitted (effect, conditioning) VAR."""
     n = x.size
     frequencies = fourier_frequencies(n)
     order = pair_model.order
@@ -534,17 +534,15 @@ def _conditional_thresholds(
     rows, cause_rows = replicate_draws(
         cfg.seed, "gc-conditional", range(cfg.n_replicates), (m, None), (n, block)
     )
-    initial = np.column_stack([y[:order], w[:order]])
-    simulated = simulate_var(pair_model.intercept, pair_model.endo_coef, resid[rows], initial)
+    # Every replicate starts from the observed first ``order`` weeks.
+    pairs = simulate_var(
+        pair_model.intercept, pair_model.endo_coef, resid[rows], pair_model.endog[:order]
+    )
     raw = np.empty(cfg.n_replicates)
     for start in range(0, cfg.n_replicates, _NULL_BLOCK):
         stop = min(start + _NULL_BLOCK, cfg.n_replicates)
-        # Every replicate starts from the observed first ``order`` weeks.
-        pairs = np.empty((stop - start, n, 2))
-        pairs[:, :order] = initial
-        pairs[:, order:] = simulated[start:stop]
         raw[start:stop] = _conditional_null_medians(
-            x[cause_rows[start:stop]], pairs, cfg.max_var_order, frequencies
+            x[cause_rows[start:stop]], pairs[start:stop], cfg.max_var_order, frequencies
         )
     return _thresholds(raw, cfg, frequencies.size)
 
@@ -576,7 +574,7 @@ def conditional_gc_spectrum(
         np.column_stack([y, w]), max_order=cfg.max_var_order, names=(y_name, w_name)
     )
     observed = _observed_conditional(x, y, w, pair_model, cfg.max_var_order)
-    thresholds = _conditional_thresholds(x, y, w, pair_model, cfg)
+    thresholds = _conditional_thresholds(x, pair_model, cfg)
     return _spectrum_result(
         (x_name, y_name, w_name), observed, observed.projection_order, thresholds, cfg.alpha
     )

@@ -13,7 +13,8 @@ Granger test's reduced fit use the same primitive.  :func:`bic_path` scores
 orders 1..max_order on the common sample t = max_order..T-1 from one
 factorisation, :func:`refit` solves each series at its order on its full
 usable sample (coefficients and residual covariance only), and
-:func:`simulate_var` iterates the recursion.  A design with a small QR
+:func:`simulate_var` iterates the recursion into whole samples, initial rows
+first, which the bootstraps refit as they come.  A design with a small QR
 pivot, or a residual covariance with a non-positive determinant, marks a
 series failed; single fits raise :class:`RankDeficiencyError` naming the
 columns with small pivots, bootstraps count or reject the replicate.
@@ -400,8 +401,9 @@ def simulate_var(
     ``innovations`` is one sequence (n, K) or a stack (B, n, K).
     ``intercept`` is the deterministic term, (K,) or one row per innovation
     row (n, K) (intercept plus exogenous part).  ``initial`` holds the
-    ``order`` pre-sample rows shared by the stack (zeros when omitted); the
-    result has one row per innovation row.
+    ``order`` pre-sample rows shared by the stack (zeros when omitted).  The
+    result is the whole sample, (order + n, K) or (B, order + n, K): the
+    initial rows first, then one row per innovation row.
     """
     p, K, _ = coef.shape
     innovations = np.asarray(innovations, dtype=float)
@@ -416,4 +418,4 @@ def simulate_var(
         for lag in range(p):
             acc += out[:, p + t - 1 - lag] @ coef[lag].T
         out[:, p + t] = acc + stack[:, t]
-    return out[0, p:] if single else out[:, p:]
+    return out[0] if single else out

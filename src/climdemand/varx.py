@@ -7,12 +7,12 @@ baseline fitted values), done by the VAR core of :mod:`climdemand.varbase`:
 core's builder with :func:`climdemand.varbase.fit_var`, so both return a
 :class:`VarxModel` (a plain VAR's has no exogenous columns) and every tool
 here takes either.  Inference comes from a residual bootstrap that
-recursively re-simulates the system and refits every replicate on the same
-core, in blocks of replicates.  It feeds bias correction with a stability
-safeguard, impulse responses and forecast-error variance decompositions
-(bands computed for all replicates at once, from draws whose shapes must
-match the model's), and the restricted-model null of a time-domain Granger
-test runs the same way.
+re-simulates the system from its first ``p`` rows and refits each simulated
+sample as it comes, on the same core, in blocks of replicates.  It feeds
+bias correction with a stability safeguard, impulse responses and
+forecast-error variance decompositions (bands computed for all replicates at
+once, from draws whose shapes must match the model's), and the
+restricted-model null of a time-domain Granger test runs in the same loop.
 
 Variable order matters for the orthogonalized quantities: innovations are
 factored by the Cholesky decomposition in the order the variables appear, so
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .panel import finite_array
 from .varbase import (
-    OrderFit,
     VarxModel,
     _fit,
     lag_design,
@@ -232,26 +231,28 @@ def stability_check(model: VarxModel) -> float:
     return spectral_radius(model.endo_coef)
 
 
-def _resimulate(
-    model: VarxModel,
-    intercept: np.ndarray,
-    endo_coef: np.ndarray,
-    exo_coef: np.ndarray,
-    innovations: np.ndarray,
-) -> OrderFit:
-    """Simulate a (B, T - p, K) innovation stack through the given system
-    from the model's first ``p`` rows and exogenous block, and refit each
-    sample at the model's order.
-    """
+def _bootstrap_fits(
+    model: VarxModel, intercept: np.ndarray, endo_coef: np.ndarray, exo_coef: np.ndarray,
+    residuals: np.ndarray, label: str, n_replicates: int, seed: int,
+):
+    """Replicate ``b`` resamples the centred ``residuals`` by rows from its
+    ``(seed, label, b)`` substream, runs them through the given system from
+    the model's first ``p`` rows and exogenous block, and is refit at the
+    model's order.  Yields, per ``_BOOTSTRAP_BLOCK`` replicates, their
+    slice and their fit."""
     p = model.order
-    deterministic = intercept[None, :] + model.exog_values @ exo_coef.T
-    simulated = simulate_var(deterministic[p:], endo_coef, innovations, model.endog[:p])
-    initial = np.broadcast_to(model.endog[:p], (len(simulated),) + model.endog[:p].shape)
-    samples = np.concatenate([initial, simulated], axis=1)
-    groups, failed = refit(samples, np.full(len(samples), p), model.exog_values)
-    if failed.any():
-        raise NumericalError("a bootstrap replicate produced a singular regression design")
-    return groups[0]
+    centered = residuals - residuals.mean(axis=0)
+    n = centered.shape[0]
+    deterministic = (intercept[None, :] + model.exog_values @ exo_coef.T)[p:]
+    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
+        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
+        rows = replicate_draws(seed, label, replicates, (n, None))[0]
+        # The resampled innovations are a temporary, freed before the refit.
+        samples = simulate_var(deterministic, endo_coef, centered[rows], model.endog[:p])
+        groups, failed = refit(samples, np.full(len(samples), p), model.exog_values)
+        if failed.any():
+            raise NumericalError("a bootstrap replicate produced a singular regression design")
+        yield slice(start, replicates.stop), groups[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -311,13 +312,11 @@ def residual_bootstrap(
     reproducible and independent of execution layout.
     """
     check_replicates(n_replicates, seed)
-    centered = model.residuals - model.residuals.mean(axis=0)
-    n = centered.shape[0]
     coefs, covs = [], []
-    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
-        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
-        innovations = centered[replicate_draws(seed, "varx-bootstrap", replicates, (n, None))[0]]
-        fit = _resimulate(model, model.intercept, model.endo_coef, model.exo_coef, innovations)
+    for _, fit in _bootstrap_fits(
+        model, model.intercept, model.endo_coef, model.exo_coef, model.residuals,
+        "varx-bootstrap", n_replicates, seed,
+    ):
         coefs.append(fit.coef)
         covs.append(fit.resid_cov)
     coef = np.concatenate(coefs)
@@ -436,7 +435,7 @@ def forecast_recursive(
     deterministic = model.intercept + future @ model.exo_coef.T
     return simulate_var(
         deterministic, model.endo_coef, np.zeros((horizon, K)), model.endog[-model.order :]
-    )
+    )[model.order :]
 
 
 def _phi_matrices(endo_coef: np.ndarray, horizon: int) -> np.ndarray:
@@ -665,15 +664,13 @@ def granger_test_time_domain(
     restricted_coef[keep, effect] = beta_reduced
     null_intercept, null_endo, null_exo = unpack_coefficients(restricted_coef, p)
     null_residuals = target - design @ restricted_coef
-    centered = null_residuals - null_residuals.mean(axis=0)
 
-    n = centered.shape[0]
     null_stats = np.empty(n_replicates)
-    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
-        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
-        innovations = centered[replicate_draws(seed, "granger-null", replicates, (n, None))[0]]
-        fit = _resimulate(model, null_intercept, null_endo, null_exo, innovations)
-        null_stats[start : start + len(replicates)] = _wald_statistics(
+    for block, fit in _bootstrap_fits(
+        model, null_intercept, null_endo, null_exo, null_residuals,
+        "granger-null", n_replicates, seed,
+    ):
+        null_stats[block] = _wald_statistics(
             fit.coef, fit.gram_inv, fit.resid_cov, restricted_cols, effect
         )
     return GrangerWaldResult(

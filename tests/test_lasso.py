@@ -160,7 +160,7 @@ class TestSparseVarProblems:
                 [[0.10, 0.00, 0.0], [0.0, 0.00, 0.0], [0.0, 0.0, 0.0]],
             ]
         )
-        data = simulate_var(np.zeros(3), coef, rng.normal(size=(500, 3)))[200:]
+        data = simulate_var(np.zeros(3), coef, rng.normal(size=(500, 3)))[len(coef) + 200 :]
         design, target = var_design(data, order=4)
         n = len(target)
         top = np.max(np.abs(design.T @ target)) / n
@@ -246,7 +246,7 @@ class TestPath:
                 [[0.10, 0.00, 0.0], [0.0, 0.00, 0.0], [0.0, 0.0, 0.0]],
             ]
         )
-        data = simulate_var(np.zeros(3), coef, rng.normal(size=(500, 3)))[200:]
+        data = simulate_var(np.zeros(3), coef, rng.normal(size=(500, 3)))[len(coef) + 200 :]
         design, target = var_design(data, order=4)
         return covariance_form(design, target[:, k])
 

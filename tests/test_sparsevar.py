@@ -53,7 +53,7 @@ def simulate_panel(T, rng):
         ]
     )
     shocks = rng.normal(size=(T + 200, 3))
-    return simulate_var(np.zeros(3), coef, shocks)[200:], coef
+    return simulate_var(np.zeros(3), coef, shocks)[len(coef) + 200 :], coef
 
 
 class TestAgainstLeastSquares:

@@ -81,7 +81,7 @@ def manual_model(coef, sigma, names=("x", "y")):
 def simulate_pair(coef, sigma, T, rng, burn=300):
     chol = np.linalg.cholesky(sigma)
     shocks = rng.normal(size=(T + burn, 2)) @ chol.T
-    return simulate_var(np.zeros(2), np.asarray(coef, float), shocks)[burn:]
+    return simulate_var(np.zeros(2), np.asarray(coef, float), shocks)[len(coef) + burn :]
 
 
 def oracle_decompose(coef, resid_cov, frequencies):
@@ -144,10 +144,10 @@ def oracle_conditional_null_medians(x, y, w, cfg):
     )
     raw = np.full(cfg.n_replicates, np.nan)
     for b in range(cfg.n_replicates):
-        y_star = np.concatenate([y[:order], simulated[b, :, 0]])
-        w_star = np.concatenate([w[:order], simulated[b, :, 1]])
         try:
-            decomp = conditional_decomposition(causes[b], y_star, w_star, cfg.max_var_order)
+            decomp = conditional_decomposition(
+                causes[b], simulated[b, :, 0], simulated[b, :, 1], cfg.max_var_order
+            )
         except (RankDeficiencyError, NumericalError, DegenerateInputError):
             continue
         raw[b] = np.median(decomp.measure)
@@ -426,7 +426,7 @@ class TestBatchedNull:
 
         def overflowing(*args):
             out = simulate_var(*args)
-            out[40, 17, column] = np.inf
+            out[40, len(args[1]) + 17, column] = np.inf
             return out
 
         monkeypatch.setattr(spectral, "simulate_var", overflowing)

@@ -46,7 +46,7 @@ def simulate(coef, sigma_chol, T, rng, intercept=None, burn=200):
     if intercept is None:
         intercept = np.zeros(K)
     shocks = rng.normal(size=(T + burn, K)) @ sigma_chol.T
-    return simulate_var(intercept, coef, shocks)[burn:]
+    return simulate_var(intercept, coef, shocks)[p + burn :]
 
 
 class TestSimulateVar:
@@ -54,15 +54,15 @@ class TestSimulateVar:
         coef = np.array([[[0.5]]])
         innov = np.array([[1.0], [0.0], [2.0]])
         out = simulate_var(np.array([0.25]), coef, innov, initial=np.array([[8.0]]))
-        # y1 = .25 + .5*8 + 1, y2 = .25 + .5*y1, y3 = .25 + .5*y2 + 2
-        assert_allclose(out[:, 0], [5.25, 2.875, 3.6875])
+        # y0 = 8, y1 = .25 + .5*8 + 1, y2 = .25 + .5*y1, y3 = .25 + .5*y2 + 2
+        assert_allclose(out[:, 0], [8.0, 5.25, 2.875, 3.6875])
 
     def test_two_lags(self):
         coef = np.array([[[0.5]], [[-0.25]]])
         innov = np.zeros((2, 1))
         out = simulate_var(np.zeros(1), coef, innov, initial=np.array([[1.0], [2.0]]))
         # y3 = .5*2 - .25*1 = .75 ; y4 = .5*.75 - .25*2 = -0.125
-        assert_allclose(out[:, 0], [0.75, -0.125])
+        assert_allclose(out[:, 0], [1.0, 2.0, 0.75, -0.125])
 
 
     def test_stack_matches_one_sequence_at_a_time(self):
@@ -75,10 +75,21 @@ class TestSimulateVar:
             one = simulate_var(np.array([0.1, -0.2]), coef, innovations[b], initial)
             assert_allclose(stacked[b], one, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("initial", [None, np.array([[1.5, -2.0], [0.5, 3.0]])])
+    def test_sample_starts_with_the_initial_rows(self, initial):
+        coef = np.array([[[0.5, 0.1], [0.0, 0.3]], [[-0.2, 0.0], [0.1, 0.1]]])
+        innovations = np.random.default_rng(5).normal(size=(3, 10, 2))
+        expected = np.zeros((2, 2)) if initial is None else initial
+        stacked = simulate_var(np.array([0.1, -0.2]), coef, innovations, initial)
+        one = simulate_var(np.array([0.1, -0.2]), coef, innovations[0], initial)
+        assert stacked.shape == (3, 12, 2) and one.shape == (12, 2)
+        assert_array_equal(stacked[:, :2], np.broadcast_to(expected, (3, 2, 2)))
+        assert_array_equal(one[:2], expected)
+
     def test_per_row_deterministic_term(self):
         coef = np.array([[[0.5]]])
         out = simulate_var(np.array([[1.0], [0.0]]), coef, np.zeros((2, 1)), np.array([[2.0]]))
-        assert_allclose(out[:, 0], [2.0, 1.0])
+        assert_allclose(out[:, 0], [2.0, 2.0, 1.0])
 
 
 class TestCompanion:
@@ -385,8 +396,7 @@ class TestQrCore:
         n = centered.shape[0]
         (rows,) = replicate_draws(0, "varx-bootstrap", range(120), (n, None))
         innovations = centered[rows]
-        simulated = simulate_var(model.intercept, model.endo_coef, innovations, y[:1])
-        samples = np.concatenate([np.broadcast_to(y[:1], (120, 1, 2)), simulated], axis=1)
+        samples = simulate_var(model.intercept, model.endo_coef, innovations, y[:1])
         replicate_path = bic_path(samples, 1)
         assert np.isfinite(replicate_path).all()
         assert replicate_path.max() < -100.0
