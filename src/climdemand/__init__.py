@@ -32,7 +32,7 @@ from climdemand.forest import (
     train_forest,
 )
 from climdemand.hpfilter import hp_cycle, hp_trend, seasonal_adjust
-from climdemand.metrics import compare_models, evaluate_forecast, holdout_split
+from climdemand.metrics import compare_models, evaluate_forecast
 from climdemand.panel import (
     DailyClimate,
     PanelDataset,
@@ -95,7 +95,6 @@ __all__ = [
     "forecast_recursive",
     "generate_synthetic_daily",
     "generate_synthetic_panel",
-    "holdout_split",
     "hp_cycle",
     "hp_trend",
     "impurity_importance",

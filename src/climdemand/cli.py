@@ -936,6 +936,11 @@ def _resolve(command: str, args: argparse.Namespace, sections: dict) -> dict:
     return values
 
 
+# Config fields set by an option of another name; errors name the option.
+_OPTION_OF_FIELD = {"n_replicates": "replicates", "expected_block_length": "block_length",
+                    "n_trees": "trees", "temperature_coupling": "coupling"}
+
+
 def _dispatch(args: argparse.Namespace) -> None:
     values = _resolve(args.command, args, _read_config(args.config))
     del values["threads"]  # accepted for compatibility; nothing reads it
@@ -945,7 +950,10 @@ def _dispatch(args: argparse.Namespace) -> None:
         seed=values.pop("seed"),
         parameters=dict(values),  # a copy: the calls pop from values
     )
-    _COMMANDS[args.command][1](run, values)
+    try:
+        _COMMANDS[args.command][1](run, values)
+    except ConfigError as exc:
+        raise ConfigError({_OPTION_OF_FIELD.get(k, k): v for k, v in exc.fields.items()}) from None
 
 
 def _error_payload(exc: ToolkitError) -> dict:

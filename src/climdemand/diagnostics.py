@@ -26,9 +26,7 @@ from .panel import finite_array
 __all__ = [
     "PortmanteauResult",
     "ArchLmResult",
-    "portmanteau_statistic",
     "portmanteau_test",
-    "arch_lm_statistics",
     "arch_lm_test",
 ]
 
@@ -102,21 +100,16 @@ def _portmanteau_batch(u: np.ndarray, lags: int) -> np.ndarray:
     return n * n * stat
 
 
-def portmanteau_statistic(residuals, lags: int) -> float:
-    """Multivariate portmanteau statistic over autocovariances 1..lags.
-
-    The statistic is ``T^2 * sum_j tr(C_j' C_0^{-1} C_j C_0^{-1}) / (T - j)``
-    with ``C_j`` the lag-j residual autocovariance.  Large values indicate
-    leftover serial correlation.
-    """
-    u = _residuals(residuals, lags, 1, 2)
-    return float(_portmanteau_batch(u[None, :, :], lags)[0])
-
-
 def portmanteau_test(
     residuals, lags: int = 12, n_replicates: int = 500, seed: int = 0
 ) -> PortmanteauResult:
-    """Serial-correlation test with a row-resampled null distribution."""
+    """Serial-correlation test with a row-resampled null distribution.
+
+    The statistic is the multivariate portmanteau statistic over
+    autocovariances 1..lags, ``T^2 * sum_j tr(C_j' C_0^{-1} C_j C_0^{-1}) /
+    (T - j)`` with ``C_j`` the lag-j residual autocovariance.  Large values
+    indicate leftover serial correlation.
+    """
     u = _residuals(residuals, lags, 1, 2)
     check_replicates(n_replicates, seed)
     observed = float(_portmanteau_batch(u[None, :, :], lags)[0])
@@ -171,20 +164,15 @@ def _arch_lm_batch(u: np.ndarray, lags: int) -> np.ndarray:
     return stats
 
 
-def arch_lm_statistics(residuals, lags: int) -> np.ndarray:
-    """Per-equation ARCH-LM statistics (n R^2 of squared-residual lags)."""
-    u = _residuals(residuals, lags, 2, 3)
-    return _arch_lm_batch(u[None, :, :], lags)[0]
-
-
 def arch_lm_test(
     residuals, lags: int = 12, n_replicates: int = 500, seed: int = 0
 ) -> ArchLmResult:
     """Conditional-heteroskedasticity test with a row-resampled null.
 
-    Each equation gets its own p-value; the combined p-value applies a
-    Bonferroni correction across equations, so it stays valid however the
-    equations are correlated.
+    The statistic of each equation is ARCH-LM's n R^2 of its squared
+    residuals on their own ``lags`` lags.  Each equation gets its own
+    p-value; the combined p-value applies a Bonferroni correction across
+    equations, so it stays valid however the equations are correlated.
     """
     u = _residuals(residuals, lags, 2, 3)
     check_replicates(n_replicates, seed)

@@ -1,4 +1,4 @@
-"""Forecast accuracy metrics and evaluation splits.
+"""Forecast accuracy metrics.
 
 All scale-dependent and scale-free measures are computed from the same error
 sums inside :func:`evaluate_forecast`, so the algebraic ties between them
@@ -20,19 +20,16 @@ from .errors import (
     MetricUndefinedError,
     integer_problem,
 )
-from .panel import PanelDataset, finite_array
+from .panel import finite_array
 
 __all__ = [
     "MetricReport",
-    "SplitSpec",
     "ComparisonTable",
     "mape",
     "rmse",
     "rsr",
     "mase",
     "evaluate_forecast",
-    "holdout_split",
-    "rolling_slices",
     "compare_models",
 ]
 
@@ -56,28 +53,6 @@ class MetricReport:
 
     def values(self) -> tuple[float, ...]:
         return tuple(getattr(self, c) for c in METRIC_COLUMNS)
-
-
-@dataclasses.dataclass(frozen=True)
-class SplitSpec:
-    """Evaluation layout: one holdout block or a rolling origin.
-
-    ``train_length`` and ``horizon`` describe the holdout split;
-    ``window`` and ``step`` describe the rolling scheme, where each slice
-    trains on ``window`` consecutive weeks and tests on the ``horizon``
-    weeks that follow.
-    """
-
-    train_length: int = 338
-    horizon: int = 52
-    window: int = 260
-    step: int = 52
-
-    def __post_init__(self):
-        fields = ("train_length", "horizon", "window", "step")
-        problems = {f: p for f in fields if (p := integer_problem(getattr(self, f), 1))}
-        if problems:
-            raise ConfigError(problems)
 
 
 def _paired_arrays(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -183,42 +158,6 @@ def evaluate_forecast(
         seasonal_lag=int(seasonal_lag),
         train_mean=train_mean,
     )
-
-
-def holdout_split(
-    panel: PanelDataset, spec: SplitSpec
-) -> tuple[PanelDataset, PanelDataset]:
-    """Split a panel into one training block and the test block after it."""
-    needed = spec.train_length + spec.horizon
-    if panel.n_weeks < needed:
-        raise InsufficientDataError(
-            f"holdout split needs {needed} weeks "
-            f"({spec.train_length} train + {spec.horizon} test), "
-            f"panel has {panel.n_weeks}"
-        )
-    train = panel.slice_weeks(0, spec.train_length)
-    test = panel.slice_weeks(spec.train_length, needed)
-    return train, test
-
-
-def rolling_slices(
-    panel: PanelDataset, spec: SplitSpec
-) -> tuple[tuple[PanelDataset, PanelDataset], ...]:
-    """Rolling-origin splits: train on ``window`` weeks, test on the next
-    ``horizon``, advance by ``step`` until the panel runs out.
-
-    Returns an empty tuple when not even one slice fits.
-    """
-    out = []
-    start = 0
-    while start + spec.window + spec.horizon <= panel.n_weeks:
-        train = panel.slice_weeks(start, start + spec.window)
-        test = panel.slice_weeks(
-            start + spec.window, start + spec.window + spec.horizon
-        )
-        out.append((train, test))
-        start += spec.step
-    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -66,9 +66,6 @@ class SparseVarModel:
     def n_variables(self) -> int:
         return len(self.variable_names)
 
-    def nonzero_share(self) -> float:
-        return float(np.mean(self.coef != 0.0))
-
 
 @dataclass
 class CoefficientTable:

@@ -309,25 +309,16 @@ def _null_medians(samples: np.ndarray, max_order: int, frequencies: np.ndarray) 
     return medians
 
 
-def bootstrap_threshold_unconditional(
-    cause, effect, cfg: GcBootstrapConfig = GcBootstrapConfig()
+def _unconditional_thresholds(
+    x: np.ndarray, y: np.ndarray, cfg: GcBootstrapConfig
 ) -> BootstrapThresholds:
-    """Null thresholds for the unconditional measure.
+    """Null thresholds for the unconditional measure of checked series long
+    enough for ``cfg.max_var_order``.
 
     Each replicate resamples cause and effect independently (stationary
     bootstrap), refits the VAR with the same BIC selection, and records the
     median measure across frequencies, as batched array arithmetic.
     """
-    x, y, _, _ = _check_pair(cause, effect)
-    check_sample_size(x.size, 2, 0, cfg.max_var_order)
-    return _unconditional_thresholds(x, y, cfg)
-
-
-def _unconditional_thresholds(
-    x: np.ndarray, y: np.ndarray, cfg: GcBootstrapConfig
-) -> BootstrapThresholds:
-    """:func:`bootstrap_threshold_unconditional` of checked series long
-    enough for ``cfg.max_var_order``."""
     n = x.size
     frequencies = fourier_frequencies(n)
     block = cfg.block_length(n)
@@ -404,24 +395,12 @@ def _check_triple(cause, effect, conditioning):
     return x, y, w, x_name, y_name, w_name
 
 
-def conditional_decomposition(
-    cause, effect, conditioning, max_order: int = 4
-) -> SpectralDecomposition:
-    """Decomposition of the cause/effect projection residuals.
-
-    The projection lag order is the BIC order of the (effect, conditioning)
-    VAR; frequencies stay on the original i/T grid.
-    """
-    x, y, w, _, y_name, w_name = _check_triple(cause, effect, conditioning)
-    pair_model = fit_var(np.column_stack([y, w]), max_order=max_order, names=(y_name, w_name))
-    return _observed_conditional(x, y, w, pair_model, max_order)
-
-
 def _observed_conditional(
     x: np.ndarray, y: np.ndarray, w: np.ndarray, pair_model: VarxModel, max_order: int
 ) -> SpectralDecomposition:
-    """:func:`conditional_decomposition` of checked series, given their
-    fitted (effect, conditioning) VAR."""
+    """Decomposition of the cause/effect projection residuals of checked
+    series, given their fitted (effect, conditioning) VAR, whose BIC order
+    is the projection's; frequencies stay on the original i/T grid."""
     frequencies = fourier_frequencies(x.size)
     order = pair_model.order
     resid, singular = _project_on_conditioning(np.column_stack([x, y])[None], w[None], order)
@@ -444,11 +423,12 @@ def _conditional_null_medians(
     """Median conditional measure of each replicate of a stack: causes
     (B, n) and (effect, conditioning) pairs (B, n, 2).
 
-    Each replicate goes :func:`conditional_decomposition`'s way: one BIC
-    path and refit over the stacked (effect, conditioning) pairs give the
-    projection orders, and the projection residuals of each order go
-    through :func:`_null_medians`.  A replicate is NaN where that function
-    would raise :class:`RankDeficiencyError`, :class:`NumericalError` or
+    Each replicate goes the observed series' way (:func:`_check_triple`,
+    the (effect, conditioning) fit, :func:`_observed_conditional`): one BIC
+    path and refit over the stacked pairs give the projection orders, and
+    the projection residuals of each order go through :func:`_null_medians`.
+    A replicate is NaN where that way would raise
+    :class:`RankDeficiencyError`, :class:`NumericalError` or
     :class:`DegenerateInputError`; of the other errors it would raise, the
     one of the first such replicate is raised.
     """
@@ -456,7 +436,7 @@ def _conditional_null_medians(
     effects, conditioning = pairs[:, :, 0], pairs[:, :, 1]
     medians = np.full(B, np.nan)
     escapes: list[tuple[int, Exception]] = []
-    # conditional_decomposition checks the effect's values, the cause's and
+    # _check_triple checks the effect's values, the cause's and
     # the effect's spread, then the conditioning's values and spread.
     finite_effect = np.isfinite(effects).all(axis=1)
     finite_conditioning = np.isfinite(conditioning).all(axis=1)
@@ -500,31 +480,16 @@ def _conditional_null_medians(
     return medians
 
 
-def bootstrap_threshold_conditional(
-    cause,
-    effect,
-    conditioning,
-    cfg: GcBootstrapConfig = GcBootstrapConfig(),
-) -> BootstrapThresholds:
-    """Null thresholds for the conditional measure.
-
-    Each replicate regenerates (effect, conditioning) by a residual
-    bootstrap of their joint VAR, resamples the cause by stationary
-    bootstrap and takes :func:`conditional_decomposition`'s path, batched
-    per block of replicates.
-    """
-    x, y, w, _, y_name, w_name = _check_triple(cause, effect, conditioning)
-    pair_model = fit_var(
-        np.column_stack([y, w]), max_order=cfg.max_var_order, names=(y_name, w_name)
-    )
-    return _conditional_thresholds(x, pair_model, cfg)
-
-
 def _conditional_thresholds(
     x: np.ndarray, pair_model: VarxModel, cfg: GcBootstrapConfig
 ) -> BootstrapThresholds:
-    """:func:`bootstrap_threshold_conditional` of a checked cause, given
-    the fitted (effect, conditioning) VAR."""
+    """Null thresholds for the conditional measure of a checked cause, given
+    the fitted (effect, conditioning) VAR.
+
+    Each replicate regenerates (effect, conditioning) by a residual
+    bootstrap of that VAR, resamples the cause by stationary bootstrap and
+    takes the observed series' way, batched per block of replicates.
+    """
     n = x.size
     frequencies = fourier_frequencies(n)
     order = pair_model.order

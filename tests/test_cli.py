@@ -7,7 +7,9 @@ acceptance suite.
 """
 
 import inspect
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +358,30 @@ class TestErrorReporting:
         assert payload["error"] == "ConfigError"
         assert set(payload["fields"]) == {"coupling", "seed"}
 
+    @pytest.mark.parametrize("argv, sections, option, problem", [
+        (("gc", "--replicates", "50"), {}, "replicates", "must be an integer >= 100, got 50"),
+        (("gc",), {"gc": {"replicates": 50}}, "replicates", "must be an integer >= 100, got 50"),
+        (("gc", "--block-length", "inf"), {}, "block_length",
+         "must be a finite number in [1, inf), got inf"),
+        (("select", "--trees", "0"), {}, "trees", "must be an integer >= 1, got 0"),
+        (("synth", "--coupling", "9,9"), {}, "coupling",
+         "every value must be a finite number in (-inf, 0], got 9.0"),
+        (("fit", "--model", "varx", "--replicates", "50"), {}, "replicates",
+         "must be an integer >= 100, got 50"),
+    ], ids=["gc-flag", "gc-file", "gc-block-length", "select", "synth", "fit-varx"])
+    def test_config_errors_name_the_option(self, tmp_path, capsys, argv, sections, option,
+                                           problem):
+        # A command's config object names its own fields (n_replicates,
+        # expected_block_length, n_trees, temperature_coupling); the error
+        # names the option that set the value.
+        run = {"panel": make_panel(tmp_path), "cause": "temperature", "effect": "drug_demand"}
+        cfg = write_config(tmp_path / "cfg.ini", {"run": run, **sections})
+        assert run_cli("--config", cfg, "--out-dir", tmp_path / "out", *argv) == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "ConfigError"
+        assert payload["fields"] == {option: problem}
+        assert payload["message"] == f"invalid configuration ({option}: {problem})"
+
     def test_fractional_break_weeks_rejected(self, tmp_path, capsys):
         code = run_cli(
             "--out-dir", tmp_path, "synth", "--n-weeks", "80",
@@ -580,6 +606,117 @@ class TestErrorReporting:
             "--out-dir", tmp_path / "out", "forecast", "--panel", panel, "--model", "forest",
             "--train-length", 56, "--lags", 4, "--horizon", 8, "--trees", 5,
         ) == 0
+
+
+def _cell(rows, rng):
+    """A random data row and a random value column of it."""
+    return int(rng.integers(len(rows))), int(rng.integers(1, len(rows[0])))
+
+
+def _set_cell(header, rows, rng):
+    r, c = _cell(rows, rng)
+    rows[r][c] = str(rng.choice(["abc", "nan", "inf", "", "1e999", "--1"]))
+
+
+def _drop_cell(header, rows, rng):
+    r, c = _cell(rows, rng)
+    del rows[r][c]
+
+
+def _add_cell(header, rows, rng):
+    r, c = _cell(rows, rng)
+    rows[r].insert(c, "1.0")
+
+
+def _delete_row(header, rows, rng):
+    del rows[_cell(rows, rng)[0]]
+
+
+def _duplicate_row(header, rows, rng):
+    r = _cell(rows, rng)[0]
+    rows.insert(r, list(rows[r]))
+
+
+def _swap_rows(header, rows, rng):
+    r = min(_cell(rows, rng)[0], len(rows) - 2)
+    rows[r], rows[r + 1] = rows[r + 1], rows[r]
+
+
+def _keep_first_rows(header, rows, rng):
+    del rows[int(rng.integers(1, 60)):]
+
+
+def _constant_column(header, rows, rng):
+    c = _cell(rows, rng)[1]
+    for row in rows:
+        row[c] = "1.5"
+
+
+def _rename_column(header, rows, rng):
+    header[int(rng.integers(len(header)))] += "_x"
+
+
+def _truncate(header, rows, rng):
+    """Cut the file inside a random cell."""
+    r, c = _cell(rows, rng)
+    rows[r][c] = rows[r][c][: int(rng.integers(len(rows[r][c])))]
+    del rows[r][c + 1:], rows[r + 1:]
+
+
+# Each mutation edits the header's cells and the data rows' cells in place.
+PANEL_MUTATIONS = (
+    _set_cell, _drop_cell, _add_cell, _delete_row, _duplicate_row, _swap_rows,
+    _keep_first_rows, _constant_column, _rename_column, _truncate,
+)
+
+# Every command that reads a panel, at sizes that run in hundredths of a second.
+PANEL_COMMANDS = (
+    ("gc", "--cause", "temperature", "--effect", "drug_demand", "--replicates", 100),
+    ("gc", "--cause", "temperature", "--effect", "drug_demand", "--conditioning", "fwi",
+     "--replicates", 100),
+    ("select", "--trees", 10, "--lags", 2),
+    ("fit", "--model", "trend"),
+    ("fit", "--model", "varx", "--replicates", 100, "--irf-horizon", 4),
+    ("fit", "--model", "forest", "--trees", 10, "--lags", 2),
+    ("forecast", "--model", "trend", "--train-length", 100, "--horizon", 20),
+    ("forecast", "--model", "varx", "--train-length", 100, "--horizon", 20),
+    ("forecast", "--model", "forest", "--train-length", 100, "--horizon", 20,
+     "--trees", 10, "--lags", 2),
+    ("sparse-var",),
+)
+
+
+class TestBadInput:
+    def test_mutated_panels_exit_with_a_json_error_or_succeed(self, tmp_path, capsys):
+        # Each mutation of the synthetic panel goes through every command;
+        # none may raise out of main.
+        lines = make_panel(tmp_path).read_text().splitlines()
+        path, out = tmp_path / "mutated.csv", tmp_path / "out"
+        escaped, codes = [], []
+        for case, (mutation, command) in enumerate(
+            itertools.product(PANEL_MUTATIONS, PANEL_COMMANDS)
+        ):
+            header, *rows = [line.split(",") for line in lines]
+            mutation(header, rows, np.random.default_rng(case))
+            path.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
+            name = f"case {case}: {mutation.__name__} -> {command}"
+            try:
+                with warnings.catch_warnings():
+                    # A trend fit on under a year of weeks warns and goes on.
+                    warnings.simplefilter("ignore", UserWarning)
+                    code = run_cli("--out-dir", out, command[0], "--panel", path, *command[1:])
+            except Exception as exc:  # the failure this test guards against
+                escaped.append(f"{name}: {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if code == 1:
+                payload = json.loads(err)
+                assert {"error", "message"} <= set(payload), name
+            else:
+                assert (code, err) == (0, ""), name
+            codes.append(code)
+        assert not escaped
+        assert 0 in codes and 1 in codes
 
 
 class TestConfigPrecedence:

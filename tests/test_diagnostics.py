@@ -10,9 +10,7 @@ from climdemand import diagnostics
 from climdemand._rng import replicate_draws
 from climdemand.diagnostics import (
     _arch_lm_batch,
-    arch_lm_statistics,
     arch_lm_test,
-    portmanteau_statistic,
     portmanteau_test,
 )
 from climdemand.errors import (
@@ -56,21 +54,21 @@ class TestStatisticOracles:
     def test_portmanteau_matches_loop_reference(self):
         rng = np.random.default_rng(0)
         u = rng.normal(size=(40, 2))
-        assert portmanteau_statistic(u, 3) == pytest.approx(
+        assert portmanteau_test(u, 3).statistic == pytest.approx(
             loop_portmanteau(u, 3), rel=1e-10
         )
 
     def test_portmanteau_univariate_matches_loop(self):
         rng = np.random.default_rng(1)
         u = rng.normal(size=(60,))
-        assert portmanteau_statistic(u, 5) == pytest.approx(
+        assert portmanteau_test(u, 5).statistic == pytest.approx(
             loop_portmanteau(u[:, None], 5), rel=1e-10
         )
 
     def test_arch_lm_matches_loop_reference(self):
         rng = np.random.default_rng(2)
         u = rng.normal(size=(80, 2))
-        assert_allclose(arch_lm_statistics(u, 3), loop_arch_lm(u, 3), rtol=1e-8)
+        assert_allclose(arch_lm_test(u, 3).statistics, loop_arch_lm(u, 3), rtol=1e-8)
 
     def test_arch_lm_replicate_does_not_depend_on_its_stack(self):
         # A replicate whose squared residuals are constant has a singular
@@ -85,14 +83,14 @@ class TestStatisticOracles:
     def test_portmanteau_nonnegative_and_grows_with_lags(self):
         rng = np.random.default_rng(3)
         u = rng.normal(size=(120, 2))
-        q3 = portmanteau_statistic(u, 3)
-        q8 = portmanteau_statistic(u, 8)
+        q3 = portmanteau_test(u, 3).statistic
+        q8 = portmanteau_test(u, 8).statistic
         assert 0.0 <= q3 <= q8
 
     def test_arch_lm_bounded_by_sample_size(self):
         rng = np.random.default_rng(4)
         u = rng.normal(size=(90, 2))
-        stats = arch_lm_statistics(u, 4)
+        stats = arch_lm_test(u, 4).statistics
         assert np.all(stats >= 0.0)
         assert np.all(stats <= 90 - 4)
 
@@ -216,14 +214,14 @@ class TestInterface:
             portmanteau_test(u, lags=19)
         assert "lags" in exc.value.fields
         with pytest.raises(ConfigError):
-            arch_lm_statistics(u, 10)
+            arch_lm_test(u, 10)
 
     def test_bad_lags(self):
         u = np.random.default_rng(8).normal(size=(100, 2))
         with pytest.raises(ConfigError):
-            portmanteau_statistic(u, 0)
+            portmanteau_test(u, 0)
         with pytest.raises(ConfigError):
-            arch_lm_statistics(u, -3)
+            arch_lm_test(u, -3)
 
     def test_replicate_floor(self):
         u = np.random.default_rng(9).normal(size=(100, 2))
@@ -236,13 +234,13 @@ class TestInterface:
         u = np.random.default_rng(10).normal(size=(100, 2))
         u[:, 1] = 2.5
         with pytest.raises(DegenerateInputError):
-            portmanteau_statistic(u, 4)
+            portmanteau_test(u, 4)
 
     def test_non_finite_rejected(self):
         u = np.random.default_rng(11).normal(size=(100, 2))
         u[3, 0] = np.nan
         with pytest.raises(InvalidInputError):
-            portmanteau_statistic(u, 4)
+            portmanteau_test(u, 4)
         with pytest.raises(InvalidInputError):
             arch_lm_test(np.full((100, 1), np.inf), lags=4)
 

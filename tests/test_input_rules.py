@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from climdemand._rng import stationary_bootstrap_indices
-from climdemand.diagnostics import arch_lm_statistics, portmanteau_statistic
+from climdemand.diagnostics import arch_lm_test, portmanteau_test
 from climdemand.errors import (
     ConfigError,
     InvalidInputError,
@@ -45,7 +45,7 @@ from climdemand.forest import (
     train_forest,
 )
 from climdemand.hpfilter import hp_cycle, hp_trend, seasonal_adjust
-from climdemand.metrics import SplitSpec, evaluate_forecast, mase, rmse
+from climdemand.metrics import evaluate_forecast, mase, rmse
 from climdemand.panel import PanelDataset, WeeklySeries, finite_array
 from climdemand.sparsevar import fit_lasso_var, select_lambda
 from climdemand.spectral import GcBootstrapConfig, unconditional_gc_spectrum
@@ -78,10 +78,6 @@ FOREST = train_forest(ROWS, ForestConfig(n_trees=2, block_length=10))
 CONFIG_FIELDS = [
     (SynthConfig, "n_weeks", 10),
     (SynthConfig, "seed", 0),
-    (SplitSpec, "train_length", 1),
-    (SplitSpec, "horizon", 1),
-    (SplitSpec, "window", 1),
-    (SplitSpec, "step", 1),
     (ForestConfig, "n_trees", 1),
     (ForestConfig, "mtry", 1),
     (ForestConfig, "min_node_size", 1),
@@ -148,8 +144,8 @@ INTEGER_ARGUMENTS = [
      ConfigError, "block_length"),
     ("mase.seasonal_lag", lambda v: mase([1.0], [1.0], SERIES, seasonal_lag=v),
      ConfigError, "seasonal_lag"),
-    ("portmanteau.lags", lambda v: portmanteau_statistic(SERIES, v), ConfigError, "lags"),
-    ("arch_lm.lags", lambda v: arch_lm_statistics(SERIES, v), ConfigError, "lags"),
+    ("portmanteau.lags", lambda v: portmanteau_test(SERIES, v), ConfigError, "lags"),
+    ("arch_lm.lags", lambda v: arch_lm_test(SERIES, v), ConfigError, "lags"),
     ("seasonal_adjust.harmonics", lambda v: seasonal_adjust(SERIES, harmonics=v),
      ConfigError, "harmonics"),
 ]
@@ -296,7 +292,7 @@ ARRAY_SITES = [
     ("rmse.predicted", lambda x: rmse(SERIES, x), SERIES[:, None], SERIES),
     ("evaluate_forecast.train", lambda x: evaluate_forecast([1.0], [2.0], x),
      SERIES[:, None], SERIES),
-    ("portmanteau.residuals", lambda x: portmanteau_statistic(x, 1),
+    ("portmanteau.residuals", lambda x: portmanteau_test(x, 1),
      SERIES[:, None, None], SERIES),
     ("fit_var.data", fit_var, SERIES[:, None, None], SERIES),
     ("ExogenousDesign", lambda x: ExogenousDesign(("x",), x), SERIES[:, None, None], SERIES),

@@ -1,6 +1,5 @@
-"""Tests for forecast accuracy metrics and evaluation splits."""
+"""Tests for forecast accuracy metrics."""
 
-import datetime as dt
 import math
 
 import numpy as np
@@ -16,29 +15,13 @@ from climdemand.errors import (
 from climdemand.metrics import (
     METRIC_COLUMNS,
     MetricReport,
-    SplitSpec,
     compare_models,
     evaluate_forecast,
-    holdout_split,
     mape,
     mase,
     rmse,
-    rolling_slices,
     rsr,
 )
-from climdemand.panel import PanelDataset
-
-
-def make_panel(n):
-    start = dt.date(2016, 1, 4)
-    weeks = tuple(start + dt.timedelta(days=7 * k) for k in range(n))
-    return PanelDataset(
-        weeks,
-        {
-            "drug_demand": np.arange(n, dtype=float) + 100.0,
-            "temperature": np.sin(np.arange(n) / 5.0) * 10.0 + 15.0,
-        },
-    )
 
 
 def report_with(**overrides):
@@ -156,47 +139,6 @@ class TestUndefinedCases:
             mape([np.nan, 1.0], [1.0, 1.0])
         with pytest.raises(InvalidInputError):
             evaluate_forecast([1.0], [1.0], [[1.0, 2.0]])
-
-
-class TestSplits:
-    def test_default_holdout_boundaries(self):
-        panel = make_panel(390)
-        train, test = holdout_split(panel, SplitSpec())
-        assert train.n_weeks == 338
-        assert test.n_weeks == 52
-        assert train.week_starts[-1] == panel.week_starts[337]
-        assert test.week_starts[0] == panel.week_starts[338]
-        assert_array_equal(
-            test.column("drug_demand"), panel.column("drug_demand")[338:]
-        )
-
-    def test_holdout_requires_enough_weeks(self):
-        with pytest.raises(InsufficientDataError):
-            holdout_split(make_panel(389), SplitSpec())
-
-    def test_rolling_default_gives_two_slices(self):
-        panel = make_panel(390)
-        slices = rolling_slices(panel, SplitSpec())
-        assert len(slices) == 2
-        (train_a, test_a), (train_b, test_b) = slices
-        assert train_a.week_starts[0] == panel.week_starts[0]
-        assert train_a.n_weeks == 260
-        assert test_a.week_starts[0] == panel.week_starts[260]
-        assert train_b.week_starts[0] == panel.week_starts[52]
-        assert test_b.week_starts[-1] == panel.week_starts[363]
-
-    def test_rolling_empty_when_nothing_fits(self):
-        assert rolling_slices(make_panel(100), SplitSpec()) == ()
-
-    def test_rolling_single_exact_fit(self):
-        slices = rolling_slices(make_panel(312), SplitSpec())
-        assert len(slices) == 1
-
-    def test_spec_validation_collects_problems(self):
-        with pytest.raises(ConfigError) as exc:
-            SplitSpec(train_length=0, horizon=-1)
-        assert set(exc.value.fields) == {"train_length", "horizon"}
-
 
 class TestComparison:
     def test_best_flags_direction(self):

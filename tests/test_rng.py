@@ -20,7 +20,7 @@ from climdemand.errors import ConfigError
 from climdemand.forest import ForestConfig
 from climdemand.spectral import (
     GcBootstrapConfig,
-    bootstrap_threshold_unconditional,
+    _unconditional_thresholds,
     unconditional_gc_spectrum,
 )
 from climdemand.synth import SynthConfig
@@ -187,7 +187,7 @@ class TestHeldDraws:
         pair_b = rng.normal(size=(2, 120))
         cfg = GcBootstrapConfig(n_replicates=100, seed=8, max_var_order=2)
         alone = unconditional_gc_spectrum(*pair_b, cfg)
-        alone_medians = bootstrap_threshold_unconditional(*pair_b, cfg).medians
+        alone_medians = _unconditional_thresholds(*pair_b, cfg).medians
         replicate_draws.cache_clear()
         unconditional_gc_spectrum(*pair_a, cfg)
         after = unconditional_gc_spectrum(*pair_b, cfg)
@@ -195,7 +195,7 @@ class TestHeldDraws:
             assert np.asarray(getattr(after, field)).tobytes() == np.asarray(
                 getattr(alone, field)
             ).tobytes()
-        after_medians = bootstrap_threshold_unconditional(*pair_b, cfg).medians
+        after_medians = _unconditional_thresholds(*pair_b, cfg).medians
         assert after_medians.tobytes() == alone_medians.tobytes()
 
     def test_paths_are_assembled_within_a_memory_budget(self):

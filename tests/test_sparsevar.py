@@ -115,7 +115,7 @@ class TestOptimalityCertificates:
         data, _ = simulate_panel(300, rng)
         top = lambda_max(data, order=4)
         shares = [
-            fit_lasso_var(data, order=4, lam=f * top).nonzero_share()
+            np.mean(fit_lasso_var(data, order=4, lam=f * top).coef != 0.0)
             for f in (0.01, 0.1, 0.4, 1.0)
         ]
         assert all(a >= b for a, b in zip(shares, shares[1:]))

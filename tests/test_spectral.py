@@ -18,9 +18,9 @@ from climdemand.panel import PanelDataset
 from climdemand.spectral import (
     GcBootstrapConfig,
     SpectralDecomposition,
-    bootstrap_threshold_conditional,
-    bootstrap_threshold_unconditional,
-    conditional_decomposition,
+    _conditional_thresholds,
+    _observed_conditional,
+    _unconditional_thresholds,
     conditional_gc_spectrum,
     fourier_frequencies,
     spectral_decomposition,
@@ -124,9 +124,25 @@ def oracle_null_medians(x, y, cfg):
     return raw
 
 
+def observed_conditional(x, y, w, max_order=4):
+    """The observed conditional decomposition of checked series, as
+    conditional_gc_spectrum takes it: the (effect, conditioning) fit, then
+    the projection residuals' decomposition."""
+    pair_model = fit_var(np.column_stack([y, w]), max_order=max_order)
+    return _observed_conditional(x, y, w, pair_model, max_order)
+
+
+def conditional_thresholds(x, y, w, cfg):
+    """The conditional null's thresholds of checked series, as
+    conditional_gc_spectrum takes them."""
+    pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
+    return _conditional_thresholds(x, pair_model, cfg)
+
+
 def oracle_conditional_null_medians(x, y, w, cfg):
-    """The conditional null one replicate at a time: conditional_decomposition
-    of each simulated (effect, conditioning) pair and resampled cause."""
+    """The conditional null one replicate at a time: the observed
+    conditional decomposition of each simulated (effect, conditioning) pair
+    and resampled cause."""
     n = x.size
     pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
     order = pair_model.order
@@ -145,7 +161,7 @@ def oracle_conditional_null_medians(x, y, w, cfg):
     raw = np.full(cfg.n_replicates, np.nan)
     for b in range(cfg.n_replicates):
         try:
-            decomp = conditional_decomposition(
+            decomp = observed_conditional(
                 causes[b], simulated[b, :, 0], simulated[b, :, 1], cfg.max_var_order
             )
         except (RankDeficiencyError, NumericalError, DegenerateInputError):
@@ -283,7 +299,7 @@ class TestThresholds:
         x = rng.normal(size=200)
         y = rng.normal(size=200)
         cfg = GcBootstrapConfig(n_replicates=100, alpha=0.5, seed=21)
-        thresholds = bootstrap_threshold_unconditional(x, y, cfg)
+        thresholds = _unconditional_thresholds(x, y, cfg)
         assert thresholds.pointwise == float(np.median(thresholds.medians))
 
     def test_monotone_in_alpha_and_bonferroni_dominates(self):
@@ -293,7 +309,7 @@ class TestThresholds:
         previous = -np.inf
         for alpha in (0.5, 0.25, 0.05):
             cfg = GcBootstrapConfig(n_replicates=150, alpha=alpha, seed=5)
-            thresholds = bootstrap_threshold_unconditional(x, y, cfg)
+            thresholds = _unconditional_thresholds(x, y, cfg)
             assert thresholds.pointwise >= previous
             assert thresholds.bonferroni >= thresholds.pointwise
             previous = thresholds.pointwise
@@ -303,12 +319,12 @@ class TestThresholds:
         x = rng.normal(size=250)
         y = rng.normal(size=250)
         cfg = GcBootstrapConfig(n_replicates=120, seed=31)
-        one = bootstrap_threshold_unconditional(x, y, cfg)
-        again = bootstrap_threshold_unconditional(x, y, cfg)
+        one = _unconditional_thresholds(x, y, cfg)
+        again = _unconditional_thresholds(x, y, cfg)
         assert one.pointwise == again.pointwise
         assert one.bonferroni == again.bonferroni
         assert_allclose(one.medians, again.medians, rtol=0, atol=0)
-        other = bootstrap_threshold_unconditional(
+        other = _unconditional_thresholds(
             x, y, GcBootstrapConfig(n_replicates=120, seed=32)
         )
         assert other.pointwise != one.pointwise
@@ -336,9 +352,9 @@ class TestThresholds:
         if finite < 60:
             with pytest.raises(NumericalError,
                                match=r"too many bootstrap replicates failed \(61 of 120\)"):
-                bootstrap_threshold_unconditional(x, y, cfg)
+                _unconditional_thresholds(x, y, cfg)
         else:
-            assert bootstrap_threshold_unconditional(x, y, cfg).n_failed == 60
+            assert _unconditional_thresholds(x, y, cfg).n_failed == 60
 
 
 class TestBatchedNull:
@@ -352,7 +368,7 @@ class TestBatchedNull:
             y = np.r_[0.0, 0.6 * x[:-1]] + rng.normal(size=260)
         cfg = GcBootstrapConfig(n_replicates=150, seed=4)
         oracle = oracle_null_medians(x, y, cfg)
-        batched = bootstrap_threshold_unconditional(x, y, cfg)
+        batched = _unconditional_thresholds(x, y, cfg)
         kept = oracle[np.isfinite(oracle)]
         assert batched.n_failed == oracle.size - kept.size
         if case == "spiky":
@@ -365,9 +381,9 @@ class TestBatchedNull:
 
         x, y, _ = spiky_pair()
         cfg = GcBootstrapConfig(n_replicates=120, seed=2)
-        whole = bootstrap_threshold_unconditional(x, y, cfg)
+        whole = _unconditional_thresholds(x, y, cfg)
         monkeypatch.setattr(spectral, "_NULL_BLOCK", 7)
-        blocked = bootstrap_threshold_unconditional(x, y, cfg)
+        blocked = _unconditional_thresholds(x, y, cfg)
         assert_allclose(blocked.medians, whole.medians, rtol=0, atol=0)
         assert blocked.n_failed == whole.n_failed
 
@@ -381,7 +397,7 @@ class TestBatchedNull:
             y = np.r_[0.0, 0.6 * x[:-1] + 0.3 * w[:-1]] + rng.normal(size=260)
         cfg = GcBootstrapConfig(n_replicates=150, seed=4)
         oracle = oracle_conditional_null_medians(x, y, w, cfg)
-        batched = bootstrap_threshold_conditional(x, y, w, cfg)
+        batched = conditional_thresholds(x, y, w, cfg)
         kept = oracle[np.isfinite(oracle)]
         assert batched.n_failed == oracle.size - kept.size
         if case == "spiky":
@@ -394,9 +410,9 @@ class TestBatchedNull:
 
         x, y, w = spiky_pair()
         cfg = GcBootstrapConfig(n_replicates=120, seed=2)
-        whole = bootstrap_threshold_conditional(x, y, w, cfg)
+        whole = conditional_thresholds(x, y, w, cfg)
         monkeypatch.setattr(spectral, "_NULL_BLOCK", 7)
-        blocked = bootstrap_threshold_conditional(x, y, w, cfg)
+        blocked = conditional_thresholds(x, y, w, cfg)
         assert_allclose(blocked.medians, whole.medians, rtol=0, atol=0)
         assert blocked.n_failed == whole.n_failed
 
@@ -413,11 +429,11 @@ class TestBatchedNull:
             oracle = oracle_conditional_null_medians(x, y, w, cfg)
         except InsufficientDataError:
             with pytest.raises(InsufficientDataError):
-                bootstrap_threshold_conditional(x, y, w, cfg)
+                conditional_thresholds(x, y, w, cfg)
             assert seed == 6
             return
         assert seed == 2
-        batched = bootstrap_threshold_conditional(x, y, w, cfg)
+        batched = conditional_thresholds(x, y, w, cfg)
         assert_allclose(batched.medians, oracle[np.isfinite(oracle)], rtol=0, atol=0)
 
     @pytest.mark.parametrize("column", [0, 1])
@@ -434,7 +450,7 @@ class TestBatchedNull:
         x, y, w = rng.normal(size=(3, 150))
         what = ("effect", "conditioning")[column]
         with pytest.raises(InvalidInputError, match=f"{what} must be finite"):
-            bootstrap_threshold_conditional(x, y, w, GcBootstrapConfig(n_replicates=100))
+            conditional_thresholds(x, y, w, GcBootstrapConfig(n_replicates=100))
 
     def test_failed_replicates_are_counted(self):
         x, y, w = spiky_pair()
@@ -504,7 +520,7 @@ class TestUnconditionalInference:
         cfg = GcBootstrapConfig(n_replicates=100, seed=5)
         model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order)
         observed = spectral_decomposition(model, fourier_frequencies(200))
-        thresholds = bootstrap_threshold_unconditional(x, y, cfg)
+        thresholds = _unconditional_thresholds(x, y, cfg)
         calls = {"_check_pair": 0, "check_sample_size": 0, "fit_var": 0}
         for name in calls:
             def spy(*args, _real=getattr(spectral, name), _name=name, **kwargs):
@@ -562,12 +578,10 @@ class TestWeeklySeriesInputs:
             unconditional_gc_spectrum(temperature, panel.series("heat"), cfg)
         with pytest.raises(RankDeficiencyError, match="collinear columns: effect.l1, effect$"):
             unconditional_gc_spectrum(temperature.values, heat, cfg)
-        for spectrum in (conditional_decomposition, bootstrap_threshold_conditional,
-                         conditional_gc_spectrum):
-            with pytest.raises(RankDeficiencyError, match="columns: heat.l1, heat$"):
-                spectrum(fwi, temperature, panel.series("heat"))
-            with pytest.raises(RankDeficiencyError, match="columns: conditioning.l1, conditioning$"):
-                spectrum(fwi.values, temperature.values, heat)
+        with pytest.raises(RankDeficiencyError, match="columns: heat.l1, heat$"):
+            conditional_gc_spectrum(fwi, temperature, panel.series("heat"), cfg)
+        with pytest.raises(RankDeficiencyError, match="columns: conditioning.l1, conditioning$"):
+            conditional_gc_spectrum(fwi.values, temperature.values, heat, cfg)
 
     def test_shifted_week_axes_are_rejected(self):
         panel, shifted = self.panels()
@@ -595,7 +609,7 @@ class TestConditional:
             ).measure,
             None,
         )
-        cond = conditional_decomposition(data[:, 0], data[:, 1], w).measure
+        cond = observed_conditional(data[:, 0], data[:, 1], w).measure
         assert np.max(np.abs(cond - uncond)) < 0.08
 
     def test_mediated_chain_is_not_conditionally_significant(self):
@@ -631,8 +645,8 @@ class TestConditional:
         rng = np.random.default_rng(5)
         w = rng.normal(size=400)
         y = rng.normal(size=400)
-        with pytest.raises(DegenerateInputError):
-            conditional_decomposition(w.copy(), y, w)
+        with pytest.raises(DegenerateInputError, match="cause series is fully explained"):
+            conditional_gc_spectrum(w.copy(), y, w, GcBootstrapConfig(n_replicates=100))
 
     def test_stacked_projection_matches_per_series_least_squares(self):
         from climdemand.spectral import _project_on_conditioning
@@ -671,22 +685,20 @@ class TestConditional:
         # accepts; its projection design [1, w_{t-1}, w_t] is then singular.
         alternating = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
         with pytest.raises(DegenerateInputError, match="collinear"):
-            conditional_decomposition(*rng.normal(size=(2, 200)), alternating, max_order=1)
+            conditional_gc_spectrum(
+                *rng.normal(size=(2, 200)), alternating,
+                GcBootstrapConfig(n_replicates=100, max_var_order=1),
+            )
 
-    @pytest.mark.parametrize(
-        "spectrum",
-        [
-            lambda x, y, w: conditional_gc_spectrum(x, y, w, GcBootstrapConfig(n_replicates=100)),
-            conditional_decomposition,
-        ],
-        ids=["conditional_gc_spectrum", "conditional_decomposition"],
-    )
-    def test_conditioning_of_another_length_is_rejected(self, spectrum):
+    def test_conditioning_of_another_length_is_rejected(self):
         rng = np.random.default_rng(7)
         with pytest.raises(
             AlignmentError, match="series lengths differ: cause has 300, conditioning has 299"
         ):
-            spectrum(*rng.normal(size=(2, 300)), rng.normal(size=299))
+            conditional_gc_spectrum(
+                *rng.normal(size=(2, 300)), rng.normal(size=299),
+                GcBootstrapConfig(n_replicates=100),
+            )
 
     def test_spectrum_checks_and_fits_the_pair_once(self, monkeypatch):
         # One check of the three series and one (effect, conditioning) fit
@@ -697,8 +709,8 @@ class TestConditional:
         rng = np.random.default_rng(21)
         x, y, w = rng.normal(size=(3, 200))
         cfg = GcBootstrapConfig(n_replicates=100, seed=4)
-        observed = conditional_decomposition(x, y, w, cfg.max_var_order)
-        thresholds = bootstrap_threshold_conditional(x, y, w, cfg)
+        observed = observed_conditional(x, y, w, cfg.max_var_order)
+        thresholds = conditional_thresholds(x, y, w, cfg)
         calls = {"_check_triple": 0, "fit_var": 0}
         for name in calls:
             def spy(*args, _real=getattr(spectral, name), _name=name, **kwargs):

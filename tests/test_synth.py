@@ -12,7 +12,7 @@ import climdemand
 from climdemand.errors import ConfigError
 from climdemand.features import NATIONAL_CLIMATE_COLUMNS
 from climdemand.hpfilter import hp_cycle, seasonal_adjust
-from climdemand.metrics import SplitSpec, evaluate_forecast, holdout_split
+from climdemand.metrics import evaluate_forecast
 from climdemand.spectral import GcBootstrapConfig, unconditional_gc_spectrum
 from climdemand.synth import (
     SynthConfig,
@@ -206,7 +206,7 @@ class TestNoiselessWorld:
     def test_deterministic_demand_is_easy_to_forecast(self):
         cfg = SynthConfig(demand_noise_sd=0.0, temperature_coupling=(0.0, 0.0))
         panel = generate_synthetic_panel(cfg)
-        train, test = holdout_split(panel, SplitSpec())
+        train, test = panel.slice_weeks(0, 338), panel.slice_weeks(338, 390)
         y_train = train.column("drug_demand")
         design = build_exogenous(panel.week_starts, harmonics=3)
         model = fit_varx(y_train[:, None], design, max_order=4, names=("drug_demand",))
