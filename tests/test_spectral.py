@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from climdemand._rng import stationary_bootstrap_indices, substream
+from climdemand._rng import replicate_draws, substream
 from climdemand.errors import (
     AlignmentError,
     ConfigError,
@@ -13,12 +13,15 @@ from climdemand.errors import (
     InvalidInputError,
     NumericalError,
     RankDeficiencyError,
+    ShapeError,
 )
 from climdemand.panel import PanelDataset
 from climdemand.spectral import (
     GcBootstrapConfig,
     SpectralDecomposition,
     _conditional_thresholds,
+    _decompose,
+    _null_medians,
     _observed_conditional,
     _unconditional_thresholds,
     conditional_gc_spectrum,
@@ -26,7 +29,17 @@ from climdemand.spectral import (
     spectral_decomposition,
     unconditional_gc_spectrum,
 )
-from climdemand.varbase import VarxModel, fit_var, simulate_var, spectral_radius
+from climdemand.varbase import (
+    VarxModel,
+    bic_path,
+    fit_var,
+    lag_coefficients,
+    refit,
+    select_order,
+    simulate_var,
+    spectral_radius,
+)
+from resampling import stationary_bootstrap_indices
 
 
 def oracle_measure(coef, sigma, frequencies):
@@ -84,26 +97,37 @@ def simulate_pair(coef, sigma, T, rng, burn=300):
     return simulate_var(np.zeros(2), np.asarray(coef, float), shocks)[len(coef) + burn :]
 
 
-def oracle_decompose(coef, resid_cov, frequencies):
-    """Cross and intrinsic terms of one fitted pair, raising on failure."""
-    s11, s12, s22 = resid_cov[0, 0], resid_cov[0, 1], resid_cov[1, 1]
-    if s22 <= 0.0 or s11 <= 0.0:
-        raise DegenerateInputError("innovation covariance is singular")
+def complex_decompose(coef, resid_cov, frequencies):
+    """Cross and intrinsic terms and failure codes of a stack of systems in
+    complex arithmetic: the (B, F, 2, 2) lag polynomial by ``einsum``, the
+    transfer terms by complex division by its determinant, squared moduli by
+    ``abs``.  The oracle of ``spectral._decompose``, which evaluates the
+    same terms in real arithmetic."""
+    s11 = resid_cov[:, 0, 0, None]
+    s12 = resid_cov[:, 0, 1, None]
+    s22 = resid_cov[:, 1, 1, None]
     omega = 2.0 * np.pi * frequencies
-    z = np.exp(-1j * np.outer(omega, np.arange(1, coef.shape[0] + 1)))
-    lagpoly = np.eye(2)[None, :, :] - np.einsum("fl,lij->fij", z, coef)
-    det = lagpoly[:, 0, 0] * lagpoly[:, 1, 1] - lagpoly[:, 0, 1] * lagpoly[:, 1, 0]
-    if np.any(np.abs(det) < 1e-14):
-        raise NumericalError("lag polynomial is non-invertible")
-    transfer_cause = -lagpoly[:, 1, 0] / det
-    rotated_own = lagpoly[:, 0, 0] / det + transfer_cause * (s12 / s22)
-    cross = (s11 - s12 * s12 / s22) * np.abs(transfer_cause) ** 2
-    intrinsic = s22 * np.abs(rotated_own) ** 2
-    if not (np.isfinite(cross).all() and np.isfinite(intrinsic).all()):
-        raise NumericalError("non-finite decomposition")
-    if np.any(intrinsic <= 0.0):
-        raise NumericalError("own term vanished")
-    return cross, intrinsic
+    p = coef.shape[1]
+    z = np.exp(-1j * np.outer(omega, np.arange(1, p + 1)))
+    lagpoly = np.eye(2) - np.einsum("fl,blij->bfij", z, coef)
+    det = lagpoly[..., 0, 0] * lagpoly[..., 1, 1] - lagpoly[..., 0, 1] * lagpoly[..., 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        transfer_cause = -lagpoly[..., 1, 0] / det
+        transfer_own = lagpoly[..., 0, 0] / det
+        rotated_own = transfer_own + transfer_cause * (s12 / s22)
+        cross = (s11 - s12 * s12 / s22) * np.abs(transfer_cause) ** 2
+        intrinsic = s22 * np.abs(rotated_own) ** 2
+        failure = np.select(
+            [
+                (s22[:, 0] <= 0.0) | (s11[:, 0] <= 0.0),
+                np.any(np.abs(det) < 1e-14, axis=1),
+                ~(np.isfinite(cross).all(axis=1) & np.isfinite(intrinsic).all(axis=1)),
+                np.any(intrinsic <= 0.0, axis=1),
+            ],
+            [1, 2, 3, 4],
+            0,
+        )
+    return cross, intrinsic, failure
 
 
 def oracle_null_medians(x, y, cfg):
@@ -117,10 +141,13 @@ def oracle_null_medians(x, y, cfg):
         y_star = y[stationary_bootstrap_indices(n, cfg.block_length(n), rng)]
         try:
             model = fit_var(np.column_stack([x_star, y_star]), max_order=cfg.max_var_order)
-            cross, intrinsic = oracle_decompose(model.endo_coef, model.resid_cov, frequencies)
-        except (RankDeficiencyError, NumericalError, DegenerateInputError):
+        except RankDeficiencyError:
             continue
-        raw[b] = np.median(np.log1p(cross / intrinsic))
+        cross, intrinsic, failure = complex_decompose(
+            model.endo_coef[None], model.resid_cov[None], frequencies
+        )
+        if not failure[0]:
+            raw[b] = np.median(np.log1p(cross[0] / intrinsic[0]))
     return raw
 
 
@@ -237,6 +264,99 @@ class TestDecomposition:
         assert np.max(np.abs(result.estimate - np.log(1.64))) < 0.15
 
 
+def stable_systems(rng, B, p):
+    """B stable bivariate VAR(p) coefficient stacks and positive definite
+    innovation covariances."""
+    coef = np.empty((B, p, 2, 2))
+    for b in range(B):
+        coef[b] = rng.normal(scale=0.6 / p, size=(p, 2, 2))
+        while spectral_radius(coef[b]) >= 0.95:
+            coef[b] *= 0.9
+    root = rng.normal(size=(B, 2, 2))
+    return coef, root @ root.transpose(0, 2, 1) + 0.1 * np.eye(2)
+
+
+class TestRealArithmetic:
+    """``_decompose`` against the complex-arithmetic oracle."""
+
+    @pytest.mark.parametrize("n", [390, 392])
+    @pytest.mark.parametrize("B", [1, 32])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_complex_oracle(self, p, B, n):
+        rng = np.random.default_rng([p, B, n])
+        coef, cov = stable_systems(rng, B, p)
+        freqs = fourier_frequencies(n)
+        cross, intrinsic, failure = _decompose(coef, cov, freqs)
+        want_cross, want_intrinsic, want_failure = complex_decompose(coef, cov, freqs)
+        assert failure.tolist() == want_failure.tolist() == [0] * B
+        assert_allclose(cross, want_cross, rtol=1e-12, atol=0)
+        assert_allclose(intrinsic, want_intrinsic, rtol=1e-12, atol=0)
+        assert_allclose(
+            np.log1p(cross / intrinsic), np.log1p(want_cross / want_intrinsic),
+            rtol=1e-12, atol=0,
+        )
+
+    def test_failure_codes_match_complex_oracle(self):
+        # One system per failure code, then one that decomposes, at n = 196,
+        # whose grid ends at f = 0.5, where exp(-2 pi i f) is -1.
+        well = [[0.5, 0.1], [0.2, 0.3]]
+        systems = [
+            (well, [[0.0, 0.0], [0.0, 1.0]]),  # s11 = 0
+            ([[-1.0, 0.0], [0.0, 0.3]], np.eye(2)),  # a unit root at f = 0.5
+            ([[1e200, 1e200], [1e200, 1e200]], np.eye(2)),  # overflow
+            # At f = 0.5 the own term's numerator is sin(pi) ~ 1.2e-16, whose
+            # square times s22 underflows to zero.
+            ([[-1.0, 0.5], [0.5, 0.0]], [[1.0, 0.0], [0.0, 1e-300]]),
+            (well, [[1.0, 0.3], [0.3, 2.0]]),
+        ]
+        coef = np.array([[c] for c, _ in systems], dtype=float)
+        cov = np.array([c for _, c in systems], dtype=float)
+        freqs = fourier_frequencies(196)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = complex_decompose(coef, cov, freqs)[2]
+        assert _decompose(coef, cov, freqs)[2].tolist() == want.tolist() == [1, 2, 3, 4, 0]
+
+
+class TestNullMedians:
+    @pytest.mark.parametrize("n, fails", [(390, False), (392, False), (390, True)])
+    def test_selection_is_numpy_median(self, monkeypatch, n, fails):
+        # The medians by selection equal np.median of the measure, from the
+        # same decompositions; with ``fails`` the first system decomposed
+        # fails.
+        from climdemand import spectral
+
+        decompose = spectral._decompose
+        calls = []
+
+        def first_fails(*args):
+            cross, intrinsic, failure = decompose(*args)
+            if not calls:
+                failure[0] = 3
+            calls.append(1)
+            return cross, intrinsic, failure
+
+        if fails:
+            monkeypatch.setattr(spectral, "_decompose", first_fails)
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(12, n, 2))
+        samples[:, 1:, 1] += 0.4 * samples[:, :-1, 0]
+        freqs = fourier_frequencies(n)
+        got = _null_medians(samples, 4, freqs)
+        calls.clear()
+        path = bic_path(samples, 4)
+        assert not np.isnan(path).any()
+        want = np.full(12, np.nan)
+        groups, _ = refit(samples, select_order(path))
+        for fit in groups:
+            cross, intrinsic, failure = spectral._decompose(
+                lag_coefficients(fit.coef, fit.order), fit.resid_cov, freqs
+            )
+            ok = failure == 0
+            want[fit.index[ok]] = np.median(np.log1p(cross[ok] / intrinsic[ok]), axis=1)
+        assert np.isnan(got).sum() == fails
+        assert got.tobytes() == want.tobytes()
+
+
 class TestScaleInvariance:
     def test_measure_invariant_to_scaling(self):
         rng = np.random.default_rng(99)
@@ -289,8 +409,12 @@ class TestStationaryBootstrap:
         assert serial < 0.01
 
     def test_bad_block_length(self):
-        with pytest.raises(InvalidInputError):
-            stationary_bootstrap_indices(10, 0.5, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError, match="block_length"):
+            replicate_draws(0, "label", range(1), (10, 0.5))
+
+    def test_empty_series(self):
+        with pytest.raises(ShapeError, match="cannot resample an empty series"):
+            replicate_draws(0, "label", range(1), (0, 3.0))
 
 
 class TestThresholds:

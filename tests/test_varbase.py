@@ -26,6 +26,7 @@ from climdemand.varbase import (
     refit,
     select_order,
     simulate_var,
+    singular_designs,
     spectral_radius,
     validate_series,
 )
@@ -90,6 +91,25 @@ class TestSimulateVar:
         coef = np.array([[[0.5]]])
         out = simulate_var(np.array([[1.0], [0.0]]), coef, np.zeros((2, 1)), np.array([[2.0]]))
         assert_allclose(out[:, 0], [2.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("p, K, B", [(1, 1, 1), (2, 2, 7), (4, 2, 32), (3, 4, 5)])
+    def test_equals_step_by_step_recursion_bit_for_bit(self, p, K, B):
+        # The recursion as written out, with new arrays at every step and
+        # lag; the buffered one does the same arithmetic.
+        rng = np.random.default_rng([p, K, B])
+        coef = rng.normal(scale=0.3 / p, size=(p, K, K))
+        innovations = rng.normal(size=(B, 50, K))
+        intercept = rng.normal(size=(50, K))
+        initial = rng.normal(size=(p, K))
+        want = np.empty((B, p + 50, K))
+        want[:, :p] = initial
+        for t in range(50):
+            acc = np.broadcast_to(intercept[t], (B, K)).copy()
+            for lag in range(p):
+                acc += want[:, p + t - 1 - lag] @ coef[lag].T
+            want[:, p + t] = acc + innovations[:, t]
+        got = simulate_var(intercept, coef, innovations, initial)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCompanion:
@@ -343,6 +363,16 @@ class TestStackCore:
         groups, failed = refit(stack, np.array([1, 1, 1]))
         assert failed.tolist() == [False, True, False]
         assert groups[0].index.tolist() == [0, 2]
+
+    def test_singular_designs_are_the_refits_failures(self):
+        rng = np.random.default_rng(24)
+        stack = rng.normal(size=(6, 120, 2))
+        stack[1, :, 1] = 2.0 * stack[1, :, 0]
+        stack[5, :, 0] = 3.0  # a constant column repeats the intercept
+        orders = np.array([1, 2, 3, 1, 2, 3])
+        _, failed = refit(stack, orders)
+        assert failed.tolist() == [False, True, False, False, False, True]
+        assert_array_equal(singular_designs(stack, orders), failed)
 
     def test_sliced_refit_equals_single_fits(self, monkeypatch):
         # refit factors at most _FIT_SLICE series per QR.  Orders 1, 2, 3
