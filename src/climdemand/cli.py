@@ -79,7 +79,7 @@ from .panel import (
 from .sparsevar import coefficient_table, fit_lasso_var, select_lambda
 from .spectral import GcBootstrapConfig, conditional_gc_spectrum, unconditional_gc_spectrum
 from .synth import SynthConfig, generate_synthetic_daily, synthetic_panel_from_daily
-from .trend import TrendFitConfig, TrendModel, fit_trend_model, fitted_values
+from .trend import TrendModel, fit_trend_model, fitted_values, seasonal_shortfall
 from .trend import forecast as trend_forecast
 from .varx import build_exogenous, fevd, fit_varx, forecast_recursive, irf, residual_bootstrap
 
@@ -179,11 +179,9 @@ def _fit_trends(panel: PanelDataset, names: tuple[str, ...], train_length: int,
     shorter than one seasonal period, on which the library's fit only
     warns, is an :class:`InsufficientDataError` before any fit."""
     _require_columns(panel, names)
-    weeks, period = min(train_length, panel.n_weeks), TrendFitConfig.period
-    if weeks < period and any(name not in trends for name in names):
-        raise InsufficientDataError(
-            f"a seasonal trend needs one period of {period} weeks, got {weeks}"
-        )
+    shortfall = seasonal_shortfall(min(train_length, panel.n_weeks))
+    if shortfall and any(name not in trends for name in names):
+        raise InsufficientDataError(shortfall)
     for name in names:
         if name not in trends:
             trends[name] = fit_trend_model(panel.column(name)[:train_length])

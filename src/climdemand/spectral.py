@@ -32,8 +32,8 @@ projection residuals is the conditional measure.  Null replicates keep the
 (effect, conditioning) dynamics via a residual bootstrap of their joint VAR,
 simulated for all replicates in one call, and draw the cause independently
 by stationary bootstrap; each replicate then goes through the full
-conditional estimation path.  Per block, one BIC path and one rank check
-of the stacked (effect, conditioning) pairs give the projection orders, the
+conditional estimation path.  Per block, one BIC path and one refit of the
+stacked (effect, conditioning) pairs give the projection orders, the
 replicates of each order are projected by one stacked QR, and their
 projection residuals take the unconditional null's path.
 
@@ -74,7 +74,6 @@ from .varbase import (
     refit,
     select_order,
     simulate_var,
-    singular_designs,
 )
 
 
@@ -223,8 +222,9 @@ def _decompose(
     transfer terms are ``-L10 / det L`` (cause) and ``(L00 - L10 s12 / s22)
     / det L`` (own, rotated), so their squared moduli are squared moduli of
     the numerators over ``|det L|^2``, and no complex number is divided.
-    A system whose polynomial entries exceed about 1e154, where their
-    squares overflow, fails with code 3.
+    The determinant test ``|det L| < 1e-14`` is ``|det L|^2 < 1e-28`` at
+    any frequency.  A system whose polynomial entries exceed about 1e154,
+    where their squares overflow, fails with code 3 unless that test holds.
     """
     B, p = coef.shape[:2]
     s11 = resid_cov[:, 0, 0, None]
@@ -250,7 +250,7 @@ def _decompose(
         failure = np.select(
             [
                 (s22[:, 0] <= 0.0) | (s11[:, 0] <= 0.0),
-                np.sqrt(det_sq.min(axis=1)) < 1e-14,
+                np.any(det_sq < 1e-28, axis=1),
                 ~(np.isfinite(cross).all(axis=1) & np.isfinite(intrinsic).all(axis=1)),
                 np.any(intrinsic <= 0.0, axis=1),
             ],
@@ -330,11 +330,8 @@ def _null_medians(samples: np.ndarray, max_order: int, frequencies: np.ndarray) 
         cross, intrinsic, failure = _decompose(
             lag_coefficients(fit.coef, fit.order), fit.resid_cov, frequencies
         )
-        index = fitted[fit.index]
-        if failure.any():
-            ok = failure == 0
-            cross, intrinsic, index = cross[ok], intrinsic[ok], index[ok]
-        medians[index] = _median_measure(cross / intrinsic)
+        ok = failure == 0
+        medians[fitted[fit.index[ok]]] = _median_measure(cross[ok] / intrinsic[ok])
     return medians
 
 
@@ -454,10 +451,8 @@ def _conditional_null_medians(
 
     Each replicate goes the observed series' way (:func:`_check_triple`,
     the (effect, conditioning) fit, :func:`_observed_conditional`): one BIC
-    path over the stacked pairs gives the projection orders, the QRs of the
-    pairs' designs at those orders find the fits that would fail (the fits
-    themselves are not needed), and the projection residuals of each order
-    go through :func:`_null_medians`.
+    path and refit over the stacked pairs give the projection orders, and
+    the projection residuals of each order go through :func:`_null_medians`.
     A replicate is NaN where that way would raise
     :class:`RankDeficiencyError`, :class:`NumericalError` or
     :class:`DegenerateInputError`; of the other errors it would raise, the
@@ -485,7 +480,7 @@ def _conditional_null_medians(
     path = bic_path(pairs[live], max_order)
     ranked = ~np.isnan(path).any(axis=1)
     orders = select_order(path[ranked])
-    failed = singular_designs(pairs[live[ranked]], orders)
+    _, failed = refit(pairs[live[ranked]], orders)
     fitted, orders = live[ranked][~failed], orders[~failed]
 
     for p in np.unique(orders):
@@ -557,7 +552,7 @@ def conditional_gc_spectrum(
     the cause is resampled independently by stationary bootstrap; every
     replicate then goes through the full conditional estimation path.  The
     replicates run in blocks of ``_NULL_BLOCK``: per block, one BIC path and
-    one rank check of the stacked (effect, conditioning) pairs select the
+    one refit of the stacked (effect, conditioning) pairs select the
     projection orders, the replicates of each order are projected by one
     stacked QR, and their residuals go through the unconditional null's
     stacked fit and decomposition.  The series are checked and their

@@ -33,6 +33,7 @@ __all__ = [
     "TrendModel",
     "changepoint_grid",
     "seasonal_design",
+    "seasonal_shortfall",
     "fit_trend_model",
     "trend_component",
     "seasonal_component",
@@ -125,6 +126,17 @@ def _hinge_design(t: np.ndarray, changepoints: np.ndarray) -> np.ndarray:
     return np.maximum(t[:, None] - changepoints[None, :], 0.0)
 
 
+def seasonal_shortfall(n_obs: int, config: TrendFitConfig = TrendFitConfig()) -> str | None:
+    """Why ``n_obs`` weeks leave ``config``'s seasonal coefficients
+    unidentifiable (fewer weeks than one period), or None when they do not."""
+    if config.n_harmonics > 0 and n_obs < config.period:
+        return (
+            f"series has {n_obs} weeks, shorter than one period of "
+            f"{config.period}; seasonal coefficients are not identifiable"
+        )
+    return None
+
+
 def fit_trend_model(series, config: TrendFitConfig = TrendFitConfig()) -> TrendModel:
     """Fit the penalized trend model by exact block minimization.
 
@@ -155,13 +167,9 @@ def fit_trend_model(series, config: TrendFitConfig = TrendFitConfig()) -> TrendM
     n_obs = y.size
     if n_obs < 2:
         raise InsufficientDataError("need at least 2 observations to fit a trend")
-    if config.n_harmonics > 0 and n_obs < config.period:
-        warnings.warn(
-            f"series has {n_obs} weeks, shorter than one period of "
-            f"{config.period}; seasonal coefficients are not identifiable",
-            UserWarning,
-            stacklevel=2,
-        )
+    shortfall = seasonal_shortfall(n_obs, config)
+    if shortfall:
+        warnings.warn(shortfall, UserWarning, stacklevel=2)
     penalty = config.changepoint_penalty
     if penalty is None:
         penalty = 10.0 * float(np.std(y))

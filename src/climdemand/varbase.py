@@ -12,8 +12,7 @@ problem is one stacked Householder QR (:func:`least_squares`) of
 Granger test's reduced fit use the same primitive.  :func:`bic_path` scores
 orders 1..max_order on the common sample t = max_order..T-1 from one
 factorisation, :func:`refit` solves each series at its order on its full
-usable sample (coefficients and residual covariance only) and
-:func:`singular_designs` finds the series whose refit would fail, and
+usable sample (coefficients and residual covariance only), and
 :func:`simulate_var` iterates the recursion into whole samples, initial rows
 first, which the bootstraps refit as they come.  A design with a small QR
 pivot, or a residual covariance with a non-positive determinant, marks a
@@ -234,19 +233,6 @@ def refit(
         if fit[0].size:
             groups.append(OrderFit(int(p), *fit))
     return groups, failed
-
-
-def singular_designs(data: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """The (B,) mask of series of a (B, T, K) stack whose design at their
-    own order has a small pivot: the series :func:`refit` marks failed,
-    found from the QR alone."""
-    orders = np.asarray(orders)
-    failed = np.zeros(len(data), bool)
-    for p in np.unique(orders):
-        index = np.flatnonzero(orders == p)
-        _, small = _qr_factor(_augmented(data[index], int(p)))
-        failed[index] = small[:, : 1 + int(p) * data.shape[2]].any(axis=1)
-    return failed
 
 
 def _rank_error(data, names, order, exog, exog_names) -> RankDeficiencyError:

@@ -316,6 +316,14 @@ class TestRealArithmetic:
             want = complex_decompose(coef, cov, freqs)[2]
         assert _decompose(coef, cov, freqs)[2].tolist() == want.tolist() == [1, 2, 3, 4, 0]
 
+        # A singular polynomial at f = 0 (the lags cancel exactly) whose
+        # entries near 1e155 make |det|^2 NaN at f = 0.25: code 2 still wins.
+        coef = np.array([[[[1.0, 1e155], [1e155, 1.0]], [[0.0, -1e155], [-1e155, 0.0]]]])
+        freqs = np.array([0.0, 0.25])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = complex_decompose(coef, np.eye(2)[None], freqs)[2]
+        assert _decompose(coef, np.eye(2)[None], freqs)[2].tolist() == want.tolist() == [2]
+
 
 class TestNullMedians:
     @pytest.mark.parametrize("n, fails", [(390, False), (392, False), (390, True)])

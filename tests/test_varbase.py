@@ -26,7 +26,6 @@ from climdemand.varbase import (
     refit,
     select_order,
     simulate_var,
-    singular_designs,
     spectral_radius,
     validate_series,
 )
@@ -363,16 +362,6 @@ class TestStackCore:
         groups, failed = refit(stack, np.array([1, 1, 1]))
         assert failed.tolist() == [False, True, False]
         assert groups[0].index.tolist() == [0, 2]
-
-    def test_singular_designs_are_the_refits_failures(self):
-        rng = np.random.default_rng(24)
-        stack = rng.normal(size=(6, 120, 2))
-        stack[1, :, 1] = 2.0 * stack[1, :, 0]
-        stack[5, :, 0] = 3.0  # a constant column repeats the intercept
-        orders = np.array([1, 2, 3, 1, 2, 3])
-        _, failed = refit(stack, orders)
-        assert failed.tolist() == [False, True, False, False, False, True]
-        assert_array_equal(singular_designs(stack, orders), failed)
 
     def test_sliced_refit_equals_single_fits(self, monkeypatch):
         # refit factors at most _FIT_SLICE series per QR.  Orders 1, 2, 3
