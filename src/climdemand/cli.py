@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -71,6 +72,7 @@ from .panel import (
     PanelDataset,
     _atomic_write_text,
     format_float,
+    quote_cell,
     read_daily_csv,
     read_panel_csv,
     write_daily_csv,
@@ -115,21 +117,19 @@ def _format_cell(value) -> str:
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, str):
-        return value
+        return quote_cell(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format_float(float(value))
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = itertools.chain([header], rows)
+    _atomic_write_text(path, (",".join(map(_format_cell, row)) for row in rows))
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _write_manifest(run: RunConfig) -> None:

@@ -11,14 +11,14 @@ offending line number rather than repaired or imputed.
 
 from __future__ import annotations
 
+import array
 import csv
 import datetime as dt
-import io
-import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,9 @@ DAILY_MEASUREMENTS = DAILY_CSV_HEADER[2:]
 
 WEEK_DAYS = 7
 
+#: printf format of every float a CSV writer emits.
+_FLOAT = "%.10g"
+
 
 def format_float(x: float) -> str:
     """Fixed 10-significant-digit rendering used by every CSV writer.
@@ -57,7 +60,7 @@ def format_float(x: float) -> str:
     byte-stable, and text produced here parses back to a float that renders
     identically (the representation is a fixed point of write-then-read).
     """
-    return "%.10g" % float(x)
+    return _FLOAT % float(x)
 
 
 def finite_array(values, what: str, ndim: int = 1) -> np.ndarray:
@@ -266,15 +269,28 @@ class PanelDataset:
         )
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory, made
-    as ``open(path, "w")`` would make ``path``: mode 0o666 less the umask."""
+def quote_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted as ``csv.QUOTE_MINIMAL`` would quote
+    it: in double quotes, inner quotes doubled, when it holds a comma, a
+    quote or a line break.  Numbers and ISO dates never need it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _atomic_write_text(path: str, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` followed by a newline to ``path``, via a temp
+    file in the same directory made as ``open(path, "w")`` would make
+    ``path`` (mode 0o666 less the umask).  The lines are drawn one at a time
+    while the temp file is open; if drawing or writing one fails, the temp
+    file is removed and ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -282,13 +298,17 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _panel_lines(panel: PanelDataset):
+    yield "week_start," + ",".join(map(quote_cell, panel.column_names))
+    row = "%s," + ",".join([_FLOAT] * len(panel.column_names))
+    matrix = panel.matrix(panel.column_names)
+    for week, values in zip(panel.week_starts, matrix):
+        yield row % (week.isoformat(), *values.tolist())
+
+
 def write_panel_csv(panel: PanelDataset, path: str) -> None:
     """Serialize a panel to CSV (``week_start`` first, 10 significant digits)."""
-    lines = ["week_start," + ",".join(panel.column_names)]
-    cols = [panel.columns[n] for n in panel.column_names]
-    for i, week in enumerate(panel.week_starts):
-        lines.append(week.isoformat() + "," + ",".join(format_float(c[i]) for c in cols))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _panel_lines(panel))
 
 
 def _parse_date(cell: str, line: int) -> dt.date:
@@ -308,22 +328,39 @@ def _parse_float(cell: str, column: str, line: int) -> float:
     return value
 
 
-def _csv_rows(path: str) -> list[list[str]]:
-    """The rows of a UTF-8 CSV file, at least one; an empty file, a byte that is
-    not UTF-8 and a cell over csv's field limit are IngestionErrors on their line."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
-        rows = list(reader)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise IngestionError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
-    except csv.Error as exc:
-        raise IngestionError(str(exc), reader.line_num) from None
-    if not rows:
-        raise IngestionError("empty file: no header row", 1)
-    return rows
+#: A character that ``errors="surrogateescape"`` decoding put in place of
+#: a byte that is not UTF-8.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _utf8_lines(handle):
+    """The lines of ``handle``, a text file opened with
+    ``errors="surrogateescape"``; the first byte that is not UTF-8 is an
+    IngestionError on its line (lines counted by ``\\n``)."""
+    line = 1
+    for text in handle:
+        if not text.isascii() and (bad := _UNDECODED.search(text)):
+            byte = ord(bad.group()) - 0xDC00
+            raise IngestionError(f"byte {byte:#04x} is not UTF-8 text", line)
+        line += text.endswith("\n")
+        yield text
+
+
+def _csv_rows(path: str):
+    """Yield the rows of a UTF-8 CSV file one at a time, the header first.
+
+    A byte that is not UTF-8 and a cell over csv's field limit are
+    IngestionErrors on their line, raised when the reader reaches it, so
+    after every earlier row has been yielded.  An empty file is one on
+    line 1."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        reader = csv.reader(_utf8_lines(handle))
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise IngestionError(str(exc), reader.line_num) from None
+        if reader.line_num == 0:
+            raise IngestionError("empty file: no header row", 1)
 
 
 def read_panel_csv(path: str) -> PanelDataset:
@@ -331,10 +368,11 @@ def read_panel_csv(path: str) -> PanelDataset:
 
     The header must start with ``week_start``; week starts must be ISO-dated
     Mondays exactly seven days apart.  Any gap, duplicate column, ragged row
-    or malformed cell raises :class:`IngestionError` with the line number.
+    or malformed cell raises :class:`IngestionError` with the line number;
+    rows are read and checked one at a time, in file order.
     """
     rows = _csv_rows(path)
-    header = rows[0]
+    header = next(rows)
     if not header or header[0] != "week_start":
         raise IngestionError("header must start with 'week_start'", 1)
     names = header[1:]
@@ -345,8 +383,8 @@ def read_panel_csv(path: str) -> PanelDataset:
         raise IngestionError(f"duplicate column names: {', '.join(dupes)}", 1)
 
     weeks: list[dt.date] = []
-    data: list[list[float]] = [[] for _ in names]
-    for line, row in enumerate(rows[1:], start=2):
+    data = [array.array("d") for _ in names]
+    for line, row in enumerate(rows, start=2):
         if len(row) != len(names) + 1:
             raise IngestionError(
                 f"expected {len(names) + 1} cells, found {len(row)}", line
@@ -361,41 +399,54 @@ def read_panel_csv(path: str) -> PanelDataset:
                     f"gap in week axis: expected week {expected}, found {week}", line
                 )
         weeks.append(week)
-        for j, cell in enumerate(row[1:]):
-            data[j].append(_parse_float(cell, names[j], line))
+        for column, name, cell in zip(data, names, row[1:]):
+            column.append(_parse_float(cell, name, line))
     if not weeks:
         raise IngestionError("no data rows", 1)
     return PanelDataset(
-        tuple(weeks), {n: np.asarray(v, dtype=float) for n, v in zip(names, data)}
+        tuple(weeks), {n: np.frombuffer(v, dtype=float) for n, v in zip(names, data)}
     )
+
+
+#: A day's key in :func:`read_daily_csv`'s duplicate check is its region's
+#: index shifted past every ``date.toordinal()`` (at most 3,652,059).
+_ORDINAL_BITS = 22
 
 
 def read_daily_csv(path: str) -> DailyClimate:
     """Ingest a regional daily climate CSV.
 
-    Rows are checked in file order (header, cell count, ISO date, one row
-    per region and day, finite numbers, :class:`DailyClimate`'s domains);
-    then each region's days, in date order and regions in the order of their
-    first row, must form a gap-free calendar.  Errors carry line numbers.
+    Rows are read and checked one at a time, in file order (header, cell
+    count, ISO date, one row per region and day, finite numbers,
+    :class:`DailyClimate`'s domains); then each region's days, in date
+    order and regions in the order of their first row, must form a gap-free
+    calendar.  Errors carry line numbers.
     """
     rows = _csv_rows(path)
-    if tuple(rows[0]) != DAILY_CSV_HEADER:
+    if tuple(next(rows)) != DAILY_CSV_HEADER:
         raise IngestionError(
             "unexpected header; expected " + ",".join(DAILY_CSV_HEADER), 1
         )
-    by_region: dict[str, dict[dt.date, tuple[int, list[float]]]] = {}
-    for line, row in enumerate(rows[1:], start=2):
+    # Row i (line i + 2) holds day ordinals[i] of region number regions[i],
+    # and its measurements are values[7 * i : 7 * i + 7].
+    region_index: dict[str, int] = {}
+    regions, ordinals, values = array.array("q"), array.array("q"), array.array("d")
+    seen: set[int] = set()
+    for line, row in enumerate(rows, start=2):
         if len(row) != len(DAILY_CSV_HEADER):
             raise IngestionError(
                 f"expected {len(DAILY_CSV_HEADER)} cells, found {len(row)}", line
             )
         region = row[0]
         date = _parse_date(row[1], line)
-        days = by_region.setdefault(region, {})
-        if date in days:
+        r = region_index.setdefault(region, len(region_index))
+        day = date.toordinal()
+        key = r << _ORDINAL_BITS | day
+        if key in seen:
+            first = next(i for i, k in enumerate(zip(regions, ordinals)) if k == (r, day))
             raise IngestionError(
                 f"duplicate record for region {region!r} on {date} "
-                f"(first seen on line {days[date][0]})",
+                f"(first seen on line {first + 2})",
                 line,
             )
         numbers = [_parse_float(c, n, line) for c, n in zip(row[2:], DAILY_MEASUREMENTS)]
@@ -403,31 +454,45 @@ def read_daily_csv(path: str) -> DailyClimate:
             raise IngestionError("region_id must be a non-empty string", line)
         if problem := _day_problem(region, date, numbers):
             raise IngestionError(problem, line)
-        days[date] = (line, numbers)
-    if not by_region:
+        seen.add(key)
+        regions.append(r)
+        ordinals.append(day)
+        values.extend(numbers)
+    if not region_index:
         raise IngestionError("no data rows", 1)
 
+    region_of = np.frombuffer(regions, dtype=np.int64)
+    ordinal_of = np.frombuffer(ordinals, dtype=np.int64)
+    table = np.frombuffer(values, dtype=float).reshape(-1, len(DAILY_MEASUREMENTS))
+    order = np.lexsort((ordinal_of, region_of))
+    starts = np.searchsorted(region_of[order], np.arange(len(region_index) + 1))
     firsts, tables = [], []
-    for region, days in by_region.items():
-        dates = sorted(days)
-        for a, b in zip(dates, dates[1:]):
-            if (b - a).days != 1:
-                raise IngestionError(
-                    f"gap in daily calendar for region {region!r}: "
-                    f"missing {a + dt.timedelta(days=1)}",
-                    days[b][0],
-                )
-        firsts.append(dates[0])
-        tables.append(np.array([days[d][1] for d in dates]).T)
-    return DailyClimate(tuple(by_region), tuple(firsts), tuple(tables))
+    for r, region in enumerate(region_index):
+        rows_r = order[starts[r] : starts[r + 1]]
+        days = ordinal_of[rows_r]
+        gaps = np.flatnonzero(np.diff(days) != 1)
+        if gaps.size:
+            g = gaps[0]
+            raise IngestionError(
+                f"gap in daily calendar for region {region!r}: "
+                f"missing {dt.date.fromordinal(int(days[g]) + 1)}",
+                int(rows_r[g + 1]) + 2,
+            )
+        firsts.append(dt.date.fromordinal(int(days[0])))
+        tables.append(table[rows_r].T)
+    return DailyClimate(tuple(region_index), tuple(firsts), tuple(tables))
+
+
+def _daily_lines(daily: DailyClimate):
+    yield ",".join(DAILY_CSV_HEADER)
+    row = "%s,%s," + ",".join([_FLOAT] * len(DAILY_MEASUREMENTS))
+    for region, first, table in zip(daily.region_ids, daily.first_days, daily.values):
+        region, start = quote_cell(region), first.toordinal()
+        for i, day in enumerate(table.T):
+            yield row % (region, dt.date.fromordinal(start + i).isoformat(), *day.tolist())
 
 
 def write_daily_csv(daily: DailyClimate, path: str) -> None:
     """Serialize a daily table in canonical column order, region by region
     and each region in date order."""
-    lines = [",".join(DAILY_CSV_HEADER)]
-    for region, first, table in zip(daily.region_ids, daily.first_days, daily.values):
-        dates = (np.datetime64(first, "D") + np.arange(table.shape[1])).astype(str)
-        cells = [list(map(format_float, column.tolist())) for column in table]
-        lines.extend(map(",".join, zip(itertools.repeat(region), dates.tolist(), *cells)))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write_text(path, _daily_lines(daily))

@@ -20,7 +20,13 @@ import pytest
 from climdemand.cli import main as cli_main
 from climdemand.features import FeatureConfig
 from climdemand.forest import ForestConfig
-from climdemand.panel import DAILY_CSV_HEADER, format_float, read_panel_csv
+from climdemand.panel import (
+    DAILY_CSV_HEADER,
+    PanelDataset,
+    format_float,
+    read_panel_csv,
+    write_panel_csv,
+)
 from climdemand.spectral import GcBootstrapConfig
 from climdemand.synth import SynthConfig
 
@@ -1171,6 +1177,26 @@ class TestCommandOutputs:
         assert len(table) == 4
         payload = json.loads((out / "comparison.json").read_text())
         assert set(payload["models"]) == {"trend", "varx", "forest"}
+
+    def test_a_target_name_with_a_comma_survives_forecast_and_evaluate(self, tmp_path):
+        # Written names are quoted as the csv module would, so a column name
+        # the reader accepts reads back from every file the CLI writes.
+        source = read_panel_csv(str(make_panel(tmp_path)))
+        target = 'demand, "total"'
+        columns = {target if n == "drug_demand" else n: v for n, v in source.columns.items()}
+        panel = tmp_path / "renamed.csv"
+        write_panel_csv(PanelDataset(source.week_starts, columns), str(panel))
+        out = tmp_path / "out"
+        window = ("--train-length", 100, "--horizon", 26, "--target", target)
+        assert run_cli("--out-dir", out, "forecast", "--panel", panel,
+                       "--model", "trend", *window) == 0
+        forecast = out / f"forecast_trend_{target}.csv"
+        assert forecast.read_text().splitlines()[0] == (
+            'week_start,"demand, ""total""_baseline_forecast"'
+        )
+        assert run_cli("--out-dir", out, "evaluate", "--panel", panel,
+                       "--forecast", f"trend={forecast}", *window) == 0
+        assert set(json.loads((out / "metrics.json").read_text())) == {"trend"}
 
 
 class TestDeterminism:

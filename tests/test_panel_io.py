@@ -1,6 +1,7 @@
 import datetime as dt
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from climdemand.panel import (
     write_daily_csv,
     write_panel_csv,
 )
+from climdemand.synth import SynthConfig, generate_synthetic_daily
 
 MONDAY = dt.date(2020, 1, 6)
 
@@ -144,12 +146,50 @@ class TestPanelCsvRoundTrip:
         if existing is not None:
             path.write_bytes(existing)
         with pytest.raises(UnicodeEncodeError):
-            _atomic_write_text(str(path), "week_start,\ud800\n")
+            _atomic_write_text(str(path), ["week_start,\ud800"])
         if existing is None:
             assert os.listdir(tmp_path) == []
         else:
             assert os.listdir(tmp_path) == ["p.csv"]
             assert path.read_bytes() == existing
+
+    @pytest.mark.parametrize("existing", [b"week_start,a\n", None], ids=["replace", "new"])
+    def test_lines_that_fail_part_way_leave_the_directory_as_it_was(self, tmp_path, existing):
+        # The lines are drawn while the temp file is open: one that raises
+        # after some were written removes the temp file and keeps the target.
+        def lines():
+            yield "week_start,a"
+            yield "2020-01-06,1"
+            raise RuntimeError("formatting failed")
+
+        path = tmp_path / "p.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            _atomic_write_text(str(path), lines())
+        if existing is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["p.csv"]
+            assert path.read_bytes() == existing
+
+    def test_names_that_need_quoting_round_trip(self, tmp_path):
+        names = ("demand, total", 'say "hi"', "two\nlines", "plain")
+        panel = PanelDataset(weeks(3), {n: np.arange(3.0) + i for i, n in enumerate(names)})
+        path = tmp_path / "p.csv"
+        write_panel_csv(panel, str(path))
+        assert path.read_bytes().split(b"\n2020-01-06")[0] == (
+            b'week_start,"demand, total","say ""hi""","two\nlines",plain'
+        )
+        assert read_panel_csv(str(path)).equals(panel)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_reader_takes_any_line_ending(self, tmp_path, ending):
+        path = tmp_path / "p.csv"
+        write_panel_csv(small_panel(), str(path))
+        other = tmp_path / "q.csv"
+        other.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+        assert read_panel_csv(str(other)).equals(read_panel_csv(str(path)))
 
     def test_format_float_round_trips_its_own_output(self):
         rng = np.random.default_rng(8)
@@ -242,6 +282,49 @@ class TestUnreadableText:
         assert excinfo.value.line == before.count("\n") + 1
 
 
+def panel_file(cells):
+    """Six weeks of a one-column panel; the cell on line n is ``cells.get(n, "1")``."""
+    rows = [f"{w.isoformat()},{cells.get(i + 2, '1')}" for i, w in enumerate(weeks(6))]
+    return "week_start,x\n" + "\n".join(rows) + "\n"
+
+
+def daily_file(cells):
+    """Six days of one region; the temp_c cell on line n is ``cells.get(n, "10")``."""
+    rows = [f"r1,{MONDAY + dt.timedelta(days=i)},{cells.get(i + 2, '10')},1,2,0,5,0.5,3"
+            for i in range(6)]
+    return ",".join(DAILY_CSV_HEADER) + "\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "reader, text", [(read_panel_csv, panel_file), (read_daily_csv, daily_file)],
+    ids=["read_panel_csv", "read_daily_csv"],
+)
+class TestFileOrder:
+    """Rows are read and checked one at a time: a byte that is not UTF-8 and
+    a cell over the field limit are reported when the reader reaches their
+    line, so a fault on an earlier line is reported first."""
+
+    def read(self, tmp_path, reader, text, cells):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text(cells).encode("utf-8", "surrogateescape"))
+        with pytest.raises(IngestionError) as excinfo:
+            reader(str(path))
+        return excinfo.value
+
+    def test_bad_number_before_oversized_cell(self, tmp_path, reader, text):
+        error = self.read(tmp_path, reader, text, {3: "oops", 5: "1" * 200_000})
+        assert "unparseable number 'oops'" in str(error) and error.line == 3
+
+    def test_bad_number_before_byte_that_is_not_utf8(self, tmp_path, reader, text):
+        # "\udce9" writes the lone byte 0xe9 (surrogateescape).
+        error = self.read(tmp_path, reader, text, {3: "oops", 5: "caf\udce9"})
+        assert "unparseable number 'oops'" in str(error) and error.line == 3
+
+    def test_byte_that_is_not_utf8_before_bad_number(self, tmp_path, reader, text):
+        error = self.read(tmp_path, reader, text, {3: "caf\udce9", 5: "oops"})
+        assert "byte 0xe9 is not UTF-8" in str(error) and error.line == 3
+
+
 def daily_rows(region, start, precips):
     rows = []
     for i, p in enumerate(precips):
@@ -263,6 +346,34 @@ class TestDailyCsv:
         assert lines[-1] == "r0,2020-01-13,21,2.5,-1,8,9,0.5,4"
         back = read_daily_csv(str(path))
         assert back.equals(daily)
+
+    def test_region_ids_that_need_quoting_round_trip(self, tmp_path):
+        regions = ("north, coast", 'the "south"')
+        daily = DailyClimate(regions, (MONDAY, MONDAY), (one_region(2), one_region(3)))
+        path = tmp_path / "daily.csv"
+        write_daily_csv(daily, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith('"north, coast",2020-01-06,')
+        assert lines[3].startswith('"the ""south""",2020-01-06,')
+        assert read_daily_csv(str(path)).equals(daily)
+
+    @pytest.mark.parametrize("io, budget_mib", [("write", 0.25), ("read", 2.5)])
+    def test_io_within_a_memory_budget(self, tmp_path, io, budget_mib):
+        # The default 390-week synthetic table: 5,460 region-days.  Built
+        # whole in memory, the text peaked at 3.2 MiB to write and the rows
+        # at 6.3 MiB to read; a row at a time, 0.03 and 1.7 MiB.
+        daily = generate_synthetic_daily(SynthConfig())
+        path = str(tmp_path / "daily.csv")
+        write_daily_csv(daily, path)
+        run = {"write": lambda: write_daily_csv(daily, path),
+               "read": lambda: read_daily_csv(path)}[io]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget_mib * 2**20
 
     def test_reader_orders_days_and_keeps_region_order(self, tmp_path):
         rows = daily_rows("b", MONDAY, [0, 1, 2]) + daily_rows("a", MONDAY, [5, 6])
