@@ -18,7 +18,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -298,7 +298,7 @@ def _atomic_write_text(path: str, lines: Iterable[str]) -> None:
         raise
 
 
-def _panel_lines(panel: PanelDataset):
+def _panel_lines(panel: PanelDataset) -> Iterator[str]:
     yield "week_start," + ",".join(map(quote_cell, panel.column_names))
     row = "%s," + ",".join([_FLOAT] * len(panel.column_names))
     matrix = panel.matrix(panel.column_names)
@@ -333,7 +333,7 @@ def _parse_float(cell: str, column: str, line: int) -> float:
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
-def _utf8_lines(handle):
+def _utf8_lines(handle) -> Iterator[str]:
     """The lines of ``handle``, a text file opened with
     ``errors="surrogateescape"``; the first byte that is not UTF-8 is an
     IngestionError on its line (lines counted by ``\\n``)."""
@@ -346,7 +346,7 @@ def _utf8_lines(handle):
         yield text
 
 
-def _csv_rows(path: str):
+def _csv_rows(path: str) -> Iterator[list[str]]:
     """Yield the rows of a UTF-8 CSV file one at a time, the header first.
 
     A byte that is not UTF-8 and a cell over csv's field limit are
@@ -460,6 +460,7 @@ def read_daily_csv(path: str) -> DailyClimate:
         values.extend(numbers)
     if not region_index:
         raise IngestionError("no data rows", 1)
+    del seen  # free the duplicate check's keys before the tables are copied
 
     region_of = np.frombuffer(regions, dtype=np.int64)
     ordinal_of = np.frombuffer(ordinals, dtype=np.int64)
@@ -483,7 +484,7 @@ def read_daily_csv(path: str) -> DailyClimate:
     return DailyClimate(tuple(region_index), tuple(firsts), tuple(tables))
 
 
-def _daily_lines(daily: DailyClimate):
+def _daily_lines(daily: DailyClimate) -> Iterator[str]:
     yield ",".join(DAILY_CSV_HEADER)
     row = "%s,%s," + ",".join([_FLOAT] * len(DAILY_MEASUREMENTS))
     for region, first, table in zip(daily.region_ids, daily.first_days, daily.values):

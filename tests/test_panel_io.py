@@ -357,11 +357,11 @@ class TestDailyCsv:
         assert lines[3].startswith('"the ""south""",2020-01-06,')
         assert read_daily_csv(str(path)).equals(daily)
 
-    @pytest.mark.parametrize("io, budget_mib", [("write", 0.25), ("read", 2.5)])
+    @pytest.mark.parametrize("io, budget_mib", [("write", 0.25), ("read", 2.0)])
     def test_io_within_a_memory_budget(self, tmp_path, io, budget_mib):
         # The default 390-week synthetic table: 5,460 region-days.  Built
         # whole in memory, the text peaked at 3.2 MiB to write and the rows
-        # at 6.3 MiB to read; a row at a time, 0.03 and 1.7 MiB.
+        # at 6.3 MiB to read; a row at a time, 0.03 and 1.2 MiB.
         daily = generate_synthetic_daily(SynthConfig())
         path = str(tmp_path / "daily.csv")
         write_daily_csv(daily, path)
