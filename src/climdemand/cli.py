@@ -36,6 +36,7 @@ import itertools
 import json
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -70,6 +71,7 @@ from .metrics import (
 )
 from .panel import (
     PanelDataset,
+    TextLines,
     _atomic_write_text,
     format_float,
     quote_cell,
@@ -123,13 +125,18 @@ def _format_cell(value) -> str:
     return format_float(float(value))
 
 
+def _csv_lines(header: tuple[str, ...], rows: list) -> Iterator[str]:
+    for row in itertools.chain([header], rows):
+        yield ",".join(map(_format_cell, row))
+
+
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    rows = itertools.chain([header], rows)
-    _atomic_write_text(path, (",".join(map(_format_cell, row)) for row in rows))
+    # The rows are kept so the text can be made again (TextLines.encode).
+    _atomic_write_text(path, TextLines(_csv_lines, header, list(rows)))
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    _atomic_write_text(path, TextLines(lambda: [json.dumps(payload, indent=2, sort_keys=True)]))
 
 
 def _write_manifest(run: RunConfig) -> None:

@@ -18,7 +18,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -278,18 +278,39 @@ def quote_cell(text: str) -> str:
     return text
 
 
-def _atomic_write_text(path: str, lines: Iterable[str]) -> None:
-    """Write each of ``lines`` followed by a newline to ``path``, via a temp
-    file in the same directory made as ``open(path, "w")`` would make
-    ``path`` (mode 0o666 less the umask).  The lines are drawn one at a time
-    while the temp file is open; if drawing or writing one fails, the temp
-    file is removed and ``path`` is left as it was."""
+class TextLines:
+    """A file's text, made a line at a time: iterating calls ``make(*args)``
+    afresh and yields its lines (without newlines), so the whole text is
+    never held.  :meth:`encode` joins the lines, a newline after each, and
+    encodes them: the bytes :func:`_atomic_write_text` writes.  perfbench's
+    tracer counts ``panel.bytes_written`` that way."""
+
+    __slots__ = ("_make", "_args")
+
+    def __init__(self, make: Callable[..., Iterable[str]], *args):
+        self._make = make
+        self._args = args
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._make(*self._args))
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        return "".join(line + "\n" for line in self).encode(encoding)
+
+
+def _atomic_write_text(path: str, text: Iterable[str]) -> None:
+    """Write each line of ``text`` (a :class:`TextLines` in the package's
+    writers) followed by a newline to ``path``, via a temp file in the same
+    directory made as ``open(path, "w")`` would make ``path`` (mode 0o666
+    less the umask).  The lines are drawn one at a time while the temp file
+    is open; if drawing or writing one fails, the temp file is removed and
+    ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            for line in lines:
+            for line in text:
                 handle.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
@@ -308,7 +329,7 @@ def _panel_lines(panel: PanelDataset) -> Iterator[str]:
 
 def write_panel_csv(panel: PanelDataset, path: str) -> None:
     """Serialize a panel to CSV (``week_start`` first, 10 significant digits)."""
-    _atomic_write_text(path, _panel_lines(panel))
+    _atomic_write_text(path, TextLines(_panel_lines, panel))
 
 
 def _parse_date(cell: str, line: int) -> dt.date:
@@ -496,4 +517,4 @@ def _daily_lines(daily: DailyClimate) -> Iterator[str]:
 def write_daily_csv(daily: DailyClimate, path: str) -> None:
     """Serialize a daily table in canonical column order, region by region
     and each region in date order."""
-    _atomic_write_text(path, _daily_lines(daily))
+    _atomic_write_text(path, TextLines(_daily_lines, daily))

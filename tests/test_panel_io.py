@@ -18,6 +18,7 @@ from climdemand.panel import (
     DAILY_MEASUREMENTS,
     DailyClimate,
     PanelDataset,
+    TextLines,
     WeeklySeries,
     _atomic_write_text,
     format_float,
@@ -92,6 +93,14 @@ class TestPanelDataset:
             PanelDataset(weeks(3), {"a": np.zeros(3), "b": np.zeros(2)})
 
 
+def lines_that_fail_part_way():
+    """Lines drawn while the temp file is open: the third raises after two
+    were written."""
+    yield "week_start,a"
+    yield "2020-01-06,1"
+    raise RuntimeError("formatting failed")
+
+
 class TestPanelCsvRoundTrip:
     def test_serialize_ingest_is_identity(self, tmp_path):
         # After one serialization pass the written representation is a fixed
@@ -139,39 +148,36 @@ class TestPanelCsvRoundTrip:
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         assert os.listdir(tmp_path) == ["p.csv"]
 
-    @pytest.mark.parametrize("existing", [b"week_start,a\n", None], ids=["replace", "new"])
-    def test_failed_write_leaves_the_directory_as_it_was(self, tmp_path, existing):
-        # A lone surrogate fails the UTF-8 encode inside the temp file's write.
+    @pytest.mark.parametrize(
+        "existing, lines, error",
+        [
+            # A lone surrogate fails the UTF-8 encode inside the temp file's write.
+            pytest.param(b"week_start,a\n", lambda: ["week_start,\ud800"], UnicodeEncodeError,
+                         id="replace"),
+            pytest.param(None, lambda: ["week_start,\ud800"], UnicodeEncodeError, id="new"),
+            pytest.param(b"week_start,a\n", lines_that_fail_part_way, RuntimeError,
+                         id="part-way-replace"),
+            pytest.param(None, lines_that_fail_part_way, RuntimeError, id="part-way-new"),
+        ],
+    )
+    def test_failed_write_leaves_the_directory_as_it_was(self, tmp_path, existing, lines, error):
         path = tmp_path / "p.csv"
         if existing is not None:
             path.write_bytes(existing)
-        with pytest.raises(UnicodeEncodeError):
-            _atomic_write_text(str(path), ["week_start,\ud800"])
-        if existing is None:
-            assert os.listdir(tmp_path) == []
-        else:
-            assert os.listdir(tmp_path) == ["p.csv"]
-            assert path.read_bytes() == existing
-
-    @pytest.mark.parametrize("existing", [b"week_start,a\n", None], ids=["replace", "new"])
-    def test_lines_that_fail_part_way_leave_the_directory_as_it_was(self, tmp_path, existing):
-        # The lines are drawn while the temp file is open: one that raises
-        # after some were written removes the temp file and keeps the target.
-        def lines():
-            yield "week_start,a"
-            yield "2020-01-06,1"
-            raise RuntimeError("formatting failed")
-
-        path = tmp_path / "p.csv"
-        if existing is not None:
-            path.write_bytes(existing)
-        with pytest.raises(RuntimeError, match="formatting failed"):
+        with pytest.raises(error):
             _atomic_write_text(str(path), lines())
         if existing is None:
             assert os.listdir(tmp_path) == []
         else:
             assert os.listdir(tmp_path) == ["p.csv"]
             assert path.read_bytes() == existing
+
+    def test_text_lines_encode_to_the_bytes_written(self, tmp_path):
+        # perfbench counts panel.bytes_written from the encoded text.
+        text = TextLines(lambda n: (f"{i},\u00e9" for i in range(n)), 3)
+        path = tmp_path / "t.csv"
+        _atomic_write_text(str(path), text)
+        assert text.encode("utf-8") == path.read_bytes() == "0,\u00e9\n1,\u00e9\n2,\u00e9\n".encode()
 
     def test_names_that_need_quoting_round_trip(self, tmp_path):
         names = ("demand, total", 'say "hi"', "two\nlines", "plain")
