@@ -149,6 +149,17 @@ def _require_columns(panel: PanelDataset, names) -> None:
         raise UnknownColumnError(missing, panel.column_names)
 
 
+def _require_drivers(panel: PanelDataset, target: str, drivers: tuple[str, ...]) -> None:
+    """The target and drivers of ``fit`` and ``forecast``, whatever the model:
+    panel columns, and each driver named once and other than the target."""
+    _require_columns(panel, (target, *drivers))
+    for i, name in enumerate(drivers):
+        if name == target:
+            raise InvalidInputError(f"--drivers and --target must differ, both name {name!r}")
+        if name in drivers[:i]:
+            raise InvalidInputError(f"--drivers names {name!r} more than once")
+
+
 def _check_window(train_length: int, horizon: int, n_weeks: int) -> None:
     if min(train_length, horizon) < 1 or train_length + horizon > n_weeks:
         raise AlignmentError(
@@ -485,7 +496,7 @@ def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
             replicates: int, trees: int, irf_horizon: int) -> None:
     """Train one model on the whole panel and emit its fit artifacts."""
     panel = read_panel_csv(panel_path)
-    _require_columns(panel, (target,))
+    _require_drivers(panel, target, drivers)
     n = panel.n_weeks
     if model_name == "trend":
         trend = _fit_trends(panel, (target,), n, {})[target]
@@ -537,7 +548,7 @@ def cmd_forecast(run: RunConfig, panel_path: str, model_name: str, target: str,
                  harmonics: int, lags: int, trees: int) -> None:
     """Train on the first ``train_length`` weeks and forecast ``horizon``."""
     panel = read_panel_csv(panel_path)
-    _require_columns(panel, (target,))
+    _require_drivers(panel, target, drivers)
     _forecast(run, panel, model_name, target, drivers, train_length, horizon,
               harmonics, lags, trees, {})
     _write_manifest(run)
@@ -816,29 +827,32 @@ _OPTIONS = (
 )
 
 
+def _synth_config(seed: int, given: dict) -> SynthConfig:
+    """The synthetic world of ``synth`` and ``pipeline``.  Unless break weeks
+    or level shifts are given, a panel of ``n_weeks`` keeps the default level
+    breaks that fall inside it; given ones are checked as they are."""
+    if "break_weeks" not in given and "level_shifts" not in given:
+        n_weeks = given.get("n_weeks", SynthConfig.n_weeks)
+        breaks = [
+            (week, shift)
+            for week, shift in zip(SynthConfig.break_weeks, SynthConfig.level_shifts)
+            if week < n_weeks
+        ]
+        given = {**given, "break_weeks": tuple(week for week, _ in breaks),
+                 "level_shifts": tuple(shift for _, shift in breaks)}
+    return SynthConfig(seed=seed, **given)
+
+
 def _run_synth(run: RunConfig, p: dict) -> None:
     given = {k: v for k, v in p.items() if v is not None}
     if "coupling" in given:
         given["temperature_coupling"] = given.pop("coupling")
-    cfg = SynthConfig(seed=run.seed, **given)
+    cfg = _synth_config(run.seed, given)
     cmd_synth(dataclasses.replace(run, parameters={"seed": run.seed, **given}), cfg)
 
 
 def _run_pipeline(run: RunConfig, p: dict) -> None:
-    n_weeks = p.pop("n_weeks")
-    # A shorter panel keeps the default level breaks that fall inside it.
-    breaks = [
-        (week, shift)
-        for week, shift in zip(SynthConfig.break_weeks, SynthConfig.level_shifts)
-        if week < n_weeks
-    ]
-    synth_cfg = SynthConfig(
-        n_weeks=n_weeks,
-        break_weeks=tuple(week for week, _ in breaks),
-        level_shifts=tuple(shift for _, shift in breaks),
-        seed=run.seed,
-    )
-    cmd_pipeline(run, synth_cfg, **p)
+    cmd_pipeline(run, _synth_config(run.seed, {"n_weeks": p.pop("n_weeks")}), **p)
 
 
 # Subcommand: (help, call).  A call passes the resolved options to its cmd_*

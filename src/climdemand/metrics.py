@@ -1,9 +1,10 @@
 """Forecast accuracy metrics.
 
-All scale-dependent and scale-free measures are computed from the same error
-sums inside :func:`evaluate_forecast`, so the algebraic ties between them
-(``r2 == 1 - rsr**2`` in particular) hold to machine precision rather than to
-whatever rounding separate implementations would introduce.
+:func:`evaluate_forecast` is the one implementation of each metric: all
+scale-dependent and scale-free measures come from the same error sums, so
+the algebraic ties between them (``r2 == 1 - rsr**2`` in particular) hold to
+machine precision rather than to whatever rounding separate implementations
+would introduce.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .panel import finite_array
 __all__ = [
     "MetricReport",
     "ComparisonTable",
-    "mape",
-    "rmse",
-    "rsr",
-    "mase",
     "evaluate_forecast",
     "compare_models",
 ]
@@ -55,7 +52,18 @@ class MetricReport:
         return tuple(getattr(self, c) for c in METRIC_COLUMNS)
 
 
-def _paired_arrays(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_forecast(
+    actual, predicted, train_series, seasonal_lag: int = 52
+) -> MetricReport:
+    """Score a forecast on every supported metric at once.
+
+    MAPE is in percent.  RSR is the RMSE over the spread of the test window
+    around the training mean, so values below one beat the constant
+    training-mean predictor.  MASE scales the mean absolute error by the
+    in-sample error of the seasonal random walk at ``seasonal_lag`` on the
+    training series alone, so the test window never influences its own
+    scaling.
+    """
     a = finite_array(actual, "actual")
     p = finite_array(predicted, "predicted")
     if a.shape != p.shape:
@@ -64,42 +72,7 @@ def _paired_arrays(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
         )
     if a.size == 0:
         raise InvalidInputError("cannot score an empty forecast")
-    return a, p
-
-
-def mape(actual, predicted) -> float:
-    """Mean absolute percentage error, in percent."""
-    a, p = _paired_arrays(actual, predicted)
-    zeros = np.flatnonzero(a == 0.0)
-    if zeros.size:
-        raise MetricUndefinedError(
-            f"mape is undefined: actual value at index {zeros[0]} is zero"
-        )
-    return float(100.0 * np.mean(np.abs(a - p) / np.abs(a)))
-
-
-def rmse(actual, predicted) -> float:
-    """Root mean squared error."""
-    a, p = _paired_arrays(actual, predicted)
-    return math.sqrt(float(np.mean((a - p) ** 2)))
-
-
-def rsr(actual, predicted, train_mean: float) -> float:
-    """RMSE divided by the spread of the test window around the training mean.
-
-    Values below one mean the forecast beats the constant training-mean
-    predictor on the test window.
-    """
-    a, p = _paired_arrays(actual, predicted)
-    denom = float(np.mean((a - float(train_mean)) ** 2))
-    if denom == 0.0:
-        raise MetricUndefinedError(
-            "rsr is undefined: every test value equals the training mean"
-        )
-    return math.sqrt(float(np.mean((a - p) ** 2)) / denom)
-
-
-def _seasonal_denominator(train: np.ndarray, seasonal_lag: int) -> float:
+    train = finite_array(train_series, "training series")
     if problem := integer_problem(seasonal_lag, 1):
         raise ConfigError({"seasonal_lag": problem})
     if train.size <= seasonal_lag:
@@ -113,28 +86,6 @@ def _seasonal_denominator(train: np.ndarray, seasonal_lag: int) -> float:
             "mase is undefined: the seasonal differences of the training "
             "series are all zero"
         )
-    return denom
-
-
-def mase(actual, predicted, train_series, seasonal_lag: int = 52) -> float:
-    """Mean absolute error scaled by the training seasonal-naive error.
-
-    The denominator is the in-sample mean absolute error of the seasonal
-    random walk on the training series alone, so the test window never
-    influences its own scaling.
-    """
-    a, p = _paired_arrays(actual, predicted)
-    denom = _seasonal_denominator(finite_array(train_series, "training series"), seasonal_lag)
-    return float(np.mean(np.abs(a - p))) / denom
-
-
-def evaluate_forecast(
-    actual, predicted, train_series, seasonal_lag: int = 52
-) -> MetricReport:
-    """Score a forecast on every supported metric at once."""
-    a, p = _paired_arrays(actual, predicted)
-    train = finite_array(train_series, "training series")
-    denom = _seasonal_denominator(train, seasonal_lag)
     zeros = np.flatnonzero(a == 0.0)
     if zeros.size:
         raise MetricUndefinedError(

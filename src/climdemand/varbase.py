@@ -8,13 +8,15 @@ validate their own input and hand it to one builder, which returns a
 Estimation is equation-wise OLS on a common design (identical regressors
 per equation, so joint GLS collapses to OLS), and every least-squares
 problem is one stacked Householder QR (:func:`least_squares`) of
-``[1, exog, lag 1..p, Y]``; the causality nulls' projections and the
-Granger test's reduced fit use the same primitive.  :func:`bic_path` scores
-orders 1..max_order on the common sample t = max_order..T-1 from one
-factorisation, :func:`refit` solves each series at its order on its full
-usable sample (coefficients and residual covariance only), and
-:func:`simulate_var` iterates the recursion into whole samples, initial rows
-first, which the bootstraps refit as they come.  A design with a small QR
+``[1, exog, lag 1..p, Y]``; the causality nulls' projections use the same
+primitive.  :func:`bic_path` scores orders 1..max_order on the common sample
+t = max_order..T-1 from one factorisation, :func:`refit` solves each series
+of a stack at its order on its full usable sample (coefficients and residual
+covariance only, what the bootstraps read), and :func:`simulate_var`
+iterates the recursion into whole samples, initial rows first, which the
+bootstraps refit as they come.  A single fit solves its order with its own
+QR, whose ``R11^-1`` gives the inverse Gram matrix behind its standard
+errors.  A design with a small QR
 pivot, or a residual covariance with a non-positive determinant, marks a
 series failed; single fits raise :class:`RankDeficiencyError` naming the
 columns with small pivots, bootstraps count or reject the replicate.
@@ -180,22 +182,13 @@ class OrderFit:
 
     ``coef[b]`` is (q, K) with rows intercept, lag 1..order blocks, then
     exogenous columns; ``resid_cov`` is degrees-of-freedom adjusted.
-    ``index`` locates the fits in the stack; ``r_inv`` is R11^-1 of the
-    design ``[1, exog, lags]``, which :attr:`gram_inv` is computed from.
+    ``index`` locates the fits in the stack.
     """
 
     order: int
     index: np.ndarray
     coef: np.ndarray
-    r_inv: np.ndarray
     resid_cov: np.ndarray
-
-    @property
-    def gram_inv(self) -> np.ndarray:
-        """``(X'X)^-1`` of each fit, rows and columns in ``coef``'s order."""
-        q, K = self.coef.shape[-2:]
-        rows = _public_rows(q, q - 1 - self.order * K)
-        return (self.r_inv @ self.r_inv.transpose(0, 2, 1))[:, rows][:, :, rows]
 
 
 def refit(
@@ -221,12 +214,12 @@ def refit(
             sample = data if part.size == len(data) else data[part]
             matrix = _augmented(sample, int(p), exog)
             n, q = matrix.shape[1], matrix.shape[2] - K
-            coef, r_inv, r22, bad = least_squares(matrix, q)
+            coef, _, r22, bad = least_squares(matrix, q)
             failed[part[bad]] = True
             keep = ~bad
             r22 = r22[keep]
             parts.append((
-                part[keep], coef[keep][:, _public_rows(q, M)], r_inv[keep],
+                part[keep], coef[keep][:, _public_rows(q, M)],
                 r22.transpose(0, 2, 1) @ r22 / (n - q),
             ))
         fit = parts[0] if len(parts) == 1 else [np.concatenate(f) for f in zip(*parts)]
@@ -336,8 +329,9 @@ def _fit(data: np.ndarray, names: tuple[str, ...], max_order: int, order: int | 
     Checks the order (``max_order`` when the order is chosen) and the
     sample size, scores orders 1..max_order (1..order when the order is
     fixed), raising :class:`RankDeficiencyError` if any fails,
-    selects or keeps the order, refits it and derives the residuals and
-    standard errors.
+    selects or keeps the order, and solves it on its full usable sample:
+    coefficients, residuals, and standard errors from the inverse Gram
+    matrix ``R11^-1 R11^-T`` of the same QR.
     """
     T, K = data.shape
     M = exog.shape[1]
@@ -351,15 +345,17 @@ def _fit(data: np.ndarray, names: tuple[str, ...], max_order: int, order: int | 
         raise _rank_error(data, names, int(bad[0]) + 1, exog, exog_names)
     if order is None:
         order = int(select_order(path))
-    groups, failed = refit(data[None], np.array([order]), exog)
-    if failed[0]:
+    matrix = _augmented(data, order, exog)
+    n, q = matrix.shape[0], matrix.shape[1] - K
+    coef, r_inv, r22, failed = least_squares(matrix, q)
+    if failed:
         raise _rank_error(data, names, order, exog, exog_names)
-    fit = groups[0]
-    matrix = np.ascontiguousarray(_augmented(data, order, exog))
-    q = matrix.shape[1] - K
-    residuals = matrix[:, q:] - matrix[:, :q] @ fit.coef[0][np.argsort(_public_rows(q, M))]
-    resid_cov, gram_inv = fit.resid_cov[0], fit.gram_inv[0]
-    intercept, endo_coef, exo_coef = unpack_coefficients(fit.coef[0], order)
+    resid_cov = r22.T @ r22 / (n - q)
+    design = np.ascontiguousarray(matrix)
+    residuals = design[:, q:] - design[:, :q] @ coef
+    rows = _public_rows(q, M)
+    gram_inv = (r_inv @ r_inv.T)[rows][:, rows]
+    intercept, endo_coef, exo_coef = unpack_coefficients(coef[rows], order)
     # Per-equation OLS standard errors from sigma_kk * diag((X'X)^-1).
     se = np.sqrt(np.outer(np.diag(gram_inv), np.diag(resid_cov)))
     intercept_se, endo_se, exo_se = unpack_coefficients(se, order)

@@ -11,8 +11,7 @@ re-simulates the system from its first ``p`` rows and refits each simulated
 sample as it comes, on the same core, in blocks of replicates.  It feeds
 bias correction with a stability safeguard, impulse responses and
 forecast-error variance decompositions (bands computed for all replicates at
-once, from draws whose shapes must match the model's), and the
-restricted-model null of a time-domain Granger test runs in the same loop.
+once, from draws whose shapes must match the model's).
 
 Variable order matters for the orthogonalized quantities: innovations are
 factored by the Cholesky decomposition in the order the variables appear, so
@@ -26,22 +25,19 @@ import datetime as dt
 
 import numpy as np
 
-from ._rng import check_replicates, mc_p_value, replicate_draws
+from ._rng import check_replicates, replicate_draws
 from .errors import (
     AlignmentError,
     InvalidInputError,
     NumericalError,
     ShapeError,
     StabilityError,
-    UnknownColumnError,
     integer_problem,
 )
 from .panel import finite_array
 from .varbase import (
     VarxModel,
     _fit,
-    lag_design,
-    least_squares,
     refit,
     simulate_var,
     spectral_radius,
@@ -56,7 +52,6 @@ __all__ = [
     "BiasCorrection",
     "IrfResult",
     "FevdResult",
-    "GrangerWaldResult",
     "build_exogenous",
     "fit_varx",
     "residual_bootstrap",
@@ -64,14 +59,13 @@ __all__ = [
     "forecast_recursive",
     "irf",
     "fevd",
-    "granger_test_time_domain",
     "stability_check",
 ]
 
 DEFAULT_FEVD_HORIZONS = tuple(range(4, 53, 4))
 
-# Replicates simulated together by the residual bootstrap and the Granger
-# null, one simulate_var recursion per block; varbase.refit then factors
+# Replicates simulated together by the residual bootstrap, one simulate_var
+# recursion per block; varbase.refit then factors
 # them 32 at a time.  The recursion's cost per step barely grows with the
 # block, so fewer, wider blocks are faster, while the refit's slices bound
 # the working set.  Neither size changes a draw: each replicate's
@@ -231,30 +225,6 @@ def stability_check(model: VarxModel) -> float:
     return spectral_radius(model.endo_coef)
 
 
-def _bootstrap_fits(
-    model: VarxModel, intercept: np.ndarray, endo_coef: np.ndarray, exo_coef: np.ndarray,
-    residuals: np.ndarray, label: str, n_replicates: int, seed: int,
-):
-    """Replicate ``b`` resamples the centred ``residuals`` by rows from its
-    ``(seed, label, b)`` substream, runs them through the given system from
-    the model's first ``p`` rows and exogenous block, and is refit at the
-    model's order.  Yields, per ``_BOOTSTRAP_BLOCK`` replicates, their
-    slice and their fit."""
-    p = model.order
-    centered = residuals - residuals.mean(axis=0)
-    n = centered.shape[0]
-    deterministic = (intercept[None, :] + model.exog_values @ exo_coef.T)[p:]
-    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
-        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
-        rows = replicate_draws(seed, label, replicates, (n, None))[0]
-        # The resampled innovations are a temporary, freed before the refit.
-        samples = simulate_var(deterministic, endo_coef, centered[rows], model.endog[:p])
-        groups, failed = refit(samples, np.full(len(samples), p), model.exog_values)
-        if failed.any():
-            raise NumericalError("a bootstrap replicate produced a singular regression design")
-        yield slice(start, replicates.stop), groups[0]
-
-
 @dataclasses.dataclass(frozen=True)
 class VarxBootstrap:
     """Residual-bootstrap draws and the percentile bands derived from them.
@@ -312,16 +282,24 @@ def residual_bootstrap(
     reproducible and independent of execution layout.
     """
     check_replicates(n_replicates, seed)
+    p = model.order
+    centered = model.residuals - model.residuals.mean(axis=0)
+    n = centered.shape[0]
+    deterministic = (model.intercept[None, :] + model.exog_values @ model.exo_coef.T)[p:]
     coefs, covs = [], []
-    for _, fit in _bootstrap_fits(
-        model, model.intercept, model.endo_coef, model.exo_coef, model.residuals,
-        "varx-bootstrap", n_replicates, seed,
-    ):
-        coefs.append(fit.coef)
-        covs.append(fit.resid_cov)
+    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
+        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
+        rows = replicate_draws(seed, "varx-bootstrap", replicates, (n, None))[0]
+        # The resampled innovations are a temporary, freed before the refit.
+        samples = simulate_var(deterministic, model.endo_coef, centered[rows], model.endog[:p])
+        groups, failed = refit(samples, np.full(len(samples), p), model.exog_values)
+        if failed.any():
+            raise NumericalError("a bootstrap replicate produced a singular regression design")
+        coefs.append(groups[0].coef)
+        covs.append(groups[0].resid_cov)
     coef = np.concatenate(coefs)
     resid_cov_draws = np.concatenate(covs)
-    draws = unpack_coefficients(coef, model.order)
+    draws = unpack_coefficients(coef, p)
     # Lower, upper and significant of the intercept, lag and exogenous
     # blocks, in VarxBootstrap's field order.
     bands = [band for block in draws for band in _percentile_bands(block)]
@@ -580,104 +558,4 @@ def fevd(
         mean=mean,
         lower=lower,
         upper=upper,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class GrangerWaldResult:
-    """Wald test of zero cause lags in the effect equation."""
-
-    cause: str
-    effect: str
-    statistic: float
-    p_value: float
-    df: int
-    n_replicates: int
-
-
-def _wald_statistics(
-    coef: np.ndarray,
-    gram_inv: np.ndarray,
-    resid_cov: np.ndarray,
-    columns: np.ndarray,
-    equation: int,
-) -> np.ndarray:
-    """Wald statistics of zero ``columns`` coefficients in one equation, for
-    a stack of B fits: ``coef`` (B, q, K), ``gram_inv`` (B, q, q) and
-    ``resid_cov`` (B, K, K) give (B,) statistics."""
-    beta = coef[:, columns, equation]
-    cov = resid_cov[:, equation, equation, None, None] * gram_inv[:, columns[:, None], columns]
-    try:
-        solved = np.linalg.solve(cov, beta[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Wald covariance block is singular") from exc
-    return np.einsum("bi,bi->b", beta, solved)
-
-
-def granger_test_time_domain(
-    model: VarxModel,
-    cause_name: str,
-    effect_name: str,
-    n_replicates: int = 1000,
-    seed: int = 0,
-) -> GrangerWaldResult:
-    """Time-domain Granger test with a restricted-model bootstrap null.
-
-    The statistic is the Wald form on the joint nullity of the cause's lag
-    coefficients in the effect's equation.  Its null distribution comes from
-    refitting the same statistic on samples simulated from the restricted
-    model (those coefficients forced to zero), and the p-value adds one to
-    numerator and denominator so it can never be exactly zero.
-    """
-    check_replicates(n_replicates, seed)
-    try:
-        cause = model.variable_names.index(cause_name)
-        effect = model.variable_names.index(effect_name)
-    except ValueError:
-        missing = [n for n in (cause_name, effect_name) if n not in model.variable_names]
-        raise UnknownColumnError(missing, model.variable_names) from None
-    if cause == effect:
-        raise InvalidInputError("cause and effect must be different variables")
-    K = model.n_variables
-    p = model.order
-    restricted_cols = np.array([1 + lag * K + cause for lag in range(p)])
-    target, design = lag_design(model.endog, p, model.exog_values)
-    coef_stacked = np.vstack(
-        [
-            model.intercept[None, :],
-            model.endo_coef.transpose(0, 2, 1).reshape(p * K, K),
-            model.exo_coef.T,
-        ]
-    )
-    observed = float(_wald_statistics(
-        coef_stacked[None], model.gram_inv[None], model.resid_cov[None], restricted_cols, effect
-    )[0])
-
-    # Restricted fit: the effect equation loses the cause's lag columns;
-    # other equations keep their unrestricted least-squares coefficients.
-    keep = np.setdiff1d(np.arange(design.shape[1]), restricted_cols)
-    beta_reduced = least_squares(
-        np.column_stack([design[:, keep], target[:, effect]]), keep.size
-    )[0][:, 0]
-    restricted_coef = coef_stacked.copy()
-    restricted_coef[:, effect] = 0.0
-    restricted_coef[keep, effect] = beta_reduced
-    null_intercept, null_endo, null_exo = unpack_coefficients(restricted_coef, p)
-    null_residuals = target - design @ restricted_coef
-
-    null_stats = np.empty(n_replicates)
-    for block, fit in _bootstrap_fits(
-        model, null_intercept, null_endo, null_exo, null_residuals,
-        "granger-null", n_replicates, seed,
-    ):
-        null_stats[block] = _wald_statistics(
-            fit.coef, fit.gram_inv, fit.resid_cov, restricted_cols, effect
-        )
-    return GrangerWaldResult(
-        cause=cause_name,
-        effect=effect_name,
-        statistic=observed,
-        p_value=float(mc_p_value(null_stats, observed)),
-        df=p,
-        n_replicates=n_replicates,
     )

@@ -157,6 +157,26 @@ class TestSynthAndFeatures:
         assert read_panel_csv(str(out / "synthetic_panel.csv")).n_weeks == 80
 
 
+    def test_short_synth_keeps_the_default_breaks_inside_it(self, tmp_path):
+        # The default level breaks sit at weeks 222 and 298.  A shorter synth
+        # panel keeps those inside it, as the pipeline's does, so both write
+        # the same synthetic files, and the manifest replays them.
+        synth, pipeline, replay = (tmp_path / name for name in ("synth", "pipeline", "replay"))
+        assert run_cli("--out-dir", synth, "synth", "--n-weeks", 160) == 0
+        assert run_cli(
+            "--out-dir", pipeline, "pipeline", "--n-weeks", 160, "--replicates", 100,
+            "--trees", 5,
+        ) == 0
+        for name in ("synthetic_daily.csv", "synthetic_panel.csv"):
+            assert (synth / name).read_bytes() == (pipeline / name).read_bytes()
+        manifest = json.loads((synth / "synth_manifest.json").read_text())
+        parameters = {k: v for k, v in manifest["parameters"].items() if k != "seed"}
+        assert run_cli(
+            "--seed", manifest["seed"], "--out-dir", replay, "synth", *as_flags(parameters)
+        ) == 0
+        assert file_bytes(replay) == file_bytes(synth)
+
+
 class TestErrorReporting:
     def test_unknown_column_named(self, tmp_path, capsys):
         panel = make_panel(tmp_path)
@@ -316,17 +336,14 @@ class TestErrorReporting:
         from climdemand.errors import ToolkitError
         from climdemand.forest import lagged_design_matrix
         from climdemand.sparsevar import coefficient_table, fit_lasso_var
-        from climdemand.varx import fit_varx, granger_test_time_domain
 
         panel = read_panel_csv(str(make_panel(tmp_path)))
         data = panel.matrix(("drug_demand", "temperature"))
-        varx_model = fit_varx(data, order=1, names=("drug_demand", "temperature"))
         sparse_model = fit_lasso_var(data, order=2, lam=0.1, names=("drug_demand", "temperature"))
         sites = (
             lambda: panel.column("nope"),
             lambda: lagged_design_matrix(panel, "nope", lags=2),
             lambda: lagged_design_matrix(panel, "drug_demand", lags=2, extra_columns=("nope",)),
-            lambda: granger_test_time_domain(varx_model, "nope", "drug_demand", n_replicates=100),
             lambda: coefficient_table(sparse_model, "nope"),
         )
         for site in sites:
@@ -335,6 +352,33 @@ class TestErrorReporting:
             assert isinstance(excinfo.value, KeyError)
             assert excinfo.value.columns == ["nope"]
             assert str(excinfo.value).startswith("unknown column 'nope'; available: ")
+
+    @pytest.mark.parametrize("drivers, error, message", [
+        ("nope", "UnknownColumnError", "unknown column 'nope'; available: "),
+        ("temperature,temperature", "InvalidInputError",
+         "--drivers names 'temperature' more than once"),
+        ("drug_demand", "InvalidInputError",
+         "--drivers and --target must differ, both name 'drug_demand'"),
+    ], ids=["unknown", "repeated", "target"])
+    @pytest.mark.parametrize("model", ["trend", "varx", "forest"])
+    @pytest.mark.parametrize("command", ["fit", "forecast"])
+    def test_drivers_checked_for_every_model(self, tmp_path, capsys, command, model, drivers,
+                                             error, message):
+        panel = make_panel(tmp_path)
+        if error == "UnknownColumnError":
+            message += ", ".join(read_panel_csv(str(panel)).column_names)
+        window = ("--train-length", 100, "--horizon", 8) if command == "forecast" else ()
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(
+            "--out-dir", out, command, "--panel", panel, "--model", model, "--drivers", drivers,
+            *window,
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert (payload["error"], payload["message"]) == (error, message)
+        assert not list(out.iterdir())
 
     def test_missing_panel_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

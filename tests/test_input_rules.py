@@ -45,7 +45,7 @@ from climdemand.forest import (
     train_forest,
 )
 from climdemand.hpfilter import hp_cycle, hp_trend, seasonal_adjust
-from climdemand.metrics import evaluate_forecast, mase, rmse
+from climdemand.metrics import evaluate_forecast
 from climdemand.panel import PanelDataset, WeeklySeries, finite_array
 from climdemand.sparsevar import fit_lasso_var, select_lambda
 from climdemand.spectral import GcBootstrapConfig, unconditional_gc_spectrum
@@ -139,7 +139,7 @@ INTEGER_ARGUMENTS = [
     ("moving_block_plan.n_rows", lambda v: moving_block_plan(v, 1), InvalidInputError, None),
     ("moving_block_plan.block_length", lambda v: moving_block_plan(N, v),
      ConfigError, "block_length"),
-    ("mase.seasonal_lag", lambda v: mase([1.0], [1.0], SERIES, seasonal_lag=v),
+    ("mase.seasonal_lag", lambda v: evaluate_forecast([1.0], [1.0], SERIES, seasonal_lag=v),
      ConfigError, "seasonal_lag"),
     ("portmanteau.lags", lambda v: portmanteau_test(SERIES, v), ConfigError, "lags"),
     ("arch_lm.lags", lambda v: arch_lm_test(SERIES, v), ConfigError, "lags"),
@@ -285,8 +285,9 @@ ARRAY_SITES = [
     ("fit_trend_model", fit_trend_model, SERIES[:, None], SERIES),
     ("hp_cycle", hp_cycle, SERIES[:, None], SERIES),
     ("seasonal_adjust", seasonal_adjust, SERIES[:, None], SERIES),
-    ("rmse.actual", lambda x: rmse(x, SERIES), SERIES[:, None], SERIES),
-    ("rmse.predicted", lambda x: rmse(SERIES, x), SERIES[:, None], SERIES),
+    ("rmse.actual", lambda x: evaluate_forecast(x, SERIES, SERIES, 2), SERIES[:, None], SERIES),
+    ("rmse.predicted", lambda x: evaluate_forecast(SERIES, x, SERIES, 2), SERIES[:, None],
+     SERIES),
     ("evaluate_forecast.train", lambda x: evaluate_forecast([1.0], [2.0], x),
      SERIES[:, None], SERIES),
     ("portmanteau.residuals", lambda x: portmanteau_test(x, 1),

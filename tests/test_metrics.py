@@ -17,11 +17,11 @@ from climdemand.metrics import (
     MetricReport,
     compare_models,
     evaluate_forecast,
-    mape,
-    mase,
-    rmse,
-    rsr,
 )
+
+# A training series long enough for seasonal lag 2 whose lag-2 differences
+# are all 2, so its MASE denominator is 2.
+TRAIN = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 def report_with(**overrides):
@@ -35,27 +35,29 @@ def report_with(**overrides):
 
 class TestHandValues:
     def test_mape_percentage(self):
-        assert mape([100.0, 200.0], [110.0, 190.0]) == pytest.approx(7.5)
+        report = evaluate_forecast([100.0, 200.0], [110.0, 190.0], TRAIN, seasonal_lag=2)
+        assert report.mape == pytest.approx(7.5)
 
     def test_rmse(self):
-        assert rmse([1.0, 2.0, 3.0], [1.0, 2.0, 7.0]) == pytest.approx(
-            math.sqrt(16.0 / 3.0)
-        )
+        report = evaluate_forecast([1.0, 2.0, 3.0], [1.0, 2.0, 7.0], TRAIN, seasonal_lag=2)
+        assert report.rmse == pytest.approx(math.sqrt(16.0 / 3.0))
 
     def test_rsr_against_explicit_ratio(self):
         actual = np.array([4.0, 6.0, 8.0])
         predicted = np.array([5.0, 5.0, 9.0])
-        train_mean = 5.0
+        # The training mean is 5.
+        train = [3.0, 4.0, 6.0, 7.0]
         expected = math.sqrt((1 + 1 + 1) / (1 + 1 + 9))
-        assert rsr(actual, predicted, train_mean) == pytest.approx(expected)
+        report = evaluate_forecast(actual, predicted, train, seasonal_lag=2)
+        assert report.train_mean == 5.0
+        assert report.rsr == pytest.approx(expected)
 
     def test_mase_with_seasonal_lag_two(self):
-        train = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         # Seasonal differences at lag 2 all equal 2, MAE of the forecast
         # is 1.5, so the ratio is 0.75.
-        assert mase([7.0, 8.0], [6.0, 10.0], train, seasonal_lag=2) == (
-            pytest.approx(0.75)
-        )
+        report = evaluate_forecast([7.0, 8.0], [6.0, 10.0], TRAIN, seasonal_lag=2)
+        assert report.mase == pytest.approx(0.75)
+        assert report.seasonal_lag == 2
 
     def test_perfect_forecast(self):
         actual = np.array([10.0, 20.0, 30.0])
@@ -80,19 +82,21 @@ class TestIdentities:
             assert abs(report.r2 - (1.0 - report.rsr**2)) < 1e-14
 
     def test_report_agrees_with_standalone_functions(self):
+        # Each metric's textbook formula, written out on its own.
         rng = np.random.default_rng(2)
         actual = rng.normal(200.0, 30.0, size=52)
         predicted = actual + rng.normal(0.0, 10.0, size=52)
         train = rng.normal(200.0, 30.0, size=338)
         report = evaluate_forecast(actual, predicted, train)
-        assert report.mape == pytest.approx(mape(actual, predicted), rel=1e-12)
-        assert report.rmse == pytest.approx(rmse(actual, predicted), rel=1e-12)
+        err = actual - predicted
+        rmse = math.sqrt(np.mean(err**2))
+        seasonal_mae = np.mean(np.abs(train[52:] - train[:-52]))
+        assert report.mape == pytest.approx(100.0 * np.mean(np.abs(err / actual)), rel=1e-12)
+        assert report.rmse == pytest.approx(rmse, rel=1e-12)
         assert report.rsr == pytest.approx(
-            rsr(actual, predicted, train.mean()), rel=1e-12
+            rmse / math.sqrt(np.mean((actual - train.mean()) ** 2)), rel=1e-12
         )
-        assert report.mase == pytest.approx(
-            mase(actual, predicted, train), rel=1e-12
-        )
+        assert report.mase == pytest.approx(np.mean(np.abs(err)) / seasonal_mae, rel=1e-12)
         assert report.seasonal_lag == 52
 
     def test_mase_affine_invariance(self):
@@ -100,43 +104,52 @@ class TestIdentities:
         actual = rng.normal(50.0, 8.0, size=30)
         predicted = actual + rng.normal(0.0, 3.0, size=30)
         train = rng.normal(50.0, 8.0, size=80)
-        base = mase(actual, predicted, train, seasonal_lag=7)
+        base = evaluate_forecast(actual, predicted, train, seasonal_lag=7).mase
         a, b = 3.7, 120.0
-        shifted = mase(
+        shifted = evaluate_forecast(
             a * actual + b, a * predicted + b, a * train + b, seasonal_lag=7
-        )
+        ).mase
         assert shifted == pytest.approx(base, rel=1e-12)
 
 
 class TestUndefinedCases:
     def test_zero_actual_names_index(self):
         with pytest.raises(MetricUndefinedError) as exc:
-            mape([5.0, 0.0, 3.0], [4.0, 1.0, 3.0])
-        assert "index 1" in str(exc.value)
+            evaluate_forecast([5.0, 0.0, 3.0], [4.0, 1.0, 3.0], TRAIN, seasonal_lag=2)
+        assert str(exc.value) == "mape is undefined: actual value at index 1 is zero"
 
     def test_rsr_zero_spread(self):
-        with pytest.raises(MetricUndefinedError):
-            rsr([5.0, 5.0], [4.0, 6.0], train_mean=5.0)
+        # The training mean is 5, as is every test value.
+        with pytest.raises(MetricUndefinedError) as exc:
+            evaluate_forecast([5.0, 5.0], [4.0, 6.0], [3.0, 4.0, 6.0, 7.0], seasonal_lag=2)
+        assert str(exc.value) == "rsr is undefined: every test value equals the training mean"
 
     def test_mase_constant_train(self):
-        with pytest.raises(MetricUndefinedError):
-            mase([1.0, 2.0], [1.0, 2.0], np.full(10, 3.0), seasonal_lag=2)
+        with pytest.raises(MetricUndefinedError) as exc:
+            evaluate_forecast([1.0, 2.0], [1.0, 2.0], np.full(10, 3.0), seasonal_lag=2)
+        assert str(exc.value) == (
+            "mase is undefined: the seasonal differences of the training series are all zero"
+        )
 
     def test_mase_train_too_short(self):
-        with pytest.raises(InsufficientDataError):
-            mase([1.0], [1.0], np.arange(5.0), seasonal_lag=5)
+        with pytest.raises(InsufficientDataError) as exc:
+            evaluate_forecast([1.0], [1.0], np.arange(5.0), seasonal_lag=5)
+        assert str(exc.value) == (
+            "mase needs a training series longer than the seasonal lag (5), got 5 values"
+        )
 
     def test_bad_seasonal_lag(self):
-        with pytest.raises(ConfigError):
-            mase([1.0], [1.0], np.arange(10.0), seasonal_lag=0)
+        with pytest.raises(ConfigError) as exc:
+            evaluate_forecast([1.0], [1.0], np.arange(10.0), seasonal_lag=0)
+        assert set(exc.value.fields) == {"seasonal_lag"}
 
     def test_shape_mismatches(self):
         with pytest.raises(InvalidInputError):
-            rmse([1.0, 2.0], [1.0])
+            evaluate_forecast([1.0, 2.0], [1.0], TRAIN, seasonal_lag=2)
         with pytest.raises(InvalidInputError):
-            rmse([], [])
+            evaluate_forecast([], [], TRAIN, seasonal_lag=2)
         with pytest.raises(InvalidInputError):
-            mape([np.nan, 1.0], [1.0, 1.0])
+            evaluate_forecast([np.nan, 1.0], [1.0, 1.0], TRAIN, seasonal_lag=2)
         with pytest.raises(InvalidInputError):
             evaluate_forecast([1.0], [1.0], [[1.0, 2.0]])
 

@@ -18,7 +18,7 @@ from climdemand.spectral import (
     unconditional_gc_spectrum,
 )
 from climdemand.synth import SynthConfig
-from climdemand.varx import fit_varx, granger_test_time_domain, residual_bootstrap
+from climdemand.varx import fit_varx, residual_bootstrap
 from resampling import stationary_bootstrap_indices
 
 
@@ -34,9 +34,6 @@ def _residuals():
 ENTRY_POINTS = {
     "GcBootstrapConfig": lambda **kw: GcBootstrapConfig(**kw),
     "residual_bootstrap": lambda **kw: residual_bootstrap(_model(), **kw),
-    "granger_test_time_domain": lambda **kw: granger_test_time_domain(
-        _model(), "cause", "effect", **kw
-    ),
     "portmanteau_test": lambda **kw: portmanteau_test(_residuals(), lags=4, **kw),
     "arch_lm_test": lambda **kw: arch_lm_test(_residuals(), lags=4, **kw),
 }
@@ -202,8 +199,7 @@ def reference_draws(seed, label, b, draws):
 
 
 NULL_LABELS = (
-    "gc-unconditional", "gc-conditional", "varx-bootstrap",
-    "granger-null", "portmanteau-null", "arch-null",
+    "gc-unconditional", "gc-conditional", "varx-bootstrap", "portmanteau-null", "arch-null",
 )
 
 

@@ -35,7 +35,6 @@ from climdemand.varx import (
     fevd,
     fit_varx,
     forecast_recursive,
-    granger_test_time_domain,
     irf,
     residual_bootstrap,
 )
@@ -304,7 +303,6 @@ class TestOneModelType:
             lambda m: irf(m, 8, boot),
             lambda m: fevd(m, inference=boot),
             lambda m: bias_correct(m, boot).model,
-            lambda m: granger_test_time_domain(m, "y0", "y1", 100, 5),
         ):
             assert_same_fields(call(var), call(varx_fit))
         assert forecast_recursive(var, 6).tobytes() == forecast_recursive(varx_fit, 6).tobytes()
@@ -384,12 +382,12 @@ class TestStackCore:
         for group, unsliced in zip(groups, whole):
             members = np.flatnonzero(orders == group.order)
             assert_array_equal(group.index, members[members != 23])
-            for field in ("index", "coef", "r_inv", "resid_cov"):
+            for field in ("index", "coef", "resid_cov"):
                 assert_array_equal(getattr(group, field), getattr(unsliced, field))
             for i, b in enumerate(group.index):
                 (alone,), alone_failed = refit(stack[b : b + 1], orders[b : b + 1], exog)
                 assert not alone_failed[0]
-                for field in ("coef", "r_inv", "resid_cov"):
+                for field in ("coef", "resid_cov"):
                     assert_array_equal(getattr(group, field)[i], getattr(alone, field)[0])
 
 
@@ -457,8 +455,8 @@ class TestQrCore:
         assert design.strides == c_ordered[..., np.arange(10)].strides
 
     def test_core_modules_use_the_qr_primitive_only(self):
-        # One least-squares primitive for the VAR core, the causality nulls
-        # and the Granger test: no SVD solves and no raw LAPACK calls.
+        # One least-squares primitive for the VAR core and the causality
+        # nulls: no SVD solves and no raw LAPACK calls.
         forbidden = re.compile(r"\b(lstsq|pinv)\b|scipy\.linalg|lapack")
         for module in (varbase, spectral, varx):
             found = [m.group(0) for m in forbidden.finditer(inspect.getsource(module))]

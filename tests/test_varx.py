@@ -1,4 +1,4 @@
-"""Tests for VARX estimation, bootstrap inference, IRF, FEVD and Granger."""
+"""Tests for VARX estimation, bootstrap inference, IRF and FEVD."""
 
 import dataclasses
 import datetime as dt
@@ -26,7 +26,6 @@ from climdemand.varx import (
     fevd,
     fit_varx,
     forecast_recursive,
-    granger_test_time_domain,
     irf,
     residual_bootstrap,
     stability_check,
@@ -225,8 +224,8 @@ class TestBootstrap:
 
     def test_singular_replicate_is_an_error(self, monkeypatch):
         # One replicate of the second refit slice gets a singular design:
-        # the bootstrap and the Granger null reject the run once its block
-        # of 128 replicates is refit, four slices of 32.
+        # the bootstrap rejects the run once its block of 128 replicates is
+        # refit, four slices of 32.
         from climdemand import varbase
 
         rng = np.random.default_rng(9)
@@ -243,25 +242,19 @@ class TestBootstrap:
             return coef, r_inv, r22, failed
 
         monkeypatch.setattr(varbase, "least_squares", flagging)
-        for run in (
-            lambda: residual_bootstrap(model, n_replicates=150, seed=1),
-            lambda: granger_test_time_domain(model, "b", "a", n_replicates=150, seed=1),
-        ):
-            slices.clear()
-            with pytest.raises(NumericalError,
-                               match="^a bootstrap replicate produced a singular regression design$"):
-                run()
-            assert slices == [32, 32, 32, 32]
+        with pytest.raises(NumericalError,
+                           match="^a bootstrap replicate produced a singular regression design$"):
+            residual_bootstrap(model, n_replicates=150, seed=1)
+        assert slices == [32, 32, 32, 32]
 
-    @pytest.mark.parametrize("bootstrap", ["residual_bootstrap", "granger_test_time_domain"])
+    @pytest.mark.parametrize("bootstrap", ["residual_bootstrap"])
     def test_runs_within_a_memory_budget(self, bootstrap):
         # The pipeline's VARX size: 338 weeks of two variables, five
         # exogenous columns (two Fourier terms, the August dummy, two
         # baselines), order 2, 1000 replicates.  Refit 128 replicates per
-        # QR, the residual bootstrap peaked at 10.9 MiB and the Granger null
-        # at 10.4; refit 32 at a time, 4.7 and 4.6; refit as simulate_var
-        # returns the samples, with no copy that adds the initial rows and
-        # no innovations held through the refit, 3.3 and 3.3.
+        # QR, the residual bootstrap peaked at 10.9 MiB; refit 32 at a time,
+        # 4.7; refit as simulate_var returns the samples, with no copy that
+        # adds the initial rows and no innovations held through the refit, 3.3.
         rng = np.random.default_rng(26)
         y, design, *_ = simulate_varx2(rng, T=338)
         baselines = {f"b{i}": rng.normal(size=338) for i in range(2)}
@@ -269,9 +262,6 @@ class TestBootstrap:
         model = fit_varx(y, exog, order=2, names=("a", "b"))
         run = {
             "residual_bootstrap": lambda: residual_bootstrap(model, n_replicates=1000),
-            "granger_test_time_domain": lambda: granger_test_time_domain(
-                model, "b", "a", n_replicates=1000
-            ),
         }[bootstrap]
         replicate_draws.cache_clear()
         tracemalloc.start()
@@ -630,78 +620,6 @@ class TestFevd:
         )
         with pytest.raises(StabilityError, match=f"companion radius is {radius}"):
             fevd(unstable, horizons=(4, 8))
-
-
-class TestGranger:
-    def coupled_pair(self, seed, coupling):
-        rng = np.random.default_rng(seed)
-        T = 400
-        x = np.zeros(T)
-        y = np.zeros(T)
-        for t in range(1, T):
-            x[t] = 0.5 * x[t - 1] + rng.normal()
-            y[t] = 0.3 * y[t - 1] + coupling * x[t - 1] + rng.normal()
-        return fit_varx(
-            np.column_stack([x, y]), order=1, names=("cause", "effect")
-        )
-
-    def test_strong_causality_hits_the_floor(self):
-        model = self.coupled_pair(20, coupling=0.8)
-        result = granger_test_time_domain(
-            model, "cause", "effect", n_replicates=200, seed=0
-        )
-        assert result.p_value == pytest.approx(1.0 / 201.0)
-
-    def test_null_direction_not_significant(self):
-        model = self.coupled_pair(21, coupling=0.8)
-        result = granger_test_time_domain(
-            model, "effect", "cause", n_replicates=200, seed=0
-        )
-        assert result.p_value > 0.05
-
-    def test_p_value_floor_is_positive(self):
-        model = self.coupled_pair(22, coupling=0.8)
-        result = granger_test_time_domain(
-            model, "cause", "effect", n_replicates=100, seed=1
-        )
-        assert result.p_value >= 1.0 / 101.0
-
-    def test_observed_statistic_is_the_stack_of_one(self):
-        from climdemand.varx import _wald_statistics
-
-        model = self.coupled_pair(25, coupling=0.4)
-        coef = np.vstack([model.intercept[None], model.endo_coef[0].T])
-        columns = np.array([1])
-        stat = _wald_statistics(
-            coef[None], model.gram_inv[None], model.resid_cov[None], columns, 1
-        )
-        beta = coef[1, 1]
-        expected = beta**2 / (model.resid_cov[1, 1] * model.gram_inv[1, 1])
-        assert stat.shape == (1,)
-        assert stat[0] == pytest.approx(expected, rel=1e-12)
-        result = granger_test_time_domain(model, "cause", "effect", n_replicates=100)
-        assert result.statistic == stat[0]
-
-    @pytest.mark.parametrize("stack", [1, 3])
-    def test_singular_wald_block_is_a_numerical_error(self, stack):
-        from climdemand.varx import _wald_statistics
-
-        # Two restricted columns with identical inverse-Gram rows.
-        coef = np.ones((stack, 3, 2))
-        gram_inv = np.ones((stack, 3, 3))
-        resid_cov = np.broadcast_to(np.eye(2), (stack, 2, 2))
-        with pytest.raises(NumericalError, match="singular"):
-            _wald_statistics(coef, gram_inv, resid_cov, np.array([1, 2]), 1)
-
-    def test_unknown_names(self):
-        model = self.coupled_pair(23, coupling=0.2)
-        with pytest.raises(KeyError):
-            granger_test_time_domain(model, "cause", "sales")
-
-    def test_same_variable_rejected(self):
-        model = self.coupled_pair(24, coupling=0.2)
-        with pytest.raises(InvalidInputError):
-            granger_test_time_domain(model, "cause", "cause")
 
 
 class TestStability:
