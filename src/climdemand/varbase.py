@@ -206,13 +206,15 @@ def refit(
     M = 0 if exog is None else exog.shape[1]
     failed = np.zeros(len(data), bool)
     groups: list[OrderFit] = []
-    for p in np.unique(orders):
+    # Not np.unique: its first call imports numpy.ma, about 1 MiB under
+    # tracemalloc, inside whichever bootstrap refits first.
+    for p in sorted(set(orders.tolist())):
         index = np.flatnonzero(orders == p)
         parts = []
         for start in range(0, index.size, _FIT_SLICE):
             part = index[start : start + _FIT_SLICE]
             sample = data if part.size == len(data) else data[part]
-            matrix = _augmented(sample, int(p), exog)
+            matrix = _augmented(sample, p, exog)
             n, q = matrix.shape[1], matrix.shape[2] - K
             coef, _, r22, bad = least_squares(matrix, q)
             failed[part[bad]] = True
@@ -224,7 +226,7 @@ def refit(
             ))
         fit = parts[0] if len(parts) == 1 else [np.concatenate(f) for f in zip(*parts)]
         if fit[0].size:
-            groups.append(OrderFit(int(p), *fit))
+            groups.append(OrderFit(p, *fit))
     return groups, failed
 
 

@@ -254,7 +254,8 @@ class TestBootstrap:
         # baselines), order 2, 1000 replicates.  Refit 128 replicates per
         # QR, the residual bootstrap peaked at 10.9 MiB; refit 32 at a time,
         # 4.7; refit as simulate_var returns the samples, with no copy that
-        # adds the initial rows and no innovations held through the refit, 3.3.
+        # adds the initial rows and no innovations held through the refit,
+        # 3.3; with no R11^-1 kept per replicate, 3.2.
         rng = np.random.default_rng(26)
         y, design, *_ = simulate_varx2(rng, T=338)
         baselines = {f"b{i}": rng.normal(size=338) for i in range(2)}
