@@ -149,9 +149,13 @@ def _require_columns(panel: PanelDataset, names) -> None:
         raise UnknownColumnError(missing, panel.column_names)
 
 
-def _require_drivers(panel: PanelDataset, target: str, drivers: tuple[str, ...]) -> None:
+def _require_drivers(panel: PanelDataset, model_name: str, target: str,
+                     drivers: tuple[str, ...]) -> None:
     """The target and drivers of ``fit`` and ``forecast``, whatever the model:
-    panel columns, and each driver named once and other than the target."""
+    panel columns, and each driver named once and other than the target.
+    The VARX needs at least one driver; trend and forest need none."""
+    if model_name == "varx" and not drivers:
+        raise InvalidInputError("--drivers must name at least one column for --model varx")
     _require_columns(panel, (target, *drivers))
     for i, name in enumerate(drivers):
         if name == target:
@@ -496,7 +500,7 @@ def cmd_fit(run: RunConfig, panel_path: str, model_name: str, target: str,
             replicates: int, trees: int, irf_horizon: int) -> None:
     """Train one model on the whole panel and emit its fit artifacts."""
     panel = read_panel_csv(panel_path)
-    _require_drivers(panel, target, drivers)
+    _require_drivers(panel, model_name, target, drivers)
     n = panel.n_weeks
     if model_name == "trend":
         trend = _fit_trends(panel, (target,), n, {})[target]
@@ -548,7 +552,7 @@ def cmd_forecast(run: RunConfig, panel_path: str, model_name: str, target: str,
                  harmonics: int, lags: int, trees: int) -> None:
     """Train on the first ``train_length`` weeks and forecast ``horizon``."""
     panel = read_panel_csv(panel_path)
-    _require_drivers(panel, target, drivers)
+    _require_drivers(panel, model_name, target, drivers)
     _forecast(run, panel, model_name, target, drivers, train_length, horizon,
               harmonics, lags, trees, {})
     _write_manifest(run)

@@ -169,7 +169,8 @@ class ForestModel:
     smallest signed integer types that hold their ranges.  Row ``t`` of
     ``oob_mask`` marks the rows no block of tree ``t``'s resample covers, and
     row ``t`` of ``importance`` holds its per-feature impurity reduction.
-    ``threshold``, ``right`` and ``value`` are derived on each access.
+    ``threshold``, ``right`` and ``value`` are derived on each access.  The
+    three node arrays own their data and hold the forest's nodes, no more.
     """
 
     feature_names: tuple[str, ...]
@@ -567,8 +568,7 @@ def _grow_group(
     rows: np.ndarray,
     mtry: int,
     min_node_size: int,
-    nodes: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """Grow one CART regression tree per row of ``rows``, level by level.
 
     Each tree grows on the distinct rows of its resample (its row of
@@ -583,11 +583,10 @@ def _grow_group(
     A tree's searched nodes take one permutation each from its stream in
     level order, node-id order within a level; children are numbered in
     their parents' order; and every node's sums run over that node's rows
-    alone.  So the trees do not depend on the group or the step sizes.  The
-    trees' nodes go, tree after tree, to the front of ``nodes`` (the
-    feature, left child and split value arrays of :class:`ForestModel`).
-    Returns per-tree node counts and the per-tree impurity reduction per
-    feature.
+    alone.  So the trees do not depend on the group or the step sizes.
+    Returns per-tree node counts, the per-tree impurity reduction per
+    feature, and the trees' nodes, tree after tree, in exact-size feature,
+    left child and split value arrays (those of :class:`ForestModel`).
     """
     n_trees, n = rows.shape
     m = features.shape[1]
@@ -693,16 +692,16 @@ def _grow_group(
     # node's mean, then the splits' cuts over the internal nodes' means.
     offsets = np.cumsum(count) - count
     total = int(count.sum())
-    feature, left, split_value = (field[:total] for field in nodes)
+    feature = np.full(total, -1, dtype=np.min_scalar_type(-m))
+    left = np.full(total, -1, dtype=np.min_scalar_type(-(2 * n - 1)))
+    split_value = np.empty(total)
     split_value[offsets[_join(levels[0])] + _join(levels[1])] = _join(levels[2])
-    feature[:] = -1
-    left[:] = -1
     if splits[0]:
         at = offsets[_join(splits[0])] + _join(splits[1])
         feature[at] = _join(splits[2])
         split_value[at] = _join(splits[3])
         left[at] = _join(splits[4])
-    return count, gains
+    return count, gains, (feature, left, split_value)
 
 
 def train_forest(
@@ -716,8 +715,9 @@ def train_forest(
     from its own stream, ``substream(config.seed, "forest-tree", t)``, and
     grows on its distinct rows weighted by their counts in it, so
     ``config.min_node_size`` counts resampled rows.  Trees grow a group at
-    a time, level by level (:func:`_grow_group`); the result does not
-    depend on the grouping.
+    a time, level by level (:func:`_grow_group`), each group into node
+    arrays of its exact size, which are joined once at the end (no copy for
+    one group); the result does not depend on the grouping.
 
     Parameters
     ----------
@@ -750,20 +750,7 @@ def train_forest(
     ranks = _dense_ranks(features)
     n_trees = config.n_trees
     group = max(1, _GROUP_ROWS // (n + mtry))
-
-    # Node arrays sized for the most nodes the trees can have (every leaf
-    # keeps a row); trees fill them from the front and the model keeps the
-    # filled part.  The unfilled tail is not free: numpy advises huge pages
-    # for arrays of 4 MiB or more, and where transparent huge pages follow
-    # that advice a touched page maps 2 MiB at once, so part of the tail
-    # becomes resident with the filled part.  Hence the narrow types: -1..m-1
-    # for features and -1..2n-2 for tree-local children.
-    capacity = n_trees * (2 * n - 1)
-    nodes = (
-        np.empty(capacity, dtype=np.min_scalar_type(-m)),
-        np.empty(capacity, dtype=np.min_scalar_type(-(2 * n - 1))),
-        np.empty(capacity),
-    )
+    nodes: tuple[list[np.ndarray], ...] = ([], [], [])
     offsets = np.zeros(n_trees + 1, dtype=np.intp)
     oob_mask = np.ones((n_trees, n), dtype=bool)
     importance = np.empty((n_trees, m))
@@ -775,13 +762,13 @@ def train_forest(
             dtype=np.int32,
         )
         oob_mask[np.arange(first, last)[:, None], rows] = False
-        filled = int(offsets[first])
-        count, importance[first:last] = _grow_group(
-            features, target, ranks, rngs, rows, mtry, config.min_node_size,
-            tuple(field[filled:] for field in nodes),
+        count, importance[first:last], grown = _grow_group(
+            features, target, ranks, rngs, rows, mtry, config.min_node_size
         )
-        offsets[first + 1 : last + 1] = filled + np.cumsum(count)
-    feature, left, split_value = (field[: offsets[-1]] for field in nodes)
+        offsets[first + 1 : last + 1] = offsets[first] + np.cumsum(count)
+        for field, part in zip(nodes, grown):
+            field.append(part)
+    feature, left, split_value = map(_join, nodes)
     return ForestModel(
         feature_names=dataset.feature_names,
         config=config,
@@ -796,8 +783,9 @@ def train_forest(
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate ``parts`` and release them, so memory is held once."""
-    joined = np.concatenate(parts)
+    """Concatenate ``parts`` (no copy for one part) and release them, so
+    memory is held once."""
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
     parts.clear()
     return joined
 

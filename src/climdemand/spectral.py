@@ -483,7 +483,7 @@ def _conditional_null_medians(
     _, failed = refit(pairs[live[ranked]], orders)
     fitted, orders = live[ranked][~failed], orders[~failed]
 
-    for p in np.unique(orders):
+    for p in sorted(set(orders.tolist())):
         members = fitted[orders == p]
         resid, singular = _project_on_conditioning(
             np.stack([causes[members], effects[members]], axis=2), conditioning[members], p

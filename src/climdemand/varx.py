@@ -65,11 +65,11 @@ __all__ = [
 DEFAULT_FEVD_HORIZONS = tuple(range(4, 53, 4))
 
 # Replicates simulated together by the residual bootstrap, one simulate_var
-# recursion per block; varbase.refit then factors
-# them 32 at a time.  The recursion's cost per step barely grows with the
-# block, so fewer, wider blocks are faster, while the refit's slices bound
-# the working set.  Neither size changes a draw: each replicate's
-# arithmetic is its own.
+# recursion per block, and decomposed together by fevd; varbase.refit
+# factors them 32 at a time.  The recursion's cost per step barely grows
+# with the block, so fewer, wider blocks are faster, while the blocks and
+# the refit's slices bound the working set.  No size changes a draw: each
+# replicate's arithmetic is its own.
 _BOOTSTRAP_BLOCK = 128
 
 @dataclasses.dataclass(frozen=True)
@@ -530,7 +530,8 @@ def fevd(
 
     Shares accumulate squared impulse-response terms up to each horizon and
     normalize per variable, so they are nonnegative and sum to one exactly.
-    Bands come from ``inference``, as for :func:`irf`.
+    Bands come from ``inference``, as for :func:`irf`, whose draws go
+    through the decomposition ``_BOOTSTRAP_BLOCK`` replicates at a time.
     """
     horizons = tuple(horizons)
     if not horizons:
@@ -548,7 +549,12 @@ def fevd(
     mean = lower = upper = None
     if inference is not None:
         _check_draws(model, inference)
-        draws = _fevd_shares(inference.endo_draws, inference.resid_cov_draws, horizons)
+        draws = np.empty((len(inference.endo_draws), *shares.shape))
+        for start in range(0, len(draws), _BOOTSTRAP_BLOCK):
+            block = slice(start, start + _BOOTSTRAP_BLOCK)
+            draws[block] = _fevd_shares(
+                inference.endo_draws[block], inference.resid_cov_draws[block], horizons
+            )
         mean = draws.mean(axis=0)
         lower, upper, _ = _percentile_bands(draws)
     return FevdResult(

@@ -359,7 +359,8 @@ class TestErrorReporting:
          "--drivers names 'temperature' more than once"),
         ("drug_demand", "InvalidInputError",
          "--drivers and --target must differ, both name 'drug_demand'"),
-    ], ids=["unknown", "repeated", "target"])
+        ("", "InvalidInputError", "--drivers must name at least one column for --model varx"),
+    ], ids=["unknown", "repeated", "target", "empty"])
     @pytest.mark.parametrize("model", ["trend", "varx", "forest"])
     @pytest.mark.parametrize("command", ["fit", "forecast"])
     def test_drivers_checked_for_every_model(self, tmp_path, capsys, command, model, drivers,
@@ -375,6 +376,10 @@ class TestErrorReporting:
             "--out-dir", out, command, "--panel", panel, "--model", model, "--drivers", drivers,
             *window,
         )
+        if not drivers and model != "varx":
+            # Trend and forest fit the target alone.
+            assert code == 0
+            return
         assert code == 1
         payload = error_json(capsys)
         assert (payload["error"], payload["message"]) == (error, message)

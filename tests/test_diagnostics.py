@@ -1,7 +1,5 @@
 """Tests for the residual diagnostics: portmanteau and ARCH-LM."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +16,7 @@ from climdemand.errors import (
     DegenerateInputError,
     InvalidInputError,
 )
+from memory_budget import traced_peak
 
 
 def loop_portmanteau(u, lags):
@@ -179,12 +178,7 @@ class TestBlockedNull:
         # 6.3 MiB and the ARCH-LM null at 45.6 MiB; in blocks, 0.8 and 3.3.
         u = np.random.default_rng(14).normal(size=(386, 2))
         replicate_draws.cache_clear()
-        tracemalloc.start()
-        try:
-            test(u, lags=12, n_replicates=500, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: test(u, lags=12, n_replicates=500, seed=0))
         assert peak <= budget_mib * 2**20
 
 

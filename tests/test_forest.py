@@ -29,6 +29,7 @@ from climdemand.forest import (
     train_forest,
 )
 from climdemand.panel import PanelDataset
+from memory_budget import traced_peak
 
 
 def _tree_predict(tree, features):
@@ -866,34 +867,25 @@ class TestSplitSearch:
 
 
 class TestGrowthMemory:
-    # Measured 4.0 MB with numpy 2.4 at the shipped step sizes (3.5 MB with
-    # the search step at 2**13); twice the group (6.8 MB) or twice the search
-    # step (5.0 MB) goes over.
+    # The peak above the forest's own nodes, measured with numpy 2.4: 3.5 MiB
+    # at the shipped step sizes (3.0 with the search step at 2**13); twice
+    # the group (4.6) or twice the search step (4.6) goes over, and so did
+    # growth into arrays sized for the most nodes the trees can have (4.9).
     BUDGET = 4.5 * 2**20
 
     def test_peak_stays_within_node_arrays_plus_budget(self):
-        import tracemalloc
-
         from climdemand import forest
 
         rng = np.random.default_rng(44)
         data = make_dataset(rng, n=334, n_noise_features=7)  # mtry 3
         group = forest._GROUP_ROWS // (data.n_rows + 3)
         config = ForestConfig(n_trees=group + 1, block_length=52, seed=12)
-        tracemalloc.start()
-        try:
-            model = train_forest(data, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The node arrays are allocated for the most nodes the trees can
-        # have, and tracemalloc counts all of it, the unfilled tail too
-        # (1.36 MiB here at 11 bytes a node; 3.47 MiB at 28).
-        node_bytes = sum(
-            getattr(model, name).base.nbytes
-            for name in ("feature", "left", "split_value")
-        )
-        assert peak <= node_bytes + self.BUDGET
+        peak, model = traced_peak(lambda: train_forest(data, config))
+        # Two groups, joined into node arrays that own their data and hold
+        # the forest's nodes, no more.
+        arrays = [getattr(model, name) for name in ("feature", "left", "split_value")]
+        assert all(a.base is None for a in arrays)
+        assert peak <= sum(a.nbytes for a in arrays) + self.BUDGET
 
 
 class TestPackedPrediction:

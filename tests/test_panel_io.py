@@ -1,7 +1,6 @@
 import datetime as dt
 import os
 import stat
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from climdemand.panel import (
     write_panel_csv,
 )
 from climdemand.synth import SynthConfig, generate_synthetic_daily
+from memory_budget import traced_peak
 
 MONDAY = dt.date(2020, 1, 6)
 
@@ -373,12 +373,7 @@ class TestDailyCsv:
         write_daily_csv(daily, path)
         run = {"write": lambda: write_daily_csv(daily, path),
                "read": lambda: read_daily_csv(path)}[io]
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(run)
         assert peak <= budget_mib * 2**20
 
     def test_reader_orders_days_and_keeps_region_order(self, tmp_path):

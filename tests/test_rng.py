@@ -1,6 +1,5 @@
 """Tests for the replicate layer: draws, replicate-count checks, p-values."""
 
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,6 +18,7 @@ from climdemand.spectral import (
 )
 from climdemand.synth import SynthConfig
 from climdemand.varx import fit_varx, residual_bootstrap
+from memory_budget import traced_peak
 from resampling import stationary_bootstrap_indices
 
 
@@ -178,12 +178,9 @@ class TestHeldDraws:
         # first substream before tracing keeps its import out of the peak
         # (1.8 MiB with it, 1.1 without), whatever test ran first.
         substream(0, "warm")
-        tracemalloc.start()
-        try:
-            replicate_draws(0, "label", range(300), (386, None), (390, 8.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(
+            lambda: replicate_draws(0, "label", range(300), (386, None), (390, 8.0))
+        )
         assert peak <= 2 * 2**20
 
 

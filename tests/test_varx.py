@@ -2,7 +2,6 @@
 
 import dataclasses
 import datetime as dt
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from climdemand.varx import (
     residual_bootstrap,
     stability_check,
 )
+from memory_budget import traced_peak
 
 
 def weekly_axis(n, start=dt.date(2016, 1, 4)):
@@ -247,7 +247,7 @@ class TestBootstrap:
             residual_bootstrap(model, n_replicates=150, seed=1)
         assert slices == [32, 32, 32, 32]
 
-    @pytest.mark.parametrize("bootstrap", ["residual_bootstrap"])
+    @pytest.mark.parametrize("bootstrap", ["residual_bootstrap", "fevd"])
     def test_runs_within_a_memory_budget(self, bootstrap):
         # The pipeline's VARX size: 338 weeks of two variables, five
         # exogenous columns (two Fourier terms, the August dummy, two
@@ -255,23 +255,21 @@ class TestBootstrap:
         # QR, the residual bootstrap peaked at 10.9 MiB; refit 32 at a time,
         # 4.7; refit as simulate_var returns the samples, with no copy that
         # adds the initial rows and no innovations held through the refit,
-        # 3.3; with no R11^-1 kept per replicate, 3.2.
+        # 3.3; with no R11^-1 kept per replicate, 3.2.  The FEVD of all 1000
+        # draws at once peaked at 4.8 MiB; 128 replicates at a time, 1.0.
         rng = np.random.default_rng(26)
         y, design, *_ = simulate_varx2(rng, T=338)
         baselines = {f"b{i}": rng.normal(size=338) for i in range(2)}
         exog = build_exogenous(weekly_axis(338), baselines=baselines, harmonics=1)
         model = fit_varx(y, exog, order=2, names=("a", "b"))
-        run = {
-            "residual_bootstrap": lambda: residual_bootstrap(model, n_replicates=1000),
-        }[bootstrap]
+        if bootstrap == "fevd":
+            inference = residual_bootstrap(model, n_replicates=1000)
+            run, budget_mib = (lambda: fevd(model, inference=inference)), 1.5
+        else:
+            run, budget_mib = (lambda: residual_bootstrap(model, n_replicates=1000)), 4.0
         replicate_draws.cache_clear()
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.0 * 2**20
+        peak, _ = traced_peak(run)
+        assert peak <= budget_mib * 2**20
 
     def test_draws_match_per_replicate_oracle(self):
         # Oracle: the bootstrap as a separate simulator and refit computed
@@ -601,6 +599,23 @@ class TestFevd:
         assert result.mean.shape == result.shares.shape
         assert np.all(result.lower <= result.mean + 1e-12)
         assert np.all(result.mean <= result.upper + 1e-12)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_blocked_bands_equal_one_shot_bands(self, monkeypatch, block):
+        # The draws go through the decomposition a block at a time to bound
+        # memory; no band may depend on the block size.
+        from climdemand import varx
+
+        rng = np.random.default_rng(18)
+        y, design, *_ = simulate_varx2(rng, T=300)
+        model = fit_varx(y, design, order=2)
+        boot = residual_bootstrap(model, n_replicates=150, seed=4)
+        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", 10**6)
+        whole = fevd(model, inference=boot)
+        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", block)
+        blocked = fevd(model, inference=boot)
+        for field in ("shares", "mean", "lower", "upper"):
+            assert_array_equal(getattr(blocked, field), getattr(whole, field))
 
     def test_bad_horizons(self):
         rng = np.random.default_rng(19)
