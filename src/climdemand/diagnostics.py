@@ -7,8 +7,9 @@ their null by resampling whole residual rows with replacement, which destroys
 serial structure while preserving the cross-sectional covariance, and report
 p-values with the add-one adjustment so that zero is never returned.
 
-The resampled replicates are scored ``_NULL_BLOCK`` at a time, as the
-causality nulls are: a block of ARCH-LM designs at 12 lags and 386 rows takes
+The resampled replicates are scored a fit block
+(:func:`climdemand._rng.replicate_blocks`) at a time, as the causality nulls
+are: a block of ARCH-LM designs at 12 lags and 386 rows takes
 1.2 MB where all 500 replicates at once took 19 MB per equation.  Each
 replicate's arithmetic is its own, so the block size changes no bit.
 """
@@ -19,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from ._rng import check_replicates, mc_p_value, replicate_draws
+from ._rng import check_replicates, mc_p_value, replicate_blocks, replicate_draws
 from .errors import ConfigError, DegenerateInputError, InvalidInputError, integer_problem
 from .panel import finite_array
 
@@ -29,10 +30,6 @@ __all__ = [
     "portmanteau_test",
     "arch_lm_test",
 ]
-
-# Resampled replicates scored together by either null; any size gives the
-# same statistics.
-_NULL_BLOCK = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,11 +72,9 @@ def _residuals(residuals, lags, rows_per_lag: int, extra_rows: int) -> np.ndarra
 
 def _null_statistics(batch, u: np.ndarray, lags: int, n_replicates: int, seed: int, label: str):
     """``batch`` statistics of every row-resampled replicate of ``u``, in
-    replicate order, scored ``_NULL_BLOCK`` replicates at a time."""
+    replicate order, scored a fit block at a time."""
     rows = replicate_draws(seed, label, range(n_replicates), (len(u), None))[0]
-    return np.concatenate(
-        [batch(u[rows[lo : lo + _NULL_BLOCK]], lags) for lo in range(0, n_replicates, _NULL_BLOCK)]
-    )
+    return np.concatenate([batch(u[rows[block]], lags) for block in replicate_blocks(n_replicates)])
 
 
 def _portmanteau_batch(u: np.ndarray, lags: int) -> np.ndarray:

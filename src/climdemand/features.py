@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._rng import quantile
 from .errors import AlignmentError, ConfigError, InvalidInputError, ShapeError, real_problem
 from .panel import DAILY_MEASUREMENTS, WEEK_DAYS, DailyClimate, PanelDataset, finite_array
 
@@ -136,7 +137,7 @@ def regional_extreme_threshold(daily_precip: Sequence[float], cfg: FeatureConfig
     precip = finite_array(daily_precip, "daily precipitation")
     if precip.size == 0:
         raise InvalidInputError("cannot take a quantile of an empty precipitation history")
-    return float(np.quantile(precip, cfg.extreme_quantile))
+    return float(quantile(precip, cfg.extreme_quantile))
 
 
 def aggregate_weekly_national(

@@ -17,9 +17,11 @@ thresholds are flat lines over frequency.  A replicate whose fit or
 decomposition fails is left out of the quantiles and counted in
 ``n_failed``.
 
-Both nulls run on the VAR core of :mod:`climdemand.varbase` in blocks of
-replicates.  The unconditional null asks :func:`climdemand._rng.replicate_draws`
-once for all of its replicates' index paths and slices them into blocks; the
+Both nulls run on the VAR core of :mod:`climdemand.varbase` in fit blocks of
+:func:`climdemand._rng.replicate_blocks`, and take their thresholds by
+:func:`climdemand._rng.quantile`.  The unconditional null asks
+:func:`climdemand._rng.replicate_draws` once for all of its replicates'
+index paths and slices them into blocks; the
 paths depend only on the seed, the replicate count, the series length and
 the block length, so every pair screened with one configuration reuses the
 held paths.  Per block it takes one BIC path and one refit, then one
@@ -30,10 +32,10 @@ conditioning series (contemporaneous value and as many lags as the
 (effect, conditioning) VAR selected); the unconditional measure of the
 projection residuals is the conditional measure.  Null replicates keep the
 (effect, conditioning) dynamics via a residual bootstrap of their joint VAR,
-simulated for all replicates in one call, and draw the cause independently
+simulated one recursion block at a time, and draw the cause independently
 by stationary bootstrap; each replicate then goes through the full
-conditional estimation path.  Per block, one BIC path and one refit of the
-stacked (effect, conditioning) pairs give the projection orders, the
+conditional estimation path.  Per fit block, one BIC path and one refit of
+the stacked (effect, conditioning) pairs give the projection orders, the
 replicates of each order are projected by one stacked QR, and their
 projection residuals take the unconditional null's path.
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import replicate_draws, replicate_problems
+from ._rng import quantile, replicate_blocks, replicate_draws, replicate_problems
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -75,14 +77,6 @@ from .varbase import (
     select_order,
     simulate_var,
 )
-
-
-# Null replicates fit together.  Smaller than the VARX bootstrap's block:
-# with 128 replicates (a 3.6 MB design per block) the unconditional null,
-# which runs early in the pipeline, raised the default pipeline's peak RSS
-# by about 6 MB (glibc on Linux x86-64); 32 kept it level and cost the null
-# 4% more time.
-_NULL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -297,8 +291,8 @@ def _thresholds(raw: np.ndarray, cfg: GcBootstrapConfig, n_frequencies: int) -> 
             f"too many bootstrap replicates failed ({n_failed} of {raw.size})"
         )
     return BootstrapThresholds(
-        pointwise=float(np.quantile(medians, 1.0 - cfg.alpha)),
-        bonferroni=float(np.quantile(medians, 1.0 - 2.0 * cfg.alpha / n_frequencies)),
+        pointwise=float(quantile(medians, 1.0 - cfg.alpha)),
+        bonferroni=float(quantile(medians, 1.0 - 2.0 * cfg.alpha / n_frequencies)),
         medians=medians,
         n_failed=n_failed,
     )
@@ -352,10 +346,9 @@ def _unconditional_thresholds(
         cfg.seed, "gc-unconditional", range(cfg.n_replicates), (n, block), (n, block)
     )
     raw = np.empty(cfg.n_replicates)
-    for start in range(0, cfg.n_replicates, _NULL_BLOCK):
-        stop = min(start + _NULL_BLOCK, cfg.n_replicates)
-        samples = np.stack([x[causes[start:stop]], y[effects[start:stop]]], axis=2)
-        raw[start:stop] = _null_medians(samples, cfg.max_var_order, frequencies)
+    for block in replicate_blocks(cfg.n_replicates):
+        samples = np.stack([x[causes[block]], y[effects[block]]], axis=2)
+        raw[block] = _null_medians(samples, cfg.max_var_order, frequencies)
     return _thresholds(raw, cfg, frequencies.size)
 
 
@@ -514,7 +507,9 @@ def _conditional_thresholds(
 
     Each replicate regenerates (effect, conditioning) by a residual
     bootstrap of that VAR, resamples the cause by stationary bootstrap and
-    takes the observed series' way, batched per block of replicates.
+    takes the observed series' way.  The pairs are simulated a recursion
+    block at a time and scored a fit block at a time, so the simulated
+    samples never exceed one recursion block.
     """
     n = x.size
     frequencies = fourier_frequencies(n)
@@ -525,16 +520,18 @@ def _conditional_thresholds(
     rows, cause_rows = replicate_draws(
         cfg.seed, "gc-conditional", range(cfg.n_replicates), (m, None), (n, block)
     )
-    # Every replicate starts from the observed first ``order`` weeks.
-    pairs = simulate_var(
-        pair_model.intercept, pair_model.endo_coef, resid[rows], pair_model.endog[:order]
-    )
     raw = np.empty(cfg.n_replicates)
-    for start in range(0, cfg.n_replicates, _NULL_BLOCK):
-        stop = min(start + _NULL_BLOCK, cfg.n_replicates)
-        raw[start:stop] = _conditional_null_medians(
-            x[cause_rows[start:stop]], pairs[start:stop], cfg.max_var_order, frequencies
+    for block in replicate_blocks(cfg.n_replicates, recursion=True):
+        # Every replicate starts from the observed first ``order`` weeks.
+        pairs = simulate_var(
+            pair_model.intercept, pair_model.endo_coef, resid[rows[block]],
+            pair_model.endog[:order],
         )
+        causes, scored = cause_rows[block], raw[block]
+        for part in replicate_blocks(len(pairs)):
+            scored[part] = _conditional_null_medians(
+                x[causes[part]], pairs[part], cfg.max_var_order, frequencies
+            )
     return _thresholds(raw, cfg, frequencies.size)
 
 
@@ -551,11 +548,15 @@ def conditional_gc_spectrum(
     of their joint VAR (keeping their dynamics and mutual dependence) while
     the cause is resampled independently by stationary bootstrap; every
     replicate then goes through the full conditional estimation path.  The
-    replicates run in blocks of ``_NULL_BLOCK``: per block, one BIC path and
-    one refit of the stacked (effect, conditioning) pairs select the
-    projection orders, the replicates of each order are projected by one
-    stacked QR, and their residuals go through the unconditional null's
-    stacked fit and decomposition.  The series are checked and their
+    pairs are simulated :data:`climdemand._rng.RECURSION_BLOCK` replicates
+    at a time, so the null's memory does not grow with ``n_replicates``
+    beyond its index draws and one median per replicate.  Each recursion
+    block is scored in fit blocks (:data:`climdemand._rng.FIT_BLOCK`): one
+    BIC path and one refit of the stacked (effect, conditioning) pairs
+    select the projection orders, the replicates of each order are
+    projected by one stacked QR, and their residuals go through the
+    unconditional null's stacked fit and decomposition.  No block size
+    changes a bit of the result.  The series are checked and their
     (effect, conditioning) VAR is fitted once, for the observed
     decomposition and the null alike.  ``threads`` is accepted and has no
     effect.

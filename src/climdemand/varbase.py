@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._rng import replicate_blocks
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -169,13 +170,6 @@ def select_order(path: np.ndarray) -> np.ndarray:
     return np.argmin(path, axis=-1) + 1
 
 
-# Series factored in one stacked QR by refit.  np.linalg.qr copies the
-# stacked design before it keeps R, so a slice holds two designs of its
-# width at once; 32 bounds that for any stack without changing a fit, since
-# each series' arithmetic is its own.
-_FIT_SLICE = 32
-
-
 @dataclass
 class OrderFit:
     """Least-squares fits of the series of a stack that share one order.
@@ -197,7 +191,9 @@ def refit(
     """Least squares for each series of a (B, T, K) stack at its own order.
 
     Each series uses its full usable sample t = order..T-1, one stacked QR
-    per order and slice of ``_FIT_SLICE`` series.  Series are grouped by
+    per order and fit block (:func:`climdemand._rng.replicate_blocks`) of
+    its series: np.linalg.qr copies the stacked design before it keeps R,
+    so a block holds two designs of its width at once.  Series are grouped by
     order, in increasing order.  Returns the groups and the (B,) mask of
     series whose design has a small pivot, which no group holds.
     """
@@ -211,8 +207,8 @@ def refit(
     for p in sorted(set(orders.tolist())):
         index = np.flatnonzero(orders == p)
         parts = []
-        for start in range(0, index.size, _FIT_SLICE):
-            part = index[start : start + _FIT_SLICE]
+        for block in replicate_blocks(index.size):
+            part = index[block]
             sample = data if part.size == len(data) else data[part]
             matrix = _augmented(sample, p, exog)
             n, q = matrix.shape[1], matrix.shape[2] - K

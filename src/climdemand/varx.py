@@ -8,10 +8,11 @@ core's builder with :func:`climdemand.varbase.fit_var`, so both return a
 :class:`VarxModel` (a plain VAR's has no exogenous columns) and every tool
 here takes either.  Inference comes from a residual bootstrap that
 re-simulates the system from its first ``p`` rows and refits each simulated
-sample as it comes, on the same core, in blocks of replicates.  It feeds
-bias correction with a stability safeguard, impulse responses and
-forecast-error variance decompositions (bands computed for all replicates at
-once, from draws whose shapes must match the model's).
+sample as it comes, on the same core, a recursion block of replicates
+(:func:`climdemand._rng.replicate_blocks`) at a time.  It feeds bias
+correction with a stability safeguard, impulse responses and forecast-error
+variance decompositions (bands from draws whose shapes must match the
+model's, pushed through a recursion block at a time).
 
 Variable order matters for the orthogonalized quantities: innovations are
 factored by the Cholesky decomposition in the order the variables appear, so
@@ -25,7 +26,7 @@ import datetime as dt
 
 import numpy as np
 
-from ._rng import check_replicates, replicate_draws
+from ._rng import check_replicates, quantile, replicate_blocks, replicate_draws
 from .errors import (
     AlignmentError,
     InvalidInputError,
@@ -64,13 +65,6 @@ __all__ = [
 
 DEFAULT_FEVD_HORIZONS = tuple(range(4, 53, 4))
 
-# Replicates simulated together by the residual bootstrap, one simulate_var
-# recursion per block, and decomposed together by fevd; varbase.refit
-# factors them 32 at a time.  The recursion's cost per step barely grows
-# with the block, so fewer, wider blocks are faster, while the blocks and
-# the refit's slices bound the working set.  No size changes a draw: each
-# replicate's arithmetic is its own.
-_BOOTSTRAP_BLOCK = 128
 
 @dataclasses.dataclass(frozen=True)
 class ExogenousDesign:
@@ -260,9 +254,14 @@ def _check_draws(model: VarxModel, inference: VarxBootstrap) -> None:
         )
 
 
-def _percentile_bands(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lower = np.quantile(draws, 0.025, axis=0)
-    upper = np.quantile(draws, 0.975, axis=0)
+def _percentile_bands(
+    draws: np.ndarray, overwrite_input: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """95% percentile bands over the draws' first axis and whether each
+    excludes zero; with ``overwrite_input`` the draws are partitioned in
+    place, so only a temporary may be passed."""
+    lower = quantile(draws, 0.025, overwrite_input)
+    upper = quantile(draws, 0.975, overwrite_input)
     significant = (lower > 0.0) | (upper < 0.0)
     return lower, upper, significant
 
@@ -287,9 +286,8 @@ def residual_bootstrap(
     n = centered.shape[0]
     deterministic = (model.intercept[None, :] + model.exog_values @ model.exo_coef.T)[p:]
     coefs, covs = [], []
-    for start in range(0, n_replicates, _BOOTSTRAP_BLOCK):
-        replicates = range(start, min(start + _BOOTSTRAP_BLOCK, n_replicates))
-        rows = replicate_draws(seed, "varx-bootstrap", replicates, (n, None))[0]
+    for block in replicate_blocks(n_replicates, recursion=True):
+        rows = replicate_draws(seed, "varx-bootstrap", range(n_replicates)[block], (n, None))[0]
         # The resampled innovations are a temporary, freed before the refit.
         samples = simulate_var(deterministic, model.endo_coef, centered[rows], model.endog[:p])
         groups, failed = refit(samples, np.full(len(samples), p), model.exog_values)
@@ -465,8 +463,11 @@ def irf(
     Shocks are orthogonalized by the lower Cholesky factor of the residual
     covariance in the model's variable order.  With ``inference`` given,
     each bootstrap replicate's coefficients and covariance are pushed
-    through the same computation for percentile bands; draws of another
-    model's shape are a :class:`ShapeError`.
+    through the same computation for percentile bands, a recursion block
+    (:data:`climdemand._rng.RECURSION_BLOCK`) of replicates at a time, and
+    the bands are taken by partitioning those responses in place; no block
+    size changes a band.  Draws of another model's shape are a
+    :class:`ShapeError`.
     """
     if problem := integer_problem(horizon, 1):
         raise InvalidInputError(f"horizon {problem}")
@@ -481,9 +482,11 @@ def irf(
     lower = upper = None
     if inference is not None:
         _check_draws(model, inference)
-        factors = _cholesky(inference.resid_cov_draws)
-        draws = _phi_matrices(inference.endo_draws, horizon) @ factors[:, None]
-        lower, upper, _ = _percentile_bands(draws)
+        draws = np.empty((len(inference.endo_draws), *responses.shape))
+        for block in replicate_blocks(len(draws), recursion=True):
+            factors = _cholesky(inference.resid_cov_draws[block])
+            draws[block] = _phi_matrices(inference.endo_draws[block], horizon) @ factors[:, None]
+        lower, upper, _ = _percentile_bands(draws, overwrite_input=True)
     return IrfResult(
         variable_names=model.variable_names,
         horizon=horizon,
@@ -530,8 +533,11 @@ def fevd(
 
     Shares accumulate squared impulse-response terms up to each horizon and
     normalize per variable, so they are nonnegative and sum to one exactly.
-    Bands come from ``inference``, as for :func:`irf`, whose draws go
-    through the decomposition ``_BOOTSTRAP_BLOCK`` replicates at a time.
+    Bands and the mean come from ``inference``: its draws go through the
+    decomposition a recursion block
+    (:data:`climdemand._rng.RECURSION_BLOCK`) of replicates at a time, and,
+    as for :func:`irf`, the bands are taken by partitioning those shares in
+    place, after their mean.  No block size changes a bit.
     """
     horizons = tuple(horizons)
     if not horizons:
@@ -550,13 +556,12 @@ def fevd(
     if inference is not None:
         _check_draws(model, inference)
         draws = np.empty((len(inference.endo_draws), *shares.shape))
-        for start in range(0, len(draws), _BOOTSTRAP_BLOCK):
-            block = slice(start, start + _BOOTSTRAP_BLOCK)
+        for block in replicate_blocks(len(draws), recursion=True):
             draws[block] = _fevd_shares(
                 inference.endo_draws[block], inference.resid_cov_draws[block], horizons
             )
         mean = draws.mean(axis=0)
-        lower, upper, _ = _percentile_bands(draws)
+        lower, upper, _ = _percentile_bands(draws, overwrite_input=True)
     return FevdResult(
         variable_names=model.variable_names,
         horizons=horizons,

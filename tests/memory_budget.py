@@ -2,9 +2,10 @@
 
 import tracemalloc
 
-# np.unique and np.quantile import numpy.ma on their first call, about 1 MiB
-# traced; importing it here keeps that out of every budget, whichever test
-# runs first.
+# The library imports no numpy.ma (tests/test_cli.py checks), but the tests'
+# own np.quantile calls import it on their first call, about 1 MiB traced;
+# importing it here keeps that out of every budget, whichever test runs
+# first.
 import numpy.ma  # noqa: F401
 
 

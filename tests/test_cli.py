@@ -1313,6 +1313,34 @@ class TestDeterminism:
 
 
 class TestPipeline:
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # Once imported, numpy.ma holds about 1.25 MB of RSS for the rest of
+        # the run.  np.quantile imports it for the np.unique of its order
+        # statistics, so the library takes quantiles by _rng.quantile.  A
+        # fresh process runs a small pipeline, whose stages take every
+        # quantile but the conditional null's, then a conditional gc.
+        import climdemand
+
+        src = str(pathlib.Path(climdemand.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = "\n".join([
+            "import sys",
+            "from climdemand.cli import main",
+            "assert main(['--out-dir', 'out', 'pipeline', '--n-weeks', '160',"
+            " '--train-length', '134', '--horizon', '26', '--replicates', '100',"
+            " '--trees', '5']) == 0",
+            "assert main(['--out-dir', 'out', 'gc', '--panel', 'out/weekly_panel.csv',"
+            " '--cause', 'temperature', '--effect', 'drug_demand',"
+            " '--conditioning', 'wind_speed', '--replicates', '100']) == 0",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            check=True, capture_output=True, text=True, timeout=600,
+        )
+        assert (tmp_path / "out" / "gc_temperature_to_drug_demand_given_wind_speed.csv").exists()
+        assert done.stdout.split()[-1] == "False"
+
     def test_small_pipeline_writes_every_artifact(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "pipe"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from climdemand import diagnostics
+from climdemand import _rng
 from climdemand._rng import replicate_draws
 from climdemand.diagnostics import (
     _arch_lm_batch,
@@ -160,7 +160,7 @@ class TestBlockedNull:
         u = np.random.default_rng(13).normal(size=(200, 2))
 
         def results(block):
-            monkeypatch.setattr(diagnostics, "_NULL_BLOCK", block)
+            monkeypatch.setattr(_rng, "FIT_BLOCK", block)
             port = portmanteau_test(u, lags=6, n_replicates=150, seed=4)
             arch = arch_lm_test(u, lags=6, n_replicates=150, seed=4)
             return np.r_[

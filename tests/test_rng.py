@@ -286,3 +286,73 @@ class TestMcPValue:
     def test_scores_columns_separately(self):
         null = np.array([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
         assert_array_equal(mc_p_value(null, np.array([1.0, 6.0])), [3.0 / 4.0, 1.0 / 4.0])
+
+
+class TestReplicateBlocks:
+    def test_blocks_cover_the_replicates_in_order(self):
+        assert list(_rng.replicate_blocks(70)) == [slice(0, 32), slice(32, 64), slice(64, 70)]
+        assert list(_rng.replicate_blocks(200, recursion=True)) == [
+            slice(0, 128), slice(128, 200)
+        ]
+        assert list(_rng.replicate_blocks(0)) == []
+
+    def test_sizes_are_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(_rng, "FIT_BLOCK", 7)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", 10)
+        assert [b.stop for b in _rng.replicate_blocks(15)] == [7, 14, 15]
+        assert [b.stop for b in _rng.replicate_blocks(15, recursion=True)] == [10, 15]
+
+
+# The decision quantiles the library takes: pointwise and Bonferroni at
+# alpha = 0.05 over 195 frequencies, and the bands' 2.5% and 97.5%.
+QUANTILES = [0.0, 0.025, 0.5, 0.95, 0.975, 1.0 - 2.0 * 0.05 / 195, 1.0]
+
+
+def quantile_cases():
+    rng = np.random.default_rng(40)
+    ties = rng.integers(0, 4, size=(57, 3, 2)).astype(float)
+    with_nan = rng.normal(size=(40, 3))
+    with_nan[17, 1] = np.nan
+    return {
+        "normal": rng.normal(size=1000),
+        "ties": ties[:, 0, 0],
+        "one": np.array([2.5]),
+        "nan": np.r_[rng.normal(size=20), np.nan],
+        "stack": rng.normal(size=(150, 4, 2, 2)),
+        "stack_ties": ties,
+        "stack_of_one": rng.normal(size=(1, 3)),
+        "stack_nan_slice": with_nan,
+    }
+
+
+class TestQuantile:
+    @pytest.mark.parametrize("q", QUANTILES)
+    @pytest.mark.parametrize("case", sorted(quantile_cases()))
+    def test_matches_numpy_bit_for_bit(self, case, q):
+        values = quantile_cases()[case]
+        expected = np.quantile(values, q, axis=0)
+        got = _rng.quantile(values, q)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_matches_numpy_on_random_samples(self):
+        rng = np.random.default_rng(41)
+        for trial in range(500):
+            n = int(rng.integers(1, 200))
+            shape = (n,) if trial % 2 else (n, 3)
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300)
+            if trial % 3 == 0:
+                values = np.round(values, 1)
+            q = float(rng.random())
+            expected = np.quantile(values, q, axis=0)
+            assert np.asarray(_rng.quantile(values, q)).tobytes() == np.asarray(expected).tobytes()
+
+    def test_partitions_in_place_only_when_asked(self):
+        values = np.random.default_rng(42).normal(size=(60, 3))
+        before = values.copy()
+        expected = np.quantile(before, 0.975, axis=0)
+        assert_array_equal(_rng.quantile(values, 0.975), expected)
+        assert_array_equal(values, before)
+        assert_array_equal(_rng.quantile(values, 0.975, overwrite_input=True), expected)
+        assert not np.array_equal(values, before)
+        assert_array_equal(np.sort(values, axis=0), np.sort(before, axis=0))

@@ -2,8 +2,9 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from climdemand import _rng
 from climdemand._rng import replicate_draws, substream
 from climdemand.errors import (
     AlignmentError,
@@ -39,6 +40,7 @@ from climdemand.varbase import (
     simulate_var,
     spectral_radius,
 )
+from memory_budget import traced_peak
 from resampling import stationary_bootstrap_indices
 
 
@@ -378,6 +380,39 @@ class TestScaleInvariance:
         assert np.max(np.abs(m_base - m_scaled)) < 1e-8
 
 
+class TestAffineInvariance:
+    @pytest.mark.parametrize("conditional", [False, True], ids=["unconditional", "conditional"])
+    def test_affine_maps_keep_every_decision(self, conditional):
+        # Replacing (x, y) by (3x + 5, 0.5y - 2) changes neither measure, nor
+        # the null, whose resamples map the same way.  Over twelve such
+        # pairs at 200 replicates the estimates moved by at most 3.3e-16 and
+        # the thresholds by at most 2.2e-15 relative; the tolerances are
+        # about 30 and 50 times that.  The cause enters through two lags, so
+        # the measure varies over frequency and both rules split the
+        # frequencies (119 and 130 unconditional, 124 and 135 conditional,
+        # of 150), each at least 2e-4 from its threshold.
+        rng = np.random.default_rng(2)
+        x, w = rng.normal(size=(2, 300))
+        y = np.r_[0.0, 0.0, 0.3 * (x[1:-1] + x[:-2]) + 0.3 * w[1:-1]] + rng.normal(size=300)
+        cfg = GcBootstrapConfig(n_replicates=200, seed=2)
+
+        def spectrum(cause, effect):
+            if conditional:
+                return conditional_gc_spectrum(cause, effect, w, cfg)
+            return unconditional_gc_spectrum(cause, effect, cfg)
+
+        base, mapped = spectrum(x, y), spectrum(3.0 * x + 5.0, 0.5 * y - 2.0)
+        assert 0 < base.significant_bonferroni.sum() < base.significant_pointwise.sum() < 150
+        assert_array_equal(mapped.significant_pointwise, base.significant_pointwise)
+        assert_array_equal(mapped.significant_bonferroni, base.significant_bonferroni)
+        assert (mapped.var_order, mapped.n_replicates, mapped.n_failed) == (
+            base.var_order, base.n_replicates, base.n_failed
+        )
+        assert_allclose(mapped.estimate, base.estimate, rtol=0, atol=1e-14)
+        for field in ("threshold_pointwise", "threshold_bonferroni"):
+            assert getattr(mapped, field) == pytest.approx(getattr(base, field), rel=1e-13, abs=0)
+
+
 def stationary_bootstrap(values, expected_block_length, rng):
     """One stationary-bootstrap resample of a series."""
     arr = np.asarray(values, dtype=float)
@@ -509,12 +544,10 @@ class TestBatchedNull:
         assert_allclose(batched.medians, kept, rtol=1e-12, atol=0)
 
     def test_blocks_do_not_change_the_null(self, monkeypatch):
-        from climdemand import spectral
-
         x, y, _ = spiky_pair()
         cfg = GcBootstrapConfig(n_replicates=120, seed=2)
         whole = _unconditional_thresholds(x, y, cfg)
-        monkeypatch.setattr(spectral, "_NULL_BLOCK", 7)
+        monkeypatch.setattr(_rng, "FIT_BLOCK", 7)
         blocked = _unconditional_thresholds(x, y, cfg)
         assert_allclose(blocked.medians, whole.medians, rtol=0, atol=0)
         assert blocked.n_failed == whole.n_failed
@@ -538,15 +571,44 @@ class TestBatchedNull:
         assert_allclose(batched.medians, kept, rtol=0, atol=0)
 
     def test_blocks_do_not_change_the_conditional_null(self, monkeypatch):
-        from climdemand import spectral
-
         x, y, w = spiky_pair()
         cfg = GcBootstrapConfig(n_replicates=120, seed=2)
         whole = conditional_thresholds(x, y, w, cfg)
-        monkeypatch.setattr(spectral, "_NULL_BLOCK", 7)
+        monkeypatch.setattr(_rng, "FIT_BLOCK", 7)
         blocked = conditional_thresholds(x, y, w, cfg)
         assert_allclose(blocked.medians, whole.medians, rtol=0, atol=0)
         assert blocked.n_failed == whole.n_failed
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_recursion_blocks_do_not_change_the_conditional_spectrum(self, monkeypatch, block):
+        # The (effect, conditioning) pairs are simulated a recursion block at
+        # a time to bound memory; no output may depend on its size, nor on
+        # how the fit blocks fall inside it.
+        x, y, w = spiky_pair()
+        cfg = GcBootstrapConfig(n_replicates=150, seed=2)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", 10**6)
+        whole = conditional_gc_spectrum(x, y, w, cfg)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", block)
+        blocked = conditional_gc_spectrum(x, y, w, cfg)
+        assert whole.n_failed > 0
+        assert blocked.estimate.tobytes() == whole.estimate.tobytes()
+        for field in ("threshold_pointwise", "threshold_bonferroni", "n_failed", "n_replicates"):
+            assert getattr(blocked, field) == getattr(whole, field), field
+
+    def test_conditional_null_runs_within_a_memory_budget(self):
+        # Three 390-point series, the screen's length, at the pipeline's 1000
+        # replicates.  Simulating every replicate's (effect, conditioning)
+        # pair in one recursion peaked at 13.5 MiB; a recursion block at a
+        # time, with each fit block's causes indexed as it is scored, 4.9.
+        # The held index draws are 1.5 MiB of that.
+        rng = np.random.default_rng(31)
+        x, w = rng.normal(size=(2, 390))
+        y = np.r_[0.0, 0.5 * x[:-1] + 0.3 * w[:-1]] + rng.normal(size=390)
+        cfg = GcBootstrapConfig(n_replicates=1000, seed=0)
+        replicate_draws.cache_clear()
+        peak, result = traced_peak(lambda: conditional_gc_spectrum(x, y, w, cfg))
+        assert result.n_replicates == 1000
+        assert peak <= 6.0 * 2**20
 
     @pytest.mark.parametrize("seed", [2, 6])
     def test_short_series_agrees_with_oracle(self, seed):

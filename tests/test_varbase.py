@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from climdemand import spectral, varbase, varx
+from climdemand import _rng, spectral, varbase, varx
 from climdemand._rng import replicate_draws
 from climdemand.errors import (
     InsufficientDataError,
@@ -362,7 +362,7 @@ class TestStackCore:
         assert groups[0].index.tolist() == [0, 2]
 
     def test_sliced_refit_equals_single_fits(self, monkeypatch):
-        # refit factors at most _FIT_SLICE series per QR.  Orders 1, 2, 3
+        # refit factors at most _rng.FIT_BLOCK series per QR.  Orders 1, 2, 3
         # take 14, 13 and 13 of 40 series, so each group spans two slices
         # of 7; series 23 (order 3, the 8th of its group) is singular and
         # sits in its group's second slice.
@@ -372,9 +372,9 @@ class TestStackCore:
         stack[23, :, 1] = 3.0 * stack[23, :, 0]
         exog = rng.normal(size=(150, 3))
         orders = np.resize([1, 2, 3], 40)
-        monkeypatch.setattr(varbase, "_FIT_SLICE", 10**6)
+        monkeypatch.setattr(_rng, "FIT_BLOCK", 10**6)
         whole, whole_failed = refit(stack, orders, exog)
-        monkeypatch.setattr(varbase, "_FIT_SLICE", 7)
+        monkeypatch.setattr(_rng, "FIT_BLOCK", 7)
         groups, failed = refit(stack, orders, exog)
         assert np.flatnonzero(failed).tolist() == [23]
         assert_array_equal(failed, whole_failed)

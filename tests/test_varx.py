@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from climdemand import _rng
 from climdemand._rng import replicate_draws
 from climdemand.errors import (
     AlignmentError,
@@ -204,19 +205,18 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_blocked_draws_equal_one_shot_draws(self, monkeypatch, block):
-        # Replicates are simulated in blocks and refit in slices of a block
-        # to bound memory; no draw may depend on either size.
-        from climdemand import varbase, varx
-
+        # Replicates are simulated in recursion blocks and refit in fit
+        # blocks of a recursion block to bound memory; no draw may depend on
+        # either size.
         rng = np.random.default_rng(8)
         y, design, *_ = simulate_varx2(rng, T=250)
         model = fit_varx(y, design, order=2)
-        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", 10**6)
-        monkeypatch.setattr(varbase, "_FIT_SLICE", 10**6)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", 10**6)
+        monkeypatch.setattr(_rng, "FIT_BLOCK", 10**6)
         whole = residual_bootstrap(model, n_replicates=150, seed=3)
-        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", block)
-        for fit_slice in (5, 32, 10**6):
-            monkeypatch.setattr(varbase, "_FIT_SLICE", fit_slice)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", block)
+        for fit_block in (5, 32, 10**6):
+            monkeypatch.setattr(_rng, "FIT_BLOCK", fit_block)
             blocked = residual_bootstrap(model, n_replicates=150, seed=3)
             for field in ("intercept_draws", "endo_draws", "exo_draws", "resid_cov_draws",
                           "endo_lower", "endo_upper", "exo_lower", "exo_upper"):
@@ -247,7 +247,7 @@ class TestBootstrap:
             residual_bootstrap(model, n_replicates=150, seed=1)
         assert slices == [32, 32, 32, 32]
 
-    @pytest.mark.parametrize("bootstrap", ["residual_bootstrap", "fevd"])
+    @pytest.mark.parametrize("bootstrap", ["residual_bootstrap", "fevd", "irf"])
     def test_runs_within_a_memory_budget(self, bootstrap):
         # The pipeline's VARX size: 338 weeks of two variables, five
         # exogenous columns (two Fourier terms, the August dummy, two
@@ -257,6 +257,9 @@ class TestBootstrap:
         # adds the initial rows and no innovations held through the refit,
         # 3.3; with no R11^-1 kept per replicate, 3.2.  The FEVD of all 1000
         # draws at once peaked at 4.8 MiB; 128 replicates at a time, 1.0.
+        # The IRF at 52 horizons, of all draws at once and banded by
+        # np.quantile, peaked at 3.3 MiB; 128 replicates at a time and
+        # banded in place, 2.0.
         rng = np.random.default_rng(26)
         y, design, *_ = simulate_varx2(rng, T=338)
         baselines = {f"b{i}": rng.normal(size=338) for i in range(2)}
@@ -265,6 +268,9 @@ class TestBootstrap:
         if bootstrap == "fevd":
             inference = residual_bootstrap(model, n_replicates=1000)
             run, budget_mib = (lambda: fevd(model, inference=inference)), 1.5
+        elif bootstrap == "irf":
+            inference = residual_bootstrap(model, n_replicates=1000)
+            run, budget_mib = (lambda: irf(model, horizon=52, inference=inference)), 2.5
         else:
             run, budget_mib = (lambda: residual_bootstrap(model, n_replicates=1000)), 4.0
         replicate_draws.cache_clear()
@@ -563,6 +569,26 @@ class TestImpulseResponses:
         assert result.lower.shape == result.responses.shape
         assert np.all(result.lower <= result.upper + 1e-12)
 
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_blocked_bands_equal_one_shot_bands(self, monkeypatch, block):
+        # The draws go through the responses a block at a time, and are
+        # banded by partitioning them in place, to bound memory; no band may
+        # depend on the block size, and each is np.quantile of the responses.
+        from climdemand.varx import _phi_matrices
+
+        model = self.fit_stable()
+        boot = residual_bootstrap(model, n_replicates=150, seed=3)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", 10**6)
+        whole = irf(model, horizon=20, inference=boot)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", block)
+        blocked = irf(model, horizon=20, inference=boot)
+        for field in ("responses", "lower", "upper"):
+            assert_array_equal(getattr(blocked, field), getattr(whole, field))
+        factors = np.linalg.cholesky(boot.resid_cov_draws)
+        draws = _phi_matrices(boot.endo_draws, 20) @ factors[:, None]
+        assert_array_equal(whole.lower, np.quantile(draws, 0.025, axis=0))
+        assert_array_equal(whole.upper, np.quantile(draws, 0.975, axis=0))
+
 
 class TestFevd:
     def test_shares_sum_to_one(self):
@@ -604,15 +630,13 @@ class TestFevd:
     def test_blocked_bands_equal_one_shot_bands(self, monkeypatch, block):
         # The draws go through the decomposition a block at a time to bound
         # memory; no band may depend on the block size.
-        from climdemand import varx
-
         rng = np.random.default_rng(18)
         y, design, *_ = simulate_varx2(rng, T=300)
         model = fit_varx(y, design, order=2)
         boot = residual_bootstrap(model, n_replicates=150, seed=4)
-        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", 10**6)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", 10**6)
         whole = fevd(model, inference=boot)
-        monkeypatch.setattr(varx, "_BOOTSTRAP_BLOCK", block)
+        monkeypatch.setattr(_rng, "RECURSION_BLOCK", block)
         blocked = fevd(model, inference=boot)
         for field in ("shares", "mean", "lower", "upper"):
             assert_array_equal(getattr(blocked, field), getattr(whole, field))
