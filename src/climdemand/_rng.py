@@ -52,10 +52,10 @@ MIN_REPLICATES = 100
 # by one recursion.  Each replicate's arithmetic is its own, so no size
 # changes a bit; the sizes trade memory for time.  A fit block's stacked QR
 # copies its design, and 32 kept the pipeline's peak RSS level where 128
-# raised it by about 6 MB; 16 made the causality nulls 13-16% slower.  A
-# recursion's cost per step barely grows with its width, so it runs 128
-# replicates (about 0.8 MB of innovations and samples at 390 weeks of two
-# variables); 32 made the conditional causality null 38% slower.
+# raised it by about 6 MB; 16 made a benchmark screen operation about 12%
+# slower.  A recursion's cost per step barely grows with its width, so it
+# runs 128 replicates (about 0.8 MB of innovations and samples at 390 weeks
+# of two variables); 32 made the conditional causality null 25% slower.
 FIT_BLOCK = 32
 RECURSION_BLOCK = 128
 
@@ -327,9 +327,9 @@ def quantile(values, q: float, overwrite_input: bool = False):
     """``np.quantile(values, q, axis=0)`` of a float array, bit for bit: the
     default linear method, with NaN in a slice giving NaN, and a numpy
     scalar from 1-D values.  numpy's own imports numpy.ma for the
-    ``np.unique`` of the order statistics it partitions at, about 1 MiB
-    held for the rest of the run.  With ``overwrite_input`` the values are
-    partitioned in place instead of in a copy."""
+    ``np.unique`` of the order statistics it partitions at, about 1.25 MB
+    of RSS held for the rest of the run.  With ``overwrite_input`` the
+    values are partitioned in place instead of in a copy."""
     arr = np.asarray(values, dtype=float)
     if not overwrite_input:
         arr = arr.copy()

@@ -507,9 +507,8 @@ def _conditional_thresholds(
 
     Each replicate regenerates (effect, conditioning) by a residual
     bootstrap of that VAR, resamples the cause by stationary bootstrap and
-    takes the observed series' way.  The pairs are simulated a recursion
-    block at a time and scored a fit block at a time, so the simulated
-    samples never exceed one recursion block.
+    takes the observed series' way, a recursion block of pairs simulated
+    at a time and scored a fit block at a time.
     """
     n = x.size
     frequencies = fourier_frequencies(n)
