@@ -54,11 +54,13 @@ class AlignmentError(ToolkitError, ValueError):
 
 
 class IngestionError(ToolkitError, ValueError):
-    """A CSV file failed validation.  The message carries the offending line."""
+    """A CSV file failed validation.  The message carries the offending
+    line; ``path`` names the file once the reader that read it has set it."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+        self.path = None
 
 
 class FileAccessError(ToolkitError):

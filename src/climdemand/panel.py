@@ -14,6 +14,7 @@ from __future__ import annotations
 import array
 import csv
 import datetime as dt
+import functools
 import math
 import os
 import re
@@ -384,12 +385,28 @@ def _csv_rows(path: str) -> Iterator[list[str]]:
             raise IngestionError("empty file: no header row", 1)
 
 
+def _names_its_file(read):
+    """``read(path)``, whose :class:`IngestionError` names ``path``."""
+
+    @functools.wraps(read)
+    def reader(path):
+        try:
+            return read(path)
+        except IngestionError as exc:
+            exc.path = path
+            raise
+
+    return reader
+
+
+@_names_its_file
 def read_panel_csv(path: str) -> PanelDataset:
     """Ingest a weekly panel CSV.
 
     The header must start with ``week_start``; week starts must be ISO-dated
     Mondays exactly seven days apart.  Any gap, duplicate column, ragged row
-    or malformed cell raises :class:`IngestionError` with the line number;
+    or malformed cell raises :class:`IngestionError` with the line number
+    and the path;
     rows are read and checked one at a time, in file order.
     """
     rows = _csv_rows(path)
@@ -434,6 +451,7 @@ def read_panel_csv(path: str) -> PanelDataset:
 _ORDINAL_BITS = 22
 
 
+@_names_its_file
 def read_daily_csv(path: str) -> DailyClimate:
     """Ingest a regional daily climate CSV.
 
@@ -441,7 +459,7 @@ def read_daily_csv(path: str) -> DailyClimate:
     count, ISO date, one row per region and day, finite numbers,
     :class:`DailyClimate`'s domains); then each region's days, in date
     order and regions in the order of their first row, must form a gap-free
-    calendar.  Errors carry line numbers.
+    calendar.  Errors carry line numbers and the path.
     """
     rows = _csv_rows(path)
     if tuple(next(rows)) != DAILY_CSV_HEADER:

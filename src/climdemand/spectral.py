@@ -8,14 +8,16 @@ cause does not enter the effect's equations, and positive otherwise.
 Significance is judged against a resampling null: cause and effect are
 resampled by independent stationary bootstraps (geometric block lengths,
 wrap-around), which preserves each series' own dependence while destroying
-any relation between them.  Each resample is pushed through the same
-estimation path as the observed data, its measure is reduced to the median
-across frequencies, and thresholds are quantiles of those medians: the
-(1 - alpha) quantile pointwise, and the (1 - 2 alpha / F) quantile for a
+any relation between them.  The observed spectrum is replicate zero of its
+null: the observed series and every resample go through one stacked
+estimator, which gives each sample's order, cross/intrinsic ratio over
+frequency and failure code.  Each resample's measure is reduced to the
+median across frequencies, and thresholds are quantiles of those medians:
+the (1 - alpha) quantile pointwise, and the (1 - 2 alpha / F) quantile for a
 familywise (Bonferroni-corrected over the F frequencies) decision.  Both
-thresholds are flat lines over frequency.  A replicate whose fit or
-decomposition fails is left out of the quantiles and counted in
-``n_failed``.
+thresholds are flat lines over frequency.  A replicate whose spectrum fails
+is left out of the quantiles and counted in ``n_failed``; the observed
+series raise the error for that failure, with the same message.
 
 Both nulls run on the VAR core of :mod:`climdemand.varbase` in fit blocks of
 :func:`climdemand._rng.replicate_blocks`, and take their thresholds by
@@ -46,7 +48,6 @@ from an earlier pair: outputs are byte-identical either way.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -60,13 +61,14 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     NumericalError,
-    ShapeError,
+    RankDeficiencyError,
     integer_problem,
     real_problem,
 )
 from .panel import WeeklySeries, finite_array
 from .varbase import (
     VarxModel,
+    _rank_error,
     bic_path,
     check_sample_size,
     fit_var,
@@ -109,29 +111,6 @@ class GcBootstrapConfig:
         if self.expected_block_length is not None:
             return float(self.expected_block_length)
         return float(math.ceil(n ** (1.0 / 3.0)))
-
-
-@dataclass
-class SpectralDecomposition:
-    """Split of the effect's spectral density at each frequency.
-
-    ``total = intrinsic + cross`` where ``intrinsic`` is the contribution of
-    the effect's own orthogonalized innovation and ``cross`` the part routed
-    through the cause's innovation.  The causality measure is
-    ``log(total / intrinsic)``.  For a conditional decomposition (of the
-    projection residuals) ``projection_order`` is the projection's lag
-    order; it is ``None`` otherwise.
-    """
-
-    frequencies: np.ndarray
-    total: np.ndarray
-    intrinsic: np.ndarray
-    cross: np.ndarray
-    projection_order: int | None = None
-
-    @property
-    def measure(self) -> np.ndarray:
-        return np.log1p(self.cross / self.intrinsic)
 
 
 @dataclass
@@ -188,13 +167,18 @@ def fourier_frequencies(n: int) -> np.ndarray:
     return np.arange(1, n // 2 + 1) / float(n)
 
 
-# Why a decomposition fails, by failure code (code 0 is success).
-_DECOMPOSITION_FAILURES = (
+# Why a spectrum fails, by failure code (code 0 is success): the
+# decomposition's four ways, a VAR fit with a small pivot, the projection's.
+_FAILURES = (
     None,
     (DegenerateInputError, "innovation covariance is singular"),
     (NumericalError, "lag polynomial is non-invertible at some frequency"),
     (NumericalError, "spectral decomposition produced non-finite values"),
     (NumericalError, "effect's own spectral term vanished at some frequency"),
+    (RankDeficiencyError, None),
+    (DegenerateInputError, "the conditioning series and its lags are collinear"),
+    (DegenerateInputError, "cause series is fully explained by the conditioning series"),
+    (DegenerateInputError, "effect series is fully explained by the conditioning series"),
 )
 
 
@@ -205,7 +189,7 @@ def _decompose(
 
     Works on a stack of B bivariate systems: ``coef`` (B, p, 2, 2) and
     ``resid_cov`` (B, 2, 2) give (B, F) terms and a (B,) failure code, an
-    index into ``_DECOMPOSITION_FAILURES``.  The innovation of the cause
+    index into ``_FAILURES``.  The innovation of the cause
     (variable 0) is orthogonalized against the effect's innovation, so the
     effect's own term keeps variance s22 and the cross term carries the
     residual cause variance s11 - s12^2 / s22.
@@ -254,24 +238,6 @@ def _decompose(
     return cross, intrinsic, failure
 
 
-def spectral_decomposition(model: VarxModel, frequencies: np.ndarray) -> SpectralDecomposition:
-    """Decompose a fitted bivariate VAR (cause first, effect second)."""
-    if model.n_variables != 2:
-        raise ShapeError("spectral decomposition requires a bivariate model")
-    cross, intrinsic, failure = _decompose(
-        model.endo_coef[None], model.resid_cov[None], frequencies
-    )
-    if failure[0]:
-        error, message = _DECOMPOSITION_FAILURES[failure[0]]
-        raise error(message)
-    return SpectralDecomposition(
-        frequencies=np.asarray(frequencies, dtype=float),
-        total=cross[0] + intrinsic[0],
-        intrinsic=intrinsic[0],
-        cross=cross[0],
-    )
-
-
 @dataclass
 class BootstrapThresholds:
     """Null-median distribution and the two decision quantiles drawn from it."""
@@ -309,24 +275,39 @@ def _median_measure(ratio: np.ndarray) -> np.ndarray:
     return np.log1p(np.partition(ratio, kth, axis=1)[:, middle]).mean(axis=1)
 
 
-def _null_medians(samples: np.ndarray, max_order: int, frequencies: np.ndarray) -> np.ndarray:
-    """Median causality measure of each (cause, effect) sample of a stack.
-
-    Each sample goes the observed data's way: BIC order over 1..max_order,
-    refit, decomposition.  A sample is NaN where :func:`fit_var` would raise
-    :class:`RankDeficiencyError` or the decomposition fails.
-    """
-    medians = np.full(len(samples), np.nan)
+def _spectra(
+    samples: np.ndarray, max_order: int, frequencies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BIC order, cross/intrinsic ratio over frequency (the measure is its
+    ``log1p``) and failure code of each (cause, effect) sample of a
+    (B, n, 2) stack: BIC order over 1..max_order, refit, decomposition.  A
+    failed sample's ratio is NaN, and so is its :func:`_median_measure`."""
+    ratio = np.full((len(samples), frequencies.size), np.nan)
+    failure = np.full(len(samples), 5)
     path = bic_path(samples, max_order)
+    orders = select_order(path)
     fitted = np.flatnonzero(~np.isnan(path).any(axis=1))
-    groups, _ = refit(samples[fitted], select_order(path[fitted]))
+    groups, _ = refit(samples[fitted], orders[fitted])
     for fit in groups:
-        cross, intrinsic, failure = _decompose(
+        cross, intrinsic, code = _decompose(
             lag_coefficients(fit.coef, fit.order), fit.resid_cov, frequencies
         )
-        ok = failure == 0
-        medians[fitted[fit.index[ok]]] = _median_measure(cross[ok] / intrinsic[ok])
-    return medians
+        rows, ok = fitted[fit.index], code == 0
+        failure[rows] = code
+        ratio[rows[ok]] = cross[ok] / intrinsic[ok]
+    return orders, ratio, failure
+
+
+def _failure(code: int, sample: np.ndarray, names, max_order: int) -> Exception:
+    """The error of failure ``code`` of a spectrum whose VAR is fitted to
+    ``sample`` (T, 2), variables called ``names``.  A small pivot is named
+    as :func:`fit_var` names it, at the first order whose fit fails: the
+    BIC path's first NaN, where ``argmin`` stops, else the BIC order."""
+    error, message = _FAILURES[code]
+    if message is not None:
+        return error(message)
+    order = int(select_order(bic_path(sample[None], max_order))[0])
+    return _rank_error(sample, names, order, None, ())
 
 
 def _unconditional_thresholds(
@@ -348,25 +329,26 @@ def _unconditional_thresholds(
     raw = np.empty(cfg.n_replicates)
     for block in replicate_blocks(cfg.n_replicates):
         samples = np.stack([x[causes[block]], y[effects[block]]], axis=2)
-        raw[block] = _null_medians(samples, cfg.max_var_order, frequencies)
+        raw[block] = _median_measure(_spectra(samples, cfg.max_var_order, frequencies)[1])
     return _thresholds(raw, cfg, frequencies.size)
 
 
 def _spectrum_result(
-    names, observed: SpectralDecomposition, var_order: int, thresholds: BootstrapThresholds,
-    alpha: float,
+    names, frequencies: np.ndarray, order, ratio: np.ndarray,
+    thresholds: BootstrapThresholds, alpha: float,
 ) -> SpectrumResult:
     """The result of a spectrum from its (cause, effect, conditioning) names,
-    the observed decomposition and the null's thresholds."""
+    the observed order and cross/intrinsic ratio, and the null's
+    thresholds."""
     return SpectrumResult(
         *names,
-        frequencies=observed.frequencies,
-        estimate=observed.measure,
+        frequencies=frequencies,
+        estimate=np.log1p(ratio),
         threshold_pointwise=thresholds.pointwise,
         threshold_bonferroni=thresholds.bonferroni,
         alpha=alpha,
         n_replicates=int(thresholds.medians.size),
-        var_order=var_order,
+        var_order=int(order),
         n_failed=thresholds.n_failed,
     )
 
@@ -376,14 +358,21 @@ def unconditional_gc_spectrum(
 ) -> SpectrumResult:
     """Unconditional causality spectrum of cause -> effect with thresholds.
 
-    The series are checked once, for the observed fit and the null alike.
-    ``threads`` is accepted and has no effect.
+    The series are checked once, for the observed spectrum and the null
+    alike; the observed spectrum is the null's :func:`_spectra` of a
+    one-sample stack.  ``threads`` is accepted and has no effect.
     """
     x, y, x_name, y_name = _check_pair(cause, effect)
-    model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order, names=(x_name, y_name))
-    observed = spectral_decomposition(model, fourier_frequencies(x.size))
+    check_sample_size(x.size, 2, 0, cfg.max_var_order)
+    data = np.column_stack([x, y])
+    frequencies = fourier_frequencies(x.size)
+    orders, ratio, failure = _spectra(data[None], cfg.max_var_order, frequencies)
+    if failure[0]:
+        raise _failure(failure[0], data, (x_name, y_name), cfg.max_var_order)
     thresholds = _unconditional_thresholds(x, y, cfg)
-    return _spectrum_result((x_name, y_name, None), observed, model.order, thresholds, cfg.alpha)
+    return _spectrum_result(
+        (x_name, y_name, None), frequencies, orders[0], ratio[0], thresholds, cfg.alpha
+    )
 
 
 def _project_on_conditioning(
@@ -398,15 +387,6 @@ def _project_on_conditioning(
     return matrix[:, :, 2 + order :] - matrix[:, :, : 2 + order] @ coef, failed
 
 
-def _explained(resid: np.ndarray, cause_sd) -> np.ndarray:
-    """Whether projection residuals (..., rows) are fully explained by the
-    conditioning series; ``cause_sd`` is the standard deviation of the
-    cause series they belong to."""
-    return (np.ptp(resid, axis=-1) == 0.0) | (
-        np.std(resid, axis=-1) < 1e-12 * np.maximum(1.0, cause_sd)
-    )
-
-
 def _check_triple(cause, effect, conditioning):
     """:func:`_check_pair` of (cause, effect), then of (cause, conditioning)."""
     x, y, x_name, y_name = _check_pair(cause, effect)
@@ -414,46 +394,26 @@ def _check_triple(cause, effect, conditioning):
     return x, y, w, x_name, y_name, w_name
 
 
-def _observed_conditional(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, pair_model: VarxModel, max_order: int
-) -> SpectralDecomposition:
-    """Decomposition of the cause/effect projection residuals of checked
-    series, given their fitted (effect, conditioning) VAR, whose BIC order
-    is the projection's; frequencies stay on the original i/T grid."""
-    frequencies = fourier_frequencies(x.size)
-    order = pair_model.order
-    resid, singular = _project_on_conditioning(np.column_stack([x, y])[None], w[None], order)
-    if singular[0]:
-        raise DegenerateInputError("the conditioning series and its lags are collinear")
-    for k, name in enumerate(("cause", "effect")):
-        if _explained(resid[0, :, k], np.std(x)):
-            raise DegenerateInputError(
-                f"{name} series is fully explained by the conditioning series"
-            )
-    model = fit_var(resid[0], max_order=max_order)
-    return dataclasses.replace(
-        spectral_decomposition(model, frequencies), projection_order=order
-    )
-
-
-def _conditional_null_medians(
+def _conditional_spectra(
     causes: np.ndarray, pairs: np.ndarray, max_order: int, frequencies: np.ndarray
-) -> np.ndarray:
-    """Median conditional measure of each replicate of a stack: causes
-    (B, n) and (effect, conditioning) pairs (B, n, 2).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_spectra`'s outputs, with the projection order, for the
+    conditional spectrum of each replicate of a stack: causes (B, n) and
+    (effect, conditioning) pairs (B, n, 2).
 
-    Each replicate goes the observed series' way (:func:`_check_triple`,
-    the (effect, conditioning) fit, :func:`_observed_conditional`): one BIC
-    path and refit over the stacked pairs give the projection orders, and
-    the projection residuals of each order go through :func:`_null_medians`.
-    A replicate is NaN where that way would raise
-    :class:`RankDeficiencyError`, :class:`NumericalError` or
-    :class:`DegenerateInputError`; of the other errors it would raise, the
-    one of the first such replicate is raised.
+    Each replicate goes through :func:`_check_triple`'s checks, then one BIC
+    path and refit of the stacked pairs give the projection orders, the
+    replicates of each order are projected by one stacked QR, and their
+    residuals go through :func:`_spectra`.  Code 5 also marks a failed
+    (effect, conditioning) fit or a constant series; 6 to 8 a singular
+    projection and an explained cause or effect.  Of the other errors the
+    checks and fits would raise, the first replicate's is raised.
     """
     B, n = causes.shape
     effects, conditioning = pairs[:, :, 0], pairs[:, :, 1]
-    medians = np.full(B, np.nan)
+    orders = np.zeros(B, dtype=int)
+    ratio = np.full((B, frequencies.size), np.nan)
+    failure = np.full(B, 5)
     escapes: list[tuple[int, Exception]] = []
     # _check_triple checks the effect's values, the cause's and
     # the effect's spread, then the conditioning's values and spread.
@@ -471,32 +431,38 @@ def _conditional_null_medians(
     live = np.flatnonzero(pair_varies & finite_conditioning & varies[2])
 
     path = bic_path(pairs[live], max_order)
-    ranked = ~np.isnan(path).any(axis=1)
-    orders = select_order(path[ranked])
-    _, failed = refit(pairs[live[ranked]], orders)
-    fitted, orders = live[ranked][~failed], orders[~failed]
+    orders[live] = select_order(path)
+    ranked = live[~np.isnan(path).any(axis=1)]
+    _, failed = refit(pairs[ranked], orders[ranked])
+    fitted = ranked[~failed]
 
-    for p in sorted(set(orders.tolist())):
-        members = fitted[orders == p]
+    for p in sorted(set(orders[fitted].tolist())):
+        members = fitted[orders[fitted] == p]
         resid, singular = _project_on_conditioning(
             np.stack([causes[members], effects[members]], axis=2), conditioning[members], p
         )
+        # A residual series the conditioning explains is constant, or
+        # rounding-small next to the cause's spread.  Each is reduced on its
+        # own: over (B, rows, 2), numpy's inner loop runs two entries long.
         cause_sd = np.std(causes[members], axis=1)
-        explained = singular | _explained(resid[:, :, 0], cause_sd) | _explained(
-            resid[:, :, 1], cause_sd
-        )
-        kept = members[~explained]
-        if not kept.size:
+        explained = [
+            (np.ptp(r, axis=1) == 0.0) | (np.std(r, axis=1) < 1e-12 * np.maximum(1.0, cause_sd))
+            for r in (resid[:, :, 0], resid[:, :, 1])
+        ]
+        code = np.select([singular, *explained], [6, 7, 8], 0)
+        failure[members] = code
+        rows = members[code == 0]
+        if not rows.size:
             continue
         try:
             check_sample_size(n - p, 2, 0, max_order)
         except InsufficientDataError as exc:
-            escapes.append((kept[0], exc))
+            escapes.append((rows[0], exc))
             continue
-        medians[kept] = _null_medians(resid[~explained], max_order, frequencies)
+        _, ratio[rows], failure[rows] = _spectra(resid[code == 0], max_order, frequencies)
     if escapes:
         raise min(escapes, key=lambda escape: escape[0])[1]
-    return medians
+    return orders, ratio, failure
 
 
 def _conditional_thresholds(
@@ -528,9 +494,9 @@ def _conditional_thresholds(
         )
         causes, scored = cause_rows[block], raw[block]
         for part in replicate_blocks(len(pairs)):
-            scored[part] = _conditional_null_medians(
+            scored[part] = _median_measure(_conditional_spectra(
                 x[causes[part]], pairs[part], cfg.max_var_order, frequencies
-            )
+            )[1])
     return _thresholds(raw, cfg, frequencies.size)
 
 
@@ -556,16 +522,24 @@ def conditional_gc_spectrum(
     projected by one stacked QR, and their residuals go through the
     unconditional null's stacked fit and decomposition.  No block size
     changes a bit of the result.  The series are checked and their
-    (effect, conditioning) VAR is fitted once, for the observed
-    decomposition and the null alike.  ``threads`` is accepted and has no
-    effect.
+    (effect, conditioning) VAR is fitted once, for the observed spectrum
+    (:func:`_conditional_spectra` of a one-sample stack) and the null
+    alike.  ``threads`` is accepted and has no effect.
     """
     x, y, w, x_name, y_name, w_name = _check_triple(cause, effect, conditioning)
     pair_model = fit_var(
         np.column_stack([y, w]), max_order=cfg.max_var_order, names=(y_name, w_name)
     )
-    observed = _observed_conditional(x, y, w, pair_model, cfg.max_var_order)
+    frequencies = fourier_frequencies(x.size)
+    orders, ratio, failure = _conditional_spectra(
+        x[None], pair_model.endog[None], cfg.max_var_order, frequencies
+    )
+    if failure[0]:
+        # The projection residuals' VAR names its variables as fit_var
+        # names unnamed ones.
+        resid, _ = _project_on_conditioning(np.column_stack([x, y])[None], w[None], orders[0])
+        raise _failure(failure[0], resid[0], ("y0", "y1"), cfg.max_var_order)
     thresholds = _conditional_thresholds(x, pair_model, cfg)
     return _spectrum_result(
-        (x_name, y_name, w_name), observed, observed.projection_order, thresholds, cfg.alpha
+        (x_name, y_name, w_name), frequencies, orders[0], ratio[0], thresholds, cfg.alpha
     )

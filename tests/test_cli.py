@@ -6,6 +6,7 @@ module runs in seconds; the full-size reproduction run lives in the
 acceptance suite.
 """
 
+import datetime as dt
 import inspect
 import itertools
 import json
@@ -213,6 +214,30 @@ class TestErrorReporting:
         payload = error_json(capsys)
         assert payload["error"] == "IngestionError"
         assert payload["line"] == 3
+
+    @pytest.mark.parametrize("which", ["panel", "daily", "forecast"])
+    def test_ingestion_error_names_its_file(self, tmp_path, capsys, which):
+        # With several inputs, only the path says which one is bad: here
+        # the second of two forecast files.
+        bad = tmp_path / "bad.csv"
+        if which == "daily":
+            bad.write_text(",".join(DAILY_CSV_HEADER) + "\nr1,2016-01-04,abc\n")
+            argv = ("features", "--daily", bad)
+        else:
+            bad.write_text("week_start,x\n2016-01-04,abc\n")
+            argv = ("gc", "--panel", bad, "--cause", "x", "--effect", "y")
+        if which == "forecast":
+            panel = tmp_path / "panel.csv"
+            weeks = [dt.date(2016, 1, 4) + dt.timedelta(days=7 * k) for k in range(120)]
+            write_panel_csv(PanelDataset(weeks, {"drug_demand": np.arange(120.0)}), panel)
+            good = tmp_path / "good.csv"
+            write_panel_csv(PanelDataset(weeks[100:], {"drug_demand": np.ones(20)}), good)
+            argv = ("evaluate", "--panel", panel, "--train-length", 100, "--horizon", 20,
+                    "--forecast", f"good={good}", "--forecast", f"bad={bad}")
+        assert run_cli("--out-dir", tmp_path / "out", *argv) == 1
+        payload = error_json(capsys)
+        assert payload["error"] == "IngestionError"
+        assert (payload["line"], payload["path"]) == (2, str(bad))
 
     def test_evaluate_rejects_misaligned_forecast(self, tmp_path, capsys):
         panel = make_panel(tmp_path)

@@ -19,19 +19,18 @@ from climdemand.errors import (
 from climdemand.panel import PanelDataset
 from climdemand.spectral import (
     GcBootstrapConfig,
-    SpectralDecomposition,
+    _conditional_spectra,
     _conditional_thresholds,
     _decompose,
-    _null_medians,
-    _observed_conditional,
+    _median_measure,
+    _project_on_conditioning,
+    _spectra,
     _unconditional_thresholds,
     conditional_gc_spectrum,
     fourier_frequencies,
-    spectral_decomposition,
     unconditional_gc_spectrum,
 )
 from climdemand.varbase import (
-    VarxModel,
     bic_path,
     fit_var,
     lag_coefficients,
@@ -67,30 +66,15 @@ def oracle_measure(coef, sigma, frequencies):
     return out
 
 
-def manual_model(coef, sigma, names=("x", "y")):
-    """Wrap known coefficients in a VarxModel for the decomposition API."""
-    coef = np.asarray(coef, dtype=float)
-    p, K, _ = coef.shape
-    return VarxModel(
-        variable_names=names,
-        exog_names=(),
-        order=p,
-        intercept=np.zeros(K),
-        endo_coef=coef,
-        exo_coef=np.zeros((K, 0)),
-        resid_cov=np.asarray(sigma, dtype=float),
-        residuals=np.zeros((10, K)),
-        intercept_se=np.zeros(K),
-        endo_se=np.zeros((p, K, K)),
-        exo_se=np.zeros((K, 0)),
-        gram_inv=np.zeros((1 + p * K, 1 + p * K)),
-        companion_radius=spectral_radius(coef),
-        nobs=10,
-        endog=np.zeros((10 + p, K)),
-        exog_values=np.zeros((10 + p, 0)),
-        bic=0.0,
-        bic_by_order={p: 0.0},
+def measure(coef, sigma, frequencies):
+    """The causality measure of one bivariate system, (p, 2, 2) lag
+    matrices and innovation covariance, by ``_decompose``, which must not
+    fail on it."""
+    cross, intrinsic, failure = _decompose(
+        np.asarray(coef, dtype=float)[None], np.asarray(sigma, dtype=float)[None], frequencies
     )
+    assert failure.tolist() == [0]
+    return np.log1p(cross[0] / intrinsic[0])
 
 
 def simulate_pair(coef, sigma, T, rng, burn=300):
@@ -154,11 +138,26 @@ def oracle_null_medians(x, y, cfg):
 
 
 def observed_conditional(x, y, w, max_order=4):
-    """The observed conditional decomposition of checked series, as
-    conditional_gc_spectrum takes it: the (effect, conditioning) fit, then
-    the projection residuals' decomposition."""
-    pair_model = fit_var(np.column_stack([y, w]), max_order=max_order)
-    return _observed_conditional(x, y, w, pair_model, max_order)
+    """The conditional measure of checked series and its projection order,
+    one fit at a time: the (effect, conditioning) VAR's order, the
+    least-squares projection of cause and effect on the conditioning
+    series, then fit_var of the residuals and their decomposition.  Where a
+    step fails it raises DegenerateInputError or NumericalError, or
+    fit_var's own error."""
+    order = fit_var(np.column_stack([y, w]), max_order=max_order).order
+    resid, singular = _project_on_conditioning(np.column_stack([x, y])[None], w[None], order)
+    if singular[0]:
+        raise DegenerateInputError("singular projection")
+    for series in resid[0].T:
+        if np.ptp(series) == 0.0 or np.std(series) < 1e-12 * max(1.0, np.std(x)):
+            raise DegenerateInputError("explained by the conditioning series")
+    model = fit_var(resid[0], max_order=max_order)
+    cross, intrinsic, failure = _decompose(
+        model.endo_coef[None], model.resid_cov[None], fourier_frequencies(x.size)
+    )
+    if failure[0]:
+        raise NumericalError("decomposition failed")
+    return np.log1p(cross[0] / intrinsic[0]), order
 
 
 def conditional_thresholds(x, y, w, cfg):
@@ -170,8 +169,8 @@ def conditional_thresholds(x, y, w, cfg):
 
 def oracle_conditional_null_medians(x, y, w, cfg):
     """The conditional null one replicate at a time: the observed
-    conditional decomposition of each simulated (effect, conditioning) pair
-    and resampled cause."""
+    conditional measure of each simulated (effect, conditioning) pair and
+    resampled cause."""
     n = x.size
     pair_model = fit_var(np.column_stack([y, w]), max_order=cfg.max_var_order)
     order = pair_model.order
@@ -190,12 +189,12 @@ def oracle_conditional_null_medians(x, y, w, cfg):
     raw = np.full(cfg.n_replicates, np.nan)
     for b in range(cfg.n_replicates):
         try:
-            decomp = observed_conditional(
+            estimate, _ = observed_conditional(
                 causes[b], simulated[b, :, 0], simulated[b, :, 1], cfg.max_var_order
             )
         except (RankDeficiencyError, NumericalError, DegenerateInputError):
             continue
-        raw[b] = np.median(decomp.measure)
+        raw[b] = np.median(estimate)
     return raw
 
 
@@ -231,27 +230,23 @@ class TestDecomposition:
         )
         sigma = np.array([[1.0, 0.6], [0.6, 2.0]])
         freqs = fourier_frequencies(128)
-        decomp = spectral_decomposition(manual_model(coef, sigma), freqs)
-        assert_allclose(decomp.measure, oracle_measure(coef, sigma, freqs), atol=1e-12)
-        assert_allclose(decomp.total, decomp.cross + decomp.intrinsic)
-        assert np.all(decomp.measure >= 0.0)
+        got = measure(coef, sigma, freqs)
+        assert_allclose(got, oracle_measure(coef, sigma, freqs), atol=1e-12)
+        assert np.all(got >= 0.0)
 
     def test_lag_one_shift_is_flat_log_164(self):
         # y_t = 0.8 x_{t-1} + e with unit white noise: the measure is
         # log(1 + 0.64) at every frequency.
         coef = np.array([[[0.0, 0.0], [0.8, 0.0]]])
-        decomp = spectral_decomposition(
-            manual_model(coef, np.eye(2)), fourier_frequencies(200)
-        )
-        assert_allclose(decomp.measure, np.log(1.64), rtol=1e-12)
+        got = measure(coef, np.eye(2), fourier_frequencies(200))
+        assert_allclose(got, np.log(1.64), rtol=1e-12)
 
     def test_zero_cross_coefficients_give_exact_zero(self):
         # No cause -> effect coefficients: identically zero even though the
         # innovations are correlated and the effect feeds back on the cause.
         coef = np.array([[[0.5, 0.25], [0.0, 0.4]]])
         sigma = np.array([[1.0, 0.7], [0.7, 1.5]])
-        decomp = spectral_decomposition(manual_model(coef, sigma), fourier_frequencies(100))
-        assert np.all(decomp.measure == 0.0)
+        assert np.all(measure(coef, sigma, fourier_frequencies(100)) == 0.0)
 
     def test_estimated_spectrum_near_truth(self):
         rng = np.random.default_rng(812)
@@ -351,7 +346,7 @@ class TestNullMedians:
         samples = rng.normal(size=(12, n, 2))
         samples[:, 1:, 1] += 0.4 * samples[:, :-1, 0]
         freqs = fourier_frequencies(n)
-        got = _null_medians(samples, 4, freqs)
+        got = _median_measure(_spectra(samples, 4, freqs)[1])
         calls.clear()
         path = bic_path(samples, 4)
         assert not np.isnan(path).any()
@@ -375,8 +370,8 @@ class TestScaleInvariance:
         freqs = fourier_frequencies(600)
         base = fit_var(data, max_order=4)
         scaled = fit_var(data * np.array([250.0, 0.004]), max_order=4)
-        m_base = spectral_decomposition(base, freqs).measure
-        m_scaled = spectral_decomposition(scaled, freqs).measure
+        m_base = measure(base.endo_coef, base.resid_cov, freqs)
+        m_scaled = measure(scaled.endo_coef, scaled.resid_cov, freqs)
         assert np.max(np.abs(m_base - m_scaled)) < 1e-8
 
 
@@ -503,16 +498,17 @@ class TestThresholds:
         # are made to fail.
         from climdemand import spectral
 
-        null_medians = spectral._null_medians
+        spectra = spectral._spectra
         done = []
 
         def failing(samples, *args):
-            medians = null_medians(samples, *args)
-            medians[max(0, finite - sum(done)):] = np.nan
-            done.append(len(medians))
-            return medians
+            orders, ratio, failure = spectra(samples, *args)
+            cut = max(0, finite - sum(done))
+            ratio[cut:], failure[cut:] = np.nan, 5
+            done.append(len(ratio))
+            return orders, ratio, failure
 
-        monkeypatch.setattr(spectral, "_null_medians", failing)
+        monkeypatch.setattr(spectral, "_spectra", failing)
         rng = np.random.default_rng(41)
         x, y = rng.normal(size=(2, 200))
         cfg = GcBootstrapConfig(n_replicates=120, seed=2)
@@ -659,6 +655,31 @@ class TestBatchedNull:
         assert clean.n_failed == 0
 
 
+class TestObservedIsReplicateZero:
+    @pytest.mark.parametrize("conditional", [False, True], ids=["unconditional", "conditional"])
+    def test_observed_spectrum_is_a_one_sample_stack(self, conditional):
+        # The null's stacked estimator, run on the observed series alone,
+        # gives the spectrum's order and estimate, and its null median is
+        # the estimate's median.
+        rng = np.random.default_rng(24)
+        x, y, w = rng.normal(size=(3, 200))
+        cfg = GcBootstrapConfig(n_replicates=100, seed=3)
+        freqs = fourier_frequencies(200)
+        if conditional:
+            result = conditional_gc_spectrum(x, y, w, cfg)
+            orders, ratio, failure = _conditional_spectra(
+                x[None], np.column_stack([y, w])[None], cfg.max_var_order, freqs
+            )
+        else:
+            result = unconditional_gc_spectrum(x, y, cfg)
+            orders, ratio, failure = _spectra(
+                np.column_stack([x, y])[None], cfg.max_var_order, freqs
+            )
+        assert (orders.tolist(), failure.tolist()) == ([result.var_order], [0])
+        assert np.log1p(ratio[0]).tobytes() == result.estimate.tobytes()
+        assert _median_measure(ratio)[0].tobytes() == np.median(result.estimate).tobytes()
+
+
 class TestUnconditionalInference:
     def test_detects_lagged_cause(self):
         rng = np.random.default_rng(2024)
@@ -704,16 +725,28 @@ class TestUnconditionalInference:
                 GcBootstrapConfig(n_replicates=100),
             )
 
+    def test_rank_deficiency_is_named_at_the_first_failing_order(self):
+        # An effect that is the lagged cause fits exactly: at order 1 only
+        # the effect's residuals vanish, which the BIC path accepts; at
+        # order 2 the cause's second lag repeats the effect's first, so
+        # order 2 is the first whose fit fails, as fit_var names it.
+        x = np.random.default_rng(3).normal(size=200)
+        y = np.r_[0.0, x[:-1]]
+        with pytest.raises(RankDeficiencyError, match="collinear columns: cause.l2, effect$"):
+            unconditional_gc_spectrum(x, y, GcBootstrapConfig(n_replicates=100))
+        with pytest.raises(RankDeficiencyError, match="collinear columns: cause.l2, effect$"):
+            fit_var(np.column_stack([x, y]), names=("cause", "effect"))
+
     def test_spectrum_checks_the_pair_once(self, monkeypatch):
-        # One check of the pair serves the observed fit and the null, and
-        # the observed fit checks the sample size.
+        # One check of the pair and of its sample size serves the observed
+        # spectrum and the null, and neither calls fit_var.
         from climdemand import spectral
 
         rng = np.random.default_rng(22)
         x, y = rng.normal(size=(2, 200))
         cfg = GcBootstrapConfig(n_replicates=100, seed=5)
         model = fit_var(np.column_stack([x, y]), max_order=cfg.max_var_order)
-        observed = spectral_decomposition(model, fourier_frequencies(200))
+        observed = measure(model.endo_coef, model.resid_cov, fourier_frequencies(200))
         thresholds = _unconditional_thresholds(x, y, cfg)
         calls = {"_check_pair": 0, "check_sample_size": 0, "fit_var": 0}
         for name in calls:
@@ -722,8 +755,8 @@ class TestUnconditionalInference:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(spectral, name, spy)
         result = unconditional_gc_spectrum(x, y, cfg)
-        assert calls == {"_check_pair": 1, "check_sample_size": 0, "fit_var": 1}
-        assert result.estimate.tobytes() == observed.measure.tobytes()
+        assert calls == {"_check_pair": 1, "check_sample_size": 1, "fit_var": 0}
+        assert result.estimate.tobytes() == observed.tobytes()
         assert result.var_order == model.order
         assert (result.threshold_pointwise, result.threshold_bonferroni) == (
             thresholds.pointwise, thresholds.bonferroni)
@@ -797,13 +830,9 @@ class TestConditional:
         coef = np.array([[[0.3, 0.0], [0.5, 0.4]]])
         data = simulate_pair(coef, np.eye(2), 2000, rng)
         w = rng.normal(size=2000)
-        uncond, _ = (
-            spectral_decomposition(
-                fit_var(data, max_order=4), fourier_frequencies(2000)
-            ).measure,
-            None,
-        )
-        cond = observed_conditional(data[:, 0], data[:, 1], w).measure
+        model = fit_var(data, max_order=4)
+        uncond = measure(model.endo_coef, model.resid_cov, fourier_frequencies(2000))
+        cond, _ = observed_conditional(data[:, 0], data[:, 1], w)
         assert np.max(np.abs(cond - uncond)) < 0.08
 
     def test_mediated_chain_is_not_conditionally_significant(self):
@@ -842,9 +871,16 @@ class TestConditional:
         with pytest.raises(DegenerateInputError, match="cause series is fully explained"):
             conditional_gc_spectrum(w.copy(), y, w, GcBootstrapConfig(n_replicates=100))
 
-    def test_stacked_projection_matches_per_series_least_squares(self):
-        from climdemand.spectral import _project_on_conditioning
+    def test_collinear_projection_residuals_are_named_as_fit_var_names_them(self):
+        # An effect that is twice the cause plus the conditioning leaves
+        # residuals whose effect is twice their cause; their VAR names its
+        # variables y0 and y1, as fit_var names unnamed ones.
+        rng = np.random.default_rng(3)
+        x, w = rng.normal(size=(2, 200))
+        with pytest.raises(RankDeficiencyError, match="collinear columns: y1.l1, y1$"):
+            conditional_gc_spectrum(x, 2.0 * x + w, w, GcBootstrapConfig(n_replicates=100))
 
+    def test_stacked_projection_matches_per_series_least_squares(self):
         rng = np.random.default_rng(15)
         series = rng.normal(size=(9, 120, 2))
         conditioning = rng.normal(size=(9, 120))
@@ -867,8 +903,6 @@ class TestConditional:
     def test_collinear_conditioning_lags_are_degenerate(self):
         # A linear trend's lags differ by a constant: the projection design
         # is singular, which the stacked QR reports instead of solving.
-        from climdemand.spectral import _project_on_conditioning
-
         rng = np.random.default_rng(16)
         trend = np.arange(80.0)
         _, singular = _project_on_conditioning(
@@ -896,14 +930,14 @@ class TestConditional:
 
     def test_spectrum_checks_and_fits_the_pair_once(self, monkeypatch):
         # One check of the three series and one (effect, conditioning) fit
-        # serve the observed decomposition and the null; the second fit_var
-        # call is the projection residuals' VAR.
+        # serve the observed spectrum and the null; the projection
+        # residuals' VAR is fitted as the null fits it, without fit_var.
         from climdemand import spectral
 
         rng = np.random.default_rng(21)
         x, y, w = rng.normal(size=(3, 200))
         cfg = GcBootstrapConfig(n_replicates=100, seed=4)
-        observed = observed_conditional(x, y, w, cfg.max_var_order)
+        observed, order = observed_conditional(x, y, w, cfg.max_var_order)
         thresholds = conditional_thresholds(x, y, w, cfg)
         calls = {"_check_triple": 0, "fit_var": 0}
         for name in calls:
@@ -912,9 +946,9 @@ class TestConditional:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(spectral, name, spy)
         result = conditional_gc_spectrum(x, y, w, cfg)
-        assert calls == {"_check_triple": 1, "fit_var": 2}
-        assert result.estimate.tobytes() == observed.measure.tobytes()
-        assert result.var_order == observed.projection_order
+        assert calls == {"_check_triple": 1, "fit_var": 1}
+        assert result.estimate.tobytes() == observed.tobytes()
+        assert result.var_order == order
         assert (result.threshold_pointwise, result.threshold_bonferroni) == (
             thresholds.pointwise, thresholds.bonferroni)
 
