@@ -387,6 +387,9 @@ def cmd_select(run: RunConfig, panel_path: str, target: str,
     """
     panel = read_panel_csv(panel_path)
     _require_columns(panel, (target,) + columns)
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise InvalidInputError(f"--columns names {name!r} more than once")
     if not columns:
         columns = tuple(n for n in panel.column_names if n != target)
     kept = (target,) + tuple(c for c in columns if c != target)

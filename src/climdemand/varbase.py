@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import replicate_blocks
+from ._rng import factor_slices, replicate_blocks
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -118,8 +118,12 @@ def lag_design(
 def _qr_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """R of the Householder QR of each (n, c) matrix of a stack, and the mask
     of small pivots, |r_ii| <= max_j |r_jj| * max(n, c) * eps or not finite:
-    the columns that the columns before them span to rounding."""
-    r = np.linalg.qr(matrix, mode="r")
+    the columns that the columns before them span to rounding.  The stack is
+    factored :data:`climdemand._rng.FACTOR_SLICE` matrices at a time, so the
+    copy np.linalg.qr makes of its input covers one slice."""
+    stack = matrix.reshape((-1, *matrix.shape[-2:]))
+    r = np.concatenate([np.linalg.qr(stack[part], mode="r") for part in factor_slices(len(stack))])
+    r = r.reshape(matrix.shape[:-2] + r.shape[-2:])
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     tol = diag.max(axis=-1, keepdims=True) * max(matrix.shape[-2:]) * np.finfo(float).eps
     return r, ~(diag > tol)
@@ -190,10 +194,10 @@ def refit(
 ) -> tuple[list[OrderFit], np.ndarray]:
     """Least squares for each series of a (B, T, K) stack at its own order.
 
-    Each series uses its full usable sample t = order..T-1, one stacked QR
-    per order and fit block (:func:`climdemand._rng.replicate_blocks`) of
-    its series: np.linalg.qr copies the stacked design before it keeps R,
-    so a block holds two designs of its width at once.  Series are grouped by
+    Each series uses its full usable sample t = order..T-1, one stacked
+    design per order and fit block (:func:`climdemand._rng.replicate_blocks`)
+    of its series, factored a slice at a time (:func:`_qr_factor`), so a
+    block holds its designs once and one slice's copy.  Series are grouped by
     order, in increasing order.  Returns the groups and the (B,) mask of
     series whose design has a small pivot, which no group holds.
     """

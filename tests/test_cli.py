@@ -410,6 +410,21 @@ class TestErrorReporting:
         assert (payload["error"], payload["message"]) == (error, message)
         assert not list(out.iterdir())
 
+    def test_select_refuses_a_column_named_twice(self, tmp_path, capsys):
+        panel = make_panel(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(
+            "--out-dir", out, "select", "--panel", panel, "--trees", 5,
+            "--columns", "temperature,temperature",
+        )
+        assert code == 1
+        payload = error_json(capsys)
+        assert (payload["error"], payload["message"]) == (
+            "InvalidInputError", "--columns names 'temperature' more than once")
+        assert not list(out.iterdir())
+
     def test_missing_panel_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         code = run_cli(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from climdemand import _rng
+from climdemand import _rng, diagnostics
 from climdemand._rng import replicate_draws
 from climdemand.diagnostics import (
     _arch_lm_batch,
@@ -169,13 +169,43 @@ class TestBlockedNull:
 
         assert results(7) == results(150)
 
+    def test_slices_do_not_change_arch_lm(self, monkeypatch):
+        # ARCH-LM scores each fit block _rng.FACTOR_SLICE replicates at a
+        # time.  In the hand-built stack, replicate 5's first equation has
+        # constant squared residuals, so its Gram matrix is singular and
+        # _solve_or_pinv runs inside whichever slice holds it.
+        u = np.random.default_rng(15).normal(size=(200, 2))
+        stack = np.random.default_rng(16).normal(size=(13, 120, 2))
+        stack[5, :, 0] = np.where(stack[5, :, 0] > 0.0, 1.5, -1.5)
+
+        fallbacks = []
+        solve = diagnostics._solve_or_pinv
+        monkeypatch.setattr(diagnostics, "_solve_or_pinv",
+                            lambda g, m: fallbacks.append(g) or solve(g, m))
+
+        def results(size):
+            monkeypatch.setattr(_rng, "FACTOR_SLICE", size)
+            arch = arch_lm_test(u, lags=6, n_replicates=150, seed=4)
+            fallbacks.clear()
+            batch = _arch_lm_batch(stack, 6)
+            # The slice that holds replicate 5 falls back, one call each.
+            assert len(fallbacks) == min(size, len(stack))
+            return np.r_[arch.statistics, arch.p_values, arch.p_value].tobytes(), batch.tobytes()
+
+        default = _rng.FACTOR_SLICE
+        assert results(1) == results(default) == results(32)
+        alone = [_arch_lm_batch(stack[b : b + 1], 6)[0] for b in range(len(stack))]
+        assert results(default)[1] == np.array(alone).tobytes()
+        assert alone[5][0] == 0.0
+
     @pytest.mark.parametrize(
-        "test, budget_mib", [(portmanteau_test, 2.0), (arch_lm_test, 6.0)]
+        "test, budget_mib", [(portmanteau_test, 2.0), (arch_lm_test, 1.5)]
     )
     def test_null_runs_within_a_memory_budget(self, test, budget_mib):
         # About the benchmark screen's size: 386 x 2 residuals, 12 lags and 500
         # replicates.  Scored all at once, the portmanteau null peaked at
         # 6.3 MiB and the ARCH-LM null at 45.6 MiB; in blocks, 0.8 and 3.3.
+        # ARCH-LM scored a factor slice at a time into one design, 1.0.
         u = np.random.default_rng(14).normal(size=(386, 2))
         replicate_draws.cache_clear()
         peak, _ = traced_peak(lambda: test(u, lags=12, n_replicates=500, seed=0))

@@ -606,6 +606,19 @@ class TestBatchedNull:
         assert result.n_replicates == 1000
         assert peak <= 6.0 * 2**20
 
+    def test_unconditional_null_runs_within_a_memory_budget(self):
+        # Two 390-point series at the screen's 300 replicates.  Factoring
+        # each fit block's stacked designs in one QR, which copies its whole
+        # input, peaked at 2.84 MiB; a factor slice at a time, 2.05.
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=390)
+        y = np.r_[0.0, 0.5 * x[:-1]] + rng.normal(size=390)
+        cfg = GcBootstrapConfig(n_replicates=300, seed=0)
+        replicate_draws.cache_clear()
+        peak, result = traced_peak(lambda: unconditional_gc_spectrum(x, y, cfg))
+        assert result.n_replicates == 300
+        assert peak <= 2.5 * 2**20
+
     @pytest.mark.parametrize("seed", [2, 6])
     def test_short_series_agrees_with_oracle(self, seed):
         # At n = 26 a projection order of 4 leaves 22 rows, too few for the

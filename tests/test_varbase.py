@@ -454,6 +454,24 @@ class TestQrCore:
         assert target.strides == c_ordered[..., -2:].strides
         assert design.strides == c_ordered[..., np.arange(10)].strides
 
+    @pytest.mark.parametrize("size", ["1", "s-1", "s", "s+1", "32"])
+    def test_sliced_factor_equals_per_matrix_qr(self, size):
+        # _qr_factor factors _rng.FACTOR_SLICE matrices at a time; R and the
+        # small-pivot mask of every matrix are those of its own QR, however
+        # the stack falls into slices.  The last matrix has a column that
+        # its first two columns span.
+        s = _rng.FACTOR_SLICE
+        count = {"1": 1, "s-1": s - 1, "s": s, "s+1": s + 1, "32": 32}[size]
+        stack = np.swapaxes(np.random.default_rng(25).normal(size=(count, 7, 120)), 1, 2)
+        stack[-1, :, 4] = stack[-1, :, 0] - 2.0 * stack[-1, :, 1]
+        r, small = varbase._qr_factor(stack)
+        assert r.shape == (count, 7, 7)
+        for matrix, r_b, small_b in zip(stack, r, small):
+            assert r_b.tobytes() == np.linalg.qr(matrix, mode="r").tobytes()
+            assert_array_equal(small_b, varbase._qr_factor(matrix)[1])
+        assert small[-1].tolist() == [False] * 4 + [True, False, False]
+        assert not small[:-1].any()
+
     def test_core_modules_use_the_qr_primitive_only(self):
         # One least-squares primitive for the VAR core and the causality
         # nulls: no SVD solves and no raw LAPACK calls.
